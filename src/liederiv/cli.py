@@ -38,6 +38,7 @@ from .dersolve import (
     tau,
 )
 from .locder import (
+    CertificationError,
     DEFAULT_MAX_PROBES,
     DEFAULT_SEED,
     DEFAULT_STALL_LIMIT,
@@ -92,14 +93,16 @@ def _parse_map(path: str, L: LieAlgebra) -> Matrix:
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: malformed JSON: {exc}") from exc
     rows = doc.get("matrix") if isinstance(doc, dict) else doc
-    if not isinstance(rows, list) or len(rows) != L.dim:
+    if (
+        not isinstance(rows, list)
+        or len(rows) != L.dim
+        or not all(isinstance(row, list) and len(row) == L.dim for row in rows)
+    ):
         raise CliError(f"{path}: expected a {L.dim}x{L.dim} matrix")
     try:
         entries = [[parse_scalar(x, L.field) for x in row] for row in rows]
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise CliError(f"{path}: bad scalar: {exc}") from exc
-    if any(len(r) != L.dim for r in entries):
-        raise CliError(f"{path}: expected a {L.dim}x{L.dim} matrix")
     return Matrix(L.field, entries)
 
 
@@ -420,6 +423,9 @@ def main(argv=None) -> int:
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except CertificationError as exc:
+        print(f"error: undecided: {exc}", file=sys.stderr)
         return 1
 
 

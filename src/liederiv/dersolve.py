@@ -14,12 +14,13 @@ flattened column-major (column j holds the image of basis vector j).
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .exactfield import FIELD_Q, check_field, one, zero
-from .liealg import AlgebraElement, LieAlgebra, ad, bracket, schrodinger_rank
-from .linalg import Matrix, SparseEchelon, Subspace, rref
+from .liealg import AlgebraElement, LieAlgebra, ad, schrodinger_rank
+from .linalg import Matrix, SparseEchelon, Subspace, rref, sparse_add
 
 
 def flatten_map(m: Matrix) -> tuple:
@@ -49,25 +50,16 @@ def leibniz_rows(L: LieAlgebra) -> Iterator[dict]:
             for k in range(d):
                 row: dict = {}
                 for m, c in cij.items():
-                    _row_add(row, m * d + k, c)
+                    sparse_add(row, m * d + k, c)
                 per_k[k] = row
             for r in range(d):
                 for k, c in L.bracket_basis(r, j).items():
-                    _row_add(per_k[k], i * d + r, -c)
+                    sparse_add(per_k[k], i * d + r, -c)
             for s in range(d):
                 for k, c in L.bracket_basis(i, s).items():
-                    _row_add(per_k[k], j * d + s, -c)
+                    sparse_add(per_k[k], j * d + s, -c)
             for k in range(d):
                 yield per_k[k]
-
-
-def _row_add(row: dict, col: int, val) -> None:
-    cur = row.get(col)
-    nv = val if cur is None else cur + val
-    if nv:
-        row[col] = nv
-    else:
-        row.pop(col, None)
 
 
 def leibniz_system(L: LieAlgebra) -> Matrix:
@@ -93,31 +85,68 @@ class LeibnizVerdict:
     failing_pair: Optional[tuple] = None
 
 
+def sparse_columns(D: Matrix) -> tuple:
+    """Column j of D as a ``{row: entry}`` dict of its nonzero entries."""
+    return tuple(
+        {r: row[j] for r, row in enumerate(D.entries) if row[j]} for j in range(D.ncols)
+    )
+
+
 def is_derivation(L: LieAlgebra, D: Matrix) -> LeibnizVerdict:
-    """Exact product-rule check on all basis pairs (sufficient by bilinearity)."""
+    """Exact product-rule check on all basis pairs (sufficient by bilinearity).
+
+    For each pair i < j it sums D([b_i,b_j]) - sum_r D[r,i] [b_r,b_j]
+    - sum_s D[s,j] [b_i,b_s] over the sparse columns of D, straight from
+    the structure constants.  It shares no code with ``leibniz_rows``, so
+    it re-checks the elimination independently.
+    """
     if D.nrows != L.dim or D.ncols != L.dim:
         raise ValueError("map dimension does not match algebra")
     if D.field != L.field:
         raise ValueError("map field does not match algebra")
+    cols = sparse_columns(D)
     for i in range(L.dim):
-        xi = L.basis_element(i)
-        dxi = L.element(D.col(i))
         for j in range(i + 1, L.dim):
-            xj = L.basis_element(j)
-            lhs = L.element(D.matvec(bracket(xi, xj).coords))
-            rhs = bracket(dxi, xj) + bracket(xi, L.element(D.col(j)))
-            if lhs.coords != rhs.coords:
+            acc: dict = {}
+            for m, c in L.bracket_basis(i, j).items():
+                for r, a in cols[m].items():
+                    sparse_add(acc, r, c * a)
+            for r, a in cols[i].items():
+                for k, c in L.bracket_basis(r, j).items():
+                    sparse_add(acc, k, -(a * c))
+            for s, a in cols[j].items():
+                for k, c in L.bracket_basis(i, s).items():
+                    sparse_add(acc, k, -(a * c))
+            if acc:
                 return LeibnizVerdict(False, (L.labels[i], L.labels[j]))
     return LeibnizVerdict(True)
 
 
 @dataclass(frozen=True)
 class DerivationSpace:
-    """Basis of Der(L) plus its canonical embedding in the map space."""
+    """Basis of Der(L) plus its canonical embedding in the map space.
+
+    Two sparse views are built once at construction: ``columns[k]`` holds
+    the columns of ``basis[k]``, so that an image D_k(x) costs only the
+    support of x, and ``vectors[k]`` holds the nonzero entries of the k-th
+    row of ``subspace``, so that a constraint row is checked against Der
+    at the cost of its own support.  The two views come from different
+    fields, so the check does not reuse the data the images came from.
+    """
 
     algebra: LieAlgebra
     basis: tuple  # tuple[Matrix]
     subspace: Subspace
+    columns: tuple = dataclasses.field(init=False, repr=False, compare=False)
+    vectors: tuple = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "columns", tuple(sparse_columns(D) for D in self.basis))
+        object.__setattr__(
+            self,
+            "vectors",
+            tuple({c: x for c, x in enumerate(row) if x} for row in self.subspace.basis.entries),
+        )
 
     @property
     def dim(self) -> int:

@@ -32,8 +32,10 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        # Fraction(x) rebuilds even a Fraction; the parts are immutable,
+        # so an exact Fraction is stored as it is
+        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
+        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -70,6 +72,8 @@ class GaussianRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not self.im and not o.im:
+            return GaussianRational(self.re * o.re)
         return GaussianRational(
             self.re * o.re - self.im * o.im,
             self.re * o.im + self.im * o.re,
@@ -184,7 +188,10 @@ _RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 def _parse_rational(text: str) -> Fraction:
     if not _RAT_RE.match(text):
         raise ValueError(f"malformed rational {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_rational(a: Fraction) -> str:
@@ -212,6 +219,8 @@ def parse_scalar(text: str, field: str):
     Denominators are optional (``3`` means ``3/1``).
     """
     check_field(field)
+    if not isinstance(text, str):
+        raise ValueError(f"scalar must be a string, got {text!r}")
     s = text.strip()
     if not s:
         raise ValueError("empty scalar")

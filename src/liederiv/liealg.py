@@ -340,6 +340,8 @@ def load(path: str) -> LieAlgebra:
 
 
 def _expect_keys(obj: dict, keys: set, where: str):
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be an object")
     extra = set(obj) - keys
     if extra:
         raise ValueError(f"unknown keys {sorted(extra)} in {where}")
@@ -368,6 +370,10 @@ def from_json(text: str) -> LieAlgebra:
     table: dict = {}
     for entry in doc["brackets"]:
         _expect_keys(entry, {"left", "right", "terms"}, "bracket entry")
+        if not isinstance(entry["left"], str) or not isinstance(entry["right"], str):
+            raise ValueError("bracket entry labels must be strings")
+        if not isinstance(entry["terms"], list):
+            raise ValueError("bracket terms must be a list")
         try:
             li, ri = index[entry["left"]], index[entry["right"]]
         except KeyError as exc:
@@ -377,7 +383,7 @@ def from_json(text: str) -> LieAlgebra:
         terms = {}
         for term in entry["terms"]:
             _expect_keys(term, {"basis", "coeff"}, "bracket term")
-            if term["basis"] not in index:
+            if not isinstance(term["basis"], str) or term["basis"] not in index:
                 raise ValueError(f"unknown basis label {term['basis']!r}")
             k = index[term["basis"]]
             c = parse_scalar(term["coeff"], field)

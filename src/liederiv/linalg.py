@@ -366,30 +366,46 @@ class SparseEchelon:
             out.append(vec)
         return out
 
-    def nullspace(self, field: str) -> Subspace:
+    def rref_rows(self) -> list[dict]:
+        """The canonical RREF basis of the row space, sparse, in pivot order."""
+        reduced = self.reduced_rows()
+        return [reduced[p] for p in sorted(reduced)]
+
+    def row_space(self, field: str) -> Subspace:
+        """The row space as a Subspace, read off the back-eliminated rows
+        (RREF is unique, so no dense re-elimination is needed)."""
         z = zero(field)
-        o = one(field)
-        vecs = []
-        for sv in self.nullspace_vectors():
+        sparse = self.rref_rows()
+        rows = []
+        for row in sparse:
             dense = [z] * self.ncols
-            for c, x in sv.items():
-                dense[c] = o * x
-            vecs.append(dense)
-        return Subspace.from_vectors(field, self.ncols, vecs)
+            for c, x in row.items():
+                dense[c] = x
+            rows.append(dense)
+        pivots = tuple(min(row) for row in sparse)
+        return Subspace(field, self.ncols, Matrix(field, rows), pivots)
+
+    def kernel(self, field: str) -> "SparseEchelon":
+        """An accumulator whose row space is the nullspace of this one."""
+        o = one(field)
+        out = SparseEchelon(self.ncols)
+        for sv in self.nullspace_vectors():
+            out.insert({c: o * x for c, x in sv.items()})
+        return out
+
+    def nullspace(self, field: str) -> Subspace:
+        return self.kernel(field).row_space(field)
+
+
+def sparse_add(row: dict, col: int, val) -> None:
+    """row[col] += val on a sparse ``{column: scalar}`` dict, dropping zeros."""
+    cur = row.get(col)
+    nv = val if cur is None else cur + val
+    if nv:
+        row[col] = nv
+    else:
+        row.pop(col, None)
 
 
 def _scalar_inverse(v):
     return v.inverse() if hasattr(v, "inverse") else 1 / v
-
-
-def dot(u: Sequence, v: Sequence):
-    """Exact dot product of equal-length dense vectors."""
-    if len(u) != len(v):
-        raise ValueError("dimension mismatch in dot")
-    total = None
-    for a, b in zip(u, v):
-        if a and b:
-            total = a * b if total is None else total + a * b
-    if total is None:
-        return 0
-    return total

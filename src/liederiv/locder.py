@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 from .exactfield import FIELD_Q, FIELD_QI, GaussianRational, one, zero
 from .liealg import AlgebraElement, LieAlgebra, make_schrodinger, schrodinger_rank
-from .linalg import Matrix, SparseEchelon, Subspace, dot, nullspace, rref
+from .linalg import Matrix, SparseEchelon, Subspace, rref, sparse_add
 from .dersolve import DerivationSpace, derivation_space, flatten_map
 from .poly import MultiPoly, poly_det, split_linear
 
@@ -111,11 +111,23 @@ def make_probe(L: LieAlgebra, terms: dict, label: Optional[str] = None) -> Probe
     return Probe(el, label if label is not None else probe_label(el))
 
 
+def _orbit_echelon(L: LieAlgebra, der: DerivationSpace, x: AlgebraElement) -> SparseEchelon:
+    """Echelon whose row space is W_x, fed by one pass that forms each
+    image D_k(x) sparsely over the support of x."""
+    support = [(j, c) for j, c in enumerate(x.coords) if c]
+    acc = SparseEchelon(L.dim)
+    for cols in der.columns:
+        img: dict = {}
+        for j, c in support:
+            for r, a in cols[j].items():
+                sparse_add(img, r, c * a)
+        acc.insert(img)
+    return acc
+
+
 def orbit_subspace(L: LieAlgebra, der: DerivationSpace, x: AlgebraElement) -> Subspace:
     """W_x = span{D(x) : D in the Der basis}."""
-    return Subspace.from_vectors(
-        L.field, L.dim, [D.matvec(x.coords) for D in der.basis]
-    )
+    return _orbit_echelon(L, der, x).row_space(L.field)
 
 
 def _normalized_key(x: AlgebraElement) -> tuple:
@@ -159,16 +171,19 @@ class CandidateSpace:
     def contains_map(self, D: Matrix) -> bool:
         # the accumulated rows cut out the space, so membership just means
         # every constraint row annihilates the flattened map
-        flat = flatten_map(D)
+        flat = {c: x for c, x in enumerate(flatten_map(D)) if x}
         return not any(dot_sparse(row, flat) for row in self.echelon.rows.values())
 
 
-def dot_sparse(row: dict, dense: Sequence):
+def dot_sparse(u: dict, v: dict):
+    """Exact dot product of two sparse ``{column: scalar}`` vectors."""
+    if len(v) < len(u):
+        u, v = v, u
     total = None
-    for c, v in row.items():
-        x = dense[c]
-        if x:
-            total = v * x if total is None else total + v * x
+    for c, a in u.items():
+        b = v.get(c)
+        if b is not None:
+            total = a * b if total is None else total + a * b
     return total if total is not None else 0
 
 
@@ -191,24 +206,19 @@ def constrain(
     if key in acc.seen:
         return acc
     d = L.dim
-    w = orbit_subspace(L, der, x)
-    annihilator = nullspace(w.basis) if w.dim else Subspace.full_space(L.field, d)
+    # the annihilator of W_x in canonical RREF; a zero orbit leaves the
+    # whole dual space, which is what the nullspace of no rows gives
+    annihilator = _orbit_echelon(L, der, x).kernel(L.field).rref_rows()
+    support = [(j, xj) for j, xj in enumerate(x.coords) if xj]
     before = acc.dim
     echelon = acc.echelon.clone()
-    der_images = [D.matvec(x.coords) for D in der.basis]
-    for p in annihilator.basis.entries:
-        for img in der_images:
-            if dot(p, img):
+    for p in annihilator:
+        row = {j * d + i: xj * pi for j, xj in support for i, pi in p.items()}
+        for vec in der.vectors:
+            if dot_sparse(row, vec):
                 raise AssertionError(
                     f"constraint row at probe {probe.label!r} does not annihilate Der"
                 )
-        row = {}
-        for j, xj in enumerate(x.coords):
-            if not xj:
-                continue
-            for i, pi in enumerate(p):
-                if pi:
-                    row[j * d + i] = xj * pi
         echelon.insert(row)
     step = ProbeStep(probe.label, before, d * d - echelon.rank)
     return CandidateSpace(L, echelon, acc.history + (step,), acc.seen | {key})

@@ -176,12 +176,12 @@ def poly_det(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
     return dp.get(full, MultiPoly.zero(nvars))
 
 
-def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
+def _rational_roots(coeffs: list[Fraction]) -> Optional[list[Fraction]]:
     """Rational roots of sum coeffs[j] t^j, with multiplicity collapsed.
 
-    Integer divisor enumeration is capped; polynomials whose extreme
-    coefficients are too large simply report no roots, which callers
-    treat as a failed linear split.
+    Integer divisor enumeration is capped; when an extreme coefficient
+    is too large to enumerate the candidates, the roots are unknown and
+    the result is None.
     """
     while coeffs and not coeffs[-1]:
         coeffs.pop()
@@ -199,9 +199,12 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     lead, trail = ints[-1], ints[0]
     if trail == 0:
         return []  # callers strip variable content first
+    numerators, denominators = _divisors(abs(trail)), _divisors(abs(lead))
+    if numerators is None or denominators is None:
+        return None
     roots = []
-    for p in _divisors(abs(trail)):
-        for q in _divisors(abs(lead)):
+    for p in numerators:
+        for q in denominators:
             for cand in (Fraction(p, q), Fraction(-p, q)):
                 if cand in roots:
                     continue
@@ -222,8 +225,11 @@ def _gcd(a: int, b: int) -> int:
 _DIVISOR_CAP = 10**7
 
 
-def _divisors(n: int) -> list[int]:
-    if n == 0 or n > _DIVISOR_CAP:
+def _divisors(n: int) -> Optional[list[int]]:
+    """Positive divisors of n, or None above the enumeration cap."""
+    if n > _DIVISOR_CAP:
+        return None
+    if n == 0:
         return []
     out = []
     d = 1
@@ -286,8 +292,11 @@ def split_linear(p: MultiPoly, rational_points_only: bool = True) -> Optional[li
             return None
         coeffs[e[x]] = Fraction(c)
     # rest(x, y) = y^deg * A(x/y) with A(t) = sum coeffs[j] t^j; a_0, a_deg != 0
+    roots = _rational_roots(list(coeffs))
+    if roots is None:
+        return None  # the candidate roots are too many to enumerate
     work = list(coeffs)
-    for r in _rational_roots(list(coeffs)):
+    for r in roots:
         while len(work) > 1:
             quot, rem = _divide_by_linear(work, r)
             if rem:

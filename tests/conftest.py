@@ -1,9 +1,11 @@
-"""Shared helpers: random exact scalars and an independent elimination
-oracle used to cross-check the production linear algebra."""
+"""Shared helpers: random exact scalars, an independent elimination
+oracle used to cross-check the production linear algebra, and a dense
+product-rule oracle for the sparse derivation check."""
 
 from fractions import Fraction
 
 from liederiv.exactfield import FIELD_Q, GaussianRational
+from liederiv.liealg import bracket
 
 
 def rand_fraction(rng, lo=-9, hi=9, den=4):
@@ -47,3 +49,19 @@ def naive_rank(rows):
 def back_multiply(rows, vec):
     """Exact products row . vec for every row (the nullspace oracle)."""
     return [sum((a * b for a, b in zip(row, vec) if a and b), 0 * vec[0]) for row in rows]
+
+
+def dense_is_derivation(L, D):
+    """(ok, failing_pair) of the product rule on all basis pairs, through
+    dense elements and ``bracket``; the first failing pair in row-major
+    order, as the production check reports it."""
+    for i in range(L.dim):
+        xi = L.basis_element(i)
+        dxi = L.element(D.col(i))
+        for j in range(i + 1, L.dim):
+            xj = L.basis_element(j)
+            lhs = L.element(D.matvec(bracket(xi, xj).coords))
+            rhs = bracket(dxi, xj) + bracket(xi, L.element(D.col(j)))
+            if lhs.coords != rhs.coords:
+                return False, (L.labels[i], L.labels[j])
+    return True, None

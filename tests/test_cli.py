@@ -217,3 +217,61 @@ def test_gen_output_is_reloadable_and_stable(tmp_path, capsys):
     run_cli(capsys, "gen", "--schrodinger", "3", "-o", str(p2))
     assert p1.read_bytes() == p2.read_bytes()
     assert load(str(p1)) == make_schrodinger(3)
+
+
+def assert_one_line_error(code, out, err):
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def write_h1_with(tmp_path, mutate):
+    doc = json.loads(to_json(make_heisenberg(1)))
+    mutate(doc)
+    path = tmp_path / "h1.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_zero_denominator_coefficient_exits_one(tmp_path, capsys):
+    def mutate(doc):
+        doc["brackets"][0]["terms"][0]["coeff"] = "1/0"
+
+    path = write_h1_with(tmp_path, mutate)
+    assert_one_line_error(*run_cli(capsys, "jacobi", str(path)))
+
+
+def test_integer_coefficient_exits_one(tmp_path, capsys):
+    def mutate(doc):
+        doc["brackets"][0]["terms"][0]["coeff"] = 1
+
+    path = write_h1_with(tmp_path, mutate)
+    assert_one_line_error(*run_cli(capsys, "der", str(path)))
+
+
+def test_non_object_bracket_entry_exits_one(tmp_path, capsys):
+    def mutate(doc):
+        doc["brackets"].append(7)
+
+    path = write_h1_with(tmp_path, mutate)
+    assert_one_line_error(*run_cli(capsys, "jacobi", str(path)))
+
+
+def test_integer_map_entry_exits_one(tmp_path, capsys):
+    alg = write_h1_with(tmp_path, lambda doc: None)
+    mp = tmp_path / "map.json"
+    mp.write_text(json.dumps({"matrix": [[0, 0, 0], [0, 0, 0], [0, 0, 1]]}))
+    assert_one_line_error(*run_cli(capsys, "certify", str(alg), "--map", str(mp)))
+
+
+def test_certify_above_dimension_bound_exits_one(tmp_path, capsys):
+    alg = tmp_path / "s3.json"
+    run_cli(capsys, "gen", "--schrodinger", "3", "-o", str(alg))
+    rows = [["0"] * 10 for _ in range(10)]
+    rows[3][3] = "1"
+    mp = tmp_path / "map.json"
+    mp.write_text(json.dumps({"matrix": rows}))
+    code, out, err = run_cli(capsys, "certify", str(alg), "--map", str(mp))
+    assert_one_line_error(code, out, err)
+    assert "exceeds the certifier bound" in err

@@ -6,7 +6,15 @@ import pytest
 
 from liederiv.exactfield import FIELD_Q, FIELD_QI
 from liederiv.liealg import ad, make_abelian, make_heisenberg, make_schrodinger, make_sl2
-from liederiv.linalg import Matrix, Subspace, nullspace, rref, subspace_intersect, subspace_sum
+from liederiv.linalg import (
+    Matrix,
+    SparseEchelon,
+    Subspace,
+    nullspace,
+    rref,
+    subspace_intersect,
+    subspace_sum,
+)
 from liederiv.dersolve import (
     decompose,
     derivation_space,
@@ -20,7 +28,7 @@ from liederiv.dersolve import (
     tau,
     unflatten_map,
 )
-from conftest import rand_scalar
+from conftest import dense_is_derivation, rand_scalar
 
 
 def expected_der_dim(n):
@@ -106,6 +114,43 @@ def test_is_derivation_examples():
     rows[H.index["z"]][H.index["z"]] = 1
     verdict = is_derivation(H, Matrix(FIELD_Q, rows))
     assert not verdict.ok and verdict.failing_pair == ("u_1", "v_1")
+
+
+def test_sparse_product_rule_agrees_with_dense_oracle_on_perturbed_maps():
+    rng = random.Random(4242)
+    algebras = [make_schrodinger(n, f) for n in (1, 2, 3) for f in (FIELD_Q, FIELD_QI)]
+    algebras.append(make_heisenberg(2))
+    for L in algebras:
+        fired = 0
+        for D in derivation_space(L).basis:
+            assert (True, None) == dense_is_derivation(L, D)
+            rows = [list(r) for r in D.entries]
+            r, c = rng.randrange(L.dim), rng.randrange(L.dim)
+            delta = Fraction(0)
+            while not delta:
+                delta = rand_scalar(rng, L.field)
+            rows[r][c] = rows[r][c] + delta
+            perturbed = Matrix(L.field, rows)
+            verdict = is_derivation(L, perturbed)
+            assert (verdict.ok, verdict.failing_pair) == dense_is_derivation(L, perturbed)
+            fired += not verdict.ok
+        assert fired, f"no perturbation of a Der({L.name}) basis map was caught"
+
+
+def test_derivation_space_rejects_a_non_derivation_from_the_nullspace(monkeypatch):
+    L = make_schrodinger(2)
+    original = SparseEchelon.nullspace
+
+    def corrupted(self, field):
+        space = original(self, field)
+        rows = [list(r) for r in space.basis.entries]
+        # adds e -> e to the first basis map, which breaks [e, f] = h
+        rows[0][0] = rows[0][0] + 1
+        return Subspace.from_vectors(field, self.ncols, rows)
+
+    monkeypatch.setattr(SparseEchelon, "nullspace", corrupted)
+    with pytest.raises(AssertionError, match="non-derivation"):
+        derivation_space(L)
 
 
 def test_tau_spot_check_on_central_pair():

@@ -1,0 +1,69 @@
+"""Golden stdout: a fixed command set must print the same bytes as the
+files under ``tests/golden/``.
+
+Refactors and speed-ups of the exact layers must not change a single
+byte of any report.  To rewrite the golden files after an intended
+change of output, run ``python tests/test_golden.py`` from the
+repository root and review the diff.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from liederiv.cli import main
+from liederiv.liealg import make_heisenberg, to_json
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "der_n3": ["der", "--n", "3"],
+    "outer_check_n3": ["outer-check", "--n", "3"],
+    "locder_basis_n2": ["locder-basis", "--n", "2"],
+    "locder_replay_n3": ["locder-replay", "--n", "3"],
+    "locder_random_n2": ["locder-random", "--n", "2", "--seed", "24301"],
+    "demo_heisenberg": ["demo-heisenberg"],
+    "certify_h1_zz": ["certify", "{dir}/h1.json", "--map", "{dir}/zz.json"],
+}
+
+
+def write_certify_inputs(directory: Path) -> None:
+    """h_1 on (z, u_1, v_1) and the map z -> z, zero elsewhere."""
+    L = make_heisenberg(1)
+    (directory / "h1.json").write_text(to_json(L))
+    rows = [["0"] * L.dim for _ in range(L.dim)]
+    z = L.index["z"]
+    rows[z][z] = "1"
+    (directory / "zz.json").write_text(json.dumps({"matrix": rows}))
+
+
+def argv_for(name: str, directory: Path) -> list:
+    return [a.format(dir=directory) for a in CASES[name]]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_stdout(name, tmp_path, capsys):
+    write_certify_inputs(tmp_path)
+    code = main(argv_for(name, tmp_path))
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_certify_inputs(Path(tmp))
+        for name in sorted(CASES):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = main(argv_for(name, Path(tmp)))
+            if code != 0:
+                sys.exit(f"{name}: exit {code}")
+            (GOLDEN / f"{name}.json").write_text(buf.getvalue(), encoding="utf-8")

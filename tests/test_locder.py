@@ -5,8 +5,8 @@ import pytest
 
 from liederiv.exactfield import FIELD_Q, FIELD_QI, GaussianRational
 from liederiv.liealg import ad, make_abelian, make_heisenberg, make_schrodinger
-from liederiv.linalg import Matrix
-from liederiv.dersolve import derivation_space, flatten_map, is_derivation, tau
+from liederiv.linalg import Matrix, Subspace
+from liederiv.dersolve import DerivationSpace, derivation_space, flatten_map, is_derivation, tau
 from liederiv.locder import (
     CandidateSpace,
     CertificationError,
@@ -50,6 +50,34 @@ def test_orbit_subspace_examples():
         Ln = make_schrodinger(n)
         dn = derivation_space(Ln)
         assert orbit_subspace(Ln, dn, Ln.from_terms({"h": 1})).dim == 2 * n + 2
+
+
+def test_orbit_subspace_matches_dense_images():
+    rng = random.Random(97)
+    for field in (FIELD_Q, FIELD_QI):
+        L = make_schrodinger(2, field)
+        der = derivation_space(L)
+        for _ in range(10):
+            x = L.element([rand_scalar(rng, field) if rng.random() < 0.4 else 0 for _ in range(L.dim)])
+            dense = Subspace.from_vectors(field, L.dim, [D.matvec(x.coords) for D in der.basis])
+            assert orbit_subspace(L, der, x) == dense
+
+
+def test_constrain_rejects_a_corrupted_der_basis_map():
+    L = make_schrodinger(1)
+    der = derivation_space(L)
+    # the first basis vector's pivot entry D_0[i][j] is zero in every other
+    # basis map, so dropping column j of D_0 shrinks the orbit of b_j and
+    # lets through a constraint row that cuts the true Der
+    j, i = divmod(der.subspace.pivots[0], L.dim)
+    rows = [list(r) for r in der.basis[0].entries]
+    for r in rows:
+        r[j] = r[j] * 0
+    corrupted = DerivationSpace(L, (Matrix(L.field, rows),) + der.basis[1:], der.subspace)
+    probe = Probe(L.basis_element(j), L.labels[j])
+    with pytest.raises(AssertionError, match="does not annihilate Der"):
+        constrain(CandidateSpace.full(L), L, corrupted, probe)
+    constrain(CandidateSpace.full(L), L, der, probe)
 
 
 def test_orbit_scaling_invariance():
