@@ -20,7 +20,7 @@ from typing import Iterator, Optional, Sequence
 
 from .exactfield import FIELD_Q, check_field, one, zero
 from .liealg import AlgebraElement, LieAlgebra, ad, schrodinger_rank
-from .linalg import Matrix, SparseEchelon, Subspace, rref, sparse_add
+from .linalg import Matrix, SparseEchelon, Subspace, solve_columns, sparse_add
 
 
 def flatten_map(m: Matrix) -> tuple:
@@ -85,13 +85,6 @@ class LeibnizVerdict:
     failing_pair: Optional[tuple] = None
 
 
-def sparse_columns(D: Matrix) -> tuple:
-    """Column j of D as a ``{row: entry}`` dict of its nonzero entries."""
-    return tuple(
-        {r: row[j] for r, row in enumerate(D.entries) if row[j]} for j in range(D.ncols)
-    )
-
-
 def is_derivation(L: LieAlgebra, D: Matrix) -> LeibnizVerdict:
     """Exact product-rule check on all basis pairs (sufficient by bilinearity).
 
@@ -104,7 +97,7 @@ def is_derivation(L: LieAlgebra, D: Matrix) -> LeibnizVerdict:
         raise ValueError("map dimension does not match algebra")
     if D.field != L.field:
         raise ValueError("map field does not match algebra")
-    cols = sparse_columns(D)
+    cols = D.sparse_columns()
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
             acc: dict = {}
@@ -128,10 +121,12 @@ class DerivationSpace:
 
     Two sparse views are built once at construction: ``columns[k]`` holds
     the columns of ``basis[k]``, so that an image D_k(x) costs only the
-    support of x, and ``vectors[k]`` holds the nonzero entries of the k-th
-    row of ``subspace``, so that a constraint row is checked against Der
-    at the cost of its own support.  The two views come from different
-    fields, so the check does not reuse the data the images came from.
+    support of x (the probe fold, ``locder.witness`` and the symbolic
+    certifier's rank and minor choices all form their images this way),
+    and ``vectors[k]`` holds the nonzero entries of the k-th row of
+    ``subspace``, so that a constraint row is checked against Der at the
+    cost of its own support.  The two views come from different fields,
+    so the check does not reuse the data the images came from.
     """
 
     algebra: LieAlgebra
@@ -141,7 +136,7 @@ class DerivationSpace:
     vectors: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "columns", tuple(sparse_columns(D) for D in self.basis))
+        object.__setattr__(self, "columns", tuple(D.sparse_columns() for D in self.basis))
         object.__setattr__(
             self,
             "vectors",
@@ -270,40 +265,19 @@ def decompose(L: LieAlgebra, D: Matrix) -> DerDecomposition:
     if not verdict.ok:
         raise ValueError(f"map is not a derivation (fails on pair {verdict.failing_pair})")
     d = L.dim
-    gens: list[tuple] = []
-    columns = []
-    for i in range(d):
-        if L.labels[i] == "z":
-            continue
-        gens.append(("ad", i))
-        columns.append(flatten_map(ad(L.basis_element(i))))
-    for (l, k) in sigma_pairs(n):
-        gens.append(("sigma", (l, k)))
-        columns.append(flatten_map(sigma(n, l, k, L.field)))
-    gens.append(("tau", None))
-    columns.append(flatten_map(tau(n, L.field)))
-    target = flatten_map(D)
-    aug = Matrix(L.field, [list(col) + [t] for col, t in zip(zip(*columns), target)])
-    red, rank = rref(aug)
-    m = len(gens)
-    pivots = [next(j for j, x in enumerate(row) if x) for row in red.entries[:rank]]
-    if m in pivots:
+    ad_indices = [i for i in range(d) if L.labels[i] != "z"]
+    pairs = sigma_pairs(n)
+    maps = [ad(L.basis_element(i)) for i in ad_indices]
+    maps += [sigma(n, l, k, L.field) for l, k in pairs] + [tau(n, L.field), D]
+    flat = [{c: x for c, x in enumerate(flatten_map(M)) if x} for M in maps]
+    coeffs = solve_columns(L.field, flat[:-1], flat[-1])
+    if coeffs is None:
         raise AssertionError("derivation escaped the inner + sigma + tau span")
-    coeffs = [zero(L.field)] * m
-    for row, p in zip(red.entries[:rank], pivots):
-        coeffs[p] = row[m]
     inner_coords = [zero(L.field)] * d
-    sigma_coeffs = {}
-    tau_coeff = zero(L.field)
-    for g, c in zip(gens, coeffs):
-        kind, payload = g
-        if kind == "ad":
-            inner_coords[payload] = c
-        elif kind == "sigma":
-            sigma_coeffs[payload] = c
-        else:
-            tau_coeff = c
-    out = DerDecomposition(L, L.element(inner_coords), sigma_coeffs, tau_coeff)
+    for i, c in zip(ad_indices, coeffs):
+        inner_coords[i] = c
+    sigma_coeffs = dict(zip(pairs, coeffs[len(ad_indices):]))
+    out = DerDecomposition(L, L.element(inner_coords), sigma_coeffs, coeffs[-1])
     if out.reassemble() != D:
         raise AssertionError("decomposition failed to reassemble exactly")
     return out

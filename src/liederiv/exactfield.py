@@ -174,12 +174,14 @@ def coerce_scalar(x, field: str):
 
 
 def inv(a):
-    """Multiplicative inverse; raises ZeroDivisionError on zero."""
+    """Exact multiplicative inverse: a Fraction for ``int`` and Fraction
+    input (never a float), ``a.inverse()`` in Q(i); raises
+    ZeroDivisionError on zero."""
+    if type(a) is Fraction:
+        return Fraction(a.denominator, a.numerator)
     if isinstance(a, GaussianRational):
         return a.inverse()
-    if not a:
-        raise ZeroDivisionError("inverse of zero")
-    return 1 / Fraction(a)
+    return Fraction(1, a)
 
 
 _RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")

@@ -12,13 +12,13 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Optional, Sequence
 
-from .exactfield import FieldMismatchError, check_field, coerce_scalar, one, zero
+from .exactfield import FieldMismatchError, check_field, coerce_scalar, inv, one, zero
 
 
 class Matrix:
     """Immutable dense matrix of exact scalars with a field tag."""
 
-    __slots__ = ("field", "nrows", "ncols", "entries")
+    __slots__ = ("field", "nrows", "ncols", "entries", "_columns")
 
     def __init__(self, field: str, entries: Sequence[Sequence]):
         check_field(field)
@@ -30,6 +30,7 @@ class Matrix:
         object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", ncols)
         object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "_columns", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -53,6 +54,14 @@ class Matrix:
 
     def col(self, j: int) -> tuple:
         return tuple(r[j] for r in self.entries)
+
+    def sparse_columns(self) -> tuple:
+        """Column j as a ``{row: entry}`` dict of its nonzero entries, built
+        once and then shared (callers must not mutate it)."""
+        if self._columns is None:
+            cols = tuple({r: x for r, x in enumerate(col) if x} for col in zip(*self.entries))
+            object.__setattr__(self, "_columns", cols)
+        return self._columns
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, list(zip(*self.entries)) if self.nrows else [])
@@ -312,7 +321,7 @@ class SparseEchelon:
                 continue
             pivot_row = self.rows.get(j)
             if pivot_row is None:
-                inv_v = _scalar_inverse(v)
+                inv_v = inv(v)
                 self.rows[j] = {c: x * inv_v for c, x in work.items() if x}
                 return True
             del work[j]
@@ -407,5 +416,27 @@ def sparse_add(row: dict, col: int, val) -> None:
         row.pop(col, None)
 
 
-def _scalar_inverse(v):
-    return v.inverse() if hasattr(v, "inverse") else 1 / v
+def solve_columns(field: str, columns: Sequence[dict], target: dict) -> Optional[list]:
+    """Coefficients c with sum_k c_k columns[k] = target, or None when the
+    target is outside the span of the sparse ``{row: scalar}`` columns.
+
+    A pivot at column m of the echelon of the augmented rows means no
+    solution; otherwise c is read off the back-eliminated rows, the same
+    canonical RREF solution (free coefficients zero) as a dense ``rref``."""
+    m = len(columns)
+    rows: dict = {}
+    for k, col in enumerate(columns):
+        for r, v in col.items():
+            rows.setdefault(r, {})[k] = v
+    for r, v in target.items():
+        rows.setdefault(r, {})[m] = v
+    acc = SparseEchelon(m + 1)
+    for row in rows.values():
+        acc.insert(row)
+    if m in acc.rows:
+        return None
+    z = zero(field)
+    coeffs = [z] * m
+    for p, row in acc.reduced_rows().items():
+        coeffs[p] = row.get(m, z)
+    return coeffs

@@ -30,9 +30,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .exactfield import FIELD_Q, FIELD_QI, GaussianRational, one, zero
+from .exactfield import FIELD_Q, FIELD_QI, GaussianRational, inv, one, zero
 from .liealg import AlgebraElement, LieAlgebra, make_schrodinger, schrodinger_rank
-from .linalg import Matrix, SparseEchelon, Subspace, rref, sparse_add
+from .linalg import Matrix, SparseEchelon, Subspace, solve_columns, sparse_add
 from .dersolve import DerivationSpace, derivation_space, flatten_map
 from .poly import MultiPoly, poly_det, split_linear
 
@@ -111,16 +111,24 @@ def make_probe(L: LieAlgebra, terms: dict, label: Optional[str] = None) -> Probe
     return Probe(el, label if label is not None else probe_label(el))
 
 
-def _orbit_echelon(L: LieAlgebra, der: DerivationSpace, x: AlgebraElement) -> SparseEchelon:
-    """Echelon whose row space is W_x, fed by one pass that forms each
-    image D_k(x) sparsely over the support of x."""
+def _images(columns: Sequence[tuple], x: AlgebraElement) -> list[dict]:
+    """One sparse pass over the support of x: D(x) as a ``{row: scalar}``
+    dict for each map D given by its sparse columns."""
     support = [(j, c) for j, c in enumerate(x.coords) if c]
-    acc = SparseEchelon(L.dim)
-    for cols in der.columns:
+    out = []
+    for cols in columns:
         img: dict = {}
         for j, c in support:
             for r, a in cols[j].items():
                 sparse_add(img, r, c * a)
+        out.append(img)
+    return out
+
+
+def _orbit_echelon(L: LieAlgebra, der: DerivationSpace, x: AlgebraElement) -> SparseEchelon:
+    """Echelon whose row space is W_x, fed by one sparse image pass."""
+    acc = SparseEchelon(L.dim)
+    for img in _images(der.columns, x):
         acc.insert(img)
     return acc
 
@@ -131,9 +139,8 @@ def orbit_subspace(L: LieAlgebra, der: DerivationSpace, x: AlgebraElement) -> Su
 
 
 def _normalized_key(x: AlgebraElement) -> tuple:
-    lead = next(c for c in x.coords if c)
-    inv = lead.inverse() if hasattr(lead, "inverse") else 1 / lead
-    return tuple(inv * c for c in x.coords)
+    inv_lead = inv(next(c for c in x.coords if c))
+    return tuple(inv_lead * c for c in x.coords)
 
 
 class CandidateSpace:
@@ -403,19 +410,10 @@ def random_probe_closure(
     der = der or derivation_space(L)
     acc = basis_probe_space(L, der)
     rng = random.Random(seed)
-    d = L.dim
     tried = 0
     stall = 0
     while tried < max_probes and stall < stall_limit:
-        size = rng.randint(min(2, d), min(6, d))
-        support = sorted(rng.sample(range(d), size))
-        coords = [zero(L.field)] * d
-        for i in support:
-            c = 0
-            while not c:
-                c = rng.randint(-2, 2)
-            coords[i] = one(L.field) * c
-        element = L.element(coords)
+        element = _random_sparse_element(L, rng, ordered=True)
         before = acc.dim
         acc = constrain(acc, L, der, Probe(element, probe_label(element)))
         tried += 1
@@ -423,29 +421,39 @@ def random_probe_closure(
     return ClosureResult(L, der, acc, seed, tried, stall >= stall_limit)
 
 
+def _random_sparse_element(L: LieAlgebra, rng: random.Random, ordered: bool) -> AlgebraElement:
+    """Two to six basis terms with coefficients drawn from [-2, 2] minus 0;
+    ``ordered`` draws the coefficients in basis order, else in sample order."""
+    d = L.dim
+    support = rng.sample(range(d), rng.randint(min(2, d), min(6, d)))
+    coords = [zero(L.field)] * d
+    for i in sorted(support) if ordered else support:
+        c = 0
+        while not c:
+            c = rng.randint(-2, 2)
+        coords[i] = one(L.field) * c
+    return L.element(coords)
+
+
 def witness(
     L: LieAlgebra, der: DerivationSpace, delta: Matrix, x: AlgebraElement
 ) -> Optional[Witness]:
     """Solve sum c_k D_k(x) = Delta(x) over the Der basis; None when the
-    probe refutes locality of Delta."""
-    target = delta.matvec(x.coords)
-    images = [D.matvec(x.coords) for D in der.basis]
-    m = len(images)
-    aug = Matrix(L.field, [list(col) + [t] for col, t in zip(zip(*images), target)])
-    red, rank = rref(aug)
-    pivots = [next(j for j, v in enumerate(row) if v) for row in red.entries[:rank]]
-    if m in pivots:
+    probe refutes locality of Delta.
+
+    The images D_k(x) and Delta(x) come from one sparse pass over the
+    support of x; the coefficients are the canonical RREF solution of
+    ``solve_columns``, re-checked exactly against Delta(x)."""
+    *images, target = _images(der.columns + (delta.sparse_columns(),), x)
+    coeffs = solve_columns(L.field, images, target)
+    if coeffs is None:
         return None
-    coeffs = [zero(L.field)] * m
-    for row, p in zip(red.entries[:rank], pivots):
-        coeffs[p] = row[m]
-    check = [zero(L.field)] * L.dim
+    check: dict = {}
     for c, img in zip(coeffs, images):
         if c:
-            for i, v in enumerate(img):
-                if v:
-                    check[i] = check[i] + c * v
-    if tuple(check) != tuple(target):
+            for r, v in img.items():
+                sparse_add(check, r, c * v)
+    if check != target:
         raise AssertionError("witness solve failed to verify")
     return Witness(Probe(x, probe_label(x)), tuple(coeffs))
 
@@ -533,17 +541,8 @@ def _scan_elements(L: LieAlgebra):
             yield L.basis_element(i) + L.basis_element(j)
             yield L.basis_element(i) - L.basis_element(j)
     rng = random.Random(0x5CA9)
-    d = L.dim
     for _ in range(400):
-        size = rng.randint(min(2, d), min(6, d))
-        support = rng.sample(range(d), size)
-        coords = [zero(L.field)] * d
-        for i in support:
-            c = 0
-            while not c:
-                c = rng.randint(-2, 2)
-            coords[i] = one(L.field) * c
-        yield L.element(coords)
+        yield _random_sparse_element(L, rng, ordered=False)
 
 
 _MINOR_BUDGET = 20000
@@ -564,12 +563,6 @@ def _certify_on(L, der, delta, a_cols, b_col, basis: Matrix, strata, rng, depth=
     a_sub = [[p.substitute_linear(rows_sub, dim_u) for p in col] for col in a_cols]
     b_sub = [p.substitute_linear(rows_sub, dim_u) for p in b_col]
 
-    def eval_block(point) -> Matrix:
-        return Matrix(
-            L.field,
-            [[a_sub[k][r].evaluate(point) for k in range(m)] for r in range(d)],
-        )
-
     samples = [[1] * dim_u] + [_sample_point(rng, dim_u) for _ in range(12)]
     best_rank, best_point = -1, None
     for pt in samples:
@@ -579,7 +572,8 @@ def _certify_on(L, der, delta, a_cols, b_col, basis: Matrix, strata, rng, depth=
         if witness(L, der, delta, x) is None:
             strata.append(f"{indent}refuted at sampled point {probe_label(x)}")
             return x, -1
-        _, rank = rref(eval_block(pt))
+        # the Der block at pt is the image matrix [D_1(x) | .. | D_m(x)]
+        rank = _orbit_echelon(L, der, x).rank
         if rank > best_rank:
             best_rank, best_point = rank, pt
     r = max(best_rank, 0)
@@ -615,7 +609,7 @@ def _certify_on(L, der, delta, a_cols, b_col, basis: Matrix, strata, rng, depth=
         # Der block and (by the size-1 minors just checked) the Delta
         # column vanish identically on this stratum
         return None, r
-    drop_minor = _splitting_rank_minor(L, a_sub, b_sub, d, m, r, best_point, rng, eval_block)
+    drop_minor = _splitting_rank_minor(L, der, basis, a_sub, d, m, r, best_point, rng)
     cuts = split_linear(drop_minor, rational_points_only=(L.field == FIELD_Q))
     if cuts is None:
         raise CertificationError(
@@ -634,14 +628,8 @@ def _sample_point(rng, dim_u):
 
 
 def _apply_basis(L, basis: Matrix, point) -> AlgebraElement:
-    coords = []
-    for i in range(L.dim):
-        total = zero(L.field)
-        for t, y in enumerate(point):
-            if y:
-                total = total + basis.entries[i][t] * y
-        coords.append(total)
-    return L.element(coords)
+    z = zero(L.field)
+    return L.element([sum((b * y for b, y in zip(row, point) if y), z) for row in basis.entries])
 
 
 def _choose(n, k):
@@ -661,20 +649,23 @@ def _point_where_nonzero(p: MultiPoly, rng, tries: int = 2000):
     raise CertificationError("failed to hit a nonzero point of a nonzero polynomial")
 
 
-def _minor_profile(L, amat: Matrix, r: int):
-    """Row and column subsets of an exact-rank-r matrix whose r x r
-    submatrix is nonsingular, read off the echelon pivot structure."""
-    red, rank = rref(amat)
-    if rank < r:
+def _minor_profile(L, der, x: AlgebraElement, r: int):
+    """Row and column subsets of the image matrix [D_1(x) | .. | D_m(x)]
+    whose r x r submatrix is nonsingular, or None below rank r: the first
+    r columns independent of those before them (the RREF pivot columns),
+    then the first r independent rows of those columns."""
+    images = _images(der.columns, x)
+    acc = SparseEchelon(L.dim)
+    cols = [k for k, img in enumerate(images) if acc.rank < r and acc.insert(img)]
+    if len(cols) < r:
         return None
-    cols = [next(j for j, v in enumerate(row) if v) for row in red.entries[:r]]
-    sub = Matrix(L.field, [[row[c] for row in amat.entries] for c in cols])
-    red2, rank2 = rref(sub)
-    rows = [next(j for j, v in enumerate(row) if v) for row in red2.entries[:r]]
+    sub = [{t: images[k][i] for t, k in enumerate(cols) if i in images[k]} for i in range(L.dim)]
+    acc = SparseEchelon(r)
+    rows = [i for i, row in enumerate(sub) if acc.rank < r and acc.insert(row)]
     return tuple(rows), tuple(cols)
 
 
-def _splitting_rank_minor(L, a_sub, b_sub, d, m, r, point, rng, eval_block) -> MultiPoly:
+def _splitting_rank_minor(L, der, basis: Matrix, a_sub, d, m, r, point, rng) -> MultiPoly:
     """A nonzero r x r minor of the Der block, preferring one whose zero
     set is covered by hyperplanes; the rank-drop locus sits inside the
     zero set of any one of them."""
@@ -697,9 +688,9 @@ def _splitting_rank_minor(L, a_sub, b_sub, d, m, r, point, rng, eval_block) -> M
         return None
 
     points = [point] if point is not None else []
-    points += [_sample_point(rng, a_sub[0][0].nvars) for _ in range(8)]
+    points += [_sample_point(rng, basis.ncols) for _ in range(8)]
     for pt in points:
-        profile = _minor_profile(L, eval_block(pt), r)
+        profile = _minor_profile(L, der, _apply_basis(L, basis, pt), r)
         if profile is None:
             continue
         found = consider(*profile)
@@ -730,7 +721,7 @@ def _hyperplane_basis(field: str, basis: Matrix, ell: MultiPoly) -> Matrix:
         t = next(i for i, k in enumerate(e) if k)
         coeffs[t] = coeffs[t] + c
     p = next(t for t, c in enumerate(coeffs) if c)
-    inv_p = coeffs[p].inverse() if hasattr(coeffs[p], "inverse") else 1 / coeffs[p]
+    inv_p = inv(coeffs[p])
     kernel_cols = []
     for t in range(dim_u):
         if t == p:

@@ -1,11 +1,12 @@
 """Shared helpers: random exact scalars, an independent elimination
-oracle used to cross-check the production linear algebra, and a dense
-product-rule oracle for the sparse derivation check."""
+oracle used to cross-check the production linear algebra, and dense
+oracles for the sparse derivation check and the sparse witness solve."""
 
 from fractions import Fraction
 
-from liederiv.exactfield import FIELD_Q, GaussianRational
+from liederiv.exactfield import FIELD_Q, GaussianRational, zero
 from liederiv.liealg import bracket
+from liederiv.linalg import Matrix, rref
 
 
 def rand_fraction(rng, lo=-9, hi=9, den=4):
@@ -65,3 +66,21 @@ def dense_is_derivation(L, D):
             if lhs.coords != rhs.coords:
                 return False, (L.labels[i], L.labels[j])
     return True, None
+
+
+def dense_witness(L, der, delta, x):
+    """Coefficients of the canonical RREF solution of
+    sum c_k D_k(x) = Delta(x) over the Der basis, or None when there is
+    none: the dense route through ``matvec`` and ``rref``."""
+    target = delta.matvec(x.coords)
+    images = [D.matvec(x.coords) for D in der.basis]
+    m = len(images)
+    aug = Matrix(L.field, [list(col) + [t] for col, t in zip(zip(*images), target)])
+    red, rank = rref(aug)
+    pivots = [next(j for j, v in enumerate(row) if v) for row in red.entries[:rank]]
+    if m in pivots:
+        return None
+    coeffs = [zero(L.field)] * m
+    for row, p in zip(red.entries[:rank], pivots):
+        coeffs[p] = row[m]
+    return tuple(coeffs)

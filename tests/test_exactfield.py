@@ -24,6 +24,7 @@ def test_fraction_arithmetic_examples():
     assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6)
     assert inv(Fraction(2, 3)) == Fraction(3, 2)
     assert inv(Fraction(1)) == Fraction(1)
+    assert inv(2) == Fraction(1, 2) and type(inv(2)) is Fraction
 
 
 def test_imaginary_unit_squares_to_minus_one():

@@ -3,8 +3,8 @@ files under ``tests/golden/``.
 
 Refactors and speed-ups of the exact layers must not change a single
 byte of any report.  To rewrite the golden files after an intended
-change of output, run ``python tests/test_golden.py`` from the
-repository root and review the diff.
+change of output, run ``PYTHONPATH=src python tests/test_golden.py``
+from the repository root and review the diff.
 """
 
 import json
@@ -14,33 +14,39 @@ from pathlib import Path
 import pytest
 
 from liederiv.cli import main
-from liederiv.liealg import make_heisenberg, to_json
+from liederiv.liealg import make_heisenberg, make_schrodinger, to_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
+# name -> (argv, expected exit code)
 CASES = {
-    "der_n3": ["der", "--n", "3"],
-    "outer_check_n3": ["outer-check", "--n", "3"],
-    "locder_basis_n2": ["locder-basis", "--n", "2"],
-    "locder_replay_n3": ["locder-replay", "--n", "3"],
-    "locder_random_n2": ["locder-random", "--n", "2", "--seed", "24301"],
-    "demo_heisenberg": ["demo-heisenberg"],
-    "certify_h1_zz": ["certify", "{dir}/h1.json", "--map", "{dir}/zz.json"],
+    "der_n3": (["der", "--n", "3"], 0),
+    "outer_check_n3": (["outer-check", "--n", "3"], 0),
+    "locder_basis_n2": (["locder-basis", "--n", "2"], 0),
+    "locder_replay_n3": (["locder-replay", "--n", "3"], 0),
+    "locder_random_n2": (["locder-random", "--n", "2", "--seed", "24301"], 0),
+    "demo_heisenberg": (["demo-heisenberg"], 0),
+    "certify_h1_zz": (["certify", "{dir}/h1.json", "--map", "{dir}/h1_zz.json"], 0),
+    # the bench workload: h_2 with z -> z is local (66 strata)
+    "certify_h2_zz": (["certify", "{dir}/h2.json", "--map", "{dir}/h2_zz.json"], 0),
+    # S_1 with z -> z is not local: the seeded scan finds a refutation
+    "certify_s1_zz": (["certify", "{dir}/s1.json", "--map", "{dir}/s1_zz.json"], 2),
 }
 
 
 def write_certify_inputs(directory: Path) -> None:
-    """h_1 on (z, u_1, v_1) and the map z -> z, zero elsewhere."""
-    L = make_heisenberg(1)
-    (directory / "h1.json").write_text(to_json(L))
-    rows = [["0"] * L.dim for _ in range(L.dim)]
-    z = L.index["z"]
-    rows[z][z] = "1"
-    (directory / "zz.json").write_text(json.dumps({"matrix": rows}))
+    """h_1, h_2 and S_1, each with the map z -> z, zero elsewhere."""
+    algebras = {"h1": make_heisenberg(1), "h2": make_heisenberg(2), "s1": make_schrodinger(1)}
+    for name, L in algebras.items():
+        (directory / f"{name}.json").write_text(to_json(L))
+        rows = [["0"] * L.dim for _ in range(L.dim)]
+        z = L.index["z"]
+        rows[z][z] = "1"
+        (directory / f"{name}_zz.json").write_text(json.dumps({"matrix": rows}))
 
 
 def argv_for(name: str, directory: Path) -> list:
-    return [a.format(dir=directory) for a in CASES[name]]
+    return [a.format(dir=directory) for a in CASES[name][0]]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -48,7 +54,7 @@ def test_golden_stdout(name, tmp_path, capsys):
     write_certify_inputs(tmp_path)
     code = main(argv_for(name, tmp_path))
     out = capsys.readouterr().out
-    assert code == 0
+    assert code == CASES[name][1]
     assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
 
 
@@ -64,6 +70,6 @@ if __name__ == "__main__":
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
                 code = main(argv_for(name, Path(tmp)))
-            if code != 0:
-                sys.exit(f"{name}: exit {code}")
+            if code != CASES[name][1]:
+                sys.exit(f"{name}: exit {code}, expected {CASES[name][1]}")
             (GOLDEN / f"{name}.json").write_text(buf.getvalue(), encoding="utf-8")

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liederiv.exactfield import FIELD_Q, FIELD_QI, FieldMismatchError
 from liederiv.linalg import (
@@ -214,3 +215,29 @@ def test_sparse_echelon_over_gaussian_rationals():
         assert acc.rank == rref(m)[1]
         for vec in acc.nullspace(FIELD_QI).basis.entries:
             assert not any(back_multiply(m.entries, vec))
+
+
+def test_sparse_echelon_keeps_int_rows_exact():
+    acc = SparseEchelon(2)
+    assert acc.insert({0: 2, 1: 3})
+    # 1.0 and 1.5 would compare equal, so the types are checked as well
+    assert acc.rows == {0: {0: Fraction(1), 1: Fraction(3, 2)}}
+    assert all(type(v) is Fraction for v in acc.rows[0].values())
+
+
+_int_matrices = st.integers(1, 6).flatmap(
+    lambda ncols: st.lists(
+        st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols), max_size=7
+    ).map(lambda rows: (ncols, rows))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_int_matrices)
+def test_sparse_echelon_rank_matches_naive_rank(case):
+    ncols, rows = case
+    acc = SparseEchelon(ncols)
+    for row in rows:
+        acc.insert({j: x for j, x in enumerate(row) if x})
+    assert acc.rank == naive_rank([[Fraction(x) for x in row] for row in rows])
+    assert all(type(v) is Fraction for row in acc.rows.values() for v in row.values())

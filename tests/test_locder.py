@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from liederiv.exactfield import FIELD_Q, FIELD_QI, GaussianRational
 from liederiv.liealg import ad, make_abelian, make_heisenberg, make_schrodinger
-from liederiv.linalg import Matrix, Subspace
+from liederiv.linalg import Matrix, SparseEchelon, Subspace
 from liederiv.dersolve import DerivationSpace, derivation_space, flatten_map, is_derivation, tau
 from liederiv.locder import (
     CandidateSpace,
@@ -23,7 +24,7 @@ from liederiv.locder import (
     singleton_probes,
     witness,
 )
-from conftest import rand_scalar
+from conftest import dense_witness, rand_scalar
 
 
 def expected_der_dim(n):
@@ -253,6 +254,90 @@ def test_witness_examples():
     rows[H.index["u_1"]][H.index["z"]] = Fraction(1)
     bad = Matrix(FIELD_Q, rows)
     assert witness(H, derH, bad, H.from_terms({"z": 1})) is None
+
+
+_WITNESS_ALGEBRAS = {"h1": make_heisenberg(1), "h2": make_heisenberg(2), "s1": make_schrodinger(1)}
+_WITNESS_DER = {name: derivation_space(L) for name, L in _WITNESS_ALGEBRAS.items()}
+
+
+@st.composite
+def _witness_cases(draw):
+    """(algebra name, Der coefficients, map perturbation, point): a map
+    in Der plus a few small entries, at a point of small support."""
+    name = draw(st.sampled_from(sorted(_WITNESS_ALGEBRAS)))
+    d, m = _WITNESS_ALGEBRAS[name].dim, _WITNESS_DER[name].dim
+    der_coeffs = draw(st.lists(st.integers(-2, 2), min_size=m, max_size=m))
+    index = st.integers(0, d - 1)
+    nonzero = st.integers(-3, 3).filter(bool)
+    perturbation = draw(st.lists(st.tuples(index, index, nonzero), max_size=4))
+    point = draw(st.dictionaries(index, nonzero, min_size=1, max_size=3))
+    return name, der_coeffs, perturbation, point
+
+
+@settings(max_examples=200, deadline=None)
+@given(_witness_cases())
+# z -> z on h_2: local, not a derivation, so a witness exists
+@example(("h2", [0] * 15, [(0, 0, 1)], {0: 1, 1: 2, 3: -1}))
+# z -> u_1 on h_1: refuted at z
+@example(("h1", [0] * 6, [(1, 0, 1)], {0: 1}))
+def test_sparse_witness_agrees_with_dense_oracle(case):
+    name, der_coeffs, perturbation, point = case
+    L, der = _WITNESS_ALGEBRAS[name], _WITNESS_DER[name]
+    rows = [[Fraction(0)] * L.dim for _ in range(L.dim)]
+    for c, D in zip(der_coeffs, der.basis):
+        for r in range(L.dim):
+            for j in range(L.dim):
+                rows[r][j] += c * D[r, j]
+    for r, j, c in perturbation:
+        rows[r][j] += c
+    delta = Matrix(FIELD_Q, rows)
+    coords = [Fraction(point.get(i, 0)) for i in range(L.dim)]
+    x = L.element(coords)
+    w = witness(L, der, delta, x)
+    oracle = dense_witness(L, der, delta, x)
+    assert (w is None) == (oracle is None)
+    if w is not None:
+        assert w.coefficients == oracle
+
+
+def test_witness_recheck_fires_on_a_corrupted_solve(monkeypatch):
+    H = make_heisenberg(2)
+    der = derivation_space(H)
+    rows = [[Fraction(0)] * 5 for _ in range(5)]
+    rows[H.index["z"]][H.index["z"]] = Fraction(1)
+    delta = Matrix(FIELD_Q, rows)
+    x = H.from_terms({"z": 1, "u_1": 1, "v_2": -1})
+    assert witness(H, der, delta, x) is not None
+    true_read_out = SparseEchelon.reduced_rows
+
+    def corrupted(self):
+        # shift the read-out coefficient of every pivot by one; the pivot
+        # images are independent, so the combination moves off Delta(x)
+        m = self.ncols - 1
+        return {p: {**row, m: row.get(m, 0) + 1} for p, row in true_read_out(self).items()}
+
+    monkeypatch.setattr(SparseEchelon, "reduced_rows", corrupted)
+    with pytest.raises(AssertionError, match="witness solve failed to verify"):
+        witness(H, der, delta, x)
+
+
+def test_certifier_makes_no_dense_matvec(monkeypatch):
+    H = make_heisenberg(2)
+    der = derivation_space(H)
+    rows = [[Fraction(0)] * 5 for _ in range(5)]
+    rows[H.index["z"]][H.index["z"]] = Fraction(1)
+    delta = Matrix(FIELD_Q, rows)
+    calls = []
+    true_matvec = Matrix.matvec
+
+    def counting(self, v):
+        calls.append(1)
+        return true_matvec(self, v)
+
+    monkeypatch.setattr(Matrix, "matvec", counting)
+    cert = certify_local_symbolic(H, der, delta)
+    assert cert.certified
+    assert len(calls) == 0
 
 
 def test_certifier_accepts_pure_local_map():
