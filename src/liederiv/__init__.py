@@ -12,7 +12,7 @@ from .exactfield import (
     inv,
     parse_scalar,
 )
-from .linalg import Matrix, Subspace, member, nullspace, rref, subspace_intersect, subspace_sum
+from .linalg import Matrix, Subspace, nullspace, rref, subspace_intersect, subspace_sum
 from .liealg import (
     AlgebraElement,
     JacobiError,
@@ -44,9 +44,9 @@ from .dersolve import (
 from .locder import (
     CandidateSpace,
     CertificationError,
+    FoldResult,
     LocalityCertificate,
     Probe,
-    Witness,
     asos_shape_check,
     basis_probe_space,
     certify_local_symbolic,

@@ -42,6 +42,7 @@ from .locder import (
     DEFAULT_MAX_PROBES,
     DEFAULT_SEED,
     DEFAULT_STALL_LIMIT,
+    FoldResult,
     basis_probe_space,
     certify_local_symbolic,
     random_probe_closure,
@@ -215,24 +216,8 @@ def _cmd_outer_check(args) -> int:
 def _cmd_locder_basis(args) -> int:
     L = _algebra_from_args(args)
     der = derivation_space(L)
-    acc = basis_probe_space(L, der)
-    n = schrodinger_rank(L)
-    _emit(
-        {
-            "algebra": L.name,
-            "n": n,
-            "field": L.field,
-            "der_dim": der.dim,
-            "candidate_dim": acc.dim,
-            "equal": acc.dim == der.dim,
-            "history": [
-                {"probe": s.probe, "dim_before": s.dim_before, "dim_after": s.dim_after}
-                for s in acc.history
-            ],
-            "seed": None,
-        },
-        args.output,
-    )
+    result = FoldResult(L, schrodinger_rank(L), der, basis_probe_space(L, der))
+    _emit(result.to_report(), args.output)
     return 0
 
 
@@ -335,6 +320,14 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """A non-negative integer option; argparse reports a failure as a usage error."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="liederiv", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -348,8 +341,8 @@ def build_parser() -> _Parser:
             p.add_argument("input", nargs="?", default=None, metavar="ALGEBRA_FILE")
         if with_seed:
             p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-            p.add_argument("--max-probes", type=int, default=DEFAULT_MAX_PROBES)
-            p.add_argument("--stall", type=int, default=DEFAULT_STALL_LIMIT)
+            p.add_argument("--max-probes", type=_count, default=DEFAULT_MAX_PROBES)
+            p.add_argument("--stall", type=_count, default=DEFAULT_STALL_LIMIT)
 
     p = sub.add_parser("gen", help="generate a structure-constant file")
     group = p.add_mutually_exclusive_group(required=True)
@@ -412,16 +405,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except JacobiError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (CliError, OSError, ValueError) as exc:
+        # JacobiError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CertificationError as exc:

@@ -248,11 +248,6 @@ def _same_space(a: Subspace, b: Subspace):
         raise ValueError("ambient dimension mismatch")
 
 
-def member(v: Sequence, s: Subspace) -> Optional[tuple]:
-    """Membership test with coordinates; None when v is not in s."""
-    return s.coordinates(v)
-
-
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     _same_space(a, b)
     return Subspace.from_vectors(

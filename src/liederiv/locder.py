@@ -64,14 +64,6 @@ class ProbeStep:
     dim_after: int
 
 
-@dataclass(frozen=True)
-class Witness:
-    """Coefficients over the Der basis realizing Delta(x) = D_x(x)."""
-
-    probe: Probe
-    coefficients: tuple
-
-
 def probe_label(x: AlgebraElement) -> str:
     parts = []
     for c, lab in zip(x.coords, x.algebra.labels):
@@ -310,55 +302,17 @@ def schrodinger_probe_schedule(n: int, L: Optional[LieAlgebra] = None) -> list[P
 
 
 @dataclass(frozen=True)
-class ReplayResult:
+class FoldResult:
+    """Der, the candidate space a probe fold squeezed down to, and the
+    seed and stall flag of a random fold (None and False otherwise);
+    ``n`` is the Schrodinger rank, None for other algebras."""
+
     algebra: LieAlgebra
-    n: int
+    n: Optional[int]
     der: DerivationSpace
     candidate: CandidateSpace
-    der_dim: int
-    candidate_dim: int
-    equal: bool
-
-    def to_report(self, seed: Optional[int] = None) -> dict:
-        return {
-            "algebra": self.algebra.name,
-            "n": self.n,
-            "field": self.algebra.field,
-            "der_dim": self.der_dim,
-            "candidate_dim": self.candidate_dim,
-            "equal": self.equal,
-            "history": [
-                {"probe": s.probe, "dim_before": s.dim_before, "dim_after": s.dim_after}
-                for s in self.candidate.history
-            ],
-            "seed": seed,
-        }
-
-
-def replay_proof(n: int, probes: Optional[Sequence[Probe]] = None) -> ReplayResult:
-    """Fold the deterministic schedule over the full map space of the
-    n-th Schrodinger algebra over Q(i).
-
-    Der <= local derivations <= candidate holds throughout, so
-    candidate_dim == der_dim machine-checks that every local derivation
-    is a derivation for this n.
-    """
-    L = probes[0].element.algebra if probes else make_schrodinger(n, FIELD_QI)
-    der = derivation_space(L)
-    acc = CandidateSpace.full(L)
-    for probe in probes if probes is not None else schrodinger_probe_schedule(n, L):
-        acc = constrain(acc, L, der, probe)
-    return ReplayResult(L, n, der, acc, der.dim, acc.dim, acc.dim == der.dim)
-
-
-@dataclass(frozen=True)
-class ClosureResult:
-    algebra: LieAlgebra
-    der: DerivationSpace
-    candidate: CandidateSpace
-    seed: int
-    probes_tried: int
-    stalled: bool
+    seed: Optional[int] = None
+    stalled: bool = False
 
     @property
     def der_dim(self) -> int:
@@ -370,13 +324,12 @@ class ClosureResult:
 
     @property
     def equal(self) -> bool:
-        return self.der_dim == self.candidate_dim
+        return self.candidate_dim == self.der_dim
 
     def to_report(self) -> dict:
-        n = schrodinger_rank(self.algebra)
         return {
             "algebra": self.algebra.name,
-            "n": n,
+            "n": self.n,
             "field": self.algebra.field,
             "der_dim": self.der_dim,
             "candidate_dim": self.candidate_dim,
@@ -389,13 +342,29 @@ class ClosureResult:
         }
 
 
+def replay_proof(n: int, probes: Optional[Sequence[Probe]] = None) -> FoldResult:
+    """Fold the deterministic schedule over the full map space of the
+    n-th Schrodinger algebra over Q(i).
+
+    Der <= local derivations <= candidate holds throughout, so
+    candidate_dim == der_dim machine-checks that every local derivation
+    is a derivation for this n.
+    """
+    L = probes[0].element.algebra if probes else make_schrodinger(n, FIELD_QI)
+    der = derivation_space(L)
+    acc = CandidateSpace.full(L)
+    for probe in probes if probes is not None else schrodinger_probe_schedule(n, L):
+        acc = constrain(acc, L, der, probe)
+    return FoldResult(L, n, der, acc)
+
+
 def random_probe_closure(
     L: LieAlgebra,
     seed: int = DEFAULT_SEED,
     max_probes: int = DEFAULT_MAX_PROBES,
     stall_limit: int = DEFAULT_STALL_LIMIT,
     der: Optional[DerivationSpace] = None,
-) -> ClosureResult:
+) -> FoldResult:
     """Rational-only closure: start from the basis-singleton space and
     keep adding seeded random probes until the dimension stalls.
 
@@ -418,7 +387,7 @@ def random_probe_closure(
         acc = constrain(acc, L, der, Probe(element, probe_label(element)))
         tried += 1
         stall = stall + 1 if acc.dim == before else 0
-    return ClosureResult(L, der, acc, seed, tried, stall >= stall_limit)
+    return FoldResult(L, schrodinger_rank(L), der, acc, seed, stall >= stall_limit)
 
 
 def _random_sparse_element(L: LieAlgebra, rng: random.Random, ordered: bool) -> AlgebraElement:
@@ -437,25 +406,30 @@ def _random_sparse_element(L: LieAlgebra, rng: random.Random, ordered: bool) -> 
 
 def witness(
     L: LieAlgebra, der: DerivationSpace, delta: Matrix, x: AlgebraElement
-) -> Optional[Witness]:
-    """Solve sum c_k D_k(x) = Delta(x) over the Der basis; None when the
-    probe refutes locality of Delta.
+) -> Optional[tuple]:
+    """Coefficients c over the Der basis with sum c_k D_k(x) = Delta(x);
+    None when the probe refutes locality of Delta.
 
     The images D_k(x) and Delta(x) come from one sparse pass over the
     support of x; the coefficients are the canonical RREF solution of
     ``solve_columns``, re-checked exactly against Delta(x)."""
-    *images, target = _images(der.columns + (delta.sparse_columns(),), x)
-    coeffs = solve_columns(L.field, images, target)
+    return _solve_images(L.field, _images(der.columns + (delta.sparse_columns(),), x))
+
+
+def _solve_images(field: str, images: list) -> Optional[tuple]:
+    """``witness`` given the images [D_1(x), .., D_m(x), Delta(x)]."""
+    *der_images, target = images
+    coeffs = solve_columns(field, der_images, target)
     if coeffs is None:
         return None
     check: dict = {}
-    for c, img in zip(coeffs, images):
+    for c, img in zip(coeffs, der_images):
         if c:
             for r, v in img.items():
                 sparse_add(check, r, c * v)
     if check != target:
         raise AssertionError("witness solve failed to verify")
-    return Witness(Probe(x, probe_label(x)), tuple(coeffs))
+    return tuple(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -569,11 +543,13 @@ def _certify_on(L, der, delta, a_cols, b_col, basis: Matrix, strata, rng, depth=
         x = _apply_basis(L, basis, pt)
         if x.is_zero():
             continue
-        if witness(L, der, delta, x) is None:
+        # one image pass gives the witness solve and the rank of the Der
+        # block at pt, which is the image matrix [D_1(x) | .. | D_m(x)]
+        images = _images(der.columns + (delta.sparse_columns(),), x)
+        if _solve_images(L.field, images) is None:
             strata.append(f"{indent}refuted at sampled point {probe_label(x)}")
             return x, -1
-        # the Der block at pt is the image matrix [D_1(x) | .. | D_m(x)]
-        rank = _orbit_echelon(L, der, x).rank
+        rank = sum(map(SparseEchelon(d).insert, images[:-1]))
         if rank > best_rank:
             best_rank, best_point = rank, pt
     r = max(best_rank, 0)

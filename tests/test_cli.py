@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from liederiv.cli import main
 from liederiv.liealg import load, make_heisenberg, make_schrodinger, to_json
@@ -275,3 +276,39 @@ def test_certify_above_dimension_bound_exits_one(tmp_path, capsys):
     code, out, err = run_cli(capsys, "certify", str(alg), "--map", str(mp))
     assert_one_line_error(code, out, err)
     assert "exceeds the certifier bound" in err
+
+
+@pytest.mark.parametrize("command", ["locder-random", "demo-heisenberg"])
+@pytest.mark.parametrize("option", ["--max-probes", "--stall"])
+def test_negative_probe_limits_are_usage_errors(capsys, command, option):
+    argv = [command, option, "-1"] + (["--n", "1"] if command == "locder-random" else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: argument {option}: expected a non-negative integer, got -1"]
+
+
+def _not_json(text):
+    try:
+        json.loads(text)
+    except ValueError:
+        return True
+    return False
+
+
+_H1_TEXT = to_json(make_heisenberg(1))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.one_of(
+        st.text(st.characters(blacklist_categories=("Cs",))),
+        # a valid algebra file cut short
+        st.integers(0, len(_H1_TEXT) - 2).map(lambda k: _H1_TEXT[:k]),
+    ).filter(_not_json)
+)
+def test_der_rejects_any_file_that_is_not_json(tmp_path, capsys, text):
+    path = tmp_path / "alg.json"
+    path.write_text(text, encoding="utf-8")
+    assert_one_line_error(*run_cli(capsys, "der", str(path)))

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from liederiv.exactfield import (
     FIELD_Q,
@@ -138,6 +139,15 @@ def test_format_parse_round_trip_randomized():
     # purely real and purely imaginary edge cases
     for x in (GaussianRational(0), GaussianRational(3), GaussianRational(0, -2)):
         assert parse_scalar(format_scalar(x), FIELD_QI) == x
+
+
+@given(st.fractions(), st.fractions())
+def test_format_parse_round_trip_property(a, b):
+    assert parse_scalar(format_scalar(a), FIELD_Q) == a
+    x = GaussianRational(a, b)
+    assert parse_scalar(format_scalar(x), FIELD_QI) == x
+    # a rational written over Q is read back as the same Q(i) scalar
+    assert parse_scalar(format_scalar(a), FIELD_QI) == GaussianRational(a)
 
 
 def test_coerce_scalar_field_mismatch():

@@ -23,6 +23,8 @@ CASES = {
     "der_n3": (["der", "--n", "3"], 0),
     "outer_check_n3": (["outer-check", "--n", "3"], 0),
     "locder_basis_n2": (["locder-basis", "--n", "2"], 0),
+    # not a Schrodinger algebra, so the report prints "n": null
+    "locder_basis_h1": (["locder-basis", "{dir}/h1.json"], 0),
     "locder_replay_n3": (["locder-replay", "--n", "3"], 0),
     "locder_random_n2": (["locder-random", "--n", "2", "--seed", "24301"], 0),
     "demo_heisenberg": (["demo-heisenberg"], 0),

@@ -9,7 +9,6 @@ from liederiv.linalg import (
     Matrix,
     SparseEchelon,
     Subspace,
-    member,
     nullspace,
     rref,
     subspace_intersect,
@@ -149,12 +148,12 @@ def test_intersection_is_associative_randomized():
 
 def test_member_examples():
     s = Subspace.from_vectors(FIELD_Q, 2, [[1, 1]])
-    assert member([Fraction(2), Fraction(2)], s) == (Fraction(2),)
-    assert member([Fraction(1), Fraction(0)], s) is None
-    assert member([Fraction(0), Fraction(0)], s) == (Fraction(0),)
+    assert s.coordinates([Fraction(2), Fraction(2)]) == (Fraction(2),)
+    assert s.coordinates([Fraction(1), Fraction(0)]) is None
+    assert s.coordinates([Fraction(0), Fraction(0)]) == (Fraction(0),)
     # zero vector in a nonzero space: all-zero coefficients
     s2 = Subspace.from_vectors(FIELD_Q, 3, [[1, 0, 2], [0, 1, 1]])
-    assert member([Fraction(0)] * 3, s2) == (Fraction(0), Fraction(0))
+    assert s2.coordinates([Fraction(0)] * 3) == (Fraction(0), Fraction(0))
 
 
 def test_member_reconstructs_combination():
@@ -170,7 +169,7 @@ def test_member_reconstructs_combination():
             sum((c * row[j] for c, row in zip(coeffs, s.basis.entries) if c), Fraction(0))
             for j in range(ambient)
         ]
-        got = member(v, s)
+        got = s.coordinates(v)
         assert got is not None
         rebuilt = [
             sum((c * row[j] for c, row in zip(got, s.basis.entries) if c), Fraction(0))
@@ -188,7 +187,7 @@ def test_field_and_dimension_mismatches_rejected():
     with pytest.raises(FieldMismatchError):
         subspace_intersect(a, c)
     with pytest.raises(ValueError):
-        member([Fraction(1)], a)
+        a.coordinates([Fraction(1)])
 
 
 def test_sparse_echelon_matches_dense_rank():
