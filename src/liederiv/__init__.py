@@ -12,7 +12,7 @@ from .exactfield import (
     inv,
     parse_scalar,
 )
-from .linalg import Matrix, Subspace, nullspace, rref, subspace_intersect, subspace_sum
+from .linalg import Matrix, Subspace, subspace_intersect, subspace_sum
 from .liealg import (
     AlgebraElement,
     JacobiError,
@@ -36,7 +36,6 @@ from .dersolve import (
     flatten_map,
     inner_space,
     is_derivation,
-    leibniz_system,
     sigma,
     tau,
     unflatten_map,

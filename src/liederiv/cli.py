@@ -261,12 +261,12 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_demo_heisenberg(args) -> int:
-    L = make_heisenberg(1, FIELD_Q)
+    L = make_heisenberg(1, args.field)
     der = derivation_space(L)
     d = L.dim
     rows = [[0] * d for _ in range(d)]
     rows[L.index["z"]][L.index["z"]] = 1
-    delta = Matrix(FIELD_Q, rows)
+    delta = Matrix(L.field, rows)
     leibniz = is_derivation(L, delta)
     cert = certify_local_symbolic(L, der, delta)
     closure = random_probe_closure(

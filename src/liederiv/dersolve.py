@@ -62,23 +62,6 @@ def leibniz_rows(L: LieAlgebra) -> Iterator[dict]:
                 yield per_k[k]
 
 
-def leibniz_system(L: LieAlgebra) -> Matrix:
-    """Dense product-rule system: one row per basis pair (i < j) per coordinate.
-
-    A map D is a derivation iff its column-major flattening lies in the
-    nullspace of this matrix.
-    """
-    d = L.dim
-    z = zero(L.field)
-    rows = []
-    for sparse in leibniz_rows(L):
-        row = [z] * (d * d)
-        for c, v in sparse.items():
-            row[c] = v
-        rows.append(row)
-    return Matrix(L.field, rows)
-
-
 @dataclass(frozen=True)
 class LeibnizVerdict:
     ok: bool
@@ -119,29 +102,22 @@ def is_derivation(L: LieAlgebra, D: Matrix) -> LeibnizVerdict:
 class DerivationSpace:
     """Basis of Der(L) plus its canonical embedding in the map space.
 
-    Two sparse views are built once at construction: ``columns[k]`` holds
-    the columns of ``basis[k]``, so that an image D_k(x) costs only the
-    support of x (the probe fold, ``locder.witness`` and the symbolic
-    certifier's rank and minor choices all form their images this way),
-    and ``vectors[k]`` holds the nonzero entries of the k-th row of
-    ``subspace``, so that a constraint row is checked against Der at the
-    cost of its own support.  The two views come from different fields,
-    so the check does not reuse the data the images came from.
+    ``columns[k]`` holds the sparse columns of ``basis[k]``, built once at
+    construction, so that an image D_k(x) costs only the support of x
+    (the probe fold, ``locder.witness`` and the symbolic certifier's rank
+    and minor choices all form their images this way).  The sparse RREF
+    rows of ``subspace`` come from the nullspace itself, so the per-row
+    Der-annihilation check of a constraint row, which reads them, does
+    not reuse the data the images came from.
     """
 
     algebra: LieAlgebra
     basis: tuple  # tuple[Matrix]
     subspace: Subspace
     columns: tuple = dataclasses.field(init=False, repr=False, compare=False)
-    vectors: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "columns", tuple(D.sparse_columns() for D in self.basis))
-        object.__setattr__(
-            self,
-            "vectors",
-            tuple({c: x for c, x in enumerate(row) if x} for row in self.subspace.basis.entries),
-        )
 
     @property
     def dim(self) -> int:
@@ -159,7 +135,10 @@ def derivation_space(L: LieAlgebra) -> DerivationSpace:
     for row in leibniz_rows(L):
         acc.insert(row)
     space = acc.nullspace(L.field)
-    maps = tuple(unflatten_map(L.field, vec, d) for vec in space.basis.entries)
+    z = zero(L.field)
+    maps = tuple(
+        unflatten_map(L.field, [row.get(c, z) for c in range(d * d)], d) for row in space.rows
+    )
     for m in maps:
         verdict = is_derivation(L, m)
         if not verdict.ok:

@@ -1,10 +1,10 @@
-"""Exact dense and sparse linear algebra over Q and Q(i).
+"""Exact sparse linear algebra over Q and Q(i).
 
-Dense reduced row-echelon form drives canonical subspace bases; the
-sparse incremental echelon accumulator handles the large Leibniz and
-probe-constraint systems without materializing dense matrices.  All
-operations are pure functions on immutable values, so callers may use
-them concurrently.
+One elimination engine, the sparse incremental echelon accumulator,
+handles the large Leibniz and probe-constraint systems without
+materializing dense matrices, and its back-eliminated rows are the
+canonical RREF bases of subspaces.  All operations are pure functions
+on immutable values, so callers may use them concurrently.
 """
 
 from __future__ import annotations
@@ -36,24 +36,9 @@ class Matrix:
         raise AttributeError("Matrix is immutable")
 
     @classmethod
-    def zeros(cls, field: str, nrows: int, ncols: int) -> "Matrix":
-        z = zero(field)
-        return cls(field, [[z] * ncols for _ in range(nrows)])
-
-    @classmethod
     def identity(cls, field: str, n: int) -> "Matrix":
         z, o = zero(field), one(field)
         return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
-
-    def col(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.entries)
 
     def sparse_columns(self) -> tuple:
         """Column j as a ``{row: entry}`` dict of its nonzero entries, built
@@ -62,9 +47,6 @@ class Matrix:
             cols = tuple({r: x for r, x in enumerate(col) if x} for col in zip(*self.entries))
             object.__setattr__(self, "_columns", cols)
         return self._columns
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, list(zip(*self.entries)) if self.nrows else [])
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -82,26 +64,6 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.field}, {self.nrows}x{self.ncols})"
 
-    def matvec(self, v: Sequence) -> tuple:
-        if len(v) != self.ncols:
-            raise ValueError("dimension mismatch in matvec")
-        return tuple(
-            sum((row[j] * v[j] for j in range(self.ncols) if v[j]), zero(self.field))
-            for row in self.entries
-        )
-
-    def matmul(self, other: "Matrix") -> "Matrix":
-        _same_field(self, other)
-        if self.ncols != other.nrows:
-            raise ValueError("dimension mismatch in matmul")
-        bt = other.transpose().entries
-        z = zero(self.field)
-        return Matrix(
-            self.field,
-            [[sum((a * b for a, b in zip(row, col) if a and b), z) for col in bt]
-             for row in self.entries],
-        )
-
     def add(self, other: "Matrix") -> "Matrix":
         _same_field(self, other)
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
@@ -115,89 +77,45 @@ class Matrix:
         c = coerce_scalar(c, self.field)
         return Matrix(self.field, [[c * x for x in row] for row in self.entries])
 
-    def is_zero(self) -> bool:
-        return not any(any(row) for row in self.entries)
-
 
 def _same_field(a, b):
     if a.field != b.field:
         raise FieldMismatchError(f"mixed fields {a.field} and {b.field}")
 
 
-def rref(m: Matrix) -> tuple[Matrix, int]:
-    """Reduced row-echelon form and rank.
-
-    Pivot choice is the first nonzero entry in column order, so the
-    result is canonical for a given row space.
-    """
-    rows = [list(r) for r in m.entries]
-    nrows, ncols = m.nrows, m.ncols
-    pivot_row = 0
-    for col in range(ncols):
-        src = next((r for r in range(pivot_row, nrows) if rows[r][col]), None)
-        if src is None:
-            continue
-        rows[pivot_row], rows[src] = rows[src], rows[pivot_row]
-        pr = rows[pivot_row]
-        inv_p = one(m.field) / pr[col]
-        for j in range(col, ncols):
-            if pr[j]:
-                pr[j] = pr[j] * inv_p
-        for r in range(nrows):
-            if r != pivot_row and rows[r][col]:
-                f = rows[r][col]
-                rr = rows[r]
-                for j in range(col, ncols):
-                    if pr[j]:
-                        rr[j] = rr[j] - f * pr[j]
-        pivot_row += 1
-        if pivot_row == nrows:
-            break
-    return Matrix(m.field, rows), pivot_row
-
-
 class Subspace:
-    """Subspace of field**n, stored as an RREF basis matrix (rows = basis).
+    """Subspace of field**n, stored as its canonical RREF basis: sparse
+    ``{column: scalar}`` rows in pivot order, each with a unit pivot at
+    its first column and zeros in every other row's pivot column.
 
-    Two subspaces are equal iff their canonical basis matrices coincide.
+    Two subspaces are equal iff their canonical rows coincide.
     """
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots")
+    __slots__ = ("field", "ambient_dim", "rows", "pivots")
 
-    def __init__(self, field: str, ambient_dim: int, basis: Matrix, pivots: tuple):
+    def __init__(self, field: str, ambient_dim: int, rows: tuple):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "pivots", pivots)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "pivots", tuple(min(row) for row in rows))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
     @classmethod
     def from_vectors(cls, field: str, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        vecs = [list(v) for v in vectors]
-        if any(len(v) != ambient_dim for v in vecs):
-            raise ValueError("vector length does not match ambient dimension")
-        if not vecs:
-            return cls(field, ambient_dim, Matrix(field, []), ())
-        red, rank = rref(Matrix(field, vecs))
-        rows = red.entries[:rank]
-        pivots = tuple(next(j for j, x in enumerate(r) if x) for r in rows)
-        return cls(field, ambient_dim, Matrix(field, rows), pivots)
-
-    @classmethod
-    def zero_space(cls, field: str, ambient_dim: int) -> "Subspace":
-        return cls(field, ambient_dim, Matrix(field, []), ())
-
-    @classmethod
-    def full_space(cls, field: str, ambient_dim: int) -> "Subspace":
-        return cls(
-            field, ambient_dim, Matrix.identity(field, ambient_dim), tuple(range(ambient_dim))
-        )
+        check_field(field)
+        acc = SparseEchelon(ambient_dim)
+        for v in vectors:
+            if len(v) != ambient_dim:
+                raise ValueError("vector length does not match ambient dimension")
+            row = [coerce_scalar(x, field) for x in v]
+            acc.insert({j: x for j, x in enumerate(row) if x})
+        return acc.row_space(field)
 
     @property
     def dim(self) -> int:
-        return self.basis.nrows
+        return len(self.rows)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -205,11 +123,11 @@ class Subspace:
         return (
             self.field == other.field
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.field, self.ambient_dim, self.basis))
+        return hash((self.field, self.ambient_dim, self.pivots))
 
     def __repr__(self):
         return f"Subspace({self.field}, dim {self.dim} of {self.ambient_dim})"
@@ -224,22 +142,15 @@ class Subspace:
             raise ValueError("dimension mismatch in membership test")
         v = [coerce_scalar(x, self.field) for x in v]
         coeffs = tuple(v[p] for p in self.pivots)
-        residue = list(v)
-        for c, row in zip(coeffs, self.basis.entries):
+        residue = {j: x for j, x in enumerate(v) if x}
+        for c, row in zip(coeffs, self.rows):
             if c:
-                for j, x in enumerate(row):
-                    if x:
-                        residue[j] = residue[j] - c * x
-        if any(residue):
-            return None
-        return coeffs
+                for j, x in row.items():
+                    sparse_add(residue, j, -(c * x))
+        return None if residue else coeffs
 
     def contains(self, v: Sequence) -> bool:
         return self.coordinates(v) is not None
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        _same_space(self, other)
-        return all(self.contains(row) for row in other.basis.entries)
 
 
 def _same_space(a: Subspace, b: Subspace):
@@ -250,31 +161,25 @@ def _same_space(a: Subspace, b: Subspace):
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     _same_space(a, b)
-    return Subspace.from_vectors(
-        a.field, a.ambient_dim, list(a.basis.entries) + list(b.basis.entries)
-    )
+    acc = SparseEchelon(a.ambient_dim)
+    for row in a.rows + b.rows:
+        acc.insert(row)
+    return acc.row_space(a.field)
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection via the Zassenhaus stacked-basis elimination."""
+    """Intersection via the Zassenhaus elimination: insert the rows
+    (x | x) for x in a and (y | 0) for y in b; the RREF rows with a pivot
+    at or past n span the intersection, already in canonical form."""
     _same_space(a, b)
     n = a.ambient_dim
-    z = zero(a.field)
-    stacked = [list(row) + list(row) for row in a.basis.entries]
-    stacked += [list(row) + [z] * n for row in b.basis.entries]
-    if not stacked:
-        return Subspace.zero_space(a.field, n)
-    red, rank = rref(Matrix(a.field, stacked))
-    inter_rows = [row[n:] for row in red.entries[:rank] if not any(row[:n])]
-    return Subspace.from_vectors(a.field, n, inter_rows)
-
-
-def nullspace(m: Matrix) -> Subspace:
-    """Kernel {v : m v = 0} as a canonical subspace."""
-    acc = SparseEchelon(m.ncols)
-    for row in m.entries:
-        acc.insert({j: x for j, x in enumerate(row) if x})
-    return acc.nullspace(m.field)
+    acc = SparseEchelon(2 * n)
+    for row in a.rows:
+        acc.insert({**row, **{c + n: x for c, x in row.items()}})
+    for row in b.rows:
+        acc.insert(row)
+    rows = tuple({c - n: x for c, x in r.items()} for r in acc.rref_rows() if min(r) >= n)
+    return Subspace(a.field, n, rows)
 
 
 class SparseEchelon:
@@ -376,18 +281,9 @@ class SparseEchelon:
         return [reduced[p] for p in sorted(reduced)]
 
     def row_space(self, field: str) -> Subspace:
-        """The row space as a Subspace, read off the back-eliminated rows
-        (RREF is unique, so no dense re-elimination is needed)."""
-        z = zero(field)
-        sparse = self.rref_rows()
-        rows = []
-        for row in sparse:
-            dense = [z] * self.ncols
-            for c, x in row.items():
-                dense[c] = x
-            rows.append(dense)
-        pivots = tuple(min(row) for row in sparse)
-        return Subspace(field, self.ncols, Matrix(field, rows), pivots)
+        """The row space as a Subspace: its rows are the back-eliminated
+        rows, the canonical RREF basis."""
+        return Subspace(field, self.ncols, tuple(self.rref_rows()))
 
     def kernel(self, field: str) -> "SparseEchelon":
         """An accumulator whose row space is the nullspace of this one."""
@@ -416,8 +312,8 @@ def solve_columns(field: str, columns: Sequence[dict], target: dict) -> Optional
     target is outside the span of the sparse ``{row: scalar}`` columns.
 
     A pivot at column m of the echelon of the augmented rows means no
-    solution; otherwise c is read off the back-eliminated rows, the same
-    canonical RREF solution (free coefficients zero) as a dense ``rref``."""
+    solution; otherwise c is read off the back-eliminated rows: the
+    canonical RREF solution, with every free coefficient zero."""
     m = len(columns)
     rows: dict = {}
     for k, col in enumerate(columns):

@@ -213,7 +213,7 @@ def constrain(
     echelon = acc.echelon.clone()
     for p in annihilator:
         row = {j * d + i: xj * pi for j, xj in support for i, pi in p.items()}
-        for vec in der.vectors:
+        for vec in der.subspace.rows:
             if dot_sparse(row, vec):
                 raise AssertionError(
                     f"constraint row at probe {probe.label!r} does not annihilate Der"

@@ -1,12 +1,14 @@
-"""Shared helpers: random exact scalars, an independent elimination
-oracle used to cross-check the production linear algebra, and dense
-oracles for the sparse derivation check and the sparse witness solve."""
+"""Shared helpers: random exact scalars, independent elimination
+oracles used to cross-check the production linear algebra, dense matrix
+and subspace helpers, and dense oracles for the sparse derivation check
+and the sparse witness solve."""
 
 from fractions import Fraction
 
-from liederiv.exactfield import FIELD_Q, GaussianRational, zero
+from liederiv.dersolve import leibniz_rows
+from liederiv.exactfield import FIELD_Q, GaussianRational, one, zero
 from liederiv.liealg import bracket
-from liederiv.linalg import Matrix, rref
+from liederiv.linalg import Matrix, SparseEchelon, Subspace
 
 
 def rand_fraction(rng, lo=-9, hi=9, den=4):
@@ -47,6 +49,111 @@ def naive_rank(rows):
     return rank
 
 
+def rref(m: Matrix) -> tuple[Matrix, int]:
+    """Dense reduced row-echelon form and rank.
+
+    Pivot choice is the first nonzero entry in column order, so the
+    result is canonical for a given row space.
+    """
+    rows = [list(r) for r in m.entries]
+    nrows, ncols = m.nrows, m.ncols
+    pivot_row = 0
+    for col in range(ncols):
+        src = next((r for r in range(pivot_row, nrows) if rows[r][col]), None)
+        if src is None:
+            continue
+        rows[pivot_row], rows[src] = rows[src], rows[pivot_row]
+        pr = rows[pivot_row]
+        inv_p = one(m.field) / pr[col]
+        for j in range(col, ncols):
+            if pr[j]:
+                pr[j] = pr[j] * inv_p
+        for r in range(nrows):
+            if r != pivot_row and rows[r][col]:
+                f = rows[r][col]
+                rr = rows[r]
+                for j in range(col, ncols):
+                    if pr[j]:
+                        rr[j] = rr[j] - f * pr[j]
+        pivot_row += 1
+        if pivot_row == nrows:
+            break
+    return Matrix(m.field, rows), pivot_row
+
+
+def nullspace(m: Matrix) -> Subspace:
+    """Kernel {v : m v = 0} of a dense matrix, through ``SparseEchelon``."""
+    acc = SparseEchelon(m.ncols)
+    for row in m.entries:
+        acc.insert({j: x for j, x in enumerate(row) if x})
+    return acc.nullspace(m.field)
+
+
+def leibniz_system(L) -> Matrix:
+    """Dense product-rule system: one row per basis pair (i < j) per
+    coordinate, the rows of ``leibniz_rows`` made dense."""
+    d = L.dim
+    z = zero(L.field)
+    rows = []
+    for sparse in leibniz_rows(L):
+        row = [z] * (d * d)
+        for c, v in sparse.items():
+            row[c] = v
+        rows.append(row)
+    return Matrix(L.field, rows)
+
+
+def zeros(field, nrows, ncols) -> Matrix:
+    z = zero(field)
+    return Matrix(field, [[z] * ncols for _ in range(nrows)])
+
+
+def col(m: Matrix, j) -> tuple:
+    return tuple(r[j] for r in m.entries)
+
+
+def transpose(m: Matrix) -> Matrix:
+    return Matrix(m.field, list(zip(*m.entries)) if m.nrows else [])
+
+
+def is_zero(m: Matrix) -> bool:
+    return not any(any(row) for row in m.entries)
+
+
+def matvec(m: Matrix, v) -> tuple:
+    if len(v) != m.ncols:
+        raise ValueError("dimension mismatch in matvec")
+    return tuple(
+        sum((row[j] * v[j] for j in range(m.ncols) if v[j]), zero(m.field))
+        for row in m.entries
+    )
+
+
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    if a.ncols != b.nrows:
+        raise ValueError("dimension mismatch in matmul")
+    bt = transpose(b).entries
+    z = zero(a.field)
+    return Matrix(
+        a.field,
+        [[sum((x * y for x, y in zip(row, c) if x and y), z) for c in bt] for row in a.entries],
+    )
+
+
+def dense_rows(s: Subspace) -> list:
+    """The canonical basis rows of a subspace, as dense tuples."""
+    z = zero(s.field)
+    return [tuple(row.get(c, z) for c in range(s.ambient_dim)) for row in s.rows]
+
+
+def full_space(field, n) -> Subspace:
+    return Subspace.from_vectors(field, n, Matrix.identity(field, n).entries)
+
+
+def contains_subspace(a: Subspace, b: Subspace) -> bool:
+    return all(a.contains(row) for row in dense_rows(b))
+
+
 def back_multiply(rows, vec):
     """Exact products row . vec for every row (the nullspace oracle)."""
     return [sum((a * b for a, b in zip(row, vec) if a and b), 0 * vec[0]) for row in rows]
@@ -58,11 +165,11 @@ def dense_is_derivation(L, D):
     order, as the production check reports it."""
     for i in range(L.dim):
         xi = L.basis_element(i)
-        dxi = L.element(D.col(i))
+        dxi = L.element(col(D, i))
         for j in range(i + 1, L.dim):
             xj = L.basis_element(j)
-            lhs = L.element(D.matvec(bracket(xi, xj).coords))
-            rhs = bracket(dxi, xj) + bracket(xi, L.element(D.col(j)))
+            lhs = L.element(matvec(D, bracket(xi, xj).coords))
+            rhs = bracket(dxi, xj) + bracket(xi, L.element(col(D, j)))
             if lhs.coords != rhs.coords:
                 return False, (L.labels[i], L.labels[j])
     return True, None
@@ -72,10 +179,10 @@ def dense_witness(L, der, delta, x):
     """Coefficients of the canonical RREF solution of
     sum c_k D_k(x) = Delta(x) over the Der basis, or None when there is
     none: the dense route through ``matvec`` and ``rref``."""
-    target = delta.matvec(x.coords)
-    images = [D.matvec(x.coords) for D in der.basis]
+    target = matvec(delta, x.coords)
+    images = [matvec(D, x.coords) for D in der.basis]
     m = len(images)
-    aug = Matrix(L.field, [list(col) + [t] for col, t in zip(zip(*images), target)])
+    aug = Matrix(L.field, [list(c) + [t] for c, t in zip(zip(*images), target)])
     red, rank = rref(aug)
     pivots = [next(j for j, v in enumerate(row) if v) for row in red.entries[:rank]]
     if m in pivots:

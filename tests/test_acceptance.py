@@ -28,20 +28,12 @@ from liederiv.liealg import (
     make_sl2,
     save,
 )
-from liederiv.linalg import (
-    Matrix,
-    Subspace,
-    nullspace,
-    rref,
-    subspace_intersect,
-    subspace_sum,
-)
+from liederiv.linalg import Matrix, Subspace, subspace_intersect, subspace_sum
 from liederiv.dersolve import (
     derivation_space,
     flatten_map,
     inner_space,
     is_derivation,
-    leibniz_system,
     outer_span,
     sigma,
     sigma_pairs,
@@ -58,7 +50,17 @@ from liederiv.locder import (
     replay_proof,
     witness,
 )
-from conftest import back_multiply, naive_rank, rand_fraction, rand_gauss, rand_scalar
+from conftest import (
+    back_multiply,
+    dense_rows,
+    leibniz_system,
+    naive_rank,
+    nullspace,
+    rand_fraction,
+    rand_gauss,
+    rand_scalar,
+    rref,
+)
 
 # dim Der(S_n) = (2n+3) + n(n-1)/2 + 1: inner part, pair rotations, tau
 DER_DIMS = {1: 6, 2: 9, 3: 13, 4: 18, 5: 24, 6: 31}
@@ -251,7 +253,7 @@ def test_criterion_7c_nullspace_back_multiplication():
         )
         s = nullspace(m)
         assert s.dim == ncols - rref(m)[1]
-        for vec in s.basis.entries:
+        for vec in dense_rows(s):
             assert not any(back_multiply(m.entries, vec))
         checked += 1
     report("7c", True, f"nullspace verified by back-multiplication on {checked} matrices")
@@ -309,7 +311,7 @@ def test_criterion_7g_witness_reconstruction():
     result = replay(2)
     L, der = result.algebra, result.der
     maps = [
-        unflatten_map(L.field, vec, L.dim) for vec in result.candidate.space.basis.entries
+        unflatten_map(L.field, vec, L.dim) for vec in dense_rows(result.candidate.space)
     ]
     count = 0
     for probe in schrodinger_probe_schedule(2, L):

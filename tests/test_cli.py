@@ -151,6 +151,16 @@ def test_demo_heisenberg(capsys):
     assert demo["pure_local_derivation"] is True
 
 
+def test_demo_heisenberg_runs_over_the_requested_field(capsys):
+    code, out, _ = run_cli(capsys, "demo-heisenberg", "--field", "Qi")
+    assert code == 0
+    report = json.loads(out)
+    assert report["field"] == "Qi"
+    assert report["der_dim"] == 6
+    assert report["candidate_dim"] == 7
+    assert report["demo"]["pure_local_derivation"] is True
+
+
 def test_certify_command(tmp_path, capsys):
     alg = tmp_path / "h1.json"
     run_cli(capsys, "gen", "--heisenberg", "1", "-o", str(alg))

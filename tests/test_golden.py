@@ -21,6 +21,9 @@ GOLDEN = Path(__file__).parent / "golden"
 # name -> (argv, expected exit code)
 CASES = {
     "der_n3": (["der", "--n", "3"], 0),
+    # the canonical RREF basis of Der, over Q and over Q(i)
+    "der_n2_basis": (["der", "--n", "2", "--basis"], 0),
+    "der_n2_basis_qi": (["der", "--n", "2", "--basis", "--field", "Qi"], 0),
     "outer_check_n3": (["outer-check", "--n", "3"], 0),
     "locder_basis_n2": (["locder-basis", "--n", "2"], 0),
     # not a Schrodinger algebra, so the report prints "n": null

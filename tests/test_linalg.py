@@ -4,17 +4,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liederiv.exactfield import FIELD_Q, FIELD_QI, FieldMismatchError
-from liederiv.linalg import (
-    Matrix,
-    SparseEchelon,
-    Subspace,
+from liederiv.exactfield import FIELD_Q, FIELD_QI, FieldMismatchError, GaussianRational, zero
+from liederiv.linalg import Matrix, SparseEchelon, Subspace, subspace_intersect, subspace_sum
+from conftest import (
+    back_multiply,
+    dense_rows,
+    full_space,
+    matmul,
+    naive_rank,
     nullspace,
+    rand_scalar,
     rref,
-    subspace_intersect,
-    subspace_sum,
+    transpose,
 )
-from conftest import back_multiply, naive_rank, rand_scalar
 
 
 def mat(rows, field=FIELD_Q):
@@ -48,7 +50,7 @@ def test_rank_equals_transpose_rank():
     rng = random.Random(17)
     for _ in range(40):
         m = rand_matrix(rng, rng.randint(1, 6), rng.randint(1, 7))
-        assert rref(m)[1] == rref(m.transpose())[1]
+        assert rref(m)[1] == rref(transpose(m))[1]
 
 
 def test_nullspace_examples():
@@ -64,10 +66,10 @@ def test_nullspace_verified_by_back_multiplication():
         r = rng.randint(1, 5)
         a = rand_matrix(rng, 6, r)
         b = rand_matrix(rng, r, 10)
-        m = a.matmul(b)  # rank at most r
+        m = matmul(a, b)  # rank at most r
         s = nullspace(m)
         assert s.dim == 10 - rref(m)[1]
-        for vec in s.basis.entries:
+        for vec in dense_rows(s):
             assert not any(back_multiply(m.entries, vec))
 
 
@@ -109,7 +111,7 @@ def test_subspace_intersect_examples():
     plane = Subspace.from_vectors(FIELD_Q, 2, [[1, 0], [0, 1]])
     line = Subspace.from_vectors(FIELD_Q, 2, [[1, 1]])
     assert subspace_intersect(plane, line) == line
-    full = Subspace.full_space(FIELD_Q, 4)
+    full = full_space(FIELD_Q, 4)
     s = Subspace.from_vectors(FIELD_Q, 4, [[1, 2, 3, 4], [0, 1, 0, 1]])
     assert subspace_intersect(s, full) == s
 
@@ -166,13 +168,13 @@ def test_member_reconstructs_combination():
         )
         coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(s.dim)]
         v = [
-            sum((c * row[j] for c, row in zip(coeffs, s.basis.entries) if c), Fraction(0))
+            sum((c * row[j] for c, row in zip(coeffs, dense_rows(s)) if c), Fraction(0))
             for j in range(ambient)
         ]
         got = s.coordinates(v)
         assert got is not None
         rebuilt = [
-            sum((c * row[j] for c, row in zip(got, s.basis.entries) if c), Fraction(0))
+            sum((c * row[j] for c, row in zip(got, dense_rows(s)) if c), Fraction(0))
             for j in range(ambient)
         ]
         assert rebuilt == v
@@ -200,7 +202,7 @@ def test_sparse_echelon_matches_dense_rank():
         assert acc.rank == rref(m)[1]
         ns = acc.nullspace(FIELD_Q)
         assert ns == nullspace(m)
-        for vec in ns.basis.entries:
+        for vec in dense_rows(ns):
             assert not any(back_multiply(m.entries, vec))
 
 
@@ -212,7 +214,7 @@ def test_sparse_echelon_over_gaussian_rationals():
         for row in m.entries:
             acc.insert({j: x for j, x in enumerate(row) if x})
         assert acc.rank == rref(m)[1]
-        for vec in acc.nullspace(FIELD_QI).basis.entries:
+        for vec in dense_rows(acc.nullspace(FIELD_QI)):
             assert not any(back_multiply(m.entries, vec))
 
 
@@ -240,3 +242,50 @@ def test_sparse_echelon_rank_matches_naive_rank(case):
         acc.insert({j: x for j, x in enumerate(row) if x})
     assert acc.rank == naive_rank([[Fraction(x) for x in row] for row in rows])
     assert all(type(v) is Fraction for row in acc.rows.values() for v in row.values())
+
+
+def _scalars(field):
+    small = st.integers(-3, 3)
+    if field == FIELD_Q:
+        return small.map(Fraction)
+    return st.tuples(small, small).map(lambda p: GaussianRational(*p))
+
+
+@st.composite
+def _vector_sets(draw):
+    field = draw(st.sampled_from([FIELD_Q, FIELD_QI]))
+    n = draw(st.integers(1, 5))
+    vectors = st.lists(st.lists(_scalars(field), min_size=n, max_size=n), max_size=4)
+    return field, n, draw(vectors), draw(vectors)
+
+
+def _dense_rref_rows(field, ncols, vectors):
+    """Nonzero rows of the dense oracle RREF of the vectors."""
+    if not vectors:
+        return []
+    red, rank = rref(Matrix(field, vectors))
+    return [list(row) for row in red.entries[:rank]]
+
+
+def _sparse(rows):
+    return tuple({j: x for j, x in enumerate(row) if x} for row in rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_vector_sets())
+def test_sparse_subspace_matches_dense_oracle(case):
+    field, n, xs, ys = case
+    a, b = Subspace.from_vectors(field, n, xs), Subspace.from_vectors(field, n, ys)
+    dense_a, dense_b = _dense_rref_rows(field, n, xs), _dense_rref_rows(field, n, ys)
+    assert a.rows == _sparse(dense_a) and b.rows == _sparse(dense_b)
+    # Zassenhaus through the dense oracle: rows (x | x) and (y | 0)
+    z = zero(field)
+    stacked = [row + row for row in dense_a] + [row + [z] * n for row in dense_b]
+    meet = [row[n:] for row in _dense_rref_rows(field, 2 * n, stacked) if not any(row[:n])]
+    assert subspace_intersect(a, b).rows == _sparse(meet)
+    # every input vector and the sum of all of them lie in the span
+    in_span = xs + [[sum(col, z) for col in zip(*xs)]] if xs else []
+    for v in in_span:
+        coeffs = a.coordinates(v)
+        assert coeffs is not None
+        assert [sum((c * row[j] for c, row in zip(coeffs, dense_a)), z) for j in range(n)] == v
