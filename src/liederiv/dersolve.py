@@ -104,8 +104,8 @@ class DerivationSpace:
 
     ``columns[k]`` holds the sparse columns of ``basis[k]``, built once at
     construction, so that an image D_k(x) costs only the support of x
-    (the probe fold, ``locder.witness`` and the symbolic certifier's rank
-    and minor choices all form their images this way).  The sparse RREF
+    (the probe fold, ``locder.witness`` and the symbolic certifier's rank,
+    minor choices and stratum blocks all form their images this way).  The sparse RREF
     rows of ``subspace`` come from the nullspace itself, so the per-row
     Der-annihilation check of a constraint row, which reads them, does
     not reuse the data the images came from.

@@ -35,11 +35,6 @@ class Matrix:
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
-    @classmethod
-    def identity(cls, field: str, n: int) -> "Matrix":
-        z, o = zero(field), one(field)
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
-
     def sparse_columns(self) -> tuple:
         """Column j as a ``{row: entry}`` dict of its nonzero entries, built
         once and then shared (callers must not mutate it)."""

@@ -28,6 +28,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Optional, Sequence
 
 from .exactfield import FIELD_Q, FIELD_QI, GaussianRational, inv, one, zero
@@ -457,7 +458,10 @@ def certify_local_symbolic(
     """Decide whether Delta(x) in W_x holds for every x, symbolically.
 
     The certificate stacks M(x) = [D_1(x) | .. | D_m(x) | Delta(x)] with
-    linear-polynomial entries and works stratum by stratum: the generic
+    linear-polynomial entries and works stratum by stratum, a stratum
+    being the span of a tuple of algebra elements (the basis at the top)
+    whose block of linear forms is read off one sparse image pass per
+    element (``_stratum_block``): the generic
     rank r of the Der block is established by exact evaluation (a
     nonsingular r x r submatrix at a rational point exhibits a nonzero
     r-minor polynomial); all (r+1)-minors using the Delta column are
@@ -479,29 +483,13 @@ def certify_local_symbolic(
     for x in _scan_elements(L):
         if witness(L, der, delta, x) is None:
             return LocalityCertificate(False, x, -1, (f"refuted at {probe_label(x)}",))
-    a_cols = [
-        [_linear_poly_from_map(D, r, d) for r in range(d)] for D in der.basis
-    ]  # a_cols[k][r] = r-th coordinate of D_k(x) as a linear polynomial
-    b_col = [_linear_poly_from_map(delta, r, d) for r in range(d)]
     strata: list[str] = []
     rng = random.Random(0xCE27)
-    refut, top_rank = _certify_on(
-        L, der, delta, a_cols, b_col, Matrix.identity(L.field, d), strata, rng
-    )
+    top = tuple(L.basis_element(i) for i in range(d))
+    refut, top_rank = _certify_on(L, der, delta, top, strata, rng)
     if refut is not None:
         return LocalityCertificate(False, refut, top_rank, tuple(strata))
     return LocalityCertificate(True, None, top_rank, tuple(strata))
-
-
-def _linear_poly_from_map(D: Matrix, row: int, d: int) -> MultiPoly:
-    terms = {}
-    for i in range(d):
-        c = D.entries[row][i]
-        if c:
-            e = [0] * d
-            e[i] = 1
-            terms[tuple(e)] = c
-    return MultiPoly(d, terms)
 
 
 def _scan_elements(L: LieAlgebra):
@@ -522,21 +510,18 @@ def _scan_elements(L: LieAlgebra):
 _MINOR_BUDGET = 20000
 
 
-def _certify_on(L, der, delta, a_cols, b_col, basis: Matrix, strata, rng, depth=0):
-    """Certify membership on the cone {x = basis . y}; returns
-    (refuting element or None, established rank bound).  ``basis`` has
-    d rows and dim_u columns."""
+def _certify_on(L, der, delta, basis: tuple, strata, rng, depth=0):
+    """Certify membership on the stratum {x = sum_t y_t b_t} spanned by the
+    tuple ``basis`` of algebra elements b_t; returns (refuting element or
+    None, established rank bound).  Sample points and the linear forms of
+    the minors both come from sparse image passes."""
     d = L.dim
-    m = len(a_cols)
-    dim_u = basis.ncols
+    m = der.dim
+    dim_u = len(basis)
     indent = "  " * depth
     if dim_u == 0:
         strata.append(f"{indent}point stratum: trivial")
         return None, 0
-    rows_sub = [[basis.entries[i][t] for t in range(dim_u)] for i in range(d)]
-    a_sub = [[p.substitute_linear(rows_sub, dim_u) for p in col] for col in a_cols]
-    b_sub = [p.substitute_linear(rows_sub, dim_u) for p in b_col]
-
     samples = [[1] * dim_u] + [_sample_point(rng, dim_u) for _ in range(12)]
     best_rank, best_point = -1, None
     for pt in samples:
@@ -552,9 +537,10 @@ def _certify_on(L, der, delta, a_cols, b_col, basis: Matrix, strata, rng, depth=
         rank = sum(map(SparseEchelon(d).insert, images[:-1]))
         if rank > best_rank:
             best_rank, best_point = rank, pt
+    *a_sub, b_sub = _stratum_block(L, der, delta, basis)
     r = max(best_rank, 0)
     while r < d:
-        count = _choose(d, r + 1) * _choose(m, r)
+        count = comb(d, r + 1) * comb(m, r)
         if count > _MINOR_BUDGET:
             raise CertificationError(
                 f"minor budget exceeded at stratum depth {depth} ({count} minors)"
@@ -592,8 +578,8 @@ def _certify_on(L, der, delta, a_cols, b_col, basis: Matrix, strata, rng, depth=
             "rank-drop locus is not covered by hyperplanes of a splitting minor"
         )
     for ell in cuts:
-        sub_basis = _hyperplane_basis(L.field, basis, ell)
-        refut, _ = _certify_on(L, der, delta, a_cols, b_col, sub_basis, strata, rng, depth + 1)
+        sub_basis = _hyperplane_basis(basis, ell)
+        refut, _ = _certify_on(L, der, delta, sub_basis, strata, rng, depth + 1)
         if refut is not None:
             return refut, r
     return None, r
@@ -603,23 +589,29 @@ def _sample_point(rng, dim_u):
     return [rng.randint(-9, 9) for _ in range(dim_u)]
 
 
-def _apply_basis(L, basis: Matrix, point) -> AlgebraElement:
-    z = zero(L.field)
-    return L.element([sum((b * y for b, y in zip(row, point) if y), z) for row in basis.entries])
+def _apply_basis(L, basis: tuple, point) -> AlgebraElement:
+    return sum((b.scale(y) for b, y in zip(basis, point) if y), L.zero_element())
 
 
-def _choose(n, k):
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
+def _stratum_block(L, der, delta, basis: tuple) -> list:
+    """The linear forms of M(x) on the stratum x = sum_t y_t b_t, one image
+    pass per b_t: entry [k][i] is sum_t D_k(b_t)[i] y_t, and k = m is Delta."""
+    dim_u = len(basis)
+    columns = der.columns + (delta.sparse_columns(),)
+    images = [_images(columns, b) for b in basis]
+    units = [tuple(int(s == t) for s in range(dim_u)) for t in range(dim_u)]
+    return [
+        [
+            MultiPoly(dim_u, {units[t]: img[k].get(i, 0) for t, img in enumerate(images)})
+            for i in range(L.dim)
+        ]
+        for k in range(len(columns))
+    ]
 
 
 def _point_where_nonzero(p: MultiPoly, rng, tries: int = 2000):
     for _ in range(tries):
-        pt = [rng.randint(-9, 9) for _ in range(p.nvars)]
+        pt = _sample_point(rng, p.nvars)
         if p.evaluate(pt):
             return pt
     raise CertificationError("failed to hit a nonzero point of a nonzero polynomial")
@@ -641,7 +633,7 @@ def _minor_profile(L, der, x: AlgebraElement, r: int):
     return tuple(rows), tuple(cols)
 
 
-def _splitting_rank_minor(L, der, basis: Matrix, a_sub, d, m, r, point, rng) -> MultiPoly:
+def _splitting_rank_minor(L, der, basis: tuple, a_sub, d, m, r, point, rng) -> MultiPoly:
     """A nonzero r x r minor of the Der block, preferring one whose zero
     set is covered by hyperplanes; the rank-drop locus sits inside the
     zero set of any one of them."""
@@ -664,7 +656,7 @@ def _splitting_rank_minor(L, der, basis: Matrix, a_sub, d, m, r, point, rng) -> 
         return None
 
     points = [point] if point is not None else []
-    points += [_sample_point(rng, basis.ncols) for _ in range(8)]
+    points += [_sample_point(rng, len(basis)) for _ in range(8)]
     for pt in points:
         profile = _minor_profile(L, der, _apply_basis(L, basis, pt), r)
         if profile is None:
@@ -688,33 +680,18 @@ def _splitting_rank_minor(L, der, basis: Matrix, a_sub, d, m, r, point, rng) -> 
     return fallback
 
 
-def _hyperplane_basis(field: str, basis: Matrix, ell: MultiPoly) -> Matrix:
-    """Compose the stratum basis with the kernel of a linear form in the
-    stratum coordinates."""
-    dim_u = basis.ncols
-    coeffs = [zero(field)] * dim_u
+def _hyperplane_basis(basis: tuple, ell: MultiPoly) -> tuple:
+    """Basis of the hyperplane ell(y) = 0 of the stratum x = sum_t y_t b_t:
+    b_t - (c_t / c_p) b_p for t != p, where c_t is the coefficient of y_t
+    in the linear form ell and c_p its first nonzero one."""
+    coeffs = [0] * len(basis)
     for e, c in ell.terms.items():
-        t = next(i for i, k in enumerate(e) if k)
-        coeffs[t] = coeffs[t] + c
+        coeffs[e.index(1)] = c
     p = next(t for t, c in enumerate(coeffs) if c)
     inv_p = inv(coeffs[p])
-    kernel_cols = []
-    for t in range(dim_u):
-        if t == p:
-            continue
-        col = [zero(field)] * dim_u
-        col[t] = one(field)
-        col[p] = -(coeffs[t] * inv_p)
-        kernel_cols.append(col)
-    rows = []
-    for i in range(basis.nrows):
-        rows.append(
-            [
-                sum((basis.entries[i][t] * col[t] for t in range(dim_u) if col[t]), zero(field))
-                for col in kernel_cols
-            ]
-        )
-    return Matrix(field, rows)
+    return tuple(
+        b - basis[p].scale(c * inv_p) for t, (b, c) in enumerate(zip(basis, coeffs)) if t != p
+    )
 
 
 # ---------------------------------------------------------------------------

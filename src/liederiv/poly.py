@@ -10,6 +10,7 @@ rather than anything clever.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 
@@ -111,25 +112,6 @@ class MultiPoly:
             total = v if total is None else total + v
         return total if total is not None else Fraction(0)
 
-    def substitute_linear(self, rows: Sequence[Sequence], new_nvars: int) -> "MultiPoly":
-        """Substitute x_i -> sum_t rows[i][t] * y_t (only for linear polynomials)."""
-        if self.degree() > 1:
-            raise ValueError("linear substitution requires a linear polynomial")
-        out = MultiPoly.zero(new_nvars)
-        for e, c in self.terms.items():
-            if sum(e) == 0:
-                out = out + MultiPoly.const(new_nvars, c)
-                continue
-            i = next(t for t, k in enumerate(e) if k)
-            lin = {}
-            for t, coef in enumerate(rows[i]):
-                if coef:
-                    exp = [0] * new_nvars
-                    exp[t] = 1
-                    lin[tuple(exp)] = c * coef
-            out = out + MultiPoly(new_nvars, lin)
-        return out
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -187,13 +169,9 @@ def _rational_roots(coeffs: list[Fraction]) -> Optional[list[Fraction]]:
         coeffs.pop()
     if len(coeffs) <= 1:
         return []
-    den_lcm = 1
-    for c in coeffs:
-        den_lcm = den_lcm * c.denominator // _gcd(den_lcm, c.denominator)
+    den_lcm = lcm(*(c.denominator for c in coeffs))
     ints = [int(c * den_lcm) for c in coeffs]
-    g = 0
-    for v in ints:
-        g = _gcd(g, abs(v))
+    g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
     lead, trail = ints[-1], ints[0]
@@ -214,12 +192,6 @@ def _rational_roots(coeffs: list[Fraction]) -> Optional[list[Fraction]]:
                 if not acc:
                     roots.append(cand)
     return roots
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 _DIVISOR_CAP = 10**7

@@ -108,6 +108,11 @@ def zeros(field, nrows, ncols) -> Matrix:
     return Matrix(field, [[z] * ncols for _ in range(nrows)])
 
 
+def identity(field, n) -> Matrix:
+    z, o = zero(field), one(field)
+    return Matrix(field, [[o if i == j else z for j in range(n)] for i in range(n)])
+
+
 def col(m: Matrix, j) -> tuple:
     return tuple(r[j] for r in m.entries)
 
@@ -147,7 +152,7 @@ def dense_rows(s: Subspace) -> list:
 
 
 def full_space(field, n) -> Subspace:
-    return Subspace.from_vectors(field, n, Matrix.identity(field, n).entries)
+    return Subspace.from_vectors(field, n, identity(field, n).entries)
 
 
 def contains_subspace(a: Subspace, b: Subspace) -> bool:

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from liederiv.cli import main
+from liederiv.exactfield import FIELD_QI
 from liederiv.liealg import make_heisenberg, make_schrodinger, to_json
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -32,6 +33,8 @@ CASES = {
     "locder_random_n2": (["locder-random", "--n", "2", "--seed", "24301"], 0),
     "demo_heisenberg": (["demo-heisenberg"], 0),
     "certify_h1_zz": (["certify", "{dir}/h1.json", "--map", "{dir}/h1_zz.json"], 0),
+    # the same map over Q(i): the strata run on Gaussian rationals (11 strata)
+    "certify_h1_zz_qi": (["certify", "{dir}/h1qi.json", "--map", "{dir}/h1qi_zz.json"], 0),
     # the bench workload: h_2 with z -> z is local (66 strata)
     "certify_h2_zz": (["certify", "{dir}/h2.json", "--map", "{dir}/h2_zz.json"], 0),
     # S_1 with z -> z is not local: the seeded scan finds a refutation
@@ -40,8 +43,14 @@ CASES = {
 
 
 def write_certify_inputs(directory: Path) -> None:
-    """h_1, h_2 and S_1, each with the map z -> z, zero elsewhere."""
-    algebras = {"h1": make_heisenberg(1), "h2": make_heisenberg(2), "s1": make_schrodinger(1)}
+    """h_1 (over Q and over Q(i)), h_2 and S_1, each with the map z -> z,
+    zero elsewhere."""
+    algebras = {
+        "h1": make_heisenberg(1),
+        "h1qi": make_heisenberg(1, FIELD_QI),
+        "h2": make_heisenberg(2),
+        "s1": make_schrodinger(1),
+    }
     for name, L in algebras.items():
         (directory / f"{name}.json").write_text(to_json(L))
         rows = [["0"] * L.dim for _ in range(L.dim)]

@@ -10,6 +10,7 @@ from conftest import (
     back_multiply,
     dense_rows,
     full_space,
+    identity,
     matmul,
     naive_rank,
     nullspace,
@@ -31,7 +32,7 @@ def test_rref_examples():
     red, rank = rref(mat([[2, 4], [1, 2]]))
     assert rank == 1
     assert red == mat([[1, 2], [0, 0]])
-    ident = Matrix.identity(FIELD_Q, 4)
+    ident = identity(FIELD_Q, 4)
     red, rank = rref(ident)
     assert red == ident and rank == 4
 
@@ -57,7 +58,7 @@ def test_nullspace_examples():
     s = nullspace(mat([[1, 1]]))
     assert s.dim == 1
     assert s.contains([Fraction(1), Fraction(-1)])
-    assert nullspace(Matrix.identity(FIELD_Q, 3)).dim == 0
+    assert nullspace(identity(FIELD_Q, 3)).dim == 0
 
 
 def test_nullspace_verified_by_back_multiplication():

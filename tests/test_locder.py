@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from liederiv.exactfield import FIELD_Q, FIELD_QI, GaussianRational
+from liederiv.exactfield import FIELD_Q, FIELD_QI, GaussianRational, inv
 from liederiv.liealg import ad, make_abelian, make_heisenberg, make_schrodinger
 from liederiv.linalg import Matrix, SparseEchelon, Subspace
 from liederiv.dersolve import DerivationSpace, derivation_space, flatten_map, is_derivation, tau
@@ -23,7 +23,11 @@ from liederiv.locder import (
     replay_proof,
     singleton_probes,
     witness,
+    _apply_basis,
+    _hyperplane_basis,
+    _stratum_block,
 )
+from liederiv.poly import MultiPoly
 from conftest import dense_rows, dense_witness, matvec, rand_scalar, zeros
 
 
@@ -435,6 +439,63 @@ def test_certifier_dimension_bound():
     der = derivation_space(L)
     with pytest.raises(CertificationError):
         certify_local_symbolic(L, der, tau(3))
+
+
+_BLOCK_ALGEBRAS = {"h2": make_heisenberg(2), "s1_qi": make_schrodinger(1, FIELD_QI)}
+_BLOCK_DER = {name: derivation_space(L) for name, L in _BLOCK_ALGEBRAS.items()}
+
+
+def _z_scaling(L):
+    rows = [[0] * L.dim for _ in range(L.dim)]
+    rows[L.index["z"]][L.index["z"]] = 1
+    return Matrix(L.field, rows)
+
+
+@st.composite
+def _stratum_cases(draw):
+    """(algebra name, stratum elements, linear form cutting the stratum or
+    None, integer point on the final stratum); over Q(i) the scalars are
+    Gaussian integers."""
+    name = draw(st.sampled_from(sorted(_BLOCK_ALGEBRAS)))
+    L = _BLOCK_ALGEBRAS[name]
+    part = st.integers(-2, 2)
+    if L.field == FIELD_QI:
+        scalar = st.builds(GaussianRational, part, part).filter(bool)
+    else:
+        scalar = part.filter(bool)
+    term = st.dictionaries(st.integers(0, L.dim - 1), scalar, min_size=1, max_size=3)
+    elements = draw(st.lists(term, min_size=1, max_size=4))
+    n = len(elements)
+    cut = draw(st.none() | st.lists(scalar | st.just(0), min_size=n, max_size=n).filter(any))
+    size = n - (cut is not None)
+    point = draw(st.lists(st.integers(-9, 9), min_size=size, max_size=size))
+    return name, elements, cut, point
+
+
+@settings(max_examples=150, deadline=None)
+@given(_stratum_cases())
+def test_stratum_block_evaluates_to_the_images(case):
+    name, elements, cut, point = case
+    L, der = _BLOCK_ALGEBRAS[name], _BLOCK_DER[name]
+    delta = _z_scaling(L)
+    basis = tuple(L.from_terms(t) for t in elements)
+    if cut is not None:
+        units = [tuple(int(s == t) for s in range(len(cut))) for t in range(len(cut))]
+        ell = MultiPoly(len(cut), dict(zip(units, cut)))
+        sub = _hyperplane_basis(basis, ell)
+        # the cut stratum is the zero set of ell inside the old one: lift
+        # the point by solving ell(y) = 0 for the first nonzero coordinate
+        p = next(t for t, c in enumerate(cut) if c)
+        lifted = point[:p] + [0] + point[p:]
+        lifted[p] = -sum(c * y for c, y in zip(cut, lifted)) * inv(cut[p])
+        assert not ell.evaluate(lifted)
+        assert _apply_basis(L, sub, point) == _apply_basis(L, basis, lifted)
+        basis = sub
+    x = _apply_basis(L, basis, point)
+    block = _stratum_block(L, der, delta, basis)
+    assert len(block) == der.dim + 1
+    for forms, D in zip(block, der.basis + (delta,)):
+        assert [f.evaluate(point) for f in forms] == list(matvec(D, x.coords))
 
 
 def test_probe_labels_render_scalars():

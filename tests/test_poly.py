@@ -29,16 +29,6 @@ def test_degree_and_homogeneity():
     assert MultiPoly.zero(3).degree() == -1
 
 
-def test_substitute_linear():
-    x, y, z = var(0), var(1), var(2)
-    p = x + y.scale(2) - z
-    # x -> s, y -> s + t, z -> t  (rows of the substitution per old var)
-    rows = [[1, 0], [1, 1], [0, 1]]
-    q = p.substitute_linear(rows, 2)
-    s, t = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
-    assert q == s + s.scale(2) + t.scale(2) - t
-
-
 def test_poly_det_matches_numeric_determinant():
     rng = random.Random(9)
     for _ in range(25):
