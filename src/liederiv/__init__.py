@@ -29,15 +29,11 @@ from .liealg import (
     save,
 )
 from .dersolve import (
-    DerDecomposition,
     DerivationSpace,
-    decompose,
     derivation_space,
     flatten_map,
     inner_space,
     is_derivation,
-    sigma,
-    tau,
     unflatten_map,
 )
 from .locder import (
@@ -46,7 +42,6 @@ from .locder import (
     FoldResult,
     LocalityCertificate,
     Probe,
-    asos_shape_check,
     basis_probe_space,
     certify_local_symbolic,
     constrain,
@@ -56,5 +51,6 @@ from .locder import (
     replay_proof,
     witness,
 )
+from .schrodinger import DerDecomposition, asos_shape_check, decompose, sigma, tau
 
 __version__ = "0.1.0"

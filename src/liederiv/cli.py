@@ -25,18 +25,8 @@ from .liealg import (
     schrodinger_rank,
     to_json,
 )
-from .linalg import Matrix, Subspace, subspace_intersect, subspace_sum
-from .dersolve import (
-    decompose,
-    derivation_space,
-    flatten_map,
-    inner_space,
-    is_derivation,
-    outer_span,
-    sigma,
-    sigma_pairs,
-    tau,
-)
+from .linalg import Matrix
+from .dersolve import derivation_space, inner_space, is_derivation
 from .locder import (
     CertificationError,
     DEFAULT_MAX_PROBES,
@@ -48,6 +38,7 @@ from .locder import (
     random_probe_closure,
     replay_proof,
 )
+from .schrodinger import decompose, outer_check
 
 
 class _Parser(argparse.ArgumentParser):
@@ -171,46 +162,11 @@ def _cmd_der(args) -> int:
 
 
 def _cmd_outer_check(args) -> int:
-    n = args.n
-    if n < 2:
+    if args.n < 2:
         raise CliError("outer-check needs --n >= 2 (pair rotations require two indices)")
-    L = make_schrodinger(n, args.field)
-    der = derivation_space(L)
-    inn = inner_space(L)
-    checks = {}
-    ok = True
-    for (l, k) in sigma_pairs(n):
-        verdict = is_derivation(L, sigma(n, l, k, args.field))
-        checks[f"sigma_{l}{k}_leibniz"] = verdict.ok
-        ok &= verdict.ok
-    checks["tau_leibniz"] = is_derivation(L, tau(n, args.field)).ok
-    ok &= checks["tau_leibniz"]
-    span_sigma = outer_span(n, args.field)
-    meet = subspace_intersect(span_sigma, inn)
-    checks["sigma_span_meets_inner_trivially"] = meet.dim == 0
-    ok &= meet.dim == 0
-    tau_flat = flatten_map(tau(n, args.field))
-    inn_sigma = subspace_sum(inn, span_sigma)
-    checks["tau_outside_inner_plus_sigma"] = not inn_sigma.contains(tau_flat)
-    ok &= checks["tau_outside_inner_plus_sigma"]
-    tau_span = Subspace.from_vectors(L.field, L.dim * L.dim, [tau_flat])
-    full = subspace_sum(inn_sigma, tau_span)
-    checks["inner_plus_sigma_plus_tau_equals_der"] = full == der.subspace
-    ok &= checks["inner_plus_sigma_plus_tau_equals_der"]
-    _emit(
-        {
-            "algebra": L.name,
-            "n": n,
-            "field": args.field,
-            "der_dim": der.dim,
-            "inner_dim": inn.dim,
-            "sigma_count": len(sigma_pairs(n)),
-            "checks": checks,
-            "ok": ok,
-        },
-        args.output,
-    )
-    return 0 if ok else 2
+    report = outer_check(args.n, args.field)
+    _emit(report, args.output)
+    return 0 if report["ok"] else 2
 
 
 def _cmd_locder_basis(args) -> int:

@@ -240,9 +240,6 @@ def make_schrodinger(n: int, field: str = FIELD_Q) -> LieAlgebra:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    labels = ["e", "h", "f", "z"]
-    labels += [f"u_{k}" for k in range(1, n + 1)]
-    labels += [f"v_{k}" for k in range(1, n + 1)]
     E, H, F, Z = 0, 1, 2, 3
     u = lambda k: 3 + k
     v = lambda k: 3 + n + k
@@ -257,7 +254,7 @@ def make_schrodinger(n: int, field: str = FIELD_Q) -> LieAlgebra:
         br[(H, v(k))] = {v(k): -1}
         br[(F, u(k))] = {v(k): 1}
         br[(u(k), v(k))] = {Z: 1}
-    return LieAlgebra(f"schrodinger_{n}", field, labels, br)
+    return LieAlgebra(f"schrodinger_{n}", field, make_schrodinger_labels(n), br)
 
 
 def make_heisenberg(n: int, field: str = FIELD_Q) -> LieAlgebra:
@@ -294,6 +291,7 @@ def schrodinger_rank(L: LieAlgebra) -> Optional[int]:
 
 
 def make_schrodinger_labels(n: int) -> tuple:
+    """Basis labels of S_n in basis order: e, h, f, z, u_1..u_n, v_1..v_n."""
     labels = ["e", "h", "f", "z"]
     labels += [f"u_{k}" for k in range(1, n + 1)]
     labels += [f"v_{k}" for k in range(1, n + 1)]

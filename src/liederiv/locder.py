@@ -11,15 +11,13 @@ collapses to dim Der, the containment chain
 
 proves that every local derivation is a derivation for that algebra.
 
-The deterministic Schrodinger probe schedule consists of the basis
-singletons, h+z, the two-term combinations h+e, h+f, e+u_j, f+v_j,
-h+u_j, h+v_j, e+f, the half-central families f +- z/2 +- v_j and
-e +- z/2 +- u_j in all four sign combinations, and per index pair the
-probes u_p + i*u_j, v_p + i*v_j and u_p + u_j + v_p + v_j; the
-imaginary-unit probes are why the replay runs over Q(i).  A seeded
-random closure over Q provides an independent route to the same
-dimension, and a symbolic certifier settles the universal
-quantification over all x for small algebras.
+The fold, the seeded random closure over Q (an independent route to the
+same dimension) and the symbolic certifier (which settles the universal
+quantification over all x for small algebras) work on any
+structure-constant algebra.  Only the deterministic replay is specific
+to the Schrodinger algebra: ``schrodinger_probe_schedule`` lists its
+probes, among them the imaginary-unit ones that make it run over Q(i),
+and ``replay_proof`` folds them.
 """
 
 from __future__ import annotations
@@ -692,98 +690,3 @@ def _hyperplane_basis(basis: tuple, ell: MultiPoly) -> tuple:
     return tuple(
         b - basis[p].scale(c * inv_p) for t, (b, c) in enumerate(zip(basis, coeffs)) if t != p
     )
-
-
-# ---------------------------------------------------------------------------
-# the per-basis-element parameter shape
-
-
-@dataclass(frozen=True)
-class AsosShape:
-    """Free parameters of the per-basis-element images cut out by the
-    singleton constraints on the n-th Schrodinger algebra.
-
-    Each parameter multiplies a single-column elementary map; their span
-    is exactly the basis-singleton candidate space (signs only flip
-    basis directions, never the span)."""
-
-    n: int
-
-    def parameters(self, field: str = FIELD_Q) -> list:
-        n = self.n
-        L = make_schrodinger(n, field)
-        d = L.dim
-        z, o = zero(field), one(field)
-
-        def unit(col_label: str, terms: dict) -> Matrix:
-            rows = [[z] * d for _ in range(d)]
-            j = L.index[col_label]
-            for lab, c in terms.items():
-                rows[L.index[lab]][j] = o * c
-            return Matrix(field, rows)
-
-        out = []
-        out.append(("alpha_f(e)", unit("e", {"h": 1})))
-        out.append(("alpha_h(e)", unit("e", {"e": 2})))
-        for k in range(1, n + 1):
-            out.append((f"alpha_v_{k}(e)", unit("e", {f"u_{k}": -1})))
-        out.append(("alpha_e(h)", unit("h", {"e": -2})))
-        out.append(("alpha_f(h)", unit("h", {"f": 2})))
-        for k in range(1, n + 1):
-            out.append((f"alpha_u_{k}(h)", unit("h", {f"u_{k}": -1})))
-        for k in range(1, n + 1):
-            out.append((f"alpha_v_{k}(h)", unit("h", {f"v_{k}": -1})))
-        out.append(("alpha_e(f)", unit("f", {"h": 1})))
-        out.append(("alpha_h(f)", unit("f", {"f": -2})))
-        for k in range(1, n + 1):
-            out.append((f"alpha_u_{k}(f)", unit("f", {f"v_{k}": -1})))
-        for j in range(1, n + 1):
-            uj = f"u_{j}"
-            out.append((f"alpha_f({uj})", unit(uj, {f"v_{j}": 1})))
-            out.append((f"alpha_h+lambda/2({uj})", unit(uj, {uj: 1})))
-            out.append((f"alpha_v_{j}({uj})", unit(uj, {"z": -1})))
-            for k in range(1, j):
-                out.append((f"mu_{k}_{j}({uj})", unit(uj, {f"u_{k}": -1})))
-            for l in range(j + 1, n + 1):
-                out.append((f"mu_{j}_{l}({uj})", unit(uj, {f"u_{l}": 1})))
-        for j in range(1, n + 1):
-            vj = f"v_{j}"
-            out.append((f"lambda/2-alpha_h({vj})", unit(vj, {vj: 1})))
-            out.append((f"alpha_e({vj})", unit(vj, {f"u_{j}": 1})))
-            out.append((f"alpha_u_{j}({vj})", unit(vj, {"z": 1})))
-            for k in range(1, j):
-                out.append((f"mu_{k}_{j}({vj})", unit(vj, {f"v_{k}": -1})))
-            for l in range(j + 1, n + 1):
-                out.append((f"mu_{j}_{l}({vj})", unit(vj, {f"v_{l}": 1})))
-        out.append(("lambda(z)", unit("z", {"z": 1})))
-        return out
-
-
-@dataclass(frozen=True)
-class AsosVerdict:
-    equal: bool
-    dim: int
-    expected_dim: int
-    parameter_count: int
-    note: str
-
-
-def asos_shape_check(n: int, field: str = FIELD_Q) -> AsosVerdict:
-    """Verify that the named parameter shape spans exactly the
-    basis-singleton candidate space (dimension 2n^2 + 8n + 7)."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    L = make_schrodinger(n, field)
-    der = derivation_space(L)
-    singles = basis_probe_space(L, der)
-    params = AsosShape(n).parameters(field)
-    span = Subspace.from_vectors(
-        field, L.dim * L.dim, [flatten_map(mat) for _, mat in params]
-    )
-    expected = 2 * n * n + 8 * n + 7
-    equal = span == singles.space
-    note = (
-        "signs in the printed per-parameter images only flip basis directions; "
-        "the span comparison is sign-insensitive"
-    )
-    return AsosVerdict(equal, span.dim, expected, len(params), note)

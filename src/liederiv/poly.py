@@ -94,11 +94,6 @@ class MultiPoly:
                     out.pop(e, None)
         return MultiPoly(self.nvars, out)
 
-    def scale(self, c) -> "MultiPoly":
-        if not c:
-            return MultiPoly(self.nvars)
-        return MultiPoly(self.nvars, {e: c * v for e, v in self.terms.items()})
-
     def evaluate(self, point: Sequence):
         """Exact value at a point (length nvars)."""
         if len(point) != self.nvars:

@@ -1,0 +1,234 @@
+"""The n-th Schrodinger algebra S_n and the structure of Der(S_n).
+
+Der(S_n) = inner + span(sigma_lk) + span(tau), a direct sum: sigma_lk
+rotates the (l, k) pair of u/v planes and tau complements the inner
+grading.  This module builds those outer derivations, resolves any
+derivation against inner + sigma + tau (``decompose``), reports the
+checks behind the direct sum (``outer_check``), and names the free
+parameters of the per-basis-element images that the singleton
+constraints leave (``AsosShape``).
+
+Every map here is addressed by basis label through ``_label_map``, so the
+basis order is written down only in ``liealg.make_schrodinger_labels``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from .exactfield import FIELD_Q, zero
+from .liealg import (
+    AlgebraElement,
+    LieAlgebra,
+    ad,
+    make_schrodinger,
+    make_schrodinger_labels,
+    schrodinger_rank,
+)
+from .linalg import Matrix, Subspace, solve_columns, subspace_intersect, subspace_sum
+from .dersolve import derivation_space, flatten_map, inner_space, is_derivation
+from .locder import basis_probe_space
+
+
+def _label_map(n: int, field: str, entries: dict) -> Matrix:
+    """The map on the basis of S_n with entry c at (row, column) for each
+    ``{(row_label, col_label): c}``, zero elsewhere."""
+    index = {lab: i for i, lab in enumerate(make_schrodinger_labels(n))}
+    rows = [[0] * len(index) for _ in index]
+    for (r, c), x in entries.items():
+        rows[index[r]][index[c]] = x
+    return Matrix(field, rows)
+
+
+def sigma(n: int, l: int, k: int, field: str = FIELD_Q) -> Matrix:
+    """Outer derivation rotating the (l, k) pair of u/v planes, 1 <= l < k <= n.
+
+    u_l -> u_k, u_k -> -u_l, v_l -> v_k, v_k -> -v_l, zero elsewhere.
+    The antisymmetric delta pattern is forced: the same-index variant
+    fails the product rule on the pair (u_l, v_k).
+    """
+    if n < 2:
+        raise ValueError("pair rotations need n >= 2")
+    if not 1 <= l < k <= n:
+        raise ValueError(f"indices must satisfy 1 <= l < k <= n, got ({l}, {k})")
+    entries = {}
+    for w in "uv":
+        entries[(f"{w}_{k}", f"{w}_{l}")] = 1
+        entries[(f"{w}_{l}", f"{w}_{k}")] = -1
+    return _label_map(n, field, entries)
+
+
+def tau(n: int, field: str = FIELD_Q) -> Matrix:
+    """Outer derivation complementing the inner grading: z -> z and
+    u_k -> u_k/2, v_k -> v_k/2, zero on e, h, f."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    entries = {("z", "z"): 1}
+    for k in range(1, n + 1):
+        for lab in (f"u_{k}", f"v_{k}"):
+            entries[(lab, lab)] = Fraction(1, 2)
+    return _label_map(n, field, entries)
+
+
+def sigma_pairs(n: int) -> list:
+    return [(l, k) for l in range(1, n + 1) for k in range(l + 1, n + 1)]
+
+
+def outer_span(n: int, field: str = FIELD_Q) -> Subspace:
+    """Canonical span of the sigma maps in the flattened map space."""
+    d = 2 * n + 4
+    vecs = [flatten_map(sigma(n, l, k, field)) for (l, k) in sigma_pairs(n)]
+    return Subspace.from_vectors(field, d * d, vecs)
+
+
+@dataclass(frozen=True)
+class DerDecomposition:
+    """Coefficients of D = ad(inner_part) + sum mu_lk sigma_lk + lambda tau.
+
+    inner_part carries no z component (ad_z = 0 makes that coordinate
+    unidentifiable); reassembly reproduces the input map exactly.
+    """
+
+    algebra: LieAlgebra
+    inner_part: AlgebraElement
+    sigma_coeffs: dict
+    tau_coeff: object
+
+    def reassemble(self) -> Matrix:
+        n = schrodinger_rank(self.algebra)
+        m = ad(self.inner_part)
+        for (l, k), c in self.sigma_coeffs.items():
+            if c:
+                m = m.add(sigma(n, l, k, self.algebra.field).scale(c))
+        if self.tau_coeff:
+            m = m.add(tau(n, self.algebra.field).scale(self.tau_coeff))
+        return m
+
+
+def decompose(L: LieAlgebra, D: Matrix) -> DerDecomposition:
+    """Resolve a derivation of the Schrodinger algebra against the
+    ad-basis (z column dropped), the sigma maps, and tau."""
+    n = schrodinger_rank(L)
+    if n is None:
+        raise ValueError("operation requires a generated Schrodinger algebra")
+    verdict = is_derivation(L, D)
+    if not verdict.ok:
+        raise ValueError(f"map is not a derivation (fails on pair {verdict.failing_pair})")
+    d = L.dim
+    ad_indices = [i for i in range(d) if L.labels[i] != "z"]
+    pairs = sigma_pairs(n)
+    maps = [ad(L.basis_element(i)) for i in ad_indices]
+    maps += [sigma(n, l, k, L.field) for l, k in pairs] + [tau(n, L.field), D]
+    flat = [{c: x for c, x in enumerate(flatten_map(M)) if x} for M in maps]
+    coeffs = solve_columns(L.field, flat[:-1], flat[-1])
+    if coeffs is None:
+        raise AssertionError("derivation escaped the inner + sigma + tau span")
+    inner_coords = [zero(L.field)] * d
+    for i, c in zip(ad_indices, coeffs):
+        inner_coords[i] = c
+    sigma_coeffs = dict(zip(pairs, coeffs[len(ad_indices):]))
+    out = DerDecomposition(L, L.element(inner_coords), sigma_coeffs, coeffs[-1])
+    if out.reassemble() != D:
+        raise AssertionError("decomposition failed to reassemble exactly")
+    return out
+
+
+def outer_check(n: int, field: str = FIELD_Q) -> dict:
+    """The report behind Der(S_n) = inner + span(sigma) + span(tau): each
+    sigma_lk and tau satisfies the product rule, the sigma span meets the
+    inner derivations trivially, tau lies outside their sum, and the three
+    together span Der; ``ok`` holds when every check does."""
+    L = make_schrodinger(n, field)
+    der = derivation_space(L)
+    inn = inner_space(L)
+    pairs = sigma_pairs(n)
+    checks = {
+        f"sigma_{l}{k}_leibniz": is_derivation(L, sigma(n, l, k, field)).ok for l, k in pairs
+    }
+    t = tau(n, field)
+    checks["tau_leibniz"] = is_derivation(L, t).ok
+    span_sigma = outer_span(n, field)
+    checks["sigma_span_meets_inner_trivially"] = subspace_intersect(span_sigma, inn).dim == 0
+    inn_sigma = subspace_sum(inn, span_sigma)
+    tau_flat = flatten_map(t)
+    checks["tau_outside_inner_plus_sigma"] = not inn_sigma.contains(tau_flat)
+    tau_span = Subspace.from_vectors(field, L.dim * L.dim, [tau_flat])
+    full = subspace_sum(inn_sigma, tau_span)
+    checks["inner_plus_sigma_plus_tau_equals_der"] = full == der.subspace
+    return {
+        "algebra": L.name,
+        "n": n,
+        "field": field,
+        "der_dim": der.dim,
+        "inner_dim": inn.dim,
+        "sigma_count": len(pairs),
+        "checks": checks,
+        "ok": all(checks.values()),
+    }
+
+
+@dataclass(frozen=True)
+class AsosShape:
+    """Free parameters of the per-basis-element images cut out by the
+    singleton constraints on the n-th Schrodinger algebra.
+
+    Each parameter multiplies a single-entry elementary map; their span
+    is exactly the basis-singleton candidate space (signs only flip
+    basis directions, never the span)."""
+
+    n: int
+
+    def parameters(self, field: str = FIELD_Q) -> list:
+        """(name, map) pairs; each map has the single entry c at (row, col)."""
+        ks = range(1, self.n + 1)
+        spec = [("alpha_f(e)", "h", "e", 1), ("alpha_h(e)", "e", "e", 2)]
+        spec += [(f"alpha_v_{k}(e)", f"u_{k}", "e", -1) for k in ks]
+        spec += [("alpha_e(h)", "e", "h", -2), ("alpha_f(h)", "f", "h", 2)]
+        spec += [(f"alpha_u_{k}(h)", f"u_{k}", "h", -1) for k in ks]
+        spec += [(f"alpha_v_{k}(h)", f"v_{k}", "h", -1) for k in ks]
+        spec += [("alpha_e(f)", "h", "f", 1), ("alpha_h(f)", "f", "f", -2)]
+        spec += [(f"alpha_u_{k}(f)", f"v_{k}", "f", -1) for k in ks]
+        for j in ks:
+            uj = f"u_{j}"
+            spec += [(f"alpha_f({uj})", f"v_{j}", uj, 1), (f"alpha_h+lambda/2({uj})", uj, uj, 1)]
+            spec.append((f"alpha_v_{j}({uj})", "z", uj, -1))
+            spec += [(f"mu_{k}_{j}({uj})", f"u_{k}", uj, -1) for k in range(1, j)]
+            spec += [(f"mu_{j}_{l}({uj})", f"u_{l}", uj, 1) for l in range(j + 1, self.n + 1)]
+        for j in ks:
+            vj = f"v_{j}"
+            spec += [(f"lambda/2-alpha_h({vj})", vj, vj, 1), (f"alpha_e({vj})", f"u_{j}", vj, 1)]
+            spec.append((f"alpha_u_{j}({vj})", "z", vj, 1))
+            spec += [(f"mu_{k}_{j}({vj})", f"v_{k}", vj, -1) for k in range(1, j)]
+            spec += [(f"mu_{j}_{l}({vj})", f"v_{l}", vj, 1) for l in range(j + 1, self.n + 1)]
+        spec.append(("lambda(z)", "z", "z", 1))
+        return [(name, _label_map(self.n, field, {(r, c): x})) for name, r, c, x in spec]
+
+
+@dataclass(frozen=True)
+class AsosVerdict:
+    equal: bool
+    dim: int
+    expected_dim: int
+    parameter_count: int
+    note: str
+
+
+def asos_shape_check(n: int, field: str = FIELD_Q) -> AsosVerdict:
+    """Verify that the named parameter shape spans exactly the
+    basis-singleton candidate space (dimension 2n^2 + 8n + 7)."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    L = make_schrodinger(n, field)
+    singles = basis_probe_space(L, derivation_space(L))
+    params = AsosShape(n).parameters(field)
+    span = Subspace.from_vectors(
+        field, L.dim * L.dim, [flatten_map(mat) for _, mat in params]
+    )
+    expected = 2 * n * n + 8 * n + 7
+    equal = span == singles.space
+    note = (
+        "signs in the printed per-parameter images only flip basis directions; "
+        "the span comparison is sign-insensitive"
+    )
+    return AsosVerdict(equal, span.dim, expected, len(params), note)

@@ -15,9 +15,7 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
-from liederiv.exactfield import FIELD_Q, FIELD_QI, GaussianRational, inv, one, zero
+from liederiv.exactfield import FIELD_Q, FIELD_QI, inv, one
 from liederiv.liealg import (
     bracket,
     check_jacobi,
@@ -34,10 +32,6 @@ from liederiv.dersolve import (
     flatten_map,
     inner_space,
     is_derivation,
-    outer_span,
-    sigma,
-    sigma_pairs,
-    tau,
     unflatten_map,
 )
 from liederiv.locder import (
@@ -50,13 +44,13 @@ from liederiv.locder import (
     replay_proof,
     witness,
 )
+from liederiv.schrodinger import outer_span, sigma, sigma_pairs, tau
 from conftest import (
     back_multiply,
     dense_rows,
     leibniz_system,
     naive_rank,
     nullspace,
-    rand_fraction,
     rand_gauss,
     rand_scalar,
     rref,

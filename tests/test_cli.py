@@ -1,5 +1,4 @@
 import json
-from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st

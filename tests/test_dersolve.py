@@ -14,17 +14,13 @@ from liederiv.linalg import (
     subspace_sum,
 )
 from liederiv.dersolve import (
-    decompose,
     derivation_space,
     flatten_map,
     inner_space,
     is_derivation,
-    outer_span,
-    sigma,
-    sigma_pairs,
-    tau,
     unflatten_map,
 )
+from liederiv.schrodinger import decompose, outer_span, sigma, sigma_pairs, tau
 from conftest import (
     col,
     contains_subspace,
@@ -209,6 +205,13 @@ def test_sigma_validation():
         sigma(3, 2, 2)
     with pytest.raises(ValueError):
         sigma(3, 0, 1)
+    # unknown field tags are rejected by the map builder itself
+    with pytest.raises(ValueError):
+        sigma(2, 1, 2, "R")
+    with pytest.raises(ValueError):
+        tau(2, "R")
+    with pytest.raises(ValueError):
+        tau(0)
 
 
 def test_sigma_and_tau_are_outer():

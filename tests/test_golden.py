@@ -9,13 +9,14 @@ from the repository root and review the diff.
 
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from liederiv.cli import main
-from liederiv.exactfield import FIELD_QI
-from liederiv.liealg import make_heisenberg, make_schrodinger, to_json
+from liederiv.exactfield import FIELD_QI, format_scalar
+from liederiv.liealg import ad, make_heisenberg, make_schrodinger, to_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -39,12 +40,15 @@ CASES = {
     "certify_h2_zz": (["certify", "{dir}/h2.json", "--map", "{dir}/h2_zz.json"], 0),
     # S_1 with z -> z is not local: the seeded scan finds a refutation
     "certify_s1_zz": (["certify", "{dir}/s1.json", "--map", "{dir}/s1_zz.json"], 2),
+    # ad(h) + 3*tau + sigma_12 on S_2, resolved against inner + sigma + tau
+    "decompose_n2": (["decompose", "--n", "2", "--map", "{dir}/s2_dec.json"], 0),
+    "outer_check_n2_qi": (["outer-check", "--n", "2", "--field", "Qi"], 0),
 }
 
 
 def write_certify_inputs(directory: Path) -> None:
     """h_1 (over Q and over Q(i)), h_2 and S_1, each with the map z -> z,
-    zero elsewhere."""
+    zero elsewhere, and the derivation ad(h) + 3*tau + sigma_12 of S_2."""
     algebras = {
         "h1": make_heisenberg(1),
         "h1qi": make_heisenberg(1, FIELD_QI),
@@ -57,6 +61,17 @@ def write_certify_inputs(directory: Path) -> None:
         z = L.index["z"]
         rows[z][z] = "1"
         (directory / f"{name}_zz.json").write_text(json.dumps({"matrix": rows}))
+    s2 = make_schrodinger(2)
+    at = s2.index
+    dec = [list(row) for row in ad(s2.from_terms({"h": 1})).entries]
+    dec[at["z"]][at["z"]] += 3
+    for lab in ("u_1", "u_2", "v_1", "v_2"):
+        dec[at[lab]][at[lab]] += Fraction(3, 2)
+    for a, b in (("u_1", "u_2"), ("v_1", "v_2")):
+        dec[at[b]][at[a]] += 1
+        dec[at[a]][at[b]] -= 1
+    rows = [[format_scalar(x) for x in row] for row in dec]
+    (directory / "s2_dec.json").write_text(json.dumps({"matrix": rows}))
 
 
 def argv_for(name: str, directory: Path) -> list:

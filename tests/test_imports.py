@@ -23,3 +23,21 @@ def test_package_imports_only_the_standard_library():
             top = (n.split(".")[0] for n in names)
             foreign += [(path.name, t) for t in top if t not in sys.stdlib_module_names]
     assert foreign == []
+
+
+# each module may import only modules earlier in this order, which keeps
+# dersolve algebra-generic, the schrodinger module on top of the generic
+# layers and the import graph acyclic
+LAYERS = ("exactfield", "poly", "linalg", "liealg", "dersolve", "locder", "schrodinger", "cli")
+
+
+def test_relative_imports_follow_the_layer_order():
+    assert {p.stem for p in PACKAGE.glob("*.py")} == set(LAYERS) | {"__init__"}
+    upward = []
+    for pos, name in enumerate(LAYERS):
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                targets = [node.module] if node.module else [a.name for a in node.names]
+                upward += [(name, t) for t in targets if t not in LAYERS[:pos]]
+    assert upward == []

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from liederiv.exactfield import FIELD_Q, FIELD_QI, GaussianRational, inv
 from liederiv.liealg import ad, make_abelian, make_heisenberg, make_schrodinger
 from liederiv.linalg import Matrix, SparseEchelon, Subspace
-from liederiv.dersolve import DerivationSpace, derivation_space, flatten_map, is_derivation, tau
+from liederiv.dersolve import DerivationSpace, derivation_space, is_derivation
 from liederiv.locder import (
     CandidateSpace,
     CertificationError,
@@ -28,6 +28,7 @@ from liederiv.locder import (
     _stratum_block,
 )
 from liederiv.poly import MultiPoly
+from liederiv.schrodinger import AsosShape, asos_shape_check, tau
 from conftest import dense_rows, dense_witness, matvec, rand_scalar, zeros
 
 
@@ -515,8 +516,6 @@ def test_singleton_probes_cover_basis():
 
 
 def test_parameter_shape_matches_singleton_space():
-    from liederiv.locder import AsosShape, asos_shape_check
-
     for n, expect in ((1, 17), (2, 31)):
         verdict = asos_shape_check(n)
         assert verdict.equal
@@ -526,8 +525,6 @@ def test_parameter_shape_matches_singleton_space():
 
 
 def test_parameter_shape_keeps_central_column_on_the_central_line():
-    from liederiv.locder import AsosShape
-
     rng = random.Random(0xA505)
     n = 2
     L = make_schrodinger(n)

@@ -87,8 +87,8 @@ def test_split_linear_rejects_wide_support():
 
 
 def test_split_linear_mixed_power():
-    x, y = var(0), var(1)
-    p = (x + y.scale(2)) * (x + y.scale(2)) * y
+    x, y, y2 = var(0), var(1), var(1, c=2)
+    p = (x + y2) * (x + y2) * y
     factors = split_linear(p)
     assert factors is not None
     assert len(factors) == 2
@@ -98,12 +98,12 @@ def test_split_linear_gives_up_above_the_divisor_cap():
     # (x - 10000019 y)(x - y) vanishes at (1, 1); its constant term is
     # too large to enumerate divisors, so no cover may be claimed
     x, y = var(0, 2), var(1, 2)
-    p = (x - y.scale(10000019)) * (x - y)
+    p = (x - var(1, 2, 10000019)) * (x - y)
     assert p.evaluate([1, 1]) == 0
     assert split_linear(p) is None
     assert split_linear(p, rational_points_only=False) is None
     # the same shape below the cap splits into its two linear factors
-    small = (x - y.scale(19)) * (x - y)
+    small = (x - var(1, 2, 19)) * (x - y)
     factors = split_linear(small)
     assert factors is not None and len(factors) == 2
     assert all(f.evaluate([19, 1]) == 0 or f.evaluate([1, 1]) == 0 for f in factors)
