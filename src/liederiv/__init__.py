@@ -47,6 +47,7 @@ from .locder import (
     constrain,
     orbit_subspace,
     schrodinger_probe_schedule,
+    schrodinger_trimmed_schedule,
     random_probe_closure,
     replay_proof,
     witness,

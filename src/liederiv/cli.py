@@ -244,7 +244,9 @@ def _cmd_demo_heisenberg(args) -> int:
 
 def _cmd_decompose(args) -> int:
     L = _algebra_from_args(args)
-    if schrodinger_rank(L) is None:
+    # an algebra built from --n is S_n by construction; only a file needs the check
+    n = schrodinger_rank(L) if args.input else args.n
+    if n is None:
         raise CliError("decompose requires a generated Schrodinger algebra")
     delta = _parse_map(args.map, L)
     verdict = is_derivation(L, delta)
@@ -259,7 +261,7 @@ def _cmd_decompose(args) -> int:
             args.output,
         )
         return 2
-    dec = decompose(L, delta)
+    dec = decompose(L, delta, n)
     _emit(
         {
             "algebra": L.name,

@@ -17,7 +17,8 @@ quantification over all x for small algebras) work on any
 structure-constant algebra.  Only the deterministic replay is specific
 to the Schrodinger algebra: ``schrodinger_probe_schedule`` lists its
 probes, among them the imaginary-unit ones that make it run over Q(i),
-and ``replay_proof`` folds them.
+and ``replay_proof`` folds the subset of them that cuts,
+``schrodinger_trimmed_schedule``.
 """
 
 from __future__ import annotations
@@ -240,22 +241,9 @@ def basis_probe_space(L: LieAlgebra, der: Optional[DerivationSpace] = None) -> C
     return acc
 
 
-def schrodinger_probe_schedule(n: int, L: Optional[LieAlgebra] = None) -> list[Probe]:
-    """The deterministic replay schedule over Q(i) for the n-th
-    Schrodinger algebra.
-
-    Order: basis singletons, h+z, h+e, h+f, e+u_j, f+v_j, h+u_j, h+v_j,
-    e+f, the half-central families f +- z/2 +- v_j and e +- z/2 +- u_j
-    in all four sign combinations, then per pair p < j the
-    imaginary-unit probes u_p + i*u_j and v_p + i*v_j and the rational
-    coupling probe u_p + u_j + v_p + v_j.  The full sign families and
-    the coupling probes are what make the membership constraints alone
-    collapse the candidate space: with only a mixed-sign pair of
-    half-central probes the second member is implied by the first, and
-    nothing ties the u-plane rotation coefficients to the v-plane ones.
-    For n = 1 the pairwise probes are vacuous (they need two distinct
-    indices).
-    """
+def _tagged_schedule(n: int, L: Optional[LieAlgebra]) -> list[tuple]:
+    """The full replay schedule as (probe, kept) pairs in fold order;
+    ``kept`` marks the probes of the trimmed schedule."""
     if n < 1:
         raise ValueError("n must be at least 1")
     L = L if L is not None else make_schrodinger(n, FIELD_QI)
@@ -263,55 +251,94 @@ def schrodinger_probe_schedule(n: int, L: Optional[LieAlgebra] = None) -> list[P
         raise ValueError("the replay schedule requires the Q(i) algebra")
     half = one(FIELD_QI) / 2
     i_unit = GaussianRational(0, 1)
-    probes = list(singleton_probes(L))
-    probes.append(make_probe(L, {"h": 1, "z": 1}, "h+z"))
-    probes.append(make_probe(L, {"h": 1, "e": 1}, "h+e"))
-    probes.append(make_probe(L, {"h": 1, "f": 1}, "h+f"))
-    for j in range(1, n + 1):
-        probes.append(make_probe(L, {"e": 1, f"u_{j}": 1}, f"e+u_{j}"))
-    for j in range(1, n + 1):
-        probes.append(make_probe(L, {"f": 1, f"v_{j}": 1}, f"f+v_{j}"))
-    for j in range(1, n + 1):
-        probes.append(make_probe(L, {"h": 1, f"u_{j}": 1}, f"h+u_{j}"))
-    for j in range(1, n + 1):
-        probes.append(make_probe(L, {"h": 1, f"v_{j}": 1}, f"h+v_{j}"))
-    probes.append(make_probe(L, {"e": 1, "f": 1}, "e+f"))
-    for j in range(1, n + 1):
-        for sz, zs in ((-half, "-1/2*z"), (half, "+1/2*z")):
-            for sv, vs in ((1, "+"), (-1, "-")):
-                probes.append(
-                    make_probe(L, {"f": 1, "z": sz, f"v_{j}": sv}, f"f{zs}{vs}v_{j}")
-                )
-        for sz, zs in ((half, "+1/2*z"), (-half, "-1/2*z")):
-            for su, us in ((1, "+"), (-1, "-")):
-                probes.append(
-                    make_probe(L, {"e": 1, "z": sz, f"u_{j}": su}, f"e{zs}{us}u_{j}")
-                )
-    for p, j in combinations(range(1, n + 1), 2):
-        probes.append(make_probe(L, {f"u_{p}": 1, f"u_{j}": i_unit}, f"u_{p}+i*u_{j}"))
-        probes.append(make_probe(L, {f"v_{p}": 1, f"v_{j}": i_unit}, f"v_{p}+i*v_{j}"))
-        probes.append(
-            make_probe(
-                L,
-                {f"u_{p}": 1, f"u_{j}": 1, f"v_{p}": 1, f"v_{j}": 1},
-                f"u_{p}+u_{j}+v_{p}+v_{j}",
-            )
+    idx = range(1, n + 1)
+    out = [(probe, True) for probe in singleton_probes(L)]
+
+    def add(terms: dict, label: str, kept: bool = True) -> None:
+        out.append((make_probe(L, terms, label), kept))
+
+    add({"h": 1, "z": 1}, "h+z", kept=False)
+    add({"h": 1, "e": 1}, "h+e")
+    add({"h": 1, "f": 1}, "h+f")
+    for a, w in (("e", "u"), ("f", "v"), ("h", "u"), ("h", "v")):
+        for j in idx:
+            add({a: 1, f"{w}_{j}": 1}, f"{a}+{w}_{j}")
+    add({"e": 1, "f": 1}, "e+f")
+    for j in idx:
+        for a, w, z_signs in (("f", "v", (-1, 1)), ("e", "u", (1, -1))):
+            # only -z/2 with f and +z/2 with e cut; the other sign never does
+            for sz, kept in zip(z_signs, (True, False)):
+                for sw in (1, -1):
+                    label = f"{a}{'+' if sz > 0 else '-'}1/2*z{'+' if sw > 0 else '-'}{w}_{j}"
+                    add({a: 1, "z": sz * half, f"{w}_{j}": sw}, label, kept)
+    for p, j in combinations(idx, 2):
+        add({f"u_{p}": 1, f"u_{j}": i_unit}, f"u_{p}+i*u_{j}")
+        add({f"v_{p}": 1, f"v_{j}": i_unit}, f"v_{p}+i*v_{j}", kept=p == 1)
+        add(
+            {f"u_{p}": 1, f"u_{j}": 1, f"v_{p}": 1, f"v_{j}": 1},
+            f"u_{p}+u_{j}+v_{p}+v_{j}",
+            kept=p == 1,
         )
-    return probes
+    return out
+
+
+def schrodinger_probe_schedule(n: int, L: Optional[LieAlgebra] = None) -> list[Probe]:
+    """The full documented replay schedule over Q(i) for the n-th
+    Schrodinger algebra.
+
+    Order: basis singletons, h+z, h+e, h+f, e+u_j, f+v_j, h+u_j, h+v_j,
+    e+f, the half-central families f +- z/2 +- v_j and e +- z/2 +- u_j
+    in all four sign combinations, then per pair p < j the
+    imaginary-unit probes u_p + i*u_j and v_p + i*v_j and the rational
+    coupling probe u_p + u_j + v_p + v_j.  That is 14n + 8 + 3n(n-1)/2
+    probes.  On top of ``schrodinger_trimmed_schedule`` it adds h+z,
+    f+1/2*z+-v_j, e-1/2*z+-u_j, and the v-plane and coupling probes for
+    p > 1: none of them lowers the candidate dimension in this order, so
+    both schedules end on the same echelon.  For n = 1 the pairwise
+    probes are vacuous (they need two distinct indices).
+    """
+    return [probe for probe, _ in _tagged_schedule(n, L)]
+
+
+def schrodinger_trimmed_schedule(n: int, L: Optional[LieAlgebra] = None) -> list[Probe]:
+    """The replay schedule that ``replay_proof`` folds by default: the
+    probes of ``schrodinger_probe_schedule`` that cut, in the same order,
+    12n + 5 + n(n-1)/2 of them.
+
+    Any probe subset gives a sound upper bound on the local derivations,
+    so reaching dim Der with fewer probes is still a proof.  What each
+    kept family holds up, as the excess over dim Der of the fold without
+    it (measured for n = 2..4):
+
+    - h+e, h+f and e+f: 1 each;
+    - h+u_j and h+v_j: n per family;
+    - f-1/2*z+v_j, f-1/2*z-v_j, e+1/2*z+u_j and e+1/2*z-u_j: n per
+      family, so both signs of v_j (of u_j) are needed, while the other
+      sign of z/2 adds nothing;
+    - u_p+i*u_j for every pair p < j: one each;
+    - the star at index 1, which ties the v-plane rotation coefficients
+      to the u-plane ones: v_1+i*v_j one each, u_1+u_j+v_1+v_j (n-1)^2
+      together; the pairs p > 1 then add nothing;
+    - the singletons, e+u_j and f+v_j overlap: the rest of the schedule
+      implies each of these three families, but without all three the
+      excess is 2n + 3 (also at n = 5 and 8).
+    """
+    return [probe for probe, kept in _tagged_schedule(n, L) if kept]
 
 
 @dataclass(frozen=True)
 class FoldResult:
     """Der, the candidate space a probe fold squeezed down to, and the
-    seed and stall flag of a random fold (None and False otherwise);
-    ``n`` is the Schrodinger rank, None for other algebras."""
+    seed and stop reason of a random fold (both None otherwise); ``n``
+    is the Schrodinger rank, None for other algebras.  The stop reason is
+    "collapsed", "stalled" or "budget" (see ``random_probe_closure``)."""
 
     algebra: LieAlgebra
     n: Optional[int]
     der: DerivationSpace
     candidate: CandidateSpace
     seed: Optional[int] = None
-    stalled: bool = False
+    stop_reason: Optional[str] = None
 
     @property
     def der_dim(self) -> int:
@@ -342,8 +369,9 @@ class FoldResult:
 
 
 def replay_proof(n: int, probes: Optional[Sequence[Probe]] = None) -> FoldResult:
-    """Fold the deterministic schedule over the full map space of the
-    n-th Schrodinger algebra over Q(i).
+    """Fold the deterministic schedule (``schrodinger_trimmed_schedule``
+    unless ``probes`` are given) over the full map space of the n-th
+    Schrodinger algebra over Q(i).
 
     Der <= local derivations <= candidate holds throughout, so
     candidate_dim == der_dim machine-checks that every local derivation
@@ -352,7 +380,7 @@ def replay_proof(n: int, probes: Optional[Sequence[Probe]] = None) -> FoldResult
     L = probes[0].element.algebra if probes else make_schrodinger(n, FIELD_QI)
     der = derivation_space(L)
     acc = CandidateSpace.full(L)
-    for probe in probes if probes is not None else schrodinger_probe_schedule(n, L):
+    for probe in probes if probes is not None else schrodinger_trimmed_schedule(n, L):
         acc = constrain(acc, L, der, probe)
     return FoldResult(L, n, der, acc)
 
@@ -365,7 +393,15 @@ def random_probe_closure(
     der: Optional[DerivationSpace] = None,
 ) -> FoldResult:
     """Rational-only closure: start from the basis-singleton space and
-    keep adding seeded random probes until the dimension stalls.
+    keep adding seeded random probes until one of three stops, checked in
+    this order before each probe:
+
+    - "collapsed": the candidate dimension equals dim Der.  Every
+      constraint row is asserted to annihilate Der, so Der stays inside
+      the candidate and no later probe can cut;
+    - "stalled": the last ``stall_limit`` probes left the dimension
+      unchanged;
+    - "budget": ``max_probes`` random probes have been tried.
 
     Probes use short supports (two to six basis terms) with nonzero
     coordinates drawn uniformly from [-2, 2]: orbit spaces of fully
@@ -378,15 +414,22 @@ def random_probe_closure(
     der = der or derivation_space(L)
     acc = basis_probe_space(L, der)
     rng = random.Random(seed)
-    tried = 0
-    stall = 0
-    while tried < max_probes and stall < stall_limit:
-        element = _random_sparse_element(L, rng, ordered=True)
-        before = acc.dim
-        acc = constrain(acc, L, der, Probe(element, probe_label(element)))
-        tried += 1
-        stall = stall + 1 if acc.dim == before else 0
-    return FoldResult(L, schrodinger_rank(L), der, acc, seed, stall >= stall_limit)
+    tried = stall = 0
+    stop_reason = None
+    while stop_reason is None:
+        if acc.dim == der.dim:
+            stop_reason = "collapsed"
+        elif stall >= stall_limit:
+            stop_reason = "stalled"
+        elif tried >= max_probes:
+            stop_reason = "budget"
+        else:
+            element = _random_sparse_element(L, rng, ordered=True)
+            before = acc.dim
+            acc = constrain(acc, L, der, Probe(element, probe_label(element)))
+            tried += 1
+            stall = stall + 1 if acc.dim == before else 0
+    return FoldResult(L, schrodinger_rank(L), der, acc, seed, stop_reason)
 
 
 def _random_sparse_element(L: LieAlgebra, rng: random.Random, ordered: bool) -> AlgebraElement:

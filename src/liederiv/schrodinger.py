@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 from .exactfield import FIELD_Q, zero
 from .liealg import (
@@ -84,34 +85,42 @@ def outer_span(n: int, field: str = FIELD_Q) -> Subspace:
 
 @dataclass(frozen=True)
 class DerDecomposition:
-    """Coefficients of D = ad(inner_part) + sum mu_lk sigma_lk + lambda tau.
+    """Coefficients of D = ad(inner_part) + sum mu_lk sigma_lk + lambda tau
+    on the n-th Schrodinger algebra.
 
     inner_part carries no z component (ad_z = 0 makes that coordinate
     unidentifiable); reassembly reproduces the input map exactly.
     """
 
     algebra: LieAlgebra
+    n: int
     inner_part: AlgebraElement
     sigma_coeffs: dict
     tau_coeff: object
 
     def reassemble(self) -> Matrix:
-        n = schrodinger_rank(self.algebra)
+        field = self.algebra.field
         m = ad(self.inner_part)
         for (l, k), c in self.sigma_coeffs.items():
             if c:
-                m = m.add(sigma(n, l, k, self.algebra.field).scale(c))
+                m = m.add(sigma(self.n, l, k, field).scale(c))
         if self.tau_coeff:
-            m = m.add(tau(n, self.algebra.field).scale(self.tau_coeff))
+            m = m.add(tau(self.n, field).scale(self.tau_coeff))
         return m
 
 
-def decompose(L: LieAlgebra, D: Matrix) -> DerDecomposition:
+def decompose(L: LieAlgebra, D: Matrix, n: Optional[int] = None) -> DerDecomposition:
     """Resolve a derivation of the Schrodinger algebra against the
-    ad-basis (z column dropped), the sigma maps, and tau."""
-    n = schrodinger_rank(L)
+    ad-basis (z column dropped), the sigma maps, and tau.
+
+    ``n`` is the Schrodinger rank of L when the caller has already
+    established it (``schrodinger_rank``, or L built by
+    ``make_schrodinger(n)``); otherwise it is computed here."""
+    n = schrodinger_rank(L) if n is None else n
     if n is None:
         raise ValueError("operation requires a generated Schrodinger algebra")
+    if L.labels != make_schrodinger_labels(n):
+        raise ValueError(f"algebra {L.name!r} does not have the basis of S_{n}")
     verdict = is_derivation(L, D)
     if not verdict.ok:
         raise ValueError(f"map is not a derivation (fails on pair {verdict.failing_pair})")
@@ -128,7 +137,7 @@ def decompose(L: LieAlgebra, D: Matrix) -> DerDecomposition:
     for i, c in zip(ad_indices, coeffs):
         inner_coords[i] = c
     sigma_coeffs = dict(zip(pairs, coeffs[len(ad_indices):]))
-    out = DerDecomposition(L, L.element(inner_coords), sigma_coeffs, coeffs[-1])
+    out = DerDecomposition(L, n, L.element(inner_coords), sigma_coeffs, coeffs[-1])
     if out.reassemble() != D:
         raise AssertionError("decomposition failed to reassemble exactly")
     return out

@@ -40,6 +40,7 @@ from liederiv.locder import (
     certify_local_symbolic,
     constrain,
     schrodinger_probe_schedule,
+    schrodinger_trimmed_schedule,
     random_probe_closure,
     replay_proof,
     witness,
@@ -291,14 +292,19 @@ def test_criterion_7e_containment_chain_during_folding():
 
 def test_criterion_7f_probe_order_independence():
     base = replay(2)
-    probes = schrodinger_probe_schedule(2, base.algebra)
     rng = random.Random(0x0D9E52)
-    for _ in range(5):
-        shuffled = probes[:]
-        rng.shuffle(shuffled)
-        out = replay_proof(2, probes=shuffled)
-        assert out.candidate.space == base.candidate.space
-    report("7f", True, "final space identical under 5 random schedule permutations")
+    for schedule in (schrodinger_probe_schedule, schrodinger_trimmed_schedule):
+        probes = schedule(2, base.algebra)
+        for _ in range(5):
+            shuffled = probes[:]
+            rng.shuffle(shuffled)
+            out = replay_proof(2, probes=shuffled)
+            assert out.candidate.space == base.candidate.space
+    report(
+        "7f",
+        True,
+        "final space identical under 5 random permutations of the full and the trimmed schedule",
+    )
 
 
 def test_criterion_7g_witness_reconstruction():

@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from liederiv import liealg
 from liederiv.cli import main
 from liederiv.liealg import load, make_heisenberg, make_schrodinger, to_json
 
@@ -210,6 +211,17 @@ def test_decompose_command(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "decompose", "--n", "2", "--map", str(mp2))
     assert code == 2
     assert json.loads(out)["is_derivation"] is False
+
+
+def test_decompose_builds_the_algebra_once(tmp_path, capsys, monkeypatch):
+    mp = tmp_path / "zero.json"
+    mp.write_text(json.dumps({"matrix": [["0/1"] * 8 for _ in range(8)]}))
+    built = []
+    check = liealg.check_jacobi
+    monkeypatch.setattr(liealg, "check_jacobi", lambda L: built.append(L.name) or check(L))
+    code, out, _ = run_cli(capsys, "decompose", "--n", "2", "--map", str(mp))
+    assert code == 0 and json.loads(out)["tau_coeff"] == "0/1"
+    assert built == ["schrodinger_2"]
 
 
 def test_reports_are_byte_identical_across_runs(capsys):

@@ -18,6 +18,7 @@ from liederiv.locder import (
     make_probe,
     orbit_subspace,
     schrodinger_probe_schedule,
+    schrodinger_trimmed_schedule,
     probe_label,
     random_probe_closure,
     replay_proof,
@@ -174,6 +175,29 @@ def test_schedule_contents():
 def test_schedule_requires_gaussian_field():
     with pytest.raises(ValueError):
         schrodinger_probe_schedule(2, make_schrodinger(2, FIELD_Q))
+    with pytest.raises(ValueError):
+        schrodinger_trimmed_schedule(2, make_schrodinger(2, FIELD_Q))
+
+
+def test_trimmed_schedule_is_the_cutting_subsequence():
+    for n in range(1, 9):
+        L = make_schrodinger(n, FIELD_QI)
+        full = schrodinger_probe_schedule(n, L)
+        trimmed = schrodinger_trimmed_schedule(n, L)
+        assert len(full) == 14 * n + 8 + 3 * n * (n - 1) // 2
+        assert len(trimmed) == 12 * n + 5 + n * (n - 1) // 2
+        kept = {p.label for p in trimmed}
+        assert [p.label for p in full if p.label in kept] == [p.label for p in trimmed]
+        long = replay_proof(n, probes=full)
+        short = replay_proof(n)
+        assert short.equal and long.equal
+        assert short.candidate.echelon.rows == long.candidate.echelon.rows
+        # the trimmed history is the full one minus steps that did not cut
+        history = {s.probe: s for s in long.candidate.history}
+        assert list(short.candidate.history) == [history[p.label] for p in trimmed]
+        assert all(
+            s.dim_after == s.dim_before for s in long.candidate.history if s.probe not in kept
+        )
 
 
 def test_replay_verifies_small_ranks():
@@ -202,8 +226,11 @@ def test_replay_probe_order_independence():
         assert out.candidate.space == base.candidate.space
 
 
-_REPLAY_BASE = replay_proof(2)
-_SCHEDULE = schrodinger_probe_schedule(2, _REPLAY_BASE.algebra)
+_SCHEDULE = schrodinger_probe_schedule(2)
+_REPLAY_BASE = replay_proof(2, probes=_SCHEDULE)
+_TRIMMED = schrodinger_trimmed_schedule(2, _REPLAY_BASE.algebra)
+_TRIMMED_LABELS = {p.label for p in _TRIMMED}
+_EXTRA = [p for p in _SCHEDULE if p.label not in _TRIMMED_LABELS]
 _nonzero_gauss = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any)
 
 
@@ -226,6 +253,16 @@ def test_replay_fold_is_independent_of_probe_order_and_scale(order, multiples, r
     assert len(out.candidate.history) == len(_REPLAY_BASE.candidate.history)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sets(st.integers(0, len(_EXTRA) - 1)), st.randoms(use_true_random=False))
+def test_supersets_of_the_trimmed_schedule_give_the_same_candidate(extra, rng):
+    probes = _TRIMMED + [_EXTRA[i] for i in sorted(extra)]
+    rng.shuffle(probes)
+    out = replay_proof(2, probes=probes)
+    assert out.equal
+    assert out.candidate.space == _REPLAY_BASE.candidate.space
+
+
 def test_replay_witnesses_exist_at_every_probe():
     result = replay_proof(2)
     L, der = result.algebra, result.der
@@ -245,15 +282,20 @@ def test_random_closure_agrees_with_replay():
         L = make_schrodinger(n)
         out = random_probe_closure(L)
         assert out.candidate_dim == out.der_dim == expected_der_dim(n)
+        assert out.stop_reason == "collapsed"
         report = out.to_report()
         assert report["seed"] == 0x5EED
         assert report["n"] == n
+    out = random_probe_closure(make_schrodinger(2), max_probes=5)
+    assert out.stop_reason == "budget"
+    assert out.candidate_dim > out.der_dim
 
 
 def test_random_closure_abelian_keeps_full_space():
     out = random_probe_closure(make_abelian(3), max_probes=40, stall_limit=20)
     assert out.candidate_dim == 9
-    assert out.stalled
+    # Der(abelian_3) = gl_3, so the singleton space has already collapsed
+    assert out.stop_reason == "collapsed"
 
 
 def test_random_closure_heisenberg_stalls_above_derivations():
@@ -261,6 +303,7 @@ def test_random_closure_heisenberg_stalls_above_derivations():
     assert out.der_dim == 6
     assert out.candidate_dim == 7
     assert not out.equal
+    assert out.stop_reason == "stalled"
 
 
 def test_witness_examples():
