@@ -30,6 +30,7 @@ from .liealg import (
 )
 from .dersolve import (
     DerivationSpace,
+    LeibnizError,
     derivation_space,
     flatten_map,
     inner_space,

@@ -26,7 +26,7 @@ from .liealg import (
     to_json,
 )
 from .linalg import Matrix
-from .dersolve import derivation_space, inner_space, is_derivation
+from .dersolve import LeibnizError, derivation_space, inner_space, is_derivation
 from .locder import (
     CertificationError,
     DEFAULT_MAX_PROBES,
@@ -178,8 +178,6 @@ def _cmd_locder_basis(args) -> int:
 
 
 def _cmd_locder_replay(args) -> int:
-    if args.field != FIELD_QI:
-        raise CliError("the replay schedule requires --field Qi")
     result = replay_proof(args.n)
     _emit(result.to_report(), args.output)
     return 0 if result.equal else 2
@@ -249,19 +247,19 @@ def _cmd_decompose(args) -> int:
     if n is None:
         raise CliError("decompose requires a generated Schrodinger algebra")
     delta = _parse_map(args.map, L)
-    verdict = is_derivation(L, delta)
-    if not verdict.ok:
+    try:
+        dec = decompose(L, delta, n)
+    except LeibnizError as exc:
         _emit(
             {
                 "algebra": L.name,
                 "field": L.field,
                 "is_derivation": False,
-                "leibniz_failing_pair": list(verdict.failing_pair),
+                "leibniz_failing_pair": list(exc.failing_pair),
             },
             args.output,
         )
         return 2
-    dec = decompose(L, delta, n)
     _emit(
         {
             "algebra": L.name,
@@ -290,8 +288,8 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="liederiv", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, field_default=FIELD_Q, with_n=False, with_input=False, with_seed=False):
-        p.add_argument("--field", choices=[FIELD_Q, FIELD_QI], default=field_default)
+    def common(p, with_n=False, with_input=False, with_seed=False):
+        p.add_argument("--field", choices=[FIELD_Q, FIELD_QI], default=FIELD_Q)
         p.add_argument("-o", "--output", metavar="PATH", default=None)
         if with_n:
             p.add_argument("--n", type=int, default=None)
@@ -329,9 +327,11 @@ def build_parser() -> _Parser:
     common(p, with_n=True, with_input=True)
     p.set_defaults(func=_cmd_locder_basis)
 
-    p = sub.add_parser("locder-replay", help="deterministic local-derivation verification")
-    common(p, field_default=FIELD_QI)
+    p = sub.add_parser(
+        "locder-replay", help="deterministic local-derivation verification over Q(i)"
+    )
     p.add_argument("--n", type=int, required=True)
+    p.add_argument("-o", "--output", metavar="PATH", default=None)
     p.set_defaults(func=_cmd_locder_replay)
 
     p = sub.add_parser("locder-random", help="seeded random-probe closure")

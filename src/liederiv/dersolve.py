@@ -61,6 +61,14 @@ def leibniz_rows(L: LieAlgebra) -> Iterator[dict]:
                 yield per_k[k]
 
 
+class LeibnizError(ValueError):
+    """A map violating the product rule, with the offending basis pair."""
+
+    def __init__(self, failing_pair):
+        self.failing_pair = failing_pair
+        super().__init__(f"map is not a derivation (fails on pair {failing_pair})")
+
+
 @dataclass(frozen=True)
 class LeibnizVerdict:
     ok: bool

@@ -280,16 +280,13 @@ class SparseEchelon:
         rows, the canonical RREF basis."""
         return Subspace(field, self.ncols, tuple(self.rref_rows()))
 
-    def kernel(self, field: str) -> "SparseEchelon":
-        """An accumulator whose row space is the nullspace of this one."""
+    def nullspace(self, field: str) -> Subspace:
+        """The nullspace as a Subspace, in canonical RREF."""
         o = one(field)
         out = SparseEchelon(self.ncols)
         for sv in self.nullspace_vectors():
             out.insert({c: o * x for c, x in sv.items()})
-        return out
-
-    def nullspace(self, field: str) -> Subspace:
-        return self.kernel(field).row_space(field)
+        return out.row_space(field)
 
 
 def sparse_add(row: dict, col: int, val) -> None:
@@ -302,13 +299,16 @@ def sparse_add(row: dict, col: int, val) -> None:
         row.pop(col, None)
 
 
-def solve_columns(field: str, columns: Sequence[dict], target: dict) -> Optional[list]:
-    """Coefficients c with sum_k c_k columns[k] = target, or None when the
-    target is outside the span of the sparse ``{row: scalar}`` columns.
+def solve_columns(field: str, columns: Sequence[dict], target: dict) -> tuple:
+    """(c, rank): coefficients c with sum_k c_k columns[k] = target, or
+    None when the target is outside the span of the sparse
+    ``{row: scalar}`` columns, and the rank of those columns.
 
     A pivot at column m of the echelon of the augmented rows means no
     solution; otherwise c is read off the back-eliminated rows: the
-    canonical RREF solution, with every free coefficient zero."""
+    canonical RREF solution, with every free coefficient zero.  The same
+    echelon gives the rank, since rank [A | b] = rank A exactly when a
+    solution exists."""
     m = len(columns)
     rows: dict = {}
     for k, col in enumerate(columns):
@@ -320,9 +320,9 @@ def solve_columns(field: str, columns: Sequence[dict], target: dict) -> Optional
     for row in rows.values():
         acc.insert(row)
     if m in acc.rows:
-        return None
+        return None, acc.rank - 1
     z = zero(field)
     coeffs = [z] * m
     for p, row in acc.reduced_rows().items():
         coeffs[p] = row.get(m, z)
-    return coeffs
+    return coeffs, acc.rank

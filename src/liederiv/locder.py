@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, islice
 from math import comb
 from typing import Optional, Sequence
 
@@ -192,8 +192,11 @@ def constrain(
     """Intersect the candidate space with {Delta : Delta(x) in W_x}.
 
     Scalar multiples of already-processed probes are skipped (they
-    impose the same condition).  Every new constraint row is checked to
-    annihilate the Der basis, which asserts the containment chain
+    impose the same condition).  The annihilator basis is read straight
+    off the orbit echelon and is not canonical: any basis of the
+    annihilator cuts the same candidate, and the candidate echelon
+    reduces whatever rows it gets.  Every new constraint row is checked
+    to annihilate the Der basis, which asserts the containment chain
     Der <= candidate at each stage.
     """
     x = probe.element
@@ -205,9 +208,9 @@ def constrain(
     if key in acc.seen:
         return acc
     d = L.dim
-    # the annihilator of W_x in canonical RREF; a zero orbit leaves the
-    # whole dual space, which is what the nullspace of no rows gives
-    annihilator = _orbit_echelon(L, der, x).kernel(L.field).rref_rows()
+    # a basis of the annihilator of W_x straight off the orbit echelon; a
+    # zero orbit leaves the whole dual space, the nullspace of no rows
+    annihilator = _orbit_echelon(L, der, x).nullspace_vectors()
     support = [(j, xj) for j, xj in enumerate(x.coords) if xj]
     before = acc.dim
     echelon = acc.echelon.clone()
@@ -455,15 +458,16 @@ def witness(
     The images D_k(x) and Delta(x) come from one sparse pass over the
     support of x; the coefficients are the canonical RREF solution of
     ``solve_columns``, re-checked exactly against Delta(x)."""
-    return _solve_images(L.field, _images(der.columns + (delta.sparse_columns(),), x))
+    return _solve_images(L.field, _images(der.columns + (delta.sparse_columns(),), x))[0]
 
 
-def _solve_images(field: str, images: list) -> Optional[tuple]:
-    """``witness`` given the images [D_1(x), .., D_m(x), Delta(x)]."""
+def _solve_images(field: str, images: list) -> tuple:
+    """``witness`` given the images [D_1(x), .., D_m(x), Delta(x)], paired
+    with the rank of the Der block [D_1(x) | .. | D_m(x)]."""
     *der_images, target = images
-    coeffs = solve_columns(field, der_images, target)
+    coeffs, rank = solve_columns(field, der_images, target)
     if coeffs is None:
-        return None
+        return None, rank
     check: dict = {}
     for c, img in zip(coeffs, der_images):
         if c:
@@ -471,7 +475,7 @@ def _solve_images(field: str, images: list) -> Optional[tuple]:
                 sparse_add(check, r, c * v)
     if check != target:
         raise AssertionError("witness solve failed to verify")
-    return tuple(coeffs)
+    return tuple(coeffs), rank
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +484,12 @@ def _solve_images(field: str, images: list) -> Optional[tuple]:
 
 @dataclass(frozen=True)
 class LocalityCertificate:
+    """The verdict of ``certify_local_symbolic``: whether Delta is local,
+    the element refuting it (None when certified), one line of text per
+    stratum settled or refuted, and whether Delta already lies in Der."""
+
     certified: bool
     refutation: Optional[AlgebraElement]
-    generic_rank: int
     strata: tuple
     is_derivation_member: bool = False
 
@@ -519,18 +526,16 @@ def certify_local_symbolic(
     if d > dim_bound:
         raise CertificationError(f"algebra dimension {d} exceeds the certifier bound {dim_bound}")
     if der.subspace.contains(flatten_map(delta)):
-        return LocalityCertificate(True, None, d, ("member of Der",), True)
+        return LocalityCertificate(True, None, ("member of Der",), True)
     # cheap concrete refutations first: basis vectors and short combinations
     for x in _scan_elements(L):
         if witness(L, der, delta, x) is None:
-            return LocalityCertificate(False, x, -1, (f"refuted at {probe_label(x)}",))
+            return LocalityCertificate(False, x, (f"refuted at {probe_label(x)}",))
     strata: list[str] = []
     rng = random.Random(0xCE27)
     top = tuple(L.basis_element(i) for i in range(d))
-    refut, top_rank = _certify_on(L, der, delta, top, strata, rng)
-    if refut is not None:
-        return LocalityCertificate(False, refut, top_rank, tuple(strata))
-    return LocalityCertificate(True, None, top_rank, tuple(strata))
+    refut = _certify_on(L, der, delta, top, strata, rng)
+    return LocalityCertificate(refut is None, refut, tuple(strata))
 
 
 def _scan_elements(L: LieAlgebra):
@@ -553,29 +558,29 @@ _MINOR_BUDGET = 20000
 
 def _certify_on(L, der, delta, basis: tuple, strata, rng, depth=0):
     """Certify membership on the stratum {x = sum_t y_t b_t} spanned by the
-    tuple ``basis`` of algebra elements b_t; returns (refuting element or
-    None, established rank bound).  Sample points and the linear forms of
-    the minors both come from sparse image passes."""
+    tuple ``basis`` of algebra elements b_t; returns the refuting element,
+    or None.  Sample points and the linear forms of the minors both come
+    from sparse image passes."""
     d = L.dim
     m = der.dim
     dim_u = len(basis)
     indent = "  " * depth
     if dim_u == 0:
         strata.append(f"{indent}point stratum: trivial")
-        return None, 0
+        return None
     samples = [[1] * dim_u] + [_sample_point(rng, dim_u) for _ in range(12)]
     best_rank, best_point = -1, None
     for pt in samples:
         x = _apply_basis(L, basis, pt)
         if x.is_zero():
             continue
-        # one image pass gives the witness solve and the rank of the Der
-        # block at pt, which is the image matrix [D_1(x) | .. | D_m(x)]
+        # one image pass and one echelon give the witness solve and the
+        # rank of the Der block at pt, the image matrix [D_1(x) | .. | D_m(x)]
         images = _images(der.columns + (delta.sparse_columns(),), x)
-        if _solve_images(L.field, images) is None:
+        coeffs, rank = _solve_images(L.field, images)
+        if coeffs is None:
             strata.append(f"{indent}refuted at sampled point {probe_label(x)}")
-            return x, -1
-        rank = sum(map(SparseEchelon(d).insert, images[:-1]))
+            return x
         if rank > best_rank:
             best_rank, best_point = rank, pt
     *a_sub, b_sub = _stratum_block(L, der, delta, basis)
@@ -602,7 +607,7 @@ def _certify_on(L, der, delta, basis: tuple, strata, rng, depth=0):
         x = _apply_basis(L, basis, pt)
         if not x.is_zero() and witness(L, der, delta, x) is None:
             strata.append(f"{indent}refuted via nonzero bordered minor at {probe_label(x)}")
-            return x, r
+            return x
         # membership holds at pt although a bordered (r+1)-minor is nonzero
         # there, so the Der block itself must exceed rank r at pt
         r += 1
@@ -611,19 +616,12 @@ def _certify_on(L, der, delta, basis: tuple, strata, rng, depth=0):
     if r == 0:
         # Der block and (by the size-1 minors just checked) the Delta
         # column vanish identically on this stratum
-        return None, r
-    drop_minor = _splitting_rank_minor(L, der, basis, a_sub, d, m, r, best_point, rng)
-    cuts = split_linear(drop_minor, rational_points_only=(L.field == FIELD_Q))
-    if cuts is None:
-        raise CertificationError(
-            "rank-drop locus is not covered by hyperplanes of a splitting minor"
-        )
-    for ell in cuts:
-        sub_basis = _hyperplane_basis(basis, ell)
-        refut, _ = _certify_on(L, der, delta, sub_basis, strata, rng, depth + 1)
+        return None
+    for ell in _rank_drop_cuts(L, der, basis, a_sub, r, best_point, rng):
+        refut = _certify_on(L, der, delta, _hyperplane_basis(basis, ell), strata, rng, depth + 1)
         if refut is not None:
-            return refut, r
-    return None, r
+            return refut
+    return None
 
 
 def _sample_point(rng, dim_u):
@@ -674,51 +672,37 @@ def _minor_profile(L, der, x: AlgebraElement, r: int):
     return tuple(rows), tuple(cols)
 
 
-def _splitting_rank_minor(L, der, basis: tuple, a_sub, d, m, r, point, rng) -> MultiPoly:
-    """A nonzero r x r minor of the Der block, preferring one whose zero
-    set is covered by hyperplanes; the rank-drop locus sits inside the
-    zero set of any one of them."""
-    fallback = None
-    tried = set()
-
-    def consider(rows, cols):
-        nonlocal fallback
-        key = (rows, cols)
-        if key in tried:
-            return None
-        tried.add(key)
-        det = poly_det([[a_sub[k][i] for k in cols] for i in rows])
-        if det.is_zero():
-            return None
-        if fallback is None:
-            fallback = det
-        if split_linear(det, rational_points_only=(L.field == FIELD_Q)) is not None:
-            return det
-        return None
-
+def _rank_drop_cuts(L, der, basis: tuple, a_sub, r, point, rng) -> list:
+    """The linear forms whose product is a nonzero r x r minor of the Der
+    block: the rank-drop locus sits inside the zero set of any nonzero
+    r-minor, so these hyperplanes cover it.  Minors come first from the
+    profiles at ``point`` and at eight sample points, then from the first
+    400 row and column subsets."""
     points = [point] if point is not None else []
     points += [_sample_point(rng, len(basis)) for _ in range(8)]
-    for pt in points:
-        profile = _minor_profile(L, der, _apply_basis(L, basis, pt), r)
-        if profile is None:
+    profiles = (_minor_profile(L, der, _apply_basis(L, basis, pt), r) for pt in points)
+    subsets = (
+        (rows, cols)
+        for rows in combinations(range(L.dim), r)
+        for cols in combinations(range(der.dim), r)
+    )
+    tried = set()
+    nonzero = False
+    for key in chain(filter(None, profiles), islice(subsets, 400)):
+        if key in tried:
             continue
-        found = consider(*profile)
-        if found is not None:
-            return found
-    budget = 400
-    for rows in combinations(range(d), r):
-        for cols in combinations(range(m), r):
-            budget -= 1
-            if budget < 0:
-                break
-            found = consider(rows, cols)
-            if found is not None:
-                return found
-        if budget < 0:
-            break
-    if fallback is None:
+        tried.add(key)
+        rows, cols = key
+        det = poly_det([[a_sub[k][i] for k in cols] for i in rows])
+        if det.is_zero():
+            continue
+        nonzero = True
+        cuts = split_linear(det, rational_points_only=(L.field == FIELD_Q))
+        if cuts is not None:
+            return cuts
+    if not nonzero:
         raise CertificationError("no nonzero rank minor found despite positive block rank")
-    return fallback
+    raise CertificationError("rank-drop locus is not covered by hyperplanes of a splitting minor")
 
 
 def _hyperplane_basis(basis: tuple, ell: MultiPoly) -> tuple:

@@ -28,7 +28,7 @@ from .liealg import (
     schrodinger_rank,
 )
 from .linalg import Matrix, Subspace, solve_columns, subspace_intersect, subspace_sum
-from .dersolve import derivation_space, flatten_map, inner_space, is_derivation
+from .dersolve import LeibnizError, derivation_space, flatten_map, inner_space, is_derivation
 from .locder import basis_probe_space
 
 
@@ -115,7 +115,8 @@ def decompose(L: LieAlgebra, D: Matrix, n: Optional[int] = None) -> DerDecomposi
 
     ``n`` is the Schrodinger rank of L when the caller has already
     established it (``schrodinger_rank``, or L built by
-    ``make_schrodinger(n)``); otherwise it is computed here."""
+    ``make_schrodinger(n)``); otherwise it is computed here.  A map that
+    fails the product rule raises ``LeibnizError`` with the failing pair."""
     n = schrodinger_rank(L) if n is None else n
     if n is None:
         raise ValueError("operation requires a generated Schrodinger algebra")
@@ -123,14 +124,14 @@ def decompose(L: LieAlgebra, D: Matrix, n: Optional[int] = None) -> DerDecomposi
         raise ValueError(f"algebra {L.name!r} does not have the basis of S_{n}")
     verdict = is_derivation(L, D)
     if not verdict.ok:
-        raise ValueError(f"map is not a derivation (fails on pair {verdict.failing_pair})")
+        raise LeibnizError(verdict.failing_pair)
     d = L.dim
     ad_indices = [i for i in range(d) if L.labels[i] != "z"]
     pairs = sigma_pairs(n)
     maps = [ad(L.basis_element(i)) for i in ad_indices]
     maps += [sigma(n, l, k, L.field) for l, k in pairs] + [tau(n, L.field), D]
     flat = [{c: x for c, x in enumerate(flatten_map(M)) if x} for M in maps]
-    coeffs = solve_columns(L.field, flat[:-1], flat[-1])
+    coeffs, _ = solve_columns(L.field, flat[:-1], flat[-1])
     if coeffs is None:
         raise AssertionError("derivation escaped the inner + sigma + tau span")
     inner_coords = [zero(L.field)] * d

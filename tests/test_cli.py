@@ -3,9 +3,10 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from liederiv import liealg
+from liederiv import cli, liealg, schrodinger
 from liederiv.cli import main
-from liederiv.liealg import load, make_heisenberg, make_schrodinger, to_json
+from liederiv.exactfield import format_scalar
+from liederiv.liealg import ad, load, make_heisenberg, make_schrodinger, to_json
 
 
 def run_cli(capsys, *argv):
@@ -109,6 +110,14 @@ def test_locder_replay_report(capsys):
 def test_locder_replay_rejects_rational_field(capsys):
     code, out, err = run_cli(capsys, "locder-replay", "--n", "2", "--field", "Q")
     assert code == 1 and err
+
+
+def test_locder_replay_takes_no_field_option(capsys):
+    # the replay schedule runs over Q(i) only, so there is nothing to choose
+    for field in ("Q", "Qi"):
+        code, out, err = run_cli(capsys, "locder-replay", "--n", "2", "--field", field)
+        assert code == 1 and out == ""
+        assert "error: unrecognized arguments: --field" in err
 
 
 def test_locder_basis_report(capsys):
@@ -222,6 +231,33 @@ def test_decompose_builds_the_algebra_once(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "decompose", "--n", "2", "--map", str(mp))
     assert code == 0 and json.loads(out)["tau_coeff"] == "0/1"
     assert built == ["schrodinger_2"]
+
+
+def test_decompose_checks_the_product_rule_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    check = schrodinger.is_derivation
+    for module in (cli, schrodinger):
+        monkeypatch.setattr(module, "is_derivation", lambda L, D: calls.append(1) or check(L, D))
+    L = make_schrodinger(2)
+    rows = [[format_scalar(x) for x in row] for row in ad(L.from_terms({"e": 1})).entries]
+    mp = tmp_path / "ad_e.json"
+    mp.write_text(json.dumps({"matrix": rows}))
+    code, out, _ = run_cli(capsys, "decompose", "--n", "2", "--map", str(mp))
+    assert code == 0
+    assert json.loads(out)["inner_part"] == ["1/1"] + ["0/1"] * 7
+    assert len(calls) == 1
+    # a non-derivation still gets the failing pair and exit 2
+    bad = [["0/1"] * 8 for _ in range(8)]
+    bad[L.index["u_1"]][L.index["z"]] = "1/1"
+    mp.write_text(json.dumps({"matrix": bad}))
+    code, out, err = run_cli(capsys, "decompose", "--n", "2", "--map", str(mp))
+    assert code == 2 and err == ""
+    assert json.loads(out) == {
+        "algebra": "schrodinger_2",
+        "field": "Q",
+        "is_derivation": False,
+        "leibniz_failing_pair": ["h", "z"],
+    }
 
 
 def test_reports_are_byte_identical_across_runs(capsys):

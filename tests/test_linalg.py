@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liederiv.exactfield import FIELD_Q, FIELD_QI, FieldMismatchError, GaussianRational, zero
-from liederiv.linalg import Matrix, SparseEchelon, Subspace, subspace_intersect, subspace_sum
+from liederiv.linalg import (
+    Matrix,
+    SparseEchelon,
+    Subspace,
+    solve_columns,
+    subspace_intersect,
+    subspace_sum,
+)
 from conftest import (
     back_multiply,
     dense_rows,
@@ -290,3 +297,32 @@ def test_sparse_subspace_matches_dense_oracle(case):
         coeffs = a.coordinates(v)
         assert coeffs is not None
         assert [sum((c * row[j] for c, row in zip(coeffs, dense_a)), z) for j in range(n)] == v
+
+
+@st.composite
+def _column_systems(draw):
+    field = draw(st.sampled_from([FIELD_Q, FIELD_QI]))
+    nrows = draw(st.integers(1, 5))
+    m = draw(st.integers(0, 4))
+    vectors = st.lists(_scalars(field), min_size=nrows, max_size=nrows)
+    cols = draw(st.lists(vectors, min_size=m, max_size=m))
+    if draw(st.booleans()):
+        # a combination of the columns, so inside the span
+        coeffs = draw(st.lists(_scalars(field), min_size=m, max_size=m))
+        z = zero(field)
+        target = [sum((c * col[i] for c, col in zip(coeffs, cols)), z) for i in range(nrows)]
+    else:
+        target = draw(vectors)
+    return field, nrows, cols, target
+
+
+@settings(max_examples=200, deadline=None)
+@given(_column_systems())
+def test_solve_columns_gives_the_rank_and_solves_exactly_inside_the_span(case):
+    field, nrows, cols, target = case
+    coeffs, rank = solve_columns(field, _sparse(cols), _sparse([target])[0])
+    assert rank == naive_rank(cols)
+    assert (coeffs is None) == (naive_rank(cols + [target]) > rank)
+    if coeffs is not None:
+        z = zero(field)
+        assert [sum((c * col[i] for c, col in zip(coeffs, cols)), z) for i in range(nrows)] == target

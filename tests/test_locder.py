@@ -87,6 +87,21 @@ def test_constrain_rejects_a_corrupted_der_basis_map():
     constrain(CandidateSpace.full(L), L, der, probe)
 
 
+def test_constrain_eliminates_each_probe_once(monkeypatch):
+    # any basis of the annihilator cuts the same candidate, so a probe's
+    # annihilator comes straight off its orbit echelon, never via an RREF
+    L = make_schrodinger(2, FIELD_QI)
+    der = derivation_space(L)
+    calls = []
+    rref_rows = SparseEchelon.rref_rows
+    monkeypatch.setattr(SparseEchelon, "rref_rows", lambda acc: calls.append(1) or rref_rows(acc))
+    acc = CandidateSpace.full(L)
+    for probe in schrodinger_trimmed_schedule(2, L):
+        acc = constrain(acc, L, der, probe)
+    assert acc.dim == der.dim
+    assert calls == []
+
+
 def test_orbit_scaling_invariance():
     rng = random.Random(83)
     L = make_schrodinger(2)
