@@ -35,7 +35,6 @@ from .dersolve import (
     flatten_map,
     inner_space,
     is_derivation,
-    unflatten_map,
 )
 from .locder import (
     CandidateSpace,

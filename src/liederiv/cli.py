@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .exactfield import FIELD_Q, FIELD_QI, format_scalar, parse_scalar
+from .exactfield import FIELD_Q, FIELD_QI, format_scalar, parse_scalar, zero
 from .liealg import (
     JacobiError,
     LieAlgebra,
@@ -156,7 +156,10 @@ def _cmd_der(args) -> int:
         "outer_dim": der.dim - inn.dim,
     }
     if args.basis:
-        report["basis"] = [_matrix_text(D) for D in der.basis]
+        z = zero(L.field)
+        report["basis"] = [
+            [[format_scalar(c.get(r, z)) for c in cols] for r in range(L.dim)] for cols in der.columns
+        ]
     _emit(report, args.output)
     return 0
 

@@ -7,17 +7,15 @@ solves it exactly, re-checks every basis map against the product rule,
 and spans the inner derivations ad_x.  The named outer derivations of
 the Schrodinger algebra live in ``schrodinger``.
 
-Linear maps are square Matrix values; for subspace embeddings a map is
-flattened column-major (column j holds the image of basis vector j).
+Linear maps are square Matrix values or their sparse columns; for
+subspace embeddings a map is flattened column-major (entry j*d + r is D[r, j]).
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .exactfield import zero
 from .liealg import LieAlgebra, ad
 from .linalg import Matrix, SparseEchelon, Subspace, sparse_add
 
@@ -25,12 +23,6 @@ from .linalg import Matrix, SparseEchelon, Subspace, sparse_add
 def flatten_map(m: Matrix) -> tuple:
     """Column-major flattening, the fixed convention for map subspaces."""
     return tuple(m.entries[i][j] for j in range(m.ncols) for i in range(m.nrows))
-
-
-def unflatten_map(field: str, vec: Sequence, dim: int) -> Matrix:
-    if len(vec) != dim * dim:
-        raise ValueError("flattened map has wrong length")
-    return Matrix(field, [[vec[j * dim + i] for j in range(dim)] for i in range(dim)])
 
 
 def leibniz_rows(L: LieAlgebra) -> Iterator[dict]:
@@ -76,18 +68,22 @@ class LeibnizVerdict:
 
 
 def is_derivation(L: LieAlgebra, D: Matrix) -> LeibnizVerdict:
-    """Exact product-rule check on all basis pairs (sufficient by bilinearity).
+    """Exact product-rule check of a Matrix on all basis pairs."""
+    if D.nrows != L.dim or D.ncols != L.dim:
+        raise ValueError("map dimension does not match algebra")
+    if D.field != L.field:
+        raise ValueError("map field does not match algebra")
+    return _product_rule(L, D.sparse_columns())
+
+
+def _product_rule(L: LieAlgebra, cols: Sequence[dict]) -> LeibnizVerdict:
+    """The product rule on all basis pairs (sufficient by bilinearity).
 
     For each pair i < j it sums D([b_i,b_j]) - sum_r D[r,i] [b_r,b_j]
     - sum_s D[s,j] [b_i,b_s] over the sparse columns of D, straight from
     the structure constants.  It shares no code with ``leibniz_rows``, so
     it re-checks the elimination independently.
     """
-    if D.nrows != L.dim or D.ncols != L.dim:
-        raise ValueError("map dimension does not match algebra")
-    if D.field != L.field:
-        raise ValueError("map field does not match algebra")
-    cols = D.sparse_columns()
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
             acc: dict = {}
@@ -107,28 +103,24 @@ def is_derivation(L: LieAlgebra, D: Matrix) -> LeibnizVerdict:
 
 @dataclass(frozen=True)
 class DerivationSpace:
-    """Basis of Der(L) plus its canonical embedding in the map space.
+    """Basis of Der(L) in one form: ``columns[k]`` holds the sparse
+    columns of the k-th basis map, read straight off the k-th row of
+    ``subspace``, the canonical embedding of Der in the map space.
 
-    ``columns[k]`` holds the sparse columns of ``basis[k]``, built once at
-    construction, so that an image D_k(x) costs only the support of x
-    (the probe fold, ``locder.witness`` and the symbolic certifier's rank,
-    minor choices and stratum blocks all form their images this way).  The sparse RREF
-    rows of ``subspace`` come from the nullspace itself, so the per-row
-    Der-annihilation check of a constraint row, which reads them, does
-    not reuse the data the images came from.
+    An image D_k(x) costs only the support of x; the probe fold,
+    ``locder.witness`` and the symbolic certifier form every image from
+    ``columns``.  The per-row Der-annihilation check of a constraint row
+    reads ``subspace.rows`` instead, so a fault in the columns, and in
+    the images built from them, cannot hide itself from that check.
     """
 
     algebra: LieAlgebra
-    basis: tuple  # tuple[Matrix]
+    columns: tuple  # tuple[tuple[dict]]
     subspace: Subspace
-    columns: tuple = dataclasses.field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "columns", tuple(D.sparse_columns() for D in self.basis))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.columns)
 
 
 def derivation_space(L: LieAlgebra) -> DerivationSpace:
@@ -142,17 +134,18 @@ def derivation_space(L: LieAlgebra) -> DerivationSpace:
     for row in leibniz_rows(L):
         acc.insert(row)
     space = acc.nullspace(L.field)
-    z = zero(L.field)
-    maps = tuple(
-        unflatten_map(L.field, [row.get(c, z) for c in range(d * d)], d) for row in space.rows
-    )
-    for m in maps:
-        verdict = is_derivation(L, m)
+    columns = []
+    for row in space.rows:
+        cols: tuple = tuple({} for _ in range(d))
+        for c, x in sorted(row.items()):
+            cols[c // d][c % d] = x
+        verdict = _product_rule(L, cols)
         if not verdict.ok:
             raise AssertionError(
                 f"nullspace produced a non-derivation (pair {verdict.failing_pair})"
             )
-    return DerivationSpace(L, maps, space)
+        columns.append(cols)
+    return DerivationSpace(L, tuple(columns), space)
 
 
 def inner_space(L: LieAlgebra) -> Subspace:

@@ -1,7 +1,7 @@
 """Shared helpers: random exact scalars, independent elimination
 oracles used to cross-check the production linear algebra, dense matrix
-and subspace helpers, and dense oracles for the sparse derivation check
-and the sparse witness solve."""
+and subspace helpers, the dense Der basis, and dense oracles for the
+sparse derivation check and the sparse witness solve."""
 
 from fractions import Fraction
 
@@ -151,6 +151,21 @@ def dense_rows(s: Subspace) -> list:
     return [tuple(row.get(c, z) for c in range(s.ambient_dim)) for row in s.rows]
 
 
+def unflatten_map(field, vec, dim) -> Matrix:
+    """The square matrix of a column-major flat map: entry j*dim + i is
+    M[i, j] (the inverse of ``dersolve.flatten_map``)."""
+    if len(vec) != dim * dim:
+        raise ValueError("flattened map has wrong length")
+    return Matrix(field, [[vec[j * dim + i] for j in range(dim)] for i in range(dim)])
+
+
+def dense_der_basis(der) -> tuple:
+    """The Der basis as dense matrices, built from the rows of
+    ``der.subspace`` alone, so it is an oracle for ``der.columns``."""
+    L = der.algebra
+    return tuple(unflatten_map(L.field, vec, L.dim) for vec in dense_rows(der.subspace))
+
+
 def full_space(field, n) -> Subspace:
     return Subspace.from_vectors(field, n, identity(field, n).entries)
 
@@ -185,7 +200,7 @@ def dense_witness(L, der, delta, x):
     sum c_k D_k(x) = Delta(x) over the Der basis, or None when there is
     none: the dense route through ``matvec`` and ``rref``."""
     target = matvec(delta, x.coords)
-    images = [matvec(D, x.coords) for D in der.basis]
+    images = [matvec(D, x.coords) for D in dense_der_basis(der)]
     m = len(images)
     aug = Matrix(L.field, [list(c) + [t] for c, t in zip(zip(*images), target)])
     red, rank = rref(aug)

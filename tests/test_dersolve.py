@@ -18,12 +18,12 @@ from liederiv.dersolve import (
     flatten_map,
     inner_space,
     is_derivation,
-    unflatten_map,
 )
 from liederiv.schrodinger import decompose, outer_span, sigma, sigma_pairs, tau
 from conftest import (
     col,
     contains_subspace,
+    dense_der_basis,
     dense_is_derivation,
     dense_rows,
     is_zero,
@@ -33,6 +33,7 @@ from conftest import (
     nullspace,
     rand_scalar,
     rref,
+    unflatten_map,
     zeros,
 )
 
@@ -87,10 +88,35 @@ def test_heisenberg_derivation_dimension():
 
 
 def test_every_basis_map_satisfies_product_rule():
-    for build in (lambda: make_schrodinger(2), lambda: make_heisenberg(2)):
+    # the dense oracle comes from der.subspace alone: der.columns must be
+    # the same maps entry for entry, with no stored zeros
+    for build in (
+        lambda: make_schrodinger(2),
+        lambda: make_schrodinger(2, FIELD_QI),
+        lambda: make_heisenberg(2),
+    ):
         L = build()
-        for D in derivation_space(L).basis:
+        der = derivation_space(L)
+        basis = dense_der_basis(der)
+        assert len(der.columns) == len(basis) == der.dim
+        for cols, D in zip(der.columns, basis):
             assert is_derivation(L, D).ok
+            assert len(cols) == L.dim
+            for j, c in enumerate(cols):
+                assert all(c.values())
+                assert tuple(c.get(r, 0 * D.entries[0][0]) for r in range(L.dim)) == col(D, j)
+
+
+def test_derivation_space_builds_no_dense_matrix(monkeypatch):
+    L = make_schrodinger(2, FIELD_QI)
+    calls = []
+    init = Matrix.__init__
+    monkeypatch.setattr(
+        Matrix, "__init__", lambda self, *a, **k: calls.append(1) or init(self, *a, **k)
+    )
+    der = derivation_space(L)
+    assert der.dim == expected_der_dim(2)
+    assert calls == []
 
 
 def test_ad_is_derivation_randomized():
@@ -128,7 +154,7 @@ def test_sparse_product_rule_agrees_with_dense_oracle_on_perturbed_maps():
     algebras.append(make_heisenberg(2))
     for L in algebras:
         fired = 0
-        for D in derivation_space(L).basis:
+        for D in dense_der_basis(derivation_space(L)):
             assert (True, None) == dense_is_derivation(L, D)
             rows = [list(r) for r in D.entries]
             r, c = rng.randrange(L.dim), rng.randrange(L.dim)
@@ -275,7 +301,7 @@ def test_decompose_examples():
 def test_decompose_reassembles_all_basis_derivations():
     for n in (1, 2, 3):
         L = make_schrodinger(n)
-        for D in derivation_space(L).basis:
+        for D in dense_der_basis(derivation_space(L)):
             dec = decompose(L, D)
             assert dec.reassemble() == D
             assert not dec.inner_part.coords[L.index["z"]]
