@@ -84,6 +84,10 @@ def _parse_map(path: str, L: LieAlgebra) -> Matrix:
         raise CliError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: malformed JSON: {exc}") from exc
+    except RecursionError:
+        raise CliError(f"{path}: malformed JSON: nested too deeply") from None
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: {exc}") from exc
     rows = doc.get("matrix") if isinstance(doc, dict) else doc
     if (
         not isinstance(rows, list)

@@ -353,6 +353,8 @@ def from_json(text: str) -> LieAlgebra:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed algebra file: {exc}") from exc
+    except RecursionError:
+        raise ValueError("malformed algebra file: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("malformed algebra file: top level must be an object")
     _expect_keys(doc, {"name", "field", "labels", "brackets"}, "algebra file")

@@ -284,6 +284,24 @@ def assert_one_line_error(code, out, err):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, content",
+    [
+        (["jacobi", "{bad}"], b"[" * 200000),
+        (["der", "{bad}"], b"[" * 200000),
+        (["certify", "{h1}", "--map", "{bad}"], b"[" * 200000),
+        (["certify", "{h1}", "--map", "{bad}"], b'\xff{"matrix": []}'),
+    ],
+    ids=["jacobi-deep", "der-deep", "map-deep", "map-not-utf8"],
+)
+def test_malformed_files_give_a_one_line_error_naming_the_file(tmp_path, capsys, argv, content):
+    h1, bad = write_h1_with(tmp_path, lambda doc: None), tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code, out, err = run_cli(capsys, *(a.format(h1=h1, bad=bad) for a in argv))
+    assert_one_line_error(code, out, err)
+    assert err.startswith(f"error: {bad}: ")
+
+
 def write_h1_with(tmp_path, mutate):
     doc = json.loads(to_json(make_heisenberg(1)))
     mutate(doc)
