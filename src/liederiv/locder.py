@@ -334,7 +334,9 @@ class FoldResult:
     """Der, the candidate space a probe fold squeezed down to, and the
     seed and stop reason of a random fold (both None otherwise); ``n``
     is the Schrodinger rank, None for other algebras.  The stop reason is
-    "collapsed", "stalled" or "budget" (see ``random_probe_closure``)."""
+    "collapsed", "stalled" or "budget" (see ``random_probe_closure``); the
+    report carries it, so a "stalled" or "budget" run reads as
+    inconclusive rather than as a counterexample."""
 
     algebra: LieAlgebra
     n: Optional[int]
@@ -368,6 +370,7 @@ class FoldResult:
                 for s in self.candidate.history
             ],
             "seed": self.seed,
+            "stop_reason": self.stop_reason,
         }
 
 

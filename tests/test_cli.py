@@ -100,7 +100,7 @@ def test_locder_replay_report(capsys):
     assert report["field"] == "Qi"
     assert report["der_dim"] == report["candidate_dim"] == 9
     assert report["equal"] is True
-    assert report["seed"] is None
+    assert report["seed"] is None and report["stop_reason"] is None
     assert report["history"][0]["probe"] == "e"
     assert all(
         step["dim_after"] <= step["dim_before"] for step in report["history"]
@@ -137,6 +137,15 @@ def test_locder_random_heisenberg_not_equal_exits_two(tmp_path, capsys):
     assert code == 2
     report = json.loads(out)
     assert report["der_dim"] == 6 and report["candidate_dim"] == 7
+    assert report["stop_reason"] == "stalled"
+
+
+def test_locder_random_out_of_budget_says_so(capsys):
+    code, out, _ = run_cli(capsys, "locder-random", "--n", "2", "--max-probes", "5")
+    assert code == 2
+    report = json.loads(out)
+    assert report["candidate_dim"] > report["der_dim"]
+    assert report["stop_reason"] == "budget"
 
 
 def test_locder_random_schrodinger_verifies(capsys):
@@ -145,6 +154,7 @@ def test_locder_random_schrodinger_verifies(capsys):
     report = json.loads(out)
     assert report["candidate_dim"] == report["der_dim"] == 6
     assert report["seed"] == 0x5EED
+    assert report["stop_reason"] == "collapsed"
 
 
 def test_demo_heisenberg(capsys):
