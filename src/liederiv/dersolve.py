@@ -126,8 +126,9 @@ class DerivationSpace:
 def derivation_space(L: LieAlgebra) -> DerivationSpace:
     """Der(L) as the exact nullspace of the product-rule system.
 
-    Every basis map is re-verified against the product rule directly, so
-    a bug in the elimination cannot go unnoticed.
+    Each nullspace row is read straight into sparse columns, and every
+    basis map is re-verified against the product rule directly, so a bug
+    in the elimination cannot go unnoticed.
     """
     d = L.dim
     acc = SparseEchelon(d * d)
@@ -136,8 +137,8 @@ def derivation_space(L: LieAlgebra) -> DerivationSpace:
     space = acc.nullspace(L.field)
     columns = []
     for row in space.rows:
-        cols: tuple = tuple({} for _ in range(d))
-        for c, x in sorted(row.items()):
+        cols = tuple({} for _ in range(d))
+        for c, x in sorted(row.items()):  # each column lists its rows in order
             cols[c // d][c % d] = x
         verdict = _product_rule(L, cols)
         if not verdict.ok:

@@ -140,14 +140,6 @@ def test_locder_random_heisenberg_not_equal_exits_two(tmp_path, capsys):
     assert report["stop_reason"] == "stalled"
 
 
-def test_locder_random_out_of_budget_says_so(capsys):
-    code, out, _ = run_cli(capsys, "locder-random", "--n", "2", "--max-probes", "5")
-    assert code == 2
-    report = json.loads(out)
-    assert report["candidate_dim"] > report["der_dim"]
-    assert report["stop_reason"] == "budget"
-
-
 def test_locder_random_schrodinger_verifies(capsys):
     code, out, _ = run_cli(capsys, "locder-random", "--n", "1")
     assert code == 0

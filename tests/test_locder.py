@@ -306,8 +306,9 @@ def test_random_closure_agrees_with_replay():
         report = out.to_report()
         assert report["seed"] == 0x5EED
         assert report["n"] == n
+        assert report["stop_reason"] == "collapsed"
     out = random_probe_closure(make_schrodinger(2), max_probes=5)
-    assert out.stop_reason == "budget"
+    assert out.stop_reason == out.to_report()["stop_reason"] == "budget"
     assert out.candidate_dim > out.der_dim
 
 
