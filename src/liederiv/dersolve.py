@@ -14,6 +14,7 @@ subspace embeddings a map is flattened column-major (entry j*d + r is D[r, j]).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from .liealg import LieAlgebra, ad
@@ -110,8 +111,9 @@ class DerivationSpace:
     An image D_k(x) costs only the support of x; the probe fold,
     ``locder.witness`` and the symbolic certifier form every image from
     ``columns``.  The per-row Der-annihilation check of a constraint row
-    reads ``subspace.rows`` instead, so a fault in the columns, and in
-    the images built from them, cannot hide itself from that check.
+    reads ``subspace.rows`` instead, through ``column_index``, so a fault
+    in the columns, and in the images built from them, cannot hide
+    itself from that check.
     """
 
     algebra: LieAlgebra
@@ -121,6 +123,18 @@ class DerivationSpace:
     @property
     def dim(self) -> int:
         return len(self.columns)
+
+    @cached_property
+    def column_index(self) -> dict:
+        """``subspace.rows`` by flat column: c -> [(k, rows[k][c]), ..]
+        over the rows with an entry at c, built once on first use.  A
+        sparse row dotted with every row of Der then walks only the
+        columns it shares with Der (Gustavson's row-wise product)."""
+        index: dict = {}
+        for k, row in enumerate(self.subspace.rows):
+            for c, v in row.items():
+                index.setdefault(c, []).append((k, v))
+        return index
 
 
 def derivation_space(L: LieAlgebra) -> DerivationSpace:

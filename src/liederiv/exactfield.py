@@ -26,16 +26,33 @@ def check_field(tag: str) -> str:
     return tag
 
 
+# the imaginary part of every real GaussianRational built in this module:
+# the operators test for this object by identity to take their real path
+_ZERO_IM = Fraction(0)
+
+
 class GaussianRational:
-    """Element a + b*i of Q(i), with a, b reduced Fractions."""
+    """Element a + b*i of Q(i), with a, b reduced Fractions.
+
+    A zero imaginary part is always stored as the one shared
+    ``_ZERO_IM``, so ``+``, ``-``, ``*`` and unary ``-`` can tell two
+    real operands by identity and do a single ``Fraction`` operation,
+    filling the slots of the result without ``__init__``.  The identity
+    test is only a hint: an operand whose zero imaginary part is some
+    other ``Fraction(0)`` (one built around ``__init__``) takes the
+    general path and gives the same value.  ``bool``, ``==`` and
+    ``hash`` compare values, never that identity.
+    """
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re=0, im=0):
+    def __init__(self, re=0, im=_ZERO_IM):
         # Fraction(x) rebuilds even a Fraction; the parts are immutable,
         # so an exact Fraction is stored as it is
         object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
-        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
+        if type(im) is not Fraction:
+            im = Fraction(im)
+        object.__setattr__(self, "im", im if im else _ZERO_IM)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -49,17 +66,27 @@ class GaussianRational:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is GaussianRational else self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.im is _ZERO_IM and o.im is _ZERO_IM:
+            g = _new(GaussianRational)
+            _set_re(g, self.re + o.re)
+            _set_im(g, _ZERO_IM)
+            return g
         return GaussianRational(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is GaussianRational else self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.im is _ZERO_IM and o.im is _ZERO_IM:
+            g = _new(GaussianRational)
+            _set_re(g, self.re - o.re)
+            _set_im(g, _ZERO_IM)
+            return g
         return GaussianRational(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
@@ -69,11 +96,14 @@ class GaussianRational:
         return o - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is GaussianRational else self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.im and not o.im:
-            return GaussianRational(self.re * o.re)
+        if self.im is _ZERO_IM and o.im is _ZERO_IM:
+            g = _new(GaussianRational)
+            _set_re(g, self.re * o.re)
+            _set_im(g, _ZERO_IM)
+            return g
         return GaussianRational(
             self.re * o.re - self.im * o.im,
             self.re * o.im + self.im * o.re,
@@ -100,6 +130,11 @@ class GaussianRational:
         return o * self.inverse()
 
     def __neg__(self):
+        if self.im is _ZERO_IM:
+            g = _new(GaussianRational)
+            _set_re(g, -self.re)
+            _set_im(g, _ZERO_IM)
+            return g
         return GaussianRational(-self.re, -self.im)
 
     def __pos__(self):
@@ -131,6 +166,12 @@ class GaussianRational:
     def __str__(self):
         return format_scalar(self)
 
+
+# the real paths of the operators fill the slots inline: a helper
+# function would add about a quarter to the cost of a real product
+_new = object.__new__
+_set_re = GaussianRational.re.__set__
+_set_im = GaussianRational.im.__set__
 
 I = GaussianRational(0, 1)
 

@@ -130,9 +130,12 @@ def orbit_subspace(L: LieAlgebra, der: DerivationSpace, x: AlgebraElement) -> Su
     return _orbit_echelon(L, der, x).row_space(L.field)
 
 
-def _normalized_key(x: AlgebraElement) -> tuple:
-    inv_lead = inv(next(c for c in x.coords if c))
-    return tuple(inv_lead * c for c in x.coords)
+def _normalized_key(support: list) -> tuple:
+    """The same key for every nonzero multiple of an element given by its
+    support ``[(index, coordinate), ..]``: the pairs scaled so that the
+    first coordinate is 1."""
+    inv_lead = inv(support[0][1])
+    return tuple((j, inv_lead * c) for j, c in support)
 
 
 class CandidateSpace:
@@ -167,23 +170,17 @@ class CandidateSpace:
             self._space = self.echelon.nullspace(self.algebra.field)
         return self._space
 
-    def contains_map(self, D: Matrix) -> bool:
-        # the accumulated rows cut out the space, so membership just means
-        # every constraint row annihilates the flattened map
-        flat = {c: x for c, x in enumerate(flatten_map(D)) if x}
-        return not any(dot_sparse(row, flat) for row in self.echelon.rows.values())
 
-
-def dot_sparse(u: dict, v: dict):
-    """Exact dot product of two sparse ``{column: scalar}`` vectors."""
-    if len(v) < len(u):
-        u, v = v, u
-    total = None
-    for c, a in u.items():
-        b = v.get(c)
-        if b is not None:
-            total = a * b if total is None else total + a * b
-    return total if total is not None else 0
+def _der_residues(der: DerivationSpace, row: dict) -> dict:
+    """The nonzero dot products {k: row . der.subspace.rows[k]}, summed
+    through ``der.column_index`` over the columns the row shares with
+    Der; the pairs that share no column add exactly nothing."""
+    index = der.column_index
+    sums: dict = {}
+    for c, a in row.items():
+        for k, v in index.get(c, ()):
+            sparse_add(sums, k, a * v)
+    return sums
 
 
 def constrain(
@@ -192,35 +189,38 @@ def constrain(
     """Intersect the candidate space with {Delta : Delta(x) in W_x}.
 
     Scalar multiples of already-processed probes are skipped (they
-    impose the same condition).  The annihilator basis is read straight
-    off the orbit echelon and is not canonical: any basis of the
-    annihilator cuts the same candidate, and the candidate echelon
-    reduces whatever rows it gets.  Every new constraint row is checked
-    to annihilate the Der basis, which asserts the containment chain
-    Der <= candidate at each stage.
+    impose the same condition); the key is the probe's support scaled to
+    a leading 1.  The annihilator basis is read straight off the orbit
+    echelon and is not canonical: any basis of the annihilator cuts the
+    same candidate, and the candidate echelon reduces whatever rows it
+    gets.  Every new constraint row is checked to annihilate the Der
+    basis, which asserts the containment chain Der <= candidate at each
+    stage.  That check dots the row with every row of ``der.subspace``,
+    not with the columns the orbit came from; it sums the products over
+    ``der.column_index``, so it skips only the products that share no
+    column.
     """
     x = probe.element
     if x.algebra != L:
         raise ValueError("probe element belongs to a different algebra")
     if x.is_zero():
         raise ValueError("zero probe carries no information")
-    key = _normalized_key(x)
+    support = [(j, xj) for j, xj in enumerate(x.coords) if xj]
+    key = _normalized_key(support)
     if key in acc.seen:
         return acc
     d = L.dim
     # a basis of the annihilator of W_x straight off the orbit echelon; a
     # zero orbit leaves the whole dual space, the nullspace of no rows
     annihilator = _orbit_echelon(L, der, x).nullspace_vectors()
-    support = [(j, xj) for j, xj in enumerate(x.coords) if xj]
     before = acc.dim
     echelon = acc.echelon.clone()
     for p in annihilator:
         row = {j * d + i: xj * pi for j, xj in support for i, pi in p.items()}
-        for vec in der.subspace.rows:
-            if dot_sparse(row, vec):
-                raise AssertionError(
-                    f"constraint row at probe {probe.label!r} does not annihilate Der"
-                )
+        if _der_residues(der, row):
+            raise AssertionError(
+                f"constraint row at probe {probe.label!r} does not annihilate Der"
+            )
         echelon.insert(row)
     step = ProbeStep(probe.label, before, d * d - echelon.rank)
     return CandidateSpace(L, echelon, acc.history + (step,), acc.seen | {key})

@@ -1,11 +1,12 @@
 """Shared helpers: random exact scalars, independent elimination
 oracles used to cross-check the production linear algebra, dense matrix
 and subspace helpers, the dense Der basis, and dense oracles for the
-sparse derivation check and the sparse witness solve."""
+sparse derivation check, the sparse witness solve and the indexed
+Der-annihilation check."""
 
 from fractions import Fraction
 
-from liederiv.dersolve import leibniz_rows
+from liederiv.dersolve import flatten_map, leibniz_rows
 from liederiv.exactfield import FIELD_Q, GaussianRational, one, zero
 from liederiv.liealg import bracket
 from liederiv.linalg import Matrix, SparseEchelon, Subspace
@@ -211,3 +212,23 @@ def dense_witness(L, der, delta, x):
     for row, p in zip(red.entries[:rank], pivots):
         coeffs[p] = row[m]
     return tuple(coeffs)
+
+
+def dot_sparse(u: dict, v: dict):
+    """Exact dot product of two sparse ``{column: scalar}`` vectors."""
+    if len(v) < len(u):
+        u, v = v, u
+    total = None
+    for c, a in u.items():
+        b = v.get(c)
+        if b is not None:
+            total = a * b if total is None else total + a * b
+    return total if total is not None else 0
+
+
+def contains_map(acc, D: Matrix) -> bool:
+    """Whether the candidate space ``acc`` holds the map D: the
+    accumulated rows cut out the space, so membership means every
+    constraint row annihilates the flattened map."""
+    flat = {c: x for c, x in enumerate(flatten_map(D)) if x}
+    return not any(dot_sparse(row, flat) for row in acc.echelon.rows.values())

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from liederiv.exactfield import (
     FieldMismatchError,
     GaussianRational,
     I,
+    _ZERO_IM,
     coerce_scalar,
     embed_rational,
     format_scalar,
@@ -155,3 +157,77 @@ def test_coerce_scalar_field_mismatch():
         coerce_scalar(GaussianRational(0, 1), FIELD_Q)
     assert coerce_scalar(GaussianRational(3, 0), FIELD_Q) == Fraction(3)
     assert coerce_scalar(Fraction(1, 2), FIELD_QI) == GaussianRational(Fraction(1, 2))
+
+
+small_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def gaussian_operands(draw):
+    """(value, (re, im)): a GaussianRational and the Fraction pair it
+    stands for.  A zero imaginary part is built in several ways: as 0,
+    as Fraction(0), as a difference a - a, and as a Fraction(0) that is
+    not the shared zero, set around ``__init__``."""
+    re = draw(small_fractions)
+    im = draw(st.one_of(small_fractions, st.just(0), st.just(Fraction(0))))
+    how = draw(st.sampled_from(["init", "difference", "foreign"]))
+    if how == "init":
+        value = GaussianRational(re, im)
+    elif how == "difference":
+        a = GaussianRational(draw(small_fractions), draw(small_fractions))
+        value = (GaussianRational(re, im) + a) - a + (a - a)
+    else:
+        value = object.__new__(GaussianRational)
+        object.__setattr__(value, "re", Fraction(re))
+        object.__setattr__(value, "im", Fraction(im))
+        if not im:
+            assert value.im is not _ZERO_IM
+    return value, (Fraction(re), Fraction(im))
+
+
+def _reference(op, x, y=None):
+    (a, b), (c, d) = x, y or (0, 0)
+    if op is operator.add:
+        return a + c, b + d
+    if op is operator.sub:
+        return a - c, b - d
+    if op is operator.mul:
+        return a * c - b * d, a * d + b * c
+    return -a, -b
+
+
+def _check_against_pair(value, ref):
+    re, im = ref
+    assert type(value) is GaussianRational
+    assert type(value.re) is Fraction and type(value.im) is Fraction
+    assert (value.re, value.im) == (re, im)
+    # every result stores a zero imaginary part as the shared zero, so
+    # results of results keep taking the real path
+    assert (value.im is _ZERO_IM) == (im == 0)
+    assert bool(value) == bool(re or im)
+    twin = GaussianRational(re, im)
+    assert value == twin and hash(value) == hash(twin)
+    if im == 0:
+        assert value == re and hash(value) == hash(re)
+    else:
+        assert value != re
+
+
+@given(
+    gaussian_operands(),
+    gaussian_operands(),
+    st.sampled_from([operator.add, operator.sub, operator.mul]),
+)
+def test_gaussian_operators_agree_with_fraction_pairs(x, y, op):
+    (u, ref_u), (v, ref_v) = x, y
+    _check_against_pair(op(u, v), _reference(op, ref_u, ref_v))
+    _check_against_pair(-u, _reference(operator.neg, ref_u))
+    # a rational or an integer on either side goes through the coercion
+    for r in (ref_v[0], int(ref_v[0])):
+        _check_against_pair(op(u, r), _reference(op, ref_u, (Fraction(r), Fraction(0))))
+        _check_against_pair(op(r, u), _reference(op, (Fraction(r), Fraction(0)), ref_u))
+    # bool, == and hash look at values only, never at the shared zero
+    assert (u == v) == (ref_u == ref_v)
+    if ref_u == ref_v:
+        assert hash(u) == hash(v)
+    assert bool(u) == (ref_u != (0, 0))

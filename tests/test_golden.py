@@ -31,6 +31,8 @@ CASES = {
     # not a Schrodinger algebra, so the report prints "n": null
     "locder_basis_h1": (["locder-basis", "{dir}/h1.json"], 0),
     "locder_replay_n3": (["locder-replay", "--n", "3"], 0),
+    # the bench workload: the Q(i) replay on S_5
+    "locder_replay_n5": (["locder-replay", "--n", "5"], 0),
     "locder_random_n2": (["locder-random", "--n", "2", "--seed", "24301"], 0),
     "demo_heisenberg": (["demo-heisenberg"], 0),
     "certify_h1_zz": (["certify", "{dir}/h1.json", "--map", "{dir}/h1_zz.json"], 0),

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from liederiv.exactfield import FIELD_Q, FIELD_QI, GaussianRational, inv
+from liederiv.exactfield import FIELD_Q, FIELD_QI, GaussianRational, inv, one
 from liederiv.liealg import ad, make_abelian, make_heisenberg, make_schrodinger
-from liederiv.linalg import Matrix, SparseEchelon, Subspace
+from liederiv.linalg import Matrix, SparseEchelon, Subspace, sparse_add
 from liederiv.dersolve import DerivationSpace, derivation_space, is_derivation
 from liederiv.locder import (
     CandidateSpace,
@@ -25,15 +25,18 @@ from liederiv.locder import (
     singleton_probes,
     witness,
     _apply_basis,
+    _der_residues,
     _hyperplane_basis,
     _stratum_block,
 )
 from liederiv.poly import MultiPoly
 from liederiv.schrodinger import AsosShape, asos_shape_check, tau
 from conftest import (
+    contains_map,
     dense_der_basis,
     dense_rows,
     dense_witness,
+    dot_sparse,
     matvec,
     rand_scalar,
     unflatten_map,
@@ -95,6 +98,87 @@ def test_constrain_rejects_a_corrupted_der_basis_map():
     constrain(CandidateSpace.full(L), L, der, probe)
 
 
+def test_constrain_rejects_a_corrupted_der_subspace_row():
+    # the columns are intact, so every constraint row annihilates the true
+    # Der; the first subspace row gains an entry at a column where every
+    # Der map is zero, so it leaves Der, and a fold that reaches dim Der
+    # has a constraint row that the per-row check finds it against
+    L = make_schrodinger(1, FIELD_QI)
+    der = derivation_space(L)
+    unused = set(range(L.dim ** 2)).difference(*der.subspace.rows)
+    rows = list(der.subspace.rows)
+    rows[0] = {**rows[0], max(unused): one(L.field)}
+    corrupted = DerivationSpace(L, der.columns, Subspace(L.field, L.dim ** 2, tuple(rows)))
+    with pytest.raises(AssertionError, match="does not annihilate Der"):
+        acc = CandidateSpace.full(L)
+        for probe in schrodinger_trimmed_schedule(1, L):
+            acc = constrain(acc, L, corrupted, probe)
+    acc = CandidateSpace.full(L)
+    for probe in schrodinger_trimmed_schedule(1, L):
+        acc = constrain(acc, L, der, probe)
+    assert acc.dim == der.dim
+
+
+_CHECK_ALGEBRAS = {
+    "h2": make_heisenberg(2),
+    "s1": make_schrodinger(1),
+    "s2qi": make_schrodinger(2, FIELD_QI),
+}
+_CHECK_DER = {name: derivation_space(L) for name, L in _CHECK_ALGEBRAS.items()}
+
+
+def _der_annihilator(der):
+    acc = SparseEchelon(der.algebra.dim ** 2)
+    for row in der.subspace.rows:
+        acc.insert(row)
+    return acc.nullspace_vectors()
+
+
+_CHECK_ANNIHILATOR = {name: _der_annihilator(der) for name, der in _CHECK_DER.items()}
+
+
+@st.composite
+def _rows_against_der(draw):
+    """(algebra name, sparse row): a combination of vectors that annihilate
+    Der, plus up to three entries at random columns (often none)."""
+    name = draw(st.sampled_from(sorted(_CHECK_ALGEBRAS)))
+    L, ann = _CHECK_ALGEBRAS[name], _CHECK_ANNIHILATOR[name]
+    o = one(L.field)
+
+    def scalar(re, im):
+        return o * re if L.field == FIELD_Q else GaussianRational(re, im)
+
+    small = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any)
+    row: dict = {}
+    for k, c in draw(st.lists(st.tuples(st.integers(0, len(ann) - 1), small), max_size=4)):
+        for col, v in ann[k].items():
+            sparse_add(row, col, scalar(*c) * v)
+    for col, c in draw(st.lists(st.tuples(st.integers(0, L.dim ** 2 - 1), small), max_size=3)):
+        sparse_add(row, col, scalar(*c))
+    return name, row
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rows_against_der())
+def test_indexed_der_check_agrees_with_dot_products(case):
+    name, row = case
+    der = _CHECK_DER[name]
+    oracle = {k: s for k, vec in enumerate(der.subspace.rows) if (s := dot_sparse(row, vec))}
+    assert _der_residues(der, row) == oracle
+
+
+def test_constrain_skips_a_probe_scaled_by_i():
+    L = make_schrodinger(2, FIELD_QI)
+    der = derivation_space(L)
+    i_unit = GaussianRational(0, 1)
+    probe = make_probe(L, {"u_1": 1, "u_2": i_unit})
+    once = constrain(CandidateSpace.full(L), L, der, probe)
+    scaled = probe.element.scale(i_unit)  # i*u_1 - u_2
+    assert constrain(once, L, der, Probe(scaled, probe_label(scaled))) is once
+    # the same support, but not a multiple: u_1 - i*u_2 is a new probe
+    assert constrain(once, L, der, make_probe(L, {"u_1": 1, "u_2": -i_unit})) is not once
+
+
 def test_constrain_eliminates_each_probe_once(monkeypatch):
     # any basis of the annihilator cuts the same candidate, so a probe's
     # annihilator comes straight off its orbit echelon, never via an RREF
@@ -146,7 +230,7 @@ def test_constrain_keeps_derivations_and_is_idempotent():
     assert twice.dim == once.dim
     assert len(twice.history) == len(once.history)
     for D in dense_der_basis(der):
-        assert once.contains_map(D)
+        assert contains_map(once, D)
     # scalar multiples are recognized as the same probe
     scaled = Probe(probe.element.scale(Fraction(5)), "5h+5e")
     assert constrain(once, L, der, scaled).dim == once.dim
