@@ -312,6 +312,26 @@ def write_h1_with(tmp_path, mutate):
     return path
 
 
+@pytest.mark.parametrize(
+    "tag", ["R", ["Q"], {"a": 1}, 5, None], ids=["string", "list", "object", "number", "null"]
+)
+def test_unknown_field_tag_in_a_file_exits_one(tmp_path, capsys, tag):
+    # an unhashable tag must not reach a dict lookup: its TypeError
+    # would escape main as a traceback
+    path = write_h1_with(tmp_path, lambda doc: doc.update(field=tag))
+    code, out, err = run_cli(capsys, "jacobi", str(path))
+    assert_one_line_error(code, out, err)
+    assert err == f"error: {path}: unknown field tag {tag!r}\n"
+
+
+def test_unknown_field_option_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "der", "--n", "1", "--field", "R")
+    assert code == 1 and out == ""
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == ["error: argument --field: invalid choice: 'R' (choose from 'Q', 'Qi')"]
+
+
 def test_zero_denominator_coefficient_exits_one(tmp_path, capsys):
     def mutate(doc):
         doc["brackets"][0]["terms"][0]["coeff"] = "1/0"

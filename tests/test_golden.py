@@ -45,6 +45,9 @@ CASES = {
     # ad(h) + 3*tau + sigma_12 on S_2, resolved against inner + sigma + tau
     "decompose_n2": (["decompose", "--n", "2", "--map", "{dir}/s2_dec.json"], 0),
     "outer_check_n2_qi": (["outer-check", "--n", "2", "--field", "Qi"], 0),
+    # the two commands that print a field tag read from a file or --field
+    "gen_h1_qi": (["gen", "--heisenberg", "1", "--field", "Qi"], 0),
+    "jacobi_h1_qi": (["jacobi", "{dir}/h1qi.json"], 0),
 }
 
 
