@@ -6,11 +6,9 @@ from .exactfield import (
     FIELD_QI,
     FieldMismatchError,
     GaussianRational,
-    Rational,
-    embed_rational,
+    Field,
     format_scalar,
     inv,
-    parse_scalar,
 )
 from .linalg import Matrix, Subspace, subspace_intersect, subspace_sum
 from .liealg import (

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .exactfield import FIELD_Q, FIELD_QI, format_scalar, parse_scalar, zero
+from .exactfield import FIELD_Q, FIELD_QI, field_of, format_scalar
 from .liealg import (
     JacobiError,
     LieAlgebra,
@@ -96,7 +96,7 @@ def _parse_map(path: str, L: LieAlgebra) -> Matrix:
     ):
         raise CliError(f"{path}: expected a {L.dim}x{L.dim} matrix")
     try:
-        entries = [[parse_scalar(x, L.field) for x in row] for row in rows]
+        entries = [[L.field.parse(x) for x in row] for row in rows]
     except ValueError as exc:
         raise CliError(f"{path}: bad scalar: {exc}") from exc
     return Matrix(L.field, entries)
@@ -131,7 +131,7 @@ def _cmd_jacobi(args) -> int:
         {
             "algebra": L.name,
             "dim": L.dim,
-            "field": L.field,
+            "field": L.field.tag,
             "jacobi": verdict.ok,
             "failing_triple": list(verdict.failing_triple) if verdict.failing_triple else None,
         }
@@ -154,13 +154,13 @@ def _cmd_der(args) -> int:
     report = {
         "algebra": L.name,
         "dim": L.dim,
-        "field": L.field,
+        "field": L.field.tag,
         "der_dim": der.dim,
         "inner_dim": inn.dim,
         "outer_dim": der.dim - inn.dim,
     }
     if args.basis:
-        z = zero(L.field)
+        z = L.field.zero
         report["basis"] = [
             [[format_scalar(c.get(r, z)) for c in cols] for r in range(L.dim)] for cols in der.columns
         ]
@@ -207,7 +207,7 @@ def _cmd_certify(args) -> int:
     cert = certify_local_symbolic(L, der, delta)
     report = {
         "algebra": L.name,
-        "field": L.field,
+        "field": L.field.tag,
         "der_dim": der.dim,
         "is_derivation": leibniz.ok,
         "leibniz_failing_pair": list(leibniz.failing_pair) if leibniz.failing_pair else None,
@@ -260,7 +260,7 @@ def _cmd_decompose(args) -> int:
         _emit(
             {
                 "algebra": L.name,
-                "field": L.field,
+                "field": L.field.tag,
                 "is_derivation": False,
                 "leibniz_failing_pair": list(exc.failing_pair),
             },
@@ -270,7 +270,7 @@ def _cmd_decompose(args) -> int:
     _emit(
         {
             "algebra": L.name,
-            "field": L.field,
+            "field": L.field.tag,
             "is_derivation": True,
             "inner_part": [format_scalar(c) for c in dec.inner_part.coords],
             "sigma_coeffs": {
@@ -296,7 +296,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_n=False, with_input=False, with_seed=False):
-        p.add_argument("--field", choices=[FIELD_Q, FIELD_QI], default=FIELD_Q)
+        p.add_argument("--field", choices=[FIELD_Q.tag, FIELD_QI.tag], default=FIELD_Q.tag)
         p.add_argument("-o", "--output", metavar="PATH", default=None)
         if with_n:
             p.add_argument("--n", type=int, default=None)
@@ -369,6 +369,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if "field" in vars(args):
+            args.field = field_of(args.field)
         return args.func(args)
     except (CliError, OSError, ValueError) as exc:
         # JacobiError is a ValueError

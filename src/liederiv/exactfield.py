@@ -3,27 +3,22 @@
 Rationals are ``fractions.Fraction`` (arbitrary-precision, always reduced,
 positive denominator), Gaussian rationals are pairs of Fractions with
 i**2 = -1.  Everything is immutable; equality is structural.
+
+The two fields are the ``Field`` objects ``FIELD_Q`` and ``FIELD_QI``.
+Their tags, "Q" and "Qi", appear only in algebra files, at ``--field``
+and in reports; ``field_of`` turns a tag from outside into its field.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from fractions import Fraction
-
-FIELD_Q = "Q"
-FIELD_QI = "Qi"
-
-Rational = Fraction
+from typing import Callable
 
 
 class FieldMismatchError(ValueError):
-    """Raised when operands carry different field tags."""
-
-
-def check_field(tag: str) -> str:
-    if tag not in (FIELD_Q, FIELD_QI):
-        raise ValueError(f"unknown field tag {tag!r}")
-    return tag
+    """Raised when operands belong to different fields."""
 
 
 # the imaginary part of every real GaussianRational built in this module:
@@ -175,44 +170,6 @@ _set_im = GaussianRational.im.__set__
 
 I = GaussianRational(0, 1)
 
-_ZERO = {FIELD_Q: Fraction(0), FIELD_QI: GaussianRational(0)}
-_ONE = {FIELD_Q: Fraction(1), FIELD_QI: GaussianRational(1)}
-
-
-def zero(field: str):
-    return _ZERO[check_field(field)]
-
-
-def one(field: str):
-    return _ONE[check_field(field)]
-
-
-def embed_rational(a: Fraction) -> GaussianRational:
-    """Ring embedding Q -> Q(i), a |-> a + 0i."""
-    return GaussianRational(a, 0)
-
-
-def coerce_scalar(x, field: str):
-    """Return x as an element of the given field, or raise on mismatch.
-
-    Rationals embed into Q(i); Gaussian rationals with nonzero imaginary
-    part are rejected over Q.
-    """
-    check_field(field)
-    if field == FIELD_Q:
-        if isinstance(x, (int, Fraction)):
-            return Fraction(x)
-        if isinstance(x, GaussianRational):
-            if x.im:
-                raise FieldMismatchError(f"{x} is not rational")
-            return x.re
-    else:
-        if isinstance(x, (int, Fraction)):
-            return GaussianRational(x)
-        if isinstance(x, GaussianRational):
-            return x
-    raise FieldMismatchError(f"cannot interpret {x!r} over {field}")
-
 
 def inv(a):
     """Exact multiplicative inverse: a Fraction for ``int`` and Fraction
@@ -254,23 +211,25 @@ def format_scalar(x) -> str:
     return format_rational(Fraction(x))
 
 
-def parse_scalar(text: str, field: str):
-    """Parse the canonical scalar syntax; exact round-trip with format_scalar.
-
-    Accepted over Q(i): ``p/q``, ``r/s*i``, ``p/q+r/s*i``, ``p/q-r/s*i``,
-    and bare ``i`` / ``+i`` / ``-i`` (meaning 0/1+1/1*i up to sign).
-    Denominators are optional (``3`` means ``3/1``).
-    """
-    check_field(field)
+def _parse_q(text) -> Fraction:
     if not isinstance(text, str):
         raise ValueError(f"scalar must be a string, got {text!r}")
     s = text.strip()
     if not s:
         raise ValueError("empty scalar")
-    if field == FIELD_Q:
-        return _parse_rational(s)
-    if "i" not in s:
-        return GaussianRational(_parse_rational(s))
+    return _parse_rational(s)
+
+
+def _parse_qi(text) -> GaussianRational:
+    """Parse the canonical Q(i) syntax; exact round-trip with format_scalar.
+
+    Accepted: ``p/q``, ``r/s*i``, ``p/q+r/s*i``, ``p/q-r/s*i``, and bare
+    ``i`` / ``+i`` / ``-i`` (meaning 0/1+1/1*i up to sign).  Denominators
+    are optional (``3`` means ``3/1``).
+    """
+    if not isinstance(text, str) or "i" not in text:
+        return GaussianRational(_parse_q(text))
+    s = text.strip()
     if not s.endswith("i") or s.count("i") != 1:
         raise ValueError(f"malformed Q(i) scalar {text!r}")
     body = s[:-1]
@@ -293,3 +252,55 @@ def parse_scalar(text: str, field: str):
             raise ValueError(f"malformed Q(i) scalar {text!r}")
         im_part = _parse_rational(im_text)
     return GaussianRational(re_part, im_part)
+
+
+def _coerce_q(x) -> Fraction:
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    if isinstance(x, GaussianRational):
+        if x.im:
+            raise FieldMismatchError(f"{x} is not rational")
+        return x.re
+    raise FieldMismatchError(f"cannot interpret {x!r} over Q")
+
+
+def _coerce_qi(x) -> GaussianRational:
+    # the ring embedding Q -> Q(i), a |-> a + 0i, on rationals
+    if isinstance(x, (int, Fraction)):
+        return GaussianRational(x)
+    if isinstance(x, GaussianRational):
+        return x
+    raise FieldMismatchError(f"cannot interpret {x!r} over Qi")
+
+
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
+class Field:
+    """Q or Q(i): ``zero``, ``one``, ``coerce(x)``, x as an element of the
+    field or FieldMismatchError (rationals embed into Q(i); a non-real
+    Gaussian rational is not in Q), and ``parse(text)``, the canonical
+    scalar syntax.  Copies and pickles give back the same object.
+    """
+
+    tag: str
+    zero: object
+    one: object
+    coerce: Callable
+    parse: Callable
+
+    def __repr__(self):
+        return self.tag
+
+    def __reduce__(self):
+        return field_of, (self.tag,)
+
+
+FIELD_Q = Field("Q", Fraction(0), Fraction(1), _coerce_q, _parse_q)
+FIELD_QI = Field("Qi", GaussianRational(0), GaussianRational(1), _coerce_qi, _parse_qi)
+
+
+def field_of(tag) -> Field:
+    """The field named by a tag read from a file or the command line."""
+    for field in (FIELD_Q, FIELD_QI):
+        if field.tag == tag:
+            return field
+    raise ValueError(f"unknown field tag {tag!r}")

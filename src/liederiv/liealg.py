@@ -14,15 +14,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .exactfield import (
-    FIELD_Q,
-    check_field,
-    coerce_scalar,
-    format_scalar,
-    one,
-    parse_scalar,
-    zero,
-)
+from .exactfield import FIELD_Q, Field, field_of, format_scalar
 from .linalg import Matrix, Subspace, SparseEchelon
 
 
@@ -45,9 +37,8 @@ class LieAlgebra:
 
     __slots__ = ("name", "field", "labels", "index", "table")
 
-    def __init__(self, name: str, field: str, labels: Sequence[str], brackets, check=True):
+    def __init__(self, name: str, field: Field, labels: Sequence[str], brackets, check=True):
         """brackets: {(i, j): {k: scalar}} for i < j, giving [b_i, b_j] = sum c^k b_k."""
-        check_field(field)
         labels = tuple(labels)
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate basis labels")
@@ -59,7 +50,7 @@ class LieAlgebra:
             for k, c in terms.items():
                 if not 0 <= k < len(labels):
                     raise ValueError(f"bad bracket target index {k}")
-                c = coerce_scalar(c, field)
+                c = field.coerce(c)
                 if c:
                     clean[k] = c
             if clean:
@@ -105,22 +96,22 @@ class LieAlgebra:
         return {k: -c for k, c in self.table.get((j, i), {}).items()}
 
     def element(self, coords: Sequence) -> "AlgebraElement":
-        return AlgebraElement(self, tuple(coerce_scalar(c, self.field) for c in coords))
+        return AlgebraElement(self, tuple(map(self.field.coerce, coords)))
 
     def zero_element(self) -> "AlgebraElement":
-        return self.element([zero(self.field)] * self.dim)
+        return self.element([self.field.zero] * self.dim)
 
     def basis_element(self, i: int) -> "AlgebraElement":
-        coords = [zero(self.field)] * self.dim
-        coords[i] = one(self.field)
+        coords = [self.field.zero] * self.dim
+        coords[i] = self.field.one
         return self.element(coords)
 
     def from_terms(self, terms: dict) -> "AlgebraElement":
         """Element from {label or index: coefficient}."""
-        coords = [zero(self.field)] * self.dim
+        coords = [self.field.zero] * self.dim
         for key, c in terms.items():
             i = self.index[key] if isinstance(key, str) else key
-            coords[i] = coords[i] + coerce_scalar(c, self.field)
+            coords[i] = coords[i] + self.field.coerce(c)
         return self.element(coords)
 
 
@@ -150,7 +141,7 @@ class AlgebraElement:
         return AlgebraElement(self.algebra, tuple(-a for a in self.coords))
 
     def scale(self, c) -> "AlgebraElement":
-        c = coerce_scalar(c, self.algebra.field)
+        c = self.algebra.field.coerce(c)
         return AlgebraElement(self.algebra, tuple(c * a for a in self.coords))
 
     def __str__(self):
@@ -171,7 +162,7 @@ def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Bilinear bracket [x, y] expanded through the structure constants."""
     _same_algebra(x, y)
     L = x.algebra
-    out = [zero(L.field)] * L.dim
+    out = [L.field.zero] * L.dim
     for (i, j), terms in L.table.items():
         a = x.coords[i] * y.coords[j] - x.coords[j] * y.coords[i]
         if a:
@@ -185,7 +176,7 @@ def ad(x: AlgebraElement) -> Matrix:
     L = x.algebra
     cols = []
     for j in range(L.dim):
-        col = [zero(L.field)] * L.dim
+        col = [L.field.zero] * L.dim
         for i, xi in enumerate(x.coords):
             if xi:
                 for k, c in L.bracket_basis(i, j).items():
@@ -231,7 +222,7 @@ def center(L: LieAlgebra) -> Subspace:
     return acc.nullspace(L.field)
 
 
-def make_schrodinger(n: int, field: str = FIELD_Q) -> LieAlgebra:
+def make_schrodinger(n: int, field: Field = FIELD_Q) -> LieAlgebra:
     """n-th Schrodinger algebra: sl2 acting on the Heisenberg algebra h_n.
 
     Basis (e, h, f, z, u_1..u_n, v_1..v_n), dimension 2n + 4, with
@@ -257,7 +248,7 @@ def make_schrodinger(n: int, field: str = FIELD_Q) -> LieAlgebra:
     return LieAlgebra(f"schrodinger_{n}", field, make_schrodinger_labels(n), br)
 
 
-def make_heisenberg(n: int, field: str = FIELD_Q) -> LieAlgebra:
+def make_heisenberg(n: int, field: Field = FIELD_Q) -> LieAlgebra:
     """Heisenberg algebra h_n on (z, u_1..u_n, v_1..v_n): [u_k, v_k] = z, z central."""
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -266,14 +257,14 @@ def make_heisenberg(n: int, field: str = FIELD_Q) -> LieAlgebra:
     return LieAlgebra(f"heisenberg_{n}", field, labels, br)
 
 
-def make_sl2(field: str = FIELD_Q) -> LieAlgebra:
+def make_sl2(field: Field = FIELD_Q) -> LieAlgebra:
     """sl2 on (e, h, f): [h,e]=2e, [h,f]=-2f, [e,f]=h."""
     return LieAlgebra(
         "sl2", field, ["e", "h", "f"], {(0, 1): {0: -2}, (0, 2): {1: 1}, (1, 2): {2: -2}}
     )
 
 
-def make_abelian(k: int, field: str = FIELD_Q) -> LieAlgebra:
+def make_abelian(k: int, field: Field = FIELD_Q) -> LieAlgebra:
     """Abelian algebra of dimension k (all brackets zero)."""
     if k < 1:
         raise ValueError("dimension must be at least 1")
@@ -327,7 +318,7 @@ def to_json(L: LieAlgebra) -> str:
             for k, c in sorted(L.table[(i, j)].items())
         ]
         brackets.append({"left": L.labels[i], "right": L.labels[j], "terms": terms})
-    doc = {"name": L.name, "field": L.field, "labels": list(L.labels), "brackets": brackets}
+    doc = {"name": L.name, "field": L.field.tag, "labels": list(L.labels), "brackets": brackets}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -358,7 +349,7 @@ def from_json(text: str) -> LieAlgebra:
     if not isinstance(doc, dict):
         raise ValueError("malformed algebra file: top level must be an object")
     _expect_keys(doc, {"name", "field", "labels", "brackets"}, "algebra file")
-    field = check_field(doc["field"])
+    field = field_of(doc["field"])
     labels = doc["labels"]
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise ValueError("labels must be a list of strings")
@@ -386,9 +377,9 @@ def from_json(text: str) -> LieAlgebra:
             if not isinstance(term["basis"], str) or term["basis"] not in index:
                 raise ValueError(f"unknown basis label {term['basis']!r}")
             k = index[term["basis"]]
-            c = parse_scalar(term["coeff"], field)
+            c = field.parse(term["coeff"])
             if c:
-                terms[k] = terms.get(k, zero(field)) + c
+                terms[k] = terms.get(k, field.zero) + c
         terms = {k: c for k, c in terms.items() if c}
         i, j = (li, ri) if li < ri else (ri, li)
         stored = {k: (c if li < ri else -c) for k, c in terms.items()}

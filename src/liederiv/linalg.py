@@ -12,17 +12,16 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Optional, Sequence
 
-from .exactfield import FieldMismatchError, check_field, coerce_scalar, inv, one, zero
+from .exactfield import Field, FieldMismatchError, inv
 
 
 class Matrix:
-    """Immutable dense matrix of exact scalars with a field tag."""
+    """Immutable dense matrix of exact scalars over a field."""
 
     __slots__ = ("field", "nrows", "ncols", "entries", "_columns")
 
-    def __init__(self, field: str, entries: Sequence[Sequence]):
-        check_field(field)
-        rows = tuple(tuple(coerce_scalar(x, field) for x in row) for row in entries)
+    def __init__(self, field: Field, entries: Sequence[Sequence]):
+        rows = tuple(tuple(map(field.coerce, row)) for row in entries)
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
@@ -69,7 +68,7 @@ class Matrix:
         )
 
     def scale(self, c) -> "Matrix":
-        c = coerce_scalar(c, self.field)
+        c = self.field.coerce(c)
         return Matrix(self.field, [[c * x for x in row] for row in self.entries])
 
 
@@ -88,7 +87,7 @@ class Subspace:
 
     __slots__ = ("field", "ambient_dim", "rows", "pivots")
 
-    def __init__(self, field: str, ambient_dim: int, rows: tuple):
+    def __init__(self, field: Field, ambient_dim: int, rows: tuple):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "rows", rows)
@@ -98,13 +97,12 @@ class Subspace:
         raise AttributeError("Subspace is immutable")
 
     @classmethod
-    def from_vectors(cls, field: str, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        check_field(field)
+    def from_vectors(cls, field: Field, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
         acc = SparseEchelon(ambient_dim)
         for v in vectors:
             if len(v) != ambient_dim:
                 raise ValueError("vector length does not match ambient dimension")
-            row = [coerce_scalar(x, field) for x in v]
+            row = list(map(field.coerce, v))
             acc.insert({j: x for j, x in enumerate(row) if x})
         return acc.row_space(field)
 
@@ -135,7 +133,7 @@ class Subspace:
         """
         if len(v) != self.ambient_dim:
             raise ValueError("dimension mismatch in membership test")
-        v = [coerce_scalar(x, self.field) for x in v]
+        v = list(map(self.field.coerce, v))
         coeffs = tuple(v[p] for p in self.pivots)
         residue = {j: x for j, x in enumerate(v) if x}
         for c, row in zip(coeffs, self.rows):
@@ -275,14 +273,14 @@ class SparseEchelon:
         reduced = self.reduced_rows()
         return [reduced[p] for p in sorted(reduced)]
 
-    def row_space(self, field: str) -> Subspace:
+    def row_space(self, field: Field) -> Subspace:
         """The row space as a Subspace: its rows are the back-eliminated
         rows, the canonical RREF basis."""
         return Subspace(field, self.ncols, tuple(self.rref_rows()))
 
-    def nullspace(self, field: str) -> Subspace:
+    def nullspace(self, field: Field) -> Subspace:
         """The nullspace as a Subspace, in canonical RREF."""
-        o = one(field)
+        o = field.one
         out = SparseEchelon(self.ncols)
         for sv in self.nullspace_vectors():
             out.insert({c: o * x for c, x in sv.items()})
@@ -299,7 +297,7 @@ def sparse_add(row: dict, col: int, val) -> None:
         row.pop(col, None)
 
 
-def solve_columns(field: str, columns: Sequence[dict], target: dict) -> tuple:
+def solve_columns(field: Field, columns: Sequence[dict], target: dict) -> tuple:
     """(c, rank): coefficients c with sum_k c_k columns[k] = target, or
     None when the target is outside the span of the sparse
     ``{row: scalar}`` columns, and the rank of those columns.
@@ -321,7 +319,7 @@ def solve_columns(field: str, columns: Sequence[dict], target: dict) -> tuple:
         acc.insert(row)
     if m in acc.rows:
         return None, acc.rank - 1
-    z = zero(field)
+    z = field.zero
     coeffs = [z] * m
     for p, row in acc.reduced_rows().items():
         coeffs[p] = row.get(m, z)

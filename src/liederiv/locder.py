@@ -30,7 +30,7 @@ from itertools import chain, combinations, islice
 from math import comb
 from typing import Optional, Sequence
 
-from .exactfield import FIELD_Q, FIELD_QI, GaussianRational, inv, one, zero
+from .exactfield import FIELD_Q, FIELD_QI, I, Field, GaussianRational, inv
 from .liealg import AlgebraElement, LieAlgebra, make_schrodinger, schrodinger_rank
 from .linalg import Matrix, SparseEchelon, Subspace, solve_columns, sparse_add
 from .dersolve import DerivationSpace, derivation_space, flatten_map
@@ -252,8 +252,7 @@ def _tagged_schedule(n: int, L: Optional[LieAlgebra]) -> list[tuple]:
     L = L if L is not None else make_schrodinger(n, FIELD_QI)
     if L.field != FIELD_QI:
         raise ValueError("the replay schedule requires the Q(i) algebra")
-    half = one(FIELD_QI) / 2
-    i_unit = GaussianRational(0, 1)
+    half = FIELD_QI.one / 2
     idx = range(1, n + 1)
     out = [(probe, True) for probe in singleton_probes(L)]
 
@@ -275,8 +274,8 @@ def _tagged_schedule(n: int, L: Optional[LieAlgebra]) -> list[tuple]:
                     label = f"{a}{'+' if sz > 0 else '-'}1/2*z{'+' if sw > 0 else '-'}{w}_{j}"
                     add({a: 1, "z": sz * half, f"{w}_{j}": sw}, label, kept)
     for p, j in combinations(idx, 2):
-        add({f"u_{p}": 1, f"u_{j}": i_unit}, f"u_{p}+i*u_{j}")
-        add({f"v_{p}": 1, f"v_{j}": i_unit}, f"v_{p}+i*v_{j}", kept=p == 1)
+        add({f"u_{p}": 1, f"u_{j}": I}, f"u_{p}+i*u_{j}")
+        add({f"v_{p}": 1, f"v_{j}": I}, f"v_{p}+i*v_{j}", kept=p == 1)
         add(
             {f"u_{p}": 1, f"u_{j}": 1, f"v_{p}": 1, f"v_{j}": 1},
             f"u_{p}+u_{j}+v_{p}+v_{j}",
@@ -361,7 +360,7 @@ class FoldResult:
         return {
             "algebra": self.algebra.name,
             "n": self.n,
-            "field": self.algebra.field,
+            "field": self.algebra.field.tag,
             "der_dim": self.der_dim,
             "candidate_dim": self.candidate_dim,
             "equal": self.equal,
@@ -443,12 +442,12 @@ def _random_sparse_element(L: LieAlgebra, rng: random.Random, ordered: bool) -> 
     ``ordered`` draws the coefficients in basis order, else in sample order."""
     d = L.dim
     support = rng.sample(range(d), rng.randint(min(2, d), min(6, d)))
-    coords = [zero(L.field)] * d
+    coords = [L.field.zero] * d
     for i in sorted(support) if ordered else support:
         c = 0
         while not c:
             c = rng.randint(-2, 2)
-        coords[i] = one(L.field) * c
+        coords[i] = L.field.one * c
     return L.element(coords)
 
 
@@ -464,7 +463,7 @@ def witness(
     return _solve_images(L.field, _images(der.columns + (delta.sparse_columns(),), x))[0]
 
 
-def _solve_images(field: str, images: list) -> tuple:
+def _solve_images(field: Field, images: list) -> tuple:
     """``witness`` given the images [D_1(x), .., D_m(x), Delta(x)], paired
     with the rank of the Der block [D_1(x) | .. | D_m(x)]."""
     *der_images, target = images
@@ -700,7 +699,7 @@ def _rank_drop_cuts(L, der, basis: tuple, a_sub, r, point, rng) -> list:
         if det.is_zero():
             continue
         nonzero = True
-        cuts = split_linear(det, rational_points_only=(L.field == FIELD_Q))
+        cuts = split_linear(det, rational_points_only=(L.field is FIELD_Q))
         if cuts is not None:
             return cuts
     if not nonzero:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exactfield import FIELD_Q, zero
+from .exactfield import FIELD_Q, Field
 from .liealg import (
     AlgebraElement,
     LieAlgebra,
@@ -32,7 +32,7 @@ from .dersolve import LeibnizError, derivation_space, flatten_map, inner_space, 
 from .locder import basis_probe_space
 
 
-def _label_map(n: int, field: str, entries: dict) -> Matrix:
+def _label_map(n: int, field: Field, entries: dict) -> Matrix:
     """The map on the basis of S_n with entry c at (row, column) for each
     ``{(row_label, col_label): c}``, zero elsewhere."""
     index = {lab: i for i, lab in enumerate(make_schrodinger_labels(n))}
@@ -42,7 +42,7 @@ def _label_map(n: int, field: str, entries: dict) -> Matrix:
     return Matrix(field, rows)
 
 
-def sigma(n: int, l: int, k: int, field: str = FIELD_Q) -> Matrix:
+def sigma(n: int, l: int, k: int, field: Field = FIELD_Q) -> Matrix:
     """Outer derivation rotating the (l, k) pair of u/v planes, 1 <= l < k <= n.
 
     u_l -> u_k, u_k -> -u_l, v_l -> v_k, v_k -> -v_l, zero elsewhere.
@@ -60,7 +60,7 @@ def sigma(n: int, l: int, k: int, field: str = FIELD_Q) -> Matrix:
     return _label_map(n, field, entries)
 
 
-def tau(n: int, field: str = FIELD_Q) -> Matrix:
+def tau(n: int, field: Field = FIELD_Q) -> Matrix:
     """Outer derivation complementing the inner grading: z -> z and
     u_k -> u_k/2, v_k -> v_k/2, zero on e, h, f."""
     if n < 1:
@@ -76,7 +76,7 @@ def sigma_pairs(n: int) -> list:
     return [(l, k) for l in range(1, n + 1) for k in range(l + 1, n + 1)]
 
 
-def outer_span(n: int, field: str = FIELD_Q) -> Subspace:
+def outer_span(n: int, field: Field = FIELD_Q) -> Subspace:
     """Canonical span of the sigma maps in the flattened map space."""
     d = 2 * n + 4
     vecs = [flatten_map(sigma(n, l, k, field)) for (l, k) in sigma_pairs(n)]
@@ -134,7 +134,7 @@ def decompose(L: LieAlgebra, D: Matrix, n: Optional[int] = None) -> DerDecomposi
     coeffs, _ = solve_columns(L.field, flat[:-1], flat[-1])
     if coeffs is None:
         raise AssertionError("derivation escaped the inner + sigma + tau span")
-    inner_coords = [zero(L.field)] * d
+    inner_coords = [L.field.zero] * d
     for i, c in zip(ad_indices, coeffs):
         inner_coords[i] = c
     sigma_coeffs = dict(zip(pairs, coeffs[len(ad_indices):]))
@@ -144,7 +144,7 @@ def decompose(L: LieAlgebra, D: Matrix, n: Optional[int] = None) -> DerDecomposi
     return out
 
 
-def outer_check(n: int, field: str = FIELD_Q) -> dict:
+def outer_check(n: int, field: Field = FIELD_Q) -> dict:
     """The report behind Der(S_n) = inner + span(sigma) + span(tau): each
     sigma_lk and tau satisfies the product rule, the sigma span meets the
     inner derivations trivially, tau lies outside their sum, and the three
@@ -169,7 +169,7 @@ def outer_check(n: int, field: str = FIELD_Q) -> dict:
     return {
         "algebra": L.name,
         "n": n,
-        "field": field,
+        "field": field.tag,
         "der_dim": der.dim,
         "inner_dim": inn.dim,
         "sigma_count": len(pairs),
@@ -189,7 +189,7 @@ class AsosShape:
 
     n: int
 
-    def parameters(self, field: str = FIELD_Q) -> list:
+    def parameters(self, field: Field = FIELD_Q) -> list:
         """(name, map) pairs; each map has the single entry c at (row, col)."""
         ks = range(1, self.n + 1)
         spec = [("alpha_f(e)", "h", "e", 1), ("alpha_h(e)", "e", "e", 2)]
@@ -224,7 +224,7 @@ class AsosVerdict:
     note: str
 
 
-def asos_shape_check(n: int, field: str = FIELD_Q) -> AsosVerdict:
+def asos_shape_check(n: int, field: Field = FIELD_Q) -> AsosVerdict:
     """Verify that the named parameter shape spans exactly the
     basis-singleton candidate space (dimension 2n^2 + 8n + 7)."""
     if n < 1:

@@ -7,7 +7,7 @@ Der-annihilation check."""
 from fractions import Fraction
 
 from liederiv.dersolve import flatten_map, leibniz_rows
-from liederiv.exactfield import FIELD_Q, GaussianRational, one, zero
+from liederiv.exactfield import FIELD_Q, GaussianRational
 from liederiv.liealg import bracket
 from liederiv.linalg import Matrix, SparseEchelon, Subspace
 
@@ -65,7 +65,7 @@ def rref(m: Matrix) -> tuple[Matrix, int]:
             continue
         rows[pivot_row], rows[src] = rows[src], rows[pivot_row]
         pr = rows[pivot_row]
-        inv_p = one(m.field) / pr[col]
+        inv_p = m.field.one / pr[col]
         for j in range(col, ncols):
             if pr[j]:
                 pr[j] = pr[j] * inv_p
@@ -94,7 +94,7 @@ def leibniz_system(L) -> Matrix:
     """Dense product-rule system: one row per basis pair (i < j) per
     coordinate, the rows of ``leibniz_rows`` made dense."""
     d = L.dim
-    z = zero(L.field)
+    z = L.field.zero
     rows = []
     for sparse in leibniz_rows(L):
         row = [z] * (d * d)
@@ -105,12 +105,12 @@ def leibniz_system(L) -> Matrix:
 
 
 def zeros(field, nrows, ncols) -> Matrix:
-    z = zero(field)
+    z = field.zero
     return Matrix(field, [[z] * ncols for _ in range(nrows)])
 
 
 def identity(field, n) -> Matrix:
-    z, o = zero(field), one(field)
+    z, o = field.zero, field.one
     return Matrix(field, [[o if i == j else z for j in range(n)] for i in range(n)])
 
 
@@ -130,7 +130,7 @@ def matvec(m: Matrix, v) -> tuple:
     if len(v) != m.ncols:
         raise ValueError("dimension mismatch in matvec")
     return tuple(
-        sum((row[j] * v[j] for j in range(m.ncols) if v[j]), zero(m.field))
+        sum((row[j] * v[j] for j in range(m.ncols) if v[j]), m.field.zero)
         for row in m.entries
     )
 
@@ -139,7 +139,7 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     if a.ncols != b.nrows:
         raise ValueError("dimension mismatch in matmul")
     bt = transpose(b).entries
-    z = zero(a.field)
+    z = a.field.zero
     return Matrix(
         a.field,
         [[sum((x * y for x, y in zip(row, c) if x and y), z) for c in bt] for row in a.entries],
@@ -148,7 +148,7 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 def dense_rows(s: Subspace) -> list:
     """The canonical basis rows of a subspace, as dense tuples."""
-    z = zero(s.field)
+    z = s.field.zero
     return [tuple(row.get(c, z) for c in range(s.ambient_dim)) for row in s.rows]
 
 
@@ -208,7 +208,7 @@ def dense_witness(L, der, delta, x):
     pivots = [next(j for j, v in enumerate(row) if v) for row in red.entries[:rank]]
     if m in pivots:
         return None
-    coeffs = [zero(L.field)] * m
+    coeffs = [L.field.zero] * m
     for row, p in zip(red.entries[:rank], pivots):
         coeffs[p] = row[m]
     return tuple(coeffs)

@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from fractions import Fraction
@@ -5,7 +6,16 @@ from fractions import Fraction
 import pytest
 
 from liederiv.exactfield import FIELD_Q, FIELD_QI
-from liederiv.liealg import ad, make_abelian, make_heisenberg, make_schrodinger, make_sl2
+from liederiv.cli import main
+from liederiv.liealg import (
+    ad,
+    from_json,
+    make_abelian,
+    make_heisenberg,
+    make_schrodinger,
+    make_sl2,
+    to_json,
+)
 from liederiv.linalg import (
     Matrix,
     SparseEchelon,
@@ -231,13 +241,15 @@ def test_sigma_validation():
         sigma(3, 2, 2)
     with pytest.raises(ValueError):
         sigma(3, 0, 1)
-    # unknown field tags are rejected by the map builder itself
-    with pytest.raises(ValueError):
-        sigma(2, 1, 2, "R")
-    with pytest.raises(ValueError):
-        tau(2, "R")
     with pytest.raises(ValueError):
         tau(0)
+    # an unknown field tag is rejected where a tag enters: an algebra
+    # file and --field; the map builders take a Field, never a tag
+    doc = json.loads(to_json(make_schrodinger(2)))
+    doc["field"] = "R"
+    with pytest.raises(ValueError, match="unknown field tag 'R'"):
+        from_json(json.dumps(doc))
+    assert main(["outer-check", "--n", "2", "--field", "R"]) == 1
 
 
 def test_sigma_and_tau_are_outer():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liederiv.exactfield import FIELD_Q, FIELD_QI, FieldMismatchError, GaussianRational, zero
+from liederiv.exactfield import FIELD_Q, FIELD_QI, FieldMismatchError, GaussianRational
 from liederiv.linalg import (
     Matrix,
     SparseEchelon,
@@ -287,7 +287,7 @@ def test_sparse_subspace_matches_dense_oracle(case):
     dense_a, dense_b = _dense_rref_rows(field, n, xs), _dense_rref_rows(field, n, ys)
     assert a.rows == _sparse(dense_a) and b.rows == _sparse(dense_b)
     # Zassenhaus through the dense oracle: rows (x | x) and (y | 0)
-    z = zero(field)
+    z = field.zero
     stacked = [row + row for row in dense_a] + [row + [z] * n for row in dense_b]
     meet = [row[n:] for row in _dense_rref_rows(field, 2 * n, stacked) if not any(row[:n])]
     assert subspace_intersect(a, b).rows == _sparse(meet)
@@ -309,7 +309,7 @@ def _column_systems(draw):
     if draw(st.booleans()):
         # a combination of the columns, so inside the span
         coeffs = draw(st.lists(_scalars(field), min_size=m, max_size=m))
-        z = zero(field)
+        z = field.zero
         target = [sum((c * col[i] for c, col in zip(coeffs, cols)), z) for i in range(nrows)]
     else:
         target = draw(vectors)
@@ -324,5 +324,5 @@ def test_solve_columns_gives_the_rank_and_solves_exactly_inside_the_span(case):
     assert rank == naive_rank(cols)
     assert (coeffs is None) == (naive_rank(cols + [target]) > rank)
     if coeffs is not None:
-        z = zero(field)
+        z = field.zero
         assert [sum((c * col[i] for c, col in zip(coeffs, cols)), z) for i in range(nrows)] == target
