@@ -4,9 +4,9 @@ structure-constant Lie algebras."""
 from .exactfield import (
     FIELD_Q,
     FIELD_QI,
+    Field,
     FieldMismatchError,
     GaussianRational,
-    Field,
     format_scalar,
     inv,
 )

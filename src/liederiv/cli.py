@@ -369,6 +369,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # the tag turns into a Field after parsing, so that argparse's own
+        # choices check reports an unknown --field
         if "field" in vars(args):
             args.field = field_of(args.field)
         return args.func(args)

@@ -52,6 +52,11 @@ class GaussianRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
+    def __reduce__(self):
+        # copies and pickles rebuild through __init__ (the default slot
+        # restore would hit __setattr__), so a real value gets _ZERO_IM back
+        return GaussianRational, (self.re, self.im)
+
     @staticmethod
     def _coerce(other):
         if isinstance(other, GaussianRational):

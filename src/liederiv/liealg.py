@@ -68,6 +68,10 @@ class LieAlgebra:
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
 
+    def __reduce__(self):
+        # rebuilt through the constructor, which checks Jacobi again
+        return LieAlgebra, (self.name, self.field, self.labels, self.table)
+
     @property
     def dim(self) -> int:
         return len(self.labels)

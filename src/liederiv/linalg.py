@@ -34,6 +34,9 @@ class Matrix:
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
+    def __reduce__(self):
+        return Matrix, (self.field, self.entries)
+
     def sparse_columns(self) -> tuple:
         """Column j as a ``{row: entry}`` dict of its nonzero entries, built
         once and then shared (callers must not mutate it)."""
@@ -95,6 +98,9 @@ class Subspace:
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
+
+    def __reduce__(self):
+        return Subspace, (self.field, self.ambient_dim, self.rows)
 
     @classmethod
     def from_vectors(cls, field: Field, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":

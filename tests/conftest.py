@@ -4,6 +4,8 @@ and subspace helpers, the dense Der basis, and dense oracles for the
 sparse derivation check, the sparse witness solve and the indexed
 Der-annihilation check."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 from liederiv.dersolve import flatten_map, leibniz_rows
@@ -22,6 +24,11 @@ def rand_gauss(rng, lo=-9, hi=9, den=4):
 
 def rand_scalar(rng, field=FIELD_Q):
     return rand_fraction(rng) if field == FIELD_Q else rand_gauss(rng)
+
+
+def copies(x) -> list:
+    """x through copy.copy, copy.deepcopy and a pickle round trip."""
+    return [copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))]
 
 
 def naive_rank(rows):

@@ -16,7 +16,7 @@ from liederiv.exactfield import (
     format_scalar,
     inv,
 )
-from conftest import rand_fraction, rand_gauss
+from conftest import copies, rand_fraction, rand_gauss
 
 
 def test_fraction_arithmetic_examples():
@@ -70,6 +70,25 @@ def test_embedding_is_ring_homomorphism():
         # injectivity on this sample
         if a != b:
             assert FIELD_QI.coerce(a) != FIELD_QI.coerce(b)
+
+
+def test_copies_and_pickles_rebuild_through_the_constructor():
+    for x in (GaussianRational(1, 2), GaussianRational(Fraction(-3, 4)), I):
+        for y in copies(x):
+            assert type(y) is GaussianRational and y == x
+    # a real value comes back with the shared zero imaginary part, so
+    # the operators still take their real path on it
+    for y in copies(GaussianRational(5)):
+        assert y.im is _ZERO_IM
+        assert (y * y).im is _ZERO_IM and y * y == 25
+
+
+def test_fields_survive_copy_and_pickle_as_the_same_object():
+    for field in (FIELD_Q, FIELD_QI):
+        assert all(y is field for y in copies(field))
+        assert repr(field) == field.tag
+    with pytest.raises(AttributeError):
+        FIELD_Q.zero = 1
 
 
 def test_conjugate_and_norm():

@@ -41,3 +41,19 @@ def test_relative_imports_follow_the_layer_order():
                 targets = [node.module] if node.module else [a.name for a in node.names]
                 upward += [(name, t) for t in targets if t not in LAYERS[:pos]]
     assert upward == []
+
+
+def test_only_exactfield_spells_a_field_tag():
+    # elsewhere a field is one of the two Field objects and its tag is
+    # read off it, so the tag format lives in exactfield alone
+    spelled = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "exactfield":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        spelled += [
+            (path.name, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value in ("Q", "Qi")
+        ]
+    assert spelled == []

@@ -23,7 +23,7 @@ from liederiv.liealg import (
     schrodinger_rank,
     to_json,
 )
-from conftest import is_zero, rand_scalar
+from conftest import copies, is_zero, rand_scalar
 
 
 def rand_element(rng, L):
@@ -244,3 +244,10 @@ def test_gaussian_field_algebra_accepts_imaginary_coefficients():
     x = L.from_terms({"u_1": 1, "u_2": GaussianRational(0, 1)})
     y = L.from_terms({"v_1": 1})
     assert bracket(x, y).coords == L.from_terms({"z": 1}).coords
+
+
+def test_algebras_copy_and_pickle():
+    for L in (make_schrodinger(2), make_heisenberg(1, FIELD_QI)):
+        for M in copies(L):
+            assert M == L and M.field is L.field and M.name == L.name
+            assert M.basis_element(0) == L.basis_element(0)

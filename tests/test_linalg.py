@@ -15,6 +15,7 @@ from liederiv.linalg import (
 )
 from conftest import (
     back_multiply,
+    copies,
     dense_rows,
     full_space,
     identity,
@@ -326,3 +327,13 @@ def test_solve_columns_gives_the_rank_and_solves_exactly_inside_the_span(case):
     if coeffs is not None:
         z = field.zero
         assert [sum((c * col[i] for c, col in zip(coeffs, cols)), z) for i in range(nrows)] == target
+
+
+def test_matrices_and_subspaces_copy_and_pickle():
+    m = mat([[1, GaussianRational(0, 2)], [Fraction(1, 3), 0]], FIELD_QI)
+    s = Subspace.from_vectors(FIELD_Q, 3, [[1, 2, 0], [0, 1, Fraction(1, 2)]])
+    for x in (m, s):
+        for y in copies(x):
+            assert type(y) is type(x) and y == x and y.field is x.field
+    assert all(y.sparse_columns() == m.sparse_columns() for y in copies(m))
+    assert all(y.pivots == s.pivots for y in copies(s))
