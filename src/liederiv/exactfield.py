@@ -260,6 +260,9 @@ def _parse_qi(text) -> GaussianRational:
 
 
 def _coerce_q(x) -> Fraction:
+    if type(x) is Fraction:
+        # Fraction(x) would rebuild an already exact, immutable value
+        return x
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
     if isinstance(x, GaussianRational):

@@ -39,6 +39,8 @@ class LieAlgebra:
 
     def __init__(self, name: str, field: Field, labels: Sequence[str], brackets, check=True):
         """brackets: {(i, j): {k: scalar}} for i < j, giving [b_i, b_j] = sum c^k b_k."""
+        if not isinstance(field, Field):
+            raise TypeError(f"field must be FIELD_Q or FIELD_QI, got {field!r}")
         labels = tuple(labels)
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate basis labels")

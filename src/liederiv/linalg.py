@@ -309,10 +309,11 @@ def solve_columns(field: Field, columns: Sequence[dict], target: dict) -> tuple:
     ``{row: scalar}`` columns, and the rank of those columns.
 
     A pivot at column m of the echelon of the augmented rows means no
-    solution; otherwise c is read off the back-eliminated rows: the
-    canonical RREF solution, with every free coefficient zero.  The same
-    echelon gives the rank, since rank [A | b] = rank A exactly when a
-    solution exists."""
+    solution; otherwise c is the canonical RREF solution, with every
+    free coefficient zero, found by back-substituting the target column
+    alone over the echelon rows in descending pivot order (no row is
+    back-eliminated).  The same echelon gives the rank, since
+    rank [A | b] = rank A exactly when a solution exists."""
     m = len(columns)
     rows: dict = {}
     for k, col in enumerate(columns):
@@ -327,6 +328,11 @@ def solve_columns(field: Field, columns: Sequence[dict], target: dict) -> tuple:
         return None, acc.rank - 1
     z = field.zero
     coeffs = [z] * m
-    for p, row in acc.reduced_rows().items():
-        coeffs[p] = row.get(m, z)
+    for p in sorted(acc.rows, reverse=True):
+        row = acc.rows[p]
+        c = row.get(m, z)
+        for k, v in row.items():
+            if k != p and k != m and coeffs[k]:
+                c = c - v * coeffs[k]
+        coeffs[p] = c
     return coeffs, acc.rank

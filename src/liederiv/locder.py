@@ -529,15 +529,34 @@ def certify_local_symbolic(
         raise CertificationError(f"algebra dimension {d} exceeds the certifier bound {dim_bound}")
     if der.subspace.contains(flatten_map(delta)):
         return LocalityCertificate(True, None, ("member of Der",), True)
+    # the Der-block rank at each point with a verified witness, by
+    # normalized key: one solve per point up to a nonzero scalar
+    memo: dict = {}
     # cheap concrete refutations first: basis vectors and short combinations
     for x in _scan_elements(L):
-        if witness(L, der, delta, x) is None:
+        if _point_rank(L, der, delta, x, memo) is None:
             return LocalityCertificate(False, x, (f"refuted at {probe_label(x)}",))
     strata: list[str] = []
     rng = random.Random(0xCE27)
     top = tuple(L.basis_element(i) for i in range(d))
-    refut = _certify_on(L, der, delta, top, strata, rng)
+    refut = _certify_on(L, der, delta, top, strata, rng, memo)
     return LocalityCertificate(refut is None, refut, tuple(strata))
+
+
+def _point_rank(L, der, delta, x: AlgebraElement, memo: dict) -> Optional[int]:
+    """The rank of the Der block [D_1(x) | .. | D_m(x)] when Delta(x) lies
+    in W_x, else None; x is nonzero.  ``memo`` maps the normalized key of
+    every point with a verified witness to that rank, so a nonzero
+    multiple of such a point is not solved again: D_k(cx) = c D_k(x) and
+    Delta(cx) = c Delta(x) give the same witness and the same rank."""
+    key = _normalized_key([(j, c) for j, c in enumerate(x.coords) if c])
+    rank = memo.get(key)
+    if rank is None:
+        coeffs, rank = _solve_images(L.field, _images(der.columns + (delta.sparse_columns(),), x))
+        if coeffs is None:
+            return None
+        memo[key] = rank
+    return rank
 
 
 def _scan_elements(L: LieAlgebra):
@@ -558,11 +577,12 @@ def _scan_elements(L: LieAlgebra):
 _MINOR_BUDGET = 20000
 
 
-def _certify_on(L, der, delta, basis: tuple, strata, rng, depth=0):
+def _certify_on(L, der, delta, basis: tuple, strata, rng, memo: dict, depth=0):
     """Certify membership on the stratum {x = sum_t y_t b_t} spanned by the
     tuple ``basis`` of algebra elements b_t; returns the refuting element,
     or None.  Sample points and the linear forms of the minors both come
-    from sparse image passes."""
+    from sparse image passes; every point is solved through ``memo``
+    (``_point_rank``)."""
     d = L.dim
     m = der.dim
     dim_u = len(basis)
@@ -576,11 +596,9 @@ def _certify_on(L, der, delta, basis: tuple, strata, rng, depth=0):
         x = _apply_basis(L, basis, pt)
         if x.is_zero():
             continue
-        # one image pass and one echelon give the witness solve and the
-        # rank of the Der block at pt, the image matrix [D_1(x) | .. | D_m(x)]
-        images = _images(der.columns + (delta.sparse_columns(),), x)
-        coeffs, rank = _solve_images(L.field, images)
-        if coeffs is None:
+        # the witness solve at pt also gives the rank of the Der block there
+        rank = _point_rank(L, der, delta, x, memo)
+        if rank is None:
             strata.append(f"{indent}refuted at sampled point {probe_label(x)}")
             return x
         if rank > best_rank:
@@ -607,7 +625,7 @@ def _certify_on(L, der, delta, basis: tuple, strata, rng, depth=0):
             break
         pt = _point_where_nonzero(bad, rng)
         x = _apply_basis(L, basis, pt)
-        if not x.is_zero() and witness(L, der, delta, x) is None:
+        if not x.is_zero() and _point_rank(L, der, delta, x, memo) is None:
             strata.append(f"{indent}refuted via nonzero bordered minor at {probe_label(x)}")
             return x
         # membership holds at pt although a bordered (r+1)-minor is nonzero
@@ -620,7 +638,9 @@ def _certify_on(L, der, delta, basis: tuple, strata, rng, depth=0):
         # column vanish identically on this stratum
         return None
     for ell in _rank_drop_cuts(L, der, basis, a_sub, r, best_point, rng):
-        refut = _certify_on(L, der, delta, _hyperplane_basis(basis, ell), strata, rng, depth + 1)
+        refut = _certify_on(
+            L, der, delta, _hyperplane_basis(basis, ell), strata, rng, memo, depth + 1
+        )
         if refut is not None:
             return refut
     return None
@@ -631,7 +651,16 @@ def _sample_point(rng, dim_u):
 
 
 def _apply_basis(L, basis: tuple, point) -> AlgebraElement:
-    return sum((b.scale(y) for b, y in zip(basis, point) if y), L.zero_element())
+    """x = sum_t y_t b_t, summed coordinate by coordinate into one element."""
+    coerce = L.field.coerce
+    coords = [L.field.zero] * L.dim
+    for b, y in zip(basis, point):
+        if y:
+            y = coerce(y)
+            for i, a in enumerate(b.coords):
+                if a:
+                    coords[i] = coords[i] + y * a
+    return AlgebraElement(L, tuple(coords))
 
 
 def _stratum_block(L, der, delta, basis: tuple) -> list:

@@ -181,6 +181,16 @@ def test_coerce_scalar_field_mismatch():
     assert FIELD_QI.coerce(Fraction(1, 2)) == GaussianRational(Fraction(1, 2))
 
 
+def test_coerce_keeps_an_exact_fraction_and_converts_the_rest():
+    f = Fraction(-7, 3)
+    assert FIELD_Q.coerce(f) is f
+    assert type(FIELD_Q.coerce(5)) is Fraction and FIELD_Q.coerce(5) == 5
+    real = FIELD_Q.coerce(GaussianRational(f))
+    assert type(real) is Fraction and real == f
+    with pytest.raises(FieldMismatchError):
+        FIELD_Q.coerce(GaussianRational(f, 1))
+
+
 small_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
 

@@ -246,6 +246,12 @@ def test_gaussian_field_algebra_accepts_imaginary_coefficients():
     assert bracket(x, y).coords == L.from_terms({"z": 1}).coords
 
 
+@pytest.mark.parametrize("build", [lambda: make_abelian(2, "Qi"), lambda: make_heisenberg(1, "Qi")])
+def test_a_field_tag_string_is_not_a_field(build):
+    with pytest.raises(TypeError, match=r"FIELD_Q or FIELD_QI, got 'Qi'"):
+        build()
+
+
 def test_algebras_copy_and_pickle():
     for L in (make_schrodinger(2), make_heisenberg(1, FIELD_QI)):
         for M in copies(L):

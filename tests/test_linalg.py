@@ -327,6 +327,15 @@ def test_solve_columns_gives_the_rank_and_solves_exactly_inside_the_span(case):
     if coeffs is not None:
         z = field.zero
         assert [sum((c * col[i] for c, col in zip(coeffs, cols)), z) for i in range(nrows)] == target
+        # the canonical solution: the RREF read-out of the augmented echelon,
+        # with every free coefficient zero
+        m = len(cols)
+        acc = SparseEchelon(m + 1)
+        for i in range(nrows):
+            acc.insert({k: x for k, x in enumerate([col[i] for col in cols] + [target[i]]) if x})
+        reduced = acc.reduced_rows()
+        assert coeffs == [reduced[k].get(m, z) if k in reduced else z for k in range(m)]
+        assert all(not coeffs[k] for k in range(m) if k not in acc.rows)
 
 
 def test_matrices_and_subspaces_copy_and_pickle():

@@ -8,6 +8,7 @@ from liederiv.exactfield import FIELD_Q, FIELD_QI, GaussianRational, inv
 from liederiv.liealg import ad, make_abelian, make_heisenberg, make_schrodinger
 from liederiv.linalg import Matrix, SparseEchelon, Subspace, sparse_add
 from liederiv.dersolve import DerivationSpace, derivation_space, is_derivation
+from liederiv import locder
 from liederiv.locder import (
     CandidateSpace,
     CertificationError,
@@ -477,33 +478,32 @@ def test_sparse_witness_agrees_with_dense_oracle(case):
         assert w == oracle
 
 
-def test_witness_recheck_fires_on_a_corrupted_solve(monkeypatch):
+def _heisenberg2_zz():
     H = make_heisenberg(2)
-    der = derivation_space(H)
     rows = [[Fraction(0)] * 5 for _ in range(5)]
     rows[H.index["z"]][H.index["z"]] = Fraction(1)
-    delta = Matrix(FIELD_Q, rows)
+    return H, derivation_space(H), Matrix(FIELD_Q, rows)
+
+
+def test_witness_recheck_fires_on_a_corrupted_solve(monkeypatch):
+    H, der, delta = _heisenberg2_zz()
     x = H.from_terms({"z": 1, "u_1": 1, "v_2": -1})
     assert witness(H, der, delta, x) is not None
-    true_read_out = SparseEchelon.reduced_rows
+    true_solve = locder.solve_columns
 
-    def corrupted(self):
-        # shift the read-out coefficient of every pivot by one; the pivot
-        # images are independent, so the combination moves off Delta(x)
-        m = self.ncols - 1
-        return {p: {**row, m: row.get(m, 0) + 1} for p, row in true_read_out(self).items()}
+    def corrupted(field, columns, target):
+        # shift every coefficient of a solvable system by one; the images
+        # D_k(x) sum to a nonzero vector, so the combination moves off Delta(x)
+        coeffs, rank = true_solve(field, columns, target)
+        return (None if coeffs is None else [c + 1 for c in coeffs]), rank
 
-    monkeypatch.setattr(SparseEchelon, "reduced_rows", corrupted)
+    monkeypatch.setattr(locder, "solve_columns", corrupted)
     with pytest.raises(AssertionError, match="witness solve failed to verify"):
         witness(H, der, delta, x)
 
 
 def test_certifier_makes_no_dense_matvec(monkeypatch):
-    H = make_heisenberg(2)
-    der = derivation_space(H)
-    rows = [[Fraction(0)] * 5 for _ in range(5)]
-    rows[H.index["z"]][H.index["z"]] = Fraction(1)
-    delta = Matrix(FIELD_Q, rows)
+    H, der, delta = _heisenberg2_zz()
     calls = []
     true_matvec = matvec
 
@@ -515,6 +515,59 @@ def test_certifier_makes_no_dense_matvec(monkeypatch):
     cert = certify_local_symbolic(H, der, delta)
     assert cert.certified
     assert len(calls) == 0
+
+
+def _count_solves(monkeypatch) -> list:
+    solves = []
+    true_solve = locder._solve_images
+
+    def counting(field, images):
+        solves.append(1)
+        return true_solve(field, images)
+
+    monkeypatch.setattr(locder, "_solve_images", counting)
+    return solves
+
+
+def test_certifier_solves_each_point_once_up_to_scaling(monkeypatch):
+    H, der, delta = _heisenberg2_zz()
+    solves = _count_solves(monkeypatch)
+    keys = []
+    true_rank = locder._point_rank
+
+    def recording(L, der_, delta_, x, memo):
+        keys.append(locder._normalized_key([(j, c) for j, c in enumerate(x.coords) if c]))
+        return true_rank(L, der_, delta_, x, memo)
+
+    monkeypatch.setattr(locder, "_point_rank", recording)
+    cert = certify_local_symbolic(H, der, delta)
+    assert cert.certified and len(cert.strata) == 66
+    # 972 points are looked at, 507 of them distinct up to a nonzero scalar
+    assert len(keys) == 972
+    assert len(solves) == len(set(keys)) == 507
+    # the memo lives for one call: a second certification solves again
+    assert certify_local_symbolic(H, der, delta) == cert
+    assert len(solves) == 2 * 507
+
+
+def test_a_point_and_its_multiple_share_one_solve(monkeypatch):
+    H, der, delta = _heisenberg2_zz()
+    solves = _count_solves(monkeypatch)
+    x = H.from_terms({"z": 1, "u_1": 1, "v_2": -1})
+    memo: dict = {}
+    rank = locder._point_rank(H, der, delta, x, memo)
+    assert locder._point_rank(H, der, delta, x.scale(3), memo) == rank
+    assert len(solves) == 1 and list(memo.values()) == [rank]
+    # witness keeps no memo: it solves on every call
+    for y in (x, x.scale(3), x):
+        assert witness(H, der, delta, y) is not None
+    assert len(solves) == 4
+    # a refuting point gives None at once and is not remembered
+    rows = [[Fraction(0)] * 5 for _ in range(5)]
+    rows[H.index["u_1"]][H.index["z"]] = Fraction(1)
+    memo = {}
+    assert locder._point_rank(H, der, Matrix(FIELD_Q, rows), H.from_terms({"z": 1}), memo) is None
+    assert memo == {} and len(solves) == 5
 
 
 def test_certifier_accepts_pure_local_map():
