@@ -16,7 +16,6 @@ from .exactfield import FIELD_Q, FIELD_QI, field_of, format_scalar
 from .liealg import (
     JacobiError,
     LieAlgebra,
-    check_jacobi,
     load,
     make_abelian,
     make_heisenberg,
@@ -121,30 +120,33 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_jacobi(args) -> int:
+    # loading checks the Jacobi identity, so a loaded algebra satisfies it
     try:
         L = _load_algebra(args.input)
     except JacobiError as exc:
         _emit({"algebra": args.input, "jacobi": False, "failing_triple": list(exc.triple)})
         return 2
-    verdict = check_jacobi(L)
     _emit(
         {
             "algebra": L.name,
             "dim": L.dim,
             "field": L.field.tag,
-            "jacobi": verdict.ok,
-            "failing_triple": list(verdict.failing_triple) if verdict.failing_triple else None,
+            "jacobi": True,
+            "failing_triple": None,
         }
     )
-    return 0 if verdict.ok else 2
+    return 0
 
 
 def _algebra_from_args(args) -> LieAlgebra:
-    if getattr(args, "input", None):
+    if args.input:
+        # the file fixes the algebra and its field
+        if args.n is not None or args.field is not None:
+            raise CliError("--n and --field do not apply to an algebra file")
         return _load_algebra(args.input)
-    if getattr(args, "n", None) is None:
+    if args.n is None:
         raise CliError("provide an algebra file or --n for the Schrodinger algebra")
-    return make_schrodinger(args.n, args.field)
+    return make_schrodinger(args.n, args.field or FIELD_Q)
 
 
 def _cmd_der(args) -> int:
@@ -296,7 +298,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_n=False, with_input=False, with_seed=False):
-        p.add_argument("--field", choices=[FIELD_Q.tag, FIELD_QI.tag], default=FIELD_Q.tag)
+        # with an algebra file, --field stays None unless given (a usage error)
+        default = None if with_input else FIELD_Q.tag
+        p.add_argument("--field", choices=[FIELD_Q.tag, FIELD_QI.tag], default=default)
         p.add_argument("-o", "--output", metavar="PATH", default=None)
         if with_n:
             p.add_argument("--n", type=int, default=None)
@@ -371,7 +375,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         # the tag turns into a Field after parsing, so that argparse's own
         # choices check reports an unknown --field
-        if "field" in vars(args):
+        if vars(args).get("field"):
             args.field = field_of(args.field)
         return args.func(args)
     except (CliError, OSError, ValueError) as exc:

@@ -108,12 +108,13 @@ class DerivationSpace:
     columns of the k-th basis map, read straight off the k-th row of
     ``subspace``, the canonical embedding of Der in the map space.
 
-    An image D_k(x) costs only the support of x; the probe fold,
-    ``locder.witness`` and the symbolic certifier form every image from
-    ``columns``.  The per-row Der-annihilation check of a constraint row
-    reads ``subspace.rows`` instead, through ``column_index``, so a fault
-    in the columns, and in the images built from them, cannot hide
-    itself from that check.
+    An image D_k(x) costs only the support of x; the probe fold forms
+    every image from ``columns``, and ``locder.witness`` and the symbolic
+    certifier from ``columns`` plus the sparse columns of Delta, which
+    the certifier builds once per call.  The per-row Der-annihilation
+    check of a constraint row reads ``subspace.rows`` instead, through
+    ``column_index``, so a fault in the columns, and in the images built
+    from them, cannot hide itself from that check.
     """
 
     algebra: LieAlgebra

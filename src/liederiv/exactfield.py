@@ -140,12 +140,6 @@ class GaussianRational:
     def __pos__(self):
         return self
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def norm_sq(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 

@@ -37,7 +37,7 @@ class LieAlgebra:
 
     __slots__ = ("name", "field", "labels", "index", "table")
 
-    def __init__(self, name: str, field: Field, labels: Sequence[str], brackets, check=True):
+    def __init__(self, name: str, field: Field, labels: Sequence[str], brackets):
         """brackets: {(i, j): {k: scalar}} for i < j, giving [b_i, b_j] = sum c^k b_k."""
         if not isinstance(field, Field):
             raise TypeError(f"field must be FIELD_Q or FIELD_QI, got {field!r}")
@@ -62,10 +62,9 @@ class LieAlgebra:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "index", {lab: i for i, lab in enumerate(labels)})
         object.__setattr__(self, "table", table)
-        if check:
-            verdict = check_jacobi(self)
-            if not verdict.ok:
-                raise JacobiError(verdict.failing_triple)
+        verdict = check_jacobi(self)
+        if not verdict.ok:
+            raise JacobiError(verdict.failing_triple)
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
@@ -103,9 +102,6 @@ class LieAlgebra:
 
     def element(self, coords: Sequence) -> "AlgebraElement":
         return AlgebraElement(self, tuple(map(self.field.coerce, coords)))
-
-    def zero_element(self) -> "AlgebraElement":
-        return self.element([self.field.zero] * self.dim)
 
     def basis_element(self, i: int) -> "AlgebraElement":
         coords = [self.field.zero] * self.dim
@@ -293,22 +289,6 @@ def make_schrodinger_labels(n: int) -> tuple:
     labels += [f"u_{k}" for k in range(1, n + 1)]
     labels += [f"v_{k}" for k in range(1, n + 1)]
     return tuple(labels)
-
-
-def restrict(L: LieAlgebra, labels: Sequence[str], name: str) -> LieAlgebra:
-    """Subalgebra on a subset of basis labels (must be bracket-closed)."""
-    idx = [L.index[lab] for lab in labels]
-    pos = {b: a for a, b in enumerate(idx)}
-    br = {}
-    for (i, j), terms in L.table.items():
-        if i in pos and j in pos:
-            sub = {}
-            for k, c in terms.items():
-                if k not in pos:
-                    raise ValueError("label subset is not bracket-closed")
-                sub[pos[k]] = c
-            br[(pos[i], pos[j])] = sub
-    return LieAlgebra(name, L.field, list(labels), br)
 
 
 def save(L: LieAlgebra, path: str) -> None:

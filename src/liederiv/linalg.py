@@ -18,7 +18,7 @@ from .exactfield import Field, FieldMismatchError, inv
 class Matrix:
     """Immutable dense matrix of exact scalars over a field."""
 
-    __slots__ = ("field", "nrows", "ncols", "entries", "_columns")
+    __slots__ = ("field", "nrows", "ncols", "entries")
 
     def __init__(self, field: Field, entries: Sequence[Sequence]):
         rows = tuple(tuple(map(field.coerce, row)) for row in entries)
@@ -29,7 +29,6 @@ class Matrix:
         object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", ncols)
         object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "_columns", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -38,12 +37,8 @@ class Matrix:
         return Matrix, (self.field, self.entries)
 
     def sparse_columns(self) -> tuple:
-        """Column j as a ``{row: entry}`` dict of its nonzero entries, built
-        once and then shared (callers must not mutate it)."""
-        if self._columns is None:
-            cols = tuple({r: x for r, x in enumerate(col) if x} for col in zip(*self.entries))
-            object.__setattr__(self, "_columns", cols)
-        return self._columns
+        """Column j as a ``{row: entry}`` dict of its nonzero entries."""
+        return tuple({r: x for r, x in enumerate(col) if x} for col in zip(*self.entries))
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):

@@ -203,8 +203,6 @@ def constrain(
     x = probe.element
     if x.algebra != L:
         raise ValueError("probe element belongs to a different algebra")
-    if x.is_zero():
-        raise ValueError("zero probe carries no information")
     support = [(j, xj) for j, xj in enumerate(x.coords) if xj]
     key = _normalized_key(support)
     if key in acc.seen:
@@ -455,18 +453,19 @@ def witness(
     L: LieAlgebra, der: DerivationSpace, delta: Matrix, x: AlgebraElement
 ) -> Optional[tuple]:
     """Coefficients c over the Der basis with sum c_k D_k(x) = Delta(x);
-    None when the probe refutes locality of Delta.
-
-    The images D_k(x) and Delta(x) come from one sparse pass over the
-    support of x; the coefficients are the canonical RREF solution of
-    ``solve_columns``, re-checked exactly against Delta(x)."""
-    return _solve_images(L.field, _images(der.columns + (delta.sparse_columns(),), x))[0]
+    None when the probe refutes locality of Delta."""
+    return _solve_point(L.field, der.columns + (delta.sparse_columns(),), x)[0]
 
 
-def _solve_images(field: Field, images: list) -> tuple:
-    """``witness`` given the images [D_1(x), .., D_m(x), Delta(x)], paired
-    with the rank of the Der block [D_1(x) | .. | D_m(x)]."""
-    *der_images, target = images
+def _solve_point(field: Field, columns: tuple, x: AlgebraElement) -> tuple:
+    """(c, rank) for the maps [D_1, .., D_m, Delta] given by their sparse
+    ``columns``: c is the ``witness`` of x, and rank that of the Der block
+    [D_1(x) | .. | D_m(x)].
+
+    The images come from one sparse pass over the support of x; c is the
+    canonical RREF solution of ``solve_columns``, re-checked exactly
+    against Delta(x)."""
+    *der_images, target = _images(columns, x)
     coeffs, rank = solve_columns(field, der_images, target)
     if coeffs is None:
         return None, rank
@@ -484,27 +483,25 @@ def _solve_images(field: Field, images: list) -> tuple:
 # symbolic certification
 
 
+_DIM_BOUND = 9
+_MINOR_BUDGET = 20000
+
+
 @dataclass(frozen=True)
 class LocalityCertificate:
     """The verdict of ``certify_local_symbolic``: whether Delta is local,
-    the element refuting it (None when certified), one line of text per
-    stratum settled or refuted, and whether Delta already lies in Der."""
+    the element refuting it (None when certified) and one line of text
+    per stratum settled or refuted."""
 
     certified: bool
     refutation: Optional[AlgebraElement]
     strata: tuple
-    is_derivation_member: bool = False
 
     def __bool__(self):
         return self.certified
 
 
-def certify_local_symbolic(
-    L: LieAlgebra,
-    der: DerivationSpace,
-    delta: Matrix,
-    dim_bound: int = 9,
-) -> LocalityCertificate:
+def certify_local_symbolic(L: LieAlgebra, der: DerivationSpace, delta: Matrix) -> LocalityCertificate:
     """Decide whether Delta(x) in W_x holds for every x, symbolically.
 
     The certificate stacks M(x) = [D_1(x) | .. | D_m(x) | Delta(x)] with
@@ -525,25 +522,27 @@ def certify_local_symbolic(
     at a concrete point.
     """
     d = L.dim
-    if d > dim_bound:
-        raise CertificationError(f"algebra dimension {d} exceeds the certifier bound {dim_bound}")
+    if d > _DIM_BOUND:
+        raise CertificationError(f"algebra dimension {d} exceeds the certifier bound {_DIM_BOUND}")
     if der.subspace.contains(flatten_map(delta)):
-        return LocalityCertificate(True, None, ("member of Der",), True)
+        return LocalityCertificate(True, None, ("member of Der",))
+    # the sparse columns of [D_1, .., D_m, Delta], built once for the call
+    columns = der.columns + (delta.sparse_columns(),)
     # the Der-block rank at each point with a verified witness, by
     # normalized key: one solve per point up to a nonzero scalar
     memo: dict = {}
     # cheap concrete refutations first: basis vectors and short combinations
     for x in _scan_elements(L):
-        if _point_rank(L, der, delta, x, memo) is None:
+        if _point_rank(L.field, columns, x, memo) is None:
             return LocalityCertificate(False, x, (f"refuted at {probe_label(x)}",))
     strata: list[str] = []
     rng = random.Random(0xCE27)
     top = tuple(L.basis_element(i) for i in range(d))
-    refut = _certify_on(L, der, delta, top, strata, rng, memo)
+    refut = _certify_on(L, der, columns, top, strata, rng, memo)
     return LocalityCertificate(refut is None, refut, tuple(strata))
 
 
-def _point_rank(L, der, delta, x: AlgebraElement, memo: dict) -> Optional[int]:
+def _point_rank(field: Field, columns: tuple, x: AlgebraElement, memo: dict) -> Optional[int]:
     """The rank of the Der block [D_1(x) | .. | D_m(x)] when Delta(x) lies
     in W_x, else None; x is nonzero.  ``memo`` maps the normalized key of
     every point with a verified witness to that rank, so a nonzero
@@ -552,7 +551,7 @@ def _point_rank(L, der, delta, x: AlgebraElement, memo: dict) -> Optional[int]:
     key = _normalized_key([(j, c) for j, c in enumerate(x.coords) if c])
     rank = memo.get(key)
     if rank is None:
-        coeffs, rank = _solve_images(L.field, _images(der.columns + (delta.sparse_columns(),), x))
+        coeffs, rank = _solve_point(field, columns, x)
         if coeffs is None:
             return None
         memo[key] = rank
@@ -574,15 +573,12 @@ def _scan_elements(L: LieAlgebra):
         yield _random_sparse_element(L, rng, ordered=False)
 
 
-_MINOR_BUDGET = 20000
-
-
-def _certify_on(L, der, delta, basis: tuple, strata, rng, memo: dict, depth=0):
+def _certify_on(L, der, columns: tuple, basis: tuple, strata, rng, memo: dict, depth=0):
     """Certify membership on the stratum {x = sum_t y_t b_t} spanned by the
     tuple ``basis`` of algebra elements b_t; returns the refuting element,
     or None.  Sample points and the linear forms of the minors both come
-    from sparse image passes; every point is solved through ``memo``
-    (``_point_rank``)."""
+    from sparse image passes over ``columns``, those of [D_1, .., D_m,
+    Delta]; every point is solved through ``memo`` (``_point_rank``)."""
     d = L.dim
     m = der.dim
     dim_u = len(basis)
@@ -597,13 +593,13 @@ def _certify_on(L, der, delta, basis: tuple, strata, rng, memo: dict, depth=0):
         if x.is_zero():
             continue
         # the witness solve at pt also gives the rank of the Der block there
-        rank = _point_rank(L, der, delta, x, memo)
+        rank = _point_rank(L.field, columns, x, memo)
         if rank is None:
             strata.append(f"{indent}refuted at sampled point {probe_label(x)}")
             return x
         if rank > best_rank:
             best_rank, best_point = rank, pt
-    *a_sub, b_sub = _stratum_block(L, der, delta, basis)
+    *a_sub, b_sub = _stratum_block(L, columns, basis)
     r = max(best_rank, 0)
     while r < d:
         count = comb(d, r + 1) * comb(m, r)
@@ -625,7 +621,7 @@ def _certify_on(L, der, delta, basis: tuple, strata, rng, memo: dict, depth=0):
             break
         pt = _point_where_nonzero(bad, rng)
         x = _apply_basis(L, basis, pt)
-        if not x.is_zero() and _point_rank(L, der, delta, x, memo) is None:
+        if not x.is_zero() and _point_rank(L.field, columns, x, memo) is None:
             strata.append(f"{indent}refuted via nonzero bordered minor at {probe_label(x)}")
             return x
         # membership holds at pt although a bordered (r+1)-minor is nonzero
@@ -639,7 +635,7 @@ def _certify_on(L, der, delta, basis: tuple, strata, rng, memo: dict, depth=0):
         return None
     for ell in _rank_drop_cuts(L, der, basis, a_sub, r, best_point, rng):
         refut = _certify_on(
-            L, der, delta, _hyperplane_basis(basis, ell), strata, rng, memo, depth + 1
+            L, der, columns, _hyperplane_basis(basis, ell), strata, rng, memo, depth + 1
         )
         if refut is not None:
             return refut
@@ -663,11 +659,11 @@ def _apply_basis(L, basis: tuple, point) -> AlgebraElement:
     return AlgebraElement(L, tuple(coords))
 
 
-def _stratum_block(L, der, delta, basis: tuple) -> list:
+def _stratum_block(L, columns: tuple, basis: tuple) -> list:
     """The linear forms of M(x) on the stratum x = sum_t y_t b_t, one image
-    pass per b_t: entry [k][i] is sum_t D_k(b_t)[i] y_t, and k = m is Delta."""
+    pass per b_t over the ``columns`` of [D_1, .., D_m, Delta]: entry
+    [k][i] is sum_t D_k(b_t)[i] y_t, and k = m is Delta."""
     dim_u = len(basis)
-    columns = der.columns + (delta.sparse_columns(),)
     images = [_images(columns, b) for b in basis]
     units = [tuple(int(s == t) for s in range(dim_u)) for t in range(dim_u)]
     return [
@@ -679,8 +675,8 @@ def _stratum_block(L, der, delta, basis: tuple) -> list:
     ]
 
 
-def _point_where_nonzero(p: MultiPoly, rng, tries: int = 2000):
-    for _ in range(tries):
+def _point_where_nonzero(p: MultiPoly, rng):
+    for _ in range(2000):
         pt = _sample_point(rng, p.nvars)
         if p.evaluate(pt):
             return pt

@@ -386,6 +386,34 @@ def test_negative_probe_limits_are_usage_errors(capsys, command, option):
     assert errors == [f"error: argument {option}: expected a non-negative integer, got -1"]
 
 
+def test_jacobi_command_checks_the_identity_once(tmp_path, capsys, monkeypatch):
+    path = write_h1_with(tmp_path, lambda doc: None)
+    passes = []
+    check = liealg.check_jacobi
+    for module in (liealg, cli):
+        monkeypatch.setattr(
+            module, "check_jacobi", lambda L: passes.append(L.name) or check(L), raising=False
+        )
+    code, out, _ = run_cli(capsys, "jacobi", str(path))
+    assert code == 0 and json.loads(out)["jacobi"] is True
+    assert passes == ["heisenberg_1"]
+
+
+@pytest.mark.parametrize("command", ["der", "locder-basis", "locder-random", "decompose"])
+@pytest.mark.parametrize(
+    "option", [["--field", "Qi"], ["--field", "Q"], ["--n", "1"]], ids=["Qi", "Q", "n"]
+)
+def test_n_and_field_next_to_an_algebra_file_are_usage_errors(tmp_path, capsys, command, option):
+    # the file fixes the algebra and its field; S_1 runs every command
+    alg, mp = tmp_path / "s1.json", tmp_path / "zero.json"
+    alg.write_text(to_json(make_schrodinger(1)))
+    mp.write_text(json.dumps({"matrix": [["0"] * 6 for _ in range(6)]}))
+    argv = [command, str(alg), *option] + (["--map", str(mp)] if command == "decompose" else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert_one_line_error(code, out, err)
+    assert err == "error: --n and --field do not apply to an algebra file\n"
+
+
 def _not_json(text):
     try:
         json.loads(text)

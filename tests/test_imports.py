@@ -2,6 +2,7 @@
 ``src/liederiv`` names a standard-library module."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -57,3 +58,39 @@ def test_only_exactfield_spells_a_field_tag():
             if isinstance(node, ast.Constant) and node.value in ("Q", "Qi")
         ]
     assert spelled == []
+
+
+def test_every_definition_is_named_elsewhere_in_the_package():
+    # a module-level function or class, or a non-dunder method, that no
+    # code in the package names (an ``__init__`` export counts) is dead
+    # weight; a method overriding a standard-library base (argparse's
+    # ``error``) is called by that base
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    defs = ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
+    unnamed = []
+    for module, tree in sorted(trees.items()):
+        for node in tree.body:
+            if isinstance(node, defs) and node.name not in named:
+                unnamed.append(f"{module}.{node.name}")
+            if not isinstance(node, ast.ClassDef):
+                continue
+            cls = getattr(importlib.import_module(f"liederiv.{module}"), node.name)
+            stdlib_bases = [b for b in cls.__mro__[1:] if not b.__module__.startswith("liederiv")]
+            for item in node.body:
+                if (
+                    isinstance(item, defs)
+                    and not (item.name.startswith("__") and item.name.endswith("__"))
+                    and item.name not in named
+                    and not any(hasattr(b, item.name) for b in stdlib_bases)
+                ):
+                    unnamed.append(f"{module}.{node.name}.{item.name}")
+    assert unnamed == []

@@ -242,7 +242,7 @@ def test_constrain_rejects_zero_and_foreign_probes():
     der = derivation_space(L)
     acc = CandidateSpace.full(L)
     with pytest.raises(ValueError):
-        Probe(L.zero_element(), "0")
+        Probe(L.from_terms({}), "0")
     other = make_schrodinger(2)
     with pytest.raises(ValueError):
         constrain(acc, L, der, make_probe(other, {"e": 1}, "e"))
@@ -519,13 +519,13 @@ def test_certifier_makes_no_dense_matvec(monkeypatch):
 
 def _count_solves(monkeypatch) -> list:
     solves = []
-    true_solve = locder._solve_images
+    true_solve = locder._solve_point
 
-    def counting(field, images):
+    def counting(field, columns, x):
         solves.append(1)
-        return true_solve(field, images)
+        return true_solve(field, columns, x)
 
-    monkeypatch.setattr(locder, "_solve_images", counting)
+    monkeypatch.setattr(locder, "_solve_point", counting)
     return solves
 
 
@@ -535,9 +535,9 @@ def test_certifier_solves_each_point_once_up_to_scaling(monkeypatch):
     keys = []
     true_rank = locder._point_rank
 
-    def recording(L, der_, delta_, x, memo):
+    def recording(field, columns, x, memo):
         keys.append(locder._normalized_key([(j, c) for j, c in enumerate(x.coords) if c]))
-        return true_rank(L, der_, delta_, x, memo)
+        return true_rank(field, columns, x, memo)
 
     monkeypatch.setattr(locder, "_point_rank", recording)
     cert = certify_local_symbolic(H, der, delta)
@@ -554,9 +554,10 @@ def test_a_point_and_its_multiple_share_one_solve(monkeypatch):
     H, der, delta = _heisenberg2_zz()
     solves = _count_solves(monkeypatch)
     x = H.from_terms({"z": 1, "u_1": 1, "v_2": -1})
+    columns = der.columns + (delta.sparse_columns(),)
     memo: dict = {}
-    rank = locder._point_rank(H, der, delta, x, memo)
-    assert locder._point_rank(H, der, delta, x.scale(3), memo) == rank
+    rank = locder._point_rank(H.field, columns, x, memo)
+    assert locder._point_rank(H.field, columns, x.scale(3), memo) == rank
     assert len(solves) == 1 and list(memo.values()) == [rank]
     # witness keeps no memo: it solves on every call
     for y in (x, x.scale(3), x):
@@ -565,9 +566,24 @@ def test_a_point_and_its_multiple_share_one_solve(monkeypatch):
     # a refuting point gives None at once and is not remembered
     rows = [[Fraction(0)] * 5 for _ in range(5)]
     rows[H.index["u_1"]][H.index["z"]] = Fraction(1)
+    columns = der.columns + (Matrix(FIELD_Q, rows).sparse_columns(),)
     memo = {}
-    assert locder._point_rank(H, der, Matrix(FIELD_Q, rows), H.from_terms({"z": 1}), memo) is None
+    assert locder._point_rank(H.field, columns, H.from_terms({"z": 1}), memo) is None
     assert memo == {} and len(solves) == 5
+
+
+def test_certifier_builds_the_map_columns_once(monkeypatch):
+    H, der, delta = _heisenberg2_zz()
+    calls = []
+    true_columns = Matrix.sparse_columns
+
+    def counting(self):
+        calls.append(1)
+        return true_columns(self)
+
+    monkeypatch.setattr(Matrix, "sparse_columns", counting)
+    assert certify_local_symbolic(H, der, delta).certified
+    assert len(calls) == 1
 
 
 def test_certifier_accepts_pure_local_map():
@@ -576,7 +592,7 @@ def test_certifier_accepts_pure_local_map():
     assert not is_derivation(H, delta).ok
     cert = certify_local_symbolic(H, der, delta)
     assert cert.certified and cert.refutation is None
-    assert not cert.is_derivation_member
+    assert cert.strata != ("member of Der",)
 
 
 def test_certifier_refutes_central_escape():
@@ -598,7 +614,7 @@ def test_certifier_short_circuits_derivations():
     der = derivation_space(H)
     for D in dense_der_basis(der)[:3]:
         cert = certify_local_symbolic(H, der, D)
-        assert cert.certified and cert.is_derivation_member
+        assert cert.certified and cert.strata == ("member of Der",)
 
 
 def test_certifier_certifies_non_derivation_local_maps_on_schrodinger():
@@ -607,7 +623,7 @@ def test_certifier_certifies_non_derivation_local_maps_on_schrodinger():
     L = make_schrodinger(1)
     der = derivation_space(L)
     cert = certify_local_symbolic(L, der, tau(1))
-    assert cert.certified and cert.is_derivation_member
+    assert cert.certified and cert.strata == ("member of Der",)
 
 
 def test_certifier_accepts_central_scaling_on_larger_heisenberg():
@@ -694,7 +710,7 @@ def test_stratum_block_evaluates_to_the_images(case):
         assert _apply_basis(L, sub, point) == _apply_basis(L, basis, lifted)
         basis = sub
     x = _apply_basis(L, basis, point)
-    block = _stratum_block(L, der, delta, basis)
+    block = _stratum_block(L, der.columns + (delta.sparse_columns(),), basis)
     assert len(block) == der.dim + 1
     for forms, D in zip(block, dense_der_basis(der) + (delta,)):
         assert [f.evaluate(point) for f in forms] == list(matvec(D, x.coords))
