@@ -22,7 +22,6 @@ from .liealg import (
     load,
     make_abelian,
     make_heisenberg,
-    make_schrodinger,
     make_sl2,
     save,
 )
@@ -43,13 +42,20 @@ from .locder import (
     basis_probe_space,
     certify_local_symbolic,
     constrain,
-    orbit_subspace,
-    schrodinger_probe_schedule,
-    schrodinger_trimmed_schedule,
     random_probe_closure,
-    replay_proof,
     witness,
 )
-from .schrodinger import DerDecomposition, asos_shape_check, decompose, sigma, tau
+from .schrodinger import (
+    DerDecomposition,
+    asos_shape_check,
+    decompose,
+    make_schrodinger,
+    make_schrodinger_labels,
+    replay_proof,
+    schrodinger_rank,
+    schrodinger_trimmed_schedule,
+    sigma,
+    tau,
+)
 
 __version__ = "0.1.0"

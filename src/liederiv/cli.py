@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Optional
 
 from .exactfield import FIELD_Q, FIELD_QI, field_of, format_scalar
 from .liealg import (
@@ -19,9 +20,7 @@ from .liealg import (
     load,
     make_abelian,
     make_heisenberg,
-    make_schrodinger,
     make_sl2,
-    schrodinger_rank,
     to_json,
 )
 from .linalg import Matrix
@@ -35,9 +34,8 @@ from .locder import (
     basis_probe_space,
     certify_local_symbolic,
     random_probe_closure,
-    replay_proof,
 )
-from .schrodinger import decompose, outer_check
+from .schrodinger import decompose, make_schrodinger, outer_check, replay_proof, schrodinger_rank
 
 
 class _Parser(argparse.ArgumentParser):
@@ -120,22 +118,22 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_jacobi(args) -> int:
-    # loading checks the Jacobi identity, so a loaded algebra satisfies it
+    # loading checks the Jacobi identity, so a loaded algebra satisfies it;
+    # a failing file still names its algebra, dimension and field
     try:
-        L = _load_algebra(args.input)
+        L, triple = _load_algebra(args.input), None
     except JacobiError as exc:
-        _emit({"algebra": args.input, "jacobi": False, "failing_triple": list(exc.triple)})
-        return 2
+        L, triple = exc.algebra, list(exc.triple)
     _emit(
         {
             "algebra": L.name,
             "dim": L.dim,
             "field": L.field.tag,
-            "jacobi": True,
-            "failing_triple": None,
+            "jacobi": triple is None,
+            "failing_triple": triple,
         }
     )
-    return 0
+    return 0 if triple is None else 2
 
 
 def _algebra_from_args(args) -> LieAlgebra:
@@ -147,6 +145,11 @@ def _algebra_from_args(args) -> LieAlgebra:
     if args.n is None:
         raise CliError("provide an algebra file or --n for the Schrodinger algebra")
     return make_schrodinger(args.n, args.field or FIELD_Q)
+
+
+def _schrodinger_n(args, L: LieAlgebra) -> Optional[int]:
+    # an algebra built from --n is S_n by construction; only a file needs the check
+    return schrodinger_rank(L) if args.input else args.n
 
 
 def _cmd_der(args) -> int:
@@ -181,14 +184,14 @@ def _cmd_outer_check(args) -> int:
 def _cmd_locder_basis(args) -> int:
     L = _algebra_from_args(args)
     der = derivation_space(L)
-    result = FoldResult(L, schrodinger_rank(L), der, basis_probe_space(L, der))
-    _emit(result.to_report(), args.output)
+    result = FoldResult(L, der, basis_probe_space(L, der))
+    _emit(result.to_report(_schrodinger_n(args, L)), args.output)
     return 0
 
 
 def _cmd_locder_replay(args) -> int:
     result = replay_proof(args.n)
-    _emit(result.to_report(), args.output)
+    _emit(result.to_report(args.n), args.output)
     return 0 if result.equal else 2
 
 
@@ -197,7 +200,7 @@ def _cmd_locder_random(args) -> int:
     result = random_probe_closure(
         L, seed=args.seed, max_probes=args.max_probes, stall_limit=args.stall
     )
-    _emit(result.to_report(), args.output)
+    _emit(result.to_report(_schrodinger_n(args, L)), args.output)
     return 0 if result.equal else 2
 
 
@@ -235,7 +238,7 @@ def _cmd_demo_heisenberg(args) -> int:
     closure = random_probe_closure(
         L, seed=args.seed, max_probes=args.max_probes, stall_limit=args.stall, der=der
     )
-    report = closure.to_report()
+    report = closure.to_report(None)
     report["demo"] = {
         "map": _matrix_text(delta),
         "is_derivation": leibniz.ok,
@@ -251,8 +254,7 @@ def _cmd_demo_heisenberg(args) -> int:
 
 def _cmd_decompose(args) -> int:
     L = _algebra_from_args(args)
-    # an algebra built from --n is S_n by construction; only a file needs the check
-    n = schrodinger_rank(L) if args.input else args.n
+    n = _schrodinger_n(args, L)
     if n is None:
         raise CliError("decompose requires a generated Schrodinger algebra")
     delta = _parse_map(args.map, L)

@@ -3,9 +3,9 @@
 An algebra is a labeled basis plus the sparse tensor c_{ij}^k for i < j
 (antisymmetry supplies the rest).  The Jacobi identity is verified at
 construction and load time, so downstream rank computations can trust
-the tensor.  Generators cover the n-th Schrodinger algebra on basis
-(e, h, f, z, u_1..u_n, v_1..v_n), the Heisenberg algebra on
-(z, u_1..u_n, v_1..v_n), sl2 on (e, h, f), and abelian algebras.
+the tensor.  Generators cover the Heisenberg algebra on
+(z, u_1..u_n, v_1..v_n), sl2 on (e, h, f), and abelian algebras; the
+Schrodinger algebra is built in ``schrodinger``.
 """
 
 from __future__ import annotations
@@ -19,11 +19,14 @@ from .linalg import Matrix, Subspace, SparseEchelon
 
 
 class JacobiError(ValueError):
-    """A bracket table violating the Jacobi identity, with the offending triple."""
+    """A bracket table violating the Jacobi identity, with the offending
+    triple; ``algebra`` is the rejected table, kept for its name,
+    dimension and field (it is not a Lie algebra)."""
 
-    def __init__(self, triple, message=None):
+    def __init__(self, triple, algebra):
         self.triple = triple
-        super().__init__(message or f"Jacobi identity fails on basis triple {triple}")
+        self.algebra = algebra
+        super().__init__(f"Jacobi identity fails on basis triple {triple}")
 
 
 @dataclass(frozen=True)
@@ -64,7 +67,7 @@ class LieAlgebra:
         object.__setattr__(self, "table", table)
         verdict = check_jacobi(self)
         if not verdict.ok:
-            raise JacobiError(verdict.failing_triple)
+            raise JacobiError(verdict.failing_triple, self)
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
@@ -224,32 +227,6 @@ def center(L: LieAlgebra) -> Subspace:
     return acc.nullspace(L.field)
 
 
-def make_schrodinger(n: int, field: Field = FIELD_Q) -> LieAlgebra:
-    """n-th Schrodinger algebra: sl2 acting on the Heisenberg algebra h_n.
-
-    Basis (e, h, f, z, u_1..u_n, v_1..v_n), dimension 2n + 4, with
-    [h,e]=2e, [h,f]=-2f, [e,f]=h, [u_k,v_k]=z, [h,u_k]=u_k, [h,v_k]=-v_k,
-    [e,v_k]=u_k, [f,u_k]=v_k and z central.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    E, H, F, Z = 0, 1, 2, 3
-    u = lambda k: 3 + k
-    v = lambda k: 3 + n + k
-    br = {
-        (E, H): {E: -2},
-        (E, F): {H: 1},
-        (H, F): {F: -2},
-    }
-    for k in range(1, n + 1):
-        br[(E, v(k))] = {u(k): 1}
-        br[(H, u(k))] = {u(k): 1}
-        br[(H, v(k))] = {v(k): -1}
-        br[(F, u(k))] = {v(k): 1}
-        br[(u(k), v(k))] = {Z: 1}
-    return LieAlgebra(f"schrodinger_{n}", field, make_schrodinger_labels(n), br)
-
-
 def make_heisenberg(n: int, field: Field = FIELD_Q) -> LieAlgebra:
     """Heisenberg algebra h_n on (z, u_1..u_n, v_1..v_n): [u_k, v_k] = z, z central."""
     if n < 1:
@@ -271,24 +248,6 @@ def make_abelian(k: int, field: Field = FIELD_Q) -> LieAlgebra:
     if k < 1:
         raise ValueError("dimension must be at least 1")
     return LieAlgebra(f"abelian_{k}", field, [f"x_{i}" for i in range(1, k + 1)], {})
-
-
-def schrodinger_rank(L: LieAlgebra) -> Optional[int]:
-    """n when L is structurally the generated n-th Schrodinger algebra, else None."""
-    if L.dim < 6 or (L.dim - 4) % 2:
-        return None
-    n = (L.dim - 4) // 2
-    if L.labels != make_schrodinger_labels(n):
-        return None
-    return n if L == make_schrodinger(n, L.field) else None
-
-
-def make_schrodinger_labels(n: int) -> tuple:
-    """Basis labels of S_n in basis order: e, h, f, z, u_1..u_n, v_1..v_n."""
-    labels = ["e", "h", "f", "z"]
-    labels += [f"u_{k}" for k in range(1, n + 1)]
-    labels += [f"v_{k}" for k in range(1, n + 1)]
-    return tuple(labels)
 
 
 def save(L: LieAlgebra, path: str) -> None:

@@ -14,11 +14,9 @@ proves that every local derivation is a derivation for that algebra.
 The fold, the seeded random closure over Q (an independent route to the
 same dimension) and the symbolic certifier (which settles the universal
 quantification over all x for small algebras) work on any
-structure-constant algebra.  Only the deterministic replay is specific
-to the Schrodinger algebra: ``schrodinger_probe_schedule`` lists its
-probes, among them the imaginary-unit ones that make it run over Q(i),
-and ``replay_proof`` folds the subset of them that cuts,
-``schrodinger_trimmed_schedule``.
+structure-constant algebra.  A fixed probe schedule for one family of
+algebras, and the replay that folds it, belong with that family (see
+``schrodinger``).
 """
 
 from __future__ import annotations
@@ -30,8 +28,8 @@ from itertools import chain, combinations, islice
 from math import comb
 from typing import Optional, Sequence
 
-from .exactfield import FIELD_Q, FIELD_QI, I, Field, GaussianRational, inv
-from .liealg import AlgebraElement, LieAlgebra, make_schrodinger, schrodinger_rank
+from .exactfield import FIELD_Q, Field, GaussianRational, inv
+from .liealg import AlgebraElement, LieAlgebra
 from .linalg import Matrix, SparseEchelon, Subspace, solve_columns, sparse_add
 from .dersolve import DerivationSpace, derivation_space, flatten_map
 from .poly import MultiPoly, poly_det, split_linear
@@ -98,11 +96,6 @@ def _coeff_text(c) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-def make_probe(L: LieAlgebra, terms: dict, label: Optional[str] = None) -> Probe:
-    el = L.from_terms(terms)
-    return Probe(el, label if label is not None else probe_label(el))
-
-
 def _images(columns: Sequence[tuple], x: AlgebraElement) -> list[dict]:
     """One sparse pass over the support of x: D(x) as a ``{row: scalar}``
     dict for each map D given by its sparse columns."""
@@ -123,11 +116,6 @@ def _orbit_echelon(L: LieAlgebra, der: DerivationSpace, x: AlgebraElement) -> Sp
     for img in _images(der.columns, x):
         acc.insert(img)
     return acc
-
-
-def orbit_subspace(L: LieAlgebra, der: DerivationSpace, x: AlgebraElement) -> Subspace:
-    """W_x = span{D(x) : D in the Der basis}."""
-    return _orbit_echelon(L, der, x).row_space(L.field)
 
 
 def _normalized_key(support: list) -> tuple:
@@ -231,9 +219,8 @@ def singleton_probes(L: LieAlgebra) -> list[Probe]:
 def basis_probe_space(L: LieAlgebra, der: Optional[DerivationSpace] = None) -> CandidateSpace:
     """Candidate space cut out by the basis singletons alone.
 
-    Its dimension is the sum of the per-basis orbit dimensions; for the
-    n-th Schrodinger algebra that is 2n^2 + 8n + 7, strictly above
-    dim Der, so singleton constraints never prove the theorem.
+    Its dimension is the sum of the per-basis orbit dimensions, which
+    can stay strictly above dim Der.
     """
     der = der or derivation_space(L)
     acc = CandidateSpace.full(L)
@@ -242,101 +229,15 @@ def basis_probe_space(L: LieAlgebra, der: Optional[DerivationSpace] = None) -> C
     return acc
 
 
-def _tagged_schedule(n: int, L: Optional[LieAlgebra]) -> list[tuple]:
-    """The full replay schedule as (probe, kept) pairs in fold order;
-    ``kept`` marks the probes of the trimmed schedule."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    L = L if L is not None else make_schrodinger(n, FIELD_QI)
-    if L.field != FIELD_QI:
-        raise ValueError("the replay schedule requires the Q(i) algebra")
-    half = FIELD_QI.one / 2
-    idx = range(1, n + 1)
-    out = [(probe, True) for probe in singleton_probes(L)]
-
-    def add(terms: dict, label: str, kept: bool = True) -> None:
-        out.append((make_probe(L, terms, label), kept))
-
-    add({"h": 1, "z": 1}, "h+z", kept=False)
-    add({"h": 1, "e": 1}, "h+e")
-    add({"h": 1, "f": 1}, "h+f")
-    for a, w in (("e", "u"), ("f", "v"), ("h", "u"), ("h", "v")):
-        for j in idx:
-            add({a: 1, f"{w}_{j}": 1}, f"{a}+{w}_{j}")
-    add({"e": 1, "f": 1}, "e+f")
-    for j in idx:
-        for a, w, z_signs in (("f", "v", (-1, 1)), ("e", "u", (1, -1))):
-            # only -z/2 with f and +z/2 with e cut; the other sign never does
-            for sz, kept in zip(z_signs, (True, False)):
-                for sw in (1, -1):
-                    label = f"{a}{'+' if sz > 0 else '-'}1/2*z{'+' if sw > 0 else '-'}{w}_{j}"
-                    add({a: 1, "z": sz * half, f"{w}_{j}": sw}, label, kept)
-    for p, j in combinations(idx, 2):
-        add({f"u_{p}": 1, f"u_{j}": I}, f"u_{p}+i*u_{j}")
-        add({f"v_{p}": 1, f"v_{j}": I}, f"v_{p}+i*v_{j}", kept=p == 1)
-        add(
-            {f"u_{p}": 1, f"u_{j}": 1, f"v_{p}": 1, f"v_{j}": 1},
-            f"u_{p}+u_{j}+v_{p}+v_{j}",
-            kept=p == 1,
-        )
-    return out
-
-
-def schrodinger_probe_schedule(n: int, L: Optional[LieAlgebra] = None) -> list[Probe]:
-    """The full documented replay schedule over Q(i) for the n-th
-    Schrodinger algebra.
-
-    Order: basis singletons, h+z, h+e, h+f, e+u_j, f+v_j, h+u_j, h+v_j,
-    e+f, the half-central families f +- z/2 +- v_j and e +- z/2 +- u_j
-    in all four sign combinations, then per pair p < j the
-    imaginary-unit probes u_p + i*u_j and v_p + i*v_j and the rational
-    coupling probe u_p + u_j + v_p + v_j.  That is 14n + 8 + 3n(n-1)/2
-    probes.  On top of ``schrodinger_trimmed_schedule`` it adds h+z,
-    f+1/2*z+-v_j, e-1/2*z+-u_j, and the v-plane and coupling probes for
-    p > 1: none of them lowers the candidate dimension in this order, so
-    both schedules end on the same echelon.  For n = 1 the pairwise
-    probes are vacuous (they need two distinct indices).
-    """
-    return [probe for probe, _ in _tagged_schedule(n, L)]
-
-
-def schrodinger_trimmed_schedule(n: int, L: Optional[LieAlgebra] = None) -> list[Probe]:
-    """The replay schedule that ``replay_proof`` folds by default: the
-    probes of ``schrodinger_probe_schedule`` that cut, in the same order,
-    12n + 5 + n(n-1)/2 of them.
-
-    Any probe subset gives a sound upper bound on the local derivations,
-    so reaching dim Der with fewer probes is still a proof.  What each
-    kept family holds up, as the excess over dim Der of the fold without
-    it (measured for n = 2..4):
-
-    - h+e, h+f and e+f: 1 each;
-    - h+u_j and h+v_j: n per family;
-    - f-1/2*z+v_j, f-1/2*z-v_j, e+1/2*z+u_j and e+1/2*z-u_j: n per
-      family, so both signs of v_j (of u_j) are needed, while the other
-      sign of z/2 adds nothing;
-    - u_p+i*u_j for every pair p < j: one each;
-    - the star at index 1, which ties the v-plane rotation coefficients
-      to the u-plane ones: v_1+i*v_j one each, u_1+u_j+v_1+v_j (n-1)^2
-      together; the pairs p > 1 then add nothing;
-    - the singletons, e+u_j and f+v_j overlap: the rest of the schedule
-      implies each of these three families, but without all three the
-      excess is 2n + 3 (also at n = 5 and 8).
-    """
-    return [probe for probe, kept in _tagged_schedule(n, L) if kept]
-
-
 @dataclass(frozen=True)
 class FoldResult:
     """Der, the candidate space a probe fold squeezed down to, and the
-    seed and stop reason of a random fold (both None otherwise); ``n``
-    is the Schrodinger rank, None for other algebras.  The stop reason is
-    "collapsed", "stalled" or "budget" (see ``random_probe_closure``); the
-    report carries it, so a "stalled" or "budget" run reads as
-    inconclusive rather than as a counterexample."""
+    seed and stop reason of a random fold (both None otherwise).  The
+    stop reason is "collapsed", "stalled" or "budget" (see
+    ``random_probe_closure``); the report carries it, so a "stalled" or
+    "budget" run reads as inconclusive rather than as a counterexample."""
 
     algebra: LieAlgebra
-    n: Optional[int]
     der: DerivationSpace
     candidate: CandidateSpace
     seed: Optional[int] = None
@@ -354,10 +255,12 @@ class FoldResult:
     def equal(self) -> bool:
         return self.candidate_dim == self.der_dim
 
-    def to_report(self) -> dict:
+    def to_report(self, n: Optional[int]) -> dict:
+        """The fold report; ``n`` is the family index the caller knows the
+        algebra by (the rank of S_n), None otherwise."""
         return {
             "algebra": self.algebra.name,
-            "n": self.n,
+            "n": n,
             "field": self.algebra.field.tag,
             "der_dim": self.der_dim,
             "candidate_dim": self.candidate_dim,
@@ -369,23 +272,6 @@ class FoldResult:
             "seed": self.seed,
             "stop_reason": self.stop_reason,
         }
-
-
-def replay_proof(n: int, probes: Optional[Sequence[Probe]] = None) -> FoldResult:
-    """Fold the deterministic schedule (``schrodinger_trimmed_schedule``
-    unless ``probes`` are given) over the full map space of the n-th
-    Schrodinger algebra over Q(i).
-
-    Der <= local derivations <= candidate holds throughout, so
-    candidate_dim == der_dim machine-checks that every local derivation
-    is a derivation for this n.
-    """
-    L = probes[0].element.algebra if probes else make_schrodinger(n, FIELD_QI)
-    der = derivation_space(L)
-    acc = CandidateSpace.full(L)
-    for probe in probes if probes is not None else schrodinger_trimmed_schedule(n, L):
-        acc = constrain(acc, L, der, probe)
-    return FoldResult(L, n, der, acc)
 
 
 def random_probe_closure(
@@ -432,7 +318,7 @@ def random_probe_closure(
             acc = constrain(acc, L, der, Probe(element, probe_label(element)))
             tried += 1
             stall = stall + 1 if acc.dim == before else 0
-    return FoldResult(L, schrodinger_rank(L), der, acc, seed, stop_reason)
+    return FoldResult(L, der, acc, seed, stop_reason)
 
 
 def _random_sparse_element(L: LieAlgebra, rng: random.Random, ordered: bool) -> AlgebraElement:

@@ -1,4 +1,10 @@
-"""The n-th Schrodinger algebra S_n and the structure of Der(S_n).
+"""The n-th Schrodinger algebra S_n, its replay over Q(i) and the
+structure of Der(S_n): everything the package knows about S_n.
+
+``make_schrodinger`` builds S_n from its structure constants and
+``schrodinger_rank`` recognizes it.  ``replay_proof`` folds the fixed
+probe schedule ``schrodinger_trimmed_schedule``, among them the
+imaginary-unit probes that make it run over Q(i), down to dim Der.
 
 Der(S_n) = inner + span(sigma_lk) + span(tau), a direct sum: sigma_lk
 rotates the (l, k) pair of u/v planes and tau complements the inner
@@ -9,27 +15,72 @@ parameters of the per-basis-element images that the singleton
 constraints leave (``AsosShape``).
 
 Every map here is addressed by basis label through ``_label_map``, so the
-basis order is written down only in ``liealg.make_schrodinger_labels``.
+basis order is written down only in ``make_schrodinger_labels``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional
 
-from .exactfield import FIELD_Q, Field
-from .liealg import (
-    AlgebraElement,
-    LieAlgebra,
-    ad,
-    make_schrodinger,
-    make_schrodinger_labels,
-    schrodinger_rank,
-)
+from .exactfield import FIELD_Q, FIELD_QI, I, Field
+from .liealg import AlgebraElement, LieAlgebra, ad
 from .linalg import Matrix, Subspace, solve_columns, subspace_intersect, subspace_sum
 from .dersolve import LeibnizError, derivation_space, flatten_map, inner_space, is_derivation
-from .locder import basis_probe_space
+from .locder import (
+    CandidateSpace,
+    FoldResult,
+    Probe,
+    basis_probe_space,
+    constrain,
+    singleton_probes,
+)
+
+
+def make_schrodinger_labels(n: int) -> tuple:
+    """Basis labels of S_n in basis order: e, h, f, z, u_1..u_n, v_1..v_n."""
+    labels = ["e", "h", "f", "z"]
+    labels += [f"u_{k}" for k in range(1, n + 1)]
+    labels += [f"v_{k}" for k in range(1, n + 1)]
+    return tuple(labels)
+
+
+def make_schrodinger(n: int, field: Field = FIELD_Q) -> LieAlgebra:
+    """n-th Schrodinger algebra: sl2 acting on the Heisenberg algebra h_n.
+
+    Basis (e, h, f, z, u_1..u_n, v_1..v_n), dimension 2n + 4, with
+    [h,e]=2e, [h,f]=-2f, [e,f]=h, [u_k,v_k]=z, [h,u_k]=u_k, [h,v_k]=-v_k,
+    [e,v_k]=u_k, [f,u_k]=v_k and z central.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    E, H, F, Z = 0, 1, 2, 3
+    u = lambda k: 3 + k
+    v = lambda k: 3 + n + k
+    br = {
+        (E, H): {E: -2},
+        (E, F): {H: 1},
+        (H, F): {F: -2},
+    }
+    for k in range(1, n + 1):
+        br[(E, v(k))] = {u(k): 1}
+        br[(H, u(k))] = {u(k): 1}
+        br[(H, v(k))] = {v(k): -1}
+        br[(F, u(k))] = {v(k): 1}
+        br[(u(k), v(k))] = {Z: 1}
+    return LieAlgebra(f"schrodinger_{n}", field, make_schrodinger_labels(n), br)
+
+
+def schrodinger_rank(L: LieAlgebra) -> Optional[int]:
+    """n when L is structurally the generated n-th Schrodinger algebra, else None."""
+    if L.dim < 6 or (L.dim - 4) % 2:
+        return None
+    n = (L.dim - 4) // 2
+    if L.labels != make_schrodinger_labels(n):
+        return None
+    return n if L == make_schrodinger(n, L.field) else None
 
 
 def _label_map(n: int, field: Field, entries: dict) -> Matrix:
@@ -242,3 +293,76 @@ def asos_shape_check(n: int, field: Field = FIELD_Q) -> AsosVerdict:
         "the span comparison is sign-insensitive"
     )
     return AsosVerdict(equal, span.dim, expected, len(params), note)
+
+
+def schrodinger_trimmed_schedule(n: int, L: Optional[LieAlgebra] = None) -> list[Probe]:
+    """The replay schedule over Q(i) for S_n (L, when given, is S_n over
+    Q(i)), 12n + 5 + n(n-1)/2 probes in this order: basis singletons,
+    h+e, h+f, e+u_j, f+v_j, h+u_j, h+v_j, e+f, then per j the
+    half-central probes f-1/2*z+-v_j and e+1/2*z+-u_j, then per pair
+    p < j the imaginary-unit probe u_p+i*u_j and, for p = 1 only, v_1+i*v_j
+    and the rational coupling probe u_1+u_j+v_1+v_j.  For n = 1 the
+    pairwise probes are vacuous (they need two distinct indices).
+
+    Any probe subset gives a sound upper bound on the local derivations,
+    so reaching dim Der with these probes is a proof.  What each family
+    holds up, as the excess over dim Der of the fold without it
+    (measured for n = 2..4):
+
+    - h+e, h+f and e+f: 1 each;
+    - h+u_j and h+v_j: n per family;
+    - f-1/2*z+v_j, f-1/2*z-v_j, e+1/2*z+u_j and e+1/2*z-u_j: n per
+      family, so both signs of v_j (of u_j) are needed, while the other
+      sign of z/2 (f+1/2*z+-v_j, e-1/2*z+-u_j) adds nothing;
+    - u_p+i*u_j for every pair p < j: one each;
+    - the star at index 1, which ties the v-plane rotation coefficients
+      to the u-plane ones: v_1+i*v_j one each, u_1+u_j+v_1+v_j (n-1)^2
+      together; the pairs p > 1 would add nothing, and neither would h+z;
+    - the singletons, e+u_j and f+v_j overlap: the rest of the schedule
+      implies each of these three families, but without all three the
+      excess is 2n + 3 (also at n = 5 and 8).
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    L = L if L is not None else make_schrodinger(n, FIELD_QI)
+    if L.field != FIELD_QI:
+        raise ValueError("the replay schedule requires the Q(i) algebra")
+    half = FIELD_QI.one / 2
+    idx = range(1, n + 1)
+    out = singleton_probes(L)
+
+    def add(terms: dict, label: str) -> None:
+        out.append(Probe(L.from_terms(terms), label))
+
+    add({"h": 1, "e": 1}, "h+e")
+    add({"h": 1, "f": 1}, "h+f")
+    for a, w in (("e", "u"), ("f", "v"), ("h", "u"), ("h", "v")):
+        for j in idx:
+            add({a: 1, f"{w}_{j}": 1}, f"{a}+{w}_{j}")
+    add({"e": 1, "f": 1}, "e+f")
+    for j in idx:
+        for a, w, cz, zsign in (("f", "v", -half, "-"), ("e", "u", half, "+")):
+            for cw, wsign in ((1, "+"), (-1, "-")):
+                add({a: 1, "z": cz, f"{w}_{j}": cw}, f"{a}{zsign}1/2*z{wsign}{w}_{j}")
+    for p, j in combinations(idx, 2):
+        add({f"u_{p}": 1, f"u_{j}": I}, f"u_{p}+i*u_{j}")
+        if p == 1:
+            add({"v_1": 1, f"v_{j}": I}, f"v_1+i*v_{j}")
+            add({"u_1": 1, f"u_{j}": 1, "v_1": 1, f"v_{j}": 1}, f"u_1+u_{j}+v_1+v_{j}")
+    return out
+
+
+def replay_proof(n: int) -> FoldResult:
+    """Fold ``schrodinger_trimmed_schedule`` over the full map space of S_n
+    over Q(i).
+
+    Der <= local derivations <= candidate holds throughout, so
+    candidate_dim == der_dim machine-checks that every local derivation
+    is a derivation for this n.
+    """
+    L = make_schrodinger(n, FIELD_QI)
+    der = derivation_space(L)
+    acc = CandidateSpace.full(L)
+    for probe in schrodinger_trimmed_schedule(n, L):
+        acc = constrain(acc, L, der, probe)
+    return FoldResult(L, der, acc)

@@ -1,17 +1,29 @@
 """Shared helpers: random exact scalars, independent elimination
 oracles used to cross-check the production linear algebra, dense matrix
-and subspace helpers, the dense Der basis, and dense oracles for the
-sparse derivation check, the sparse witness solve and the indexed
-Der-annihilation check."""
+and subspace helpers, the dense Der basis, dense oracles for the sparse
+derivation check, the sparse witness solve and the indexed
+Der-annihilation check, and the probe-fold oracles: the orbit subspace
+W_x, a fold over any probe list and the full replay schedule of S_n."""
 
 import copy
 import pickle
 from fractions import Fraction
+from itertools import combinations
 
-from liederiv.dersolve import flatten_map, leibniz_rows
-from liederiv.exactfield import FIELD_Q, GaussianRational
+from liederiv.dersolve import derivation_space, flatten_map, leibniz_rows
+from liederiv.exactfield import FIELD_Q, FIELD_QI, GaussianRational, I
 from liederiv.liealg import bracket
 from liederiv.linalg import Matrix, SparseEchelon, Subspace
+from liederiv.locder import (
+    CandidateSpace,
+    FoldResult,
+    Probe,
+    constrain,
+    probe_label,
+    singleton_probes,
+    _orbit_echelon,
+)
+from liederiv.schrodinger import make_schrodinger
 
 
 def rand_fraction(rng, lo=-9, hi=9, den=4):
@@ -239,3 +251,59 @@ def contains_map(acc, D: Matrix) -> bool:
     constraint row annihilates the flattened map."""
     flat = {c: x for c, x in enumerate(flatten_map(D)) if x}
     return not any(dot_sparse(row, flat) for row in acc.echelon.rows.values())
+
+
+def make_probe(L, terms: dict, label=None) -> Probe:
+    """The probe with coordinates ``{label or index: coefficient}``,
+    labelled as the reports print it unless ``label`` is given."""
+    el = L.from_terms(terms)
+    return Probe(el, label if label is not None else probe_label(el))
+
+
+def orbit_subspace(L, der, x) -> Subspace:
+    """W_x = span{D(x) : D in the Der basis}, read off the orbit echelon
+    that ``constrain`` cuts with."""
+    return _orbit_echelon(L, der, x).row_space(L.field)
+
+
+def fold(probes) -> FoldResult:
+    """The candidate space cut out by ``probes`` from the full map space
+    of their algebra: a ``constrain`` loop in the given order, as
+    ``replay_proof`` folds its schedule."""
+    L = probes[0].element.algebra
+    der = derivation_space(L)
+    acc = CandidateSpace.full(L)
+    for probe in probes:
+        acc = constrain(acc, L, der, probe)
+    return FoldResult(L, der, acc)
+
+
+def full_schedule(n, L=None) -> list:
+    """The full replay schedule of S_n over Q(i) (L, when given, is S_n
+    over Q(i)), 14n + 8 + 3n(n-1)/2 probes: basis singletons, h+z, h+e,
+    h+f, e+u_j, f+v_j, h+u_j, h+v_j, e+f, then per j the half-central
+    probes f+-1/2*z+-v_j and e+-1/2*z+-u_j (the z sign that cuts first),
+    then per pair p < j the probes u_p+i*u_j, v_p+i*v_j and
+    u_p+u_j+v_p+v_j.  ``schrodinger_trimmed_schedule`` is the
+    subsequence of it that cuts."""
+    L = L if L is not None else make_schrodinger(n, FIELD_QI)
+    half = FIELD_QI.one / 2
+    idx = range(1, n + 1)
+    out = singleton_probes(L)
+    for terms, label in (({"h": 1, "z": 1}, "h+z"), ({"h": 1, "e": 1}, "h+e"), ({"h": 1, "f": 1}, "h+f")):
+        out.append(make_probe(L, terms, label))
+    for a, w in (("e", "u"), ("f", "v"), ("h", "u"), ("h", "v")):
+        out += [make_probe(L, {a: 1, f"{w}_{j}": 1}, f"{a}+{w}_{j}") for j in idx]
+    out.append(make_probe(L, {"e": 1, "f": 1}, "e+f"))
+    for j in idx:
+        for a, w, z_signs in (("f", "v", (-1, 1)), ("e", "u", (1, -1))):
+            for sz in z_signs:
+                for sw in (1, -1):
+                    label = f"{a}{'+' if sz > 0 else '-'}1/2*z{'+' if sw > 0 else '-'}{w}_{j}"
+                    out.append(make_probe(L, {a: 1, "z": sz * half, f"{w}_{j}": sw}, label))
+    for p, j in combinations(idx, 2):
+        out.append(make_probe(L, {f"u_{p}": 1, f"u_{j}": I}, f"u_{p}+i*u_{j}"))
+        out.append(make_probe(L, {f"v_{p}": 1, f"v_{j}": I}, f"v_{p}+i*v_{j}"))
+        terms = {f"u_{p}": 1, f"u_{j}": 1, f"v_{p}": 1, f"v_{j}": 1}
+        out.append(make_probe(L, terms, f"u_{p}+u_{j}+v_{p}+v_{j}"))
+    return out

@@ -22,7 +22,6 @@ from liederiv.liealg import (
     load,
     make_abelian,
     make_heisenberg,
-    make_schrodinger,
     make_sl2,
     save,
 )
@@ -38,18 +37,25 @@ from liederiv.locder import (
     basis_probe_space,
     certify_local_symbolic,
     constrain,
-    schrodinger_probe_schedule,
-    schrodinger_trimmed_schedule,
     random_probe_closure,
-    replay_proof,
     witness,
 )
-from liederiv.schrodinger import outer_span, sigma, sigma_pairs, tau
+from liederiv.schrodinger import (
+    make_schrodinger,
+    outer_span,
+    replay_proof,
+    schrodinger_trimmed_schedule,
+    sigma,
+    sigma_pairs,
+    tau,
+)
 from conftest import (
     back_multiply,
     contains_map,
     dense_der_basis,
     dense_rows,
+    fold,
+    full_schedule,
     leibniz_system,
     naive_rank,
     nullspace,
@@ -284,7 +290,7 @@ def test_criterion_7e_containment_chain_during_folding():
     basis = dense_der_basis(der)
     acc = CandidateSpace.full(L)
     dims = [acc.dim]
-    for probe in schrodinger_probe_schedule(2, L):
+    for probe in full_schedule(2, L):
         acc = constrain(acc, L, der, probe)
         dims.append(acc.dim)
         for D in basis:
@@ -296,12 +302,12 @@ def test_criterion_7e_containment_chain_during_folding():
 def test_criterion_7f_probe_order_independence():
     base = replay(2)
     rng = random.Random(0x0D9E52)
-    for schedule in (schrodinger_probe_schedule, schrodinger_trimmed_schedule):
+    for schedule in (full_schedule, schrodinger_trimmed_schedule):
         probes = schedule(2, base.algebra)
         for _ in range(5):
             shuffled = probes[:]
             rng.shuffle(shuffled)
-            out = replay_proof(2, probes=shuffled)
+            out = fold(shuffled)
             assert out.candidate.space == base.candidate.space
     report(
         "7f",
@@ -317,7 +323,7 @@ def test_criterion_7g_witness_reconstruction():
         unflatten_map(L.field, vec, L.dim) for vec in dense_rows(result.candidate.space)
     ]
     count = 0
-    for probe in schrodinger_probe_schedule(2, L):
+    for probe in full_schedule(2, L):
         for D in maps:
             assert witness(L, der, D, probe.element) is not None
             count += 1

@@ -6,7 +6,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from liederiv import cli, liealg, schrodinger
 from liederiv.cli import main
 from liederiv.exactfield import format_scalar
-from liederiv.liealg import ad, load, make_heisenberg, make_schrodinger, to_json
+from liederiv.liealg import ad, load, make_heisenberg, to_json
+from liederiv.schrodinger import make_schrodinger
 
 
 def run_cli(capsys, *argv):
@@ -43,7 +44,14 @@ def test_jacobi_rejects_corrupted_file(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, "jacobi", str(path))
     assert code == 2
-    assert json.loads(out)["jacobi"] is False
+    # the same keys as a passing report, with the name read from the file
+    assert json.loads(out) == {
+        "algebra": "schrodinger_1",
+        "dim": 6,
+        "field": "Q",
+        "jacobi": False,
+        "failing_triple": ["e", "h", "f"],
+    }
 
 
 def test_parse_error_exits_one(tmp_path, capsys):
@@ -233,6 +241,19 @@ def test_decompose_builds_the_algebra_once(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "decompose", "--n", "2", "--map", str(mp))
     assert code == 0 and json.loads(out)["tau_coeff"] == "0/1"
     assert built == ["schrodinger_2"]
+
+
+@pytest.mark.parametrize(
+    "argv", [["locder-random", "--n", "3"], ["locder-basis", "--n", "2"]], ids=["random", "basis"]
+)
+def test_fold_commands_build_the_algebra_once(capsys, monkeypatch, argv):
+    # --n fixes the report's n, so the fold never rebuilds S_n to find it
+    built = []
+    check = liealg.check_jacobi
+    monkeypatch.setattr(liealg, "check_jacobi", lambda L: built.append(L.name) or check(L))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["n"] == int(argv[-1])
+    assert built == [f"schrodinger_{argv[-1]}"]
 
 
 def test_decompose_checks_the_product_rule_once(tmp_path, capsys, monkeypatch):

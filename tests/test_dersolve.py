@@ -12,7 +12,6 @@ from liederiv.liealg import (
     from_json,
     make_abelian,
     make_heisenberg,
-    make_schrodinger,
     make_sl2,
     to_json,
 )
@@ -29,7 +28,7 @@ from liederiv.dersolve import (
     inner_space,
     is_derivation,
 )
-from liederiv.schrodinger import decompose, outer_span, sigma, sigma_pairs, tau
+from liederiv.schrodinger import decompose, make_schrodinger, outer_span, sigma, sigma_pairs, tau
 from conftest import (
     col,
     contains_subspace,

@@ -16,7 +16,8 @@ import pytest
 
 from liederiv.cli import main
 from liederiv.exactfield import FIELD_QI, format_scalar
-from liederiv.liealg import ad, make_heisenberg, make_schrodinger, to_json
+from liederiv.liealg import ad, make_heisenberg, to_json
+from liederiv.schrodinger import make_schrodinger
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -34,6 +35,8 @@ CASES = {
     # the bench workload: the Q(i) replay on S_5
     "locder_replay_n5": (["locder-replay", "--n", "5"], 0),
     "locder_random_n2": (["locder-random", "--n", "2", "--seed", "24301"], 0),
+    # S_1 from a file: the report's n comes from recognizing the algebra
+    "locder_random_s1_file": (["locder-random", "{dir}/s1.json", "--seed", "24301"], 0),
     "demo_heisenberg": (["demo-heisenberg"], 0),
     "certify_h1_zz": (["certify", "{dir}/h1.json", "--map", "{dir}/h1_zz.json"], 0),
     # the same map over Q(i): the strata run on Gaussian rationals (11 strata)
@@ -47,6 +50,7 @@ CASES = {
     "outer_check_n2_qi": (["outer-check", "--n", "2", "--field", "Qi"], 0),
     # the two commands that print a field tag read from a file or --field
     "gen_h1_qi": (["gen", "--heisenberg", "1", "--field", "Qi"], 0),
+    "gen_s2": (["gen", "--schrodinger", "2"], 0),
     "jacobi_h1_qi": (["jacobi", "{dir}/h1qi.json"], 0),
 }
 

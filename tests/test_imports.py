@@ -94,3 +94,25 @@ def test_every_definition_is_named_elsewhere_in_the_package():
                 ):
                     unnamed.append(f"{module}.{node.name}.{item.name}")
     assert unnamed == []
+
+
+def test_generic_layers_name_nothing_schrodinger():
+    # the Schrodinger algebra, its basis order and its replay schedule live
+    # in the schrodinger module alone; docstrings and comments may mention it
+    named = []
+    for name in ("exactfield", "poly", "linalg", "liealg", "dersolve", "locder"):
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                ident = node.id
+            elif isinstance(node, ast.Attribute):
+                ident = node.attr
+            elif isinstance(node, ast.alias):
+                ident = node.name
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                ident = node.name
+            else:
+                continue
+            if "schrodinger" in ident.lower():
+                named.append((name, node.lineno, ident))
+    assert named == []

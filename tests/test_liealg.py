@@ -16,12 +16,11 @@ from liederiv.liealg import (
     load,
     make_abelian,
     make_heisenberg,
-    make_schrodinger,
     make_sl2,
     save,
-    schrodinger_rank,
     to_json,
 )
+from liederiv.schrodinger import make_schrodinger, schrodinger_rank
 from conftest import copies, is_zero, rand_scalar
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from liederiv.exactfield import FIELD_Q, FIELD_QI, GaussianRational, inv
-from liederiv.liealg import ad, make_abelian, make_heisenberg, make_schrodinger
+from liederiv.liealg import ad, make_abelian, make_heisenberg
 from liederiv.linalg import Matrix, SparseEchelon, Subspace, sparse_add
 from liederiv.dersolve import DerivationSpace, derivation_space, is_derivation
 from liederiv import locder
@@ -16,13 +16,8 @@ from liederiv.locder import (
     basis_probe_space,
     certify_local_symbolic,
     constrain,
-    make_probe,
-    orbit_subspace,
-    schrodinger_probe_schedule,
-    schrodinger_trimmed_schedule,
     probe_label,
     random_probe_closure,
-    replay_proof,
     singleton_probes,
     witness,
     _apply_basis,
@@ -31,14 +26,25 @@ from liederiv.locder import (
     _stratum_block,
 )
 from liederiv.poly import MultiPoly
-from liederiv.schrodinger import AsosShape, asos_shape_check, tau
+from liederiv.schrodinger import (
+    AsosShape,
+    asos_shape_check,
+    make_schrodinger,
+    replay_proof,
+    schrodinger_trimmed_schedule,
+    tau,
+)
 from conftest import (
     contains_map,
     dense_der_basis,
     dense_rows,
     dense_witness,
     dot_sparse,
+    fold,
+    full_schedule,
+    make_probe,
     matvec,
+    orbit_subspace,
     rand_scalar,
     unflatten_map,
     zeros,
@@ -263,7 +269,7 @@ def test_basis_probe_space_abelian_keeps_everything():
 
 
 def test_schedule_contents():
-    probes = schrodinger_probe_schedule(2)
+    probes = full_schedule(2)
     labels = [p.label for p in probes]
     assert labels[:8] == ["e", "h", "f", "z", "u_1", "u_2", "v_1", "v_2"]
     assert labels[8] == "h+z"
@@ -274,15 +280,13 @@ def test_schedule_contents():
     assert "e+1/2*z-u_2" in labels and "e-1/2*z-u_2" in labels
     assert len(labels) == len(set(labels))
     # n = 1 has no pairwise probes
-    labels1 = [p.label for p in schrodinger_probe_schedule(1)]
+    labels1 = [p.label for p in full_schedule(1)]
     assert not any("i*" in lab or "u_1+u_" in lab for lab in labels1)
     with pytest.raises(ValueError):
-        schrodinger_probe_schedule(0)
+        schrodinger_trimmed_schedule(0)
 
 
 def test_schedule_requires_gaussian_field():
-    with pytest.raises(ValueError):
-        schrodinger_probe_schedule(2, make_schrodinger(2, FIELD_Q))
     with pytest.raises(ValueError):
         schrodinger_trimmed_schedule(2, make_schrodinger(2, FIELD_Q))
 
@@ -290,13 +294,13 @@ def test_schedule_requires_gaussian_field():
 def test_trimmed_schedule_is_the_cutting_subsequence():
     for n in range(1, 9):
         L = make_schrodinger(n, FIELD_QI)
-        full = schrodinger_probe_schedule(n, L)
+        full = full_schedule(n, L)
         trimmed = schrodinger_trimmed_schedule(n, L)
         assert len(full) == 14 * n + 8 + 3 * n * (n - 1) // 2
         assert len(trimmed) == 12 * n + 5 + n * (n - 1) // 2
         kept = {p.label for p in trimmed}
         assert [p.label for p in full if p.label in kept] == [p.label for p in trimmed]
-        long = replay_proof(n, probes=full)
+        long = fold(full)
         short = replay_proof(n)
         assert short.equal and long.equal
         assert short.candidate.echelon.rows == long.candidate.echelon.rows
@@ -316,26 +320,26 @@ def test_replay_verifies_small_ranks():
         assert result.candidate.space == result.der.subspace
         dims = [s.dim_after for s in result.candidate.history]
         assert dims == sorted(dims, reverse=True)
-        report = result.to_report()
-        assert report["equal"] is True
+        report = result.to_report(n)
+        assert report["equal"] is True and report["n"] == n
         assert report["field"] == FIELD_QI.tag
         assert len(report["history"]) == len(result.candidate.history)
 
 
 def test_replay_probe_order_independence():
     base = replay_proof(2)
-    probes = schrodinger_probe_schedule(2, base.algebra)
+    probes = full_schedule(2, base.algebra)
     rng = random.Random(0xA11CE)
     for _ in range(5):
         shuffled = probes[:]
         rng.shuffle(shuffled)
-        out = replay_proof(2, probes=shuffled)
+        out = fold(shuffled)
         assert out.candidate_dim == base.candidate_dim
         assert out.candidate.space == base.candidate.space
 
 
-_SCHEDULE = schrodinger_probe_schedule(2)
-_REPLAY_BASE = replay_proof(2, probes=_SCHEDULE)
+_SCHEDULE = full_schedule(2)
+_REPLAY_BASE = fold(_SCHEDULE)
 _TRIMMED = schrodinger_trimmed_schedule(2, _REPLAY_BASE.algebra)
 _TRIMMED_LABELS = {p.label for p in _TRIMMED}
 _EXTRA = [p for p in _SCHEDULE if p.label not in _TRIMMED_LABELS]
@@ -355,7 +359,7 @@ def test_replay_fold_is_independent_of_probe_order_and_scale(order, multiples, r
     for i, (re, im) in multiples:
         x = _SCHEDULE[i].element.scale(GaussianRational(re, im))
         probes.insert(rng.randrange(len(probes) + 1), Probe(x, probe_label(x)))
-    out = replay_proof(2, probes=probes)
+    out = fold(probes)
     assert out.candidate.space == _REPLAY_BASE.candidate.space
     assert out.equal == _REPLAY_BASE.equal
     assert len(out.candidate.history) == len(_REPLAY_BASE.candidate.history)
@@ -366,7 +370,7 @@ def test_replay_fold_is_independent_of_probe_order_and_scale(order, multiples, r
 def test_supersets_of_the_trimmed_schedule_give_the_same_candidate(extra, rng):
     probes = _TRIMMED + [_EXTRA[i] for i in sorted(extra)]
     rng.shuffle(probes)
-    out = replay_proof(2, probes=probes)
+    out = fold(probes)
     assert out.equal
     assert out.candidate.space == _REPLAY_BASE.candidate.space
 
@@ -377,7 +381,7 @@ def test_replay_witnesses_exist_at_every_probe():
     maps = [
         unflatten_map(L.field, vec, L.dim) for vec in dense_rows(result.candidate.space)
     ]
-    for probe in schrodinger_probe_schedule(2, L):
+    for probe in full_schedule(2, L):
         for D in maps:
             assert witness(L, der, D, probe.element) is not None
 
@@ -388,12 +392,12 @@ def test_random_closure_agrees_with_replay():
         out = random_probe_closure(L)
         assert out.candidate_dim == out.der_dim == expected_der_dim(n)
         assert out.stop_reason == "collapsed"
-        report = out.to_report()
+        report = out.to_report(n)
         assert report["seed"] == 0x5EED
         assert report["n"] == n
         assert report["stop_reason"] == "collapsed"
     out = random_probe_closure(make_schrodinger(2), max_probes=5)
-    assert out.stop_reason == out.to_report()["stop_reason"] == "budget"
+    assert out.stop_reason == out.to_report(2)["stop_reason"] == "budget"
     assert out.candidate_dim > out.der_dim
 
 
