@@ -42,6 +42,7 @@ from .locder import (
     basis_probe_space,
     certify_local_symbolic,
     constrain,
+    fold,
     random_probe_closure,
     witness,
 )

@@ -183,8 +183,7 @@ def _cmd_outer_check(args) -> int:
 
 def _cmd_locder_basis(args) -> int:
     L = _algebra_from_args(args)
-    der = derivation_space(L)
-    result = FoldResult(L, der, basis_probe_space(L, der))
+    result = FoldResult(basis_probe_space(derivation_space(L)))
     _emit(result.to_report(_schrodinger_n(args, L)), args.output)
     return 0
 
@@ -198,7 +197,7 @@ def _cmd_locder_replay(args) -> int:
 def _cmd_locder_random(args) -> int:
     L = _algebra_from_args(args)
     result = random_probe_closure(
-        L, seed=args.seed, max_probes=args.max_probes, stall_limit=args.stall
+        derivation_space(L), seed=args.seed, max_probes=args.max_probes, stall_limit=args.stall
     )
     _emit(result.to_report(_schrodinger_n(args, L)), args.output)
     return 0 if result.equal else 2
@@ -209,7 +208,7 @@ def _cmd_certify(args) -> int:
     delta = _parse_map(args.map, L)
     der = derivation_space(L)
     leibniz = is_derivation(L, delta)
-    cert = certify_local_symbolic(L, der, delta)
+    cert = certify_local_symbolic(der, delta)
     report = {
         "algebra": L.name,
         "field": L.field.tag,
@@ -234,9 +233,9 @@ def _cmd_demo_heisenberg(args) -> int:
     rows[L.index["z"]][L.index["z"]] = 1
     delta = Matrix(L.field, rows)
     leibniz = is_derivation(L, delta)
-    cert = certify_local_symbolic(L, der, delta)
+    cert = certify_local_symbolic(der, delta)
     closure = random_probe_closure(
-        L, seed=args.seed, max_probes=args.max_probes, stall_limit=args.stall, der=der
+        der, seed=args.seed, max_probes=args.max_probes, stall_limit=args.stall
     )
     report = closure.to_report(None)
     report["demo"] = {

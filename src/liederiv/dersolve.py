@@ -68,12 +68,17 @@ class LeibnizVerdict:
     failing_pair: Optional[tuple] = None
 
 
-def is_derivation(L: LieAlgebra, D: Matrix) -> LeibnizVerdict:
-    """Exact product-rule check of a Matrix on all basis pairs."""
+def check_map(L: LieAlgebra, D: Matrix) -> None:
+    """Raise ValueError unless D is a square map on L over the field of L."""
     if D.nrows != L.dim or D.ncols != L.dim:
         raise ValueError("map dimension does not match algebra")
     if D.field != L.field:
         raise ValueError("map field does not match algebra")
+
+
+def is_derivation(L: LieAlgebra, D: Matrix) -> LeibnizVerdict:
+    """Exact product-rule check of a Matrix on all basis pairs."""
+    check_map(L, D)
     return _product_rule(L, D.sparse_columns())
 
 

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 from .exactfield import FIELD_Q, Field, GaussianRational, inv
 from .liealg import AlgebraElement, LieAlgebra
 from .linalg import Matrix, SparseEchelon, Subspace, solve_columns, sparse_add
-from .dersolve import DerivationSpace, derivation_space, flatten_map
+from .dersolve import DerivationSpace, check_map, flatten_map
 from .poly import MultiPoly, poly_det, split_linear
 
 DEFAULT_SEED = 0x5EED
@@ -110,9 +110,9 @@ def _images(columns: Sequence[tuple], x: AlgebraElement) -> list[dict]:
     return out
 
 
-def _orbit_echelon(L: LieAlgebra, der: DerivationSpace, x: AlgebraElement) -> SparseEchelon:
+def _orbit_echelon(der: DerivationSpace, x: AlgebraElement) -> SparseEchelon:
     """Echelon whose row space is W_x, fed by one sparse image pass."""
-    acc = SparseEchelon(L.dim)
+    acc = SparseEchelon(der.algebra.dim)
     for img in _images(der.columns, x):
         acc.insert(img)
     return acc
@@ -127,35 +127,36 @@ def _normalized_key(support: list) -> tuple:
 
 
 class CandidateSpace:
-    """Intersection of probe constraints, tracked as an echelon of
-    annihilator rows on the flattened map space.
+    """Intersection of probe constraints cut against ``der``, tracked as
+    an echelon of annihilator rows on the flattened map space of
+    ``der.algebra``.
 
     The subspace itself is materialized lazily; the dimension and the
     probe history are always available.  Instances are immutable;
     ``constrain`` returns a new space sharing stored rows.
     """
 
-    __slots__ = ("algebra", "echelon", "history", "seen", "_space")
+    __slots__ = ("der", "echelon", "history", "seen", "_space")
 
-    def __init__(self, algebra: LieAlgebra, echelon: SparseEchelon, history: tuple, seen: frozenset):
-        self.algebra = algebra
+    def __init__(self, der: DerivationSpace, echelon: SparseEchelon, history: tuple, seen: frozenset):
+        self.der = der
         self.echelon = echelon
         self.history = history
         self.seen = seen
         self._space = None
 
     @classmethod
-    def full(cls, L: LieAlgebra) -> "CandidateSpace":
-        return cls(L, SparseEchelon(L.dim * L.dim), (), frozenset())
+    def full(cls, der: DerivationSpace) -> "CandidateSpace":
+        return cls(der, SparseEchelon(der.algebra.dim ** 2), (), frozenset())
 
     @property
     def dim(self) -> int:
-        return self.algebra.dim ** 2 - self.echelon.rank
+        return self.der.algebra.dim ** 2 - self.echelon.rank
 
     @property
     def space(self) -> Subspace:
         if self._space is None:
-            self._space = self.echelon.nullspace(self.algebra.field)
+            self._space = self.echelon.nullspace(self.der.algebra.field)
         return self._space
 
 
@@ -171,10 +172,9 @@ def _der_residues(der: DerivationSpace, row: dict) -> dict:
     return sums
 
 
-def constrain(
-    acc: CandidateSpace, L: LieAlgebra, der: DerivationSpace, probe: Probe
-) -> CandidateSpace:
-    """Intersect the candidate space with {Delta : Delta(x) in W_x}.
+def constrain(acc: CandidateSpace, probe: Probe) -> CandidateSpace:
+    """Intersect the candidate space with {Delta : Delta(x) in W_x}, W_x
+    spanned over the Der of ``acc``.
 
     Scalar multiples of already-processed probes are skipped (they
     impose the same condition); the key is the probe's support scaled to
@@ -188,17 +188,18 @@ def constrain(
     ``der.column_index``, so it skips only the products that share no
     column.
     """
+    der = acc.der
     x = probe.element
-    if x.algebra != L:
+    if x.algebra != der.algebra:
         raise ValueError("probe element belongs to a different algebra")
     support = [(j, xj) for j, xj in enumerate(x.coords) if xj]
     key = _normalized_key(support)
     if key in acc.seen:
         return acc
-    d = L.dim
+    d = der.algebra.dim
     # a basis of the annihilator of W_x straight off the orbit echelon; a
     # zero orbit leaves the whole dual space, the nullspace of no rows
-    annihilator = _orbit_echelon(L, der, x).nullspace_vectors()
+    annihilator = _orbit_echelon(der, x).nullspace_vectors()
     before = acc.dim
     echelon = acc.echelon.clone()
     for p in annihilator:
@@ -209,43 +210,44 @@ def constrain(
             )
         echelon.insert(row)
     step = ProbeStep(probe.label, before, d * d - echelon.rank)
-    return CandidateSpace(L, echelon, acc.history + (step,), acc.seen | {key})
+    return CandidateSpace(der, echelon, acc.history + (step,), acc.seen | {key})
+
+
+def fold(acc: CandidateSpace, probes) -> CandidateSpace:
+    """``acc`` cut by each probe in turn (``constrain``)."""
+    for probe in probes:
+        acc = constrain(acc, probe)
+    return acc
 
 
 def singleton_probes(L: LieAlgebra) -> list[Probe]:
     return [Probe(L.basis_element(i), L.labels[i]) for i in range(L.dim)]
 
 
-def basis_probe_space(L: LieAlgebra, der: Optional[DerivationSpace] = None) -> CandidateSpace:
+def basis_probe_space(der: DerivationSpace) -> CandidateSpace:
     """Candidate space cut out by the basis singletons alone.
 
     Its dimension is the sum of the per-basis orbit dimensions, which
     can stay strictly above dim Der.
     """
-    der = der or derivation_space(L)
-    acc = CandidateSpace.full(L)
-    for probe in singleton_probes(L):
-        acc = constrain(acc, L, der, probe)
-    return acc
+    return fold(CandidateSpace.full(der), singleton_probes(der.algebra))
 
 
 @dataclass(frozen=True)
 class FoldResult:
-    """Der, the candidate space a probe fold squeezed down to, and the
-    seed and stop reason of a random fold (both None otherwise).  The
-    stop reason is "collapsed", "stalled" or "budget" (see
+    """The candidate space a probe fold squeezed down to, with its Der,
+    and the seed and stop reason of a random fold (both None otherwise).
+    The stop reason is "collapsed", "stalled" or "budget" (see
     ``random_probe_closure``); the report carries it, so a "stalled" or
     "budget" run reads as inconclusive rather than as a counterexample."""
 
-    algebra: LieAlgebra
-    der: DerivationSpace
     candidate: CandidateSpace
     seed: Optional[int] = None
     stop_reason: Optional[str] = None
 
     @property
     def der_dim(self) -> int:
-        return self.der.dim
+        return self.candidate.der.dim
 
     @property
     def candidate_dim(self) -> int:
@@ -258,10 +260,11 @@ class FoldResult:
     def to_report(self, n: Optional[int]) -> dict:
         """The fold report; ``n`` is the family index the caller knows the
         algebra by (the rank of S_n), None otherwise."""
+        L = self.candidate.der.algebra
         return {
-            "algebra": self.algebra.name,
+            "algebra": L.name,
             "n": n,
-            "field": self.algebra.field.tag,
+            "field": L.field.tag,
             "der_dim": self.der_dim,
             "candidate_dim": self.candidate_dim,
             "equal": self.equal,
@@ -275,11 +278,10 @@ class FoldResult:
 
 
 def random_probe_closure(
-    L: LieAlgebra,
+    der: DerivationSpace,
     seed: int = DEFAULT_SEED,
     max_probes: int = DEFAULT_MAX_PROBES,
     stall_limit: int = DEFAULT_STALL_LIMIT,
-    der: Optional[DerivationSpace] = None,
 ) -> FoldResult:
     """Rational-only closure: start from the basis-singleton space and
     keep adding seeded random probes until one of three stops, checked in
@@ -300,8 +302,7 @@ def random_probe_closure(
     with the coefficient range (repeated draws on an index pair replace
     the imaginary-unit probes of the deterministic route over Q).
     """
-    der = der or derivation_space(L)
-    acc = basis_probe_space(L, der)
+    acc = basis_probe_space(der)
     rng = random.Random(seed)
     tried = stall = 0
     stop_reason = None
@@ -313,12 +314,12 @@ def random_probe_closure(
         elif tried >= max_probes:
             stop_reason = "budget"
         else:
-            element = _random_sparse_element(L, rng, ordered=True)
+            element = _random_sparse_element(der.algebra, rng, ordered=True)
             before = acc.dim
-            acc = constrain(acc, L, der, Probe(element, probe_label(element)))
+            acc = constrain(acc, Probe(element, probe_label(element)))
             tried += 1
             stall = stall + 1 if acc.dim == before else 0
-    return FoldResult(L, der, acc, seed, stop_reason)
+    return FoldResult(acc, seed, stop_reason)
 
 
 def _random_sparse_element(L: LieAlgebra, rng: random.Random, ordered: bool) -> AlgebraElement:
@@ -335,11 +336,14 @@ def _random_sparse_element(L: LieAlgebra, rng: random.Random, ordered: bool) -> 
     return L.element(coords)
 
 
-def witness(
-    L: LieAlgebra, der: DerivationSpace, delta: Matrix, x: AlgebraElement
-) -> Optional[tuple]:
+def witness(der: DerivationSpace, delta: Matrix, x: AlgebraElement) -> Optional[tuple]:
     """Coefficients c over the Der basis with sum c_k D_k(x) = Delta(x);
-    None when the probe refutes locality of Delta."""
+    None when the probe refutes locality of Delta.  Delta must be a map
+    on ``der.algebra`` over its field, and x an element of it."""
+    L = der.algebra
+    check_map(L, delta)
+    if x.algebra != L:
+        raise ValueError("point belongs to a different algebra")
     return _solve_point(L.field, der.columns + (delta.sparse_columns(),), x)[0]
 
 
@@ -387,8 +391,9 @@ class LocalityCertificate:
         return self.certified
 
 
-def certify_local_symbolic(L: LieAlgebra, der: DerivationSpace, delta: Matrix) -> LocalityCertificate:
-    """Decide whether Delta(x) in W_x holds for every x, symbolically.
+def certify_local_symbolic(der: DerivationSpace, delta: Matrix) -> LocalityCertificate:
+    """Decide whether Delta(x) in W_x holds for every x of ``der.algebra``,
+    symbolically; Delta must be a map on that algebra over its field.
 
     The certificate stacks M(x) = [D_1(x) | .. | D_m(x) | Delta(x)] with
     linear-polynomial entries and works stratum by stratum, a stratum
@@ -407,6 +412,8 @@ def certify_local_symbolic(L: LieAlgebra, der: DerivationSpace, delta: Matrix) -
     Refutations are always confirmed by an exact witness-absence check
     at a concrete point.
     """
+    L = der.algebra
+    check_map(L, delta)
     d = L.dim
     if d > _DIM_BOUND:
         raise CertificationError(f"algebra dimension {d} exceeds the certifier bound {_DIM_BOUND}")
@@ -424,7 +431,7 @@ def certify_local_symbolic(L: LieAlgebra, der: DerivationSpace, delta: Matrix) -
     strata: list[str] = []
     rng = random.Random(0xCE27)
     top = tuple(L.basis_element(i) for i in range(d))
-    refut = _certify_on(L, der, columns, top, strata, rng, memo)
+    refut = _certify_on(der, columns, top, strata, rng, memo)
     return LocalityCertificate(refut is None, refut, tuple(strata))
 
 
@@ -459,12 +466,13 @@ def _scan_elements(L: LieAlgebra):
         yield _random_sparse_element(L, rng, ordered=False)
 
 
-def _certify_on(L, der, columns: tuple, basis: tuple, strata, rng, memo: dict, depth=0):
+def _certify_on(der, columns: tuple, basis: tuple, strata, rng, memo: dict, depth=0):
     """Certify membership on the stratum {x = sum_t y_t b_t} spanned by the
     tuple ``basis`` of algebra elements b_t; returns the refuting element,
     or None.  Sample points and the linear forms of the minors both come
     from sparse image passes over ``columns``, those of [D_1, .., D_m,
     Delta]; every point is solved through ``memo`` (``_point_rank``)."""
+    L = der.algebra
     d = L.dim
     m = der.dim
     dim_u = len(basis)
@@ -519,9 +527,9 @@ def _certify_on(L, der, columns: tuple, basis: tuple, strata, rng, memo: dict, d
         # Der block and (by the size-1 minors just checked) the Delta
         # column vanish identically on this stratum
         return None
-    for ell in _rank_drop_cuts(L, der, basis, a_sub, r, best_point, rng):
+    for ell in _rank_drop_cuts(der, basis, a_sub, r, best_point, rng):
         refut = _certify_on(
-            L, der, columns, _hyperplane_basis(basis, ell), strata, rng, memo, depth + 1
+            der, columns, _hyperplane_basis(basis, ell), strata, rng, memo, depth + 1
         )
         if refut is not None:
             return refut
@@ -569,31 +577,33 @@ def _point_where_nonzero(p: MultiPoly, rng):
     raise CertificationError("failed to hit a nonzero point of a nonzero polynomial")
 
 
-def _minor_profile(L, der, x: AlgebraElement, r: int):
+def _minor_profile(der, x: AlgebraElement, r: int):
     """Row and column subsets of the image matrix [D_1(x) | .. | D_m(x)]
     whose r x r submatrix is nonsingular, or None below rank r: the first
     r columns independent of those before them (the RREF pivot columns),
     then the first r independent rows of those columns."""
+    d = der.algebra.dim
     images = _images(der.columns, x)
-    acc = SparseEchelon(L.dim)
+    acc = SparseEchelon(d)
     cols = [k for k, img in enumerate(images) if acc.rank < r and acc.insert(img)]
     if len(cols) < r:
         return None
-    sub = [{t: images[k][i] for t, k in enumerate(cols) if i in images[k]} for i in range(L.dim)]
+    sub = [{t: images[k][i] for t, k in enumerate(cols) if i in images[k]} for i in range(d)]
     acc = SparseEchelon(r)
     rows = [i for i, row in enumerate(sub) if acc.rank < r and acc.insert(row)]
     return tuple(rows), tuple(cols)
 
 
-def _rank_drop_cuts(L, der, basis: tuple, a_sub, r, point, rng) -> list:
+def _rank_drop_cuts(der, basis: tuple, a_sub, r, point, rng) -> list:
     """The linear forms whose product is a nonzero r x r minor of the Der
     block: the rank-drop locus sits inside the zero set of any nonzero
     r-minor, so these hyperplanes cover it.  Minors come first from the
     profiles at ``point`` and at eight sample points, then from the first
     400 row and column subsets."""
+    L = der.algebra
     points = [point] if point is not None else []
     points += [_sample_point(rng, len(basis)) for _ in range(8)]
-    profiles = (_minor_profile(L, der, _apply_basis(L, basis, pt), r) for pt in points)
+    profiles = (_minor_profile(der, _apply_basis(L, basis, pt), r) for pt in points)
     subsets = (
         (rows, cols)
         for rows in combinations(range(L.dim), r)

@@ -29,14 +29,7 @@ from .exactfield import FIELD_Q, FIELD_QI, I, Field
 from .liealg import AlgebraElement, LieAlgebra, ad
 from .linalg import Matrix, Subspace, solve_columns, subspace_intersect, subspace_sum
 from .dersolve import LeibnizError, derivation_space, flatten_map, inner_space, is_derivation
-from .locder import (
-    CandidateSpace,
-    FoldResult,
-    Probe,
-    basis_probe_space,
-    constrain,
-    singleton_probes,
-)
+from .locder import CandidateSpace, FoldResult, Probe, basis_probe_space, fold, singleton_probes
 
 
 def make_schrodinger_labels(n: int) -> tuple:
@@ -281,7 +274,7 @@ def asos_shape_check(n: int, field: Field = FIELD_Q) -> AsosVerdict:
     if n < 1:
         raise ValueError("n must be at least 1")
     L = make_schrodinger(n, field)
-    singles = basis_probe_space(L, derivation_space(L))
+    singles = basis_probe_space(derivation_space(L))
     params = AsosShape(n).parameters(field)
     span = Subspace.from_vectors(
         field, L.dim * L.dim, [flatten_map(mat) for _, mat in params]
@@ -295,9 +288,9 @@ def asos_shape_check(n: int, field: Field = FIELD_Q) -> AsosVerdict:
     return AsosVerdict(equal, span.dim, expected, len(params), note)
 
 
-def schrodinger_trimmed_schedule(n: int, L: Optional[LieAlgebra] = None) -> list[Probe]:
-    """The replay schedule over Q(i) for S_n (L, when given, is S_n over
-    Q(i)), 12n + 5 + n(n-1)/2 probes in this order: basis singletons,
+def schrodinger_trimmed_schedule(L: LieAlgebra) -> list[Probe]:
+    """The replay schedule for L = S_n over Q(i), n read off dim L,
+    12n + 5 + n(n-1)/2 probes in this order: basis singletons,
     h+e, h+f, e+u_j, f+v_j, h+u_j, h+v_j, e+f, then per j the
     half-central probes f-1/2*z+-v_j and e+1/2*z+-u_j, then per pair
     p < j the imaginary-unit probe u_p+i*u_j and, for p = 1 only, v_1+i*v_j
@@ -322,9 +315,9 @@ def schrodinger_trimmed_schedule(n: int, L: Optional[LieAlgebra] = None) -> list
       implies each of these three families, but without all three the
       excess is 2n + 3 (also at n = 5 and 8).
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    L = L if L is not None else make_schrodinger(n, FIELD_QI)
+    n = (L.dim - 4) // 2
+    if n < 1 or L.labels != make_schrodinger_labels(n):
+        raise ValueError(f"algebra {L.name!r} does not have the basis of S_n for any n >= 1")
     if L.field != FIELD_QI:
         raise ValueError("the replay schedule requires the Q(i) algebra")
     half = FIELD_QI.one / 2
@@ -361,8 +354,5 @@ def replay_proof(n: int) -> FoldResult:
     is a derivation for this n.
     """
     L = make_schrodinger(n, FIELD_QI)
-    der = derivation_space(L)
-    acc = CandidateSpace.full(L)
-    for probe in schrodinger_trimmed_schedule(n, L):
-        acc = constrain(acc, L, der, probe)
-    return FoldResult(L, der, acc)
+    acc = CandidateSpace.full(derivation_space(L))
+    return FoldResult(fold(acc, schrodinger_trimmed_schedule(L)))

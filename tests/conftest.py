@@ -14,16 +14,15 @@ from liederiv.dersolve import derivation_space, flatten_map, leibniz_rows
 from liederiv.exactfield import FIELD_Q, FIELD_QI, GaussianRational, I
 from liederiv.liealg import bracket
 from liederiv.linalg import Matrix, SparseEchelon, Subspace
+from liederiv import locder
 from liederiv.locder import (
     CandidateSpace,
     FoldResult,
     Probe,
-    constrain,
     probe_label,
     singleton_probes,
     _orbit_echelon,
 )
-from liederiv.schrodinger import make_schrodinger
 
 
 def rand_fraction(rng, lo=-9, hi=9, den=4):
@@ -215,10 +214,11 @@ def dense_is_derivation(L, D):
     return True, None
 
 
-def dense_witness(L, der, delta, x):
+def dense_witness(der, delta, x):
     """Coefficients of the canonical RREF solution of
     sum c_k D_k(x) = Delta(x) over the Der basis, or None when there is
     none: the dense route through ``matvec`` and ``rref``."""
+    L = der.algebra
     target = matvec(delta, x.coords)
     images = [matvec(D, x.coords) for D in dense_der_basis(der)]
     m = len(images)
@@ -260,33 +260,29 @@ def make_probe(L, terms: dict, label=None) -> Probe:
     return Probe(el, label if label is not None else probe_label(el))
 
 
-def orbit_subspace(L, der, x) -> Subspace:
+def orbit_subspace(der, x) -> Subspace:
     """W_x = span{D(x) : D in the Der basis}, read off the orbit echelon
     that ``constrain`` cuts with."""
-    return _orbit_echelon(L, der, x).row_space(L.field)
+    return _orbit_echelon(der, x).row_space(der.algebra.field)
 
 
 def fold(probes) -> FoldResult:
     """The candidate space cut out by ``probes`` from the full map space
-    of their algebra: a ``constrain`` loop in the given order, as
-    ``replay_proof`` folds its schedule."""
-    L = probes[0].element.algebra
-    der = derivation_space(L)
-    acc = CandidateSpace.full(L)
-    for probe in probes:
-        acc = constrain(acc, L, der, probe)
-    return FoldResult(L, der, acc)
+    of their algebra, in the given order, by the fold that
+    ``replay_proof`` runs on its schedule."""
+    der = derivation_space(probes[0].element.algebra)
+    return FoldResult(locder.fold(CandidateSpace.full(der), probes))
 
 
-def full_schedule(n, L=None) -> list:
-    """The full replay schedule of S_n over Q(i) (L, when given, is S_n
-    over Q(i)), 14n + 8 + 3n(n-1)/2 probes: basis singletons, h+z, h+e,
+def full_schedule(L) -> list:
+    """The full replay schedule of L = S_n over Q(i), n read off dim L,
+    14n + 8 + 3n(n-1)/2 probes: basis singletons, h+z, h+e,
     h+f, e+u_j, f+v_j, h+u_j, h+v_j, e+f, then per j the half-central
     probes f+-1/2*z+-v_j and e+-1/2*z+-u_j (the z sign that cuts first),
     then per pair p < j the probes u_p+i*u_j, v_p+i*v_j and
     u_p+u_j+v_p+v_j.  ``schrodinger_trimmed_schedule`` is the
     subsequence of it that cuts."""
-    L = L if L is not None else make_schrodinger(n, FIELD_QI)
+    n = (L.dim - 4) // 2
     half = FIELD_QI.one / 2
     idx = range(1, n + 1)
     out = singleton_probes(L)

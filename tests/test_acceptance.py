@@ -150,7 +150,7 @@ def test_criterion_3_basis_only_insufficiency():
     computed = {}
     for n in (1, 2, 3, 4):
         L = make_schrodinger(n)
-        acc = basis_probe_space(L)
+        acc = basis_probe_space(derivation_space(L))
         computed[n] = acc.dim
         ok &= acc.dim == expected[n] == 2 * n * n + 8 * n + 7
         ok &= acc.dim > der_dim(n)
@@ -183,10 +183,10 @@ def test_criterion_5_random_route_agreement():
     ok = True
     details = []
     for n in (1, 2, 3):
-        L = make_schrodinger(n)
+        der = derivation_space(make_schrodinger(n))
         target = replay(n).candidate_dim
         for seed in (0x5EED, 0xBEEF, 20260810):
-            out = random_probe_closure(L, seed=seed)
+            out = random_probe_closure(der, seed=seed)
             ok &= out.candidate_dim == target
             details.append(f"n={n}/seed={seed:#x}:{out.candidate_dim}")
     report(5, ok, "stabilized dims " + ", ".join(details))
@@ -202,9 +202,9 @@ def test_criterion_6_pure_local_contrast():
     delta = Matrix(FIELD_Q, rows)
     verdict = is_derivation(H, delta)
     ok &= (not verdict.ok) and verdict.failing_pair == ("u_1", "v_1")
-    cert = certify_local_symbolic(H, der, delta)
+    cert = certify_local_symbolic(der, delta)
     ok &= cert.certified
-    closure = random_probe_closure(H, max_probes=400, stall_limit=150, der=der)
+    closure = random_probe_closure(der, max_probes=400, stall_limit=150)
     ok &= closure.candidate_dim == 7 > der.dim
     report(
         6,
@@ -288,10 +288,10 @@ def test_criterion_7e_containment_chain_during_folding():
     L = make_schrodinger(2, FIELD_QI)
     der = derivation_space(L)
     basis = dense_der_basis(der)
-    acc = CandidateSpace.full(L)
+    acc = CandidateSpace.full(der)
     dims = [acc.dim]
-    for probe in full_schedule(2, L):
-        acc = constrain(acc, L, der, probe)
+    for probe in full_schedule(L):
+        acc = constrain(acc, probe)
         dims.append(acc.dim)
         for D in basis:
             assert contains_map(acc, D)
@@ -303,7 +303,7 @@ def test_criterion_7f_probe_order_independence():
     base = replay(2)
     rng = random.Random(0x0D9E52)
     for schedule in (full_schedule, schrodinger_trimmed_schedule):
-        probes = schedule(2, base.algebra)
+        probes = schedule(base.candidate.der.algebra)
         for _ in range(5):
             shuffled = probes[:]
             rng.shuffle(shuffled)
@@ -318,14 +318,15 @@ def test_criterion_7f_probe_order_independence():
 
 def test_criterion_7g_witness_reconstruction():
     result = replay(2)
-    L, der = result.algebra, result.der
+    der = result.candidate.der
+    L = der.algebra
     maps = [
         unflatten_map(L.field, vec, L.dim) for vec in dense_rows(result.candidate.space)
     ]
     count = 0
-    for probe in full_schedule(2, L):
+    for probe in full_schedule(L):
         for D in maps:
-            assert witness(L, der, D, probe.element) is not None
+            assert witness(der, D, probe.element) is not None
             count += 1
     report("7g", True, f"{count} witnesses reconstructed across all probes and basis maps")
 

@@ -35,6 +35,8 @@ CASES = {
     # the bench workload: the Q(i) replay on S_5
     "locder_replay_n5": (["locder-replay", "--n", "5"], 0),
     "locder_random_n2": (["locder-random", "--n", "2", "--seed", "24301"], 0),
+    # the bench workload: the seeded random closure over Q on S_3
+    "locder_random_n3": (["locder-random", "--n", "3", "--seed", "24301"], 0),
     # S_1 from a file: the report's n comes from recognizing the algebra
     "locder_random_s1_file": (["locder-random", "{dir}/s1.json", "--seed", "24301"], 0),
     "demo_heisenberg": (["demo-heisenberg"], 0),

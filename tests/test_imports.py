@@ -116,3 +116,18 @@ def test_generic_layers_name_nothing_schrodinger():
             if "schrodinger" in ident.lower():
                 named.append((name, node.lineno, ident))
     assert named == []
+
+
+def test_no_function_takes_both_an_algebra_and_its_der():
+    # a DerivationSpace carries its algebra, so a function that took both
+    # an algebra L and a Der could be handed the Der of another algebra
+    both = []
+    for name in ("locder", "schrodinger"):
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+                if {"L", "der"} <= params:
+                    both.append((name, node.lineno, node.name))
+    assert both == []

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from liederiv.exactfield import FIELD_Q, FIELD_QI, GaussianRational, inv
-from liederiv.liealg import ad, make_abelian, make_heisenberg
+from liederiv.exactfield import FIELD_Q, FIELD_QI, GaussianRational, I, inv
+from liederiv.liealg import LieAlgebra, ad, make_abelian, make_heisenberg
 from liederiv.linalg import Matrix, SparseEchelon, Subspace, sparse_add
 from liederiv.dersolve import DerivationSpace, derivation_space, is_derivation
 from liederiv import locder
@@ -65,16 +65,16 @@ def heisenberg_pure_local_map():
 def test_orbit_subspace_examples():
     L = make_schrodinger(2)
     der = derivation_space(L)
-    w_z = orbit_subspace(L, der, L.from_terms({"z": 1}))
+    w_z = orbit_subspace(der, L.from_terms({"z": 1}))
     assert w_z.dim == 1 and w_z.contains(L.from_terms({"z": 1}).coords)
-    w_e = orbit_subspace(L, der, L.from_terms({"e": 1}))
+    w_e = orbit_subspace(der, L.from_terms({"e": 1}))
     assert w_e.dim == 4
     for lab in ("h", "e", "u_1", "u_2"):
         assert w_e.contains(L.from_terms({lab: 1}).coords)
     for n in (1, 2, 3):
         Ln = make_schrodinger(n)
         dn = derivation_space(Ln)
-        assert orbit_subspace(Ln, dn, Ln.from_terms({"h": 1})).dim == 2 * n + 2
+        assert orbit_subspace(dn, Ln.from_terms({"h": 1})).dim == 2 * n + 2
 
 
 def test_orbit_subspace_matches_dense_images():
@@ -85,7 +85,7 @@ def test_orbit_subspace_matches_dense_images():
         for _ in range(10):
             x = L.element([rand_scalar(rng, field) if rng.random() < 0.4 else 0 for _ in range(L.dim)])
             dense = Subspace.from_vectors(field, L.dim, [matvec(D, x.coords) for D in dense_der_basis(der)])
-            assert orbit_subspace(L, der, x) == dense
+            assert orbit_subspace(der, x) == dense
 
 
 def test_constrain_rejects_a_corrupted_der_basis_map():
@@ -101,8 +101,8 @@ def test_constrain_rejects_a_corrupted_der_basis_map():
     corrupted = DerivationSpace(L, (tuple(cols),) + der.columns[1:], der.subspace)
     probe = Probe(L.basis_element(j), L.labels[j])
     with pytest.raises(AssertionError, match="does not annihilate Der"):
-        constrain(CandidateSpace.full(L), L, corrupted, probe)
-    constrain(CandidateSpace.full(L), L, der, probe)
+        constrain(CandidateSpace.full(corrupted), probe)
+    constrain(CandidateSpace.full(der), probe)
 
 
 def test_constrain_rejects_a_corrupted_der_subspace_row():
@@ -116,14 +116,10 @@ def test_constrain_rejects_a_corrupted_der_subspace_row():
     rows = list(der.subspace.rows)
     rows[0] = {**rows[0], max(unused): L.field.one}
     corrupted = DerivationSpace(L, der.columns, Subspace(L.field, L.dim ** 2, tuple(rows)))
+    schedule = schrodinger_trimmed_schedule(L)
     with pytest.raises(AssertionError, match="does not annihilate Der"):
-        acc = CandidateSpace.full(L)
-        for probe in schrodinger_trimmed_schedule(1, L):
-            acc = constrain(acc, L, corrupted, probe)
-    acc = CandidateSpace.full(L)
-    for probe in schrodinger_trimmed_schedule(1, L):
-        acc = constrain(acc, L, der, probe)
-    assert acc.dim == der.dim
+        locder.fold(CandidateSpace.full(corrupted), schedule)
+    assert locder.fold(CandidateSpace.full(der), schedule).dim == der.dim
 
 
 _CHECK_ALGEBRAS = {
@@ -179,11 +175,11 @@ def test_constrain_skips_a_probe_scaled_by_i():
     der = derivation_space(L)
     i_unit = GaussianRational(0, 1)
     probe = make_probe(L, {"u_1": 1, "u_2": i_unit})
-    once = constrain(CandidateSpace.full(L), L, der, probe)
+    once = constrain(CandidateSpace.full(der), probe)
     scaled = probe.element.scale(i_unit)  # i*u_1 - u_2
-    assert constrain(once, L, der, Probe(scaled, probe_label(scaled))) is once
+    assert constrain(once, Probe(scaled, probe_label(scaled))) is once
     # the same support, but not a multiple: u_1 - i*u_2 is a new probe
-    assert constrain(once, L, der, make_probe(L, {"u_1": 1, "u_2": -i_unit})) is not once
+    assert constrain(once, make_probe(L, {"u_1": 1, "u_2": -i_unit})) is not once
 
 
 def test_constrain_eliminates_each_probe_once(monkeypatch):
@@ -194,9 +190,7 @@ def test_constrain_eliminates_each_probe_once(monkeypatch):
     calls = []
     rref_rows = SparseEchelon.rref_rows
     monkeypatch.setattr(SparseEchelon, "rref_rows", lambda acc: calls.append(1) or rref_rows(acc))
-    acc = CandidateSpace.full(L)
-    for probe in schrodinger_trimmed_schedule(2, L):
-        acc = constrain(acc, L, der, probe)
+    acc = locder.fold(CandidateSpace.full(der), schrodinger_trimmed_schedule(L))
     assert acc.dim == der.dim
     assert calls == []
 
@@ -212,15 +206,15 @@ def test_orbit_scaling_invariance():
         c = Fraction(0)
         while not c:
             c = rand_scalar(rng)
-        assert orbit_subspace(L, der, x) == orbit_subspace(L, der, x.scale(c))
+        assert orbit_subspace(der, x) == orbit_subspace(der, x.scale(c))
 
 
 def test_constrain_by_central_probe_drops_one_column_to_a_line():
     L = make_schrodinger(2)
     der = derivation_space(L)
-    acc = CandidateSpace.full(L)
+    acc = CandidateSpace.full(der)
     d = L.dim
-    out = constrain(acc, L, der, make_probe(L, {"z": 1}, "z"))
+    out = constrain(acc, make_probe(L, {"z": 1}, "z"))
     assert acc.dim == d * d
     assert out.dim == d * d - (d - 1)
     assert out.history[-1].dim_before == d * d
@@ -230,46 +224,45 @@ def test_constrain_by_central_probe_drops_one_column_to_a_line():
 def test_constrain_keeps_derivations_and_is_idempotent():
     L = make_schrodinger(1)
     der = derivation_space(L)
-    acc = CandidateSpace.full(L)
+    acc = CandidateSpace.full(der)
     probe = make_probe(L, {"h": 1, "e": 1}, "h+e")
-    once = constrain(acc, L, der, probe)
-    twice = constrain(once, L, der, probe)
+    once = constrain(acc, probe)
+    twice = constrain(once, probe)
     assert twice.dim == once.dim
     assert len(twice.history) == len(once.history)
     for D in dense_der_basis(der):
         assert contains_map(once, D)
     # scalar multiples are recognized as the same probe
     scaled = Probe(probe.element.scale(Fraction(5)), "5h+5e")
-    assert constrain(once, L, der, scaled).dim == once.dim
+    assert constrain(once, scaled).dim == once.dim
 
 
 def test_constrain_rejects_zero_and_foreign_probes():
     L = make_schrodinger(1)
     der = derivation_space(L)
-    acc = CandidateSpace.full(L)
+    acc = CandidateSpace.full(der)
     with pytest.raises(ValueError):
         Probe(L.from_terms({}), "0")
     other = make_schrodinger(2)
     with pytest.raises(ValueError):
-        constrain(acc, L, der, make_probe(other, {"e": 1}, "e"))
+        constrain(acc, make_probe(other, {"e": 1}, "e"))
 
 
 def test_basis_probe_space_dimension_formula():
     for n, expect in ((1, 17), (2, 31), (3, 49)):
         L = make_schrodinger(n)
-        acc = basis_probe_space(L)
+        acc = basis_probe_space(derivation_space(L))
         assert acc.dim == expect == 2 * n * n + 8 * n + 7
         assert acc.dim > expected_der_dim(n)
 
 
 def test_basis_probe_space_abelian_keeps_everything():
-    L = make_abelian(3)
-    acc = basis_probe_space(L)
+    acc = basis_probe_space(derivation_space(make_abelian(3)))
     assert acc.dim == 9
 
 
 def test_schedule_contents():
-    probes = full_schedule(2)
+    probes = full_schedule(make_schrodinger(2, FIELD_QI))
     labels = [p.label for p in probes]
     assert labels[:8] == ["e", "h", "f", "z", "u_1", "u_2", "v_1", "v_2"]
     assert labels[8] == "h+z"
@@ -280,22 +273,34 @@ def test_schedule_contents():
     assert "e+1/2*z-u_2" in labels and "e-1/2*z-u_2" in labels
     assert len(labels) == len(set(labels))
     # n = 1 has no pairwise probes
-    labels1 = [p.label for p in full_schedule(1)]
+    labels1 = [p.label for p in full_schedule(make_schrodinger(1, FIELD_QI))]
     assert not any("i*" in lab or "u_1+u_" in lab for lab in labels1)
-    with pytest.raises(ValueError):
-        schrodinger_trimmed_schedule(0)
 
 
 def test_schedule_requires_gaussian_field():
     with pytest.raises(ValueError):
-        schrodinger_trimmed_schedule(2, make_schrodinger(2, FIELD_Q))
+        schrodinger_trimmed_schedule(make_schrodinger(2, FIELD_Q))
+
+
+def test_schedule_rejects_an_algebra_without_the_basis_of_s_n():
+    # n is read off the algebra, so it cannot disagree with it.  sl2 plus
+    # a centre has the labels e, h, f, z of "S_0"; the others have a
+    # dimension 2n + 4 or not, but never the labels of S_n
+    sl2_z = LieAlgebra(
+        "sl2_z", FIELD_QI, ("e", "h", "f", "z"), {(0, 1): {0: -2}, (0, 2): {1: 1}, (1, 2): {2: -2}}
+    )
+    others = [sl2_z, make_heisenberg(1, FIELD_QI), make_heisenberg(2, FIELD_QI)]
+    others += [make_abelian(k, FIELD_QI) for k in (6, 7, 8)]
+    for L in others:
+        with pytest.raises(ValueError, match="basis of S_n"):
+            schrodinger_trimmed_schedule(L)
 
 
 def test_trimmed_schedule_is_the_cutting_subsequence():
     for n in range(1, 9):
         L = make_schrodinger(n, FIELD_QI)
-        full = full_schedule(n, L)
-        trimmed = schrodinger_trimmed_schedule(n, L)
+        full = full_schedule(L)
+        trimmed = schrodinger_trimmed_schedule(L)
         assert len(full) == 14 * n + 8 + 3 * n * (n - 1) // 2
         assert len(trimmed) == 12 * n + 5 + n * (n - 1) // 2
         kept = {p.label for p in trimmed}
@@ -317,7 +322,7 @@ def test_replay_verifies_small_ranks():
         result = replay_proof(n)
         assert result.equal
         assert result.der_dim == result.candidate_dim == expected_der_dim(n)
-        assert result.candidate.space == result.der.subspace
+        assert result.candidate.space == result.candidate.der.subspace
         dims = [s.dim_after for s in result.candidate.history]
         assert dims == sorted(dims, reverse=True)
         report = result.to_report(n)
@@ -328,7 +333,7 @@ def test_replay_verifies_small_ranks():
 
 def test_replay_probe_order_independence():
     base = replay_proof(2)
-    probes = full_schedule(2, base.algebra)
+    probes = full_schedule(base.candidate.der.algebra)
     rng = random.Random(0xA11CE)
     for _ in range(5):
         shuffled = probes[:]
@@ -338,9 +343,9 @@ def test_replay_probe_order_independence():
         assert out.candidate.space == base.candidate.space
 
 
-_SCHEDULE = full_schedule(2)
+_SCHEDULE = full_schedule(make_schrodinger(2, FIELD_QI))
 _REPLAY_BASE = fold(_SCHEDULE)
-_TRIMMED = schrodinger_trimmed_schedule(2, _REPLAY_BASE.algebra)
+_TRIMMED = schrodinger_trimmed_schedule(_REPLAY_BASE.candidate.der.algebra)
 _TRIMMED_LABELS = {p.label for p in _TRIMMED}
 _EXTRA = [p for p in _SCHEDULE if p.label not in _TRIMMED_LABELS]
 _nonzero_gauss = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any)
@@ -377,39 +382,40 @@ def test_supersets_of_the_trimmed_schedule_give_the_same_candidate(extra, rng):
 
 def test_replay_witnesses_exist_at_every_probe():
     result = replay_proof(2)
-    L, der = result.algebra, result.der
+    der = result.candidate.der
+    L = der.algebra
     maps = [
         unflatten_map(L.field, vec, L.dim) for vec in dense_rows(result.candidate.space)
     ]
-    for probe in full_schedule(2, L):
+    for probe in full_schedule(L):
         for D in maps:
-            assert witness(L, der, D, probe.element) is not None
+            assert witness(der, D, probe.element) is not None
 
 
 def test_random_closure_agrees_with_replay():
     for n in (1, 2):
-        L = make_schrodinger(n)
-        out = random_probe_closure(L)
+        out = random_probe_closure(derivation_space(make_schrodinger(n)))
         assert out.candidate_dim == out.der_dim == expected_der_dim(n)
         assert out.stop_reason == "collapsed"
         report = out.to_report(n)
         assert report["seed"] == 0x5EED
         assert report["n"] == n
         assert report["stop_reason"] == "collapsed"
-    out = random_probe_closure(make_schrodinger(2), max_probes=5)
+    out = random_probe_closure(derivation_space(make_schrodinger(2)), max_probes=5)
     assert out.stop_reason == out.to_report(2)["stop_reason"] == "budget"
     assert out.candidate_dim > out.der_dim
 
 
 def test_random_closure_abelian_keeps_full_space():
-    out = random_probe_closure(make_abelian(3), max_probes=40, stall_limit=20)
+    out = random_probe_closure(derivation_space(make_abelian(3)), max_probes=40, stall_limit=20)
     assert out.candidate_dim == 9
     # Der(abelian_3) = gl_3, so the singleton space has already collapsed
     assert out.stop_reason == "collapsed"
 
 
 def test_random_closure_heisenberg_stalls_above_derivations():
-    out = random_probe_closure(make_heisenberg(1), max_probes=300, stall_limit=120)
+    der = derivation_space(make_heisenberg(1))
+    out = random_probe_closure(der, max_probes=300, stall_limit=120)
     assert out.der_dim == 6
     assert out.candidate_dim == 7
     assert not out.equal
@@ -420,7 +426,7 @@ def test_witness_examples():
     L = make_schrodinger(1)
     der = derivation_space(L)
     adh = ad(L.from_terms({"h": 1}))
-    w = witness(L, der, adh, L.from_terms({"e": 1}))
+    w = witness(der, adh, L.from_terms({"e": 1}))
     assert w is not None
     images = [matvec(D, L.from_terms({"e": 1}).coords) for D in dense_der_basis(der)]
     rebuilt = [
@@ -431,11 +437,29 @@ def test_witness_examples():
 
     H, delta = heisenberg_pure_local_map()
     derH = derivation_space(H)
-    assert witness(H, derH, delta, H.from_terms({"u_1": 1, "z": 1})) is not None
+    assert witness(derH, delta, H.from_terms({"u_1": 1, "z": 1})) is not None
     rows = [[Fraction(0)] * 3 for _ in range(3)]
     rows[H.index["u_1"]][H.index["z"]] = Fraction(1)
     bad = Matrix(FIELD_Q, rows)
-    assert witness(H, derH, bad, H.from_terms({"z": 1})) is None
+    assert witness(derH, bad, H.from_terms({"z": 1})) is None
+
+
+def test_witness_and_certifier_reject_a_map_or_point_of_another_algebra():
+    H, delta = heisenberg_pure_local_map()
+    der = derivation_space(H)
+    z = H.from_terms({"z": 1})
+    rows = [[0] * 3 for _ in range(3)]
+    rows[H.index["z"]][H.index["z"]] = I
+    # a 2x2 map and a map over Q(i) on the Q-algebra h_1
+    for bad in (Matrix(FIELD_Q, [[0, 0], [0, 1]]), Matrix(FIELD_QI, rows)):
+        with pytest.raises(ValueError, match="does not match algebra"):
+            witness(der, bad, z)
+        with pytest.raises(ValueError, match="does not match algebra"):
+            certify_local_symbolic(der, bad)
+    for other in (make_heisenberg(1, FIELD_QI), make_heisenberg(2)):
+        with pytest.raises(ValueError, match="different algebra"):
+            witness(der, delta, other.from_terms({"z": 1}))
+    assert witness(der, delta, z) is not None
 
 
 _WITNESS_ALGEBRAS = {"h1": make_heisenberg(1), "h2": make_heisenberg(2), "s1": make_schrodinger(1)}
@@ -475,8 +499,8 @@ def test_sparse_witness_agrees_with_dense_oracle(case):
     delta = Matrix(FIELD_Q, rows)
     coords = [Fraction(point.get(i, 0)) for i in range(L.dim)]
     x = L.element(coords)
-    w = witness(L, der, delta, x)
-    oracle = dense_witness(L, der, delta, x)
+    w = witness(der, delta, x)
+    oracle = dense_witness(der, delta, x)
     assert (w is None) == (oracle is None)
     if w is not None:
         assert w == oracle
@@ -492,7 +516,7 @@ def _heisenberg2_zz():
 def test_witness_recheck_fires_on_a_corrupted_solve(monkeypatch):
     H, der, delta = _heisenberg2_zz()
     x = H.from_terms({"z": 1, "u_1": 1, "v_2": -1})
-    assert witness(H, der, delta, x) is not None
+    assert witness(der, delta, x) is not None
     true_solve = locder.solve_columns
 
     def corrupted(field, columns, target):
@@ -503,7 +527,7 @@ def test_witness_recheck_fires_on_a_corrupted_solve(monkeypatch):
 
     monkeypatch.setattr(locder, "solve_columns", corrupted)
     with pytest.raises(AssertionError, match="witness solve failed to verify"):
-        witness(H, der, delta, x)
+        witness(der, delta, x)
 
 
 def test_certifier_makes_no_dense_matvec(monkeypatch):
@@ -516,7 +540,7 @@ def test_certifier_makes_no_dense_matvec(monkeypatch):
         return true_matvec(self, v)
 
     monkeypatch.setattr(Matrix, "matvec", counting, raising=False)
-    cert = certify_local_symbolic(H, der, delta)
+    cert = certify_local_symbolic(der, delta)
     assert cert.certified
     assert len(calls) == 0
 
@@ -544,13 +568,13 @@ def test_certifier_solves_each_point_once_up_to_scaling(monkeypatch):
         return true_rank(field, columns, x, memo)
 
     monkeypatch.setattr(locder, "_point_rank", recording)
-    cert = certify_local_symbolic(H, der, delta)
+    cert = certify_local_symbolic(der, delta)
     assert cert.certified and len(cert.strata) == 66
     # 972 points are looked at, 507 of them distinct up to a nonzero scalar
     assert len(keys) == 972
     assert len(solves) == len(set(keys)) == 507
     # the memo lives for one call: a second certification solves again
-    assert certify_local_symbolic(H, der, delta) == cert
+    assert certify_local_symbolic(der, delta) == cert
     assert len(solves) == 2 * 507
 
 
@@ -565,7 +589,7 @@ def test_a_point_and_its_multiple_share_one_solve(monkeypatch):
     assert len(solves) == 1 and list(memo.values()) == [rank]
     # witness keeps no memo: it solves on every call
     for y in (x, x.scale(3), x):
-        assert witness(H, der, delta, y) is not None
+        assert witness(der, delta, y) is not None
     assert len(solves) == 4
     # a refuting point gives None at once and is not remembered
     rows = [[Fraction(0)] * 5 for _ in range(5)]
@@ -586,7 +610,7 @@ def test_certifier_builds_the_map_columns_once(monkeypatch):
         return true_columns(self)
 
     monkeypatch.setattr(Matrix, "sparse_columns", counting)
-    assert certify_local_symbolic(H, der, delta).certified
+    assert certify_local_symbolic(der, delta).certified
     assert len(calls) == 1
 
 
@@ -594,7 +618,7 @@ def test_certifier_accepts_pure_local_map():
     H, delta = heisenberg_pure_local_map()
     der = derivation_space(H)
     assert not is_derivation(H, delta).ok
-    cert = certify_local_symbolic(H, der, delta)
+    cert = certify_local_symbolic(der, delta)
     assert cert.certified and cert.refutation is None
     assert cert.strata != ("member of Der",)
 
@@ -604,20 +628,20 @@ def test_certifier_refutes_central_escape():
     der = derivation_space(H)
     rows = [[Fraction(0)] * 3 for _ in range(3)]
     rows[H.index["u_1"]][H.index["z"]] = Fraction(1)
-    cert = certify_local_symbolic(H, der, Matrix(FIELD_Q, rows))
+    cert = certify_local_symbolic(der, Matrix(FIELD_Q, rows))
     assert not cert.certified
     assert cert.refutation is not None
     # the refuting point is the central line
     assert cert.refutation.coords[H.index["z"]]
     assert not cert.refutation.coords[H.index["u_1"]]
-    assert witness(H, der, Matrix(FIELD_Q, rows), cert.refutation) is None
+    assert witness(der, Matrix(FIELD_Q, rows), cert.refutation) is None
 
 
 def test_certifier_short_circuits_derivations():
     H, _ = heisenberg_pure_local_map()
     der = derivation_space(H)
     for D in dense_der_basis(der)[:3]:
-        cert = certify_local_symbolic(H, der, D)
+        cert = certify_local_symbolic(der, D)
         assert cert.certified and cert.strata == ("member of Der",)
 
 
@@ -626,7 +650,7 @@ def test_certifier_certifies_non_derivation_local_maps_on_schrodinger():
     # local; check the certifier also handles a plain derivation there
     L = make_schrodinger(1)
     der = derivation_space(L)
-    cert = certify_local_symbolic(L, der, tau(1))
+    cert = certify_local_symbolic(der, tau(1))
     assert cert.certified and cert.strata == ("member of Der",)
 
 
@@ -637,7 +661,7 @@ def test_certifier_accepts_central_scaling_on_larger_heisenberg():
     rows[H.index["z"]][H.index["z"]] = Fraction(1)
     delta = Matrix(FIELD_Q, rows)
     assert not is_derivation(H, delta).ok
-    cert = certify_local_symbolic(H, der, delta)
+    cert = certify_local_symbolic(der, delta)
     assert cert.certified
 
 
@@ -650,17 +674,17 @@ def test_certifier_refutes_central_scaling_on_schrodinger():
     rows = [[Fraction(0)] * 6 for _ in range(6)]
     rows[L.index["z"]][L.index["z"]] = Fraction(1)
     delta = Matrix(FIELD_Q, rows)
-    cert = certify_local_symbolic(L, der, delta)
+    cert = certify_local_symbolic(der, delta)
     assert not cert.certified
     assert cert.refutation is not None
-    assert witness(L, der, delta, cert.refutation) is None
+    assert witness(der, delta, cert.refutation) is None
 
 
 def test_certifier_dimension_bound():
     L = make_schrodinger(3)
     der = derivation_space(L)
     with pytest.raises(CertificationError):
-        certify_local_symbolic(L, der, tau(3))
+        certify_local_symbolic(der, tau(3))
 
 
 _BLOCK_ALGEBRAS = {"h2": make_heisenberg(2), "s1_qi": make_schrodinger(1, FIELD_QI)}
