@@ -151,10 +151,10 @@ def derivation_space(L: LieAlgebra) -> DerivationSpace:
     in the elimination cannot go unnoticed.
     """
     d = L.dim
-    acc = SparseEchelon(d * d)
+    acc = SparseEchelon(L.field, d * d)
     for row in leibniz_rows(L):
         acc.insert(row)
-    space = acc.nullspace(L.field)
+    space = acc.nullspace()
     columns = []
     for row in space.rows:
         cols = tuple({} for _ in range(d))

@@ -7,6 +7,9 @@ i**2 = -1.  Everything is immutable; equality is structural.
 The two fields are the ``Field`` objects ``FIELD_Q`` and ``FIELD_QI``.
 Their tags, "Q" and "Qi", appear only in algebra files, at ``--field``
 and in reports; ``field_of`` turns a tag from outside into its field.
+Each field also owns the integer form that ``linalg.SparseEchelon``
+eliminates in: a row over Q is stored with its denominators cleared, a
+row over Q(i) as its real and imaginary parts side by side.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable
 
 
@@ -275,12 +279,89 @@ def _coerce_qi(x) -> GaussianRational:
     raise FieldMismatchError(f"cannot interpret {x!r} over Qi")
 
 
+def _encode_q(row: dict) -> dict:
+    # one pass while the entries are integers, the common case; the first
+    # entry with a denominator sends the row through the lcm of them all
+    out = {}
+    for c, x in row.items():
+        if type(x) is not Fraction:
+            x = _coerce_q(x)
+        if x.denominator != 1:
+            return _cleared(row)
+        if n := x.numerator:
+            out[c] = n
+    return out
+
+
+def _cleared(row: dict) -> dict:
+    row = {c: _coerce_q(x) for c, x in row.items()}
+    den = lcm(*[x.denominator for x in row.values()])
+    return {c: n * (den // x.denominator) for c, x in row.items() if (n := x.numerator)}
+
+
+def _decode_q(row: dict, pivot: int) -> dict:
+    p = row[pivot]
+    if p == 1:
+        return {c: Fraction(x) for c, x in row.items()}
+    return {c: Fraction(x, p) for c, x in row.items()}
+
+
+def _encode_qi(row: dict) -> dict:
+    parts = {}
+    for c, x in row.items():
+        if type(x) is not GaussianRational:
+            x = _coerce_qi(x)
+        parts[2 * c] = x.re
+        if x.im is not _ZERO_IM:
+            parts[2 * c + 1] = x.im
+    return _encode_q(parts)
+
+
+def _decode_qi(row: dict, pivot: int) -> dict:
+    # the row over Q(i) whose real form is ``row``, divided by its entry
+    # a + b*i at column pivot // 2: (x + y*i) / (a + b*i) is
+    # ((x*a + y*b) + (y*a - x*b)*i) / (a*a + b*b)
+    a, b = row[pivot], row.get(pivot + 1, 0)
+    n = a * a + b * b if b else a
+    out = {}
+    for k in row:
+        c = k >> 1
+        if c not in out:
+            x, y = row.get(2 * c, 0), row.get(2 * c + 1, 0)
+            if b:
+                x, y = x * a + y * b, y * a - x * b
+            if n != 1:
+                x, y = Fraction(x, n), Fraction(y, n)
+            out[c] = GaussianRational(x, y)
+    return out
+
+
+def _times_i(row: dict) -> tuple:
+    # i * (x + y*i) = -y + x*i on each pair of real columns
+    return ({k - 1 if k & 1 else k + 1: -x if k & 1 else x for k, x in row.items()},)
+
+
 @dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Field:
     """Q or Q(i): ``zero``, ``one``, ``coerce(x)``, x as an element of the
     field or FieldMismatchError (rationals embed into Q(i); a non-real
     Gaussian rational is not in Q), and ``parse(text)``, the canonical
     scalar syntax.  Copies and pickles give back the same object.
+
+    The integer form of a sparse row ``{column: scalar}`` spends
+    ``width`` integer columns on each field column: one over Q, the real
+    and the imaginary part (columns 2c and 2c + 1) over Q(i).
+
+    - ``encode(row)``: the row in integer form, scaled by a positive
+      integer that clears every denominator; zero entries are dropped,
+      and an entry outside the field raises FieldMismatchError.
+    - ``decode(row, pivot)``: the row over the field, keyed by field
+      column, that ``row`` is the integer form of, divided by its entry
+      at field column ``pivot // width``.
+    - ``rotations(row)``: the integer forms of u*r for the units u other
+      than 1 of the field's basis over Q (none over Q, i*r over Q(i)),
+      given the integer form of r.  Together with r they span, over Q,
+      the line of r over the field.
     """
 
     tag: str
@@ -288,6 +369,10 @@ class Field:
     one: object
     coerce: Callable
     parse: Callable
+    width: int
+    encode: Callable
+    decode: Callable
+    rotations: Callable
 
     def __repr__(self):
         return self.tag
@@ -296,8 +381,20 @@ class Field:
         return field_of, (self.tag,)
 
 
-FIELD_Q = Field("Q", Fraction(0), Fraction(1), _coerce_q, _parse_q)
-FIELD_QI = Field("Qi", GaussianRational(0), GaussianRational(1), _coerce_qi, _parse_qi)
+FIELD_Q = Field(
+    "Q", Fraction(0), Fraction(1), _coerce_q, _parse_q, 1, _encode_q, _decode_q, lambda row: ()
+)
+FIELD_QI = Field(
+    "Qi",
+    GaussianRational(0),
+    GaussianRational(1),
+    _coerce_qi,
+    _parse_qi,
+    2,
+    _encode_qi,
+    _decode_qi,
+    _times_i,
+)
 
 
 def field_of(tag) -> Field:

@@ -214,7 +214,7 @@ def check_jacobi(L: LieAlgebra) -> JacobiVerdict:
 
 def center(L: LieAlgebra) -> Subspace:
     """{x : [x, L] = 0} via the nullspace of the stacked ad-matrices."""
-    acc = SparseEchelon(L.dim)
+    acc = SparseEchelon(L.field, L.dim)
     for j in range(L.dim):
         for k in range(L.dim):
             row = {}
@@ -224,7 +224,7 @@ def center(L: LieAlgebra) -> Subspace:
                     row[i] = c
             if row:
                 acc.insert(row)
-    return acc.nullspace(L.field)
+    return acc.nullspace()
 
 
 def make_heisenberg(n: int, field: Field = FIELD_Q) -> LieAlgebra:

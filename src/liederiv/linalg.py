@@ -3,16 +3,22 @@
 One elimination engine, the sparse incremental echelon accumulator,
 handles the large Leibniz and probe-constraint systems without
 materializing dense matrices, and its back-eliminated rows are the
-canonical RREF bases of subspaces.  All operations are pure functions
-on immutable values, so callers may use them concurrently.
+canonical RREF bases of subspaces.  It eliminates in integers: its
+stored rows are primitive ``{column: int}`` rows, fraction-free, and a
+row over Q(i) is stored as a pair of real rows, its real and imaginary
+parts side by side.  Its field (``exactfield.Field``) turns rows of
+field scalars into that form and back, and the rows it hands out, with
+unit pivots, are built when read.  Matrices and subspaces are immutable
+values, so callers may share them.
 """
 
 from __future__ import annotations
 
 import heapq
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from .exactfield import Field, FieldMismatchError, inv
+from .exactfield import Field, FieldMismatchError
 
 
 class Matrix:
@@ -99,13 +105,13 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, field: Field, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        acc = SparseEchelon(ambient_dim)
+        acc = SparseEchelon(field, ambient_dim)
         for v in vectors:
             if len(v) != ambient_dim:
                 raise ValueError("vector length does not match ambient dimension")
             row = list(map(field.coerce, v))
             acc.insert({j: x for j, x in enumerate(row) if x})
-        return acc.row_space(field)
+        return acc.row_space()
 
     @property
     def dim(self) -> int:
@@ -155,10 +161,10 @@ def _same_space(a: Subspace, b: Subspace):
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     _same_space(a, b)
-    acc = SparseEchelon(a.ambient_dim)
+    acc = SparseEchelon(a.field, a.ambient_dim)
     for row in a.rows + b.rows:
         acc.insert(row)
-    return acc.row_space(a.field)
+    return acc.row_space()
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -167,7 +173,7 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     at or past n span the intersection, already in canonical form."""
     _same_space(a, b)
     n = a.ambient_dim
-    acc = SparseEchelon(2 * n)
+    acc = SparseEchelon(a.field, 2 * n)
     for row in a.rows:
         acc.insert({**row, **{c + n: x for c, x in row.items()}})
     for row in b.rows:
@@ -177,115 +183,185 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
 
 
 class SparseEchelon:
-    """Incremental echelon accumulator with unit pivots over an exact field.
+    """Incremental echelon accumulator over the exact field ``field``,
+    eliminating in integers.
 
-    Rows are sparse ``{column: scalar}`` dicts whose support starts at the
-    pivot column; stored rows are never mutated after insertion, so
-    ``clone`` can share them.  The pivot is always the first nonzero
-    column of the incoming row after reduction, which keeps the reduced
-    forms canonical for a given row space.
+    Each inserted row is taken to its integer form (``Field.encode``):
+    over Q its denominators are cleared, and over Q(i) the row r becomes
+    a row over 2 * ncols rational columns, Re r_c at 2c and Im r_c at
+    2c + 1, and enters together with the form of i*r.  The span over Q
+    of those forms is then the real form of the span over Q(i), so the
+    pivots come in pairs {2p, 2p + 1}, one pair per pivot p over Q(i),
+    and the RREF row at 2p is the real form of the RREF row at p.
+
+    A stored row is a primitive ``{column: int}`` dict: the gcd of its
+    entries is 1 and its pivot entry, at its first column, is positive.
+    An incoming row is reduced fraction-free (Bareiss, Math. Comp. 22,
+    1968), ``work = (p/g) * work - (v/g) * pivot_row`` with
+    g = gcd(p, v), p the pivot entry and v the entry of ``work`` at the
+    pivot, and the scaling is skipped when p is 1.  The pivot is the
+    first nonzero column after reduction, so each stored row is a
+    multiple of the row that unit-pivot elimination over the field
+    stores at the same pivot (over Q(i), of its real form, by a Gaussian
+    rational), and reads back as that row.  Stored rows are never
+    mutated after insertion, so ``clone`` can share them.
+
+    ``rows``, ``reduced_rows``, ``rref_rows``, ``nullspace_vectors`` and
+    the subspaces read off them hold field scalars with unit pivots,
+    keyed by field column; they are built when read (``Field.decode``).
     """
 
-    __slots__ = ("ncols", "rows")
+    __slots__ = ("field", "ncols", "_rows")
 
-    def __init__(self, ncols: int):
+    def __init__(self, field: Field, ncols: int):
+        self.field = field
         self.ncols = ncols
-        self.rows: dict[int, dict] = {}
+        self._rows: dict[int, dict] = {}
 
     def clone(self) -> "SparseEchelon":
-        new = SparseEchelon(self.ncols)
-        new.rows = dict(self.rows)
+        new = SparseEchelon(self.field, self.ncols)
+        new._rows = dict(self._rows)
         return new
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self._rows) // self.field.width
+
+    @property
+    def rows(self) -> dict[int, dict]:
+        """The pivot rows over the field, ``{pivot: {column: scalar}}``,
+        each scaled to a unit pivot."""
+        return self._decode(self._rows)
+
+    def _decode(self, rows: dict) -> dict[int, dict]:
+        width, decode = self.field.width, self.field.decode
+        return {q // width: decode(row, q) for q, row in rows.items() if not q % width}
 
     def insert(self, row: dict) -> bool:
-        """Reduce a sparse row against the accumulator; returns True if the
-        rank grew (the reduced row was nonzero and became a new pivot row)."""
-        work = {j: v for j, v in row.items() if v}
+        """Reduce a sparse row of field scalars against the accumulator;
+        returns True if the rank grew.  A scalar outside the field raises
+        FieldMismatchError."""
+        if not row:
+            return False
+        pivot = self._reduce(self.field.encode(row))
+        if pivot is None:
+            return False
+        # the other units times the new row only fill out its pivot group
+        for turned in self.field.rotations(self._rows[pivot]):
+            self._reduce(turned)
+        return True
+
+    def _reduce(self, work: dict) -> Optional[int]:
+        """Reduce the integer row ``work`` in place; store it, primitive,
+        and return its pivot when it stays nonzero, else return None."""
+        rows = self._rows
         heap = list(work)
         heapq.heapify(heap)
         while heap:
             j = heapq.heappop(heap)
             v = work.get(j)
-            if not v:
-                work.pop(j, None)
+            if v is None:
                 continue
-            pivot_row = self.rows.get(j)
+            pivot_row = rows.get(j)
             if pivot_row is None:
-                inv_v = inv(v)
-                self.rows[j] = {c: x * inv_v for c, x in work.items() if x}
-                return True
+                g = gcd(*work.values())
+                if v < 0:
+                    g = -g
+                rows[j] = work if g == 1 else {c: x // g for c, x in work.items()}
+                return j
+            p = pivot_row[j]
+            if p != 1:
+                g = gcd(p, v)
+                if g != p:
+                    a = p // g
+                    for c in work:
+                        work[c] *= a
+                v //= g
             del work[j]
             for c, pv in pivot_row.items():
                 if c == j:
                     continue
                 cur = work.get(c)
-                nv = cur - v * pv if cur is not None else -(v * pv)
-                if nv:
-                    if cur is None:
-                        heapq.heappush(heap, c)
-                    work[c] = nv
+                if cur is None:
+                    work[c] = -v * pv
+                    heapq.heappush(heap, c)
                 else:
-                    work.pop(c, None)
-        return False
-
-    def reduced_rows(self) -> dict[int, dict]:
-        """Fully back-eliminated (RREF) copies of the pivot rows."""
-        reduced: dict[int, dict] = {}
-        for p in sorted(self.rows, reverse=True):
-            row = dict(self.rows[p])
-            for c in [c for c in row if c != p and c in self.rows]:
-                f = row.get(c)
-                if not f:
-                    row.pop(c, None)
-                    continue
-                del row[c]
-                for cc, pv in reduced[c].items():
-                    if cc == c:
-                        continue
-                    cur = row.get(cc)
-                    nv = cur - f * pv if cur is not None else -(f * pv)
+                    nv = cur - v * pv
                     if nv:
-                        row[cc] = nv
+                        work[c] = nv
                     else:
-                        row.pop(cc, None)
+                        del work[c]
+        return None
+
+    def _reduced(self) -> dict[int, dict]:
+        """Fully back-eliminated primitive integer rows, fraction-free,
+        in descending pivot order."""
+        rows = self._rows
+        reduced: dict[int, dict] = {}
+        for p in sorted(rows, reverse=True):
+            row = rows[p]
+            cols = [c for c in row if c != p and c in rows]
+            if cols:
+                row = dict(row)
+                # the rows below are reduced, so eliminating one pivot
+                # column only scales the entries at the others
+                for c in cols:
+                    q, f = reduced[c][c], row.pop(c)
+                    g = gcd(q, f)
+                    if g != q:
+                        a = q // g
+                        for k in row:
+                            row[k] *= a
+                    f //= g
+                    for k, x in reduced[c].items():
+                        if k != c:
+                            nv = row.get(k, 0) - f * x
+                            if nv:
+                                row[k] = nv
+                            else:
+                                del row[k]
+                g = gcd(*row.values())
+                if g != 1:
+                    row = {k: x // g for k, x in row.items()}
             reduced[p] = row
         return reduced
 
+    def reduced_rows(self) -> dict[int, dict]:
+        """Fully back-eliminated (RREF) pivot rows over the field, unit
+        pivots, in descending pivot order."""
+        return self._decode(self._reduced())
+
     def nullspace_vectors(self) -> list[dict]:
-        """Sparse basis of {v : row . v = 0 for all accumulated rows}."""
+        """Sparse basis of {v : row . v = 0 for all accumulated rows}: one
+        vector per free column f, 1 at f and minus column f of the RREF
+        rows at their pivots, each row scattered once into the vectors of
+        its free columns."""
         reduced = self.reduced_rows()
-        free = [c for c in range(self.ncols) if c not in self.rows]
-        out = []
-        for f in free:
-            vec = {f: 1}
-            for p, row in reduced.items():
-                x = row.get(f)
-                if x:
+        one = self.field.one
+        vectors = {f: {f: one} for f in range(self.ncols) if f not in reduced}
+        for p, row in reduced.items():
+            for f, x in row.items():
+                vec = vectors.get(f)
+                if vec is not None:
                     vec[p] = -x
-            out.append(vec)
-        return out
+        return list(vectors.values())
 
     def rref_rows(self) -> list[dict]:
         """The canonical RREF basis of the row space, sparse, in pivot order."""
         reduced = self.reduced_rows()
         return [reduced[p] for p in sorted(reduced)]
 
-    def row_space(self, field: Field) -> Subspace:
+    def row_space(self) -> Subspace:
         """The row space as a Subspace: its rows are the back-eliminated
         rows, the canonical RREF basis."""
-        return Subspace(field, self.ncols, tuple(self.rref_rows()))
+        return Subspace(self.field, self.ncols, tuple(self.rref_rows()))
 
-    def nullspace(self, field: Field) -> Subspace:
+    def nullspace(self) -> Subspace:
         """The nullspace as a Subspace, in canonical RREF."""
-        o = field.one
-        out = SparseEchelon(self.ncols)
+        out = SparseEchelon(self.field, self.ncols)
         for sv in self.nullspace_vectors():
-            out.insert({c: o * x for c, x in sv.items()})
-        return out.row_space(field)
+            out.insert(sv)
+        return out.row_space()
 
 
 def sparse_add(row: dict, col: int, val) -> None:
@@ -316,15 +392,16 @@ def solve_columns(field: Field, columns: Sequence[dict], target: dict) -> tuple:
             rows.setdefault(r, {})[k] = v
     for r, v in target.items():
         rows.setdefault(r, {})[m] = v
-    acc = SparseEchelon(m + 1)
+    acc = SparseEchelon(field, m + 1)
     for row in rows.values():
         acc.insert(row)
-    if m in acc.rows:
+    pivot_rows = acc.rows
+    if m in pivot_rows:
         return None, acc.rank - 1
     z = field.zero
     coeffs = [z] * m
-    for p in sorted(acc.rows, reverse=True):
-        row = acc.rows[p]
+    for p in sorted(pivot_rows, reverse=True):
+        row = pivot_rows[p]
         c = row.get(m, z)
         for k, v in row.items():
             if k != p and k != m and coeffs[k]:

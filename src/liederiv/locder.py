@@ -112,7 +112,7 @@ def _images(columns: Sequence[tuple], x: AlgebraElement) -> list[dict]:
 
 def _orbit_echelon(der: DerivationSpace, x: AlgebraElement) -> SparseEchelon:
     """Echelon whose row space is W_x, fed by one sparse image pass."""
-    acc = SparseEchelon(der.algebra.dim)
+    acc = SparseEchelon(der.algebra.field, der.algebra.dim)
     for img in _images(der.columns, x):
         acc.insert(img)
     return acc
@@ -147,7 +147,8 @@ class CandidateSpace:
 
     @classmethod
     def full(cls, der: DerivationSpace) -> "CandidateSpace":
-        return cls(der, SparseEchelon(der.algebra.dim ** 2), (), frozenset())
+        L = der.algebra
+        return cls(der, SparseEchelon(L.field, L.dim ** 2), (), frozenset())
 
     @property
     def dim(self) -> int:
@@ -156,7 +157,7 @@ class CandidateSpace:
     @property
     def space(self) -> Subspace:
         if self._space is None:
-            self._space = self.echelon.nullspace(self.der.algebra.field)
+            self._space = self.echelon.nullspace()
         return self._space
 
 
@@ -584,12 +585,12 @@ def _minor_profile(der, x: AlgebraElement, r: int):
     then the first r independent rows of those columns."""
     d = der.algebra.dim
     images = _images(der.columns, x)
-    acc = SparseEchelon(d)
+    acc = SparseEchelon(der.algebra.field, d)
     cols = [k for k, img in enumerate(images) if acc.rank < r and acc.insert(img)]
     if len(cols) < r:
         return None
     sub = [{t: images[k][i] for t, k in enumerate(cols) if i in images[k]} for i in range(d)]
-    acc = SparseEchelon(r)
+    acc = SparseEchelon(der.algebra.field, r)
     rows = [i for i, row in enumerate(sub) if acc.rank < r and acc.insert(row)]
     return tuple(rows), tuple(cols)
 

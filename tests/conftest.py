@@ -1,17 +1,19 @@
 """Shared helpers: random exact scalars, independent elimination
-oracles used to cross-check the production linear algebra, dense matrix
+oracles used to cross-check the production linear algebra (among them
+the unit-pivot sparse echelon that the integer kernel replaced), dense matrix
 and subspace helpers, the dense Der basis, dense oracles for the sparse
 derivation check, the sparse witness solve and the indexed
 Der-annihilation check, and the probe-fold oracles: the orbit subspace
 W_x, a fold over any probe list and the full replay schedule of S_n."""
 
 import copy
+import heapq
 import pickle
 from fractions import Fraction
 from itertools import combinations
 
 from liederiv.dersolve import derivation_space, flatten_map, leibniz_rows
-from liederiv.exactfield import FIELD_Q, FIELD_QI, GaussianRational, I
+from liederiv.exactfield import FIELD_Q, FIELD_QI, GaussianRational, I, inv
 from liederiv.liealg import bracket
 from liederiv.linalg import Matrix, SparseEchelon, Subspace
 from liederiv import locder
@@ -68,6 +70,75 @@ def naive_rank(rows):
     return rank
 
 
+class UnitPivotEchelon:
+    """The sparse echelon in field scalars with unit pivots: each pivot
+    row is the reduced incoming row divided by its first entry.  An
+    oracle for ``SparseEchelon``, whose rows read back the same values."""
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self.rows: dict[int, dict] = {}
+
+    def insert(self, row: dict) -> bool:
+        work = {j: v for j, v in row.items() if v}
+        heap = list(work)
+        heapq.heapify(heap)
+        while heap:
+            j = heapq.heappop(heap)
+            v = work.get(j)
+            if not v:
+                work.pop(j, None)
+                continue
+            pivot_row = self.rows.get(j)
+            if pivot_row is None:
+                inv_v = inv(v)
+                self.rows[j] = {c: x * inv_v for c, x in work.items() if x}
+                return True
+            del work[j]
+            for c, pv in pivot_row.items():
+                if c == j:
+                    continue
+                cur = work.get(c)
+                nv = cur - v * pv if cur is not None else -(v * pv)
+                if nv:
+                    if cur is None:
+                        heapq.heappush(heap, c)
+                    work[c] = nv
+                else:
+                    work.pop(c, None)
+        return False
+
+    def reduced_rows(self) -> dict[int, dict]:
+        reduced: dict[int, dict] = {}
+        for p in sorted(self.rows, reverse=True):
+            row = dict(self.rows[p])
+            for c in [c for c in row if c != p and c in self.rows]:
+                f = row.get(c)
+                if not f:
+                    row.pop(c, None)
+                    continue
+                del row[c]
+                for cc, pv in reduced[c].items():
+                    if cc == c:
+                        continue
+                    cur = row.get(cc)
+                    nv = cur - f * pv if cur is not None else -(f * pv)
+                    if nv:
+                        row[cc] = nv
+                    else:
+                        row.pop(cc, None)
+            reduced[p] = row
+        return reduced
+
+    def nullspace_vectors(self) -> list[dict]:
+        reduced = self.reduced_rows()
+        out = []
+        for f in range(self.ncols):
+            if f not in reduced:
+                out.append({f: 1, **{p: -row[f] for p, row in reduced.items() if f in row}})
+        return out
+
+
 def rref(m: Matrix) -> tuple[Matrix, int]:
     """Dense reduced row-echelon form and rank.
 
@@ -102,10 +173,10 @@ def rref(m: Matrix) -> tuple[Matrix, int]:
 
 def nullspace(m: Matrix) -> Subspace:
     """Kernel {v : m v = 0} of a dense matrix, through ``SparseEchelon``."""
-    acc = SparseEchelon(m.ncols)
+    acc = SparseEchelon(m.field, m.ncols)
     for row in m.entries:
         acc.insert({j: x for j, x in enumerate(row) if x})
-    return acc.nullspace(m.field)
+    return acc.nullspace()
 
 
 def leibniz_system(L) -> Matrix:
@@ -263,7 +334,7 @@ def make_probe(L, terms: dict, label=None) -> Probe:
 def orbit_subspace(der, x) -> Subspace:
     """W_x = span{D(x) : D in the Der basis}, read off the orbit echelon
     that ``constrain`` cuts with."""
-    return _orbit_echelon(der, x).row_space(der.algebra.field)
+    return _orbit_echelon(der, x).row_space()
 
 
 def fold(probes) -> FoldResult:

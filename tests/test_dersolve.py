@@ -182,12 +182,12 @@ def test_derivation_space_rejects_a_non_derivation_from_the_nullspace(monkeypatc
     L = make_schrodinger(2)
     original = SparseEchelon.nullspace
 
-    def corrupted(self, field):
-        space = original(self, field)
+    def corrupted(self):
+        space = original(self)
         rows = [list(r) for r in dense_rows(space)]
         # adds e -> e to the first basis map, which breaks [e, f] = h
         rows[0][0] = rows[0][0] + 1
-        return Subspace.from_vectors(field, self.ncols, rows)
+        return Subspace.from_vectors(self.field, self.ncols, rows)
 
     monkeypatch.setattr(SparseEchelon, "nullspace", corrupted)
     with pytest.raises(AssertionError, match="non-derivation"):

@@ -131,3 +131,29 @@ def test_no_function_takes_both_an_algebra_and_its_der():
                 if {"L", "der"} <= params:
                     both.append((name, node.lineno, node.name))
     assert both == []
+
+
+def test_linalg_leaves_scalar_knowledge_to_the_field():
+    # the echelon eliminates in integers through its Field's encode and
+    # decode, so linalg needs no scalar type, no inverse and no type test
+    tree = ast.parse((PACKAGE / "linalg.py").read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            ident = node.id
+        elif isinstance(node, ast.Attribute):
+            ident = node.attr
+        elif isinstance(node, ast.alias):
+            ident = node.name
+        elif isinstance(node, ast.Compare) and any(
+            isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops
+        ):
+            calls = [x for x in (node.left, *node.comparators) if isinstance(x, ast.Call)]
+            if any(getattr(x.func, "id", None) == "type" for x in calls):
+                found.append((node.lineno, "type(...) is"))
+            continue
+        else:
+            continue
+        if ident in ("GaussianRational", "Fraction", "inv", "inverse"):
+            found.append((node.lineno, ident))
+    assert found == []

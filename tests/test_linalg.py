@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from liederiv.linalg import (
     subspace_sum,
 )
 from conftest import (
+    UnitPivotEchelon,
     back_multiply,
     copies,
     dense_rows,
@@ -205,11 +207,11 @@ def test_sparse_echelon_matches_dense_rank():
     rng = random.Random(47)
     for _ in range(40):
         m = rand_matrix(rng, rng.randint(1, 8), rng.randint(1, 8))
-        acc = SparseEchelon(m.ncols)
+        acc = SparseEchelon(FIELD_Q, m.ncols)
         for row in m.entries:
             acc.insert({j: x for j, x in enumerate(row) if x})
         assert acc.rank == rref(m)[1]
-        ns = acc.nullspace(FIELD_Q)
+        ns = acc.nullspace()
         assert ns == nullspace(m)
         for vec in dense_rows(ns):
             assert not any(back_multiply(m.entries, vec))
@@ -219,20 +221,110 @@ def test_sparse_echelon_over_gaussian_rationals():
     rng = random.Random(53)
     for _ in range(20):
         m = rand_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), FIELD_QI)
-        acc = SparseEchelon(m.ncols)
+        acc = SparseEchelon(FIELD_QI, m.ncols)
         for row in m.entries:
             acc.insert({j: x for j, x in enumerate(row) if x})
         assert acc.rank == rref(m)[1]
-        for vec in dense_rows(acc.nullspace(FIELD_QI)):
+        for vec in dense_rows(acc.nullspace()):
             assert not any(back_multiply(m.entries, vec))
 
 
 def test_sparse_echelon_keeps_int_rows_exact():
-    acc = SparseEchelon(2)
+    acc = SparseEchelon(FIELD_Q, 2)
     assert acc.insert({0: 2, 1: 3})
     # 1.0 and 1.5 would compare equal, so the types are checked as well
     assert acc.rows == {0: {0: Fraction(1), 1: Fraction(3, 2)}}
     assert all(type(v) is Fraction for v in acc.rows[0].values())
+
+
+def test_a_non_real_scalar_in_a_q_echelon_is_a_field_mismatch():
+    acc = SparseEchelon(FIELD_Q, 2)
+    with pytest.raises(FieldMismatchError):
+        acc.insert({0: Fraction(1), 1: GaussianRational(1, 1)})
+    assert acc.rank == 0 and acc.rows == {}
+    for field in (FIELD_Q, FIELD_QI):
+        with pytest.raises(FieldMismatchError):
+            SparseEchelon(field, 1).insert({0: 0.5})
+    # a Gaussian rational with no imaginary part is a rational
+    assert acc.insert({0: GaussianRational(2), 1: Fraction(1, 3)})
+    assert acc.rows == {0: {0: Fraction(1), 1: Fraction(1, 6)}}
+    assert all(type(v) is Fraction for v in acc.rows[0].values())
+
+
+@st.composite
+def _echelon_inputs(draw):
+    """(field, ncols, rows, extra): sparse rows of field scalars with
+    denominators up to 12, among them rows over Q(i) that are entirely
+    real, rows whose leading entry is not a unit, and repeated rows,
+    exact or scaled; ``extra`` is one more row of the same kind."""
+    field = draw(st.sampled_from([FIELD_Q, FIELD_QI]))
+    ncols = draw(st.integers(1, 6))
+    nonzero = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 12))
+    part = st.one_of(st.just(Fraction(0)), nonzero)
+    non_units = st.sampled_from([2, -3, Fraction(4, 9), Fraction(-5, 12)])
+
+    def scalar(real):
+        if field == FIELD_Q or real:
+            return field.coerce(draw(part))
+        return GaussianRational(draw(part), draw(part))
+
+    rows = []
+    for _ in range(draw(st.integers(0, 7)) + 1):
+        kind = draw(st.sampled_from(["random", "real", "lead", "repeat"]))
+        if kind == "repeat" and rows:
+            row = rows[draw(st.integers(0, len(rows) - 1))]
+            c = scalar(False) or field.one
+            row = {j: c * x for j, x in row.items()}
+        else:
+            dense = [scalar(kind == "real") for _ in range(ncols)]
+            lead = next((j for j, x in enumerate(dense) if x), None)
+            if kind == "lead" and lead is not None:
+                dense[lead] = field.coerce(draw(non_units))
+            row = {j: x for j, x in enumerate(dense) if x}
+        rows.append(row)
+    return field, ncols, rows[:-1], rows[-1]
+
+
+def _typed(rows: dict) -> dict:
+    return {p: {c: (type(x), x) for c, x in row.items()} for p, row in rows.items()}
+
+
+def _assert_primitive(acc: SparseEchelon):
+    for q, row in acc._rows.items():
+        assert all(type(x) is int for x in row.values())
+        assert min(row) == q and row[q] > 0 and gcd(*row.values()) == 1
+    # over Q(i) the real pivots come in pairs {2p, 2p + 1}
+    width = acc.field.width
+    assert sorted(acc._rows) == [width * p + k for p in sorted(acc.rows) for k in range(width)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_echelon_inputs())
+def test_integer_echelon_reads_back_the_unit_pivot_oracle(case):
+    field, ncols, rows, extra = case
+    acc, oracle = SparseEchelon(field, ncols), UnitPivotEchelon(ncols)
+    for row in rows:
+        assert acc.insert(row) == oracle.insert(row)
+        _assert_primitive(acc)
+    assert acc.rank == len(oracle.rows)
+    assert _typed(acc.rows) == _typed(oracle.rows)
+    reduced = oracle.reduced_rows()
+    assert _typed(acc.reduced_rows()) == _typed(reduced)
+    z = field.zero
+    dense = [[row.get(j, z) for j in range(ncols)] for row in rows]
+    assert acc.rref_rows() == [reduced[p] for p in sorted(reduced)]
+    assert tuple(acc.rref_rows()) == _sparse(_dense_rref_rows(field, ncols, dense))
+    assert acc.nullspace_vectors() == oracle.nullspace_vectors()
+    for vec in acc.nullspace_vectors():
+        assert not any(back_multiply(dense, [vec.get(j, z) for j in range(ncols)]))
+    # a clone shares the stored rows; inserting into it leaves the original
+    stored = {q: dict(row) for q, row in acc._rows.items()}
+    read = acc.rows
+    twin = acc.clone()
+    assert twin.insert(extra) == oracle.insert(extra)
+    _assert_primitive(twin)
+    assert _typed(twin.rows) == _typed(oracle.rows)
+    assert acc._rows == stored and _typed(acc.rows) == _typed(read)
 
 
 _int_matrices = st.integers(1, 6).flatmap(
@@ -246,7 +338,7 @@ _int_matrices = st.integers(1, 6).flatmap(
 @given(_int_matrices)
 def test_sparse_echelon_rank_matches_naive_rank(case):
     ncols, rows = case
-    acc = SparseEchelon(ncols)
+    acc = SparseEchelon(FIELD_Q, ncols)
     for row in rows:
         acc.insert({j: x for j, x in enumerate(row) if x})
     assert acc.rank == naive_rank([[Fraction(x) for x in row] for row in rows])
@@ -330,7 +422,7 @@ def test_solve_columns_gives_the_rank_and_solves_exactly_inside_the_span(case):
         # the canonical solution: the RREF read-out of the augmented echelon,
         # with every free coefficient zero
         m = len(cols)
-        acc = SparseEchelon(m + 1)
+        acc = SparseEchelon(field, m + 1)
         for i in range(nrows):
             acc.insert({k: x for k, x in enumerate([col[i] for col in cols] + [target[i]]) if x})
         reduced = acc.reduced_rows()

@@ -131,7 +131,7 @@ _CHECK_DER = {name: derivation_space(L) for name, L in _CHECK_ALGEBRAS.items()}
 
 
 def _der_annihilator(der):
-    acc = SparseEchelon(der.algebra.dim ** 2)
+    acc = SparseEchelon(der.algebra.field, der.algebra.dim ** 2)
     for row in der.subspace.rows:
         acc.insert(row)
     return acc.nullspace_vectors()
