@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd
 from typing import Callable
 
 
@@ -280,23 +280,22 @@ def _coerce_qi(x) -> GaussianRational:
 
 
 def _encode_q(row: dict) -> dict:
-    # one pass while the entries are integers, the common case; the first
-    # entry with a denominator sends the row through the lcm of them all
-    out = {}
+    # one pass over the entries, each numerator taken over the lcm ``den``
+    # of the denominators so far; a denominator that raises ``den``
+    # rescales the entries already out
+    out, den = {}, 1
     for c, x in row.items():
         if type(x) is not Fraction:
             x = _coerce_q(x)
-        if x.denominator != 1:
-            return _cleared(row)
+        d = x.denominator
+        if den % d:
+            k = d // gcd(den, d)
+            den *= k
+            for j in out:
+                out[j] *= k
         if n := x.numerator:
-            out[c] = n
+            out[c] = n * (den // d)
     return out
-
-
-def _cleared(row: dict) -> dict:
-    row = {c: _coerce_q(x) for c, x in row.items()}
-    den = lcm(*[x.denominator for x in row.values()])
-    return {c: n * (den // x.denominator) for c, x in row.items() if (n := x.numerator)}
 
 
 def _decode_q(row: dict, pivot: int) -> dict:

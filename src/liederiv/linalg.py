@@ -196,12 +196,15 @@ class SparseEchelon:
 
     A stored row is a primitive ``{column: int}`` dict: the gcd of its
     entries is 1 and its pivot entry, at its first column, is positive.
-    An incoming row is reduced fraction-free (Bareiss, Math. Comp. 22,
-    1968), ``work = (p/g) * work - (v/g) * pivot_row`` with
+    An incoming row is reduced fraction-free by gcd-scaled
+    cross-multiplication, ``work = (p/g) * work - (v/g) * pivot_row`` with
     g = gcd(p, v), p the pivot entry and v the entry of ``work`` at the
-    pivot, and the scaling is skipped when p is 1.  The pivot is the
-    first nonzero column after reduction, so each stored row is a
-    multiple of the row that unit-pivot elimination over the field
+    pivot, and the scaling is skipped when p is 1.  This is not Bareiss's
+    elimination: there is no exact division by the previous pivot, so
+    ``work`` may grow by up to log2(p) bits for each pivot row with p > 1
+    it meets, and only the stored row is divided by its content.  The
+    pivot is the first nonzero column after reduction, so each stored
+    row is a multiple of the row that unit-pivot elimination over the field
     stores at the same pivot (over Q(i), of its real form, by a Gaussian
     rational), and reads back as that row.  Stored rows are never
     mutated after insertion, so ``clone`` can share them.
@@ -241,8 +244,6 @@ class SparseEchelon:
         """Reduce a sparse row of field scalars against the accumulator;
         returns True if the rank grew.  A scalar outside the field raises
         FieldMismatchError."""
-        if not row:
-            return False
         pivot = self._reduce(self.field.encode(row))
         if pivot is None:
             return False
