@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from liederiv.cli import main
-from liederiv.exactfield import FIELD_QI, format_scalar
+from liederiv.exactfield import FIELD_Q, FIELD_QI, GaussianRational, I, format_scalar
 from liederiv.liealg import ad, make_heisenberg, to_json
 from liederiv.schrodinger import make_schrodinger
 
@@ -49,6 +49,12 @@ CASES = {
     "certify_s1_zz": (["certify", "{dir}/s1.json", "--map", "{dir}/s1_zz.json"], 2),
     # ad(h) + 3*tau + sigma_12 on S_2, resolved against inner + sigma + tau
     "decompose_n2": (["decompose", "--n", "2", "--map", "{dir}/s2_dec.json"], 0),
+    # ad((1+i)h + i*e + u_1/2) + (2-i)*tau + i*sigma_12 on S_2 over Q(i):
+    # the one case whose report prints non-real scalars
+    "decompose_n2_qi": (
+        ["decompose", "--n", "2", "--field", "Qi", "--map", "{dir}/s2qi_dec.json"],
+        0,
+    ),
     "outer_check_n2_qi": (["outer-check", "--n", "2", "--field", "Qi"], 0),
     # the two commands that print a field tag read from a file or --field
     "gen_h1_qi": (["gen", "--heisenberg", "1", "--field", "Qi"], 0),
@@ -59,7 +65,8 @@ CASES = {
 
 def write_certify_inputs(directory: Path) -> None:
     """h_1 (over Q and over Q(i)), h_2 and S_1, each with the map z -> z,
-    zero elsewhere, and the derivation ad(h) + 3*tau + sigma_12 of S_2."""
+    zero elsewhere, and two derivations of S_2: ad(h) + 3*tau + sigma_12
+    over Q and ad((1+i)h + i*e + u_1/2) + (2-i)*tau + i*sigma_12 over Q(i)."""
     algebras = {
         "h1": make_heisenberg(1),
         "h1qi": make_heisenberg(1, FIELD_QI),
@@ -72,17 +79,28 @@ def write_certify_inputs(directory: Path) -> None:
         z = L.index["z"]
         rows[z][z] = "1"
         (directory / f"{name}_zz.json").write_text(json.dumps({"matrix": rows}))
-    s2 = make_schrodinger(2)
-    at = s2.index
-    dec = [list(row) for row in ad(s2.from_terms({"h": 1})).entries]
-    dec[at["z"]][at["z"]] += 3
-    for lab in ("u_1", "u_2", "v_1", "v_2"):
-        dec[at[lab]][at[lab]] += Fraction(3, 2)
-    for a, b in (("u_1", "u_2"), ("v_1", "v_2")):
-        dec[at[b]][at[a]] += 1
-        dec[at[a]][at[b]] -= 1
-    rows = [[format_scalar(x) for x in row] for row in dec]
-    (directory / "s2_dec.json").write_text(json.dumps({"matrix": rows}))
+    # name -> (field, inner element, tau coefficient, sigma_12 coefficient)
+    maps = {
+        "s2_dec": (FIELD_Q, {"h": 1}, Fraction(3), 1),
+        "s2qi_dec": (
+            FIELD_QI,
+            {"h": GaussianRational(1, 1), "e": I, "u_1": Fraction(1, 2)},
+            GaussianRational(2, -1),
+            I,
+        ),
+    }
+    for name, (field, inner, tau, sigma) in maps.items():
+        s2 = make_schrodinger(2, field)
+        at = s2.index
+        dec = [list(row) for row in ad(s2.from_terms(inner)).entries]
+        dec[at["z"]][at["z"]] += tau
+        for lab in ("u_1", "u_2", "v_1", "v_2"):
+            dec[at[lab]][at[lab]] += tau / 2
+        for a, b in (("u_1", "u_2"), ("v_1", "v_2")):
+            dec[at[b]][at[a]] += sigma
+            dec[at[a]][at[b]] -= sigma
+        rows = [[format_scalar(x) for x in row] for row in dec]
+        (directory / f"{name}.json").write_text(json.dumps({"matrix": rows}))
 
 
 def argv_for(name: str, directory: Path) -> list:
