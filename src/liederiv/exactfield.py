@@ -1,7 +1,9 @@
 """Exact scalar arithmetic over Q and Q(i).
 
 Rationals are ``fractions.Fraction`` (arbitrary-precision, always reduced,
-positive denominator), Gaussian rationals are pairs of Fractions with
+positive denominator), in Q and in Q(i) alike: a real value of Q(i) is
+the same ``Fraction`` as over Q, and only a value with a nonzero
+imaginary part is a ``GaussianRational``, a pair of Fractions with
 i**2 = -1.  Everything is immutable; equality is structural.
 
 The two fields are the ``Field`` objects ``FIELD_Q`` and ``FIELD_QI``.
@@ -25,137 +27,96 @@ class FieldMismatchError(ValueError):
     """Raised when operands belong to different fields."""
 
 
-# the imaginary part of every real GaussianRational built in this module:
-# the operators test for this object by identity to take their real path
-_ZERO_IM = Fraction(0)
-
-
 class GaussianRational:
-    """Element a + b*i of Q(i), with a, b reduced Fractions.
+    """Element a + b*i of Q(i) with b != 0, a and b reduced Fractions.
 
-    A zero imaginary part is always stored as the one shared
-    ``_ZERO_IM``, so ``+``, ``-``, ``*`` and unary ``-`` can tell two
-    real operands by identity and do a single ``Fraction`` operation,
-    filling the slots of the result without ``__init__``.  The identity
-    test is only a hint: an operand whose zero imaginary part is some
-    other ``Fraction(0)`` (one built around ``__init__``) takes the
-    general path and gives the same value.  ``bool``, ``==`` and
-    ``hash`` compare values, never that identity.
+    A real value of Q(i) is the ``Fraction`` itself, the same object as
+    over Q: ``GaussianRational(a, 0)`` returns ``Fraction(a)``, and so does
+    every operation whose result has a zero imaginary part.  So an
+    instance of this class is never zero (it is always true), it is
+    never equal to a rational, and arithmetic on two real values is
+    plain ``Fraction`` arithmetic.
     """
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re=0, im=_ZERO_IM):
+    def __new__(cls, re=0, im=0):
         # Fraction(x) rebuilds even a Fraction; the parts are immutable,
         # so an exact Fraction is stored as it is
-        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
+        if type(re) is not Fraction:
+            re = Fraction(re)
         if type(im) is not Fraction:
             im = Fraction(im)
-        object.__setattr__(self, "im", im if im else _ZERO_IM)
+        if not im:
+            return re
+        g = object.__new__(cls)
+        object.__setattr__(g, "re", re)
+        object.__setattr__(g, "im", im)
+        return g
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
     def __reduce__(self):
-        # copies and pickles rebuild through __init__ (the default slot
-        # restore would hit __setattr__), so a real value gets _ZERO_IM back
+        # copies and pickles rebuild through __new__ (the default slot
+        # restore would hit __setattr__)
         return GaussianRational, (self.re, self.im)
 
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other)
-        return None
-
     def __add__(self, other):
-        o = other if type(other) is GaussianRational else self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.im is _ZERO_IM and o.im is _ZERO_IM:
-            g = _new(GaussianRational)
-            _set_re(g, self.re + o.re)
-            _set_im(g, _ZERO_IM)
-            return g
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        if type(other) is GaussianRational:
+            return GaussianRational(self.re + other.re, self.im + other.im)
+        if isinstance(other, (int, Fraction)):
+            return GaussianRational(self.re + other, self.im)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = other if type(other) is GaussianRational else self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.im is _ZERO_IM and o.im is _ZERO_IM:
-            g = _new(GaussianRational)
-            _set_re(g, self.re - o.re)
-            _set_im(g, _ZERO_IM)
-            return g
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        if type(other) is GaussianRational:
+            return GaussianRational(self.re - other.re, self.im - other.im)
+        if isinstance(other, (int, Fraction)):
+            return GaussianRational(self.re - other, self.im)
+        return NotImplemented
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return (-self).__add__(other)
 
     def __mul__(self, other):
-        o = other if type(other) is GaussianRational else self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.im is _ZERO_IM and o.im is _ZERO_IM:
-            g = _new(GaussianRational)
-            _set_re(g, self.re * o.re)
-            _set_im(g, _ZERO_IM)
-            return g
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        if type(other) is GaussianRational:
+            return GaussianRational(
+                self.re * other.re - self.im * other.im,
+                self.re * other.im + self.im * other.re,
+            )
+        if isinstance(other, (int, Fraction)):
+            return GaussianRational(self.re * other, self.im * other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def inverse(self) -> "GaussianRational":
+        # never zero, since the imaginary part is not
         n = self.re * self.re + self.im * self.im
-        if not n:
-            raise ZeroDivisionError("inverse of zero in Q(i)")
         return GaussianRational(self.re / n, -self.im / n)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            return self * inv(other)
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+        return self.inverse().__mul__(other)
 
     def __neg__(self):
-        if self.im is _ZERO_IM:
-            g = _new(GaussianRational)
-            _set_re(g, -self.re)
-            _set_im(g, _ZERO_IM)
-            return g
         return GaussianRational(-self.re, -self.im)
 
-    def __pos__(self):
-        return self
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        # a rational is never equal to a non-real value; NotImplemented
+        # lets Python compare them by identity
+        if type(other) is not GaussianRational:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        if not self.im:
-            return hash(self.re)
         return hash((self.re, self.im))
 
     def __repr__(self):
@@ -164,12 +125,6 @@ class GaussianRational:
     def __str__(self):
         return format_scalar(self)
 
-
-# the real paths of the operators fill the slots inline: a helper
-# function would add about a quarter to the cost of a real product
-_new = object.__new__
-_set_re = GaussianRational.re.__set__
-_set_im = GaussianRational.im.__set__
 
 I = GaussianRational(0, 1)
 
@@ -204,8 +159,6 @@ def format_rational(a: Fraction) -> str:
 def format_scalar(x) -> str:
     """Canonical text form: ``p/q`` over Q, ``p/q+r/s*i`` over Q(i)."""
     if isinstance(x, GaussianRational):
-        if not x.im:
-            return format_rational(x.re)
         im = format_rational(abs(x.im)) + "*i"
         sign = "+" if x.im > 0 else "-"
         if not x.re:
@@ -223,7 +176,7 @@ def _parse_q(text) -> Fraction:
     return _parse_rational(s)
 
 
-def _parse_qi(text) -> GaussianRational:
+def _parse_qi(text):
     """Parse the canonical Q(i) syntax; exact round-trip with format_scalar.
 
     Accepted: ``p/q``, ``r/s*i``, ``p/q+r/s*i``, ``p/q-r/s*i``, and bare
@@ -231,7 +184,7 @@ def _parse_qi(text) -> GaussianRational:
     are optional (``3`` means ``3/1``).
     """
     if not isinstance(text, str) or "i" not in text:
-        return GaussianRational(_parse_q(text))
+        return _parse_q(text)
     s = text.strip()
     if not s.endswith("i") or s.count("i") != 1:
         raise ValueError(f"malformed Q(i) scalar {text!r}")
@@ -264,18 +217,16 @@ def _coerce_q(x) -> Fraction:
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
     if isinstance(x, GaussianRational):
-        if x.im:
-            raise FieldMismatchError(f"{x} is not rational")
-        return x.re
+        raise FieldMismatchError(f"{x} is not rational")
     raise FieldMismatchError(f"cannot interpret {x!r} over Q")
 
 
-def _coerce_qi(x) -> GaussianRational:
-    # the ring embedding Q -> Q(i), a |-> a + 0i, on rationals
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational(x)
-    if isinstance(x, GaussianRational):
+def _coerce_qi(x):
+    # Q is a subset of Q(i): a rational is its own image, as a Fraction
+    if type(x) is Fraction or isinstance(x, GaussianRational):
         return x
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
     raise FieldMismatchError(f"cannot interpret {x!r} over Qi")
 
 
@@ -308,11 +259,10 @@ def _decode_q(row: dict, pivot: int) -> dict:
 def _encode_qi(row: dict) -> dict:
     parts = {}
     for c, x in row.items():
-        if type(x) is not GaussianRational:
-            x = _coerce_qi(x)
-        parts[2 * c] = x.re
-        if x.im is not _ZERO_IM:
-            parts[2 * c + 1] = x.im
+        if type(x) is GaussianRational:
+            parts[2 * c], parts[2 * c + 1] = x.re, x.im
+        else:
+            parts[2 * c] = x if type(x) is Fraction else _coerce_qi(x)
     return _encode_q(parts)
 
 
@@ -385,8 +335,8 @@ FIELD_Q = Field(
 )
 FIELD_QI = Field(
     "Qi",
-    GaussianRational(0),
-    GaussianRational(1),
+    Fraction(0),
+    Fraction(1),
     _coerce_qi,
     _parse_qi,
     2,

@@ -382,10 +382,10 @@ def solve_columns(field: Field, columns: Sequence[dict], target: dict) -> tuple:
 
     A pivot at column m of the echelon of the augmented rows means no
     solution; otherwise c is the canonical RREF solution, with every
-    free coefficient zero, found by back-substituting the target column
-    alone over the echelon rows in descending pivot order (no row is
-    back-eliminated).  The same echelon gives the rank, since
-    rank [A | b] = rank A exactly when a solution exists."""
+    free coefficient zero, read off the back-eliminated rows: c_p is the
+    entry at column m of the row with pivot p.  The same echelon gives
+    the rank, since rank [A | b] = rank A exactly when a solution
+    exists."""
     m = len(columns)
     rows: dict = {}
     for k, col in enumerate(columns):
@@ -396,16 +396,11 @@ def solve_columns(field: Field, columns: Sequence[dict], target: dict) -> tuple:
     acc = SparseEchelon(field, m + 1)
     for row in rows.values():
         acc.insert(row)
-    pivot_rows = acc.rows
-    if m in pivot_rows:
+    reduced = acc.reduced_rows()
+    if m in reduced:
         return None, acc.rank - 1
     z = field.zero
     coeffs = [z] * m
-    for p in sorted(pivot_rows, reverse=True):
-        row = pivot_rows[p]
-        c = row.get(m, z)
-        for k, v in row.items():
-            if k != p and k != m and coeffs[k]:
-                c = c - v * coeffs[k]
-        coeffs[p] = c
+    for p, row in reduced.items():
+        coeffs[p] = row.get(m, z)
     return coeffs, acc.rank

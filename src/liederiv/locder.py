@@ -81,12 +81,6 @@ def probe_label(x: AlgebraElement) -> str:
 
 def _coeff_text(c) -> str:
     if isinstance(c, GaussianRational):
-        if not c.re and c.im == 1:
-            return "i"
-        if not c.re and c.im == -1:
-            return "-i"
-        if not c.im:
-            return _coeff_text(c.re)
         re = _coeff_text(c.re) if c.re else ""
         im = "i" if c.im == 1 else ("-i" if c.im == -1 else f"{_coeff_text(c.im)}*i")
         if not re:
@@ -111,10 +105,12 @@ def _images(columns: Sequence[tuple], x: AlgebraElement) -> list[dict]:
 
 
 def _orbit_echelon(der: DerivationSpace, x: AlgebraElement) -> SparseEchelon:
-    """Echelon whose row space is W_x, fed by one sparse image pass."""
+    """Echelon whose row space is W_x, fed by one sparse image pass; a
+    zero image D_k(x) spans nothing and is not inserted."""
     acc = SparseEchelon(der.algebra.field, der.algebra.dim)
     for img in _images(der.columns, x):
-        acc.insert(img)
+        if img:
+            acc.insert(img)
     return acc
 
 

@@ -12,7 +12,6 @@ from liederiv.exactfield import (
     FieldMismatchError,
     GaussianRational,
     I,
-    _ZERO_IM,
     format_scalar,
     inv,
 )
@@ -73,14 +72,13 @@ def test_embedding_is_ring_homomorphism():
 
 
 def test_copies_and_pickles_rebuild_through_the_constructor():
-    for x in (GaussianRational(1, 2), GaussianRational(Fraction(-3, 4)), I):
+    for x in (GaussianRational(1, 2), GaussianRational(Fraction(-3, 4), -1), I):
         for y in copies(x):
             assert type(y) is GaussianRational and y == x
-    # a real value comes back with the shared zero imaginary part, so
-    # the operators still take their real path on it
+    # a real value of Q(i) is a Fraction, and copies back as one
     for y in copies(GaussianRational(5)):
-        assert y.im is _ZERO_IM
-        assert (y * y).im is _ZERO_IM and y * y == 25
+        assert type(y) is Fraction and y == 5
+        assert type(y * y) is Fraction and y * y == 25
 
 
 def test_fields_survive_copy_and_pickle_as_the_same_object():
@@ -187,24 +185,15 @@ small_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
 @st.composite
 def gaussian_operands(draw):
-    """(value, (re, im)): a GaussianRational and the Fraction pair it
-    stands for.  A zero imaginary part is built in several ways: as 0,
-    as Fraction(0), as a difference a - a, and as a Fraction(0) that is
-    not the shared zero, set around ``__init__``."""
+    """(value, (re, im)): a value of Q(i) and the Fraction pair it stands
+    for.  A zero imaginary part is built in several ways: as 0, as
+    Fraction(0), and as a difference a - a."""
     re = draw(small_fractions)
     im = draw(st.one_of(small_fractions, st.just(0), st.just(Fraction(0))))
-    how = draw(st.sampled_from(["init", "difference", "foreign"]))
-    if how == "init":
-        value = GaussianRational(re, im)
-    elif how == "difference":
+    value = GaussianRational(re, im)
+    if draw(st.booleans()):
         a = GaussianRational(draw(small_fractions), draw(small_fractions))
-        value = (GaussianRational(re, im) + a) - a + (a - a)
-    else:
-        value = object.__new__(GaussianRational)
-        object.__setattr__(value, "re", Fraction(re))
-        object.__setattr__(value, "im", Fraction(im))
-        if not im:
-            assert value.im is not _ZERO_IM
+        value = (value + a) - a + (a - a)
     return value, (Fraction(re), Fraction(im))
 
 
@@ -216,41 +205,64 @@ def _reference(op, x, y=None):
         return a - c, b - d
     if op is operator.mul:
         return a * c - b * d, a * d + b * c
+    if op is operator.truediv:
+        n = c * c + d * d
+        return (a * c + b * d) / n, (b * c - a * d) / n
     return -a, -b
 
 
 def _check_against_pair(value, ref):
     re, im = ref
-    assert type(value) is GaussianRational
-    assert type(value.re) is Fraction and type(value.im) is Fraction
-    assert (value.re, value.im) == (re, im)
-    # every result stores a zero imaginary part as the shared zero, so
-    # results of results keep taking the real path
-    assert (value.im is _ZERO_IM) == (im == 0)
-    assert bool(value) == bool(re or im)
-    twin = GaussianRational(re, im)
-    assert value == twin and hash(value) == hash(twin)
+    # a result is a Fraction exactly when its imaginary part is 0
     if im == 0:
-        assert value == re and hash(value) == hash(re)
+        assert type(value) is Fraction and value == re
     else:
-        assert value != re
+        assert type(value) is GaussianRational
+        assert type(value.re) is Fraction and type(value.im) is Fraction
+        assert (value.re, value.im) == (re, im)
+        assert value and value != re
+    twin = GaussianRational(re, im)
+    assert type(twin) is type(value)
+    assert value == twin and hash(value) == hash(twin)
+
+
+def _check_op(op, u, v, ref_u, ref_v):
+    # op(u, v) against op on the reference pairs; nothing is divided by 0
+    if op is not operator.truediv or any(ref_v):
+        _check_against_pair(op(u, v), _reference(op, ref_u, ref_v))
 
 
 @given(
     gaussian_operands(),
     gaussian_operands(),
-    st.sampled_from([operator.add, operator.sub, operator.mul]),
+    st.sampled_from([operator.add, operator.sub, operator.mul, operator.truediv]),
 )
 def test_gaussian_operators_agree_with_fraction_pairs(x, y, op):
     (u, ref_u), (v, ref_v) = x, y
-    _check_against_pair(op(u, v), _reference(op, ref_u, ref_v))
+    _check_op(op, u, v, ref_u, ref_v)
     _check_against_pair(-u, _reference(operator.neg, ref_u))
-    # a rational or an integer on either side goes through the coercion
+    # a rational or an integer on either side
     for r in (ref_v[0], int(ref_v[0])):
-        _check_against_pair(op(u, r), _reference(op, ref_u, (Fraction(r), Fraction(0))))
-        _check_against_pair(op(r, u), _reference(op, (Fraction(r), Fraction(0)), ref_u))
-    # bool, == and hash look at values only, never at the shared zero
+        ref_r = (Fraction(r), Fraction(0))
+        _check_op(op, u, r, ref_u, ref_r)
+        _check_op(op, r, u, ref_r, ref_u)
     assert (u == v) == (ref_u == ref_v)
     if ref_u == ref_v:
         assert hash(u) == hash(v)
-    assert bool(u) == (ref_u != (0, 0))
+    assert bool(u) == any(ref_u)
+
+
+@given(small_fractions, small_fractions)
+def test_parse_coerce_and_decode_give_a_fraction_for_a_real_value(a, b):
+    assert type(GaussianRational(a, 0)) is Fraction
+    assert type(FIELD_QI.coerce(a)) is Fraction and type(FIELD_QI.coerce(int(a))) is Fraction
+    for x in (a, GaussianRational(a, b), GaussianRational(0, b)):
+        parsed = FIELD_QI.parse(format_scalar(x))
+        assert parsed == x and type(parsed) is type(x)
+    # the row 1, x, x*i, b over Q(i) decoded from its integer form
+    x = GaussianRational(a, b)
+    row = {0: FIELD_QI.one, 1: x, 2: x * I, 3: b}
+    decoded = FIELD_QI.decode(FIELD_QI.encode(row), 0)
+    for c, value in row.items():
+        got = decoded.get(c, FIELD_QI.zero)
+        assert got == value and type(got) is type(value)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+from liederiv.exactfield import FIELD_QI, I
 from liederiv.poly import MultiPoly, poly_det, split_linear
 from conftest import rand_fraction
 
@@ -78,6 +79,18 @@ def test_split_linear_handles_irreducible_residue_over_rationals():
     factors = split_linear(p, rational_points_only=True)
     assert factors is not None  # a variable hyperplane covers the origin
     assert split_linear(p, rational_points_only=False) is None
+
+
+def test_split_linear_over_gaussian_rationals():
+    # over Q(i) a rational coefficient is a Fraction, so a minor with
+    # rational coefficients splits as over Q, while a non-real
+    # coefficient is beyond the rational root search
+    x, y = var(0, 2, FIELD_QI.one), var(1, 2, FIELD_QI.one)
+    factors = split_linear((x + y) * (x - y), rational_points_only=False)
+    assert factors is not None and len(factors) == 2
+    assert set(factors) == {x - y, x + y}
+    skew = (x + y) * (x - var(1, 2, I))
+    assert split_linear(skew, rational_points_only=False) is None
 
 
 def test_split_linear_rejects_wide_support():
