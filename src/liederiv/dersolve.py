@@ -13,6 +13,7 @@ subspace embeddings a map is flattened column-major (entry j*d + r is D[r, j]).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
@@ -27,12 +28,16 @@ def flatten_map(m: Matrix) -> tuple:
 
 
 def leibniz_rows(L: LieAlgebra) -> Iterator[dict]:
-    """Sparse rows of the product-rule system, in lexicographic (i, j, k) order.
+    """The nonzero sparse rows of the product-rule system, in
+    lexicographic (i, j, k) order.
 
     Unknown (r, c) of the map sits at flat column c*dim + r.  For the
     basis pair (i, j) and output coordinate k the equation reads
 
         sum_m c_ij^m D[k,m]  -  sum_r c_rj^k D[r,i]  -  sum_s c_is^k D[s,j]  =  0.
+
+    An equation whose terms are all zero constrains nothing and is not
+    yielded; on the Schrodinger algebras most of them are.
     """
     d = L.dim
     for i in range(d):
@@ -50,8 +55,7 @@ def leibniz_rows(L: LieAlgebra) -> Iterator[dict]:
             for s in range(d):
                 for k, c in L.bracket_basis(i, s).items():
                     sparse_add(per_k[k], j * d + s, -c)
-            for k in range(d):
-                yield per_k[k]
+            yield from filter(None, per_k.values())
 
 
 class LeibnizError(ValueError):
@@ -85,13 +89,25 @@ def is_derivation(L: LieAlgebra, D: Matrix) -> LeibnizVerdict:
 def _product_rule(L: LieAlgebra, cols: Sequence[dict]) -> LeibnizVerdict:
     """The product rule on all basis pairs (sufficient by bilinearity).
 
-    For each pair i < j it sums D([b_i,b_j]) - sum_r D[r,i] [b_r,b_j]
+    For a pair i < j it sums D([b_i,b_j]) - sum_r D[r,i] [b_r,b_j]
     - sum_s D[s,j] [b_i,b_s] over the sparse columns of D, straight from
     the structure constants.  It shares no code with ``leibniz_rows``, so
-    it re-checks the elimination independently.
+    it re-checks the elimination independently.  A pair with
+    [b_i, b_j] = 0 and columns i and j of D zero sums to zero term by
+    term, so only the other pairs are visited, in sorted order: the
+    failing pair reported is the first one.
     """
-    for i in range(L.dim):
-        for j in range(i + 1, L.dim):
+    d = L.dim
+    partners = [set() for _ in range(d)]
+    for i, j in L.table:
+        partners[i].add(j)
+    moved = [j for j in range(d) if cols[j]]
+    for i in range(d):
+        if cols[i]:
+            js = range(i + 1, d)
+        else:
+            js = sorted(partners[i].union(moved[bisect_right(moved, i) :]))
+        for j in js:
             acc: dict = {}
             for m, c in L.bracket_basis(i, j).items():
                 for r, a in cols[m].items():
@@ -113,13 +129,16 @@ class DerivationSpace:
     columns of the k-th basis map, read straight off the k-th row of
     ``subspace``, the canonical embedding of Der in the map space.
 
-    An image D_k(x) costs only the support of x; the probe fold forms
-    every image from ``columns``, and ``locder.witness`` and the symbolic
-    certifier from ``columns`` plus the sparse columns of Delta, which
-    the certifier builds once per call.  The per-row Der-annihilation
-    check of a constraint row reads ``subspace.rows`` instead, through
-    ``column_index``, so a fault in the columns, and in the images built
-    from them, cannot hide itself from that check.
+    An image D_k(x) costs only the support of x.  ``locder.witness`` and
+    the symbolic certifier form images in field scalars from ``columns``
+    plus the sparse columns of Delta.  The probe fold works in integer
+    forms (``Field.encode``) through two indexes, each built once on
+    first use: ``images`` reads ``columns``, and ``residues``, the
+    per-row Der-annihilation check of a constraint row, reads
+    ``subspace.rows``, so a fault in the columns, and in the images built
+    from them, cannot hide itself from that check.  Both indexes are
+    keyed by integer column, so a sparse row or element meets only the
+    entries it shares a column with (Gustavson's row-wise product).
     """
 
     algebra: LieAlgebra
@@ -131,16 +150,66 @@ class DerivationSpace:
         return len(self.columns)
 
     @cached_property
-    def column_index(self) -> dict:
-        """``subspace.rows`` by flat column: c -> [(k, rows[k][c]), ..]
-        over the rows with an entry at c, built once on first use.  A
-        sparse row dotted with every row of Der then walks only the
-        columns it shares with Der (Gustavson's row-wise product)."""
+    def image_index(self) -> dict:
+        """``columns`` in integer form by integer column of the input:
+        q -> [(k, column), ..] over the maps D_k with a nonzero column
+        there.  Each map is scaled by the positive integer that clears its
+        denominators, which leaves the span of its images alone, and for
+        q = w*j + t (w the field's ``width``) the column is column j of
+        u_t*D_k in integer form, u_0 = 1 and u_1 = i over Q(i)
+        (``Field.rotations``): x with x_j = sum_t x_(w*j+t) u_t then maps
+        to sum_q x_q column."""
+        field, d = self.algebra.field, self.algebra.dim
+        w = field.width
         index: dict = {}
-        for k, row in enumerate(self.subspace.rows):
-            for c, v in row.items():
-                index.setdefault(c, []).append((k, v))
+        for k, cols in enumerate(self.columns):
+            form = field.encode({j * d + r: a for j, col in enumerate(cols) for r, a in col.items()})
+            for t, turned in enumerate((form, *field.rotations(form))):
+                for c, a in turned.items():
+                    j, r = divmod(c, w * d)
+                    index.setdefault(w * j + t, {}).setdefault(k, {})[r] = a
+        return {q: list(maps.items()) for q, maps in index.items()}
+
+    @cached_property
+    def check_index(self) -> dict:
+        """``subspace.rows`` in integer form by integer column:
+        c -> [(m, entry), ..] over the ``Field.dot_forms`` of the rows
+        (one form per row over Q, two over Q(i)) with an entry at c."""
+        field = self.algebra.field
+        forms = (f for row in self.subspace.rows for f in field.dot_forms(field.encode(row)))
+        index: dict = {}
+        for m, form in enumerate(forms):
+            for c, v in form.items():
+                index.setdefault(c, []).append((m, v))
         return index
+
+    def images(self, parts: dict) -> list:
+        """The nonzero images D_k(x) in integer form, each up to a positive
+        factor, in basis order, given the integer form ``parts`` of x: one
+        pass over the maps with a nonzero column in the support of x."""
+        index = self.image_index
+        out: dict = {}
+        for q, xq in parts.items():
+            for k, col in index.get(q, ()):
+                img = out.get(k)
+                if img is None:
+                    out[k] = {r: xq * a for r, a in col.items()}
+                else:
+                    for r, a in col.items():
+                        img[r] = img.get(r, 0) + xq * a
+        images = ({r: v for r, v in out[k].items() if v} for k in sorted(out))
+        return [img for img in images if img]
+
+    def residues(self, row: dict) -> dict:
+        """The nonzero dot products of the integer row ``row`` with the
+        ``dot_forms`` of Der's rows, by form: empty exactly when the row
+        over the field annihilates every row of ``subspace``."""
+        index = self.check_index
+        sums: dict = {}
+        for c, a in row.items():
+            for m, v in index.get(c, ()):
+                sums[m] = sums.get(m, 0) + a * v
+        return {m: s for m, s in sums.items() if s}
 
 
 def derivation_space(L: LieAlgebra) -> DerivationSpace:

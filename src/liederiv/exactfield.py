@@ -290,6 +290,13 @@ def _times_i(row: dict) -> tuple:
     return ({k - 1 if k & 1 else k + 1: -x if k & 1 else x for k, x in row.items()},)
 
 
+def _dot_forms_qi(row: dict) -> tuple:
+    # for s = x + y*i at columns 2c, 2c + 1 and r = a + b*i, r*s has real
+    # part a*x - b*y and imaginary part a*y + b*x: the forms of conj(s)
+    # and of i*conj(s)
+    return ({k: -x if k & 1 else x for k, x in row.items()}, {k ^ 1: x for k, x in row.items()})
+
+
 @dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Field:
     """Q or Q(i): ``zero``, ``one``, ``coerce(x)``, x as an element of the
@@ -311,6 +318,11 @@ class Field:
       than 1 of the field's basis over Q (none over Q, i*r over Q(i)),
       given the integer form of r.  Together with r they span, over Q,
       the line of r over the field.
+    - ``dot_forms(row)``: given the integer form of s, integer rows whose
+      dot products with the integer form of any row r all vanish exactly
+      when the bilinear product r . s = sum_c r_c s_c does: the form of s
+      itself over Q; over Q(i), the forms of conj(s) and i*conj(s), whose
+      products with the form of r are Re(r . s) and Im(r . s).
     """
 
     tag: str
@@ -322,6 +334,7 @@ class Field:
     encode: Callable
     decode: Callable
     rotations: Callable
+    dot_forms: Callable
 
     def __repr__(self):
         return self.tag
@@ -331,7 +344,16 @@ class Field:
 
 
 FIELD_Q = Field(
-    "Q", Fraction(0), Fraction(1), _coerce_q, _parse_q, 1, _encode_q, _decode_q, lambda row: ()
+    "Q",
+    Fraction(0),
+    Fraction(1),
+    _coerce_q,
+    _parse_q,
+    1,
+    _encode_q,
+    _decode_q,
+    lambda row: (),
+    lambda row: (row,),
 )
 FIELD_QI = Field(
     "Qi",
@@ -343,6 +365,7 @@ FIELD_QI = Field(
     _encode_qi,
     _decode_qi,
     _times_i,
+    _dot_forms_qi,
 )
 
 

@@ -15,7 +15,7 @@ values, so callers may share them.
 from __future__ import annotations
 
 import heapq
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .exactfield import Field, FieldMismatchError
@@ -186,10 +186,12 @@ class SparseEchelon:
     """Incremental echelon accumulator over the exact field ``field``,
     eliminating in integers.
 
-    Each inserted row is taken to its integer form (``Field.encode``):
-    over Q its denominators are cleared, and over Q(i) the row r becomes
-    a row over 2 * ncols rational columns, Re r_c at 2c and Im r_c at
-    2c + 1, and enters together with the form of i*r.  The span over Q
+    It works on rows in integer form (``Field.encode``): over Q a row's
+    denominators are cleared, and over Q(i) the row r becomes a row over
+    2 * ncols rational columns, Re r_c at 2c and Im r_c at 2c + 1.  A
+    caller that builds its rows in that form hands them to
+    ``insert_integer``; ``insert`` encodes a row of field scalars first.
+    A row over Q(i) enters together with the form of i*r.  The span over Q
     of those forms is then the real form of the span over Q(i), so the
     pivots come in pairs {2p, 2p + 1}, one pair per pivot p over Q(i),
     and the RREF row at 2p is the real form of the RREF row at p.
@@ -209,9 +211,10 @@ class SparseEchelon:
     rational), and reads back as that row.  Stored rows are never
     mutated after insertion, so ``clone`` can share them.
 
-    ``rows``, ``reduced_rows``, ``rref_rows``, ``nullspace_vectors`` and
-    the subspaces read off them hold field scalars with unit pivots,
-    keyed by field column; they are built when read (``Field.decode``).
+    ``rows``, ``reduced_rows``, ``rref_rows`` and the subspaces read off
+    them hold field scalars with unit pivots, keyed by field column; they
+    are built when read (``Field.decode``).  ``integer_nullspace`` hands
+    out integer forms, read straight off the reduced integer rows.
     """
 
     __slots__ = ("field", "ncols", "_rows")
@@ -244,7 +247,14 @@ class SparseEchelon:
         """Reduce a sparse row of field scalars against the accumulator;
         returns True if the rank grew.  A scalar outside the field raises
         FieldMismatchError."""
-        pivot = self._reduce(self.field.encode(row))
+        return self.insert_integer(self.field.encode(row))
+
+    def insert_integer(self, row: dict) -> bool:
+        """``insert`` for a row already in integer form (``Field.encode``):
+        nonzero ``int`` entries by integer column, any nonzero scaling.
+        The row is reduced in place and may be stored, so the caller
+        hands it over."""
+        pivot = self._reduce(row)
         if pivot is None:
             return False
         # the other units times the new row only fill out its pivot group
@@ -332,19 +342,26 @@ class SparseEchelon:
         pivots, in descending pivot order."""
         return self._decode(self._reduced())
 
-    def nullspace_vectors(self) -> list[dict]:
-        """Sparse basis of {v : row . v = 0 for all accumulated rows}: one
-        vector per free column f, 1 at f and minus column f of the RREF
-        rows at their pivots, each row scattered once into the vectors of
+    def integer_nullspace(self) -> list[dict]:
+        """Integer forms of a basis of {v : row . v = 0 for all accumulated
+        rows}, one vector per free field column f in ascending order: the
+        form of L * v_f, where v_f is 1 at f and minus column f of the RREF
+        rows at their pivots, and L is the lcm of the pivot entries q_p of
+        the reduced integer rows.  So L sits at w*f, and
+        -row_p[w*f + t] * (L / q_p) at w*p + t for the row at w*p (w the
+        field's ``width``); each row is scattered once into the vectors of
         its free columns."""
-        reduced = self.reduced_rows()
-        one = self.field.one
-        vectors = {f: {f: one} for f in range(self.ncols) if f not in reduced}
-        for p, row in reduced.items():
-            for f, x in row.items():
-                vec = vectors.get(f)
+        w = self.field.width
+        heads = {q: row for q, row in self._reduced().items() if not q % w}
+        big = lcm(*(row[q] for q, row in heads.items()))
+        vectors = {w * f: {w * f: big} for f in range(self.ncols) if w * f not in heads}
+        for q, row in heads.items():
+            scale = big // row[q]
+            for k, x in row.items():
+                t = k % w
+                vec = vectors.get(k - t)
                 if vec is not None:
-                    vec[p] = -x
+                    vec[q + t] = -x * scale
         return list(vectors.values())
 
     def rref_rows(self) -> list[dict]:
@@ -360,8 +377,8 @@ class SparseEchelon:
     def nullspace(self) -> Subspace:
         """The nullspace as a Subspace, in canonical RREF."""
         out = SparseEchelon(self.field, self.ncols)
-        for sv in self.nullspace_vectors():
-            out.insert(sv)
+        for vec in self.integer_nullspace():
+            out.insert_integer(vec)
         return out.row_space()
 
 
@@ -396,11 +413,15 @@ def solve_columns(field: Field, columns: Sequence[dict], target: dict) -> tuple:
     acc = SparseEchelon(field, m + 1)
     for row in rows.values():
         acc.insert(row)
-    reduced = acc.reduced_rows()
-    if m in reduced:
+    w, decode = field.width, field.decode
+    reduced = acc._reduced()
+    if w * m in reduced:
         return None, acc.rank - 1
     z = field.zero
     coeffs = [z] * m
-    for p, row in reduced.items():
-        coeffs[p] = row.get(m, z)
+    for q, row in reduced.items():
+        if not q % w:
+            # c_p off the pivot and column-m entries of the row at w*p alone
+            part = {k: x for k, x in row.items() if k < q + w or k >= w * m}
+            coeffs[q // w] = decode(part, q).get(m, z)
     return coeffs, acc.rank

@@ -104,13 +104,12 @@ def _images(columns: Sequence[tuple], x: AlgebraElement) -> list[dict]:
     return out
 
 
-def _orbit_echelon(der: DerivationSpace, x: AlgebraElement) -> SparseEchelon:
-    """Echelon whose row space is W_x, fed by one sparse image pass; a
-    zero image D_k(x) spans nothing and is not inserted."""
+def _orbit_echelon(der: DerivationSpace, parts: dict) -> SparseEchelon:
+    """Echelon whose row space is W_x, given the integer form ``parts``
+    of x, fed by one integer image pass (``DerivationSpace.images``)."""
     acc = SparseEchelon(der.algebra.field, der.algebra.dim)
-    for img in _images(der.columns, x):
-        if img:
-            acc.insert(img)
+    for img in der.images(parts):
+        acc.insert_integer(img)
     return acc
 
 
@@ -157,33 +156,26 @@ class CandidateSpace:
         return self._space
 
 
-def _der_residues(der: DerivationSpace, row: dict) -> dict:
-    """The nonzero dot products {k: row . der.subspace.rows[k]}, summed
-    through ``der.column_index`` over the columns the row shares with
-    Der; the pairs that share no column add exactly nothing."""
-    index = der.column_index
-    sums: dict = {}
-    for c, a in row.items():
-        for k, v in index.get(c, ()):
-            sparse_add(sums, k, a * v)
-    return sums
-
-
 def constrain(acc: CandidateSpace, probe: Probe) -> CandidateSpace:
     """Intersect the candidate space with {Delta : Delta(x) in W_x}, W_x
     spanned over the Der of ``acc``.
 
     Scalar multiples of already-processed probes are skipped (they
     impose the same condition); the key is the probe's support scaled to
-    a leading 1.  The annihilator basis is read straight off the orbit
-    echelon and is not canonical: any basis of the annihilator cuts the
+    a leading 1.  Past the key everything runs on integer forms
+    (``Field.encode``), with no field scalar per entry: x is taken to
+    its integer parts, its orbit echelon is fed the integer images, and
+    the annihilator basis is the orbit echelon's ``integer_nullspace``.
+    That basis is not canonical: any basis of the annihilator cuts the
     same candidate, and the candidate echelon reduces whatever rows it
-    gets.  Every new constraint row is checked to annihilate the Der
-    basis, which asserts the containment chain Der <= candidate at each
-    stage.  That check dots the row with every row of ``der.subspace``,
-    not with the columns the orbit came from; it sums the products over
-    ``der.column_index``, so it skips only the products that share no
-    column.
+    gets.  The constraint row of an annihilator vector p is x_j * p_i at
+    map column j*d + i, in integer form: the part x_q (q = w*j + t) times
+    the form of u_t*p (``Field.rotations``), placed at block j.  Every
+    new constraint row is checked to annihilate the Der basis, which
+    asserts the containment chain Der <= candidate at each stage.  That
+    check dots the row with every row of ``der.subspace``
+    (``DerivationSpace.residues``), not with the columns the orbit came
+    from, and skips only the products that share no column.
     """
     der = acc.der
     x = probe.element
@@ -193,19 +185,25 @@ def constrain(acc: CandidateSpace, probe: Probe) -> CandidateSpace:
     key = _normalized_key(support)
     if key in acc.seen:
         return acc
-    d = der.algebra.dim
-    # a basis of the annihilator of W_x straight off the orbit echelon; a
-    # zero orbit leaves the whole dual space, the nullspace of no rows
-    annihilator = _orbit_echelon(der, x).nullspace_vectors()
+    field, d = der.algebra.field, der.algebra.dim
+    w = field.width
+    parts = field.encode(dict(support))
     before = acc.dim
     echelon = acc.echelon.clone()
-    for p in annihilator:
-        row = {j * d + i: xj * pi for j, xj in support for i, pi in p.items()}
-        if _der_residues(der, row):
+    # a zero orbit leaves the whole dual space, the nullspace of no rows
+    for p in _orbit_echelon(der, parts).integer_nullspace():
+        forms = (p, *field.rotations(p))
+        row: dict = {}
+        for q, xq in parts.items():
+            base = w * d * (q // w)
+            for i, a in forms[q % w].items():
+                row[base + i] = row.get(base + i, 0) + xq * a
+        row = {c: v for c, v in row.items() if v}
+        if der.residues(row):
             raise AssertionError(
                 f"constraint row at probe {probe.label!r} does not annihilate Der"
             )
-        echelon.insert(row)
+        echelon.insert_integer(row)
     step = ProbeStep(probe.label, before, d * d - echelon.rank)
     return CandidateSpace(der, echelon, acc.history + (step,), acc.seen | {key})
 

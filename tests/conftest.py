@@ -2,9 +2,10 @@
 oracles used to cross-check the production linear algebra (among them
 the unit-pivot sparse echelon that the integer kernel replaced), dense matrix
 and subspace helpers, the dense Der basis, dense oracles for the sparse
-derivation check, the sparse witness solve and the indexed
-Der-annihilation check, and the probe-fold oracles: the orbit subspace
-W_x, a fold over any probe list and the full replay schedule of S_n."""
+derivation check and the all-pairs product rule, the sparse witness
+solve and the indexed Der-annihilation check, and the probe-fold
+oracles: the orbit subspace W_x, ``constrain`` in field scalars, a fold
+over any probe list and the full replay schedule of S_n."""
 
 import copy
 import heapq
@@ -15,14 +16,17 @@ from itertools import combinations
 from liederiv.dersolve import derivation_space, flatten_map, leibniz_rows
 from liederiv.exactfield import FIELD_Q, FIELD_QI, GaussianRational, I, inv
 from liederiv.liealg import bracket
-from liederiv.linalg import Matrix, SparseEchelon, Subspace
+from liederiv.linalg import Matrix, SparseEchelon, Subspace, sparse_add
 from liederiv import locder
 from liederiv.locder import (
     CandidateSpace,
     FoldResult,
     Probe,
+    ProbeStep,
     probe_label,
     singleton_probes,
+    _images,
+    _normalized_key,
     _orbit_echelon,
 )
 
@@ -269,6 +273,28 @@ def back_multiply(rows, vec):
     return [sum((a * b for a, b in zip(row, vec) if a and b), 0 * vec[0]) for row in rows]
 
 
+def all_pairs_product_rule(L, cols):
+    """(ok, failing_pair) of the product rule over the sparse columns of
+    a map, summed on every basis pair i < j in sorted order: the
+    reference for ``dersolve._product_rule``, which skips the pairs that
+    sum to zero term by term."""
+    for i in range(L.dim):
+        for j in range(i + 1, L.dim):
+            acc: dict = {}
+            for m, c in L.bracket_basis(i, j).items():
+                for r, a in cols[m].items():
+                    sparse_add(acc, r, c * a)
+            for r, a in cols[i].items():
+                for k, c in L.bracket_basis(r, j).items():
+                    sparse_add(acc, k, -(a * c))
+            for s, a in cols[j].items():
+                for k, c in L.bracket_basis(i, s).items():
+                    sparse_add(acc, k, -(a * c))
+            if acc:
+                return False, (L.labels[i], L.labels[j])
+    return True, None
+
+
 def dense_is_derivation(L, D):
     """(ok, failing_pair) of the product rule on all basis pairs, through
     dense elements and ``bracket``; the first failing pair in row-major
@@ -334,7 +360,34 @@ def make_probe(L, terms: dict, label=None) -> Probe:
 def orbit_subspace(der, x) -> Subspace:
     """W_x = span{D(x) : D in the Der basis}, read off the orbit echelon
     that ``constrain`` cuts with."""
-    return _orbit_echelon(der, x).row_space()
+    parts = der.algebra.field.encode(dict(enumerate(x.coords)))
+    return _orbit_echelon(der, parts).row_space()
+
+
+def reference_constrain(acc, probe):
+    """``locder.constrain`` computed in field scalars, the reference for
+    the integer fold: the images D_k(x) from ``locder._images``, the
+    annihilator from the unit-pivot orbit echelon's nullspace vectors, the
+    constraint rows x_j * p_i at j*d + i, each dotted with every row of
+    Der, and the field-scalar ``SparseEchelon.insert``."""
+    der, x = acc.der, probe.element
+    support = [(j, xj) for j, xj in enumerate(x.coords) if xj]
+    key = _normalized_key(support)
+    if key in acc.seen:
+        return acc
+    d = der.algebra.dim
+    orbit = UnitPivotEchelon(d)
+    for img in _images(der.columns, x):
+        if img:
+            orbit.insert(img)
+    echelon = acc.echelon.clone()
+    for p in orbit.nullspace_vectors():
+        row = {j * d + i: xj * pi for j, xj in support for i, pi in p.items()}
+        if any(dot_sparse(row, vec) for vec in der.subspace.rows):
+            raise AssertionError(f"constraint row at probe {probe.label!r} does not annihilate Der")
+        echelon.insert(row)
+    step = ProbeStep(probe.label, acc.dim, d * d - echelon.rank)
+    return CandidateSpace(der, echelon, acc.history + (step,), acc.seen | {key})
 
 
 def fold(probes) -> FoldResult:

@@ -4,8 +4,9 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from liederiv.exactfield import FIELD_Q, FIELD_QI
+from liederiv.exactfield import FIELD_Q, FIELD_QI, GaussianRational
 from liederiv.cli import main
 from liederiv.liealg import (
     ad,
@@ -27,9 +28,12 @@ from liederiv.dersolve import (
     flatten_map,
     inner_space,
     is_derivation,
+    leibniz_rows,
+    _product_rule,
 )
 from liederiv.schrodinger import decompose, make_schrodinger, outer_span, sigma, sigma_pairs, tau
 from conftest import (
+    all_pairs_product_rule,
     col,
     contains_subspace,
     dense_der_basis,
@@ -58,10 +62,10 @@ def rand_element(rng, L):
 
 
 def test_leibniz_system_abelian_is_zero():
+    # every bracket is zero, so every product-rule equation is 0 = 0 and
+    # none is yielded; Der is the whole map space
     L = make_abelian(3)
-    m = leibniz_system(L)
-    assert m.nrows == 3 * 3 and m.ncols == 9
-    assert is_zero(m)
+    assert list(leibniz_rows(L)) == []
     assert derivation_space(L).dim == 9
 
 
@@ -176,6 +180,39 @@ def test_sparse_product_rule_agrees_with_dense_oracle_on_perturbed_maps():
             assert (verdict.ok, verdict.failing_pair) == dense_is_derivation(L, perturbed)
             fired += not verdict.ok
         assert fired, f"no perturbation of a Der({L.name}) basis map was caught"
+
+
+_RULE_DERS = [
+    derivation_space(L)
+    for L in (make_schrodinger(2), make_schrodinger(2, FIELD_QI), make_heisenberg(2), make_sl2())
+]
+
+
+@st.composite
+def _maps_off_der(draw):
+    """(algebra, sparse columns): a Der basis map with one entry moved,
+    often in a column that was zero, and sometimes left alone."""
+    der = draw(st.sampled_from(_RULE_DERS))
+    L = der.algebra
+    cols = [dict(c) for c in der.columns[draw(st.integers(0, der.dim - 1))]]
+    r, c = draw(st.integers(0, L.dim - 1)), draw(st.integers(0, L.dim - 1))
+    re, im = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+    delta = L.field.coerce(re) if L.field == FIELD_Q else GaussianRational(re, im)
+    new = cols[c].get(r, 0) + delta
+    cols[c].pop(r, None)
+    if new:
+        cols[c][r] = new
+    return L, tuple(cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_maps_off_der())
+def test_product_rule_on_fewer_pairs_agrees_with_all_pairs(case):
+    # the pairs it skips sum to zero term by term, so the verdict and the
+    # first failing pair are those of the loop over every pair
+    L, cols = case
+    verdict = _product_rule(L, cols)
+    assert (verdict.ok, verdict.failing_pair) == all_pairs_product_rule(L, cols)
 
 
 def test_derivation_space_rejects_a_non_derivation_from_the_nullspace(monkeypatch):

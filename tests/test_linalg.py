@@ -314,8 +314,14 @@ def test_integer_echelon_reads_back_the_unit_pivot_oracle(case):
     dense = [[row.get(j, z) for j in range(ncols)] for row in rows]
     assert acc.rref_rows() == [reduced[p] for p in sorted(reduced)]
     assert tuple(acc.rref_rows()) == _sparse(_dense_rref_rows(field, ncols, dense))
-    assert acc.nullspace_vectors() == oracle.nullspace_vectors()
-    for vec in acc.nullspace_vectors():
+    # each integer nullspace vector is a positive multiple of the oracle's
+    # vector for the same free column f, which has 1 at f, its first key
+    vectors = acc.integer_nullspace()
+    assert len(vectors) == len(oracle.nullspace_vectors())
+    width = field.width
+    for form, vec in zip(vectors, oracle.nullspace_vectors()):
+        f = next(iter(vec))
+        assert form[width * f] > 0 and field.decode(form, width * f) == vec
         assert not any(back_multiply(dense, [vec.get(j, z) for j in range(ncols)]))
     # a clone shares the stored rows; inserting into it leaves the original
     stored = {q: dict(row) for q, row in acc._rows.items()}

@@ -21,7 +21,6 @@ from liederiv.locder import (
     singleton_probes,
     witness,
     _apply_basis,
-    _der_residues,
     _hyperplane_basis,
     _stratum_block,
 )
@@ -46,6 +45,7 @@ from conftest import (
     matvec,
     orbit_subspace,
     rand_scalar,
+    reference_constrain,
     unflatten_map,
     zeros,
 )
@@ -134,7 +134,7 @@ def _der_annihilator(der):
     acc = SparseEchelon(der.algebra.field, der.algebra.dim ** 2)
     for row in der.subspace.rows:
         acc.insert(row)
-    return acc.nullspace_vectors()
+    return acc.nullspace().rows
 
 
 _CHECK_ANNIHILATOR = {name: _der_annihilator(der) for name, der in _CHECK_DER.items()}
@@ -164,10 +164,12 @@ def _rows_against_der(draw):
 @settings(max_examples=200, deadline=None)
 @given(_rows_against_der())
 def test_indexed_der_check_agrees_with_dot_products(case):
+    # the integer check is empty exactly when every dot product over the
+    # field is zero
     name, row = case
     der = _CHECK_DER[name]
-    oracle = {k: s for k, vec in enumerate(der.subspace.rows) if (s := dot_sparse(row, vec))}
-    assert _der_residues(der, row) == oracle
+    annihilates = not any(dot_sparse(row, vec) for vec in der.subspace.rows)
+    assert (not der.residues(der.algebra.field.encode(row))) == annihilates
 
 
 def test_constrain_skips_a_probe_scaled_by_i():
@@ -180,6 +182,43 @@ def test_constrain_skips_a_probe_scaled_by_i():
     assert constrain(once, Probe(scaled, probe_label(scaled))) is once
     # the same support, but not a multiple: u_1 - i*u_2 is a new probe
     assert constrain(once, make_probe(L, {"u_1": 1, "u_2": -i_unit})) is not once
+
+
+def _same_as_reference(run, monkeypatch):
+    # the integer fold and the field-scalar reference give the same probe
+    # steps and the same final candidate, entry for entry
+    integer = run().candidate
+    monkeypatch.setattr(locder, "constrain", reference_constrain)
+    reference = run().candidate
+    assert integer.history == reference.history
+    assert integer.echelon.rref_rows() == reference.echelon.rref_rows()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_integer_fold_matches_the_field_scalar_reference_on_the_replay(n, monkeypatch):
+    _same_as_reference(lambda: replay_proof(n), monkeypatch)
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_integer_fold_matches_the_field_scalar_reference_on_random_probes(n, monkeypatch):
+    der = derivation_space(make_schrodinger(n))
+    _same_as_reference(lambda: random_probe_closure(der), monkeypatch)
+
+
+def test_constrain_makes_no_field_scalar_insert(monkeypatch):
+    L = make_schrodinger(2, FIELD_QI)
+    der = derivation_space(L)
+    calls = []
+    true_insert = SparseEchelon.insert
+
+    def counting(self, row):
+        calls.append(1)
+        return true_insert(self, row)
+
+    monkeypatch.setattr(SparseEchelon, "insert", counting)
+    acc = locder.fold(CandidateSpace.full(der), schrodinger_trimmed_schedule(L))
+    assert acc.dim == der.dim
+    assert len(calls) == 0
 
 
 def test_constrain_eliminates_each_probe_once(monkeypatch):
