@@ -36,7 +36,6 @@ from .dersolve import (
 from .locder import (
     CandidateSpace,
     CertificationError,
-    FoldResult,
     LocalityCertificate,
     Probe,
     basis_probe_space,

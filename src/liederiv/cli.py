@@ -30,7 +30,6 @@ from .locder import (
     DEFAULT_MAX_PROBES,
     DEFAULT_SEED,
     DEFAULT_STALL_LIMIT,
-    FoldResult,
     basis_probe_space,
     certify_local_symbolic,
     random_probe_closure,
@@ -183,7 +182,7 @@ def _cmd_outer_check(args) -> int:
 
 def _cmd_locder_basis(args) -> int:
     L = _algebra_from_args(args)
-    result = FoldResult(basis_probe_space(derivation_space(L)))
+    result = basis_probe_space(derivation_space(L))
     _emit(result.to_report(_schrodinger_n(args, L)), args.output)
     return 0
 
@@ -244,10 +243,10 @@ def _cmd_demo_heisenberg(args) -> int:
         "leibniz_failing_pair": list(leibniz.failing_pair) if leibniz.failing_pair else None,
         "certified_local": cert.certified,
         "pure_local_derivation": cert.certified and not leibniz.ok,
-        "local_der_dim_exceeds_der_dim": closure.candidate_dim > der.dim,
+        "local_der_dim_exceeds_der_dim": closure.dim > der.dim,
     }
     _emit(report, args.output)
-    exhibited = report["demo"]["pure_local_derivation"] and closure.candidate_dim > der.dim
+    exhibited = report["demo"]["pure_local_derivation"] and closure.dim > der.dim
     return 0 if exhibited else 2
 
 

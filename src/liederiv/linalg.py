@@ -208,8 +208,7 @@ class SparseEchelon:
     pivot is the first nonzero column after reduction, so each stored
     row is a multiple of the row that unit-pivot elimination over the field
     stores at the same pivot (over Q(i), of its real form, by a Gaussian
-    rational), and reads back as that row.  Stored rows are never
-    mutated after insertion, so ``clone`` can share them.
+    rational), and reads back as that row.
 
     ``rows``, ``reduced_rows``, ``rref_rows`` and the subspaces read off
     them hold field scalars with unit pivots, keyed by field column; they
@@ -223,11 +222,6 @@ class SparseEchelon:
         self.field = field
         self.ncols = ncols
         self._rows: dict[int, dict] = {}
-
-    def clone(self) -> "SparseEchelon":
-        new = SparseEchelon(self.field, self.ncols)
-        new._rows = dict(self._rows)
-        return new
 
     @property
     def rank(self) -> int:

@@ -86,8 +86,7 @@ def _coeff_text(c) -> str:
         if not re:
             return im
         return f"({re}{'+' if not im.startswith('-') else ''}{im})"
-    f = Fraction(c)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    return str(Fraction(c))
 
 
 def _images(columns: Sequence[tuple], x: AlgebraElement) -> list[dict]:
@@ -122,28 +121,30 @@ def _normalized_key(support: list) -> tuple:
 
 
 class CandidateSpace:
-    """Intersection of probe constraints cut against ``der``, tracked as
-    an echelon of annihilator rows on the flattened map space of
-    ``der.algebra``.
+    """The candidate space of a probe fold over ``der``: the one mutable
+    fold accumulator, and the fold's result.
 
-    The subspace itself is materialized lazily; the dimension and the
-    probe history are always available.  Instances are immutable;
-    ``constrain`` returns a new space sharing stored rows.
+    ``CandidateSpace(der)`` is the full map space of ``der.algebra``.
+    ``constrain`` and ``fold`` cut it in place: ``echelon`` gathers the
+    annihilator rows on the flattened map space, ``history`` the
+    ``ProbeStep`` of every probe that was not skipped, and ``seen`` the
+    normalized keys of those probes.  ``seed`` and ``stop_reason`` stay
+    None unless ``random_probe_closure`` sets them; its stop reason is
+    "collapsed", "stalled" or "budget", and the report carries it, so a
+    "stalled" or "budget" run reads as inconclusive rather than as a
+    counterexample.  ``space`` computes the subspace when read.
     """
 
-    __slots__ = ("der", "echelon", "history", "seen", "_space")
+    __slots__ = ("der", "echelon", "history", "seen", "seed", "stop_reason")
 
-    def __init__(self, der: DerivationSpace, echelon: SparseEchelon, history: tuple, seen: frozenset):
-        self.der = der
-        self.echelon = echelon
-        self.history = history
-        self.seen = seen
-        self._space = None
-
-    @classmethod
-    def full(cls, der: DerivationSpace) -> "CandidateSpace":
+    def __init__(self, der: DerivationSpace):
         L = der.algebra
-        return cls(der, SparseEchelon(L.field, L.dim ** 2), (), frozenset())
+        self.der = der
+        self.echelon = SparseEchelon(L.field, L.dim ** 2)
+        self.history: list[ProbeStep] = []
+        self.seen: set = set()
+        self.seed: Optional[int] = None
+        self.stop_reason: Optional[str] = None
 
     @property
     def dim(self) -> int:
@@ -151,14 +152,35 @@ class CandidateSpace:
 
     @property
     def space(self) -> Subspace:
-        if self._space is None:
-            self._space = self.echelon.nullspace()
-        return self._space
+        return self.echelon.nullspace()
+
+    @property
+    def equal(self) -> bool:
+        return self.dim == self.der.dim
+
+    def to_report(self, n: Optional[int]) -> dict:
+        """The fold report; ``n`` is the family index the caller knows the
+        algebra by (the rank of S_n), None otherwise."""
+        L = self.der.algebra
+        return {
+            "algebra": L.name,
+            "n": n,
+            "field": L.field.tag,
+            "der_dim": self.der.dim,
+            "candidate_dim": self.dim,
+            "equal": self.equal,
+            "history": [
+                {"probe": s.probe, "dim_before": s.dim_before, "dim_after": s.dim_after}
+                for s in self.history
+            ],
+            "seed": self.seed,
+            "stop_reason": self.stop_reason,
+        }
 
 
-def constrain(acc: CandidateSpace, probe: Probe) -> CandidateSpace:
-    """Intersect the candidate space with {Delta : Delta(x) in W_x}, W_x
-    spanned over the Der of ``acc``.
+def constrain(acc: CandidateSpace, probe: Probe) -> None:
+    """Cut the candidate space ``acc`` in place down to its meet with
+    {Delta : Delta(x) in W_x}, W_x spanned over the Der of ``acc``.
 
     Scalar multiples of already-processed probes are skipped (they
     impose the same condition); the key is the probe's support scaled to
@@ -171,11 +193,13 @@ def constrain(acc: CandidateSpace, probe: Probe) -> CandidateSpace:
     gets.  The constraint row of an annihilator vector p is x_j * p_i at
     map column j*d + i, in integer form: the part x_q (q = w*j + t) times
     the form of u_t*p (``Field.rotations``), placed at block j.  Every
-    new constraint row is checked to annihilate the Der basis, which
-    asserts the containment chain Der <= candidate at each stage.  That
-    check dots the row with every row of ``der.subspace``
-    (``DerivationSpace.residues``), not with the columns the orbit came
-    from, and skips only the products that share no column.
+    constraint row of the probe is checked to annihilate the Der basis
+    before any of them is inserted, which asserts the containment chain
+    Der <= candidate at each stage; a failed check raises and leaves
+    ``acc`` as it was.  That check dots the row with every row of
+    ``der.subspace`` (``DerivationSpace.residues``), not with the columns
+    the orbit came from, and skips only the products that share no
+    column.
     """
     der = acc.der
     x = probe.element
@@ -184,12 +208,11 @@ def constrain(acc: CandidateSpace, probe: Probe) -> CandidateSpace:
     support = [(j, xj) for j, xj in enumerate(x.coords) if xj]
     key = _normalized_key(support)
     if key in acc.seen:
-        return acc
+        return
     field, d = der.algebra.field, der.algebra.dim
     w = field.width
     parts = field.encode(dict(support))
-    before = acc.dim
-    echelon = acc.echelon.clone()
+    rows = []
     # a zero orbit leaves the whole dual space, the nullspace of no rows
     for p in _orbit_echelon(der, parts).integer_nullspace():
         forms = (p, *field.rotations(p))
@@ -203,16 +226,18 @@ def constrain(acc: CandidateSpace, probe: Probe) -> CandidateSpace:
             raise AssertionError(
                 f"constraint row at probe {probe.label!r} does not annihilate Der"
             )
-        echelon.insert_integer(row)
-    step = ProbeStep(probe.label, before, d * d - echelon.rank)
-    return CandidateSpace(der, echelon, acc.history + (step,), acc.seen | {key})
+        rows.append(row)
+    before = acc.dim
+    for row in rows:
+        acc.echelon.insert_integer(row)
+    acc.history.append(ProbeStep(probe.label, before, acc.dim))
+    acc.seen.add(key)
 
 
-def fold(acc: CandidateSpace, probes) -> CandidateSpace:
-    """``acc`` cut by each probe in turn (``constrain``)."""
+def fold(acc: CandidateSpace, probes) -> None:
+    """Cut ``acc`` in place by each probe in turn (``constrain``)."""
     for probe in probes:
-        acc = constrain(acc, probe)
-    return acc
+        constrain(acc, probe)
 
 
 def singleton_probes(L: LieAlgebra) -> list[Probe]:
@@ -220,56 +245,14 @@ def singleton_probes(L: LieAlgebra) -> list[Probe]:
 
 
 def basis_probe_space(der: DerivationSpace) -> CandidateSpace:
-    """Candidate space cut out by the basis singletons alone.
+    """A new candidate space cut out by the basis singletons alone.
 
     Its dimension is the sum of the per-basis orbit dimensions, which
     can stay strictly above dim Der.
     """
-    return fold(CandidateSpace.full(der), singleton_probes(der.algebra))
-
-
-@dataclass(frozen=True)
-class FoldResult:
-    """The candidate space a probe fold squeezed down to, with its Der,
-    and the seed and stop reason of a random fold (both None otherwise).
-    The stop reason is "collapsed", "stalled" or "budget" (see
-    ``random_probe_closure``); the report carries it, so a "stalled" or
-    "budget" run reads as inconclusive rather than as a counterexample."""
-
-    candidate: CandidateSpace
-    seed: Optional[int] = None
-    stop_reason: Optional[str] = None
-
-    @property
-    def der_dim(self) -> int:
-        return self.candidate.der.dim
-
-    @property
-    def candidate_dim(self) -> int:
-        return self.candidate.dim
-
-    @property
-    def equal(self) -> bool:
-        return self.candidate_dim == self.der_dim
-
-    def to_report(self, n: Optional[int]) -> dict:
-        """The fold report; ``n`` is the family index the caller knows the
-        algebra by (the rank of S_n), None otherwise."""
-        L = self.candidate.der.algebra
-        return {
-            "algebra": L.name,
-            "n": n,
-            "field": L.field.tag,
-            "der_dim": self.der_dim,
-            "candidate_dim": self.candidate_dim,
-            "equal": self.equal,
-            "history": [
-                {"probe": s.probe, "dim_before": s.dim_before, "dim_after": s.dim_after}
-                for s in self.candidate.history
-            ],
-            "seed": self.seed,
-            "stop_reason": self.stop_reason,
-        }
+    acc = CandidateSpace(der)
+    fold(acc, singleton_probes(der.algebra))
+    return acc
 
 
 def random_probe_closure(
@@ -277,10 +260,10 @@ def random_probe_closure(
     seed: int = DEFAULT_SEED,
     max_probes: int = DEFAULT_MAX_PROBES,
     stall_limit: int = DEFAULT_STALL_LIMIT,
-) -> FoldResult:
-    """Rational-only closure: start from the basis-singleton space and
-    keep adding seeded random probes until one of three stops, checked in
-    this order before each probe:
+) -> CandidateSpace:
+    """Rational-only closure: a new basis-singleton space (``seed`` set),
+    cut by seeded random probes until one of three stops, checked in
+    this order before each probe and kept as ``stop_reason``:
 
     - "collapsed": the candidate dimension equals dim Der.  Every
       constraint row is asserted to annihilate Der, so Der stays inside
@@ -298,23 +281,23 @@ def random_probe_closure(
     the imaginary-unit probes of the deterministic route over Q).
     """
     acc = basis_probe_space(der)
+    acc.seed = seed
     rng = random.Random(seed)
     tried = stall = 0
-    stop_reason = None
-    while stop_reason is None:
+    while acc.stop_reason is None:
         if acc.dim == der.dim:
-            stop_reason = "collapsed"
+            acc.stop_reason = "collapsed"
         elif stall >= stall_limit:
-            stop_reason = "stalled"
+            acc.stop_reason = "stalled"
         elif tried >= max_probes:
-            stop_reason = "budget"
+            acc.stop_reason = "budget"
         else:
             element = _random_sparse_element(der.algebra, rng, ordered=True)
             before = acc.dim
-            acc = constrain(acc, Probe(element, probe_label(element)))
+            constrain(acc, Probe(element, probe_label(element)))
             tried += 1
             stall = stall + 1 if acc.dim == before else 0
-    return FoldResult(acc, seed, stop_reason)
+    return acc
 
 
 def _random_sparse_element(L: LieAlgebra, rng: random.Random, ordered: bool) -> AlgebraElement:

@@ -29,7 +29,7 @@ from .exactfield import FIELD_Q, FIELD_QI, I, Field
 from .liealg import AlgebraElement, LieAlgebra, ad
 from .linalg import Matrix, Subspace, solve_columns, subspace_intersect, subspace_sum
 from .dersolve import LeibnizError, derivation_space, flatten_map, inner_space, is_derivation
-from .locder import CandidateSpace, FoldResult, Probe, basis_probe_space, fold, singleton_probes
+from .locder import CandidateSpace, Probe, basis_probe_space, fold, singleton_probes
 
 
 def make_schrodinger_labels(n: int) -> tuple:
@@ -345,14 +345,15 @@ def schrodinger_trimmed_schedule(L: LieAlgebra) -> list[Probe]:
     return out
 
 
-def replay_proof(n: int) -> FoldResult:
-    """Fold ``schrodinger_trimmed_schedule`` over the full map space of S_n
-    over Q(i).
+def replay_proof(n: int) -> CandidateSpace:
+    """A new candidate space: the full map space of S_n over Q(i), cut by
+    ``schrodinger_trimmed_schedule``.
 
     Der <= local derivations <= candidate holds throughout, so
-    candidate_dim == der_dim machine-checks that every local derivation
-    is a derivation for this n.
+    ``equal`` (candidate dim == dim Der) machine-checks that every local
+    derivation is a derivation for this n.
     """
     L = make_schrodinger(n, FIELD_QI)
-    acc = CandidateSpace.full(derivation_space(L))
-    return FoldResult(fold(acc, schrodinger_trimmed_schedule(L)))
+    acc = CandidateSpace(derivation_space(L))
+    fold(acc, schrodinger_trimmed_schedule(L))
+    return acc

@@ -20,7 +20,6 @@ from liederiv.linalg import Matrix, SparseEchelon, Subspace, sparse_add
 from liederiv import locder
 from liederiv.locder import (
     CandidateSpace,
-    FoldResult,
     Probe,
     ProbeStep,
     probe_label,
@@ -369,33 +368,39 @@ def reference_constrain(acc, probe):
     the integer fold: the images D_k(x) from ``locder._images``, the
     annihilator from the unit-pivot orbit echelon's nullspace vectors, the
     constraint rows x_j * p_i at j*d + i, each dotted with every row of
-    Der, and the field-scalar ``SparseEchelon.insert``."""
+    Der before any is inserted, and the field-scalar
+    ``SparseEchelon.insert`` into ``acc``, cut in place."""
     der, x = acc.der, probe.element
     support = [(j, xj) for j, xj in enumerate(x.coords) if xj]
     key = _normalized_key(support)
     if key in acc.seen:
-        return acc
+        return
     d = der.algebra.dim
     orbit = UnitPivotEchelon(d)
     for img in _images(der.columns, x):
         if img:
             orbit.insert(img)
-    echelon = acc.echelon.clone()
-    for p in orbit.nullspace_vectors():
-        row = {j * d + i: xj * pi for j, xj in support for i, pi in p.items()}
+    rows = [
+        {j * d + i: xj * pi for j, xj in support for i, pi in p.items()}
+        for p in orbit.nullspace_vectors()
+    ]
+    for row in rows:
         if any(dot_sparse(row, vec) for vec in der.subspace.rows):
             raise AssertionError(f"constraint row at probe {probe.label!r} does not annihilate Der")
-        echelon.insert(row)
-    step = ProbeStep(probe.label, acc.dim, d * d - echelon.rank)
-    return CandidateSpace(der, echelon, acc.history + (step,), acc.seen | {key})
+    before = acc.dim
+    for row in rows:
+        acc.echelon.insert(row)
+    acc.history.append(ProbeStep(probe.label, before, acc.dim))
+    acc.seen.add(key)
 
 
-def fold(probes) -> FoldResult:
+def fold(probes) -> CandidateSpace:
     """The candidate space cut out by ``probes`` from the full map space
     of their algebra, in the given order, by the fold that
     ``replay_proof`` runs on its schedule."""
-    der = derivation_space(probes[0].element.algebra)
-    return FoldResult(locder.fold(CandidateSpace.full(der), probes))
+    acc = CandidateSpace(derivation_space(probes[0].element.algebra))
+    locder.fold(acc, probes)
+    return acc
 
 
 def full_schedule(L) -> list:

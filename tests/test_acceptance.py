@@ -165,9 +165,9 @@ def test_criterion_4_theorem_replay():
     details = []
     for n in (1, 2, 3, 4, 5):
         result = replay(n)
-        consistent = result.candidate_dim == result.der_dim == der_dim(n)
+        consistent = result.dim == result.der.dim == der_dim(n)
         ok &= result.equal and consistent
-        details.append(f"n={n}:{result.candidate_dim}={result.der_dim}")
+        details.append(f"n={n}:{result.dim}={result.der.dim}")
     elapsed = time.time() - t0
     ok &= elapsed < 300
     report(
@@ -184,11 +184,11 @@ def test_criterion_5_random_route_agreement():
     details = []
     for n in (1, 2, 3):
         der = derivation_space(make_schrodinger(n))
-        target = replay(n).candidate_dim
+        target = replay(n).dim
         for seed in (0x5EED, 0xBEEF, 20260810):
             out = random_probe_closure(der, seed=seed)
-            ok &= out.candidate_dim == target
-            details.append(f"n={n}/seed={seed:#x}:{out.candidate_dim}")
+            ok &= out.dim == target
+            details.append(f"n={n}/seed={seed:#x}:{out.dim}")
     report(5, ok, "stabilized dims " + ", ".join(details))
     assert ok
 
@@ -205,12 +205,12 @@ def test_criterion_6_pure_local_contrast():
     cert = certify_local_symbolic(der, delta)
     ok &= cert.certified
     closure = random_probe_closure(der, max_probes=400, stall_limit=150)
-    ok &= closure.candidate_dim == 7 > der.dim
+    ok &= closure.dim == 7 > der.dim
     report(
         6,
         ok,
         f"dim Der = {der.dim}, product rule fails at {verdict.failing_pair}, "
-        f"certified local = {cert.certified}, closure dim = {closure.candidate_dim}",
+        f"certified local = {cert.certified}, closure dim = {closure.dim}",
     )
     assert ok
 
@@ -288,10 +288,10 @@ def test_criterion_7e_containment_chain_during_folding():
     L = make_schrodinger(2, FIELD_QI)
     der = derivation_space(L)
     basis = dense_der_basis(der)
-    acc = CandidateSpace.full(der)
+    acc = CandidateSpace(der)
     dims = [acc.dim]
     for probe in full_schedule(L):
-        acc = constrain(acc, probe)
+        constrain(acc, probe)
         dims.append(acc.dim)
         for D in basis:
             assert contains_map(acc, D)
@@ -303,12 +303,12 @@ def test_criterion_7f_probe_order_independence():
     base = replay(2)
     rng = random.Random(0x0D9E52)
     for schedule in (full_schedule, schrodinger_trimmed_schedule):
-        probes = schedule(base.candidate.der.algebra)
+        probes = schedule(base.der.algebra)
         for _ in range(5):
             shuffled = probes[:]
             rng.shuffle(shuffled)
             out = fold(shuffled)
-            assert out.candidate.space == base.candidate.space
+            assert out.space == base.space
     report(
         "7f",
         True,
@@ -318,10 +318,10 @@ def test_criterion_7f_probe_order_independence():
 
 def test_criterion_7g_witness_reconstruction():
     result = replay(2)
-    der = result.candidate.der
+    der = result.der
     L = der.algebra
     maps = [
-        unflatten_map(L.field, vec, L.dim) for vec in dense_rows(result.candidate.space)
+        unflatten_map(L.field, vec, L.dim) for vec in dense_rows(result.space)
     ]
     count = 0
     for probe in full_schedule(L):

@@ -1,10 +1,12 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from liederiv.exactfield import FIELD_Q, FIELD_QI, GaussianRational, I, inv
+from liederiv.exactfield import FIELD_Q, FIELD_QI, GaussianRational, I, format_scalar, inv
 from liederiv.liealg import LieAlgebra, ad, make_abelian, make_heisenberg
 from liederiv.linalg import Matrix, SparseEchelon, Subspace, sparse_add
 from liederiv.dersolve import DerivationSpace, derivation_space, is_derivation
@@ -101,25 +103,47 @@ def test_constrain_rejects_a_corrupted_der_basis_map():
     corrupted = DerivationSpace(L, (tuple(cols),) + der.columns[1:], der.subspace)
     probe = Probe(L.basis_element(j), L.labels[j])
     with pytest.raises(AssertionError, match="does not annihilate Der"):
-        constrain(CandidateSpace.full(corrupted), probe)
-    constrain(CandidateSpace.full(der), probe)
+        constrain(CandidateSpace(corrupted), probe)
+    constrain(CandidateSpace(der), probe)
 
 
-def test_constrain_rejects_a_corrupted_der_subspace_row():
+def _with_a_corrupted_subspace_row(der: DerivationSpace) -> DerivationSpace:
     # the columns are intact, so every constraint row annihilates the true
     # Der; the first subspace row gains an entry at a column where every
     # Der map is zero, so it leaves Der, and a fold that reaches dim Der
     # has a constraint row that the per-row check finds it against
-    L = make_schrodinger(1, FIELD_QI)
-    der = derivation_space(L)
+    L = der.algebra
     unused = set(range(L.dim ** 2)).difference(*der.subspace.rows)
     rows = list(der.subspace.rows)
     rows[0] = {**rows[0], max(unused): L.field.one}
-    corrupted = DerivationSpace(L, der.columns, Subspace(L.field, L.dim ** 2, tuple(rows)))
+    return DerivationSpace(L, der.columns, Subspace(L.field, L.dim ** 2, tuple(rows)))
+
+
+def test_constrain_rejects_a_corrupted_der_subspace_row():
+    L = make_schrodinger(1, FIELD_QI)
+    der = derivation_space(L)
+    corrupted = _with_a_corrupted_subspace_row(der)
     schedule = schrodinger_trimmed_schedule(L)
     with pytest.raises(AssertionError, match="does not annihilate Der"):
-        locder.fold(CandidateSpace.full(corrupted), schedule)
-    assert locder.fold(CandidateSpace.full(der), schedule).dim == der.dim
+        locder.fold(CandidateSpace(corrupted), schedule)
+    acc = CandidateSpace(der)
+    locder.fold(acc, schedule)
+    assert acc.dim == der.dim
+
+
+def test_a_failed_der_check_leaves_the_candidate_unchanged():
+    L = make_schrodinger(1, FIELD_QI)
+    acc = CandidateSpace(_with_a_corrupted_subspace_row(derivation_space(L)))
+    schedule = schrodinger_trimmed_schedule(L)
+    # v_1 is the first probe with a row outside the corrupted Der's
+    # annihilator; its other rows pass the check and would cut by 2, so
+    # the candidate stays put only if none of them went in
+    locder.fold(acc, schedule[:5])
+    snapshot = (acc.dim, list(acc.history), set(acc.seen), acc.echelon.rref_rows())
+    assert schedule[5].label == "v_1"
+    with pytest.raises(AssertionError, match="does not annihilate Der"):
+        constrain(acc, schedule[5])
+    assert (acc.dim, acc.history, acc.seen, acc.echelon.rref_rows()) == snapshot
 
 
 _CHECK_ALGEBRAS = {
@@ -177,19 +201,23 @@ def test_constrain_skips_a_probe_scaled_by_i():
     der = derivation_space(L)
     i_unit = GaussianRational(0, 1)
     probe = make_probe(L, {"u_1": 1, "u_2": i_unit})
-    once = constrain(CandidateSpace.full(der), probe)
+    acc = CandidateSpace(der)
+    constrain(acc, probe)
+    dim, history = acc.dim, list(acc.history)
     scaled = probe.element.scale(i_unit)  # i*u_1 - u_2
-    assert constrain(once, Probe(scaled, probe_label(scaled))) is once
+    constrain(acc, Probe(scaled, probe_label(scaled)))
+    assert acc.dim == dim and acc.history == history
     # the same support, but not a multiple: u_1 - i*u_2 is a new probe
-    assert constrain(once, make_probe(L, {"u_1": 1, "u_2": -i_unit})) is not once
+    constrain(acc, make_probe(L, {"u_1": 1, "u_2": -i_unit}))
+    assert len(acc.history) == len(history) + 1
 
 
 def _same_as_reference(run, monkeypatch):
     # the integer fold and the field-scalar reference give the same probe
     # steps and the same final candidate, entry for entry
-    integer = run().candidate
+    integer = run()
     monkeypatch.setattr(locder, "constrain", reference_constrain)
-    reference = run().candidate
+    reference = run()
     assert integer.history == reference.history
     assert integer.echelon.rref_rows() == reference.echelon.rref_rows()
 
@@ -216,7 +244,8 @@ def test_constrain_makes_no_field_scalar_insert(monkeypatch):
         return true_insert(self, row)
 
     monkeypatch.setattr(SparseEchelon, "insert", counting)
-    acc = locder.fold(CandidateSpace.full(der), schrodinger_trimmed_schedule(L))
+    acc = CandidateSpace(der)
+    locder.fold(acc, schrodinger_trimmed_schedule(L))
     assert acc.dim == der.dim
     assert len(calls) == 0
 
@@ -229,7 +258,8 @@ def test_constrain_eliminates_each_probe_once(monkeypatch):
     calls = []
     rref_rows = SparseEchelon.rref_rows
     monkeypatch.setattr(SparseEchelon, "rref_rows", lambda acc: calls.append(1) or rref_rows(acc))
-    acc = locder.fold(CandidateSpace.full(der), schrodinger_trimmed_schedule(L))
+    acc = CandidateSpace(der)
+    locder.fold(acc, schrodinger_trimmed_schedule(L))
     assert acc.dim == der.dim
     assert calls == []
 
@@ -251,35 +281,37 @@ def test_orbit_scaling_invariance():
 def test_constrain_by_central_probe_drops_one_column_to_a_line():
     L = make_schrodinger(2)
     der = derivation_space(L)
-    acc = CandidateSpace.full(der)
+    acc = CandidateSpace(der)
     d = L.dim
-    out = constrain(acc, make_probe(L, {"z": 1}, "z"))
     assert acc.dim == d * d
-    assert out.dim == d * d - (d - 1)
-    assert out.history[-1].dim_before == d * d
-    assert out.history[-1].dim_after == d * d - (d - 1)
+    constrain(acc, make_probe(L, {"z": 1}, "z"))
+    assert acc.dim == d * d - (d - 1)
+    assert acc.history[-1].dim_before == d * d
+    assert acc.history[-1].dim_after == d * d - (d - 1)
 
 
 def test_constrain_keeps_derivations_and_is_idempotent():
     L = make_schrodinger(1)
     der = derivation_space(L)
-    acc = CandidateSpace.full(der)
+    acc = CandidateSpace(der)
     probe = make_probe(L, {"h": 1, "e": 1}, "h+e")
-    once = constrain(acc, probe)
-    twice = constrain(once, probe)
-    assert twice.dim == once.dim
-    assert len(twice.history) == len(once.history)
+    constrain(acc, probe)
+    dim, steps = acc.dim, len(acc.history)
+    constrain(acc, probe)
+    assert acc.dim == dim
+    assert len(acc.history) == steps
     for D in dense_der_basis(der):
-        assert contains_map(once, D)
+        assert contains_map(acc, D)
     # scalar multiples are recognized as the same probe
     scaled = Probe(probe.element.scale(Fraction(5)), "5h+5e")
-    assert constrain(once, scaled).dim == once.dim
+    constrain(acc, scaled)
+    assert acc.dim == dim
 
 
 def test_constrain_rejects_zero_and_foreign_probes():
     L = make_schrodinger(1)
     der = derivation_space(L)
-    acc = CandidateSpace.full(der)
+    acc = CandidateSpace(der)
     with pytest.raises(ValueError):
         Probe(L.from_terms({}), "0")
     other = make_schrodinger(2)
@@ -347,12 +379,12 @@ def test_trimmed_schedule_is_the_cutting_subsequence():
         long = fold(full)
         short = replay_proof(n)
         assert short.equal and long.equal
-        assert short.candidate.echelon.rows == long.candidate.echelon.rows
+        assert short.echelon.rows == long.echelon.rows
         # the trimmed history is the full one minus steps that did not cut
-        history = {s.probe: s for s in long.candidate.history}
-        assert list(short.candidate.history) == [history[p.label] for p in trimmed]
+        history = {s.probe: s for s in long.history}
+        assert list(short.history) == [history[p.label] for p in trimmed]
         assert all(
-            s.dim_after == s.dim_before for s in long.candidate.history if s.probe not in kept
+            s.dim_after == s.dim_before for s in long.history if s.probe not in kept
         )
 
 
@@ -360,31 +392,41 @@ def test_replay_verifies_small_ranks():
     for n in (1, 2, 3):
         result = replay_proof(n)
         assert result.equal
-        assert result.der_dim == result.candidate_dim == expected_der_dim(n)
-        assert result.candidate.space == result.candidate.der.subspace
-        dims = [s.dim_after for s in result.candidate.history]
+        assert result.der.dim == result.dim == expected_der_dim(n)
+        assert result.space == result.der.subspace
+        dims = [s.dim_after for s in result.history]
         assert dims == sorted(dims, reverse=True)
         report = result.to_report(n)
         assert report["equal"] is True and report["n"] == n
         assert report["field"] == FIELD_QI.tag
-        assert len(report["history"]) == len(result.candidate.history)
+        assert len(report["history"]) == len(result.history)
+
+
+def test_replay_pins_the_final_candidate_at_n32():
+    # the sha256 of json.dumps of the RREF rows, with format_scalar
+    # values, as BENCH_20.json records it for n = 32
+    acc = replay_proof(32)
+    assert acc.equal and acc.dim == 564
+    rows = [{c: format_scalar(v) for c, v in row.items()} for row in acc.echelon.rref_rows()]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "eede9bd174f3feac6d6a9266269ac933142db708fb88d75ff380ae39447ad4be"
 
 
 def test_replay_probe_order_independence():
     base = replay_proof(2)
-    probes = full_schedule(base.candidate.der.algebra)
+    probes = full_schedule(base.der.algebra)
     rng = random.Random(0xA11CE)
     for _ in range(5):
         shuffled = probes[:]
         rng.shuffle(shuffled)
         out = fold(shuffled)
-        assert out.candidate_dim == base.candidate_dim
-        assert out.candidate.space == base.candidate.space
+        assert out.dim == base.dim
+        assert out.space == base.space
 
 
 _SCHEDULE = full_schedule(make_schrodinger(2, FIELD_QI))
 _REPLAY_BASE = fold(_SCHEDULE)
-_TRIMMED = schrodinger_trimmed_schedule(_REPLAY_BASE.candidate.der.algebra)
+_TRIMMED = schrodinger_trimmed_schedule(_REPLAY_BASE.der.algebra)
 _TRIMMED_LABELS = {p.label for p in _TRIMMED}
 _EXTRA = [p for p in _SCHEDULE if p.label not in _TRIMMED_LABELS]
 _nonzero_gauss = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any)
@@ -404,9 +446,9 @@ def test_replay_fold_is_independent_of_probe_order_and_scale(order, multiples, r
         x = _SCHEDULE[i].element.scale(GaussianRational(re, im))
         probes.insert(rng.randrange(len(probes) + 1), Probe(x, probe_label(x)))
     out = fold(probes)
-    assert out.candidate.space == _REPLAY_BASE.candidate.space
+    assert out.space == _REPLAY_BASE.space
     assert out.equal == _REPLAY_BASE.equal
-    assert len(out.candidate.history) == len(_REPLAY_BASE.candidate.history)
+    assert len(out.history) == len(_REPLAY_BASE.history)
 
 
 @settings(max_examples=40, deadline=None)
@@ -416,15 +458,15 @@ def test_supersets_of_the_trimmed_schedule_give_the_same_candidate(extra, rng):
     rng.shuffle(probes)
     out = fold(probes)
     assert out.equal
-    assert out.candidate.space == _REPLAY_BASE.candidate.space
+    assert out.space == _REPLAY_BASE.space
 
 
 def test_replay_witnesses_exist_at_every_probe():
     result = replay_proof(2)
-    der = result.candidate.der
+    der = result.der
     L = der.algebra
     maps = [
-        unflatten_map(L.field, vec, L.dim) for vec in dense_rows(result.candidate.space)
+        unflatten_map(L.field, vec, L.dim) for vec in dense_rows(result.space)
     ]
     for probe in full_schedule(L):
         for D in maps:
@@ -434,7 +476,7 @@ def test_replay_witnesses_exist_at_every_probe():
 def test_random_closure_agrees_with_replay():
     for n in (1, 2):
         out = random_probe_closure(derivation_space(make_schrodinger(n)))
-        assert out.candidate_dim == out.der_dim == expected_der_dim(n)
+        assert out.dim == out.der.dim == expected_der_dim(n)
         assert out.stop_reason == "collapsed"
         report = out.to_report(n)
         assert report["seed"] == 0x5EED
@@ -442,12 +484,12 @@ def test_random_closure_agrees_with_replay():
         assert report["stop_reason"] == "collapsed"
     out = random_probe_closure(derivation_space(make_schrodinger(2)), max_probes=5)
     assert out.stop_reason == out.to_report(2)["stop_reason"] == "budget"
-    assert out.candidate_dim > out.der_dim
+    assert out.dim > out.der.dim
 
 
 def test_random_closure_abelian_keeps_full_space():
     out = random_probe_closure(derivation_space(make_abelian(3)), max_probes=40, stall_limit=20)
-    assert out.candidate_dim == 9
+    assert out.dim == 9
     # Der(abelian_3) = gl_3, so the singleton space has already collapsed
     assert out.stop_reason == "collapsed"
 
@@ -455,8 +497,8 @@ def test_random_closure_abelian_keeps_full_space():
 def test_random_closure_heisenberg_stalls_above_derivations():
     der = derivation_space(make_heisenberg(1))
     out = random_probe_closure(der, max_probes=300, stall_limit=120)
-    assert out.der_dim == 6
-    assert out.candidate_dim == 7
+    assert out.der.dim == 6
+    assert out.dim == 7
     assert not out.equal
     assert out.stop_reason == "stalled"
 
