@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from .liealg import LieAlgebra, ad
-from .linalg import Matrix, SparseEchelon, Subspace, sparse_add
+from .linalg import Matrix, SparseEchelon, Subspace, encode_columns, sparse_add
 
 
 def flatten_map(m: Matrix) -> tuple:
@@ -123,22 +123,58 @@ def _product_rule(L: LieAlgebra, cols: Sequence[dict]) -> LeibnizVerdict:
     return LeibnizVerdict(True)
 
 
+class MapIndex:
+    """Linear maps D_k, given by their sparse columns, in integer form by
+    integer column of the input: ``index[q]`` is [(k, column), ..] over the
+    maps with a nonzero column there, D_k at the positive scale ``scales[k]``
+    that clears its denominators.  For q = w*j + t (w the field's ``width``)
+    the column is column j of u_t*D_k (``Field.rotations``), so x with
+    x_j = sum_t x_(w*j+t) u_t maps to sum_q x_q column, and a sparse x meets
+    only the entries it shares a column with (Gustavson's row-wise product)."""
+
+    __slots__ = ("index", "scales")
+
+    def __init__(self, L: LieAlgebra, maps: Sequence[tuple]):
+        field, w = L.field, L.field.width
+        self.index: dict = {}
+        self.scales = []
+        for k, cols in enumerate(maps):
+            forms, scale = encode_columns(field, cols, L.dim)
+            self.scales.append(scale)
+            for j, form in enumerate(forms):
+                for t, turned in enumerate((form, *field.rotations(form))):
+                    if turned:
+                        self.index.setdefault(w * j + t, []).append((k, turned))
+
+    def images(self, parts: dict) -> dict:
+        """The nonzero images D_k(x) in integer form by k, ascending, given
+        the integer form ``parts`` of x: image k is ``scales[k]`` times the
+        form of D_k(x), at the scale of ``parts``."""
+        out: dict = {}
+        for q, xq in parts.items():
+            for k, col in self.index.get(q, ()):
+                img = out.get(k)
+                if img is None:
+                    out[k] = {r: xq * a for r, a in col.items()}
+                else:
+                    for r, a in col.items():
+                        img[r] = img.get(r, 0) + xq * a
+        images = {k: {r: v for r, v in out[k].items() if v} for k in sorted(out)}
+        return {k: img for k, img in images.items() if img}
+
+
 @dataclass(frozen=True)
 class DerivationSpace:
     """Basis of Der(L) in one form: ``columns[k]`` holds the sparse
     columns of the k-th basis map, read straight off the k-th row of
     ``subspace``, the canonical embedding of Der in the map space.
 
-    An image D_k(x) costs only the support of x.  ``locder.witness`` and
-    the symbolic certifier form images in field scalars from ``columns``
-    plus the sparse columns of Delta.  The probe fold works in integer
-    forms (``Field.encode``) through two indexes, each built once on
-    first use: ``images`` reads ``columns``, and ``residues``, the
-    per-row Der-annihilation check of a constraint row, reads
-    ``subspace.rows``, so a fault in the columns, and in the images built
-    from them, cannot hide itself from that check.  Both indexes are
-    keyed by integer column, so a sparse row or element meets only the
-    entries it shares a column with (Gustavson's row-wise product).
+    The probe fold, ``locder.witness`` and the symbolic certifier work in
+    integer forms (``Field.encode``) through two indexes keyed by integer
+    column, each built on first use: ``image_index`` reads ``columns``,
+    and ``residues``, the per-row Der-annihilation check of a constraint
+    row, reads ``subspace.rows``, so a fault in the columns, or in the
+    images built from them, cannot hide from that check.
     """
 
     algebra: LieAlgebra
@@ -150,25 +186,8 @@ class DerivationSpace:
         return len(self.columns)
 
     @cached_property
-    def image_index(self) -> dict:
-        """``columns`` in integer form by integer column of the input:
-        q -> [(k, column), ..] over the maps D_k with a nonzero column
-        there.  Each map is scaled by the positive integer that clears its
-        denominators, which leaves the span of its images alone, and for
-        q = w*j + t (w the field's ``width``) the column is column j of
-        u_t*D_k in integer form, u_0 = 1 and u_1 = i over Q(i)
-        (``Field.rotations``): x with x_j = sum_t x_(w*j+t) u_t then maps
-        to sum_q x_q column."""
-        field, d = self.algebra.field, self.algebra.dim
-        w = field.width
-        index: dict = {}
-        for k, cols in enumerate(self.columns):
-            form = field.encode({j * d + r: a for j, col in enumerate(cols) for r, a in col.items()})
-            for t, turned in enumerate((form, *field.rotations(form))):
-                for c, a in turned.items():
-                    j, r = divmod(c, w * d)
-                    index.setdefault(w * j + t, {}).setdefault(k, {})[r] = a
-        return {q: list(maps.items()) for q, maps in index.items()}
+    def image_index(self) -> MapIndex:
+        return MapIndex(self.algebra, self.columns)
 
     @cached_property
     def check_index(self) -> dict:
@@ -183,22 +202,9 @@ class DerivationSpace:
                 index.setdefault(c, []).append((m, v))
         return index
 
-    def images(self, parts: dict) -> list:
-        """The nonzero images D_k(x) in integer form, each up to a positive
-        factor, in basis order, given the integer form ``parts`` of x: one
-        pass over the maps with a nonzero column in the support of x."""
-        index = self.image_index
-        out: dict = {}
-        for q, xq in parts.items():
-            for k, col in index.get(q, ()):
-                img = out.get(k)
-                if img is None:
-                    out[k] = {r: xq * a for r, a in col.items()}
-                else:
-                    for r, a in col.items():
-                        img[r] = img.get(r, 0) + xq * a
-        images = ({r: v for r, v in out[k].items() if v} for k in sorted(out))
-        return [img for img in images if img]
+    def images(self, parts: dict) -> dict:
+        """The nonzero D_k(x) in integer form by k (``MapIndex.images``)."""
+        return self.image_index.images(parts)
 
     def residues(self, row: dict) -> dict:
         """The nonzero dot products of the integer row ``row`` with the

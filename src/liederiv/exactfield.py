@@ -375,3 +375,18 @@ def field_of(tag) -> Field:
         if field.tag == tag:
             return field
     raise ValueError(f"unknown field tag {tag!r}")
+
+
+def integer_key(field: Field, parts: dict) -> tuple:
+    """The same key for every nonzero multiple over ``field`` of the vector
+    with the integer form ``parts`` != 0: the form of x * conj(l), l its
+    leading coordinate, which makes l the positive |l|**2, over its content."""
+    lead = min(parts) // field.width * field.width
+    weights = (parts.get(lead, 0), -parts.get(lead + 1, 0))
+    key: dict = {}
+    # over Q, zip stops after the form of x and its weight l
+    for form, a in zip((parts, *field.rotations(parts)), weights):
+        for c, v in form.items():
+            key[c] = key.get(c, 0) + a * v
+    g = gcd(*key.values())
+    return tuple(sorted((c, v // g) for c, v in key.items() if v))

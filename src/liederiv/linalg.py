@@ -1,15 +1,12 @@
 """Exact sparse linear algebra over Q and Q(i).
 
 One elimination engine, the sparse incremental echelon accumulator,
-handles the large Leibniz and probe-constraint systems without
-materializing dense matrices, and its back-eliminated rows are the
-canonical RREF bases of subspaces.  It eliminates in integers: its
-stored rows are primitive ``{column: int}`` rows, fraction-free, and a
-row over Q(i) is stored as a pair of real rows, its real and imaginary
-parts side by side.  Its field (``exactfield.Field``) turns rows of
-field scalars into that form and back, and the rows it hands out, with
-unit pivots, are built when read.  Matrices and subspaces are immutable
-values, so callers may share them.
+handles every system without materializing dense matrices, and its
+back-eliminated rows are the canonical RREF bases of subspaces.  It
+eliminates in integer forms (``exactfield.Field``): primitive
+``{column: int}`` rows, a row over Q(i) as its real and imaginary parts
+side by side.  Matrices and subspaces are immutable values, so callers
+may share them.
 """
 
 from __future__ import annotations
@@ -18,7 +15,7 @@ import heapq
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .exactfield import Field, FieldMismatchError
+from .exactfield import FIELD_Q, Field, FieldMismatchError
 
 
 class Matrix:
@@ -186,29 +183,24 @@ class SparseEchelon:
     """Incremental echelon accumulator over the exact field ``field``,
     eliminating in integers.
 
-    It works on rows in integer form (``Field.encode``): over Q a row's
-    denominators are cleared, and over Q(i) the row r becomes a row over
-    2 * ncols rational columns, Re r_c at 2c and Im r_c at 2c + 1.  A
-    caller that builds its rows in that form hands them to
-    ``insert_integer``; ``insert`` encodes a row of field scalars first.
-    A row over Q(i) enters together with the form of i*r.  The span over Q
-    of those forms is then the real form of the span over Q(i), so the
-    pivots come in pairs {2p, 2p + 1}, one pair per pivot p over Q(i),
-    and the RREF row at 2p is the real form of the RREF row at p.
+    It works on rows in integer form (``Field.encode``): ``insert_integer``
+    takes them as they are, ``insert`` encodes a row of field scalars
+    first.  A row r over Q(i) enters together with the form of i*r, so the
+    span over Q of the forms is the real form of the span over Q(i), the
+    pivots come in pairs {2p, 2p + 1}, one per pivot p over Q(i), and the
+    RREF row at 2p is the real form of the RREF row at p.
 
     A stored row is a primitive ``{column: int}`` dict: the gcd of its
     entries is 1 and its pivot entry, at its first column, is positive.
     An incoming row is reduced fraction-free by gcd-scaled
     cross-multiplication, ``work = (p/g) * work - (v/g) * pivot_row`` with
     g = gcd(p, v), p the pivot entry and v the entry of ``work`` at the
-    pivot, and the scaling is skipped when p is 1.  This is not Bareiss's
-    elimination: there is no exact division by the previous pivot, so
-    ``work`` may grow by up to log2(p) bits for each pivot row with p > 1
-    it meets, and only the stored row is divided by its content.  The
-    pivot is the first nonzero column after reduction, so each stored
-    row is a multiple of the row that unit-pivot elimination over the field
-    stores at the same pivot (over Q(i), of its real form, by a Gaussian
-    rational), and reads back as that row.
+    pivot, and the scaling is skipped when p is 1.  Unlike Bareiss's
+    elimination there is no exact division by the previous pivot, so
+    ``work`` may grow by up to log2(p) bits per pivot row with p > 1, and
+    only the stored row is divided by its content.  Each stored row is a
+    multiple of the row that unit-pivot elimination over the field stores
+    at the same pivot, and reads back as that row.
 
     ``rows``, ``reduced_rows``, ``rref_rows`` and the subspaces read off
     them hold field scalars with unit pivots, keyed by field column; they
@@ -386,36 +378,58 @@ def sparse_add(row: dict, col: int, val) -> None:
         row.pop(col, None)
 
 
-def solve_columns(field: Field, columns: Sequence[dict], target: dict) -> tuple:
-    """(c, rank): coefficients c with sum_k c_k columns[k] = target, or
-    None when the target is outside the span of the sparse
-    ``{row: scalar}`` columns, and the rank of those columns.
+def encode_columns(field: Field, columns: Sequence[dict], size: int) -> tuple:
+    """(forms, scale): the integer forms (``Field.encode``) of sparse columns
+    with rows below ``size``, all at the one scale that clears their denominators."""
+    w, n = field.width, len(columns) * size
+    joint = {k * size + r: x for k, col in enumerate(columns) for r, x in col.items()}
+    # the form of a 1 at the spare row n is the scale
+    joint = field.encode({**joint, n: 1})
+    scale = joint.pop(w * n)
+    forms = [{} for _ in columns]
+    for q, v in joint.items():
+        forms[q // (w * size)][q % (w * size)] = v
+    return forms, scale
 
-    A pivot at column m of the echelon of the augmented rows means no
-    solution; otherwise c is the canonical RREF solution, with every
-    free coefficient zero, read off the back-eliminated rows: c_p is the
-    entry at column m of the row with pivot p.  The same echelon gives
-    the rank, since rank [A | b] = rank A exactly when a solution
-    exists."""
-    m = len(columns)
+
+def combine_forms(forms: Sequence[dict], point: Sequence[int]) -> dict:
+    """The integer form sum_t y_t forms[t] at the integer point y."""
+    out: dict = {}
+    for form, y in zip(forms, point):
+        if y:
+            for c, v in form.items():
+                out[c] = out.get(c, 0) + y * v
+    return {c: v for c, v in out.items() if v}
+
+
+def solve_columns(field: Field, columns: Sequence[dict], target: dict) -> tuple:
+    """(c, rank) for the integer forms (``Field.encode``, each at any
+    positive scale) of m columns a_k and a target b over ``field``, w its
+    ``width`` and u_t its units (``Field.rotations``): c is None when b is
+    outside the span of the a_k, else the integers c_0, .., c_(w*m - 1), lam
+    with lam > 0 and lam b = sum c_(w*k+t) u_t a_k, the integer form of
+    (c_k / lam)_k and a 1; rank is that of the a_k.  The solve runs over Q,
+    column w*k + t holding the form of u_t a_k, so the real pivots come w to
+    a field pivot, and c is the canonical RREF solution (free coefficients
+    zero) over Q and the field alike: c_p = row[w*m] * lam / row[p] for the
+    reduced integer row with pivot p, lam the lcm of the row[p].  A pivot at
+    w*m means no solution: rank [A | b] = rank A exactly when one exists."""
+    w, n = field.width, field.width * len(columns)
     rows: dict = {}
     for k, col in enumerate(columns):
-        for r, v in col.items():
-            rows.setdefault(r, {})[k] = v
+        for t, form in enumerate((col, *field.rotations(col))):
+            for r, v in form.items():
+                rows.setdefault(r, {})[w * k + t] = v
     for r, v in target.items():
-        rows.setdefault(r, {})[m] = v
-    acc = SparseEchelon(field, m + 1)
+        rows.setdefault(r, {})[n] = v
+    acc = SparseEchelon(FIELD_Q, n + 1)
     for row in rows.values():
-        acc.insert(row)
-    w, decode = field.width, field.decode
+        acc.insert_integer(row)
     reduced = acc._reduced()
-    if w * m in reduced:
-        return None, acc.rank - 1
-    z = field.zero
-    coeffs = [z] * m
-    for q, row in reduced.items():
-        if not q % w:
-            # c_p off the pivot and column-m entries of the row at w*p alone
-            part = {k: x for k, x in row.items() if k < q + w or k >= w * m}
-            coeffs[q // w] = decode(part, q).get(m, z)
-    return coeffs, acc.rank
+    if n in reduced:
+        return None, (acc.rank - 1) // w
+    lam = lcm(*(row[p] for p, row in reduced.items()))
+    coeffs = [0] * n + [lam]
+    for p, row in reduced.items():
+        coeffs[p] = row.get(n, 0) * (lam // row[p])
+    return coeffs, acc.rank // w

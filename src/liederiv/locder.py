@@ -26,12 +26,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, islice
 from math import comb
-from typing import Optional, Sequence
+from typing import Optional
 
-from .exactfield import FIELD_Q, Field, GaussianRational, inv
+from .exactfield import FIELD_Q, GaussianRational, integer_key, inv
 from .liealg import AlgebraElement, LieAlgebra
-from .linalg import Matrix, SparseEchelon, Subspace, solve_columns, sparse_add
-from .dersolve import DerivationSpace, check_map, flatten_map
+from .linalg import Matrix, SparseEchelon, Subspace, combine_forms, encode_columns, solve_columns
+from .dersolve import DerivationSpace, MapIndex, check_map, flatten_map
 from .poly import MultiPoly, poly_det, split_linear
 
 DEFAULT_SEED = 0x5EED
@@ -89,35 +89,18 @@ def _coeff_text(c) -> str:
     return str(Fraction(c))
 
 
-def _images(columns: Sequence[tuple], x: AlgebraElement) -> list[dict]:
-    """One sparse pass over the support of x: D(x) as a ``{row: scalar}``
-    dict for each map D given by its sparse columns."""
-    support = [(j, c) for j, c in enumerate(x.coords) if c]
-    out = []
-    for cols in columns:
-        img: dict = {}
-        for j, c in support:
-            for r, a in cols[j].items():
-                sparse_add(img, r, c * a)
-        out.append(img)
-    return out
+def _integer_form(x: AlgebraElement) -> dict:
+    """The integer form (``Field.encode``) of the coordinates of x."""
+    return x.algebra.field.encode({j: c for j, c in enumerate(x.coords) if c})
 
 
 def _orbit_echelon(der: DerivationSpace, parts: dict) -> SparseEchelon:
     """Echelon whose row space is W_x, given the integer form ``parts``
     of x, fed by one integer image pass (``DerivationSpace.images``)."""
     acc = SparseEchelon(der.algebra.field, der.algebra.dim)
-    for img in der.images(parts):
+    for img in der.images(parts).values():
         acc.insert_integer(img)
     return acc
-
-
-def _normalized_key(support: list) -> tuple:
-    """The same key for every nonzero multiple of an element given by its
-    support ``[(index, coordinate), ..]``: the pairs scaled so that the
-    first coordinate is 1."""
-    inv_lead = inv(support[0][1])
-    return tuple((j, inv_lead * c) for j, c in support)
 
 
 class CandidateSpace:
@@ -127,12 +110,12 @@ class CandidateSpace:
     ``CandidateSpace(der)`` is the full map space of ``der.algebra``.
     ``constrain`` and ``fold`` cut it in place: ``echelon`` gathers the
     annihilator rows on the flattened map space, ``history`` the
-    ``ProbeStep`` of every probe that was not skipped, and ``seen`` the
-    normalized keys of those probes.  ``seed`` and ``stop_reason`` stay
-    None unless ``random_probe_closure`` sets them; its stop reason is
-    "collapsed", "stalled" or "budget", and the report carries it, so a
-    "stalled" or "budget" run reads as inconclusive rather than as a
-    counterexample.  ``space`` computes the subspace when read.
+    ``ProbeStep`` of every probe not skipped, ``seen`` their
+    ``integer_key``.  ``seed`` and ``stop_reason`` stay None unless
+    ``random_probe_closure`` sets them; its stop reason is "collapsed",
+    "stalled" or "budget", and the report carries it, so a "stalled" or
+    "budget" run reads as inconclusive rather than as a counterexample.
+    ``space`` computes the subspace when read.
     """
 
     __slots__ = ("der", "echelon", "history", "seen", "seed", "stop_reason")
@@ -182,36 +165,28 @@ def constrain(acc: CandidateSpace, probe: Probe) -> None:
     """Cut the candidate space ``acc`` in place down to its meet with
     {Delta : Delta(x) in W_x}, W_x spanned over the Der of ``acc``.
 
-    Scalar multiples of already-processed probes are skipped (they
-    impose the same condition); the key is the probe's support scaled to
-    a leading 1.  Past the key everything runs on integer forms
-    (``Field.encode``), with no field scalar per entry: x is taken to
-    its integer parts, its orbit echelon is fed the integer images, and
-    the annihilator basis is the orbit echelon's ``integer_nullspace``.
-    That basis is not canonical: any basis of the annihilator cuts the
-    same candidate, and the candidate echelon reduces whatever rows it
-    gets.  The constraint row of an annihilator vector p is x_j * p_i at
-    map column j*d + i, in integer form: the part x_q (q = w*j + t) times
-    the form of u_t*p (``Field.rotations``), placed at block j.  Every
-    constraint row of the probe is checked to annihilate the Der basis
-    before any of them is inserted, which asserts the containment chain
-    Der <= candidate at each stage; a failed check raises and leaves
-    ``acc`` as it was.  That check dots the row with every row of
-    ``der.subspace`` (``DerivationSpace.residues``), not with the columns
-    the orbit came from, and skips only the products that share no
-    column.
+    A probe with the ``integer_key`` of an earlier one is a multiple of
+    it and is skipped.  All else runs on integer forms (``Field.encode``):
+    the orbit echelon of x is fed the integer images, and any basis of its
+    annihilator cuts the same candidate, so the basis is the echelon's
+    ``integer_nullspace``.  The constraint row of an annihilator vector p
+    is x_j * p_i at map column j*d + i: the part x_q (q = w*j + t) times
+    the form of u_t*p (``Field.rotations``), placed at block j.  Each row
+    of the probe is dotted with every row of ``der.subspace``
+    (``DerivationSpace.residues``), not with the columns the orbit came
+    from, before any is inserted, which asserts Der <= candidate at each
+    stage; a failed check raises and leaves ``acc`` as it was.
     """
     der = acc.der
     x = probe.element
     if x.algebra != der.algebra:
         raise ValueError("probe element belongs to a different algebra")
-    support = [(j, xj) for j, xj in enumerate(x.coords) if xj]
-    key = _normalized_key(support)
+    field, d = der.algebra.field, der.algebra.dim
+    parts = _integer_form(x)
+    key = integer_key(field, parts)
     if key in acc.seen:
         return
-    field, d = der.algebra.field, der.algebra.dim
     w = field.width
-    parts = field.encode(dict(support))
     rows = []
     # a zero orbit leaves the whole dual space, the nullspace of no rows
     for p in _orbit_echelon(der, parts).integer_nullspace():
@@ -310,8 +285,8 @@ def _random_sparse_element(L: LieAlgebra, rng: random.Random, ordered: bool) -> 
         c = 0
         while not c:
             c = rng.randint(-2, 2)
-        coords[i] = L.field.one * c
-    return L.element(coords)
+        coords[i] = Fraction(c)
+    return AlgebraElement(L, tuple(coords))
 
 
 def witness(der: DerivationSpace, delta: Matrix, x: AlgebraElement) -> Optional[tuple]:
@@ -322,29 +297,32 @@ def witness(der: DerivationSpace, delta: Matrix, x: AlgebraElement) -> Optional[
     check_map(L, delta)
     if x.algebra != L:
         raise ValueError("point belongs to a different algebra")
-    return _solve_point(L.field, der.columns + (delta.sparse_columns(),), x)[0]
+    return _solve_point(der, MapIndex(L, (delta.sparse_columns(),)), _integer_form(x))[0]
 
 
-def _solve_point(field: Field, columns: tuple, x: AlgebraElement) -> tuple:
-    """(c, rank) for the maps [D_1, .., D_m, Delta] given by their sparse
-    ``columns``: c is the ``witness`` of x, and rank that of the Der block
-    [D_1(x) | .. | D_m(x)].
-
-    The images come from one sparse pass over the support of x; c is the
-    canonical RREF solution of ``solve_columns``, re-checked exactly
-    against Delta(x)."""
-    *der_images, target = _images(columns, x)
-    coeffs, rank = solve_columns(field, der_images, target)
+def _solve_point(der: DerivationSpace, delta: MapIndex, parts: dict) -> tuple:
+    """(c, rank) at the point x with integer form ``parts``: c is the
+    ``witness`` of x for the map Delta indexed by ``delta``, rank that of the
+    Der block [D_1(x) | .. | D_m(x)].  From one integer image pass each,
+    ``solve_columns`` solves in ``int``, and lam * Delta(x) = sum c_(w*k+t)
+    u_t D_k(x) is re-checked in ``int`` against Delta's own image first."""
+    field, m, w = der.algebra.field, der.dim, der.algebra.field.width
+    images = der.images(parts)
+    target = delta.images(parts).get(0, {})
+    coeffs, rank = solve_columns(field, [images.get(k, {}) for k in range(m)], target)
     if coeffs is None:
         return None, rank
-    check: dict = {}
-    for c, img in zip(coeffs, der_images):
-        if c:
-            for r, v in img.items():
-                sparse_add(check, r, c * v)
-    if check != target:
+    check = {r: -coeffs[-1] * v for r, v in target.items()}
+    for k, img in images.items():
+        for t, form in enumerate((img, *field.rotations(img))):
+            for r, v in form.items():
+                check[r] = check.get(r, 0) + coeffs[w * k + t] * v
+    if any(check.values()):
         raise AssertionError("witness solve failed to verify")
-    return tuple(coeffs), rank
+    # c_k = (sum_t c_(w*k+t) u_t) * (scale of D_k) / (lam * scale of Delta)
+    scales = der.image_index.scales + delta.scales
+    sol = field.decode({q: c * scales[q // w] for q, c in enumerate(coeffs) if c}, w * m)
+    return tuple(sol.get(k, field.zero) for k in range(m)), rank
 
 
 # ---------------------------------------------------------------------------
@@ -376,19 +354,17 @@ def certify_local_symbolic(der: DerivationSpace, delta: Matrix) -> LocalityCerti
     The certificate stacks M(x) = [D_1(x) | .. | D_m(x) | Delta(x)] with
     linear-polynomial entries and works stratum by stratum, a stratum
     being the span of a tuple of algebra elements (the basis at the top)
-    whose block of linear forms is read off one sparse image pass per
-    element (``_stratum_block``): the generic
-    rank r of the Der block is established by exact evaluation (a
-    nonsingular r x r submatrix at a rational point exhibits a nonzero
-    r-minor polynomial); all (r+1)-minors using the Delta column are
-    expanded exactly and must vanish identically, which by cofactor
-    expansion forces every larger Delta-minor to vanish as well and so
-    covers all points where the Der block keeps rank at least r.  The
-    rank-drop locus lies inside the zero set of the exhibited nonzero
-    r-minor; when that minor is a product of linear forms the procedure
-    recurses onto each hyperplane, otherwise it gives up explicitly.
-    Refutations are always confirmed by an exact witness-absence check
-    at a concrete point.
+    with its block of linear forms (``_stratum_block``).  The generic rank
+    r of the Der block is established by exact evaluation (a nonsingular
+    r x r submatrix at a rational point exhibits a nonzero r-minor
+    polynomial); all (r+1)-minors using the Delta column are expanded
+    exactly and must vanish identically, which by cofactor expansion
+    forces every larger Delta-minor to vanish as well and so covers all
+    points where the Der block keeps rank at least r.  The rank-drop locus
+    lies inside the zero set of the exhibited nonzero r-minor; when that
+    minor is a product of linear forms the procedure recurses onto each
+    hyperplane, otherwise it gives up explicitly.  Refutations are always
+    confirmed by an exact witness-absence check at a concrete point.
     """
     L = der.algebra
     check_map(L, delta)
@@ -397,32 +373,29 @@ def certify_local_symbolic(der: DerivationSpace, delta: Matrix) -> LocalityCerti
         raise CertificationError(f"algebra dimension {d} exceeds the certifier bound {_DIM_BOUND}")
     if der.subspace.contains(flatten_map(delta)):
         return LocalityCertificate(True, None, ("member of Der",))
-    # the sparse columns of [D_1, .., D_m, Delta], built once for the call
-    columns = der.columns + (delta.sparse_columns(),)
-    # the Der-block rank at each point with a verified witness, by
-    # normalized key: one solve per point up to a nonzero scalar
+    delta_index = MapIndex(L, (delta.sparse_columns(),))
+    # the Der-block rank by integer key: one solve per point up to a scalar
     memo: dict = {}
     # cheap concrete refutations first: basis vectors and short combinations
     for x in _scan_elements(L):
-        if _point_rank(L.field, columns, x, memo) is None:
+        if _point_rank(der, delta_index, _integer_form(x), memo) is None:
             return LocalityCertificate(False, x, (f"refuted at {probe_label(x)}",))
     strata: list[str] = []
     rng = random.Random(0xCE27)
     top = tuple(L.basis_element(i) for i in range(d))
-    refut = _certify_on(der, columns, top, strata, rng, memo)
+    refut = _certify_on(der, delta_index, top, strata, rng, memo)
     return LocalityCertificate(refut is None, refut, tuple(strata))
 
 
-def _point_rank(field: Field, columns: tuple, x: AlgebraElement, memo: dict) -> Optional[int]:
+def _point_rank(der: DerivationSpace, delta: MapIndex, parts: dict, memo: dict) -> Optional[int]:
     """The rank of the Der block [D_1(x) | .. | D_m(x)] when Delta(x) lies
-    in W_x, else None; x is nonzero.  ``memo`` maps the normalized key of
-    every point with a verified witness to that rank, so a nonzero
-    multiple of such a point is not solved again: D_k(cx) = c D_k(x) and
-    Delta(cx) = c Delta(x) give the same witness and the same rank."""
-    key = _normalized_key([(j, c) for j, c in enumerate(x.coords) if c])
+    in W_x, else None, given the integer form ``parts`` of x != 0.  ``memo``
+    maps the ``integer_key`` of each point with a verified witness to that
+    rank, so a multiple cx, with D_k(cx) = c D_k(x), is not solved again."""
+    key = integer_key(der.algebra.field, parts)
     rank = memo.get(key)
     if rank is None:
-        coeffs, rank = _solve_point(field, columns, x)
+        coeffs, rank = _solve_point(der, delta, parts)
         if coeffs is None:
             return None
         memo[key] = rank
@@ -433,45 +406,43 @@ def _scan_elements(L: LieAlgebra):
     """Deterministic refutation candidates: basis vectors, signed pairs,
     then seeded sparse combinations with small coefficients (informative
     points need coefficient coincidences, so small ranges hit them)."""
-    for i in range(L.dim):
-        yield L.basis_element(i)
-    for i in range(L.dim):
-        for j in range(i + 1, L.dim):
-            yield L.basis_element(i) + L.basis_element(j)
-            yield L.basis_element(i) - L.basis_element(j)
+    basis = [L.basis_element(i) for i in range(L.dim)]
+    yield from basis
+    for a, b in combinations(basis, 2):
+        yield a + b
+        yield a - b
     rng = random.Random(0x5CA9)
     for _ in range(400):
         yield _random_sparse_element(L, rng, ordered=False)
 
 
-def _certify_on(der, columns: tuple, basis: tuple, strata, rng, memo: dict, depth=0):
+def _certify_on(der, delta: MapIndex, basis: tuple, strata, rng, memo: dict, depth=0):
     """Certify membership on the stratum {x = sum_t y_t b_t} spanned by the
     tuple ``basis`` of algebra elements b_t; returns the refuting element,
-    or None.  Sample points and the linear forms of the minors both come
-    from sparse image passes over ``columns``, those of [D_1, .., D_m,
-    Delta]; every point is solved through ``memo`` (``_point_rank``)."""
-    L = der.algebra
-    d = L.dim
-    m = der.dim
-    dim_u = len(basis)
+    or None.  Sample points (``combine_forms``) and the linear forms of the
+    minors both come from the integer forms of the b_t; every point is
+    solved through ``memo`` (``_point_rank``)."""
+    L, d, m, dim_u = der.algebra, der.algebra.dim, der.dim, len(basis)
     indent = "  " * depth
     if dim_u == 0:
         strata.append(f"{indent}point stratum: trivial")
         return None
+    forms, scale = encode_columns(L.field, [dict(enumerate(b.coords)) for b in basis], d)
     samples = [[1] * dim_u] + [_sample_point(rng, dim_u) for _ in range(12)]
     best_rank, best_point = -1, None
     for pt in samples:
-        x = _apply_basis(L, basis, pt)
-        if x.is_zero():
+        parts = combine_forms(forms, pt)
+        if not parts:
             continue
         # the witness solve at pt also gives the rank of the Der block there
-        rank = _point_rank(L.field, columns, x, memo)
+        rank = _point_rank(der, delta, parts, memo)
         if rank is None:
+            x = _combination(basis, pt)
             strata.append(f"{indent}refuted at sampled point {probe_label(x)}")
             return x
         if rank > best_rank:
             best_rank, best_point = rank, pt
-    *a_sub, b_sub = _stratum_block(L, columns, basis)
+    *a_sub, b_sub = _stratum_block(der, delta, forms, scale)
     r = max(best_rank, 0)
     while r < d:
         count = comb(d, r + 1) * comb(m, r)
@@ -479,21 +450,18 @@ def _certify_on(der, columns: tuple, basis: tuple, strata, rng, memo: dict, dept
             raise CertificationError(
                 f"minor budget exceeded at stratum depth {depth} ({count} minors)"
             )
-        bad = None
-        for row_set in combinations(range(d), r + 1):
-            for col_set in combinations(range(m), r):
-                mat = [[a_sub[k][i] for k in col_set] + [b_sub[i]] for i in row_set]
-                det = poly_det(mat)
-                if not det.is_zero():
-                    bad = det
-                    break
-            if bad is not None:
-                break
+        minors = (
+            poly_det([[a_sub[k][i] for k in cols] + [b_sub[i]] for i in rows])
+            for rows in combinations(range(d), r + 1)
+            for cols in combinations(range(m), r)
+        )
+        bad = next((det for det in minors if not det.is_zero()), None)
         if bad is None:
             break
         pt = _point_where_nonzero(bad, rng)
-        x = _apply_basis(L, basis, pt)
-        if not x.is_zero() and _point_rank(L.field, columns, x, memo) is None:
+        parts = combine_forms(forms, pt)
+        if parts and _point_rank(der, delta, parts, memo) is None:
+            x = _combination(basis, pt)
             strata.append(f"{indent}refuted via nonzero bordered minor at {probe_label(x)}")
             return x
         # membership holds at pt although a bordered (r+1)-minor is nonzero
@@ -505,9 +473,9 @@ def _certify_on(der, columns: tuple, basis: tuple, strata, rng, memo: dict, dept
         # Der block and (by the size-1 minors just checked) the Delta
         # column vanish identically on this stratum
         return None
-    for ell in _rank_drop_cuts(der, basis, a_sub, r, best_point, rng):
+    for ell in _rank_drop_cuts(der, forms, a_sub, r, best_point, rng):
         refut = _certify_on(
-            der, columns, _hyperplane_basis(basis, ell), strata, rng, memo, depth + 1
+            der, delta, _hyperplane_basis(basis, ell), strata, rng, memo, depth + 1
         )
         if refut is not None:
             return refut
@@ -518,33 +486,29 @@ def _sample_point(rng, dim_u):
     return [rng.randint(-9, 9) for _ in range(dim_u)]
 
 
-def _apply_basis(L, basis: tuple, point) -> AlgebraElement:
-    """x = sum_t y_t b_t, summed coordinate by coordinate into one element."""
-    coerce = L.field.coerce
-    coords = [L.field.zero] * L.dim
-    for b, y in zip(basis, point):
-        if y:
-            y = coerce(y)
-            for i, a in enumerate(b.coords):
-                if a:
-                    coords[i] = coords[i] + y * a
-    return AlgebraElement(L, tuple(coords))
+def _combination(basis: tuple, point) -> AlgebraElement:
+    """x = sum_t y_t b_t as an element, for a refuting point."""
+    terms = [b.scale(y) for b, y in zip(basis, point)]
+    return sum(terms[1:], terms[0])
 
 
-def _stratum_block(L, columns: tuple, basis: tuple) -> list:
-    """The linear forms of M(x) on the stratum x = sum_t y_t b_t, one image
-    pass per b_t over the ``columns`` of [D_1, .., D_m, Delta]: entry
-    [k][i] is sum_t D_k(b_t)[i] y_t, and k = m is Delta."""
-    dim_u = len(basis)
-    images = [_images(columns, b) for b in basis]
+def _stratum_block(der: DerivationSpace, delta: MapIndex, forms: list, scale: int) -> list:
+    """The linear forms of M(x) = [D_1(x) | .. | D_m(x) | Delta(x)] on the
+    stratum x = sum_t y_t b_t, the b_t given by their integer ``forms`` at
+    ``scale``: entry [k][i] is sum_t D_k(b_t)[i] y_t (k = m for Delta)."""
+    field, d, m, dim_u = der.algebra.field, der.algebra.dim, der.dim, len(forms)
+    w = field.width
     units = [tuple(int(s == t) for s in range(dim_u)) for t in range(dim_u)]
-    return [
-        [
-            MultiPoly(dim_u, {units[t]: img[k].get(i, 0) for t, img in enumerate(images)})
-            for i in range(L.dim)
-        ]
-        for k in range(len(columns))
-    ]
+    block = [[{} for _ in range(d)] for _ in range(m + 1)]
+    scales = der.image_index.scales + delta.scales
+    for t, parts in enumerate(forms):
+        images = der.images(parts)
+        images[m] = delta.images(parts).get(0, {})
+        for k, img in images.items():
+            for i, v in field.decode({**img, w * d: scale * scales[k]}, w * d).items():
+                if i < d:
+                    block[k][i][units[t]] = v
+    return [[MultiPoly(dim_u, terms) for terms in row] for row in block]
 
 
 def _point_where_nonzero(p: MultiPoly, rng):
@@ -555,24 +519,20 @@ def _point_where_nonzero(p: MultiPoly, rng):
     raise CertificationError("failed to hit a nonzero point of a nonzero polynomial")
 
 
-def _minor_profile(der, x: AlgebraElement, r: int):
+def _minor_profile(der, parts: dict, r: int):
     """Row and column subsets of the image matrix [D_1(x) | .. | D_m(x)]
-    whose r x r submatrix is nonsingular, or None below rank r: the first
-    r columns independent of those before them (the RREF pivot columns),
-    then the first r independent rows of those columns."""
-    d = der.algebra.dim
-    images = _images(der.columns, x)
-    acc = SparseEchelon(der.algebra.field, d)
-    cols = [k for k, img in enumerate(images) if acc.rank < r and acc.insert(img)]
+    whose r x r submatrix is nonsingular, or None below rank r: the first r
+    columns independent of those before them (the RREF pivot columns), and
+    as rows the pivots of their echelon, the first r independent rows."""
+    acc = SparseEchelon(der.algebra.field, der.algebra.dim)
+    images = der.images(parts)
+    cols = [k for k, img in images.items() if acc.rank < r and acc.insert_integer(dict(img))]
     if len(cols) < r:
         return None
-    sub = [{t: images[k][i] for t, k in enumerate(cols) if i in images[k]} for i in range(d)]
-    acc = SparseEchelon(der.algebra.field, r)
-    rows = [i for i, row in enumerate(sub) if acc.rank < r and acc.insert(row)]
-    return tuple(rows), tuple(cols)
+    return tuple(sorted(acc.rows)), tuple(cols)
 
 
-def _rank_drop_cuts(der, basis: tuple, a_sub, r, point, rng) -> list:
+def _rank_drop_cuts(der, forms: list, a_sub, r, point, rng) -> list:
     """The linear forms whose product is a nonzero r x r minor of the Der
     block: the rank-drop locus sits inside the zero set of any nonzero
     r-minor, so these hyperplanes cover it.  Minors come first from the
@@ -580,8 +540,8 @@ def _rank_drop_cuts(der, basis: tuple, a_sub, r, point, rng) -> list:
     400 row and column subsets."""
     L = der.algebra
     points = [point] if point is not None else []
-    points += [_sample_point(rng, len(basis)) for _ in range(8)]
-    profiles = (_minor_profile(der, _apply_basis(L, basis, pt), r) for pt in points)
+    points += [_sample_point(rng, len(forms)) for _ in range(8)]
+    profiles = (_minor_profile(der, combine_forms(forms, pt), r) for pt in points)
     subsets = (
         (rows, cols)
         for rows in combinations(range(L.dim), r)

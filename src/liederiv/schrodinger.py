@@ -27,7 +27,8 @@ from typing import Optional
 
 from .exactfield import FIELD_Q, FIELD_QI, I, Field
 from .liealg import AlgebraElement, LieAlgebra, ad
-from .linalg import Matrix, Subspace, solve_columns, subspace_intersect, subspace_sum
+from .linalg import Matrix, Subspace, encode_columns, solve_columns
+from .linalg import subspace_intersect, subspace_sum
 from .dersolve import LeibnizError, derivation_space, flatten_map, inner_space, is_derivation
 from .locder import CandidateSpace, Probe, basis_probe_space, fold, singleton_probes
 
@@ -174,10 +175,13 @@ def decompose(L: LieAlgebra, D: Matrix, n: Optional[int] = None) -> DerDecomposi
     pairs = sigma_pairs(n)
     maps = [ad(L.basis_element(i)) for i in ad_indices]
     maps += [sigma(n, l, k, L.field) for l, k in pairs] + [tau(n, L.field), D]
-    flat = [{c: x for c, x in enumerate(flatten_map(M)) if x} for M in maps]
-    coeffs, _ = solve_columns(L.field, flat[:-1], flat[-1])
-    if coeffs is None:
+    forms, _ = encode_columns(L.field, [dict(enumerate(flatten_map(M))) for M in maps], d * d)
+    sol, _ = solve_columns(L.field, forms[:-1], forms[-1])
+    if sol is None:
         raise AssertionError("derivation escaped the inner + sigma + tau span")
+    # the forms share one scale, so c reads as the coefficients over lam
+    sol = L.field.decode(dict(enumerate(sol)), len(sol) - 1)
+    coeffs = [sol.get(k, L.field.zero) for k in range(len(forms) - 1)]
     inner_coords = [L.field.zero] * d
     for i, c in zip(ad_indices, coeffs):
         inner_coords[i] = c

@@ -24,8 +24,6 @@ from liederiv.locder import (
     ProbeStep,
     probe_label,
     singleton_probes,
-    _images,
-    _normalized_key,
     _orbit_echelon,
 )
 
@@ -363,21 +361,44 @@ def orbit_subspace(der, x) -> Subspace:
     return _orbit_echelon(der, parts).row_space()
 
 
+def field_images(columns, x) -> list:
+    """One sparse pass over the support of x in field scalars: D(x) as a
+    ``{row: scalar}`` dict for each map D given by its sparse columns."""
+    support = [(j, c) for j, c in enumerate(x.coords) if c]
+    out = []
+    for cols in columns:
+        img: dict = {}
+        for j, c in support:
+            for r, a in cols[j].items():
+                sparse_add(img, r, c * a)
+        out.append(img)
+    return out
+
+
+def normalized_key(x) -> tuple:
+    """The same key for every nonzero multiple of x, in field scalars: the
+    support of x scaled so that its first coordinate is 1."""
+    support = [(j, c) for j, c in enumerate(x.coords) if c]
+    inv_lead = inv(support[0][1])
+    return tuple((j, inv_lead * c) for j, c in support)
+
+
 def reference_constrain(acc, probe):
     """``locder.constrain`` computed in field scalars, the reference for
-    the integer fold: the images D_k(x) from ``locder._images``, the
+    the integer fold: the field-scalar key ``normalized_key``, the
+    images D_k(x) from ``field_images``, the
     annihilator from the unit-pivot orbit echelon's nullspace vectors, the
     constraint rows x_j * p_i at j*d + i, each dotted with every row of
     Der before any is inserted, and the field-scalar
     ``SparseEchelon.insert`` into ``acc``, cut in place."""
     der, x = acc.der, probe.element
     support = [(j, xj) for j, xj in enumerate(x.coords) if xj]
-    key = _normalized_key(support)
+    key = normalized_key(x)
     if key in acc.seen:
         return
     d = der.algebra.dim
     orbit = UnitPivotEchelon(d)
-    for img in _images(der.columns, x):
+    for img in field_images(der.columns, x):
         if img:
             orbit.insert(img)
     rows = [

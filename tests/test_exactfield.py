@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from liederiv.exactfield import (
     FIELD_Q,
@@ -13,6 +13,7 @@ from liederiv.exactfield import (
     GaussianRational,
     I,
     format_scalar,
+    integer_key,
     inv,
 )
 from conftest import copies, rand_fraction, rand_gauss
@@ -266,3 +267,26 @@ def test_parse_coerce_and_decode_give_a_fraction_for_a_real_value(a, b):
     for c, value in row.items():
         got = decoded.get(c, FIELD_QI.zero)
         assert got == value and type(got) is type(value)
+
+
+@st.composite
+def _key_cases(draw):
+    """(field, x, c, y): sparse vectors x and y and a scalar c != 0."""
+    field = draw(st.sampled_from([FIELD_Q, FIELD_QI]))
+    part = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    scalar = part if field is FIELD_Q else st.builds(GaussianRational, part, part)
+    vector = st.dictionaries(st.integers(0, 4), scalar.filter(bool), min_size=1, max_size=3)
+    return field, draw(vector), draw(scalar.filter(bool)), draw(vector)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_key_cases())
+# x and i*x over Q(i), and u_1 + i*u_2 against u_1 - i*u_2
+@example((FIELD_QI, {0: Fraction(1), 1: I}, I, {0: Fraction(1), 1: -I}))
+@example((FIELD_Q, {2: Fraction(-3)}, Fraction(-1, 2), {2: Fraction(5)}))
+def test_integer_key_is_shared_exactly_by_the_multiples(case):
+    field, x, c, y = case
+    key = integer_key(field, field.encode(x))
+    assert integer_key(field, field.encode({j: c * v for j, v in x.items()})) == key
+    proportional = x.keys() == y.keys() and len({y[j] / x[j] for j in x}) == 1
+    assert (integer_key(field, field.encode(y)) == key) == proportional

@@ -157,3 +157,25 @@ def test_linalg_leaves_scalar_knowledge_to_the_field():
         if ident in ("GaussianRational", "Fraction", "inv", "inverse"):
             found.append((node.lineno, ident))
     assert found == []
+
+
+def test_locder_runs_on_the_shared_integer_kernel():
+    # the fold and the certifier insert integer forms only, and form their
+    # images only through dersolve's MapIndex: locder never reads the
+    # field-scalar columns of Der, and the sparse columns of Delta go
+    # straight into a MapIndex
+    tree = ast.parse((PACKAGE / "locder.py").read_text(encoding="utf-8"))
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    methods = [c.func.attr for c in calls if isinstance(c.func, ast.Attribute)]
+    assert "insert" not in methods and "insert_integer" in methods
+    attributes = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert "columns" not in attributes and "images" in attributes
+    indexed = {
+        id(arg)
+        for c in calls
+        if getattr(c.func, "id", None) == "MapIndex"
+        for arg in ast.walk(c)
+        if isinstance(arg, ast.Call)
+    }
+    columns = [c for c in calls if getattr(c.func, "attr", None) == "sparse_columns"]
+    assert columns and all(id(c) in indexed for c in columns)

@@ -415,15 +415,32 @@ def _column_systems(draw):
 @given(_column_systems())
 def test_solve_columns_gives_the_rank_and_solves_exactly_inside_the_span(case):
     field, nrows, cols, target = case
-    coeffs, rank = solve_columns(field, _sparse(cols), _sparse([target])[0])
+    m, w, z = len(cols), field.width, field.zero
+    # one encode for the whole system, so the integer forms share one scale
+    system = enumerate(cols + [target])
+    joint = field.encode({k * nrows + i: x for k, v in system for i, x in enumerate(v) if x})
+    forms = [{} for _ in range(m + 1)]
+    for q, v in joint.items():
+        k, r = divmod(q, w * nrows)
+        forms[k][r] = v
+    sol, rank = solve_columns(field, forms[:m], forms[m])
     assert rank == naive_rank(cols)
-    assert (coeffs is None) == (naive_rank(cols + [target]) > rank)
-    if coeffs is not None:
-        z = field.zero
+    assert (sol is None) == (naive_rank(cols + [target]) > rank)
+    if sol is not None:
+        # the integer combination lam * b = sum_k sum_t c_(w*k+t) u_t a_k
+        lam = sol[-1]
+        assert len(sol) == w * m + 1 and lam > 0
+        combo: dict = {}
+        for k, form in enumerate(forms[:m]):
+            for t, turned in enumerate((form, *field.rotations(form))):
+                for r, v in turned.items():
+                    combo[r] = combo.get(r, 0) + sol[w * k + t] * v
+        assert {r: v for r, v in combo.items() if v} == {r: lam * v for r, v in forms[m].items()}
+        decoded = field.decode(dict(enumerate(sol)), w * m)
+        coeffs = [decoded.get(k, z) for k in range(m)]
         assert [sum((c * col[i] for c, col in zip(coeffs, cols)), z) for i in range(nrows)] == target
         # the canonical solution: the RREF read-out of the augmented echelon,
         # with every free coefficient zero
-        m = len(cols)
         acc = SparseEchelon(field, m + 1)
         for i in range(nrows):
             acc.insert({k: x for k, x in enumerate([col[i] for col in cols] + [target[i]]) if x})

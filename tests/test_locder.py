@@ -8,8 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from liederiv.exactfield import FIELD_Q, FIELD_QI, GaussianRational, I, format_scalar, inv
 from liederiv.liealg import LieAlgebra, ad, make_abelian, make_heisenberg
-from liederiv.linalg import Matrix, SparseEchelon, Subspace, sparse_add
-from liederiv.dersolve import DerivationSpace, derivation_space, is_derivation
+from liederiv.linalg import Matrix, SparseEchelon, Subspace, encode_columns, sparse_add
+from liederiv.dersolve import DerivationSpace, MapIndex, derivation_space, is_derivation
 from liederiv import locder
 from liederiv.locder import (
     CandidateSpace,
@@ -22,7 +22,6 @@ from liederiv.locder import (
     random_probe_closure,
     singleton_probes,
     witness,
-    _apply_basis,
     _hyperplane_basis,
     _stratum_block,
 )
@@ -45,6 +44,7 @@ from conftest import (
     full_schedule,
     make_probe,
     matvec,
+    normalized_key,
     orbit_subspace,
     rand_scalar,
     reference_constrain,
@@ -543,19 +543,32 @@ def test_witness_and_certifier_reject_a_map_or_point_of_another_algebra():
     assert witness(der, delta, z) is not None
 
 
-_WITNESS_ALGEBRAS = {"h1": make_heisenberg(1), "h2": make_heisenberg(2), "s1": make_schrodinger(1)}
+_WITNESS_ALGEBRAS = {
+    "h1": make_heisenberg(1),
+    "h2": make_heisenberg(2),
+    "s1": make_schrodinger(1),
+    "h1_qi": make_heisenberg(1, FIELD_QI),
+    "s1_qi": make_schrodinger(1, FIELD_QI),
+}
 _WITNESS_DER = {name: derivation_space(L) for name, L in _WITNESS_ALGEBRAS.items()}
 
 
 @st.composite
 def _witness_cases(draw):
     """(algebra name, Der coefficients, map perturbation, point): a map
-    in Der plus a few small entries, at a point of small support."""
+    in Der plus a few small entries, at a point of small support; over
+    Q(i) the scalars are Gaussian integers."""
     name = draw(st.sampled_from(sorted(_WITNESS_ALGEBRAS)))
-    d, m = _WITNESS_ALGEBRAS[name].dim, _WITNESS_DER[name].dim
-    der_coeffs = draw(st.lists(st.integers(-2, 2), min_size=m, max_size=m))
+    L = _WITNESS_ALGEBRAS[name]
+    d, m = L.dim, _WITNESS_DER[name].dim
+    if L.field == FIELD_QI:
+        small, part = st.integers(-2, 2), st.integers(-3, 3)
+        coeff = st.builds(GaussianRational, small, small)
+        nonzero = st.builds(GaussianRational, part, part).filter(bool)
+    else:
+        coeff, nonzero = st.integers(-2, 2), st.integers(-3, 3).filter(bool)
+    der_coeffs = draw(st.lists(coeff, min_size=m, max_size=m))
     index = st.integers(0, d - 1)
-    nonzero = st.integers(-3, 3).filter(bool)
     perturbation = draw(st.lists(st.tuples(index, index, nonzero), max_size=4))
     point = draw(st.dictionaries(index, nonzero, min_size=1, max_size=3))
     return name, der_coeffs, perturbation, point
@@ -567,6 +580,8 @@ def _witness_cases(draw):
 @example(("h2", [0] * 15, [(0, 0, 1)], {0: 1, 1: 2, 3: -1}))
 # z -> u_1 on h_1: refuted at z
 @example(("h1", [0] * 6, [(1, 0, 1)], {0: 1}))
+# z -> i*z on h_1 over Q(i), at a point with a non-real coordinate
+@example(("h1_qi", [0] * 6, [(0, 0, I)], {0: 1, 1: I, 2: GaussianRational(1, -2)}))
 def test_sparse_witness_agrees_with_dense_oracle(case):
     name, der_coeffs, perturbation, point = case
     L, der = _WITNESS_ALGEBRAS[name], _WITNESS_DER[name]
@@ -577,9 +592,8 @@ def test_sparse_witness_agrees_with_dense_oracle(case):
                 rows[r][j] += c * D.entries[r][j]
     for r, j, c in perturbation:
         rows[r][j] += c
-    delta = Matrix(FIELD_Q, rows)
-    coords = [Fraction(point.get(i, 0)) for i in range(L.dim)]
-    x = L.element(coords)
+    delta = Matrix(L.field, rows)
+    x = L.element([point.get(i, 0) for i in range(L.dim)])
     w = witness(der, delta, x)
     oracle = dense_witness(der, delta, x)
     assert (w is None) == (oracle is None)
@@ -611,6 +625,24 @@ def test_witness_recheck_fires_on_a_corrupted_solve(monkeypatch):
         witness(der, delta, x)
 
 
+def test_certifier_makes_no_field_scalar_insert(monkeypatch):
+    # every point solve, minor profile and stratum block of the certifier
+    # runs on integer forms, a refuting scan as well as a full certificate
+    L = make_schrodinger(1)
+    cases = (_heisenberg2_zz(), (L, derivation_space(L), _z_scaling(L)))
+    calls = []
+    true_insert = SparseEchelon.insert
+
+    def counting(self, row):
+        calls.append(1)
+        return true_insert(self, row)
+
+    monkeypatch.setattr(SparseEchelon, "insert", counting)
+    verdicts = [certify_local_symbolic(der, delta).certified for _, der, delta in cases]
+    assert verdicts == [True, False]
+    assert len(calls) == 0
+
+
 def test_certifier_makes_no_dense_matvec(monkeypatch):
     H, der, delta = _heisenberg2_zz()
     calls = []
@@ -630,9 +662,9 @@ def _count_solves(monkeypatch) -> list:
     solves = []
     true_solve = locder._solve_point
 
-    def counting(field, columns, x):
+    def counting(der, delta, parts):
         solves.append(1)
-        return true_solve(field, columns, x)
+        return true_solve(der, delta, parts)
 
     monkeypatch.setattr(locder, "_solve_point", counting)
     return solves
@@ -644,9 +676,10 @@ def test_certifier_solves_each_point_once_up_to_scaling(monkeypatch):
     keys = []
     true_rank = locder._point_rank
 
-    def recording(field, columns, x, memo):
-        keys.append(locder._normalized_key([(j, c) for j, c in enumerate(x.coords) if c]))
-        return true_rank(field, columns, x, memo)
+    def recording(der, delta, parts, memo):
+        # over Q the integer form of x holds the coordinates of a multiple of x
+        keys.append(normalized_key(H.element([parts.get(j, 0) for j in range(H.dim)])))
+        return true_rank(der, delta, parts, memo)
 
     monkeypatch.setattr(locder, "_point_rank", recording)
     cert = certify_local_symbolic(der, delta)
@@ -663,10 +696,10 @@ def test_a_point_and_its_multiple_share_one_solve(monkeypatch):
     H, der, delta = _heisenberg2_zz()
     solves = _count_solves(monkeypatch)
     x = H.from_terms({"z": 1, "u_1": 1, "v_2": -1})
-    columns = der.columns + (delta.sparse_columns(),)
+    index = MapIndex(H, (delta.sparse_columns(),))
     memo: dict = {}
-    rank = locder._point_rank(H.field, columns, x, memo)
-    assert locder._point_rank(H.field, columns, x.scale(3), memo) == rank
+    rank = locder._point_rank(der, index, locder._integer_form(x), memo)
+    assert locder._point_rank(der, index, locder._integer_form(x.scale(3)), memo) == rank
     assert len(solves) == 1 and list(memo.values()) == [rank]
     # witness keeps no memo: it solves on every call
     for y in (x, x.scale(3), x):
@@ -675,9 +708,10 @@ def test_a_point_and_its_multiple_share_one_solve(monkeypatch):
     # a refuting point gives None at once and is not remembered
     rows = [[Fraction(0)] * 5 for _ in range(5)]
     rows[H.index["u_1"]][H.index["z"]] = Fraction(1)
-    columns = der.columns + (Matrix(FIELD_Q, rows).sparse_columns(),)
+    index = MapIndex(H, (Matrix(FIELD_Q, rows).sparse_columns(),))
     memo = {}
-    assert locder._point_rank(H.field, columns, H.from_terms({"z": 1}), memo) is None
+    z = locder._integer_form(H.from_terms({"z": 1}))
+    assert locder._point_rank(der, index, z, memo) is None
     assert memo == {} and len(solves) == 5
 
 
@@ -799,6 +833,10 @@ def _stratum_cases(draw):
     return name, elements, cut, point
 
 
+def _combination(L, basis, point):
+    return sum((b.scale(y) for b, y in zip(basis, point)), L.element([0] * L.dim))
+
+
 @settings(max_examples=150, deadline=None)
 @given(_stratum_cases())
 def test_stratum_block_evaluates_to_the_images(case):
@@ -816,10 +854,11 @@ def test_stratum_block_evaluates_to_the_images(case):
         lifted = point[:p] + [0] + point[p:]
         lifted[p] = -sum(c * y for c, y in zip(cut, lifted)) * inv(cut[p])
         assert not ell.evaluate(lifted)
-        assert _apply_basis(L, sub, point) == _apply_basis(L, basis, lifted)
+        assert _combination(L, sub, point) == _combination(L, basis, lifted)
         basis = sub
-    x = _apply_basis(L, basis, point)
-    block = _stratum_block(L, der.columns + (delta.sparse_columns(),), basis)
+    x = _combination(L, basis, point)
+    stratum, scale = encode_columns(L.field, [dict(enumerate(b.coords)) for b in basis], L.dim)
+    block = _stratum_block(der, MapIndex(L, (delta.sparse_columns(),)), stratum, scale)
     assert len(block) == der.dim + 1
     for forms, D in zip(block, dense_der_basis(der) + (delta,)):
         assert [f.evaluate(point) for f in forms] == list(matvec(D, x.coords))
