@@ -14,11 +14,10 @@ subspace embeddings a map is flattened column-major (entry j*d + r is D[r, j]).
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
-from .liealg import LieAlgebra, ad
+from .liealg import Frozen, LieAlgebra, ad, setfield
 from .linalg import Matrix, SparseEchelon, Subspace, encode_columns, sparse_add
 
 
@@ -66,10 +65,12 @@ class LeibnizError(ValueError):
         super().__init__(f"map is not a derivation (fails on pair {failing_pair})")
 
 
-@dataclass(frozen=True)
-class LeibnizVerdict:
-    ok: bool
-    failing_pair: Optional[tuple] = None
+class LeibnizVerdict(Frozen):
+    __slots__ = __match_args__ = ("ok", "failing_pair")
+
+    def __init__(self, ok: bool, failing_pair: Optional[tuple] = None):
+        setfield(self, "ok", ok)
+        setfield(self, "failing_pair", failing_pair)
 
 
 def check_map(L: LieAlgebra, D: Matrix) -> None:
@@ -163,8 +164,7 @@ class MapIndex:
         return {k: img for k, img in images.items() if img}
 
 
-@dataclass(frozen=True)
-class DerivationSpace:
+class DerivationSpace(Frozen):
     """Basis of Der(L) in one form: ``columns[k]`` holds the sparse
     columns of the k-th basis map, read straight off the k-th row of
     ``subspace``, the canonical embedding of Der in the map space.
@@ -177,9 +177,14 @@ class DerivationSpace:
     images built from them, cannot hide from that check.
     """
 
-    algebra: LieAlgebra
-    columns: tuple  # tuple[tuple[dict]]
-    subspace: Subspace
+    __match_args__ = ("algebra", "columns", "subspace")
+    # the instance dict holds the cached indexes
+    __slots__ = __match_args__ + ("__dict__",)
+
+    def __init__(self, algebra: LieAlgebra, columns: tuple, subspace: Subspace):
+        setfield(self, "algebra", algebra)
+        setfield(self, "columns", columns)  # tuple[tuple[dict]]
+        setfield(self, "subspace", subspace)
 
     @property
     def dim(self) -> int:

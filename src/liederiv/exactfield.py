@@ -17,7 +17,6 @@ row over Q(i) as its real and imaginary parts side by side.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Callable
@@ -297,7 +296,6 @@ def _dot_forms_qi(row: dict) -> tuple:
     return ({k: -x if k & 1 else x for k, x in row.items()}, {k ^ 1: x for k, x in row.items()})
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Field:
     """Q or Q(i): ``zero``, ``one``, ``coerce(x)``, x as an element of the
     field or FieldMismatchError (rationals embed into Q(i); a non-real
@@ -325,16 +323,33 @@ class Field:
       products with the form of r are Re(r . s) and Im(r . s).
     """
 
-    tag: str
-    zero: object
-    one: object
-    coerce: Callable
-    parse: Callable
-    width: int
-    encode: Callable
-    decode: Callable
-    rotations: Callable
-    dot_forms: Callable
+    __slots__ = (
+        "tag", "zero", "one", "coerce", "parse", "width", "encode", "decode", "rotations",
+        "dot_forms",
+    )
+
+    def __init__(
+        self,
+        tag: str,
+        zero: object,
+        one: object,
+        coerce: Callable,
+        parse: Callable,
+        width: int,
+        encode: Callable,
+        decode: Callable,
+        rotations: Callable,
+        dot_forms: Callable,
+    ):
+        values = (tag, zero, one, coerce, parse, width, encode, decode, rotations, dot_forms)
+        for name, value in zip(Field.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Field is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Field is immutable")
 
     def __repr__(self):
         return self.tag

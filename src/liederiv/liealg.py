@@ -11,7 +11,6 @@ Schrodinger algebra is built in ``schrodinger``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .exactfield import FIELD_Q, Field, field_of, format_scalar
@@ -29,16 +28,61 @@ class JacobiError(ValueError):
         super().__init__(f"Jacobi identity fails on basis triple {triple}")
 
 
-@dataclass(frozen=True)
-class JacobiVerdict:
-    ok: bool
-    failing_triple: Optional[tuple] = None
+# sets a field of a Frozen past its raising __setattr__; a module global
+# is looked up faster than the attribute of ``object``
+setfield = object.__setattr__
+
+
+class Frozen:
+    """Base of the package's immutable value types.  A subclass names its
+    fields in constructor order in ``__match_args__`` and as its
+    ``__slots__``, and its own ``__init__`` sets them with ``setfield``.
+    Any later assignment or deletion raises AttributeError; ``==`` and
+    the hash go field by field (``==`` only between instances of one
+    class), the repr reads ``Name(field=value, ..)``, and copies and
+    pickles are rebuilt through the constructor."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class JacobiVerdict(Frozen):
+    __slots__ = __match_args__ = ("ok", "failing_triple")
+
+    def __init__(self, ok: bool, failing_triple: Optional[tuple] = None):
+        setfield(self, "ok", ok)
+        setfield(self, "failing_triple", failing_triple)
 
 
 class LieAlgebra:
     """Finite-dimensional Lie algebra over Q or Q(i) by structure constants."""
 
-    __slots__ = ("name", "field", "labels", "index", "table")
+    # ``_brackets`` is ``table`` together with its negated transposes, so
+    # ``bracket_basis`` reads either order without building a dict
+    __slots__ = ("name", "field", "labels", "index", "table", "_brackets")
 
     def __init__(self, name: str, field: Field, labels: Sequence[str], brackets):
         """brackets: {(i, j): {k: scalar}} for i < j, giving [b_i, b_j] = sum c^k b_k."""
@@ -65,6 +109,10 @@ class LieAlgebra:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "index", {lab: i for i, lab in enumerate(labels)})
         object.__setattr__(self, "table", table)
+        brackets = dict(table)
+        for (i, j), terms in table.items():
+            brackets[(j, i)] = {k: -c for k, c in terms.items()}
+        object.__setattr__(self, "_brackets", brackets)
         verdict = check_jacobi(self)
         if not verdict.ok:
             raise JacobiError(verdict.failing_triple, self)
@@ -96,12 +144,8 @@ class LieAlgebra:
         return hash((self.field, self.labels))
 
     def bracket_basis(self, i: int, j: int) -> dict:
-        """Sparse coordinates of [b_i, b_j]."""
-        if i == j:
-            return {}
-        if i < j:
-            return self.table.get((i, j), {})
-        return {k: -c for k, c in self.table.get((j, i), {}).items()}
+        """Sparse coordinates of [b_i, b_j], to be read, not changed."""
+        return self._brackets.get((i, j), {})
 
     def element(self, coords: Sequence) -> "AlgebraElement":
         return AlgebraElement(self, tuple(map(self.field.coerce, coords)))
@@ -120,16 +164,16 @@ class LieAlgebra:
         return self.element(coords)
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
+class AlgebraElement(Frozen):
     """Element of a LieAlgebra in basis coordinates."""
 
-    algebra: LieAlgebra
-    coords: tuple
+    __slots__ = __match_args__ = ("algebra", "coords")
 
-    def __post_init__(self):
-        if len(self.coords) != self.algebra.dim:
+    def __init__(self, algebra: LieAlgebra, coords: tuple):
+        if len(coords) != algebra.dim:
             raise ValueError("coordinate length does not match algebra dimension")
+        setfield(self, "algebra", algebra)
+        setfield(self, "coords", coords)
 
     def is_zero(self) -> bool:
         return not any(self.coords)

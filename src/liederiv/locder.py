@@ -22,14 +22,13 @@ algebras, and the replay that folds it, belong with that family (see
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, islice
 from math import comb
 from typing import Optional
 
 from .exactfield import FIELD_Q, GaussianRational, integer_key, inv
-from .liealg import AlgebraElement, LieAlgebra
+from .liealg import AlgebraElement, Frozen, LieAlgebra, setfield
 from .linalg import Matrix, SparseEchelon, Subspace, combine_forms, encode_columns, solve_columns
 from .dersolve import DerivationSpace, MapIndex, check_map, flatten_map
 from .poly import MultiPoly, poly_det, split_linear
@@ -43,23 +42,25 @@ class CertificationError(RuntimeError):
     """The symbolic certifier could not settle the input within its bounds."""
 
 
-@dataclass(frozen=True)
-class Probe:
+class Probe(Frozen):
     """A nonzero test element with a stable label for reports."""
 
-    element: AlgebraElement
-    label: str
+    __slots__ = __match_args__ = ("element", "label")
 
-    def __post_init__(self):
-        if self.element.is_zero():
+    def __init__(self, element: AlgebraElement, label: str):
+        if element.is_zero():
             raise ValueError("zero probe carries no information")
+        setfield(self, "element", element)
+        setfield(self, "label", label)
 
 
-@dataclass(frozen=True)
-class ProbeStep:
-    probe: str
-    dim_before: int
-    dim_after: int
+class ProbeStep(Frozen):
+    __slots__ = __match_args__ = ("probe", "dim_before", "dim_after")
+
+    def __init__(self, probe: str, dim_before: int, dim_after: int):
+        setfield(self, "probe", probe)
+        setfield(self, "dim_before", dim_before)
+        setfield(self, "dim_after", dim_after)
 
 
 def probe_label(x: AlgebraElement) -> str:
@@ -86,7 +87,7 @@ def _coeff_text(c) -> str:
         if not re:
             return im
         return f"({re}{'+' if not im.startswith('-') else ''}{im})"
-    return str(Fraction(c))
+    return str(c)
 
 
 def _integer_form(x: AlgebraElement) -> dict:
@@ -333,15 +334,17 @@ _DIM_BOUND = 9
 _MINOR_BUDGET = 20000
 
 
-@dataclass(frozen=True)
-class LocalityCertificate:
+class LocalityCertificate(Frozen):
     """The verdict of ``certify_local_symbolic``: whether Delta is local,
     the element refuting it (None when certified) and one line of text
     per stratum settled or refuted."""
 
-    certified: bool
-    refutation: Optional[AlgebraElement]
-    strata: tuple
+    __slots__ = __match_args__ = ("certified", "refutation", "strata")
+
+    def __init__(self, certified: bool, refutation: Optional[AlgebraElement], strata: tuple):
+        setfield(self, "certified", certified)
+        setfield(self, "refutation", refutation)
+        setfield(self, "strata", strata)
 
     def __bool__(self):
         return self.certified

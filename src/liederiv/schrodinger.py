@@ -20,13 +20,12 @@ basis order is written down only in ``make_schrodinger_labels``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
 from .exactfield import FIELD_Q, FIELD_QI, I, Field
-from .liealg import AlgebraElement, LieAlgebra, ad
+from .liealg import AlgebraElement, Frozen, LieAlgebra, ad, setfield
 from .linalg import Matrix, Subspace, encode_columns, solve_columns
 from .linalg import subspace_intersect, subspace_sum
 from .dersolve import LeibnizError, derivation_space, flatten_map, inner_space, is_derivation
@@ -128,8 +127,7 @@ def outer_span(n: int, field: Field = FIELD_Q) -> Subspace:
     return Subspace.from_vectors(field, d * d, vecs)
 
 
-@dataclass(frozen=True)
-class DerDecomposition:
+class DerDecomposition(Frozen):
     """Coefficients of D = ad(inner_part) + sum mu_lk sigma_lk + lambda tau
     on the n-th Schrodinger algebra.
 
@@ -137,11 +135,21 @@ class DerDecomposition:
     unidentifiable); reassembly reproduces the input map exactly.
     """
 
-    algebra: LieAlgebra
-    n: int
-    inner_part: AlgebraElement
-    sigma_coeffs: dict
-    tau_coeff: object
+    __slots__ = __match_args__ = ("algebra", "n", "inner_part", "sigma_coeffs", "tau_coeff")
+
+    def __init__(
+        self,
+        algebra: LieAlgebra,
+        n: int,
+        inner_part: AlgebraElement,
+        sigma_coeffs: dict,
+        tau_coeff: object,
+    ):
+        setfield(self, "algebra", algebra)
+        setfield(self, "n", n)
+        setfield(self, "inner_part", inner_part)
+        setfield(self, "sigma_coeffs", sigma_coeffs)
+        setfield(self, "tau_coeff", tau_coeff)
 
     def reassemble(self) -> Matrix:
         field = self.algebra.field
@@ -226,8 +234,7 @@ def outer_check(n: int, field: Field = FIELD_Q) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class AsosShape:
+class AsosShape(Frozen):
     """Free parameters of the per-basis-element images cut out by the
     singleton constraints on the n-th Schrodinger algebra.
 
@@ -235,7 +242,10 @@ class AsosShape:
     is exactly the basis-singleton candidate space (signs only flip
     basis directions, never the span)."""
 
-    n: int
+    __slots__ = __match_args__ = ("n",)
+
+    def __init__(self, n: int):
+        setfield(self, "n", n)
 
     def parameters(self, field: Field = FIELD_Q) -> list:
         """(name, map) pairs; each map has the single entry c at (row, col)."""
@@ -263,13 +273,15 @@ class AsosShape:
         return [(name, _label_map(self.n, field, {(r, c): x})) for name, r, c, x in spec]
 
 
-@dataclass(frozen=True)
-class AsosVerdict:
-    equal: bool
-    dim: int
-    expected_dim: int
-    parameter_count: int
-    note: str
+class AsosVerdict(Frozen):
+    __slots__ = __match_args__ = ("equal", "dim", "expected_dim", "parameter_count", "note")
+
+    def __init__(self, equal: bool, dim: int, expected_dim: int, parameter_count: int, note: str):
+        setfield(self, "equal", equal)
+        setfield(self, "dim", dim)
+        setfield(self, "expected_dim", expected_dim)
+        setfield(self, "parameter_count", parameter_count)
+        setfield(self, "note", note)
 
 
 def asos_shape_check(n: int, field: Field = FIELD_Q) -> AsosVerdict:

@@ -3,17 +3,17 @@
 
 import ast
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "liederiv"
 
 
-def test_package_imports_only_the_standard_library():
-    sources = sorted(PACKAGE.glob("*.py"))
-    assert sources
-    foreign = []
-    for path in sources:
+def _absolute_imports():
+    """(module file, line, top-level package) of every absolute import."""
+    for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -21,9 +21,34 @@ def test_package_imports_only_the_standard_library():
                 names = [node.module]
             else:
                 continue
-            top = (n.split(".")[0] for n in names)
-            foreign += [(path.name, t) for t in top if t not in sys.stdlib_module_names]
-    assert foreign == []
+            yield from ((path.name, node.lineno, n.split(".")[0]) for n in names)
+
+
+def test_package_imports_only_the_standard_library():
+    imports = list(_absolute_imports())
+    assert imports
+    assert [i for i in imports if i[2] not in sys.stdlib_module_names] == []
+
+
+def test_no_module_imports_dataclasses():
+    # importing dataclasses loads inspect, ast, dis and tokenize, and each
+    # decorator execs its generated methods: the value types subclass
+    # liealg.Frozen and write their own __init__ instead
+    assert [i for i in _absolute_imports() if i[2] == "dataclasses"] == []
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # in a fresh interpreter, since pytest itself has loaded both
+    script = (
+        "import sys; bare = set(sys.modules); import liederiv.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - bare)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-s", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 # each module may import only modules earlier in this order, which keeps

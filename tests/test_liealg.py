@@ -4,9 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from liederiv.exactfield import FIELD_Q, FIELD_QI, GaussianRational
+from liederiv.dersolve import LeibnizVerdict, derivation_space
+from liederiv.exactfield import FIELD_Q, FIELD_QI, GaussianRational, I
 from liederiv.liealg import (
+    AlgebraElement,
     JacobiError,
+    JacobiVerdict,
     LieAlgebra,
     ad,
     bracket,
@@ -20,7 +23,14 @@ from liederiv.liealg import (
     save,
     to_json,
 )
-from liederiv.schrodinger import make_schrodinger, schrodinger_rank
+from liederiv.locder import LocalityCertificate, Probe, ProbeStep
+from liederiv.schrodinger import (
+    AsosShape,
+    asos_shape_check,
+    decompose,
+    make_schrodinger,
+    schrodinger_rank,
+)
 from conftest import copies, is_zero, rand_scalar
 
 
@@ -67,6 +77,16 @@ def test_bracket_antisymmetry_and_bilinearity_randomized():
         lhs = bracket(x.scale(a) + y.scale(b), y)
         rhs = bracket(x, y).scale(a) + bracket(y, y).scale(b)
         assert lhs.coords == rhs.coords
+
+
+def test_bracket_basis_reads_both_orders_off_the_table():
+    # bracket() reads the i < j table alone; bracket_basis also serves i >= j
+    for L in (make_schrodinger(2, FIELD_QI), make_sl2()):
+        for i in range(L.dim):
+            for j in range(L.dim):
+                got = L.bracket_basis(i, j)
+                coords = bracket(L.basis_element(i), L.basis_element(j)).coords
+                assert got == {k: c for k, c in enumerate(coords) if c}
 
 
 def test_generator_rank_validation():
@@ -271,3 +291,69 @@ def test_algebras_copy_and_pickle():
         for M in copies(L):
             assert M == L and M.field is L.field and M.name == L.name
             assert M.basis_element(0) == L.basis_element(0)
+
+
+def _refuted_certificate():
+    L = make_heisenberg(1)
+    return LocalityCertificate(False, L.basis_element(1), ("refuted at u_1",))
+
+
+# (build, a field name, hashable): each value type of the package, built
+# twice from equal fields; Der and a decomposition hold dicts, so they
+# compare but do not hash
+VALUE_TYPES = {
+    "JacobiVerdict": (lambda: JacobiVerdict(True), "ok", True),
+    "JacobiVerdict-failing": (lambda: JacobiVerdict(False, ("e", "h", "f")), "failing_triple", True),
+    "AlgebraElement": (
+        lambda: make_schrodinger(1, FIELD_QI).from_terms({"e": 1, "z": I}), "coords", True
+    ),
+    "LeibnizVerdict": (lambda: LeibnizVerdict(False, (0, 1)), "failing_pair", True),
+    "DerivationSpace": (lambda: derivation_space(make_heisenberg(1)), "columns", False),
+    "Field": (lambda: FIELD_QI, "zero", True),
+    "Probe": (lambda: Probe(make_sl2().basis_element(1), "h"), "label", True),
+    "ProbeStep": (lambda: ProbeStep("h", 9, 5), "dim_after", True),
+    "LocalityCertificate": (
+        lambda: LocalityCertificate(True, None, ("member of Der",)), "certified", True
+    ),
+    "LocalityCertificate-refuted": (_refuted_certificate, "refutation", True),
+    "DerDecomposition": (
+        lambda: decompose(make_schrodinger(1), ad(make_schrodinger(1).basis_element(0))),
+        "n",
+        False,
+    ),
+    "AsosShape": (lambda: AsosShape(2), "n", True),
+    "AsosVerdict": (lambda: asos_shape_check(1), "note", True),
+}
+
+
+@pytest.mark.parametrize("build, name, hashable", VALUE_TYPES.values(), ids=VALUE_TYPES.keys())
+def test_value_types_are_immutable_compare_by_field_and_copy(build, name, hashable):
+    a, b = build(), build()
+    assert a == b and not a != b
+    if hashable:
+        assert hash(a) == hash(b)
+    else:
+        with pytest.raises(TypeError):
+            hash(a)
+    for y in copies(a):
+        assert type(y) is type(a) and y == a
+    for assign in (lambda: setattr(a, name, None), lambda: setattr(a, "extra", 1)):
+        with pytest.raises(AttributeError):
+            assign()
+    with pytest.raises(AttributeError):
+        delattr(a, name)
+    assert getattr(a, name) == getattr(b, name)
+
+
+def test_value_types_check_their_fields_and_print_them():
+    L = make_heisenberg(1)
+    with pytest.raises(ValueError, match="zero probe"):
+        Probe(L.element([0, 0, 0]), "0")
+    with pytest.raises(ValueError, match="coordinate length"):
+        AlgebraElement(L, (1, 0))
+    assert bool(LocalityCertificate(True, None, ())) is True
+    assert bool(_refuted_certificate()) is False
+    assert repr(ProbeStep("h", 9, 5)) == "ProbeStep(probe='h', dim_before=9, dim_after=5)"
+    assert repr(JacobiVerdict(True)) == "JacobiVerdict(ok=True, failing_triple=None)"
+    # equal fields in different types are not equal values
+    assert JacobiVerdict(True) != LeibnizVerdict(True)
