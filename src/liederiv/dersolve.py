@@ -3,8 +3,9 @@
 Der(L) is the nullspace of the product-rule system: a linear map D is a
 derivation iff D([x,y]) = [D(x), y] + [x, D(y)] on all basis pairs.
 This module assembles that system for any structure-constant algebra,
-solves it exactly, re-checks every basis map against the product rule,
-and spans the inner derivations ad_x.  The named outer derivations of
+in integer form from the algebra's encoded bracket table, solves it
+exactly, re-checks every basis map against the product rule, and spans
+the inner derivations ad_x.  The named outer derivations of
 the Schrodinger algebra live in ``schrodinger``.
 
 Linear maps are square Matrix values or their sparse columns; for
@@ -13,12 +14,12 @@ subspace embeddings a map is flattened column-major (entry j*d + r is D[r, j]).
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
-from .liealg import Frozen, LieAlgebra, ad, setfield
-from .linalg import Matrix, SparseEchelon, Subspace, encode_columns, sparse_add
+from .exactfield import Frozen, setfield
+from .liealg import LieAlgebra, ad
+from .linalg import Matrix, SparseEchelon, Subspace, apply_index, encode_columns
 
 
 def flatten_map(m: Matrix) -> tuple:
@@ -27,7 +28,8 @@ def flatten_map(m: Matrix) -> tuple:
 
 
 def leibniz_rows(L: LieAlgebra) -> Iterator[dict]:
-    """The nonzero sparse rows of the product-rule system, in
+    """The nonzero sparse rows of the product-rule system in integer form
+    (``Field.encode``), at the one scale ``L.table_scale``, in
     lexicographic (i, j, k) order.
 
     Unknown (r, c) of the map sits at flat column c*dim + r.  For the
@@ -35,26 +37,34 @@ def leibniz_rows(L: LieAlgebra) -> Iterator[dict]:
 
         sum_m c_ij^m D[k,m]  -  sum_r c_rj^k D[r,i]  -  sum_s c_is^k D[s,j]  =  0.
 
-    An equation whose terms are all zero constrains nothing and is not
-    yielded; on the Schrodinger algebras most of them are.
+    Every entry is one structure constant, or two summed, so the row is
+    read off ``L.integer_table`` with r over the partners of j, s over
+    the partners of i and only the k that occur.  An equation whose terms
+    are all zero constrains nothing and is not yielded; on the
+    Schrodinger algebras most of them are.
     """
-    d = L.dim
+    d, w, table, partners = L.dim, L.field.width, L.integer_table, L.partners
     for i in range(d):
         for j in range(i + 1, d):
-            cij = L.bracket_basis(i, j)
-            per_k: dict[int, dict] = {}
-            for k in range(d):
-                row: dict = {}
-                for m, c in cij.items():
-                    sparse_add(row, m * d + k, c)
-                per_k[k] = row
-            for r in range(d):
-                for k, c in L.bracket_basis(r, j).items():
-                    sparse_add(per_k[k], i * d + r, -c)
-            for s in range(d):
-                for k, c in L.bracket_basis(i, s).items():
-                    sparse_add(per_k[k], j * d + s, -c)
-            yield from filter(None, per_k.values())
+            # part t of c_ij^m, at q = w*m + t, sits at w*(m*d + k) + t
+            base = [((q - q % w) * d + q % w, v) for q, v in table.get((i, j), {}).items()]
+            per_k = {k: {c + w * k: v for c, v in base} for k in range(d)} if base else {}
+            # -c_rj^k at D[r, i] and -c_is^k at D[s, j]
+            terms = [(i, r, table[r, j]) for r in partners[j]]
+            terms += [(j, s, table[i, s]) for s in partners[i]]
+            for block, r, form in terms:
+                for q, v in form.items():
+                    k, t = divmod(q, w)
+                    row = per_k.setdefault(k, {})
+                    c = w * (block * d + r) + t
+                    nv = row.get(c, 0) - v
+                    if nv:
+                        row[c] = nv
+                    else:
+                        del row[c]
+            for k in sorted(per_k):
+                if per_k[k]:
+                    yield per_k[k]
 
 
 class LeibnizError(ValueError):
@@ -84,43 +94,42 @@ def check_map(L: LieAlgebra, D: Matrix) -> None:
 def is_derivation(L: LieAlgebra, D: Matrix) -> LeibnizVerdict:
     """Exact product-rule check of a Matrix on all basis pairs."""
     check_map(L, D)
-    return _product_rule(L, D.sparse_columns())
+    return _product_rule(L, encode_columns(L.field, D.sparse_columns(), L.dim)[0])
 
 
-def _product_rule(L: LieAlgebra, cols: Sequence[dict]) -> LeibnizVerdict:
-    """The product rule on all basis pairs (sufficient by bilinearity).
+def _product_rule(L: LieAlgebra, forms: Sequence[dict]) -> LeibnizVerdict:
+    """The product rule on all basis pairs (sufficient by bilinearity),
+    in integer form: ``forms`` are the columns of D (``encode_columns``).
 
-    For a pair i < j it sums D([b_i,b_j]) - sum_r D[r,i] [b_r,b_j]
-    - sum_s D[s,j] [b_i,b_s] over the sparse columns of D, straight from
-    the structure constants.  It shares no code with ``leibniz_rows``, so
-    it re-checks the elimination independently.  A pair with
-    [b_i, b_j] = 0 and columns i and j of D zero sums to zero term by
-    term, so only the other pairs are visited, in sorted order: the
-    failing pair reported is the first one.
+    For a pair i < j it sums D([b_i,b_j]) - [D(b_i), b_j] - [b_i, D(b_j)]
+    = D([b_i,b_j]) + A_i[j] - A_j[i], A_j[k] = [b_k, D(b_j)] from
+    ``L.ad_images``, straight from the structure constants.  It shares no
+    code with ``leibniz_rows``, so it re-checks the elimination
+    independently.  D([b_i,b_j]) is zero unless [b_i,b_j] has a b_m with
+    D(b_m) != 0 (the pair is in ``L.onto[m]``), so a pair with none, j not
+    in A_i and i not in A_j sums to zero; only the other pairs are
+    visited, in sorted order: the failing pair reported is the first one.
     """
-    d = L.dim
-    partners = [set() for _ in range(d)]
-    for i, j in L.table:
-        partners[i].add(j)
-    moved = [j for j in range(d) if cols[j]]
-    for i in range(d):
-        if cols[i]:
-            js = range(i + 1, d)
-        else:
-            js = sorted(partners[i].union(moved[bisect_right(moved, i) :]))
-        for j in js:
-            acc: dict = {}
-            for m, c in L.bracket_basis(i, j).items():
-                for r, a in cols[m].items():
-                    sparse_add(acc, r, c * a)
-            for r, a in cols[i].items():
-                for k, c in L.bracket_basis(r, j).items():
-                    sparse_add(acc, k, -(a * c))
-            for s, a in cols[j].items():
-                for k, c in L.bracket_basis(i, s).items():
-                    sparse_add(acc, k, -(a * c))
-            if acc:
-                return LeibnizVerdict(False, (L.labels[i], L.labels[j]))
+    w, table = L.field.width, L.integer_table
+    # turned[m][t]: the form of u_t D(b_m) (``Field.rotations``), and
+    # ads[j][k] = [b_k, D(b_j)], over the nonzero columns
+    turned = {m: (f, *L.field.rotations(f)) for m, f in enumerate(forms) if f}
+    ads = {j: L.ad_images(turned[j][0]) for j in turned}
+    pairs = {pair for m in turned for pair in L.onto[m]}
+    for j, img in ads.items():
+        pairs.update((j, k) if j < k else (k, j) for k in img if k != j)
+    empty: dict = {}
+    for i, j in sorted(pairs):
+        acc = dict(ads.get(i, empty).get(j, empty))
+        for r, v in ads.get(j, empty).get(i, empty).items():
+            acc[r] = acc.get(r, 0) - v
+        for q, c in table.get((i, j), empty).items():
+            m = turned.get(q // w)
+            if m:
+                for r, a in m[q % w].items():
+                    acc[r] = acc.get(r, 0) + c * a
+        if any(acc.values()):
+            return LeibnizVerdict(False, (L.labels[i], L.labels[j]))
     return LeibnizVerdict(True)
 
 
@@ -150,18 +159,8 @@ class MapIndex:
     def images(self, parts: dict) -> dict:
         """The nonzero images D_k(x) in integer form by k, ascending, given
         the integer form ``parts`` of x: image k is ``scales[k]`` times the
-        form of D_k(x), at the scale of ``parts``."""
-        out: dict = {}
-        for q, xq in parts.items():
-            for k, col in self.index.get(q, ()):
-                img = out.get(k)
-                if img is None:
-                    out[k] = {r: xq * a for r, a in col.items()}
-                else:
-                    for r, a in col.items():
-                        img[r] = img.get(r, 0) + xq * a
-        images = {k: {r: v for r, v in out[k].items() if v} for k in sorted(out)}
-        return {k: img for k, img in images.items() if img}
+        form of D_k(x), at the scale of ``parts`` (``apply_index``)."""
+        return apply_index(self.index, parts)
 
 
 class DerivationSpace(Frozen):
@@ -224,7 +223,8 @@ class DerivationSpace(Frozen):
 
 
 def derivation_space(L: LieAlgebra) -> DerivationSpace:
-    """Der(L) as the exact nullspace of the product-rule system.
+    """Der(L) as the exact nullspace of the product-rule system, whose
+    integer rows go straight into the echelon (``insert_integer``).
 
     Each nullspace row is read straight into sparse columns, and every
     basis map is re-verified against the product rule directly, so a bug
@@ -233,14 +233,14 @@ def derivation_space(L: LieAlgebra) -> DerivationSpace:
     d = L.dim
     acc = SparseEchelon(L.field, d * d)
     for row in leibniz_rows(L):
-        acc.insert(row)
+        acc.insert_integer(row)
     space = acc.nullspace()
     columns = []
     for row in space.rows:
         cols = tuple({} for _ in range(d))
         for c, x in sorted(row.items()):  # each column lists its rows in order
             cols[c // d][c % d] = x
-        verdict = _product_rule(L, cols)
+        verdict = _product_rule(L, encode_columns(L.field, cols, d)[0])
         if not verdict.ok:
             raise AssertionError(
                 f"nullspace produced a non-derivation (pair {verdict.failing_pair})"

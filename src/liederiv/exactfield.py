@@ -11,7 +11,9 @@ Their tags, "Q" and "Qi", appear only in algebra files, at ``--field``
 and in reports; ``field_of`` turns a tag from outside into its field.
 Each field also owns the integer form that ``linalg.SparseEchelon``
 eliminates in: a row over Q is stored with its denominators cleared, a
-row over Q(i) as its real and imaginary parts side by side.
+row over Q(i) as its real and imaginary parts side by side.  ``Frozen``,
+the base of the package's immutable value types, lives here, in the
+module every other one imports.
 """
 
 from __future__ import annotations
@@ -26,7 +28,49 @@ class FieldMismatchError(ValueError):
     """Raised when operands belong to different fields."""
 
 
-class GaussianRational:
+# sets a field of a Frozen past its raising __setattr__; a module global
+# is looked up faster than the attribute of ``object``
+setfield = object.__setattr__
+
+
+class Frozen:
+    """Base of the package's immutable value types.  A subclass names its
+    fields in constructor order in ``__match_args__`` and lists them (and
+    any derived ones) in ``__slots__``, and its own ``__init__`` sets them
+    with ``setfield``.  Any later assignment or deletion raises
+    AttributeError; unless the subclass defines its own, ``==`` and the
+    hash go field by field (``==`` only between instances of one class)
+    and the repr reads ``Name(field=value, ..)``; copies and pickles are
+    rebuilt through the constructor."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class GaussianRational(Frozen):
     """Element a + b*i of Q(i) with b != 0, a and b reduced Fractions.
 
     A real value of Q(i) is the ``Fraction`` itself, the same object as
@@ -37,7 +81,7 @@ class GaussianRational:
     plain ``Fraction`` arithmetic.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = __match_args__ = ("re", "im")
 
     def __new__(cls, re=0, im=0):
         # Fraction(x) rebuilds even a Fraction; the parts are immutable,
@@ -49,17 +93,9 @@ class GaussianRational:
         if not im:
             return re
         g = object.__new__(cls)
-        object.__setattr__(g, "re", re)
-        object.__setattr__(g, "im", im)
+        setfield(g, "re", re)
+        setfield(g, "im", im)
         return g
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
-
-    def __reduce__(self):
-        # copies and pickles rebuild through __new__ (the default slot
-        # restore would hit __setattr__)
-        return GaussianRational, (self.re, self.im)
 
     def __add__(self, other):
         if type(other) is GaussianRational:
@@ -343,7 +379,7 @@ class Field:
     ):
         values = (tag, zero, one, coerce, parse, width, encode, decode, rotations, dot_forms)
         for name, value in zip(Field.__slots__, values):
-            object.__setattr__(self, name, value)
+            setfield(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Field is immutable")

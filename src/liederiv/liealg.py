@@ -13,8 +13,8 @@ from __future__ import annotations
 import json
 from typing import Optional, Sequence
 
-from .exactfield import FIELD_Q, Field, field_of, format_scalar
-from .linalg import Matrix, Subspace, SparseEchelon
+from .exactfield import FIELD_Q, Field, Frozen, field_of, format_scalar, setfield
+from .linalg import Matrix, Subspace, SparseEchelon, apply_index, encode_columns
 
 
 class JacobiError(ValueError):
@@ -28,47 +28,6 @@ class JacobiError(ValueError):
         super().__init__(f"Jacobi identity fails on basis triple {triple}")
 
 
-# sets a field of a Frozen past its raising __setattr__; a module global
-# is looked up faster than the attribute of ``object``
-setfield = object.__setattr__
-
-
-class Frozen:
-    """Base of the package's immutable value types.  A subclass names its
-    fields in constructor order in ``__match_args__`` and as its
-    ``__slots__``, and its own ``__init__`` sets them with ``setfield``.
-    Any later assignment or deletion raises AttributeError; ``==`` and
-    the hash go field by field (``==`` only between instances of one
-    class), the repr reads ``Name(field=value, ..)``, and copies and
-    pickles are rebuilt through the constructor."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__match_args__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-
 class JacobiVerdict(Frozen):
     __slots__ = __match_args__ = ("ok", "failing_triple")
 
@@ -77,12 +36,27 @@ class JacobiVerdict(Frozen):
         setfield(self, "failing_triple", failing_triple)
 
 
-class LieAlgebra:
-    """Finite-dimensional Lie algebra over Q or Q(i) by structure constants."""
+class LieAlgebra(Frozen):
+    """Finite-dimensional Lie algebra over Q or Q(i) by structure constants.
 
+    Besides the field-scalar ``table`` it keeps the constants in integer
+    form (``Field.encode``), all at one positive scale ``table_scale``:
+    ``integer_table[(i, j)]`` is the form of [b_i, b_j] in both orders,
+    ``partners[i]`` lists the j with [b_i, b_j] != 0 and ``onto[k]`` the
+    pairs (i, j), i < j, with c_ij^k != 0, both in ascending order.
+    ``ad_images`` applies every ad_{b_k} at once to an integer vector
+    through an index of the ad maps by input column."""
+
+    # rebuilt through the constructor, which checks Jacobi again
+    __match_args__ = ("name", "field", "labels", "table")
     # ``_brackets`` is ``table`` together with its negated transposes, so
-    # ``bracket_basis`` reads either order without building a dict
-    __slots__ = ("name", "field", "labels", "index", "table", "_brackets")
+    # ``bracket_basis`` reads either order without building a dict; ``_ad``
+    # maps integer column w*r + t (w the field's ``width``) to
+    # [(k, form of u_t [b_k, b_r]), ..] (``Field.rotations``)
+    __slots__ = (
+        "name", "field", "labels", "index", "table", "_brackets", "integer_table",
+        "table_scale", "partners", "onto", "_ad",
+    )
 
     def __init__(self, name: str, field: Field, labels: Sequence[str], brackets):
         """brackets: {(i, j): {k: scalar}} for i < j, giving [b_i, b_j] = sum c^k b_k."""
@@ -104,25 +78,34 @@ class LieAlgebra:
                     clean[k] = c
             if clean:
                 table[(i, j)] = clean
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "index", {lab: i for i, lab in enumerate(labels)})
-        object.__setattr__(self, "table", table)
+        setfield(self, "name", name)
+        setfield(self, "field", field)
+        setfield(self, "labels", labels)
+        setfield(self, "index", {lab: i for i, lab in enumerate(labels)})
+        setfield(self, "table", table)
         brackets = dict(table)
         for (i, j), terms in table.items():
             brackets[(j, i)] = {k: -c for k, c in terms.items()}
-        object.__setattr__(self, "_brackets", brackets)
+        setfield(self, "_brackets", brackets)
+        forms, scale = encode_columns(field, tuple(table.values()), len(labels))
+        ints, partners, onto, ad = {}, [[] for _ in labels], [[] for _ in labels], {}
+        for (i, j), form in zip(table, forms):
+            ints[(i, j)], ints[(j, i)] = form, {q: -v for q, v in form.items()}
+            partners[i].append(j)
+            partners[j].append(i)
+            for k in table[(i, j)]:
+                onto[k].append((i, j))
+        for (k, r), form in ints.items():
+            for t, turned in enumerate((form, *field.rotations(form))):
+                ad.setdefault(field.width * r + t, []).append((k, turned))
+        setfield(self, "integer_table", ints)
+        setfield(self, "table_scale", scale)
+        setfield(self, "partners", tuple(tuple(sorted(p)) for p in partners))
+        setfield(self, "onto", tuple(tuple(sorted(p)) for p in onto))
+        setfield(self, "_ad", ad)
         verdict = check_jacobi(self)
         if not verdict.ok:
             raise JacobiError(verdict.failing_triple, self)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LieAlgebra is immutable")
-
-    def __reduce__(self):
-        # rebuilt through the constructor, which checks Jacobi again
-        return LieAlgebra, (self.name, self.field, self.labels, self.table)
 
     @property
     def dim(self) -> int:
@@ -146,6 +129,11 @@ class LieAlgebra:
     def bracket_basis(self, i: int, j: int) -> dict:
         """Sparse coordinates of [b_i, b_j], to be read, not changed."""
         return self._brackets.get((i, j), {})
+
+    def ad_images(self, parts: dict) -> dict:
+        """The nonzero [b_k, x] in integer form by k, ascending, given the
+        integer form ``parts`` of x, at ``table_scale`` times its scale."""
+        return apply_index(self._ad, parts)
 
     def element(self, coords: Sequence) -> "AlgebraElement":
         return AlgebraElement(self, tuple(map(self.field.coerce, coords)))
@@ -235,24 +223,28 @@ def ad(x: AlgebraElement) -> Matrix:
 
 
 def check_jacobi(L: LieAlgebra) -> JacobiVerdict:
-    """Verify [[a,b],c] + [[b,c],a] + [[c,a],b] = 0 on all basis triples."""
-    n = L.dim
-    for a in range(n):
-        for b in range(a + 1, n):
-            ab = L.bracket_basis(a, b)
-            for c in range(b + 1, n):
-                acc: dict = {}
-                for (x, y, z) in ((a, b, c), (b, c, a), (c, a, b)):
-                    for m, coef in L.bracket_basis(x, y).items():
-                        for k, d in L.bracket_basis(m, z).items():
-                            v = acc.get(k)
-                            nv = coef * d if v is None else v + coef * d
-                            if nv:
-                                acc[k] = nv
-                            else:
-                                acc.pop(k, None)
-                if acc:
-                    return JacobiVerdict(False, (L.labels[a], L.labels[b], L.labels[c]))
+    """Verify [[a,b],c] + [[b,c],a] + [[c,a],b] = 0 on all basis triples.
+
+    With N_xy[z] the integer form of [b_z, [b_x, b_y]] (``ad_images``),
+    the sum is -(N_ab[c] + N_bc[a] - N_ac[b]).  A triple none of whose
+    three terms is nonzero sums to zero, so only the triples {x, y, z}
+    with N_xy[z] != 0 are visited, in sorted order: the failing triple
+    reported is the first one."""
+    nested = {
+        (x, y): L.ad_images(form) for (x, y), form in L.integer_table.items() if x < y
+    }
+    triples = {
+        tuple(sorted((x, y, z))) for (x, y), img in nested.items() for z in img if z != x and z != y
+    }
+    empty: dict = {}
+    for a, b, c in sorted(triples):
+        acc = dict(nested.get((a, b), empty).get(c, empty))
+        for q, v in nested.get((b, c), empty).get(a, empty).items():
+            acc[q] = acc.get(q, 0) + v
+        for q, v in nested.get((a, c), empty).get(b, empty).items():
+            acc[q] = acc.get(q, 0) - v
+        if any(acc.values()):
+            return JacobiVerdict(False, (L.labels[a], L.labels[b], L.labels[c]))
     return JacobiVerdict(True)
 
 

@@ -15,46 +15,28 @@ import heapq
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .exactfield import FIELD_Q, Field, FieldMismatchError
+from .exactfield import FIELD_Q, Field, FieldMismatchError, Frozen, setfield
 
 
-class Matrix:
+class Matrix(Frozen):
     """Immutable dense matrix of exact scalars over a field."""
 
     __slots__ = ("field", "nrows", "ncols", "entries")
+    __match_args__ = ("field", "entries")
 
     def __init__(self, field: Field, entries: Sequence[Sequence]):
         rows = tuple(tuple(map(field.coerce, row)) for row in entries)
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "nrows", len(rows))
-        object.__setattr__(self, "ncols", ncols)
-        object.__setattr__(self, "entries", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
-
-    def __reduce__(self):
-        return Matrix, (self.field, self.entries)
+        setfield(self, "field", field)
+        setfield(self, "nrows", len(rows))
+        setfield(self, "ncols", ncols)
+        setfield(self, "entries", rows)
 
     def sparse_columns(self) -> tuple:
         """Column j as a ``{row: entry}`` dict of its nonzero entries."""
         return tuple({r: x for r, x in enumerate(col) if x} for col in zip(*self.entries))
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return (
-            self.field == other.field
-            and self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.entries))
 
     def __repr__(self):
         return f"Matrix({self.field}, {self.nrows}x{self.ncols})"
@@ -78,7 +60,7 @@ def _same_field(a, b):
         raise FieldMismatchError(f"mixed fields {a.field} and {b.field}")
 
 
-class Subspace:
+class Subspace(Frozen):
     """Subspace of field**n, stored as its canonical RREF basis: sparse
     ``{column: scalar}`` rows in pivot order, each with a unit pivot at
     its first column and zeros in every other row's pivot column.
@@ -87,18 +69,13 @@ class Subspace:
     """
 
     __slots__ = ("field", "ambient_dim", "rows", "pivots")
+    __match_args__ = ("field", "ambient_dim", "rows")
 
     def __init__(self, field: Field, ambient_dim: int, rows: tuple):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "pivots", tuple(min(row) for row in rows))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subspace is immutable")
-
-    def __reduce__(self):
-        return Subspace, (self.field, self.ambient_dim, self.rows)
+        setfield(self, "field", field)
+        setfield(self, "ambient_dim", ambient_dim)
+        setfield(self, "rows", rows)
+        setfield(self, "pivots", tuple(min(row) for row in rows))
 
     @classmethod
     def from_vectors(cls, field: Field, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
@@ -114,16 +91,8 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    def __eq__(self, other):
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return (
-            self.field == other.field
-            and self.ambient_dim == other.ambient_dim
-            and self.rows == other.rows
-        )
-
     def __hash__(self):
+        # the rows are dicts; equal subspaces have equal pivots
         return hash((self.field, self.ambient_dim, self.pivots))
 
     def __repr__(self):
@@ -390,6 +359,26 @@ def encode_columns(field: Field, columns: Sequence[dict], size: int) -> tuple:
     for q, v in joint.items():
         forms[q // (w * size)][q % (w * size)] = v
     return forms, scale
+
+
+def apply_index(index: dict, parts: dict) -> dict:
+    """The nonzero images in integer form by map k, ascending, of the
+    vector with the integer form ``parts`` under linear maps indexed by
+    integer input column: ``index[q]`` is [(k, column), ..], column the
+    integer form of the image of a 1 at q under map k.  A sparse vector
+    meets only the columns it shares an input with (Gustavson's row-wise
+    product)."""
+    out: dict = {}
+    for q, xq in parts.items():
+        for k, col in index.get(q, ()):
+            img = out.get(k)
+            if img is None:
+                out[k] = {r: xq * a for r, a in col.items()}
+            else:
+                for r, a in col.items():
+                    img[r] = img.get(r, 0) + xq * a
+    images = {k: {r: v for r, v in out[k].items() if v} for k in sorted(out)}
+    return {k: img for k, img in images.items() if img}
 
 
 def combine_forms(forms: Sequence[dict], point: Sequence[int]) -> dict:

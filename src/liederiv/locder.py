@@ -27,8 +27,8 @@ from itertools import chain, combinations, islice
 from math import comb
 from typing import Optional
 
-from .exactfield import FIELD_Q, GaussianRational, integer_key, inv
-from .liealg import AlgebraElement, Frozen, LieAlgebra, setfield
+from .exactfield import FIELD_Q, Frozen, GaussianRational, integer_key, inv, setfield
+from .liealg import AlgebraElement, LieAlgebra
 from .linalg import Matrix, SparseEchelon, Subspace, combine_forms, encode_columns, solve_columns
 from .dersolve import DerivationSpace, MapIndex, check_map, flatten_map
 from .poly import MultiPoly, poly_det, split_linear

@@ -24,8 +24,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from .exactfield import FIELD_Q, FIELD_QI, I, Field
-from .liealg import AlgebraElement, Frozen, LieAlgebra, ad, setfield
+from .exactfield import FIELD_Q, FIELD_QI, I, Field, Frozen, setfield
+from .liealg import AlgebraElement, LieAlgebra, ad
 from .linalg import Matrix, Subspace, encode_columns, solve_columns
 from .linalg import subspace_intersect, subspace_sum
 from .dersolve import LeibnizError, derivation_space, flatten_map, inner_space, is_derivation

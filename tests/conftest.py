@@ -1,8 +1,10 @@
 """Shared helpers: random exact scalars, independent elimination
 oracles used to cross-check the production linear algebra (among them
-the unit-pivot sparse echelon that the integer kernel replaced), dense matrix
-and subspace helpers, the dense Der basis, dense oracles for the sparse
-derivation check and the all-pairs product rule, the sparse witness
+the unit-pivot sparse echelon that the integer kernel replaced), sl2 in a
+basis with non-real structure constants, dense matrix
+and subspace helpers, the field-scalar Leibniz rows and the Der they cut
+out, the dense Der basis, the all-triples Jacobi check, dense oracles for
+the sparse derivation check and the all-pairs product rule, the sparse witness
 solve and the indexed Der-annihilation check, and the probe-fold
 oracles: the orbit subspace W_x, ``constrain`` in field scalars, a fold
 over any probe list and the full replay schedule of S_n."""
@@ -13,9 +15,9 @@ import pickle
 from fractions import Fraction
 from itertools import combinations
 
-from liederiv.dersolve import derivation_space, flatten_map, leibniz_rows
+from liederiv.dersolve import derivation_space, flatten_map
 from liederiv.exactfield import FIELD_Q, FIELD_QI, GaussianRational, I, inv
-from liederiv.liealg import bracket
+from liederiv.liealg import JacobiVerdict, LieAlgebra, bracket
 from liederiv.linalg import Matrix, SparseEchelon, Subspace, sparse_add
 from liederiv import locder
 from liederiv.locder import (
@@ -38,6 +40,14 @@ def rand_gauss(rng, lo=-9, hi=9, den=4):
 
 def rand_scalar(rng, field=FIELD_Q):
     return rand_fraction(rng) if field == FIELD_Q else rand_gauss(rng)
+
+
+def complex_sl2() -> LieAlgebra:
+    """sl2 over Q(i) in the basis (x, h, y), x = e + i*f and y = e - i*f:
+    [x, h] = -2y, [x, y] = -2i*h, [h, y] = 2x, so some structure
+    constants are not real."""
+    br = {(0, 1): {2: -2}, (0, 2): {1: -2 * I}, (1, 2): {0: 2}}
+    return LieAlgebra("sl2_xhy", FIELD_QI, ["x", "h", "y"], br)
 
 
 def copies(x) -> list:
@@ -180,13 +190,66 @@ def nullspace(m: Matrix) -> Subspace:
     return acc.nullspace()
 
 
+def field_leibniz_rows(L):
+    """The nonzero rows of the product-rule system in field scalars, in
+    lexicographic (i, j, k) order, with r and s over every basis index:
+    the reference for ``dersolve.leibniz_rows``, whose integer rows are
+    these at the scale ``L.table_scale``.  For the basis pair (i, j) and
+    output coordinate k the row reads
+
+        sum_m c_ij^m D[k,m]  -  sum_r c_rj^k D[r,i]  -  sum_s c_is^k D[s,j],
+
+    unknown (r, c) at flat column c*dim + r."""
+    d = L.dim
+    for i in range(d):
+        for j in range(i + 1, d):
+            cij = L.bracket_basis(i, j)
+            per_k: dict[int, dict] = {}
+            for k in range(d):
+                row: dict = {}
+                for m, c in cij.items():
+                    sparse_add(row, m * d + k, c)
+                per_k[k] = row
+            for r in range(d):
+                for k, c in L.bracket_basis(r, j).items():
+                    sparse_add(per_k[k], i * d + r, -c)
+            for s in range(d):
+                for k, c in L.bracket_basis(i, s).items():
+                    sparse_add(per_k[k], j * d + s, -c)
+            yield from filter(None, per_k.values())
+
+
+def field_der_subspace(L) -> Subspace:
+    """Der(L) as the nullspace of ``field_leibniz_rows`` put in through
+    the field-scalar ``SparseEchelon.insert``."""
+    acc = SparseEchelon(L.field, L.dim * L.dim)
+    for row in field_leibniz_rows(L):
+        acc.insert(row)
+    return acc.nullspace()
+
+
+def at_scale(field, row: dict, scale) -> dict:
+    """The integer form of ``scale`` times a row of field scalars, parts
+    side by side as ``Field.encode`` places them; every part must come out
+    an integer."""
+    out = {}
+    for c, x in row.items():
+        parts = (x.re, x.im) if isinstance(x, GaussianRational) else (x, 0)
+        for t, part in enumerate(parts[: field.width]):
+            v = Fraction(part) * scale
+            assert v.denominator == 1, f"{x} at scale {scale} is not integral"
+            if v:
+                out[field.width * c + t] = int(v)
+    return out
+
+
 def leibniz_system(L) -> Matrix:
     """Dense product-rule system: one row per basis pair (i < j) per
-    coordinate, the rows of ``leibniz_rows`` made dense."""
+    coordinate, the rows of ``field_leibniz_rows`` made dense."""
     d = L.dim
     z = L.field.zero
     rows = []
-    for sparse in leibniz_rows(L):
+    for sparse in field_leibniz_rows(L):
         row = [z] * (d * d)
         for c, v in sparse.items():
             row[c] = v
@@ -270,11 +333,29 @@ def back_multiply(rows, vec):
     return [sum((a * b for a, b in zip(row, vec) if a and b), 0 * vec[0]) for row in rows]
 
 
+def all_triples_jacobi(L) -> JacobiVerdict:
+    """The Jacobi identity summed in field scalars on every basis triple
+    a < b < c in sorted order: the reference for ``liealg.check_jacobi``,
+    which visits only the triples with a nonzero term."""
+    n = L.dim
+    for a in range(n):
+        for b in range(a + 1, n):
+            for c in range(b + 1, n):
+                acc: dict = {}
+                for (x, y, z) in ((a, b, c), (b, c, a), (c, a, b)):
+                    for m, coef in L.bracket_basis(x, y).items():
+                        for k, d in L.bracket_basis(m, z).items():
+                            sparse_add(acc, k, coef * d)
+                if acc:
+                    return JacobiVerdict(False, (L.labels[a], L.labels[b], L.labels[c]))
+    return JacobiVerdict(True)
+
+
 def all_pairs_product_rule(L, cols):
     """(ok, failing_pair) of the product rule over the sparse columns of
-    a map, summed on every basis pair i < j in sorted order: the
-    reference for ``dersolve._product_rule``, which skips the pairs that
-    sum to zero term by term."""
+    a map, in field scalars, summed on every basis pair i < j in sorted
+    order: the reference for ``dersolve._product_rule``, which works in
+    integer form and skips the pairs that sum to zero term by term."""
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
             acc: dict = {}

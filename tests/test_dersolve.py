@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from liederiv.exactfield import FIELD_Q, FIELD_QI, GaussianRational
 from liederiv.cli import main
 from liederiv.liealg import (
+    LieAlgebra,
     ad,
     from_json,
     make_abelian,
@@ -20,6 +21,7 @@ from liederiv.linalg import (
     Matrix,
     SparseEchelon,
     Subspace,
+    encode_columns,
     subspace_intersect,
     subspace_sum,
 )
@@ -34,11 +36,15 @@ from liederiv.dersolve import (
 from liederiv.schrodinger import decompose, make_schrodinger, outer_span, sigma, sigma_pairs, tau
 from conftest import (
     all_pairs_product_rule,
+    at_scale,
     col,
+    complex_sl2,
     contains_subspace,
     dense_der_basis,
     dense_is_derivation,
     dense_rows,
+    field_der_subspace,
+    field_leibniz_rows,
     is_zero,
     leibniz_system,
     matmul,
@@ -184,7 +190,10 @@ def test_sparse_product_rule_agrees_with_dense_oracle_on_perturbed_maps():
 
 _RULE_DERS = [
     derivation_space(L)
-    for L in (make_schrodinger(2), make_schrodinger(2, FIELD_QI), make_heisenberg(2), make_sl2())
+    for L in (
+        make_schrodinger(2), make_schrodinger(2, FIELD_QI), make_heisenberg(2), make_sl2(),
+        complex_sl2(),
+    )
 ]
 
 
@@ -209,10 +218,56 @@ def _maps_off_der(draw):
 @given(_maps_off_der())
 def test_product_rule_on_fewer_pairs_agrees_with_all_pairs(case):
     # the pairs it skips sum to zero term by term, so the verdict and the
-    # first failing pair are those of the loop over every pair
+    # first failing pair are those of the field-scalar loop over every pair
     L, cols = case
-    verdict = _product_rule(L, cols)
+    verdict = _product_rule(L, encode_columns(L.field, cols, L.dim)[0])
     assert (verdict.ok, verdict.failing_pair) == all_pairs_product_rule(L, cols)
+
+
+_LEIBNIZ_ALGEBRAS = {
+    **{
+        f"S{n}-{f}": (lambda n=n, f=f: make_schrodinger(n, f))
+        for n in range(1, 9)
+        for f in (FIELD_Q, FIELD_QI)
+    },
+    "h1": lambda: make_heisenberg(1),
+    "h2": lambda: make_heisenberg(2),
+    "sl2": lambda: make_sl2(),
+    "sl2-Qi": lambda: make_sl2(FIELD_QI),
+    "sl2_xhy": complex_sl2,
+}
+
+
+@pytest.mark.parametrize("build", _LEIBNIZ_ALGEBRAS.values(), ids=_LEIBNIZ_ALGEBRAS.keys())
+def test_integer_der_equals_the_field_scalar_reference(build):
+    # each integer Leibniz row is the field-scalar row at the one table
+    # scale, in the same order, and Der is the same entry for entry
+    L = build()
+    rows = list(leibniz_rows(L))
+    assert rows == [at_scale(L.field, row, L.table_scale) for row in field_leibniz_rows(L)]
+    der, ref = derivation_space(L), field_der_subspace(L)
+    assert der.subspace == ref and der.subspace.rows == ref.rows
+
+
+def test_derivation_space_makes_no_field_scalar_insert_and_reads_no_bracket(monkeypatch):
+    # Der is built from the integer table alone: the Leibniz rows go in
+    # through insert_integer, and the product-rule re-check reads the
+    # integer table too
+    L = make_schrodinger(3, FIELD_QI)
+    calls = []
+    for cls, name in ((SparseEchelon, "insert"), (LieAlgebra, "bracket_basis")):
+        monkeypatch.setattr(cls, name, lambda *a, name=name: calls.append(name))
+    der = derivation_space(L)
+    assert der.dim == expected_der_dim(3)
+    assert calls == []
+
+
+def test_complex_sl2_der_is_ad():
+    # the Leibniz rows, Der entry for entry and the product rule on moved
+    # maps of this algebra are held to the field-scalar references above
+    L = complex_sl2()
+    der = derivation_space(L)
+    assert der.dim == 3 and der.subspace == inner_space(L)
 
 
 def test_derivation_space_rejects_a_non_derivation_from_the_nullspace(monkeypatch):

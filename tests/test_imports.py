@@ -33,7 +33,7 @@ def test_package_imports_only_the_standard_library():
 def test_no_module_imports_dataclasses():
     # importing dataclasses loads inspect, ast, dis and tokenize, and each
     # decorator execs its generated methods: the value types subclass
-    # liealg.Frozen and write their own __init__ instead
+    # exactfield.Frozen and write their own __init__ instead
     assert [i for i in _absolute_imports() if i[2] == "dataclasses"] == []
 
 

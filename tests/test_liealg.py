@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liederiv.dersolve import LeibnizVerdict, derivation_space
 from liederiv.exactfield import FIELD_Q, FIELD_QI, GaussianRational, I
@@ -31,7 +32,8 @@ from liederiv.schrodinger import (
     make_schrodinger,
     schrodinger_rank,
 )
-from conftest import copies, is_zero, rand_scalar
+from liederiv.linalg import Matrix, Subspace
+from conftest import all_triples_jacobi, at_scale, complex_sl2, copies, is_zero, rand_scalar
 
 
 def rand_element(rng, L):
@@ -180,6 +182,66 @@ def test_jacobi_rejects_planted_defect():
     assert err.value.triple is not None
 
 
+_JACOBI_BASES = [
+    make_schrodinger(2), make_schrodinger(2, FIELD_QI), make_heisenberg(2), make_sl2(),
+    complex_sl2(),
+]
+
+
+@st.composite
+def _tables_off_jacobi(draw):
+    """(algebra, brackets): the table of an algebra with one structure
+    constant moved, often off a pair whose bracket was zero."""
+    L = draw(st.sampled_from(_JACOBI_BASES))
+    i = draw(st.integers(0, L.dim - 2))
+    j = draw(st.integers(i + 1, L.dim - 1))
+    k = draw(st.integers(0, L.dim - 1))
+    re, im = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+    delta = re if L.field == FIELD_Q else GaussianRational(re, im)
+    table = {pair: dict(terms) for pair, terms in L.table.items()}
+    terms = table.setdefault((i, j), {})
+    terms[k] = terms.get(k, 0) + delta
+    return L, table
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables_off_jacobi())
+def test_jacobi_on_fewer_triples_agrees_with_all_triples(case):
+    # the triples check_jacobi skips have no nonzero term, so its verdict
+    # and first failing triple are those of the loop over every triple
+    L, table = case
+    try:
+        M = LieAlgebra(L.name, L.field, L.labels, table)
+    except JacobiError as err:
+        assert all_triples_jacobi(err.algebra) == JacobiVerdict(False, err.triple)
+        assert check_jacobi(err.algebra) == JacobiVerdict(False, err.triple)
+    else:
+        assert all_triples_jacobi(M) == JacobiVerdict(True)
+
+
+@pytest.mark.parametrize("L", _JACOBI_BASES + [make_abelian(3)], ids=lambda L: f"{L.name}-{L.field}")
+def test_integer_table_is_the_table_at_one_scale(L):
+    # both orders of every bracket, at the one scale that clears every
+    # denominator, with partners and targets read off the same table
+    assert L.table_scale > 0
+    expect = {}
+    for (i, j), terms in L.table.items():
+        expect[(i, j)] = at_scale(L.field, terms, L.table_scale)
+        expect[(j, i)] = at_scale(L.field, {k: -c for k, c in terms.items()}, L.table_scale)
+    assert L.integer_table == expect
+    for i in range(L.dim):
+        assert L.partners[i] == tuple(j for j in range(L.dim) if L.bracket_basis(i, j))
+        assert L.onto[i] == tuple(sorted(p for p, terms in L.table.items() if i in terms))
+    # ad_images of x = 3*b_0 - 2*b_last (integer form at scale 1)
+    x = L.element([3] + [0] * (L.dim - 2) + [-2])
+    expect = {}
+    for k in range(L.dim):
+        image = dict(enumerate(bracket(L.basis_element(k), x).coords))
+        if any(image.values()):
+            expect[k] = at_scale(L.field, image, L.table_scale)
+    assert L.ad_images(L.field.encode(dict(enumerate(x.coords)))) == expect
+
+
 def restrict(L: LieAlgebra, labels: list, name: str) -> LieAlgebra:
     """Subalgebra on a subset of basis labels (must be bracket-closed)."""
     idx = [L.index[lab] for lab in labels]
@@ -323,6 +385,10 @@ VALUE_TYPES = {
     ),
     "AsosShape": (lambda: AsosShape(2), "n", True),
     "AsosVerdict": (lambda: asos_shape_check(1), "note", True),
+    "GaussianRational": (lambda: GaussianRational(Fraction(1, 2), -3), "im", True),
+    "LieAlgebra": (lambda: make_sl2(FIELD_QI), "table", True),
+    "Matrix": (lambda: Matrix(FIELD_QI, [[1, I], [0, 2]]), "entries", True),
+    "Subspace": (lambda: Subspace.from_vectors(FIELD_Q, 3, [[1, 2, 0], [0, 1, 1]]), "rows", True),
 }
 
 
