@@ -293,84 +293,119 @@ def _count(text: str) -> int:
     return value
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="liederiv", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _common(p, with_n=False, with_input=False, with_seed=False):
+    # with an algebra file, --field stays None unless given (a usage error)
+    default = None if with_input else FIELD_Q.tag
+    p.add_argument("--field", choices=[FIELD_Q.tag, FIELD_QI.tag], default=default)
+    p.add_argument("-o", "--output", metavar="PATH", default=None)
+    if with_n:
+        p.add_argument("--n", type=int, default=None)
+    if with_input:
+        p.add_argument("input", nargs="?", default=None, metavar="ALGEBRA_FILE")
+    if with_seed:
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument("--max-probes", type=_count, default=DEFAULT_MAX_PROBES)
+        p.add_argument("--stall", type=_count, default=DEFAULT_STALL_LIMIT)
 
-    def common(p, with_n=False, with_input=False, with_seed=False):
-        # with an algebra file, --field stays None unless given (a usage error)
-        default = None if with_input else FIELD_Q.tag
-        p.add_argument("--field", choices=[FIELD_Q.tag, FIELD_QI.tag], default=default)
-        p.add_argument("-o", "--output", metavar="PATH", default=None)
-        if with_n:
-            p.add_argument("--n", type=int, default=None)
-        if with_input:
-            p.add_argument("input", nargs="?", default=None, metavar="ALGEBRA_FILE")
-        if with_seed:
-            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-            p.add_argument("--max-probes", type=_count, default=DEFAULT_MAX_PROBES)
-            p.add_argument("--stall", type=_count, default=DEFAULT_STALL_LIMIT)
 
-    p = sub.add_parser("gen", help="generate a structure-constant file")
+def _setup_gen(p):
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--schrodinger", type=int, metavar="N")
     group.add_argument("--heisenberg", type=int, metavar="N")
     group.add_argument("--sl2", action="store_true")
     group.add_argument("--abelian", type=int, metavar="K")
-    common(p)
-    p.set_defaults(func=_cmd_gen)
+    _common(p)
 
-    p = sub.add_parser("jacobi", help="verify the Jacobi identity of a file")
+
+def _setup_jacobi(p):
     p.add_argument("input", metavar="ALGEBRA_FILE")
-    p.set_defaults(func=_cmd_jacobi)
 
-    p = sub.add_parser("der", help="compute the derivation algebra")
-    common(p, with_n=True, with_input=True)
+
+def _setup_der(p):
+    _common(p, with_n=True, with_input=True)
     p.add_argument("--basis", action="store_true", help="include the basis matrices")
-    p.set_defaults(func=_cmd_der)
 
-    p = sub.add_parser("outer-check", help="verify the outer-derivation decomposition")
-    common(p)
+
+def _setup_outer_check(p):
+    _common(p)
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_outer_check)
 
-    p = sub.add_parser("locder-basis", help="basis-singleton candidate space")
-    common(p, with_n=True, with_input=True)
-    p.set_defaults(func=_cmd_locder_basis)
 
-    p = sub.add_parser(
-        "locder-replay", help="deterministic local-derivation verification over Q(i)"
-    )
+def _setup_locder_basis(p):
+    _common(p, with_n=True, with_input=True)
+
+
+def _setup_locder_replay(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("-o", "--output", metavar="PATH", default=None)
-    p.set_defaults(func=_cmd_locder_replay)
 
-    p = sub.add_parser("locder-random", help="seeded random-probe closure")
-    common(p, with_n=True, with_input=True, with_seed=True)
-    p.set_defaults(func=_cmd_locder_random)
 
-    p = sub.add_parser("certify", help="symbolic locality certificate for a map")
+def _setup_locder_random(p):
+    _common(p, with_n=True, with_input=True, with_seed=True)
+
+
+def _setup_certify(p):
     p.add_argument("input", metavar="ALGEBRA_FILE")
     p.add_argument("--map", required=True, metavar="MAP_FILE")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_certify)
 
-    p = sub.add_parser(
-        "demo-heisenberg", help="exhibit a local non-derivation on the 3-dim Heisenberg algebra"
-    )
-    common(p, with_seed=True)
-    p.set_defaults(func=_cmd_demo_heisenberg)
 
-    p = sub.add_parser("decompose", help="resolve a derivation against inner + sigma + tau")
-    common(p, with_n=True, with_input=True)
+def _setup_demo_heisenberg(p):
+    _common(p, with_seed=True)
+
+
+def _setup_decompose(p):
+    _common(p, with_n=True, with_input=True)
     p.add_argument("--map", required=True, metavar="MAP_FILE")
-    p.set_defaults(func=_cmd_decompose)
 
+
+# name: (help, setup, command) for each subcommand, in the order of the help
+_COMMANDS = {
+    "gen": ("generate a structure-constant file", _setup_gen, _cmd_gen),
+    "jacobi": ("verify the Jacobi identity of a file", _setup_jacobi, _cmd_jacobi),
+    "der": ("compute the derivation algebra", _setup_der, _cmd_der),
+    "outer-check": (
+        "verify the outer-derivation decomposition", _setup_outer_check, _cmd_outer_check
+    ),
+    "locder-basis": ("basis-singleton candidate space", _setup_locder_basis, _cmd_locder_basis),
+    "locder-replay": (
+        "deterministic local-derivation verification over Q(i)",
+        _setup_locder_replay,
+        _cmd_locder_replay,
+    ),
+    "locder-random": ("seeded random-probe closure", _setup_locder_random, _cmd_locder_random),
+    "certify": ("symbolic locality certificate for a map", _setup_certify, _cmd_certify),
+    "demo-heisenberg": (
+        "exhibit a local non-derivation on the 3-dim Heisenberg algebra",
+        _setup_demo_heisenberg,
+        _cmd_demo_heisenberg,
+    ),
+    "decompose": (
+        "resolve a derivation against inner + sigma + tau", _setup_decompose, _cmd_decompose
+    ),
+}
+
+
+def build_parser(command: Optional[str] = None) -> _Parser:
+    """The parser of every subcommand, or of ``command`` alone.  The one
+    subcommand prints the same help and usage errors as the full parser,
+    whose usage line it keeps (``metavar``)."""
+    parser = _Parser(prog="liederiv", description=__doc__)
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, setup, func) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            setup(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # one subcommand's parser is a fraction of the cost of all of them;
+    # -h, a missing command and an unknown one need the full parser
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         # the tag turns into a Field after parsing, so that argparse's own

@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from .exactfield import Frozen, setfield
-from .liealg import LieAlgebra, ad
+from .liealg import LieAlgebra
 from .linalg import Matrix, SparseEchelon, Subspace, apply_index, encode_columns
 
 
@@ -250,6 +250,14 @@ def derivation_space(L: LieAlgebra) -> DerivationSpace:
 
 
 def inner_space(L: LieAlgebra) -> Subspace:
-    """Span of the flattened ad_b over basis elements b."""
-    vecs = [flatten_map(ad(L.basis_element(i))) for i in range(L.dim)]
-    return Subspace.from_vectors(L.field, L.dim * L.dim, vecs)
+    """Span of the flattened ad_b over basis elements b, from integer rows:
+    column j of ad_(b_k) is [b_k, b_j], read off ``L.ad_images``."""
+    d, w = L.dim, L.field.width
+    rows: dict = {}
+    for j in range(d):
+        for k, img in L.ad_images({w * j: 1}).items():
+            rows.setdefault(k, {}).update((w * d * j + q, v) for q, v in img.items())
+    acc = SparseEchelon(L.field, d * d)
+    for k in sorted(rows):
+        acc.insert_integer(rows[k])
+    return acc.row_space()

@@ -43,15 +43,23 @@ class CertificationError(RuntimeError):
 
 
 class Probe(Frozen):
-    """A nonzero test element with a stable label for reports."""
+    """A nonzero test element with a stable label for reports.
 
-    __slots__ = __match_args__ = ("element", "label")
+    A member of a probe family names its ``seed`` probe and the basis
+    permutation ``sigma`` that moves the seed onto it, as (i, sigma(i))
+    pairs over the indices sigma moves; ``fold`` checks both."""
 
-    def __init__(self, element: AlgebraElement, label: str):
+    __slots__ = __match_args__ = ("element", "label", "seed", "sigma")
+
+    def __init__(
+        self, element: AlgebraElement, label: str, seed: Optional[Probe] = None, sigma: tuple = ()
+    ):
         if element.is_zero():
             raise ValueError("zero probe carries no information")
         setfield(self, "element", element)
         setfield(self, "label", label)
+        setfield(self, "seed", seed)
+        setfield(self, "sigma", sigma)
 
 
 class ProbeStep(Frozen):
@@ -178,19 +186,29 @@ def constrain(acc: CandidateSpace, probe: Probe) -> None:
     from, before any is inserted, which asserts Der <= candidate at each
     stage; a failed check raises and leaves ``acc`` as it was.
     """
-    der = acc.der
-    x = probe.element
-    if x.algebra != der.algebra:
+    _cut(acc, probe, _probe_form(acc.der, probe), None)
+
+
+def _probe_form(der: DerivationSpace, probe: Probe) -> dict:
+    if probe.element.algebra != der.algebra:
         raise ValueError("probe element belongs to a different algebra")
+    return _integer_form(probe.element)
+
+
+def _cut(acc: CandidateSpace, probe: Probe, parts: dict, nulls: Optional[list]) -> None:
+    """``constrain`` by the probe with the integer form ``parts``, whose
+    annihilator ``nulls`` comes from its orbit echelon when None."""
+    der = acc.der
     field, d = der.algebra.field, der.algebra.dim
-    parts = _integer_form(x)
     key = integer_key(field, parts)
     if key in acc.seen:
         return
+    if nulls is None:
+        # a zero orbit leaves the whole dual space, the nullspace of no rows
+        nulls = _orbit_echelon(der, parts).integer_nullspace()
     w = field.width
     rows = []
-    # a zero orbit leaves the whole dual space, the nullspace of no rows
-    for p in _orbit_echelon(der, parts).integer_nullspace():
+    for p in nulls:
         forms = (p, *field.rotations(p))
         row: dict = {}
         for q, xq in parts.items():
@@ -210,10 +228,68 @@ def constrain(acc: CandidateSpace, probe: Probe) -> None:
     acc.seen.add(key)
 
 
+def permutes_table(L: LieAlgebra, sigma: tuple) -> bool:
+    """Whether the basis permutation ``sigma``, (i, sigma(i)) pairs over
+    the indices it moves, maps ``L.integer_table`` onto itself, which
+    makes it an automorphism of L: [b_si, b_sj] = sigma([b_i, b_j]) for
+    all i, j.  Only the entries that touch a moved index can fail, so it
+    reads those alone: each moved i with its ``partners`` and the pairs
+    ``onto`` it.  The partners of i then go one to one into those of
+    sigma(i); sigma permutes the moved indices, so they cover them all."""
+    s = dict(sigma)
+    if sorted(s) != sorted(s.values()) or not all(0 <= i < L.dim for i in s):
+        return False
+    table, move = L.integer_table, _mover(L.field.width, s.items())
+    return all(
+        table.get((s.get(a, a), s.get(b, b))) == move(table[a, b])
+        for i in s
+        for a, b in chain(((i, j) for j in L.partners[i]), L.onto[i])
+    )
+
+
+def _mover(w: int, sigma):
+    """The map moving an integer form along the basis permutation given by
+    the (i, sigma(i)) pairs ``sigma``."""
+    cols = {w * i + t: w * j + t for i, j in sigma for t in range(w)}
+    return lambda form: {cols.get(q, q): v for q, v in form.items()}
+
+
 def fold(acc: CandidateSpace, probes) -> None:
-    """Cut ``acc`` in place by each probe in turn (``constrain``)."""
+    """Cut ``acc`` in place by each probe in turn, as ``constrain`` does.
+
+    A probe whose ``seed`` came earlier in ``probes`` (the same object) is
+    cut by the seed's annihilators moved along its ``sigma``, in place of
+    an orbit echelon and a nullspace of its own: an automorphism sigma
+    maps Der onto itself, so W_sigma(x) = sigma(W_x).  Before its first
+    use, sigma must map the bracket table onto itself (``permutes_table``),
+    and the probe's integer form must be sigma of the seed's; either
+    failure raises ValueError before the probe inserts a row.  The moved
+    rows pass the same per-row Der check as every other row.  A probe
+    whose seed has not come yet is cut directly.
+    """
+    probes = list(probes)
+    der = acc.der
+    # by object identity; id(None) names no probe
+    named = {id(p.seed) for p in probes}
+    kept: dict = {}
+    checked: set = set()
     for probe in probes:
-        constrain(acc, probe)
+        parts, nulls = _probe_form(der, probe), None
+        seed = kept.get(id(probe.seed))
+        if seed is not None:
+            if probe.sigma not in checked:
+                if not permutes_table(der.algebra, probe.sigma):
+                    raise ValueError(f"probe {probe.label!r}: sigma is not an automorphism")
+                checked.add(probe.sigma)
+            move = _mover(der.algebra.field.width, probe.sigma)
+            if move(seed[0]) != parts:
+                raise ValueError(f"probe {probe.label!r} is not sigma of its seed")
+            nulls = [move(p) for p in seed[1]]
+        elif id(probe) in named:
+            nulls = _orbit_echelon(der, parts).integer_nullspace()
+        if id(probe) in named:
+            kept[id(probe)] = parts, nulls
+        _cut(acc, probe, parts, nulls)
 
 
 def singleton_probes(L: LieAlgebra) -> list[Probe]:

@@ -330,6 +330,13 @@ def schrodinger_trimmed_schedule(L: LieAlgebra) -> list[Probe]:
     - the singletons, e+u_j and f+v_j overlap: the rest of the schedule
       implies each of these three families, but without all three the
       excess is 2n + 3 (also at n = 5 and 8).
+
+    Each probe with an index j > 1 (a pair other than (1, 2)) names the
+    probe of its family at j = 1 (at (1, 2)) as its seed, moved onto it by
+    the permutation of the indices of u_k and v_k that ``_index_moves``
+    spells out, 20 seeds for n >= 2: e, h, f, z, u_1 and v_1, h+e, h+f,
+    e+f, the j = 1 probe of each of the eight families over j, and the
+    pair probes at (1, 2).
     """
     n = (L.dim - 4) // 2
     if n < 1 or L.labels != make_schrodinger_labels(n):
@@ -338,27 +345,47 @@ def schrodinger_trimmed_schedule(L: LieAlgebra) -> list[Probe]:
         raise ValueError("the replay schedule requires the Q(i) algebra")
     half = FIELD_QI.one / 2
     idx = range(1, n + 1)
-    out = singleton_probes(L)
+    out = singleton_probes(L)[:4]
+    seeds: dict = {}
 
-    def add(terms: dict, label: str) -> None:
-        out.append(Probe(L.from_terms(terms), label))
+    def add(terms: dict, label: str, family=None, images=None) -> None:
+        # the first probe of a family is its seed; the others move it along images
+        seed = seeds.get(family)
+        out.append(Probe(L.from_terms(terms), label, seed, _index_moves(n, images) if seed else ()))
+        if family:
+            seeds.setdefault(family, out[-1])
 
+    for w in "uv":
+        for j in idx:
+            add({f"{w}_{j}": 1}, f"{w}_{j}", w, {1: j})
     add({"h": 1, "e": 1}, "h+e")
     add({"h": 1, "f": 1}, "h+f")
     for a, w in (("e", "u"), ("f", "v"), ("h", "u"), ("h", "v")):
         for j in idx:
-            add({a: 1, f"{w}_{j}": 1}, f"{a}+{w}_{j}")
+            add({a: 1, f"{w}_{j}": 1}, f"{a}+{w}_{j}", (a, w), {1: j})
     add({"e": 1, "f": 1}, "e+f")
     for j in idx:
         for a, w, cz, zsign in (("f", "v", -half, "-"), ("e", "u", half, "+")):
             for cw, wsign in ((1, "+"), (-1, "-")):
-                add({a: 1, "z": cz, f"{w}_{j}": cw}, f"{a}{zsign}1/2*z{wsign}{w}_{j}")
+                label = f"{a}{zsign}1/2*z{wsign}{w}_{j}"
+                add({a: 1, "z": cz, f"{w}_{j}": cw}, label, (a, wsign), {1: j})
     for p, j in combinations(idx, 2):
-        add({f"u_{p}": 1, f"u_{j}": I}, f"u_{p}+i*u_{j}")
+        add({f"u_{p}": 1, f"u_{j}": I}, f"u_{p}+i*u_{j}", "u+iu", {1: p, 2: j})
         if p == 1:
-            add({"v_1": 1, f"v_{j}": I}, f"v_1+i*v_{j}")
-            add({"u_1": 1, f"u_{j}": 1, "v_1": 1, f"v_{j}": 1}, f"u_1+u_{j}+v_1+v_{j}")
+            add({"v_1": 1, f"v_{j}": I}, f"v_1+i*v_{j}", "v+iv", {2: j})
+            terms = {"u_1": 1, f"u_{j}": 1, "v_1": 1, f"v_{j}": 1}
+            add(terms, f"u_1+u_{j}+v_1+v_{j}", "star", {2: j})
     return out
+
+
+def _index_moves(n: int, images: dict) -> tuple:
+    """The automorphism of S_n that takes u_k, v_k to u_pi(k), v_pi(k)
+    and fixes e, h, f and z, as (index, image) pairs over the basis
+    indices it moves: pi(k) = images[k], and the indices that ``images``
+    reaches but does not move go in order to those it moves but misses."""
+    pi = dict(images)
+    pi.update(zip(sorted(set(pi.values()) - set(pi)), sorted(set(pi) - set(pi.values()))))
+    return tuple((c + k, c + pi[k]) for c in (3, 3 + n) for k in sorted(pi) if pi[k] != k)
 
 
 def replay_proof(n: int) -> CandidateSpace:

@@ -4,7 +4,8 @@ the unit-pivot sparse echelon that the integer kernel replaced), sl2 in a
 basis with non-real structure constants, dense matrix
 and subspace helpers, the field-scalar Leibniz rows and the Der they cut
 out, the dense Der basis, the all-triples Jacobi check, dense oracles for
-the sparse derivation check and the all-pairs product rule, the sparse witness
+the sparse derivation check and the all-pairs product rule, the dense
+inner derivations, the sparse witness
 solve and the indexed Der-annihilation check, and the probe-fold
 oracles: the orbit subspace W_x, ``constrain`` in field scalars, a fold
 over any probe list and the full replay schedule of S_n."""
@@ -17,7 +18,7 @@ from itertools import combinations
 
 from liederiv.dersolve import derivation_space, flatten_map
 from liederiv.exactfield import FIELD_Q, FIELD_QI, GaussianRational, I, inv
-from liederiv.liealg import JacobiVerdict, LieAlgebra, bracket
+from liederiv.liealg import JacobiVerdict, LieAlgebra, ad, bracket
 from liederiv.linalg import Matrix, SparseEchelon, Subspace, sparse_add
 from liederiv import locder
 from liederiv.locder import (
@@ -322,6 +323,13 @@ def dense_der_basis(der) -> tuple:
 
 def full_space(field, n) -> Subspace:
     return Subspace.from_vectors(field, n, identity(field, n).entries)
+
+
+def dense_inner_space(L) -> Subspace:
+    """The span of the flattened dense ad_b over basis elements b, coerced
+    entry by entry (the construction ``dersolve.inner_space`` replaced)."""
+    vecs = [flatten_map(ad(L.basis_element(i))) for i in range(L.dim)]
+    return Subspace.from_vectors(L.field, L.dim * L.dim, vecs)
 
 
 def contains_subspace(a: Subspace, b: Subspace) -> bool:

@@ -458,3 +458,45 @@ def test_der_rejects_any_file_that_is_not_json(tmp_path, capsys, text):
     path = tmp_path / "alg.json"
     path.write_text(text, encoding="utf-8")
     assert_one_line_error(*run_cli(capsys, "der", str(path)))
+
+
+def _parse_output(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _with_the_full_parser(monkeypatch):
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_one_subcommand_parser_prints_what_the_full_parser_prints(capsys, monkeypatch, command):
+    # main builds only the parser of the subcommand it runs; its help, and
+    # a usage error with its exit code 1, read the same as the full parser's
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or real(command))
+    # the last case is an error of the subcommand's parser or, past it, of the top one
+    cases = [(command, "-h"), (command, "--no-such-option"), (command, "a", "b", "c")]
+    one = [_parse_output(capsys, argv) for argv in cases]
+    assert built == [command] * len(cases)
+    _with_the_full_parser(monkeypatch)
+    full = [_parse_output(capsys, argv) for argv in cases]
+    assert one == full
+    assert one[0][0] == ("exit", 0) and one[0][1].startswith(f"usage: liederiv {command} ")
+    assert all(code == 1 and err.startswith("usage: ") for code, _, err in one[1:])
+
+
+def test_help_and_unknown_or_missing_commands_use_the_full_parser(capsys, monkeypatch):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or real(command))
+    assert _parse_output(capsys, ["-h"])[0] == ("exit", 0)
+    assert _parse_output(capsys, [])[0] == 1
+    assert _parse_output(capsys, ["no-such-command"])[0] == 1
+    assert built == [None, None, None]

@@ -40,6 +40,7 @@ from conftest import (
     col,
     complex_sl2,
     contains_subspace,
+    dense_inner_space,
     dense_der_basis,
     dense_is_derivation,
     dense_rows,
@@ -153,6 +154,16 @@ def test_inner_space_dimension_and_containment():
         der = derivation_space(L)
         assert contains_subspace(der.subspace, inn)
     assert inner_space(make_abelian(4)).dim == 0
+
+
+@pytest.mark.parametrize("field", (FIELD_Q, FIELD_QI), ids=("Q", "Qi"))
+def test_inner_space_matches_the_dense_ad_span(field):
+    # the integer rows from ad_images give the same canonical subspace,
+    # row for row, as the dense ad matrices did
+    algebras = [make_schrodinger(n, field) for n in range(1, 9)]
+    algebras += [make_heisenberg(2, field), make_sl2(field), complex_sl2()]
+    for L in algebras:
+        assert inner_space(L).rows == dense_inner_space(L).rows
 
 
 def test_is_derivation_examples():

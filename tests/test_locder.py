@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from liederiv.exactfield import FIELD_Q, FIELD_QI, GaussianRational, I, format_scalar, inv
 from liederiv.liealg import LieAlgebra, ad, make_abelian, make_heisenberg
@@ -144,6 +144,109 @@ def test_a_failed_der_check_leaves_the_candidate_unchanged():
     with pytest.raises(AssertionError, match="does not annihilate Der"):
         constrain(acc, schedule[5])
     assert (acc.dim, acc.history, acc.seen, acc.echelon.rref_rows()) == snapshot
+
+
+def _without_families(probes) -> list:
+    return [Probe(p.element, p.label) for p in probes]
+
+
+def _state(acc) -> tuple:
+    return acc.dim, list(acc.history), set(acc.seen), acc.echelon.rref_rows()
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_moved_families_fold_as_the_direct_probes(n):
+    L = make_schrodinger(n, FIELD_QI)
+    der = derivation_space(L)
+    schedule = schrodinger_trimmed_schedule(L)
+    assert sum(p.seed is None for p in schedule) == (17 if n == 1 else 20)
+    moved, direct = CandidateSpace(der), CandidateSpace(der)
+    locder.fold(moved, schedule)
+    locder.fold(direct, _without_families(schedule))
+    assert moved.history == direct.history
+    assert moved.seen == direct.seen
+    assert moved.echelon.rref_rows() == direct.echelon.rref_rows()
+
+
+def test_the_replay_of_s5_runs_one_orbit_echelon_per_seed(monkeypatch):
+    calls = []
+    orbit = locder._orbit_echelon
+    monkeypatch.setattr(locder, "_orbit_echelon", lambda *a: calls.append(1) or orbit(*a))
+    assert replay_proof(5).equal
+    assert len(calls) == 20
+
+
+@pytest.mark.parametrize(
+    "member_label, sigma, message",
+    [
+        # swapping e and u_1 maps u_1 onto e, but is no automorphism
+        ("e", ((0, 4), (4, 0)), "not an automorphism"),
+        # (1 2) on the indices is an automorphism, but takes u_1 to u_2
+        ("u_3", ((4, 5), (5, 4), (7, 8), (8, 7)), "not sigma of its seed"),
+    ],
+)
+def test_a_bad_family_raises_before_any_row_is_inserted(member_label, sigma, message):
+    L = make_schrodinger(3, FIELD_QI)
+    der = derivation_space(L)
+    seed = Probe(L.from_terms({"u_1": 1}), "u_1")
+    member = Probe(L.from_terms({member_label: 1}), member_label, seed, sigma)
+    before, acc = CandidateSpace(der), CandidateSpace(der)
+    locder.fold(before, [seed])
+    with pytest.raises(ValueError, match=message):
+        locder.fold(acc, [seed, member])
+    assert _state(acc) == _state(before)
+
+
+def test_a_failed_der_check_on_a_moved_probe_leaves_the_candidate_unchanged():
+    L = make_schrodinger(2, FIELD_QI)
+    corrupted = _with_a_corrupted_subspace_row(derivation_space(L))
+    schedule = schrodinger_trimmed_schedule(L)
+    # v_2 is moved from v_1 and is the first probe with a row outside the
+    # corrupted Der's annihilator: the direct probes before it pass
+    assert schedule[7].label == "v_2" and schedule[7].seed is schedule[6]
+    before, acc = CandidateSpace(corrupted), CandidateSpace(corrupted)
+    locder.fold(before, schedule[:7])
+    with pytest.raises(AssertionError, match="does not annihilate Der"):
+        locder.fold(acc, schedule[:8])
+    assert _state(acc) == _state(before)
+
+
+def _index_permutation(n, order) -> tuple:
+    # u_k -> u_order[k], v_k -> v_order[k], as the moved (index, image) pairs
+    moves = [(3 + c + k, 3 + c + j) for c in (0, n) for k, j in enumerate(order, 1)]
+    return tuple((i, j) for i, j in moves if i != j)
+
+
+def test_the_table_check_reads_a_bijection_the_partners_and_the_pairs_onto():
+    # a permutation of the indices of an abelian algebra is an automorphism,
+    # a map that is not one to one, or leaves the basis, is not a permutation
+    A = make_abelian(2)
+    assert locder.permutes_table(A, ((0, 1), (1, 0)))
+    assert not locder.permutes_table(A, ((0, 1),))
+    assert not locder.permutes_table(A, ((0, 2), (2, 0)))
+    # h_1 plus a central c: swapping z and c touches no partner, only the
+    # pair (u, v) onto z; swapping u and c touches no pair onto either
+    H = LieAlgebra("h1_c", FIELD_Q, ("z", "u", "v", "c"), {(1, 2): {0: 1}})
+    assert not locder.permutes_table(H, ((0, 3), (3, 0)))
+    assert not locder.permutes_table(H, ((1, 3), (3, 1)))
+    assert locder.permutes_table(H, ())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.permutations(range(1, n + 1)))))
+def test_index_permutations_permute_the_bracket_table(case):
+    n, order = case
+    assert locder.permutes_table(make_schrodinger(n, FIELD_QI), _index_permutation(n, order))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), st.permutations(range(2 * n + 4)))))
+def test_basis_permutations_mixing_sl2_or_z_with_u_v_fail_the_table_check(case):
+    n, order = case
+    # some of e, h, f, z goes to a u/v index
+    assume(any(j >= 4 for j in order[:4]))
+    sigma = tuple((i, j) for i, j in enumerate(order) if i != j)
+    assert not locder.permutes_table(make_schrodinger(n, FIELD_QI), sigma)
 
 
 _CHECK_ALGEBRAS = {
