@@ -10,14 +10,11 @@ from .exactfield import (
     format_scalar,
     inv,
 )
-from .linalg import Matrix, Subspace, subspace_intersect, subspace_sum
+from .linalg import Matrix, Subspace
 from .liealg import (
     AlgebraElement,
     JacobiError,
     LieAlgebra,
-    ad,
-    bracket,
-    center,
     check_jacobi,
     load,
     make_abelian,
@@ -29,7 +26,6 @@ from .dersolve import (
     DerivationSpace,
     LeibnizError,
     derivation_space,
-    flatten_map,
     inner_space,
     is_derivation,
 )

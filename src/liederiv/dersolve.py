@@ -8,8 +8,9 @@ exactly, re-checks every basis map against the product rule, and spans
 the inner derivations ad_x.  The named outer derivations of
 the Schrodinger algebra live in ``schrodinger``.
 
-Linear maps are square Matrix values or their sparse columns; for
-subspace embeddings a map is flattened column-major (entry j*d + r is D[r, j]).
+A map enters as a parsed square Matrix and is read by its sparse
+columns; a subspace of maps holds D[r, j] at coordinate j*d + r of the
+map space.
 """
 
 from __future__ import annotations
@@ -20,11 +21,6 @@ from typing import Iterator, Optional, Sequence
 from .exactfield import Frozen, setfield
 from .liealg import LieAlgebra
 from .linalg import Matrix, SparseEchelon, Subspace, apply_index, encode_columns
-
-
-def flatten_map(m: Matrix) -> tuple:
-    """Column-major flattening, the fixed convention for map subspaces."""
-    return tuple(m.entries[i][j] for j in range(m.ncols) for i in range(m.nrows))
 
 
 def leibniz_rows(L: LieAlgebra) -> Iterator[dict]:
@@ -249,15 +245,21 @@ def derivation_space(L: LieAlgebra) -> DerivationSpace:
     return DerivationSpace(L, tuple(columns), space)
 
 
-def inner_space(L: LieAlgebra) -> Subspace:
-    """Span of the flattened ad_b over basis elements b, from integer rows:
-    column j of ad_(b_k) is [b_k, b_j], read off ``L.ad_images``."""
+def inner_rows(L: LieAlgebra) -> dict:
+    """``{k: row}``, ascending, over the k with ad_(b_k) != 0: the row is
+    ad_(b_k) in integer form on the map space, at ``L.table_scale``.
+    Column j of ad_(b_k) is [b_k, b_j], read off ``L.ad_images``."""
     d, w = L.dim, L.field.width
     rows: dict = {}
     for j in range(d):
         for k, img in L.ad_images({w * j: 1}).items():
             rows.setdefault(k, {}).update((w * d * j + q, v) for q, v in img.items())
-    acc = SparseEchelon(L.field, d * d)
-    for k in sorted(rows):
-        acc.insert_integer(rows[k])
+    return {k: rows[k] for k in sorted(rows)}
+
+
+def inner_space(L: LieAlgebra) -> Subspace:
+    """The span of the ad_b over basis elements b (``inner_rows``)."""
+    acc = SparseEchelon(L.field, L.dim * L.dim)
+    for row in inner_rows(L).values():
+        acc.insert_integer(row)
     return acc.row_space()

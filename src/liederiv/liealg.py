@@ -14,7 +14,7 @@ import json
 from typing import Optional, Sequence
 
 from .exactfield import FIELD_Q, Field, Frozen, field_of, format_scalar, setfield
-from .linalg import Matrix, Subspace, SparseEchelon, apply_index, encode_columns
+from .linalg import apply_index, encode_columns
 
 
 class JacobiError(ValueError):
@@ -49,12 +49,10 @@ class LieAlgebra(Frozen):
 
     # rebuilt through the constructor, which checks Jacobi again
     __match_args__ = ("name", "field", "labels", "table")
-    # ``_brackets`` is ``table`` together with its negated transposes, so
-    # ``bracket_basis`` reads either order without building a dict; ``_ad``
-    # maps integer column w*r + t (w the field's ``width``) to
+    # ``_ad`` maps integer column w*r + t (w the field's ``width``) to
     # [(k, form of u_t [b_k, b_r]), ..] (``Field.rotations``)
     __slots__ = (
-        "name", "field", "labels", "index", "table", "_brackets", "integer_table",
+        "name", "field", "labels", "index", "table", "integer_table",
         "table_scale", "partners", "onto", "_ad",
     )
 
@@ -83,10 +81,6 @@ class LieAlgebra(Frozen):
         setfield(self, "labels", labels)
         setfield(self, "index", {lab: i for i, lab in enumerate(labels)})
         setfield(self, "table", table)
-        brackets = dict(table)
-        for (i, j), terms in table.items():
-            brackets[(j, i)] = {k: -c for k, c in terms.items()}
-        setfield(self, "_brackets", brackets)
         forms, scale = encode_columns(field, tuple(table.values()), len(labels))
         ints, partners, onto, ad = {}, [[] for _ in labels], [[] for _ in labels], {}
         for (i, j), form in zip(table, forms):
@@ -125,10 +119,6 @@ class LieAlgebra(Frozen):
 
     def __hash__(self):
         return hash((self.field, self.labels))
-
-    def bracket_basis(self, i: int, j: int) -> dict:
-        """Sparse coordinates of [b_i, b_j], to be read, not changed."""
-        return self._brackets.get((i, j), {})
 
     def ad_images(self, parts: dict) -> dict:
         """The nonzero [b_k, x] in integer form by k, ascending, given the
@@ -195,33 +185,6 @@ def _same_algebra(x: AlgebraElement, y: AlgebraElement):
         raise ValueError("elements of different algebras")
 
 
-def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Bilinear bracket [x, y] expanded through the structure constants."""
-    _same_algebra(x, y)
-    L = x.algebra
-    out = [L.field.zero] * L.dim
-    for (i, j), terms in L.table.items():
-        a = x.coords[i] * y.coords[j] - x.coords[j] * y.coords[i]
-        if a:
-            for k, c in terms.items():
-                out[k] = out[k] + a * c
-    return AlgebraElement(L, tuple(out))
-
-
-def ad(x: AlgebraElement) -> Matrix:
-    """Matrix of ad_x = [x, .] in the algebra basis (columns = images)."""
-    L = x.algebra
-    cols = []
-    for j in range(L.dim):
-        col = [L.field.zero] * L.dim
-        for i, xi in enumerate(x.coords):
-            if xi:
-                for k, c in L.bracket_basis(i, j).items():
-                    col[k] = col[k] + xi * c
-        cols.append(col)
-    return Matrix(L.field, list(map(list, zip(*cols))))
-
-
 def check_jacobi(L: LieAlgebra) -> JacobiVerdict:
     """Verify [[a,b],c] + [[b,c],a] + [[c,a],b] = 0 on all basis triples.
 
@@ -246,21 +209,6 @@ def check_jacobi(L: LieAlgebra) -> JacobiVerdict:
         if any(acc.values()):
             return JacobiVerdict(False, (L.labels[a], L.labels[b], L.labels[c]))
     return JacobiVerdict(True)
-
-
-def center(L: LieAlgebra) -> Subspace:
-    """{x : [x, L] = 0} via the nullspace of the stacked ad-matrices."""
-    acc = SparseEchelon(L.field, L.dim)
-    for j in range(L.dim):
-        for k in range(L.dim):
-            row = {}
-            for i in range(L.dim):
-                c = L.bracket_basis(i, j).get(k)
-                if c:
-                    row[i] = c
-            if row:
-                acc.insert(row)
-    return acc.nullspace()
 
 
 def make_heisenberg(n: int, field: Field = FIELD_Q) -> LieAlgebra:

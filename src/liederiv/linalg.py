@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import heapq
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .exactfield import FIELD_Q, Field, FieldMismatchError, Frozen, setfield
+from .exactfield import FIELD_Q, Field, Frozen, setfield
 
 
 class Matrix(Frozen):
@@ -41,24 +41,6 @@ class Matrix(Frozen):
     def __repr__(self):
         return f"Matrix({self.field}, {self.nrows}x{self.ncols})"
 
-    def add(self, other: "Matrix") -> "Matrix":
-        _same_field(self, other)
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch in add")
-        return Matrix(
-            self.field,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
-        )
-
-    def scale(self, c) -> "Matrix":
-        c = self.field.coerce(c)
-        return Matrix(self.field, [[c * x for x in row] for row in self.entries])
-
-
-def _same_field(a, b):
-    if a.field != b.field:
-        raise FieldMismatchError(f"mixed fields {a.field} and {b.field}")
-
 
 class Subspace(Frozen):
     """Subspace of field**n, stored as its canonical RREF basis: sparse
@@ -77,16 +59,6 @@ class Subspace(Frozen):
         setfield(self, "rows", rows)
         setfield(self, "pivots", tuple(min(row) for row in rows))
 
-    @classmethod
-    def from_vectors(cls, field: Field, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        acc = SparseEchelon(field, ambient_dim)
-        for v in vectors:
-            if len(v) != ambient_dim:
-                raise ValueError("vector length does not match ambient dimension")
-            row = list(map(field.coerce, v))
-            acc.insert({j: x for j, x in enumerate(row) if x})
-        return acc.row_space()
-
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -97,55 +69,6 @@ class Subspace(Frozen):
 
     def __repr__(self):
         return f"Subspace({self.field}, dim {self.dim} of {self.ambient_dim})"
-
-    def coordinates(self, v: Sequence) -> Optional[tuple]:
-        """Coefficients of v over the basis rows, or None if v is outside.
-
-        Because the basis is in RREF, the candidate coefficients are read
-        off at the pivot columns and then verified exactly.
-        """
-        if len(v) != self.ambient_dim:
-            raise ValueError("dimension mismatch in membership test")
-        v = list(map(self.field.coerce, v))
-        coeffs = tuple(v[p] for p in self.pivots)
-        residue = {j: x for j, x in enumerate(v) if x}
-        for c, row in zip(coeffs, self.rows):
-            if c:
-                for j, x in row.items():
-                    sparse_add(residue, j, -(c * x))
-        return None if residue else coeffs
-
-    def contains(self, v: Sequence) -> bool:
-        return self.coordinates(v) is not None
-
-
-def _same_space(a: Subspace, b: Subspace):
-    _same_field(a, b)
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    _same_space(a, b)
-    acc = SparseEchelon(a.field, a.ambient_dim)
-    for row in a.rows + b.rows:
-        acc.insert(row)
-    return acc.row_space()
-
-
-def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection via the Zassenhaus elimination: insert the rows
-    (x | x) for x in a and (y | 0) for y in b; the RREF rows with a pivot
-    at or past n span the intersection, already in canonical form."""
-    _same_space(a, b)
-    n = a.ambient_dim
-    acc = SparseEchelon(a.field, 2 * n)
-    for row in a.rows:
-        acc.insert({**row, **{c + n: x for c, x in row.items()}})
-    for row in b.rows:
-        acc.insert(row)
-    rows = tuple({c - n: x for c, x in r.items()} for r in acc.rref_rows() if min(r) >= n)
-    return Subspace(a.field, n, rows)
 
 
 class SparseEchelon:
@@ -335,16 +258,6 @@ class SparseEchelon:
         for vec in self.integer_nullspace():
             out.insert_integer(vec)
         return out.row_space()
-
-
-def sparse_add(row: dict, col: int, val) -> None:
-    """row[col] += val on a sparse ``{column: scalar}`` dict, dropping zeros."""
-    cur = row.get(col)
-    nv = val if cur is None else cur + val
-    if nv:
-        row[col] = nv
-    else:
-        row.pop(col, None)
 
 
 def encode_columns(field: Field, columns: Sequence[dict], size: int) -> tuple:

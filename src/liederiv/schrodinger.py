@@ -14,8 +14,11 @@ checks behind the direct sum (``outer_check``), and names the free
 parameters of the per-basis-element images that the singleton
 constraints leave (``AsosShape``).
 
-Every map here is addressed by basis label through ``_label_map``, so the
-basis order is written down only in ``make_schrodinger_labels``.
+Every map here is addressed by basis label through ``_label_columns``, so
+the basis order is written down only in ``make_schrodinger_labels``.  The
+checks run on the sparse columns and their integer forms; ``_label_map``
+turns them into the Matrix that ``sigma``, ``tau`` and
+``AsosShape.parameters`` return.
 """
 
 from __future__ import annotations
@@ -25,10 +28,9 @@ from itertools import combinations
 from typing import Optional
 
 from .exactfield import FIELD_Q, FIELD_QI, I, Field, Frozen, setfield
-from .liealg import AlgebraElement, LieAlgebra, ad
-from .linalg import Matrix, Subspace, encode_columns, solve_columns
-from .linalg import subspace_intersect, subspace_sum
-from .dersolve import LeibnizError, derivation_space, flatten_map, inner_space, is_derivation
+from .liealg import AlgebraElement, LieAlgebra
+from .linalg import Matrix, SparseEchelon, combine_forms, encode_columns, solve_columns
+from .dersolve import LeibnizError, _product_rule, derivation_space, inner_rows, is_derivation
 from .locder import CandidateSpace, Probe, basis_probe_space, fold, singleton_probes
 
 
@@ -76,14 +78,42 @@ def schrodinger_rank(L: LieAlgebra) -> Optional[int]:
     return n if L == make_schrodinger(n, L.field) else None
 
 
-def _label_map(n: int, field: Field, entries: dict) -> Matrix:
-    """The map on the basis of S_n with entry c at (row, column) for each
-    ``{(row_label, col_label): c}``, zero elsewhere."""
+def _label_columns(n: int, entries: dict) -> tuple:
+    """The sparse columns ``{row: c}`` of the map on the basis of S_n with
+    entry c at (row, column) for each ``{(row_label, col_label): c}``."""
     index = {lab: i for i, lab in enumerate(make_schrodinger_labels(n))}
-    rows = [[0] * len(index) for _ in index]
+    cols = tuple({} for _ in index)
     for (r, c), x in entries.items():
-        rows[index[r]][index[c]] = x
-    return Matrix(field, rows)
+        cols[index[c]][index[r]] = x
+    return cols
+
+
+def _label_map(n: int, field: Field, entries: dict) -> Matrix:
+    """``_label_columns`` as a Matrix over ``field``."""
+    cols = _label_columns(n, entries)
+    return Matrix(field, [[col.get(r, 0) for col in cols] for r in range(len(cols))])
+
+
+def _sigma_entries(n: int, l: int, k: int) -> dict:
+    if n < 2:
+        raise ValueError("pair rotations need n >= 2")
+    if not 1 <= l < k <= n:
+        raise ValueError(f"indices must satisfy 1 <= l < k <= n, got ({l}, {k})")
+    entries = {}
+    for w in "uv":
+        entries[(f"{w}_{k}", f"{w}_{l}")] = 1
+        entries[(f"{w}_{l}", f"{w}_{k}")] = -1
+    return entries
+
+
+def _tau_entries(n: int) -> dict:
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    entries = {("z", "z"): 1}
+    for k in range(1, n + 1):
+        for lab in (f"u_{k}", f"v_{k}"):
+            entries[(lab, lab)] = Fraction(1, 2)
+    return entries
 
 
 def sigma(n: int, l: int, k: int, field: Field = FIELD_Q) -> Matrix:
@@ -93,38 +123,29 @@ def sigma(n: int, l: int, k: int, field: Field = FIELD_Q) -> Matrix:
     The antisymmetric delta pattern is forced: the same-index variant
     fails the product rule on the pair (u_l, v_k).
     """
-    if n < 2:
-        raise ValueError("pair rotations need n >= 2")
-    if not 1 <= l < k <= n:
-        raise ValueError(f"indices must satisfy 1 <= l < k <= n, got ({l}, {k})")
-    entries = {}
-    for w in "uv":
-        entries[(f"{w}_{k}", f"{w}_{l}")] = 1
-        entries[(f"{w}_{l}", f"{w}_{k}")] = -1
-    return _label_map(n, field, entries)
+    return _label_map(n, field, _sigma_entries(n, l, k))
 
 
 def tau(n: int, field: Field = FIELD_Q) -> Matrix:
     """Outer derivation complementing the inner grading: z -> z and
     u_k -> u_k/2, v_k -> v_k/2, zero on e, h, f."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    entries = {("z", "z"): 1}
-    for k in range(1, n + 1):
-        for lab in (f"u_{k}", f"v_{k}"):
-            entries[(lab, lab)] = Fraction(1, 2)
-    return _label_map(n, field, entries)
+    return _label_map(n, field, _tau_entries(n))
 
 
 def sigma_pairs(n: int) -> list:
     return [(l, k) for l in range(1, n + 1) for k in range(l + 1, n + 1)]
 
 
-def outer_span(n: int, field: Field = FIELD_Q) -> Subspace:
-    """Canonical span of the sigma maps in the flattened map space."""
-    d = 2 * n + 4
-    vecs = [flatten_map(sigma(n, l, k, field)) for (l, k) in sigma_pairs(n)]
-    return Subspace.from_vectors(field, d * d, vecs)
+def _outer_columns(n: int) -> list:
+    """The sparse columns of sigma_lk over ``sigma_pairs``, then of tau."""
+    maps = [_label_columns(n, _sigma_entries(n, l, k)) for l, k in sigma_pairs(n)]
+    return maps + [_label_columns(n, _tau_entries(n))]
+
+
+def _map_row(forms: list, d: int, w: int) -> dict:
+    """The integer form on the map space (D[r, j] at j*d + r) of a map
+    given by the integer forms of its columns."""
+    return {w * d * j + q: v for j, form in enumerate(forms) for q, v in form.items()}
 
 
 class DerDecomposition(Frozen):
@@ -132,8 +153,7 @@ class DerDecomposition(Frozen):
     on the n-th Schrodinger algebra.
 
     inner_part carries no z component (ad_z = 0 makes that coordinate
-    unidentifiable); reassembly reproduces the input map exactly.
-    """
+    unidentifiable)."""
 
     __slots__ = __match_args__ = ("algebra", "n", "inner_part", "sigma_coeffs", "tau_coeff")
 
@@ -151,16 +171,6 @@ class DerDecomposition(Frozen):
         setfield(self, "sigma_coeffs", sigma_coeffs)
         setfield(self, "tau_coeff", tau_coeff)
 
-    def reassemble(self) -> Matrix:
-        field = self.algebra.field
-        m = ad(self.inner_part)
-        for (l, k), c in self.sigma_coeffs.items():
-            if c:
-                m = m.add(sigma(self.n, l, k, field).scale(c))
-        if self.tau_coeff:
-            m = m.add(tau(self.n, field).scale(self.tau_coeff))
-        return m
-
 
 def decompose(L: LieAlgebra, D: Matrix, n: Optional[int] = None) -> DerDecomposition:
     """Resolve a derivation of the Schrodinger algebra against the
@@ -169,7 +179,12 @@ def decompose(L: LieAlgebra, D: Matrix, n: Optional[int] = None) -> DerDecomposi
     ``n`` is the Schrodinger rank of L when the caller has already
     established it (``schrodinger_rank``, or L built by
     ``make_schrodinger(n)``); otherwise it is computed here.  A map that
-    fails the product rule raises ``LeibnizError`` with the failing pair."""
+    fails the product rule raises ``LeibnizError`` with the failing pair.
+
+    The solve runs on integer forms of the map space: the ad_b at
+    ``L.table_scale`` (``inner_rows``), and sigma, tau and D at the one
+    scale of their columns; the integer combination is re-checked exactly
+    against D before the coefficients are read out."""
     n = schrodinger_rank(L) if n is None else n
     if n is None:
         raise ValueError("operation requires a generated Schrodinger algebra")
@@ -178,56 +193,67 @@ def decompose(L: LieAlgebra, D: Matrix, n: Optional[int] = None) -> DerDecomposi
     verdict = is_derivation(L, D)
     if not verdict.ok:
         raise LeibnizError(verdict.failing_pair)
-    d = L.dim
+    field, d, w = L.field, L.dim, L.field.width
     ad_indices = [i for i in range(d) if L.labels[i] != "z"]
-    pairs = sigma_pairs(n)
-    maps = [ad(L.basis_element(i)) for i in ad_indices]
-    maps += [sigma(n, l, k, L.field) for l, k in pairs] + [tau(n, L.field), D]
-    forms, _ = encode_columns(L.field, [dict(enumerate(flatten_map(M))) for M in maps], d * d)
-    sol, _ = solve_columns(L.field, forms[:-1], forms[-1])
+    inner = inner_rows(L)
+    maps = _outer_columns(n) + [D.sparse_columns()]
+    forms, scale = encode_columns(field, [c for cols in maps for c in cols], d)
+    rows = [_map_row(forms[d * m : d * (m + 1)], d, w) for m in range(len(maps))]
+    columns = [inner.get(i, {}) for i in ad_indices] + rows[:-1]
+    sol, _ = solve_columns(field, columns, rows[-1])
     if sol is None:
         raise AssertionError("derivation escaped the inner + sigma + tau span")
-    # the forms share one scale, so c reads as the coefficients over lam
-    sol = L.field.decode(dict(enumerate(sol)), len(sol) - 1)
-    coeffs = [sol.get(k, L.field.zero) for k in range(len(forms) - 1)]
-    inner_coords = [L.field.zero] * d
+    turned = [f for col in columns for f in (col, *field.rotations(col))]
+    if combine_forms(turned, sol[:-1]) != {r: sol[-1] * v for r, v in rows[-1].items()}:
+        raise AssertionError("decomposition failed to reassemble exactly")
+    # c_k = (sum_t c_(w*k+t) u_t) * (scale of column k) / (lam * scale of D)
+    scales = [L.table_scale] * len(ad_indices) + [scale] * len(maps)
+    sol = field.decode({q: c * scales[q // w] for q, c in enumerate(sol) if c}, w * len(columns))
+    coeffs = [sol.get(k, field.zero) for k in range(len(columns))]
+    inner_coords = [field.zero] * d
     for i, c in zip(ad_indices, coeffs):
         inner_coords[i] = c
-    sigma_coeffs = dict(zip(pairs, coeffs[len(ad_indices):]))
-    out = DerDecomposition(L, n, L.element(inner_coords), sigma_coeffs, coeffs[-1])
-    if out.reassemble() != D:
-        raise AssertionError("decomposition failed to reassemble exactly")
-    return out
+    sigma_coeffs = dict(zip(sigma_pairs(n), coeffs[len(ad_indices):]))
+    return DerDecomposition(L, n, L.element(inner_coords), sigma_coeffs, coeffs[-1])
 
 
 def outer_check(n: int, field: Field = FIELD_Q) -> dict:
     """The report behind Der(S_n) = inner + span(sigma) + span(tau): each
     sigma_lk and tau satisfies the product rule, the sigma span meets the
     inner derivations trivially, tau lies outside their sum, and the three
-    together span Der; ``ok`` holds when every check does."""
+    together span Der; ``ok`` holds when every check does.
+
+    The spans are read off one integer echelon on the map space, fed the
+    inner rows (``inner_rows``), then the sigma_lk, then tau: the sigma
+    span meets the inner one trivially when the rank grows by one per
+    sigma_lk, tau lies outside when it grows once more, and the sum is Der
+    when its rank is dim Der and no row of Der grows it further."""
     L = make_schrodinger(n, field)
     der = derivation_space(L)
-    inn = inner_space(L)
+    d, w = L.dim, field.width
     pairs = sigma_pairs(n)
+    acc = SparseEchelon(field, d * d)
+    for row in inner_rows(L).values():
+        acc.insert_integer(row)
+    inner_dim = acc.rank
+    forms = [encode_columns(field, cols, d)[0] for cols in _outer_columns(n)]
     checks = {
-        f"sigma_{l}{k}_leibniz": is_derivation(L, sigma(n, l, k, field)).ok for l, k in pairs
+        f"sigma_{l}{k}_leibniz": _product_rule(L, f).ok for (l, k), f in zip(pairs, forms)
     }
-    t = tau(n, field)
-    checks["tau_leibniz"] = is_derivation(L, t).ok
-    span_sigma = outer_span(n, field)
-    checks["sigma_span_meets_inner_trivially"] = subspace_intersect(span_sigma, inn).dim == 0
-    inn_sigma = subspace_sum(inn, span_sigma)
-    tau_flat = flatten_map(t)
-    checks["tau_outside_inner_plus_sigma"] = not inn_sigma.contains(tau_flat)
-    tau_span = Subspace.from_vectors(field, L.dim * L.dim, [tau_flat])
-    full = subspace_sum(inn_sigma, tau_span)
-    checks["inner_plus_sigma_plus_tau_equals_der"] = full == der.subspace
+    checks["tau_leibniz"] = _product_rule(L, forms[-1]).ok
+    for f in forms[:-1]:
+        acc.insert_integer(_map_row(f, d, w))
+    checks["sigma_span_meets_inner_trivially"] = acc.rank == inner_dim + len(pairs)
+    checks["tau_outside_inner_plus_sigma"] = acc.insert_integer(_map_row(forms[-1], d, w))
+    checks["inner_plus_sigma_plus_tau_equals_der"] = acc.rank == der.dim and not any(
+        acc.insert(row) for row in der.subspace.rows
+    )
     return {
         "algebra": L.name,
         "n": n,
         "field": field.tag,
         "der_dim": der.dim,
-        "inner_dim": inn.dim,
+        "inner_dim": inner_dim,
         "sigma_count": len(pairs),
         "checks": checks,
         "ok": all(checks.values()),
@@ -247,8 +273,9 @@ class AsosShape(Frozen):
     def __init__(self, n: int):
         setfield(self, "n", n)
 
-    def parameters(self, field: Field = FIELD_Q) -> list:
-        """(name, map) pairs; each map has the single entry c at (row, col)."""
+    def entries(self) -> list:
+        """(name, row label, column label, c) per parameter: its map has
+        the single entry c at (row, column)."""
         ks = range(1, self.n + 1)
         spec = [("alpha_f(e)", "h", "e", 1), ("alpha_h(e)", "e", "e", 2)]
         spec += [(f"alpha_v_{k}(e)", f"u_{k}", "e", -1) for k in ks]
@@ -270,7 +297,11 @@ class AsosShape(Frozen):
             spec += [(f"mu_{k}_{j}({vj})", f"v_{k}", vj, -1) for k in range(1, j)]
             spec += [(f"mu_{j}_{l}({vj})", f"v_{l}", vj, 1) for l in range(j + 1, self.n + 1)]
         spec.append(("lambda(z)", "z", "z", 1))
-        return [(name, _label_map(self.n, field, {(r, c): x})) for name, r, c, x in spec]
+        return spec
+
+    def parameters(self, field: Field = FIELD_Q) -> list:
+        """(name, map) pairs; each map has the single entry c at (row, col)."""
+        return [(name, _label_map(self.n, field, {(r, c): x})) for name, r, c, x in self.entries()]
 
 
 class AsosVerdict(Frozen):
@@ -291,17 +322,19 @@ def asos_shape_check(n: int, field: Field = FIELD_Q) -> AsosVerdict:
         raise ValueError("n must be at least 1")
     L = make_schrodinger(n, field)
     singles = basis_probe_space(derivation_space(L))
-    params = AsosShape(n).parameters(field)
-    span = Subspace.from_vectors(
-        field, L.dim * L.dim, [flatten_map(mat) for _, mat in params]
-    )
+    entries = AsosShape(n).entries()
+    d, w = L.dim, field.width
+    acc = SparseEchelon(field, d * d)
+    for _, r, c, x in entries:
+        acc.insert_integer({w * (L.index[c] * d + L.index[r]): x})
+    span = acc.row_space()
     expected = 2 * n * n + 8 * n + 7
     equal = span == singles.space
     note = (
         "signs in the printed per-parameter images only flip basis directions; "
         "the span comparison is sign-insensitive"
     )
-    return AsosVerdict(equal, span.dim, expected, len(params), note)
+    return AsosVerdict(equal, span.dim, expected, len(entries), note)
 
 
 def schrodinger_trimmed_schedule(L: LieAlgebra) -> list[Probe]:

@@ -1,14 +1,19 @@
 """Shared helpers: random exact scalars, independent elimination
 oracles used to cross-check the production linear algebra (among them
 the unit-pivot sparse echelon that the integer kernel replaced), sl2 in a
-basis with non-real structure constants, dense matrix
-and subspace helpers, the field-scalar Leibniz rows and the Der they cut
-out, the dense Der basis, the all-triples Jacobi check, dense oracles for
-the sparse derivation check and the all-pairs product rule, the dense
-inner derivations, the sparse witness
-solve and the indexed Der-annihilation check, and the probe-fold
-oracles: the orbit subspace W_x, ``constrain`` in field scalars, a fold
-over any probe list and the full replay schedule of S_n."""
+basis with non-real structure constants, and the dense maps and
+subspaces that the package itself no longer builds: the bracket of two
+elements, ad, the centre and the field-scalar bracket table in either
+order, flattened maps and their linear combinations, the span of dense
+vectors with membership, sum and Zassenhaus intersection, the dense
+report behind ``outer_check`` and the reassembly of a ``decompose``
+result.  Also the field-scalar Leibniz rows and the Der they cut out,
+the dense Der basis, the all-triples Jacobi check, dense oracles for the
+sparse derivation check and the all-pairs product rule, the dense inner
+derivations, the sparse witness solve and the indexed Der-annihilation
+check, and the probe-fold oracles: the orbit subspace W_x,
+``constrain`` in field scalars, a fold over any probe list and the full
+replay schedule of S_n."""
 
 import copy
 import heapq
@@ -16,10 +21,10 @@ import pickle
 from fractions import Fraction
 from itertools import combinations
 
-from liederiv.dersolve import derivation_space, flatten_map
-from liederiv.exactfield import FIELD_Q, FIELD_QI, GaussianRational, I, inv
-from liederiv.liealg import JacobiVerdict, LieAlgebra, ad, bracket
-from liederiv.linalg import Matrix, SparseEchelon, Subspace, sparse_add
+from liederiv.dersolve import derivation_space
+from liederiv.exactfield import FIELD_Q, FIELD_QI, FieldMismatchError, GaussianRational, I, inv
+from liederiv.liealg import AlgebraElement, JacobiVerdict, LieAlgebra
+from liederiv.linalg import Matrix, SparseEchelon, Subspace
 from liederiv import locder
 from liederiv.locder import (
     CandidateSpace,
@@ -29,6 +34,7 @@ from liederiv.locder import (
     singleton_probes,
     _orbit_echelon,
 )
+from liederiv.schrodinger import make_schrodinger, sigma, sigma_pairs, tau
 
 
 def rand_fraction(rng, lo=-9, hi=9, den=4):
@@ -151,6 +157,160 @@ class UnitPivotEchelon:
         return out
 
 
+def sparse_add(row: dict, col: int, val) -> None:
+    """row[col] += val on a sparse ``{column: scalar}`` dict, dropping zeros."""
+    nv = row.get(col, 0) + val
+    if nv:
+        row[col] = nv
+    else:
+        row.pop(col, None)
+
+
+def bracket_basis(L, i: int, j: int) -> dict:
+    """Sparse coordinates of [b_i, b_j] in either order, off ``L.table``."""
+    if i < j:
+        return L.table.get((i, j), {})
+    return {k: -c for k, c in L.table.get((j, i), {}).items()}
+
+
+def bracket(x, y):
+    """[x, y] expanded through the structure constants, in field scalars."""
+    L = x.algebra
+    out = [L.field.zero] * L.dim
+    for (i, j), terms in L.table.items():
+        a = x.coords[i] * y.coords[j] - x.coords[j] * y.coords[i]
+        if a:
+            for k, c in terms.items():
+                out[k] = out[k] + a * c
+    return AlgebraElement(L, tuple(out))
+
+
+def ad(x) -> Matrix:
+    """The dense matrix of ad_x = [x, .]: column j is [x, b_j]."""
+    L = x.algebra
+    cols = [bracket(x, L.basis_element(j)).coords for j in range(L.dim)]
+    return Matrix(L.field, list(zip(*cols)))
+
+
+def center(L) -> Subspace:
+    """{x : [x, L] = 0}: the nullspace of the stacked ad-matrices."""
+    d = L.dim
+    rows = [[bracket_basis(L, i, j).get(k, 0) for i in range(d)] for j in range(d) for k in range(d)]
+    return nullspace(Matrix(L.field, rows))
+
+
+def flatten_map(m: Matrix) -> tuple:
+    """Column-major flattening: entry j*d + i is M[i, j]."""
+    return tuple(m.entries[i][j] for j in range(m.ncols) for i in range(m.nrows))
+
+
+def combine(terms) -> Matrix:
+    """The dense matrix sum c * M over the (c, M) pairs, which share a
+    field and a shape."""
+    terms = list(terms)
+    field, first = terms[0][1].field, terms[0][1]
+    rows = [[field.zero] * first.ncols for _ in range(first.nrows)]
+    for c, m in terms:
+        c = field.coerce(c)
+        for row, mrow in zip(rows, m.entries):
+            for j, x in enumerate(mrow):
+                row[j] = row[j] + c * x
+    return Matrix(field, rows)
+
+
+def reassemble(dec) -> Matrix:
+    """ad(inner_part) + sum mu_lk sigma_lk + lambda tau of a
+    ``DerDecomposition``, dense."""
+    field, n = dec.algebra.field, dec.n
+    terms = [(1, ad(dec.inner_part)), (dec.tau_coeff, tau(n, field))]
+    terms += [(c, sigma(n, l, k, field)) for (l, k), c in dec.sigma_coeffs.items()]
+    return combine(terms)
+
+
+def span(field, n, vectors) -> Subspace:
+    """The canonical span of dense vectors of length n, through the
+    field-scalar ``SparseEchelon.insert``."""
+    acc = SparseEchelon(field, n)
+    for v in vectors:
+        if len(v) != n:
+            raise ValueError("vector length does not match ambient dimension")
+        acc.insert({j: x for j, x in enumerate(map(field.coerce, v)) if x})
+    return acc.row_space()
+
+
+def coordinates(s: Subspace, v):
+    """Coefficients of the dense v over the canonical rows of s, or None
+    if v is outside: read off at the pivot columns (the rows are in RREF),
+    then verified exactly."""
+    if len(v) != s.ambient_dim:
+        raise ValueError("dimension mismatch in membership test")
+    v = [s.field.coerce(x) for x in v]
+    coeffs = tuple(v[p] for p in s.pivots)
+    z = s.field.zero
+    rebuilt = [sum((c * row.get(j, z) for c, row in zip(coeffs, s.rows)), z) for j in range(len(v))]
+    return coeffs if rebuilt == v else None
+
+
+def contains(s: Subspace, v) -> bool:
+    return coordinates(s, v) is not None
+
+
+def _same_space(a: Subspace, b: Subspace):
+    if a.field != b.field:
+        raise FieldMismatchError(f"mixed fields {a.field} and {b.field}")
+    if a.ambient_dim != b.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+
+
+def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
+    _same_space(a, b)
+    return span(a.field, a.ambient_dim, dense_rows(a) + dense_rows(b))
+
+
+def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
+    """Zassenhaus: the RREF rows of (x | x) for x in a and (y | 0) for y
+    in b with a pivot at or past n span the intersection, canonically."""
+    _same_space(a, b)
+    n, z = a.ambient_dim, a.field.zero
+    stacked = [row + row for row in dense_rows(a)] + [row + (z,) * n for row in dense_rows(b)]
+    rows = span(a.field, 2 * n, stacked).rows
+    return Subspace(a.field, n, tuple({c - n: x for c, x in r.items()} for r in rows if min(r) >= n))
+
+
+def dense_outer_report(n, field) -> dict:
+    """The ``outer_check`` report from dense maps and subspaces: the
+    product rule through ``dense_is_derivation``, the sigma span met with
+    ``dense_inner_space`` by Zassenhaus, tau tested by membership, and the
+    sum compared with Der from ``field_der_subspace``."""
+    L = make_schrodinger(n, field)
+    dd = L.dim * L.dim
+    pairs = sigma_pairs(n)
+    sigmas = [sigma(n, l, k, field) for l, k in pairs]
+    t = tau(n, field)
+    checks = {
+        f"sigma_{l}{k}_leibniz": dense_is_derivation(L, s)[0] for (l, k), s in zip(pairs, sigmas)
+    }
+    checks["tau_leibniz"] = dense_is_derivation(L, t)[0]
+    inn = dense_inner_space(L)
+    span_sigma = span(field, dd, [flatten_map(s) for s in sigmas])
+    checks["sigma_span_meets_inner_trivially"] = subspace_intersect(span_sigma, inn).dim == 0
+    inn_sigma = subspace_sum(inn, span_sigma)
+    checks["tau_outside_inner_plus_sigma"] = not contains(inn_sigma, flatten_map(t))
+    full = subspace_sum(inn_sigma, span(field, dd, [flatten_map(t)]))
+    der = field_der_subspace(L)
+    checks["inner_plus_sigma_plus_tau_equals_der"] = full == der
+    return {
+        "algebra": L.name,
+        "n": n,
+        "field": field.tag,
+        "der_dim": der.dim,
+        "inner_dim": inn.dim,
+        "sigma_count": len(pairs),
+        "checks": checks,
+        "ok": all(checks.values()),
+    }
+
+
 def rref(m: Matrix) -> tuple[Matrix, int]:
     """Dense reduced row-echelon form and rank.
 
@@ -204,7 +364,7 @@ def field_leibniz_rows(L):
     d = L.dim
     for i in range(d):
         for j in range(i + 1, d):
-            cij = L.bracket_basis(i, j)
+            cij = bracket_basis(L, i, j)
             per_k: dict[int, dict] = {}
             for k in range(d):
                 row: dict = {}
@@ -212,10 +372,10 @@ def field_leibniz_rows(L):
                     sparse_add(row, m * d + k, c)
                 per_k[k] = row
             for r in range(d):
-                for k, c in L.bracket_basis(r, j).items():
+                for k, c in bracket_basis(L, r, j).items():
                     sparse_add(per_k[k], i * d + r, -c)
             for s in range(d):
-                for k, c in L.bracket_basis(i, s).items():
+                for k, c in bracket_basis(L, i, s).items():
                     sparse_add(per_k[k], j * d + s, -c)
             yield from filter(None, per_k.values())
 
@@ -308,7 +468,7 @@ def dense_rows(s: Subspace) -> list:
 
 def unflatten_map(field, vec, dim) -> Matrix:
     """The square matrix of a column-major flat map: entry j*dim + i is
-    M[i, j] (the inverse of ``dersolve.flatten_map``)."""
+    M[i, j] (the inverse of ``flatten_map``)."""
     if len(vec) != dim * dim:
         raise ValueError("flattened map has wrong length")
     return Matrix(field, [[vec[j * dim + i] for j in range(dim)] for i in range(dim)])
@@ -322,18 +482,18 @@ def dense_der_basis(der) -> tuple:
 
 
 def full_space(field, n) -> Subspace:
-    return Subspace.from_vectors(field, n, identity(field, n).entries)
+    return span(field, n, identity(field, n).entries)
 
 
 def dense_inner_space(L) -> Subspace:
     """The span of the flattened dense ad_b over basis elements b, coerced
     entry by entry (the construction ``dersolve.inner_space`` replaced)."""
     vecs = [flatten_map(ad(L.basis_element(i))) for i in range(L.dim)]
-    return Subspace.from_vectors(L.field, L.dim * L.dim, vecs)
+    return span(L.field, L.dim * L.dim, vecs)
 
 
 def contains_subspace(a: Subspace, b: Subspace) -> bool:
-    return all(a.contains(row) for row in dense_rows(b))
+    return all(contains(a, row) for row in dense_rows(b))
 
 
 def back_multiply(rows, vec):
@@ -351,8 +511,8 @@ def all_triples_jacobi(L) -> JacobiVerdict:
             for c in range(b + 1, n):
                 acc: dict = {}
                 for (x, y, z) in ((a, b, c), (b, c, a), (c, a, b)):
-                    for m, coef in L.bracket_basis(x, y).items():
-                        for k, d in L.bracket_basis(m, z).items():
+                    for m, coef in bracket_basis(L, x, y).items():
+                        for k, d in bracket_basis(L, m, z).items():
                             sparse_add(acc, k, coef * d)
                 if acc:
                     return JacobiVerdict(False, (L.labels[a], L.labels[b], L.labels[c]))
@@ -367,14 +527,14 @@ def all_pairs_product_rule(L, cols):
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
             acc: dict = {}
-            for m, c in L.bracket_basis(i, j).items():
+            for m, c in bracket_basis(L, i, j).items():
                 for r, a in cols[m].items():
                     sparse_add(acc, r, c * a)
             for r, a in cols[i].items():
-                for k, c in L.bracket_basis(r, j).items():
+                for k, c in bracket_basis(L, r, j).items():
                     sparse_add(acc, k, -(a * c))
             for s, a in cols[j].items():
-                for k, c in L.bracket_basis(i, s).items():
+                for k, c in bracket_basis(L, i, s).items():
                     sparse_add(acc, k, -(a * c))
             if acc:
                 return False, (L.labels[i], L.labels[j])

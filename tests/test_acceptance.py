@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from liederiv.exactfield import FIELD_Q, FIELD_QI, inv
 from liederiv.liealg import (
-    bracket,
     check_jacobi,
     load,
     make_abelian,
@@ -25,10 +24,9 @@ from liederiv.liealg import (
     make_sl2,
     save,
 )
-from liederiv.linalg import Matrix, Subspace, subspace_intersect, subspace_sum
+from liederiv.linalg import Matrix
 from liederiv.dersolve import (
     derivation_space,
-    flatten_map,
     inner_space,
     is_derivation,
 )
@@ -42,7 +40,6 @@ from liederiv.locder import (
 )
 from liederiv.schrodinger import (
     make_schrodinger,
-    outer_span,
     replay_proof,
     schrodinger_trimmed_schedule,
     sigma,
@@ -51,9 +48,12 @@ from liederiv.schrodinger import (
 )
 from conftest import (
     back_multiply,
+    bracket,
+    contains,
     contains_map,
     dense_der_basis,
     dense_rows,
+    flatten_map,
     fold,
     full_schedule,
     leibniz_system,
@@ -62,6 +62,9 @@ from conftest import (
     rand_gauss,
     rand_scalar,
     rref,
+    span,
+    subspace_intersect,
+    subspace_sum,
     unflatten_map,
 )
 
@@ -132,12 +135,12 @@ def test_criterion_2_outer_structure():
         for (l, k) in sigma_pairs(n):
             ok &= is_derivation(L, sigma(n, l, k)).ok
         ok &= is_derivation(L, tau(n)).ok
-        span_sigma = outer_span(n)
+        span_sigma = span(L.field, L.dim * L.dim, [flatten_map(sigma(n, *p)) for p in sigma_pairs(n)])
         ok &= subspace_intersect(span_sigma, inn).dim == 0
         inn_sigma = subspace_sum(inn, span_sigma)
         tau_flat = flatten_map(tau(n))
-        ok &= not inn_sigma.contains(tau_flat)
-        tau_span = Subspace.from_vectors(L.field, L.dim * L.dim, [tau_flat])
+        ok &= not contains(inn_sigma, tau_flat)
+        tau_span = span(L.field, L.dim * L.dim, [tau_flat])
         ok &= subspace_sum(inn_sigma, tau_span) == der.subspace
         details.append(f"n={n} der={der.dim}")
     report(2, ok, "sigma/tau product rule + exact decomposition; " + ", ".join(details))
@@ -234,7 +237,7 @@ def test_criterion_7b_grassmann_identity():
     count = 0
     for _ in range(110):
         ambient = rng.randint(2, 6)
-        mk = lambda: Subspace.from_vectors(
+        mk = lambda: span(
             FIELD_Q,
             ambient,
             [[rand_scalar(rng) for _ in range(ambient)] for _ in range(rng.randint(0, 3))],

@@ -6,8 +6,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from liederiv import cli, liealg, schrodinger
 from liederiv.cli import main
 from liederiv.exactfield import format_scalar
-from liederiv.liealg import ad, load, make_heisenberg, to_json
+from liederiv.liealg import load, make_heisenberg, to_json
 from liederiv.schrodinger import make_schrodinger
+from conftest import ad
 
 
 def run_cli(capsys, *argv):
@@ -97,6 +98,39 @@ def test_outer_check(capsys):
     report = json.loads(out)
     assert report["ok"] is True
     assert report["sigma_count"] == 1
+
+
+def _same_index_sigma_12(entries):
+    # u_1 -> u_2, u_2 -> u_1 (and on v): not a derivation
+    if entries.get(("u_1", "u_2")) == -1:
+        entries = {key: 1 for key in entries}
+    return entries
+
+
+def _sigma_12_for_tau(entries):
+    if ("z", "z") in entries:
+        entries = schrodinger._sigma_entries(2, 1, 2)
+    return entries
+
+
+@pytest.mark.parametrize(
+    "swap, failing",
+    [
+        (_same_index_sigma_12, "sigma_12_leibniz"),
+        (_sigma_12_for_tau, "tau_outside_inner_plus_sigma"),
+    ],
+    ids=["same-index-sigma", "tau-as-sigma"],
+)
+def test_each_outer_check_can_fail(swap, failing, capsys, monkeypatch):
+    # outer_check reads sigma and tau through the label-column builder, so
+    # a wrong map there must show as a failed check, ok false and exit 2
+    build = schrodinger._label_columns
+    monkeypatch.setattr(schrodinger, "_label_columns", lambda n, e: build(n, swap(e)))
+    report = schrodinger.outer_check(2)
+    assert report["checks"][failing] is False and report["ok"] is False
+    assert [k for k, v in report["checks"].items() if not v][0] == failing
+    code, out, _ = run_cli(capsys, "outer-check", "--n", "2")
+    assert code == 2 and json.loads(out) == report
 
 
 def test_locder_replay_report(capsys):

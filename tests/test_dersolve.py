@@ -9,50 +9,58 @@ from hypothesis import given, settings, strategies as st
 from liederiv.exactfield import FIELD_Q, FIELD_QI, GaussianRational
 from liederiv.cli import main
 from liederiv.liealg import (
-    LieAlgebra,
-    ad,
     from_json,
     make_abelian,
     make_heisenberg,
     make_sl2,
     to_json,
 )
-from liederiv.linalg import (
-    Matrix,
-    SparseEchelon,
-    Subspace,
-    encode_columns,
-    subspace_intersect,
-    subspace_sum,
-)
+from liederiv.linalg import Matrix, SparseEchelon, encode_columns
+from liederiv import schrodinger
 from liederiv.dersolve import (
     derivation_space,
-    flatten_map,
     inner_space,
     is_derivation,
     leibniz_rows,
     _product_rule,
 )
-from liederiv.schrodinger import decompose, make_schrodinger, outer_span, sigma, sigma_pairs, tau
+from liederiv.schrodinger import (
+    decompose,
+    make_schrodinger,
+    outer_check,
+    sigma,
+    sigma_pairs,
+    tau,
+)
 from conftest import (
+    ad,
     all_pairs_product_rule,
     at_scale,
+    bracket,
     col,
+    combine,
     complex_sl2,
+    contains,
     contains_subspace,
+    dense_outer_report,
     dense_inner_space,
     dense_der_basis,
     dense_is_derivation,
     dense_rows,
     field_der_subspace,
     field_leibniz_rows,
+    flatten_map,
     is_zero,
     leibniz_system,
     matmul,
     matvec,
     nullspace,
     rand_scalar,
+    reassemble,
     rref,
+    span,
+    subspace_intersect,
+    subspace_sum,
     unflatten_map,
     zeros,
 )
@@ -263,11 +271,10 @@ def test_integer_der_equals_the_field_scalar_reference(build):
 def test_derivation_space_makes_no_field_scalar_insert_and_reads_no_bracket(monkeypatch):
     # Der is built from the integer table alone: the Leibniz rows go in
     # through insert_integer, and the product-rule re-check reads the
-    # integer table too
+    # integer table too (the algebra keeps no field-scalar bracket reader)
     L = make_schrodinger(3, FIELD_QI)
     calls = []
-    for cls, name in ((SparseEchelon, "insert"), (LieAlgebra, "bracket_basis")):
-        monkeypatch.setattr(cls, name, lambda *a, name=name: calls.append(name))
+    monkeypatch.setattr(SparseEchelon, "insert", lambda *a: calls.append("insert"))
     der = derivation_space(L)
     assert der.dim == expected_der_dim(3)
     assert calls == []
@@ -290,7 +297,7 @@ def test_derivation_space_rejects_a_non_derivation_from_the_nullspace(monkeypatc
         rows = [list(r) for r in dense_rows(space)]
         # adds e -> e to the first basis map, which breaks [e, f] = h
         rows[0][0] = rows[0][0] + 1
-        return Subspace.from_vectors(self.field, self.ncols, rows)
+        return span(self.field, self.ncols, rows)
 
     monkeypatch.setattr(SparseEchelon, "nullspace", corrupted)
     with pytest.raises(AssertionError, match="non-derivation"):
@@ -301,8 +308,6 @@ def test_tau_spot_check_on_central_pair():
     # tau([u_1, v_1]) = tau(z) = z must equal [tau(u_1), v_1] + [u_1, tau(v_1)] = z
     L = make_schrodinger(1)
     t = tau(1)
-    from liederiv.liealg import bracket
-
     u, v = L.from_terms({"u_1": 1}), L.from_terms({"v_1": 1})
     lhs = L.element(matvec(t, bracket(u, v).coords))
     rhs = bracket(L.element(matvec(t, u.coords)), v) + bracket(u, L.element(matvec(t, v.coords)))
@@ -359,8 +364,8 @@ def test_sigma_and_tau_are_outer():
         L = make_schrodinger(n)
         inn = inner_space(L)
         for (l, k) in sigma_pairs(n):
-            assert not inn.contains(flatten_map(sigma(n, l, k)))
-        assert not inn.contains(flatten_map(tau(n)))
+            assert not contains(inn, flatten_map(sigma(n, l, k)))
+        assert not contains(inn, flatten_map(tau(n)))
 
 
 def test_outer_span_meets_inner_trivially_and_completes_der():
@@ -368,13 +373,13 @@ def test_outer_span_meets_inner_trivially_and_completes_der():
         L = make_schrodinger(n)
         der = derivation_space(L)
         inn = inner_space(L)
-        span_sigma = outer_span(n)
+        span_sigma = span(L.field, L.dim * L.dim, [flatten_map(sigma(n, *p)) for p in sigma_pairs(n)])
         assert span_sigma.dim == n * (n - 1) // 2
         assert subspace_intersect(span_sigma, inn).dim == 0
         inn_sigma = subspace_sum(inn, span_sigma)
         tau_flat = flatten_map(tau(n))
-        assert not inn_sigma.contains(tau_flat)
-        tau_span = Subspace.from_vectors(L.field, L.dim * L.dim, [tau_flat])
+        assert not contains(inn_sigma, tau_flat)
+        tau_span = span(L.field, L.dim * L.dim, [tau_flat])
         assert subspace_sum(inn_sigma, tau_span) == der.subspace
 
 
@@ -403,11 +408,11 @@ def test_decompose_examples():
     assert all(not c for c in dec.sigma_coeffs.values())
     assert not dec.tau_coeff
 
-    target = tau(2).scale(3).add(sigma(2, 1, 2))
+    target = combine([(3, tau(2)), (1, sigma(2, 1, 2))])
     dec = decompose(L, target)
     assert dec.tau_coeff == Fraction(3)
     assert dec.sigma_coeffs[(1, 2)] == Fraction(1)
-    assert dec.reassemble() == target
+    assert reassemble(dec) == target
     # inner part may only differ along the central line, which ad kills
     assert is_zero(ad(dec.inner_part))
 
@@ -417,8 +422,40 @@ def test_decompose_reassembles_all_basis_derivations():
         L = make_schrodinger(n)
         for D in dense_der_basis(derivation_space(L)):
             dec = decompose(L, D)
-            assert dec.reassemble() == D
+            assert reassemble(dec) == D
             assert not dec.inner_part.coords[L.index["z"]]
+
+
+def test_decompose_reassembles_random_derivations_over_gaussian_rationals():
+    rng = random.Random(0xDEC0)
+    for n in (1, 2, 3, 4):
+        L = make_schrodinger(n, FIELD_QI)
+        basis = dense_der_basis(derivation_space(L))
+        for _ in range(4):
+            D = combine((rand_scalar(rng, FIELD_QI), B) for B in basis)
+            dec = decompose(L, D)
+            assert reassemble(dec) == D
+            assert not dec.inner_part.coords[L.index["z"]]
+
+
+def test_decompose_rejects_a_perturbed_solve(monkeypatch):
+    # the integer re-check, not the solve, vouches for the coefficients
+    solve = schrodinger.solve_columns
+
+    def perturbed(*args):
+        sol, rank = solve(*args)
+        return [sol[0] + 1] + sol[1:], rank
+
+    monkeypatch.setattr(schrodinger, "solve_columns", perturbed)
+    L = make_schrodinger(2, FIELD_QI)
+    with pytest.raises(AssertionError, match="reassemble"):
+        decompose(L, combine([(3, tau(2, FIELD_QI)), (1, sigma(2, 1, 2, FIELD_QI))]))
+
+
+@pytest.mark.parametrize("field", (FIELD_Q, FIELD_QI), ids=("Q", "Qi"))
+@pytest.mark.parametrize("n", range(2, 7))
+def test_outer_check_matches_the_dense_subspace_report(n, field):
+    assert outer_check(n, field) == dense_outer_report(n, field)
 
 
 def test_decompose_rejects_non_derivations_and_foreign_algebras():

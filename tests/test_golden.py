@@ -16,8 +16,9 @@ import pytest
 
 from liederiv.cli import main
 from liederiv.exactfield import FIELD_Q, FIELD_QI, GaussianRational, I, format_scalar
-from liederiv.liealg import ad, make_heisenberg, to_json
+from liederiv.liealg import make_heisenberg, to_json
 from liederiv.schrodinger import make_schrodinger
+from conftest import ad
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from liederiv.exactfield import FIELD_Q, FIELD_QI, GaussianRational, I, format_scalar, inv
-from liederiv.liealg import LieAlgebra, ad, make_abelian, make_heisenberg
-from liederiv.linalg import Matrix, SparseEchelon, Subspace, encode_columns, sparse_add
+from liederiv.liealg import LieAlgebra, make_abelian, make_heisenberg
+from liederiv.linalg import Matrix, SparseEchelon, Subspace, encode_columns
 from liederiv.dersolve import DerivationSpace, MapIndex, derivation_space, is_derivation
 from liederiv import locder
 from liederiv.locder import (
@@ -35,6 +35,9 @@ from liederiv.schrodinger import (
     tau,
 )
 from conftest import (
+    ad,
+    combine,
+    contains,
     contains_map,
     dense_der_basis,
     dense_rows,
@@ -48,8 +51,9 @@ from conftest import (
     orbit_subspace,
     rand_scalar,
     reference_constrain,
+    span,
+    sparse_add,
     unflatten_map,
-    zeros,
 )
 
 
@@ -68,11 +72,11 @@ def test_orbit_subspace_examples():
     L = make_schrodinger(2)
     der = derivation_space(L)
     w_z = orbit_subspace(der, L.from_terms({"z": 1}))
-    assert w_z.dim == 1 and w_z.contains(L.from_terms({"z": 1}).coords)
+    assert w_z.dim == 1 and contains(w_z, L.from_terms({"z": 1}).coords)
     w_e = orbit_subspace(der, L.from_terms({"e": 1}))
     assert w_e.dim == 4
     for lab in ("h", "e", "u_1", "u_2"):
-        assert w_e.contains(L.from_terms({lab: 1}).coords)
+        assert contains(w_e, L.from_terms({lab: 1}).coords)
     for n in (1, 2, 3):
         Ln = make_schrodinger(n)
         dn = derivation_space(Ln)
@@ -86,7 +90,7 @@ def test_orbit_subspace_matches_dense_images():
         der = derivation_space(L)
         for _ in range(10):
             x = L.element([rand_scalar(rng, field) if rng.random() < 0.4 else 0 for _ in range(L.dim)])
-            dense = Subspace.from_vectors(field, L.dim, [matvec(D, x.coords) for D in dense_der_basis(der)])
+            dense = span(field, L.dim, [matvec(D, x.coords) for D in dense_der_basis(der)])
             assert orbit_subspace(der, x) == dense
 
 
@@ -505,14 +509,22 @@ def test_replay_verifies_small_ranks():
         assert len(report["history"]) == len(result.history)
 
 
-def test_replay_pins_the_final_candidate_at_n32():
+@pytest.mark.parametrize(
+    "n, dim, digest",
+    [
+        (32, 564, "eede9bd174f3feac6d6a9266269ac933142db708fb88d75ff380ae39447ad4be"),
+        (48, 1228, "e6b02cbe0244cdb462b8b5292e8b073b168dc68e89f28c2ab857f0c9198c15bb"),
+    ],
+    ids=["32", "48"],
+)
+def test_replay_pins_the_final_candidate(n, dim, digest):
     # the sha256 of json.dumps of the RREF rows, with format_scalar
-    # values, as BENCH_20.json records it for n = 32
-    acc = replay_proof(32)
-    assert acc.equal and acc.dim == 564
+    # values, as BENCH_20.json records it for n = 32 and BENCH_25.json
+    # for n = 48
+    acc = replay_proof(n)
+    assert acc.equal and acc.dim == dim
     rows = [{c: format_scalar(v) for c, v in row.items()} for row in acc.echelon.rref_rows()]
-    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
-    assert digest == "eede9bd174f3feac6d6a9266269ac933142db708fb88d75ff380ae39447ad4be"
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
 
 
 def test_replay_probe_order_independence():
@@ -827,9 +839,21 @@ def test_certifier_builds_the_map_columns_once(monkeypatch):
         calls.append(1)
         return true_columns(self)
 
+    # the product-rule shortcut reads them once, through is_derivation;
+    # besides that the certifier builds them once, for its MapIndex
+    shortcut = []
+    check = locder.is_derivation
+
+    def checked(L, D):
+        before = len(calls)
+        verdict = check(L, D)
+        shortcut.append(len(calls) - before)
+        return verdict
+
     monkeypatch.setattr(Matrix, "sparse_columns", counting)
+    monkeypatch.setattr(locder, "is_derivation", checked)
     assert certify_local_symbolic(der, delta).certified
-    assert len(calls) == 1
+    assert shortcut == [1] and len(calls) == 2
 
 
 def test_certifier_accepts_pure_local_map():
@@ -999,10 +1023,6 @@ def test_parameter_shape_keeps_central_column_on_the_central_line():
     params = AsosShape(n).parameters()
     z_col = L.index["z"]
     for _ in range(30):
-        total = zeros(FIELD_Q, L.dim, L.dim)
-        for _, mat in params:
-            c = Fraction(rng.randint(-3, 3))
-            if c:
-                total = total.add(mat.scale(c))
+        total = combine((Fraction(rng.randint(-3, 3)), mat) for _, mat in params)
         col = [total.entries[i][z_col] for i in range(L.dim)]
         assert all(not col[i] for i in range(L.dim) if i != z_col)
