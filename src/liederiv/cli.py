@@ -164,9 +164,10 @@ def _cmd_der(args) -> int:
         "outer_dim": der.dim - inn.dim,
     }
     if args.basis:
-        z = L.field.zero
+        d, z = L.dim, L.field.zero
         report["basis"] = [
-            [[format_scalar(c.get(r, z)) for c in cols] for r in range(L.dim)] for cols in der.columns
+            [[format_scalar(row.get(j * d + r, z)) for j in range(d)] for r in range(d)]
+            for row in der.subspace.rows
         ]
     _emit(report, args.output)
     return 0

@@ -16,9 +16,9 @@ map space.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .exactfield import Frozen, setfield
+from .exactfield import Field, Frozen, setfield
 from .liealg import LieAlgebra
 from .linalg import Matrix, SparseEchelon, Subspace, apply_index, encode_columns
 
@@ -130,27 +130,26 @@ def _product_rule(L: LieAlgebra, forms: Sequence[dict]) -> LeibnizVerdict:
 
 
 class MapIndex:
-    """Linear maps D_k, given by their sparse columns, in integer form by
+    """Linear maps D_k, each given as the integer forms of its columns and
+    their positive scale ``scales[k]`` (as from ``encode_columns``), by
     integer column of the input: ``index[q]`` is [(k, column), ..] over the
-    maps with a nonzero column there, D_k at the positive scale ``scales[k]``
-    that clears its denominators.  For q = w*j + t (w the field's ``width``)
-    the column is column j of u_t*D_k (``Field.rotations``), so x with
-    x_j = sum_t x_(w*j+t) u_t maps to sum_q x_q column, and a sparse x meets
-    only the entries it shares a column with (Gustavson's row-wise product)."""
+    maps with a nonzero column there.  For q = w*j + t (w the field's
+    ``width``) the column is column j of u_t*D_k (``Field.rotations``), so
+    x with x_j = sum_t x_(w*j+t) u_t maps to sum_q x_q column, and a sparse
+    x meets only the entries it shares a column with (Gustavson's row-wise
+    product)."""
 
     __slots__ = ("index", "scales")
 
-    def __init__(self, L: LieAlgebra, maps: Sequence[tuple]):
-        field, w = L.field, L.field.width
+    def __init__(self, field: Field, maps: Iterable[tuple]):
         self.index: dict = {}
         self.scales = []
-        for k, cols in enumerate(maps):
-            forms, scale = encode_columns(field, cols, L.dim)
+        for k, (forms, scale) in enumerate(maps):
             self.scales.append(scale)
             for j, form in enumerate(forms):
                 for t, turned in enumerate((form, *field.rotations(form))):
                     if turned:
-                        self.index.setdefault(w * j + t, []).append((k, turned))
+                        self.index.setdefault(field.width * j + t, []).append((k, turned))
 
     def images(self, parts: dict) -> dict:
         """The nonzero images D_k(x) in integer form by k, ascending, given
@@ -160,42 +159,49 @@ class MapIndex:
 
 
 class DerivationSpace(Frozen):
-    """Basis of Der(L) in one form: ``columns[k]`` holds the sparse
-    columns of the k-th basis map, read straight off the k-th row of
-    ``subspace``, the canonical embedding of Der in the map space.
+    """Basis of Der(L) in integer form (``Field.encode``): ``rows[k]``, the
+    k-th canonical row of Der (D[r, j] at column j*d + r of the map space),
+    is primitive at the scale of its pivot entry, and ``columns[k][j]`` is
+    column j of D_k read off it at that scale.  ``subspace``, the rows over
+    the field, is decoded only when a report or a comparison reads it.
 
-    The probe fold, ``locder.witness`` and the symbolic certifier work in
-    integer forms (``Field.encode``) through two indexes keyed by integer
-    column, each built on first use: ``image_index`` reads ``columns``,
-    and ``residues``, the per-row Der-annihilation check of a constraint
-    row, reads ``subspace.rows``, so a fault in the columns, or in the
+    The fold, ``locder.witness`` and the certifier work through two indexes
+    keyed by integer column, each built on first use: ``image_index`` reads
+    ``columns``, and ``residues``, the per-row Der-annihilation check of a
+    constraint row, reads ``rows``, so a fault in the columns, or in the
     images built from them, cannot hide from that check.
     """
 
-    __match_args__ = ("algebra", "columns", "subspace")
-    # the instance dict holds the cached indexes
+    __match_args__ = ("algebra", "columns", "rows")
+    # the instance dict holds the cached indexes and subspace
     __slots__ = __match_args__ + ("__dict__",)
 
-    def __init__(self, algebra: LieAlgebra, columns: tuple, subspace: Subspace):
+    def __init__(self, algebra: LieAlgebra, columns: tuple, rows: tuple):
         setfield(self, "algebra", algebra)
         setfield(self, "columns", columns)  # tuple[tuple[dict]]
-        setfield(self, "subspace", subspace)
+        setfield(self, "rows", rows)  # tuple[dict]
 
     @property
     def dim(self) -> int:
-        return len(self.columns)
+        return len(self.rows)
+
+    @cached_property
+    def subspace(self) -> Subspace:
+        """Der's canonical RREF basis over the field, ``rows`` decoded."""
+        L = self.algebra
+        return Subspace(L.field, L.dim ** 2, tuple(L.field.decode(r, min(r)) for r in self.rows))
 
     @cached_property
     def image_index(self) -> MapIndex:
-        return MapIndex(self.algebra, self.columns)
+        # the scale of map k is the pivot entry of its row
+        return MapIndex(self.algebra.field, zip(self.columns, (r[min(r)] for r in self.rows)))
 
     @cached_property
     def check_index(self) -> dict:
-        """``subspace.rows`` in integer form by integer column:
-        c -> [(m, entry), ..] over the ``Field.dot_forms`` of the rows
-        (one form per row over Q, two over Q(i)) with an entry at c."""
-        field = self.algebra.field
-        forms = (f for row in self.subspace.rows for f in field.dot_forms(field.encode(row)))
+        """``rows`` by integer column: c -> [(m, entry), ..] over the
+        ``Field.dot_forms`` of the rows (one form per row over Q, two over
+        Q(i)) with an entry at c."""
+        forms = (f for row in self.rows for f in self.algebra.field.dot_forms(row))
         index: dict = {}
         for m, form in enumerate(forms):
             for c, v in form.items():
@@ -209,7 +215,7 @@ class DerivationSpace(Frozen):
     def residues(self, row: dict) -> dict:
         """The nonzero dot products of the integer row ``row`` with the
         ``dot_forms`` of Der's rows, by form: empty exactly when the row
-        over the field annihilates every row of ``subspace``."""
+        over the field annihilates every row of Der."""
         index = self.check_index
         sums: dict = {}
         for c, a in row.items():
@@ -222,27 +228,27 @@ def derivation_space(L: LieAlgebra) -> DerivationSpace:
     """Der(L) as the exact nullspace of the product-rule system, whose
     integer rows go straight into the echelon (``insert_integer``).
 
-    Each nullspace row is read straight into sparse columns, and every
-    basis map is re-verified against the product rule directly, so a bug
-    in the elimination cannot go unnoticed.
+    Der's rows are the nullspace's ``rref_forms``, each scattered once into
+    the columns of its map, and every basis map is re-verified against the
+    product rule on them, so a bug in the elimination cannot go unnoticed.
     """
-    d = L.dim
+    d, wd = L.dim, L.field.width * L.dim
     acc = SparseEchelon(L.field, d * d)
     for row in leibniz_rows(L):
         acc.insert_integer(row)
-    space = acc.nullspace()
+    rows = acc.nullspace().rref_forms()
     columns = []
-    for row in space.rows:
+    for row in rows:
         cols = tuple({} for _ in range(d))
-        for c, x in sorted(row.items()):  # each column lists its rows in order
-            cols[c // d][c % d] = x
-        verdict = _product_rule(L, encode_columns(L.field, cols, d)[0])
+        for c, v in sorted(row.items()):  # each column lists its rows in order
+            cols[c // wd][c % wd] = v
+        verdict = _product_rule(L, cols)
         if not verdict.ok:
             raise AssertionError(
                 f"nullspace produced a non-derivation (pair {verdict.failing_pair})"
             )
         columns.append(cols)
-    return DerivationSpace(L, tuple(columns), space)
+    return DerivationSpace(L, tuple(columns), tuple(rows))
 
 
 def inner_rows(L: LieAlgebra) -> dict:

@@ -75,12 +75,12 @@ class SparseEchelon:
     """Incremental echelon accumulator over the exact field ``field``,
     eliminating in integers.
 
-    It works on rows in integer form (``Field.encode``): ``insert_integer``
-    takes them as they are, ``insert`` encodes a row of field scalars
-    first.  A row r over Q(i) enters together with the form of i*r, so the
-    span over Q of the forms is the real form of the span over Q(i), the
-    pivots come in pairs {2p, 2p + 1}, one per pivot p over Q(i), and the
-    RREF row at 2p is the real form of the RREF row at p.
+    It works on rows in integer form only (``Field.encode``), which
+    ``insert_integer`` takes as they are.  A row r over Q(i) enters
+    together with the form of i*r, so the span over Q of the forms is the
+    real form of the span over Q(i), the pivots come in pairs
+    {2p, 2p + 1}, one per pivot p over Q(i), and the RREF row at 2p is the
+    real form of the RREF row at p.
 
     A stored row is a primitive ``{column: int}`` dict: the gcd of its
     entries is 1 and its pivot entry, at its first column, is positive.
@@ -92,12 +92,12 @@ class SparseEchelon:
     ``work`` may grow by up to log2(p) bits per pivot row with p > 1, and
     only the stored row is divided by its content.  Each stored row is a
     multiple of the row that unit-pivot elimination over the field stores
-    at the same pivot, and reads back as that row.
+    at the same pivot.
 
-    ``rows``, ``reduced_rows``, ``rref_rows`` and the subspaces read off
-    them hold field scalars with unit pivots, keyed by field column; they
-    are built when read (``Field.decode``).  ``integer_nullspace`` hands
-    out integer forms, read straight off the reduced integer rows.
+    ``rref_forms`` and ``integer_nullspace`` hand out integer forms, read
+    straight off the reduced integer rows; ``rref_rows`` and the
+    subspaces read off them hold field scalars with unit pivots, keyed by
+    field column, decoded when read (``Field.decode``).
     """
 
     __slots__ = ("field", "ncols", "_rows")
@@ -111,27 +111,11 @@ class SparseEchelon:
     def rank(self) -> int:
         return len(self._rows) // self.field.width
 
-    @property
-    def rows(self) -> dict[int, dict]:
-        """The pivot rows over the field, ``{pivot: {column: scalar}}``,
-        each scaled to a unit pivot."""
-        return self._decode(self._rows)
-
-    def _decode(self, rows: dict) -> dict[int, dict]:
-        width, decode = self.field.width, self.field.decode
-        return {q // width: decode(row, q) for q, row in rows.items() if not q % width}
-
-    def insert(self, row: dict) -> bool:
-        """Reduce a sparse row of field scalars against the accumulator;
-        returns True if the rank grew.  A scalar outside the field raises
-        FieldMismatchError."""
-        return self.insert_integer(self.field.encode(row))
-
     def insert_integer(self, row: dict) -> bool:
-        """``insert`` for a row already in integer form (``Field.encode``):
-        nonzero ``int`` entries by integer column, any nonzero scaling.
-        The row is reduced in place and may be stored, so the caller
-        hands it over."""
+        """Reduce a row in integer form (``Field.encode``: nonzero ``int``
+        entries by integer column, any nonzero scaling) against the
+        accumulator; returns True if the rank grew.  The row is reduced in
+        place and may be stored, so the caller hands it over."""
         pivot = self._reduce(row)
         if pivot is None:
             return False
@@ -215,11 +199,6 @@ class SparseEchelon:
             reduced[p] = row
         return reduced
 
-    def reduced_rows(self) -> dict[int, dict]:
-        """Fully back-eliminated (RREF) pivot rows over the field, unit
-        pivots, in descending pivot order."""
-        return self._decode(self._reduced())
-
     def integer_nullspace(self) -> list[dict]:
         """Integer forms of a basis of {v : row . v = 0 for all accumulated
         rows}, one vector per free field column f in ascending order: the
@@ -242,22 +221,29 @@ class SparseEchelon:
                     vec[q + t] = -x * scale
         return list(vectors.values())
 
+    def rref_forms(self) -> list[dict]:
+        """The canonical RREF basis of the row space in integer form, in
+        pivot order: the primitive back-eliminated rows at the field pivots
+        (``q % width == 0``), each the form of its RREF row at the scale of
+        its pivot entry."""
+        return [row for q, row in sorted(self._reduced().items()) if not q % self.field.width]
+
     def rref_rows(self) -> list[dict]:
-        """The canonical RREF basis of the row space, sparse, in pivot order."""
-        reduced = self.reduced_rows()
-        return [reduced[p] for p in sorted(reduced)]
+        """The canonical RREF basis of the row space, sparse, in pivot order
+        (``rref_forms`` decoded)."""
+        return [self.field.decode(row, min(row)) for row in self.rref_forms()]
 
     def row_space(self) -> Subspace:
         """The row space as a Subspace: its rows are the back-eliminated
         rows, the canonical RREF basis."""
         return Subspace(self.field, self.ncols, tuple(self.rref_rows()))
 
-    def nullspace(self) -> Subspace:
-        """The nullspace as a Subspace, in canonical RREF."""
+    def nullspace(self) -> SparseEchelon:
+        """The nullspace, as the echelon fed its ``integer_nullspace``."""
         out = SparseEchelon(self.field, self.ncols)
         for vec in self.integer_nullspace():
             out.insert_integer(vec)
-        return out.row_space()
+        return out
 
 
 def encode_columns(field: Field, columns: Sequence[dict], size: int) -> tuple:

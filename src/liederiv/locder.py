@@ -144,7 +144,7 @@ class CandidateSpace:
 
     @property
     def space(self) -> Subspace:
-        return self.echelon.nullspace()
+        return self.echelon.nullspace().row_space()
 
     @property
     def equal(self) -> bool:
@@ -181,7 +181,7 @@ def constrain(acc: CandidateSpace, probe: Probe) -> None:
     ``integer_nullspace``.  The constraint row of an annihilator vector p
     is x_j * p_i at map column j*d + i: the part x_q (q = w*j + t) times
     the form of u_t*p (``Field.rotations``), placed at block j.  Each row
-    of the probe is dotted with every row of ``der.subspace``
+    of the probe is dotted with every row of Der, ``der.rows``
     (``DerivationSpace.residues``), not with the columns the orbit came
     from, before any is inserted, which asserts Der <= candidate at each
     stage; a failed check raises and leaves ``acc`` as it was.
@@ -374,7 +374,8 @@ def witness(der: DerivationSpace, delta: Matrix, x: AlgebraElement) -> Optional[
     check_map(L, delta)
     if x.algebra != L:
         raise ValueError("point belongs to a different algebra")
-    return _solve_point(der, MapIndex(L, (delta.sparse_columns(),)), _integer_form(x))[0]
+    delta_index = MapIndex(L.field, [encode_columns(L.field, delta.sparse_columns(), L.dim)])
+    return _solve_point(der, delta_index, _integer_form(x))[0]
 
 
 def _solve_point(der: DerivationSpace, delta: MapIndex, parts: dict) -> tuple:
@@ -453,7 +454,7 @@ def certify_local_symbolic(der: DerivationSpace, delta: Matrix) -> LocalityCerti
     # Der is every derivation, so the product rule decides membership
     if is_derivation(L, delta).ok:
         return LocalityCertificate(True, None, ("member of Der",))
-    delta_index = MapIndex(L, (delta.sparse_columns(),))
+    delta_index = MapIndex(L.field, [encode_columns(L.field, delta.sparse_columns(), d)])
     # the Der-block rank by integer key: one solve per point up to a scalar
     memo: dict = {}
     # cheap concrete refutations first: basis vectors and short combinations
@@ -609,7 +610,7 @@ def _minor_profile(der, parts: dict, r: int):
     cols = [k for k, img in images.items() if acc.rank < r and acc.insert_integer(dict(img))]
     if len(cols) < r:
         return None
-    return tuple(sorted(acc.rows)), tuple(cols)
+    return tuple(min(row) // acc.field.width for row in acc.rref_forms()), tuple(cols)
 
 
 def _rank_drop_cuts(der, forms: list, a_sub, r, point, rng) -> list:

@@ -246,7 +246,7 @@ def outer_check(n: int, field: Field = FIELD_Q) -> dict:
     checks["sigma_span_meets_inner_trivially"] = acc.rank == inner_dim + len(pairs)
     checks["tau_outside_inner_plus_sigma"] = acc.insert_integer(_map_row(forms[-1], d, w))
     checks["inner_plus_sigma_plus_tau_equals_der"] = acc.rank == der.dim and not any(
-        acc.insert(row) for row in der.subspace.rows
+        acc.insert_integer(dict(row)) for row in der.rows
     )
     return {
         "algebra": L.name,

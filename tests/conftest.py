@@ -13,11 +13,13 @@ sparse derivation check and the all-pairs product rule, the dense inner
 derivations, the sparse witness solve and the indexed Der-annihilation
 check, and the probe-fold oracles: the orbit subspace W_x,
 ``constrain`` in field scalars, a fold over any probe list and the full
-replay schedule of S_n."""
+replay schedule of S_n, and a seeded generator of random matrix Lie
+algebras."""
 
 import copy
 import heapq
 import pickle
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -86,6 +88,78 @@ def naive_rank(rows):
                 rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
         rank += 1
     return rank
+
+
+def _dense_coordinates(vectors, target):
+    """The coefficients c with sum c_k vectors[k] = target, by Gauss-Jordan
+    over exact scalars on the augmented system, or None when target is
+    outside their span; the vectors must be independent."""
+    m = len(vectors)
+    rows = [[v[i] for v in vectors] + [target[i]] for i in range(len(target))]
+    pivots = []
+    for col in range(m + 1):
+        r = next((r for r in range(len(pivots), len(rows)) if rows[r][col]), None)
+        if r is None:
+            continue
+        if col == m:
+            return None
+        top = len(pivots)
+        rows[top], rows[r] = rows[r], rows[top]
+        scale = inv(rows[top][col])
+        rows[top] = [scale * a for a in rows[top]]
+        for k in range(len(rows)):
+            if k != top and rows[k][col]:
+                f = rows[k][col]
+                rows[k] = [a - f * b for a, b in zip(rows[k], rows[top])]
+        pivots.append(col)
+    return [rows[t][m] for t in range(m)]
+
+
+def random_matrix_algebras(seed: int = 2718, count: int = 12, max_dim: int = 9) -> list:
+    """Seeded random exact Lie algebras: the closure under the commutator
+    of 2-3 sparse matrices in gl_3 or gl_4, with 1-3 nonzero entries each,
+    kept when its dimension d is 2..``max_dim``.  Every second algebra is
+    over Q(i) with Gaussian integer entries, so some of its structure
+    constants are not real; the others are over Q with integer entries.
+    The basis is the generators, then each new commutator in the order
+    the closure meets it, and the structure constants are solved for
+    exactly in that basis."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        field = FIELD_QI if len(out) % 2 else FIELD_Q
+        values = [1, -1, 2, -2] + ([I, -I, 1 + I, 2 * I] if field == FIELD_QI else [])
+        n = rng.choice((3, 4))
+        basis = []
+        for _ in range(rng.choice((2, 3))):
+            m = [field.zero] * (n * n)
+            for pos in rng.sample(range(n * n), rng.randint(1, 3)):
+                m[pos] = field.coerce(rng.choice(values))
+            if basis == [] or _dense_coordinates(basis, m) is None:
+                basis.append(m)
+        brackets, i = {}, 0
+        while i < len(basis) <= max_dim:
+            for j in range(i):
+                a, b = basis[j], basis[i]
+                comm = [
+                    sum(
+                        (a[r * n + k] * b[k * n + c] - b[r * n + k] * a[k * n + c] for k in range(n)),
+                        field.zero,
+                    )
+                    for r in range(n)
+                    for c in range(n)
+                ]
+                coords = _dense_coordinates(basis, comm)
+                if coords is None:
+                    basis.append(comm)
+                    coords = [field.zero] * (len(basis) - 1) + [field.one]
+                brackets[(j, i)] = {k: c for k, c in enumerate(coords) if c}
+            i += 1
+        if 2 <= len(basis) <= max_dim:
+            labels = [f"x_{k}" for k in range(1, len(basis) + 1)]
+            name = f"gl{n}_closure_{len(out)}"
+            out.append(LieAlgebra(name, field, labels, brackets))
+    return out
 
 
 class UnitPivotEchelon:
@@ -227,14 +301,28 @@ def reassemble(dec) -> Matrix:
     return combine(terms)
 
 
+def insert(acc: SparseEchelon, row: dict) -> bool:
+    """Put a sparse row of field scalars into ``acc`` through its integer
+    form (``Field.encode``); True when the rank grew.  A scalar outside the
+    field raises FieldMismatchError."""
+    return acc.insert_integer(acc.field.encode(row))
+
+
+def stored_rows(acc: SparseEchelon) -> dict:
+    """The stored pivot rows of ``acc`` over its field, ``{pivot: row}``,
+    each decoded (``Field.decode``) to a unit pivot."""
+    w, decode = acc.field.width, acc.field.decode
+    return {q // w: decode(row, q) for q, row in acc._rows.items() if not q % w}
+
+
 def span(field, n, vectors) -> Subspace:
     """The canonical span of dense vectors of length n, through the
-    field-scalar ``SparseEchelon.insert``."""
+    field-scalar ``insert``."""
     acc = SparseEchelon(field, n)
     for v in vectors:
         if len(v) != n:
             raise ValueError("vector length does not match ambient dimension")
-        acc.insert({j: x for j, x in enumerate(map(field.coerce, v)) if x})
+        insert(acc, {j: x for j, x in enumerate(map(field.coerce, v)) if x})
     return acc.row_space()
 
 
@@ -347,8 +435,8 @@ def nullspace(m: Matrix) -> Subspace:
     """Kernel {v : m v = 0} of a dense matrix, through ``SparseEchelon``."""
     acc = SparseEchelon(m.field, m.ncols)
     for row in m.entries:
-        acc.insert({j: x for j, x in enumerate(row) if x})
-    return acc.nullspace()
+        insert(acc, {j: x for j, x in enumerate(row) if x})
+    return acc.nullspace().row_space()
 
 
 def field_leibniz_rows(L):
@@ -382,11 +470,11 @@ def field_leibniz_rows(L):
 
 def field_der_subspace(L) -> Subspace:
     """Der(L) as the nullspace of ``field_leibniz_rows`` put in through
-    the field-scalar ``SparseEchelon.insert``."""
+    the field-scalar ``insert``."""
     acc = SparseEchelon(L.field, L.dim * L.dim)
     for row in field_leibniz_rows(L):
-        acc.insert(row)
-    return acc.nullspace()
+        insert(acc, row)
+    return acc.nullspace().row_space()
 
 
 def at_scale(field, row: dict, scale) -> dict:
@@ -479,6 +567,19 @@ def dense_der_basis(der) -> tuple:
     ``der.subspace`` alone, so it is an oracle for ``der.columns``."""
     L = der.algebra
     return tuple(unflatten_map(L.field, vec, L.dim) for vec in dense_rows(der.subspace))
+
+
+def field_columns(der) -> tuple:
+    """The sparse columns of each Der basis map in field scalars, read off
+    the rows of ``der.subspace`` alone: entry j*d + r of a row is D[r, j]."""
+    d = der.algebra.dim
+    out = []
+    for row in der.subspace.rows:
+        cols = tuple({} for _ in range(d))
+        for c, x in sorted(row.items()):
+            cols[c // d][c % d] = x
+        out.append(cols)
+    return tuple(out)
 
 
 def full_space(field, n) -> Subspace:
@@ -593,7 +694,7 @@ def contains_map(acc, D: Matrix) -> bool:
     accumulated rows cut out the space, so membership means every
     constraint row annihilates the flattened map."""
     flat = {c: x for c, x in enumerate(flatten_map(D)) if x}
-    return not any(dot_sparse(row, flat) for row in acc.echelon.rows.values())
+    return not any(dot_sparse(row, flat) for row in stored_rows(acc.echelon).values())
 
 
 def make_probe(L, terms: dict, label=None) -> Probe:
@@ -638,8 +739,8 @@ def reference_constrain(acc, probe):
     images D_k(x) from ``field_images``, the
     annihilator from the unit-pivot orbit echelon's nullspace vectors, the
     constraint rows x_j * p_i at j*d + i, each dotted with every row of
-    Der before any is inserted, and the field-scalar
-    ``SparseEchelon.insert`` into ``acc``, cut in place."""
+    Der before any is inserted, and the field-scalar ``insert`` into
+    ``acc``, cut in place."""
     der, x = acc.der, probe.element
     support = [(j, xj) for j, xj in enumerate(x.coords) if xj]
     key = normalized_key(x)
@@ -647,7 +748,7 @@ def reference_constrain(acc, probe):
         return
     d = der.algebra.dim
     orbit = UnitPivotEchelon(d)
-    for img in field_images(der.columns, x):
+    for img in field_images(field_columns(der), x):
         if img:
             orbit.insert(img)
     rows = [
@@ -659,7 +760,7 @@ def reference_constrain(acc, probe):
             raise AssertionError(f"constraint row at probe {probe.label!r} does not annihilate Der")
     before = acc.dim
     for row in rows:
-        acc.echelon.insert(row)
+        insert(acc.echelon, row)
     acc.history.append(ProbeStep(probe.label, before, acc.dim))
     acc.seen.add(key)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import time
@@ -6,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liederiv.exactfield import FIELD_Q, FIELD_QI, GaussianRational
+from liederiv.exactfield import FIELD_Q, FIELD_QI, GaussianRational, format_scalar
 from liederiv.cli import main
 from liederiv.liealg import (
     from_json,
@@ -15,8 +16,8 @@ from liederiv.liealg import (
     make_sl2,
     to_json,
 )
-from liederiv.linalg import Matrix, SparseEchelon, encode_columns
-from liederiv import schrodinger
+from liederiv.linalg import Matrix, SparseEchelon, Subspace, encode_columns
+from liederiv import dersolve, liealg, locder, schrodinger
 from liederiv.dersolve import (
     derivation_space,
     inner_space,
@@ -46,7 +47,7 @@ from conftest import (
     dense_inner_space,
     dense_der_basis,
     dense_is_derivation,
-    dense_rows,
+    field_columns,
     field_der_subspace,
     field_leibniz_rows,
     flatten_map,
@@ -56,6 +57,7 @@ from conftest import (
     matvec,
     nullspace,
     rand_scalar,
+    random_matrix_algebras,
     reassemble,
     rref,
     span,
@@ -117,7 +119,9 @@ def test_heisenberg_derivation_dimension():
 
 def test_every_basis_map_satisfies_product_rule():
     # the dense oracle comes from der.subspace alone: der.columns must be
-    # the same maps entry for entry, with no stored zeros
+    # the integer forms of the same maps entry for entry, at the scale of
+    # the pivot entry of der.rows, each column in row order with no
+    # stored zeros
     for build in (
         lambda: make_schrodinger(2),
         lambda: make_schrodinger(2, FIELD_QI),
@@ -126,13 +130,13 @@ def test_every_basis_map_satisfies_product_rule():
         L = build()
         der = derivation_space(L)
         basis = dense_der_basis(der)
-        assert len(der.columns) == len(basis) == der.dim
-        for cols, D in zip(der.columns, basis):
+        assert len(der.columns) == len(der.rows) == len(basis) == der.dim
+        for cols, row, D in zip(der.columns, der.rows, basis):
             assert is_derivation(L, D).ok
             assert len(cols) == L.dim
             for j, c in enumerate(cols):
-                assert all(c.values())
-                assert tuple(c.get(r, 0 * D.entries[0][0]) for r in range(L.dim)) == col(D, j)
+                assert all(c.values()) and list(c) == sorted(c)
+                assert c == at_scale(L.field, dict(enumerate(col(D, j))), row[min(row)])
 
 
 def test_derivation_space_builds_no_dense_matrix(monkeypatch):
@@ -207,11 +211,13 @@ def test_sparse_product_rule_agrees_with_dense_oracle_on_perturbed_maps():
         assert fired, f"no perturbation of a Der({L.name}) basis map was caught"
 
 
+_RANDOM_ALGEBRAS = random_matrix_algebras()
+
 _RULE_DERS = [
     derivation_space(L)
     for L in (
         make_schrodinger(2), make_schrodinger(2, FIELD_QI), make_heisenberg(2), make_sl2(),
-        complex_sl2(),
+        complex_sl2(), *_RANDOM_ALGEBRAS,
     )
 ]
 
@@ -222,7 +228,7 @@ def _maps_off_der(draw):
     often in a column that was zero, and sometimes left alone."""
     der = draw(st.sampled_from(_RULE_DERS))
     L = der.algebra
-    cols = [dict(c) for c in der.columns[draw(st.integers(0, der.dim - 1))]]
+    cols = [dict(c) for c in field_columns(der)[draw(st.integers(0, der.dim - 1))]]
     r, c = draw(st.integers(0, L.dim - 1)), draw(st.integers(0, L.dim - 1))
     re, im = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
     delta = L.field.coerce(re) if L.field == FIELD_Q else GaussianRational(re, im)
@@ -254,6 +260,7 @@ _LEIBNIZ_ALGEBRAS = {
     "sl2": lambda: make_sl2(),
     "sl2-Qi": lambda: make_sl2(FIELD_QI),
     "sl2_xhy": complex_sl2,
+    **{L.name: (lambda L=L: L) for L in _RANDOM_ALGEBRAS},
 }
 
 
@@ -269,15 +276,64 @@ def test_integer_der_equals_the_field_scalar_reference(build):
 
 
 def test_derivation_space_makes_no_field_scalar_insert_and_reads_no_bracket(monkeypatch):
-    # Der is built from the integer table alone: the Leibniz rows go in
-    # through insert_integer, and the product-rule re-check reads the
-    # integer table too (the algebra keeps no field-scalar bracket reader)
+    # Der is built from the integer table alone and kept in integer form:
+    # the Leibniz rows go in through insert_integer (the echelon has no
+    # field-scalar insert), the product-rule re-check reads the integer
+    # table too (the algebra keeps no field-scalar bracket reader), and
+    # Der, both its indexes and a replay fold encode columns only for the
+    # bracket table and build no Subspace; der.subspace is decoded on read
+    assert not hasattr(SparseEchelon, "insert")
+    encoded, built = [], []
+    for module in (liealg, dersolve, locder, schrodinger):
+        encode = module.encode_columns
+        monkeypatch.setattr(
+            module,
+            "encode_columns",
+            lambda *a, name=module.__name__, encode=encode: encoded.append(name) or encode(*a),
+        )
+    init = Subspace.__init__
+    monkeypatch.setattr(Subspace, "__init__", lambda self, *a: built.append(1) or init(self, *a))
     L = make_schrodinger(3, FIELD_QI)
-    calls = []
-    monkeypatch.setattr(SparseEchelon, "insert", lambda *a: calls.append("insert"))
     der = derivation_space(L)
-    assert der.dim == expected_der_dim(3)
-    assert calls == []
+    assert der.image_index.scales and der.check_index
+    acc = schrodinger.replay_proof(3)
+    assert der.dim == expected_der_dim(3) and acc.equal
+    assert set(encoded) == {"liederiv.liealg"} and built == []
+    assert der.subspace == field_der_subspace(L) and der.subspace.rows == field_der_subspace(L).rows
+
+
+@pytest.mark.parametrize(
+    "n, dim, field_digest, integer_digest",
+    [
+        (
+            16,
+            156,
+            "bb2f23728a258f7004b976b9ef4bfc880a69f1dff8b43002cf3d96cf38fef4bd",
+            "612f891b3d12892b3700e9c9c5f91c05a0e778ee1d2c8cf4438f0077fdb6d3e0",
+        ),
+        (
+            32,
+            564,
+            "0f949d8acd5ab0928e72607a246b6f74746e1cd694e9b1899d882d898149aed2",
+            "3c4cd4c659ffe50f7b73cb5fde225cf035e20ab7aba2f30711a819e7d0bd0b17",
+        ),
+    ],
+    ids=["16", "32"],
+)
+def test_der_pins_the_canonical_rows_over_gaussian_rationals(n, dim, field_digest, integer_digest):
+    # each canonical row of Der(S_n) over Q(i), one line per row: the repr
+    # of its sorted (column, format_scalar(entry)) pairs, then a newline
+    # (the serialization behind the BENCH_24.json hashes, which these
+    # are); and the same for the sorted (integer column, entry) pairs of
+    # der.rows, pinned from the field-scalar Der before it was kept in
+    # integer form alone
+    der = derivation_space(make_schrodinger(n, FIELD_QI))
+    assert der.dim == dim
+    rows = der.subspace.rows
+    text = "".join(repr(sorted((c, format_scalar(x)) for c, x in r.items())) + "\n" for r in rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == field_digest
+    text = "".join(repr(sorted(r.items())) + "\n" for r in der.rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == integer_digest
 
 
 def test_complex_sl2_der_is_ad():
@@ -293,11 +349,14 @@ def test_derivation_space_rejects_a_non_derivation_from_the_nullspace(monkeypatc
     original = SparseEchelon.nullspace
 
     def corrupted(self):
-        space = original(self)
-        rows = [list(r) for r in dense_rows(space)]
-        # adds e -> e to the first basis map, which breaks [e, f] = h
-        rows[0][0] = rows[0][0] + 1
-        return span(self.field, self.ncols, rows)
+        rows = original(self).rref_forms()
+        # adds e -> e (one, at the row's scale) to the first basis map,
+        # which breaks [e, f] = h
+        rows[0] = {**rows[0], 0: rows[0].get(0, 0) + rows[0][min(rows[0])]}
+        out = SparseEchelon(self.field, self.ncols)
+        for row in rows:
+            out.insert_integer(row)
+        return out
 
     monkeypatch.setattr(SparseEchelon, "nullspace", corrupted)
     with pytest.raises(AssertionError, match="non-derivation"):

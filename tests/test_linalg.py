@@ -16,12 +16,14 @@ from conftest import (
     dense_rows,
     full_space,
     identity,
+    insert,
     matmul,
     naive_rank,
     nullspace,
     rand_scalar,
     rref,
     span,
+    stored_rows,
     subspace_intersect,
     subspace_sum,
     transpose,
@@ -206,9 +208,9 @@ def test_sparse_echelon_matches_dense_rank():
         m = rand_matrix(rng, rng.randint(1, 8), rng.randint(1, 8))
         acc = SparseEchelon(FIELD_Q, m.ncols)
         for row in m.entries:
-            acc.insert({j: x for j, x in enumerate(row) if x})
+            insert(acc, {j: x for j, x in enumerate(row) if x})
         assert acc.rank == rref(m)[1]
-        ns = acc.nullspace()
+        ns = acc.nullspace().row_space()
         assert ns == nullspace(m)
         for vec in dense_rows(ns):
             assert not any(back_multiply(m.entries, vec))
@@ -220,32 +222,32 @@ def test_sparse_echelon_over_gaussian_rationals():
         m = rand_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), FIELD_QI)
         acc = SparseEchelon(FIELD_QI, m.ncols)
         for row in m.entries:
-            acc.insert({j: x for j, x in enumerate(row) if x})
+            insert(acc, {j: x for j, x in enumerate(row) if x})
         assert acc.rank == rref(m)[1]
-        for vec in dense_rows(acc.nullspace()):
+        for vec in dense_rows(acc.nullspace().row_space()):
             assert not any(back_multiply(m.entries, vec))
 
 
 def test_sparse_echelon_keeps_int_rows_exact():
     acc = SparseEchelon(FIELD_Q, 2)
-    assert acc.insert({0: 2, 1: 3})
+    assert insert(acc, {0: 2, 1: 3})
     # 1.0 and 1.5 would compare equal, so the types are checked as well
-    assert acc.rows == {0: {0: Fraction(1), 1: Fraction(3, 2)}}
-    assert all(type(v) is Fraction for v in acc.rows[0].values())
+    assert stored_rows(acc) == {0: {0: Fraction(1), 1: Fraction(3, 2)}}
+    assert all(type(v) is Fraction for v in stored_rows(acc)[0].values())
 
 
 def test_a_non_real_scalar_in_a_q_echelon_is_a_field_mismatch():
     acc = SparseEchelon(FIELD_Q, 2)
     with pytest.raises(FieldMismatchError):
-        acc.insert({0: Fraction(1), 1: GaussianRational(1, 1)})
-    assert acc.rank == 0 and acc.rows == {}
+        insert(acc, {0: Fraction(1), 1: GaussianRational(1, 1)})
+    assert acc.rank == 0 and stored_rows(acc) == {}
     for field in (FIELD_Q, FIELD_QI):
         with pytest.raises(FieldMismatchError):
-            SparseEchelon(field, 1).insert({0: 0.5})
+            insert(SparseEchelon(field, 1), {0: 0.5})
     # a Gaussian rational with no imaginary part is a rational
-    assert acc.insert({0: GaussianRational(2), 1: Fraction(1, 3)})
-    assert acc.rows == {0: {0: Fraction(1), 1: Fraction(1, 6)}}
-    assert all(type(v) is Fraction for v in acc.rows[0].values())
+    assert insert(acc, {0: GaussianRational(2), 1: Fraction(1, 3)})
+    assert stored_rows(acc) == {0: {0: Fraction(1), 1: Fraction(1, 6)}}
+    assert all(type(v) is Fraction for v in stored_rows(acc)[0].values())
 
 
 @st.composite
@@ -292,7 +294,8 @@ def _assert_primitive(acc: SparseEchelon):
         assert min(row) == q and row[q] > 0 and gcd(*row.values()) == 1
     # over Q(i) the real pivots come in pairs {2p, 2p + 1}
     width = acc.field.width
-    assert sorted(acc._rows) == [width * p + k for p in sorted(acc.rows) for k in range(width)]
+    pivots = sorted(stored_rows(acc))
+    assert sorted(acc._rows) == [width * p + k for p in pivots for k in range(width)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -301,15 +304,17 @@ def test_integer_echelon_reads_back_the_unit_pivot_oracle(case):
     field, ncols, rows, extra = case
     acc, oracle = SparseEchelon(field, ncols), UnitPivotEchelon(ncols)
     for row in rows:
-        assert acc.insert(row) == oracle.insert(row)
+        assert insert(acc, row) == oracle.insert(row)
         _assert_primitive(acc)
     assert acc.rank == len(oracle.rows)
-    assert _typed(acc.rows) == _typed(oracle.rows)
+    assert _typed(stored_rows(acc)) == _typed(oracle.rows)
     reduced = oracle.reduced_rows()
-    assert _typed(acc.reduced_rows()) == _typed(reduced)
+    ordered = [reduced[p] for p in sorted(reduced)]
+    assert _typed(dict(enumerate(acc.rref_rows()))) == _typed(dict(enumerate(ordered)))
+    # the integer forms behind them are the primitive forms of those rows
+    assert acc.rref_forms() == [field.encode(row) for row in ordered]
     z = field.zero
     dense = [[row.get(j, z) for j in range(ncols)] for row in rows]
-    assert acc.rref_rows() == [reduced[p] for p in sorted(reduced)]
     assert tuple(acc.rref_rows()) == _sparse(_dense_rref_rows(field, ncols, dense))
     # each integer nullspace vector is a positive multiple of the oracle's
     # vector for the same free column f, which has 1 at f, its first key
@@ -321,9 +326,9 @@ def test_integer_echelon_reads_back_the_unit_pivot_oracle(case):
         assert form[width * f] > 0 and field.decode(form, width * f) == vec
         assert not any(back_multiply(dense, [vec.get(j, z) for j in range(ncols)]))
     # reading back leaves the stored rows fit for a later insert
-    assert acc.insert(extra) == oracle.insert(extra)
+    assert insert(acc, extra) == oracle.insert(extra)
     _assert_primitive(acc)
-    assert _typed(acc.rows) == _typed(oracle.rows)
+    assert _typed(stored_rows(acc)) == _typed(oracle.rows)
 
 
 _int_matrices = st.integers(1, 6).flatmap(
@@ -339,9 +344,9 @@ def test_sparse_echelon_rank_matches_naive_rank(case):
     ncols, rows = case
     acc = SparseEchelon(FIELD_Q, ncols)
     for row in rows:
-        acc.insert({j: x for j, x in enumerate(row) if x})
+        insert(acc, {j: x for j, x in enumerate(row) if x})
     assert acc.rank == naive_rank([[Fraction(x) for x in row] for row in rows])
-    assert all(type(v) is Fraction for row in acc.rows.values() for v in row.values())
+    assert all(type(v) is Fraction for row in stored_rows(acc).values() for v in row.values())
 
 
 def _scalars(field):
@@ -440,10 +445,10 @@ def test_solve_columns_gives_the_rank_and_solves_exactly_inside_the_span(case):
         # with every free coefficient zero
         acc = SparseEchelon(field, m + 1)
         for i in range(nrows):
-            acc.insert({k: x for k, x in enumerate([col[i] for col in cols] + [target[i]]) if x})
-        reduced = acc.reduced_rows()
+            insert(acc, {k: x for k, x in enumerate([col[i] for col in cols] + [target[i]]) if x})
+        reduced = {min(row): row for row in acc.rref_rows()}
         assert coeffs == [reduced[k].get(m, z) if k in reduced else z for k in range(m)]
-        assert all(not coeffs[k] for k in range(m) if k not in acc.rows)
+        assert all(not coeffs[k] for k in range(m) if k not in stored_rows(acc))
 
 
 def test_matrices_and_subspaces_copy_and_pickle():

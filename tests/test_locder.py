@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from liederiv.exactfield import FIELD_Q, FIELD_QI, GaussianRational, I, format_scalar, inv
 from liederiv.liealg import LieAlgebra, make_abelian, make_heisenberg
-from liederiv.linalg import Matrix, SparseEchelon, Subspace, encode_columns
+from liederiv.linalg import Matrix, SparseEchelon, encode_columns
 from liederiv.dersolve import DerivationSpace, MapIndex, derivation_space, is_derivation
 from liederiv import locder
 from liederiv.locder import (
@@ -53,6 +53,7 @@ from conftest import (
     reference_constrain,
     span,
     sparse_add,
+    stored_rows,
     unflatten_map,
 )
 
@@ -100,11 +101,12 @@ def test_constrain_rejects_a_corrupted_der_basis_map():
     # the first basis vector's pivot entry D_0[i][j] is zero in every other
     # basis map, so dropping column j of D_0 shrinks the orbit of b_j and
     # lets through a constraint row that cuts the true Der
-    j, i = divmod(der.subspace.pivots[0], L.dim)
-    assert der.columns[0][j].get(i)
+    w = L.field.width
+    j, i = divmod(min(der.rows[0]) // w, L.dim)
+    assert der.columns[0][j].get(w * i)
     cols = list(der.columns[0])
     cols[j] = {}
-    corrupted = DerivationSpace(L, (tuple(cols),) + der.columns[1:], der.subspace)
+    corrupted = DerivationSpace(L, (tuple(cols),) + der.columns[1:], der.rows)
     probe = Probe(L.basis_element(j), L.labels[j])
     with pytest.raises(AssertionError, match="does not annihilate Der"):
         constrain(CandidateSpace(corrupted), probe)
@@ -113,14 +115,15 @@ def test_constrain_rejects_a_corrupted_der_basis_map():
 
 def _with_a_corrupted_subspace_row(der: DerivationSpace) -> DerivationSpace:
     # the columns are intact, so every constraint row annihilates the true
-    # Der; the first subspace row gains an entry at a column where every
-    # Der map is zero, so it leaves Der, and a fold that reaches dim Der
-    # has a constraint row that the per-row check finds it against
-    L = der.algebra
-    unused = set(range(L.dim ** 2)).difference(*der.subspace.rows)
-    rows = list(der.subspace.rows)
-    rows[0] = {**rows[0], max(unused): L.field.one}
-    return DerivationSpace(L, der.columns, Subspace(L.field, L.dim ** 2, tuple(rows)))
+    # Der; the first row gains an entry at a column where every Der map is
+    # zero (one, at the row's scale), so it leaves Der, and a fold that
+    # reaches dim Der has a constraint row that the per-row check finds it
+    # against
+    L, w = der.algebra, der.algebra.field.width
+    unused = set(range(L.dim ** 2)).difference(*({c // w for c in row} for row in der.rows))
+    rows = list(der.rows)
+    rows[0] = {**rows[0], w * max(unused): rows[0][min(rows[0])]}
+    return DerivationSpace(L, der.columns, tuple(rows))
 
 
 def test_constrain_rejects_a_corrupted_der_subspace_row():
@@ -263,9 +266,9 @@ _CHECK_DER = {name: derivation_space(L) for name, L in _CHECK_ALGEBRAS.items()}
 
 def _der_annihilator(der):
     acc = SparseEchelon(der.algebra.field, der.algebra.dim ** 2)
-    for row in der.subspace.rows:
-        acc.insert(row)
-    return acc.nullspace().rows
+    for row in der.rows:
+        acc.insert_integer(dict(row))
+    return acc.nullspace().row_space().rows
 
 
 _CHECK_ANNIHILATOR = {name: _der_annihilator(der) for name, der in _CHECK_DER.items()}
@@ -340,21 +343,30 @@ def test_integer_fold_matches_the_field_scalar_reference_on_random_probes(n, mon
     _same_as_reference(lambda: random_probe_closure(der), monkeypatch)
 
 
+def _count_inserts(monkeypatch) -> list:
+    """Patch ``SparseEchelon.insert_integer`` to record, per call, whether
+    the row it was handed is in integer form (every entry an ``int``).
+    The echelon has no field-scalar insert left to call."""
+    assert not hasattr(SparseEchelon, "insert")
+    calls = []
+    true_insert = SparseEchelon.insert_integer
+
+    def counting(self, row):
+        calls.append(all(type(v) is int for v in row.values()))
+        return true_insert(self, row)
+
+    monkeypatch.setattr(SparseEchelon, "insert_integer", counting)
+    return calls
+
+
 def test_constrain_makes_no_field_scalar_insert(monkeypatch):
     L = make_schrodinger(2, FIELD_QI)
     der = derivation_space(L)
-    calls = []
-    true_insert = SparseEchelon.insert
-
-    def counting(self, row):
-        calls.append(1)
-        return true_insert(self, row)
-
-    monkeypatch.setattr(SparseEchelon, "insert", counting)
+    calls = _count_inserts(monkeypatch)
     acc = CandidateSpace(der)
     locder.fold(acc, schrodinger_trimmed_schedule(L))
     assert acc.dim == der.dim
-    assert len(calls) == 0
+    assert calls and all(calls)
 
 
 def test_constrain_eliminates_each_probe_once(monkeypatch):
@@ -486,7 +498,7 @@ def test_trimmed_schedule_is_the_cutting_subsequence():
         long = fold(full)
         short = replay_proof(n)
         assert short.equal and long.equal
-        assert short.echelon.rows == long.echelon.rows
+        assert stored_rows(short.echelon) == stored_rows(long.echelon)
         # the trimmed history is the full one minus steps that did not cut
         history = {s.probe: s for s in long.history}
         assert list(short.history) == [history[p.label] for p in trimmed]
@@ -745,17 +757,10 @@ def test_certifier_makes_no_field_scalar_insert(monkeypatch):
     # runs on integer forms, a refuting scan as well as a full certificate
     L = make_schrodinger(1)
     cases = (_heisenberg2_zz(), (L, derivation_space(L), _z_scaling(L)))
-    calls = []
-    true_insert = SparseEchelon.insert
-
-    def counting(self, row):
-        calls.append(1)
-        return true_insert(self, row)
-
-    monkeypatch.setattr(SparseEchelon, "insert", counting)
+    calls = _count_inserts(monkeypatch)
     verdicts = [certify_local_symbolic(der, delta).certified for _, der, delta in cases]
     assert verdicts == [True, False]
-    assert len(calls) == 0
+    assert calls and all(calls)
 
 
 def test_certifier_makes_no_dense_matvec(monkeypatch):
@@ -807,11 +812,16 @@ def test_certifier_solves_each_point_once_up_to_scaling(monkeypatch):
     assert len(solves) == 2 * 507
 
 
+def _delta_index(L, delta: Matrix) -> MapIndex:
+    # Delta's columns encoded once, as the certifier indexes them
+    return MapIndex(L.field, [encode_columns(L.field, delta.sparse_columns(), L.dim)])
+
+
 def test_a_point_and_its_multiple_share_one_solve(monkeypatch):
     H, der, delta = _heisenberg2_zz()
     solves = _count_solves(monkeypatch)
     x = H.from_terms({"z": 1, "u_1": 1, "v_2": -1})
-    index = MapIndex(H, (delta.sparse_columns(),))
+    index = _delta_index(H, delta)
     memo: dict = {}
     rank = locder._point_rank(der, index, locder._integer_form(x), memo)
     assert locder._point_rank(der, index, locder._integer_form(x.scale(3)), memo) == rank
@@ -823,7 +833,7 @@ def test_a_point_and_its_multiple_share_one_solve(monkeypatch):
     # a refuting point gives None at once and is not remembered
     rows = [[Fraction(0)] * 5 for _ in range(5)]
     rows[H.index["u_1"]][H.index["z"]] = Fraction(1)
-    index = MapIndex(H, (Matrix(FIELD_Q, rows).sparse_columns(),))
+    index = _delta_index(H, Matrix(FIELD_Q, rows))
     memo = {}
     z = locder._integer_form(H.from_terms({"z": 1}))
     assert locder._point_rank(der, index, z, memo) is None
@@ -985,7 +995,7 @@ def test_stratum_block_evaluates_to_the_images(case):
         basis = sub
     x = _combination(L, basis, point)
     stratum, scale = encode_columns(L.field, [dict(enumerate(b.coords)) for b in basis], L.dim)
-    block = _stratum_block(der, MapIndex(L, (delta.sparse_columns(),)), stratum, scale)
+    block = _stratum_block(der, _delta_index(L, delta), stratum, scale)
     assert len(block) == der.dim + 1
     for forms, D in zip(block, dense_der_basis(der) + (delta,)):
         assert [f.evaluate(point) for f in forms] == list(matvec(D, x.coords))
