@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from typing import Optional
 
 from .exactfield import FIELD_Q, FIELD_QI, field_of, format_scalar
@@ -31,7 +32,6 @@ from .locder import (
     DEFAULT_SEED,
     DEFAULT_STALL_LIMIT,
     basis_probe_space,
-    certify_local_symbolic,
     random_probe_closure,
 )
 from .schrodinger import decompose, make_schrodinger, outer_check, replay_proof, schrodinger_rank
@@ -163,13 +163,22 @@ def _cmd_der(args) -> int:
         "inner_dim": inn.dim,
         "outer_dim": der.dim - inn.dim,
     }
-    if args.basis:
-        d, z = L.dim, L.field.zero
-        report["basis"] = [
-            [[format_scalar(row.get(j * d + r, z)) for j in range(d)] for r in range(d)]
-            for row in der.subspace.rows
-        ]
-    _emit(report, args.output)
+    if not args.basis:
+        _emit(report, args.output)
+        return 0
+    # the basis goes out one map at a time, so memory holds one map of it;
+    # the bytes are those _emit writes for the report with the basis in it
+    report["basis"] = []
+    head, tail = json.dumps(report, indent=2, sort_keys=True).split('"basis": []')
+    d, z = L.dim, L.field.zero
+    sink = open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout)
+    with sink as out:
+        out.write(head + '"basis": [')
+        for k, row in enumerate(der.subspace.rows):
+            m = [[format_scalar(row.get(j * d + r, z)) for j in range(d)] for r in range(d)]
+            text = json.dumps(m, indent=2).replace("\n", "\n    ")
+            out.write(("," if k else "") + "\n    " + text)
+        out.write(("\n  ]" if der.dim else "]") + tail + "\n")
     return 0
 
 
@@ -204,6 +213,9 @@ def _cmd_locder_random(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    # the certifier and poly compile only for the two commands that run them
+    from .certifier import certify_local_symbolic
+
     L = _load_algebra(args.input)
     delta = _parse_map(args.map, L)
     der = derivation_space(L)
@@ -226,6 +238,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_demo_heisenberg(args) -> int:
+    from .certifier import certify_local_symbolic
+
     L = make_heisenberg(1, args.field)
     der = derivation_space(L)
     d = L.dim

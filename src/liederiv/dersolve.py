@@ -165,11 +165,12 @@ class DerivationSpace(Frozen):
     column j of D_k read off it at that scale.  ``subspace``, the rows over
     the field, is decoded only when a report or a comparison reads it.
 
-    The fold, ``locder.witness`` and the certifier work through two indexes
-    keyed by integer column, each built on first use: ``image_index`` reads
-    ``columns``, and ``residues``, the per-row Der-annihilation check of a
-    constraint row, reads ``rows``, so a fault in the columns, or in the
-    images built from them, cannot hide from that check.
+    The fold and the certifier (``certifier.witness`` and
+    ``certify_local_symbolic``) work through two indexes keyed by integer
+    column, each built on first use: ``image_index`` reads ``columns``, and
+    ``residues``, the per-row Der-annihilation check of a constraint row,
+    reads ``rows``, so a fault in the columns, or in the images built from
+    them, cannot hide from that check.
     """
 
     __match_args__ = ("algebra", "columns", "rows")

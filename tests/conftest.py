@@ -21,6 +21,7 @@ import heapq
 import pickle
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from liederiv.dersolve import derivation_space
@@ -115,7 +116,8 @@ def _dense_coordinates(vectors, target):
     return [rows[t][m] for t in range(m)]
 
 
-def random_matrix_algebras(seed: int = 2718, count: int = 12, max_dim: int = 9) -> list:
+@lru_cache(maxsize=None)
+def random_matrix_algebras(seed: int = 2718, count: int = 12, max_dim: int = 9) -> tuple:
     """Seeded random exact Lie algebras: the closure under the commutator
     of 2-3 sparse matrices in gl_3 or gl_4, with 1-3 nonzero entries each,
     kept when its dimension d is 2..``max_dim``.  Every second algebra is
@@ -123,7 +125,8 @@ def random_matrix_algebras(seed: int = 2718, count: int = 12, max_dim: int = 9) 
     constants are not real; the others are over Q with integer entries.
     The basis is the generators, then each new commutator in the order
     the closure meets it, and the structure constants are solved for
-    exactly in that basis."""
+    exactly in that basis.  The tuple is built once per argument set and
+    shared by every test module that asks for it."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
@@ -159,7 +162,7 @@ def random_matrix_algebras(seed: int = 2718, count: int = 12, max_dim: int = 9) 
             labels = [f"x_{k}" for k in range(1, len(basis) + 1)]
             name = f"gl{n}_closure_{len(out)}"
             out.append(LieAlgebra(name, field, labels, brackets))
-    return out
+    return tuple(out)
 
 
 class UnitPivotEchelon:

@@ -30,13 +30,12 @@ from liederiv.dersolve import (
     inner_space,
     is_derivation,
 )
+from liederiv.certifier import certify_local_symbolic, witness
 from liederiv.locder import (
     CandidateSpace,
     basis_probe_space,
-    certify_local_symbolic,
     constrain,
     random_probe_closure,
-    witness,
 )
 from liederiv.schrodinger import (
     make_schrodinger,

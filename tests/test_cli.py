@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from liederiv import cli, liealg, schrodinger
+from liederiv import certifier, cli, liealg, schrodinger
 from liederiv.cli import main
 from liederiv.exactfield import format_scalar
 from liederiv.liealg import load, make_heisenberg, to_json
@@ -90,6 +90,20 @@ def test_der_basis_export(tmp_path, capsys):
     assert report["der_dim"] == 6
     assert len(report["basis"]) == 6
     assert all(len(m) == 3 and len(m[0]) == 3 for m in report["basis"])
+
+
+@pytest.mark.parametrize("field", ["Q", "Qi"])
+def test_der_basis_streams_the_bytes_of_one_report(tmp_path, capsys, field):
+    # the basis is written map by map; stdout and --output both carry the
+    # bytes of the whole report dumped at once, as every other command writes
+    code, out, _ = run_cli(capsys, "der", "--n", "3", "--field", field, "--basis")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    path = tmp_path / "der.json"
+    argv = ["der", "--n", "3", "--field", field, "--basis", "-o", str(path)]
+    code, written, _ = run_cli(capsys, *argv)
+    assert code == 0 and written == ""
+    assert path.read_text(encoding="utf-8") == out
 
 
 def test_outer_check(capsys):
@@ -428,6 +442,20 @@ def test_certify_above_dimension_bound_exits_one(tmp_path, capsys):
     code, out, err = run_cli(capsys, "certify", str(alg), "--map", str(mp))
     assert_one_line_error(code, out, err)
     assert "exceeds the certifier bound" in err
+
+
+@pytest.mark.parametrize("command", ["certify", "demo-heisenberg"])
+def test_an_undecided_certificate_exits_one(tmp_path, capsys, monkeypatch, command):
+    # with the bound lowered to 2, h_1 (d = 3) is above it: each command
+    # that runs the certifier reports its CertificationError in one line
+    monkeypatch.setattr(certifier, "_DIM_BOUND", 2)
+    alg = write_h1_with(tmp_path, lambda doc: None)
+    mp = tmp_path / "zz.json"
+    mp.write_text(json.dumps({"matrix": [["0", "0", "0"], ["0", "0", "0"], ["0", "0", "1"]]}))
+    argv = ["certify", str(alg), "--map", str(mp)] if command == "certify" else [command]
+    code, out, err = run_cli(capsys, *argv)
+    assert_one_line_error(code, out, err)
+    assert err == "error: undecided: algebra dimension 3 exceeds the certifier bound 2\n"
 
 
 @pytest.mark.parametrize("command", ["locder-random", "demo-heisenberg"])

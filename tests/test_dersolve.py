@@ -283,8 +283,10 @@ def test_derivation_space_makes_no_field_scalar_insert_and_reads_no_bracket(monk
     # Der, both its indexes and a replay fold encode columns only for the
     # bracket table and build no Subspace; der.subspace is decoded on read
     assert not hasattr(SparseEchelon, "insert")
+    # the fold's module has no encoder to call (the certifier holds it)
+    assert not hasattr(locder, "encode_columns")
     encoded, built = [], []
-    for module in (liealg, dersolve, locder, schrodinger):
+    for module in (liealg, dersolve, schrodinger):
         encode = module.encode_columns
         monkeypatch.setattr(
             module,

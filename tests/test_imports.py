@@ -3,10 +3,13 @@
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from test_golden import write_certify_inputs
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "liederiv"
 
@@ -51,10 +54,56 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert out.stdout.strip() == "[]"
 
 
+def test_only_the_certifying_commands_load_the_certifier(tmp_path):
+    # in a fresh interpreter: the import, the folds and an error exit leave
+    # the certifier and poly uncompiled; certify loads both
+    write_certify_inputs(tmp_path)
+    script = (
+        "import io, json, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "import liederiv.cli as cli\n"
+        "def loaded(code=None):\n"
+        "    mods = [m for m in ('liederiv.poly', 'liederiv.certifier') if m in sys.modules]\n"
+        "    return [code, mods]\n"
+        "seen = [loaded()]\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with redirect_stdout(io.StringIO()):\n"
+        "        seen.append(loaded(cli.main(argv)))\n"
+        "print(json.dumps(seen))\n"
+    )
+    runs = [
+        ["locder-replay", "--n", "3"],
+        ["locder-random", "--n", "2"],
+        ["der", str(tmp_path / "missing.json")],
+        ["certify", str(tmp_path / "h1.json"), "--map", str(tmp_path / "h1_zz.json")],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-s", "-c", script, json.dumps(runs)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    both = ["liederiv.poly", "liederiv.certifier"]
+    assert json.loads(out.stdout) == [[None, []], [0, []], [0, []], [1, []], [0, both]]
+
+
 # each module may import only modules earlier in this order, which keeps
 # dersolve algebra-generic, the schrodinger module on top of the generic
 # layers and the import graph acyclic
-LAYERS = ("exactfield", "poly", "linalg", "liealg", "dersolve", "locder", "schrodinger", "cli")
+LAYERS = (
+    "exactfield",
+    "poly",
+    "linalg",
+    "liealg",
+    "dersolve",
+    "locder",
+    "certifier",
+    "schrodinger",
+    "cli",
+)
 
 
 def test_relative_imports_follow_the_layer_order():
@@ -128,7 +177,7 @@ def test_generic_layers_name_nothing_schrodinger():
     # the Schrodinger algebra, its basis order and its replay schedule live
     # in the schrodinger module alone; docstrings and comments may mention it
     named = []
-    for name in ("exactfield", "poly", "linalg", "liealg", "dersolve", "locder"):
+    for name in ("exactfield", "poly", "linalg", "liealg", "dersolve", "locder", "certifier"):
         tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
@@ -150,7 +199,7 @@ def test_no_function_takes_both_an_algebra_and_its_der():
     # a DerivationSpace carries its algebra, so a function that took both
     # an algebra L and a Der could be handed the Der of another algebra
     both = []
-    for name in ("locder", "schrodinger"):
+    for name in ("locder", "certifier", "schrodinger"):
         tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -189,24 +238,26 @@ def test_linalg_leaves_scalar_knowledge_to_the_field():
 
 def test_locder_runs_on_the_shared_integer_kernel():
     # the fold and the certifier insert integer forms only, and form their
-    # images only through dersolve's MapIndex: locder never reads the
+    # images only through dersolve's MapIndex: neither reads the
     # field-scalar columns of Der, and the sparse columns of Delta go
-    # straight into a MapIndex
-    tree = ast.parse((PACKAGE / "locder.py").read_text(encoding="utf-8"))
-    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
-    methods = [c.func.attr for c in calls if isinstance(c.func, ast.Attribute)]
-    assert "insert" not in methods and "insert_integer" in methods
-    attributes = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
-    assert "columns" not in attributes and "images" in attributes
-    indexed = {
-        id(arg)
-        for c in calls
-        if getattr(c.func, "id", None) == "MapIndex"
-        for arg in ast.walk(c)
-        if isinstance(arg, ast.Call)
-    }
-    columns = [c for c in calls if getattr(c.func, "attr", None) == "sparse_columns"]
-    assert columns and all(id(c) in indexed for c in columns)
+    # straight into a MapIndex (the certifier reads them, the fold does not)
+    for module in ("locder", "certifier"):
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
+        methods = [c.func.attr for c in calls if isinstance(c.func, ast.Attribute)]
+        assert "insert" not in methods and "insert_integer" in methods, module
+        attributes = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        assert "columns" not in attributes and "images" in attributes, module
+        indexed = {
+            id(arg)
+            for c in calls
+            if getattr(c.func, "id", None) == "MapIndex"
+            for arg in ast.walk(c)
+            if isinstance(arg, ast.Call)
+        }
+        columns = [c for c in calls if getattr(c.func, "attr", None) == "sparse_columns"]
+        assert all(id(c) in indexed for c in columns), module
+        assert bool(columns) == (module == "certifier"), module
 
 
 def test_only_the_parser_and_the_label_map_build_a_matrix():

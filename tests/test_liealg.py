@@ -21,7 +21,8 @@ from liederiv.liealg import (
     save,
     to_json,
 )
-from liederiv.locder import LocalityCertificate, Probe, ProbeStep
+from liederiv.certifier import LocalityCertificate
+from liederiv.locder import Probe, ProbeStep
 from liederiv.schrodinger import (
     AsosShape,
     asos_shape_check,
@@ -42,6 +43,7 @@ from conftest import (
     copies,
     is_zero,
     rand_scalar,
+    random_matrix_algebras,
     span,
 )
 
@@ -189,10 +191,10 @@ _JACOBI_BASES = [
 
 
 @st.composite
-def _tables_off_jacobi(draw):
-    """(algebra, brackets): the table of an algebra with one structure
+def _tables_off_jacobi(draw, bases):
+    """(algebra, brackets): the table of one of ``bases`` with one structure
     constant moved, often off a pair whose bracket was zero."""
-    L = draw(st.sampled_from(_JACOBI_BASES))
+    L = draw(st.sampled_from(bases))
     i = draw(st.integers(0, L.dim - 2))
     j = draw(st.integers(i + 1, L.dim - 1))
     k = draw(st.integers(0, L.dim - 1))
@@ -204,9 +206,7 @@ def _tables_off_jacobi(draw):
     return L, table
 
 
-@settings(max_examples=300, deadline=None)
-@given(_tables_off_jacobi())
-def test_jacobi_on_fewer_triples_agrees_with_all_triples(case):
+def _fewer_triples_agree(case):
     # the triples check_jacobi skips have no nonzero term, so its verdict
     # and first failing triple are those of the loop over every triple
     L, table = case
@@ -217,6 +217,25 @@ def test_jacobi_on_fewer_triples_agrees_with_all_triples(case):
         assert check_jacobi(err.algebra) == JacobiVerdict(False, err.triple)
     else:
         assert all_triples_jacobi(M) == JacobiVerdict(True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables_off_jacobi(_JACOBI_BASES))
+def test_jacobi_on_fewer_triples_agrees_with_all_triples(case):
+    _fewer_triples_agree(case)
+
+
+def test_random_algebras_pass_both_jacobi_checks():
+    for L in random_matrix_algebras():
+        assert check_jacobi(L) == all_triples_jacobi(L) == JacobiVerdict(True), L.name
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tables_off_jacobi(random_matrix_algebras()))
+def test_jacobi_on_fewer_triples_agrees_with_all_triples_on_random_algebras(case):
+    # the closures of random sparse matrices, over Q and Q(i), and their
+    # one-entry corruptions: tables with many more nonzero pairs than S_n
+    _fewer_triples_agree(case)
 
 
 @pytest.mark.parametrize("L", _JACOBI_BASES + [make_abelian(3)], ids=lambda L: f"{L.name}-{L.field}")

@@ -10,20 +10,22 @@ from liederiv.exactfield import FIELD_Q, FIELD_QI, GaussianRational, I, format_s
 from liederiv.liealg import LieAlgebra, make_abelian, make_heisenberg
 from liederiv.linalg import Matrix, SparseEchelon, encode_columns
 from liederiv.dersolve import DerivationSpace, MapIndex, derivation_space, is_derivation
-from liederiv import locder
+from liederiv import certifier, locder
+from liederiv.certifier import (
+    CertificationError,
+    certify_local_symbolic,
+    witness,
+    _hyperplane_basis,
+    _stratum_block,
+)
 from liederiv.locder import (
     CandidateSpace,
-    CertificationError,
     Probe,
     basis_probe_space,
-    certify_local_symbolic,
     constrain,
     probe_label,
     random_probe_closure,
     singleton_probes,
-    witness,
-    _hyperplane_basis,
-    _stratum_block,
 )
 from liederiv.poly import MultiPoly
 from liederiv.schrodinger import (
@@ -36,6 +38,7 @@ from liederiv.schrodinger import (
 )
 from conftest import (
     ad,
+    bracket_basis,
     combine,
     contains,
     contains_map,
@@ -50,6 +53,7 @@ from conftest import (
     normalized_key,
     orbit_subspace,
     rand_scalar,
+    random_matrix_algebras,
     reference_constrain,
     span,
     sparse_add,
@@ -254,6 +258,55 @@ def test_basis_permutations_mixing_sl2_or_z_with_u_v_fail_the_table_check(case):
     assume(any(j >= 4 for j in order[:4]))
     sigma = tuple((i, j) for i, j in enumerate(order) if i != j)
     assert not locder.permutes_table(make_schrodinger(n, FIELD_QI), sigma)
+
+
+def _permutes_full_table(L: LieAlgebra, sigma: tuple) -> bool:
+    """Whether [b_si, b_sj] = sigma([b_i, b_j]) for every pair i, j, off the
+    field-scalar table: the reference for ``locder.permutes_table``."""
+    p = dict(sigma)
+    s = [p.get(i, i) for i in range(L.dim)]
+    return all(
+        bracket_basis(L, s[i], s[j]) == {s[k]: c for k, c in bracket_basis(L, i, j).items()}
+        for i in range(L.dim)
+        for j in range(L.dim)
+    )
+
+
+def _doubled(L: LieAlgebra) -> LieAlgebra:
+    """L + L, the second copy on indices d..2d-1: swapping the copies is an
+    index permutation that is an automorphism."""
+    d = L.dim
+    table = dict(L.table)
+    for (i, j), terms in L.table.items():
+        table[i + d, j + d] = {k + d: c for k, c in terms.items()}
+    labels = [*L.labels, *(f"{lab}_b" for lab in L.labels)]
+    return LieAlgebra(f"{L.name}_doubled", L.field, labels, table)
+
+
+def test_permutes_table_agrees_with_the_full_table_on_random_algebras():
+    # 20 seeded permutations per algebra, each moving a random subset of the
+    # indices, on the random closures and on their doubles (with the copy
+    # swap among them); the check reads only the entries that touch a moved
+    # index, the reference every entry
+    rng = random.Random(0x7AB1E)
+    verdicts = []
+    for L in random_matrix_algebras():
+        for A in (L, _doubled(L)):
+            d = A.dim
+            # the copy swap of a double
+            sigmas = [] if A is L else [tuple((i, (i + d // 2) % d) for i in range(d))]
+            while len(sigmas) < 20:
+                moved = rng.sample(range(d), rng.randint(2, d))
+                image = rng.sample(moved, len(moved))
+                sigma = tuple((i, j) for i, j in zip(moved, image) if i != j)
+                if sigma:
+                    sigmas.append(sigma)
+            for sigma in sigmas:
+                verdict = locder.permutes_table(A, sigma)
+                assert verdict == _permutes_full_table(A, sigma), (A.name, sigma)
+                verdicts.append(verdict)
+    # every copy swap is an automorphism; most random permutations are not
+    assert len(random_matrix_algebras()) <= verdicts.count(True) < len(verdicts) // 2
 
 
 _CHECK_ALGEBRAS = {
@@ -739,7 +792,7 @@ def test_witness_recheck_fires_on_a_corrupted_solve(monkeypatch):
     H, der, delta = _heisenberg2_zz()
     x = H.from_terms({"z": 1, "u_1": 1, "v_2": -1})
     assert witness(der, delta, x) is not None
-    true_solve = locder.solve_columns
+    true_solve = certifier.solve_columns
 
     def corrupted(field, columns, target):
         # shift every coefficient of a solvable system by one; the images
@@ -747,7 +800,7 @@ def test_witness_recheck_fires_on_a_corrupted_solve(monkeypatch):
         coeffs, rank = true_solve(field, columns, target)
         return (None if coeffs is None else [c + 1 for c in coeffs]), rank
 
-    monkeypatch.setattr(locder, "solve_columns", corrupted)
+    monkeypatch.setattr(certifier, "solve_columns", corrupted)
     with pytest.raises(AssertionError, match="witness solve failed to verify"):
         witness(der, delta, x)
 
@@ -780,13 +833,13 @@ def test_certifier_makes_no_dense_matvec(monkeypatch):
 
 def _count_solves(monkeypatch) -> list:
     solves = []
-    true_solve = locder._solve_point
+    true_solve = certifier._solve_point
 
     def counting(der, delta, parts):
         solves.append(1)
         return true_solve(der, delta, parts)
 
-    monkeypatch.setattr(locder, "_solve_point", counting)
+    monkeypatch.setattr(certifier, "_solve_point", counting)
     return solves
 
 
@@ -794,14 +847,14 @@ def test_certifier_solves_each_point_once_up_to_scaling(monkeypatch):
     H, der, delta = _heisenberg2_zz()
     solves = _count_solves(monkeypatch)
     keys = []
-    true_rank = locder._point_rank
+    true_rank = certifier._point_rank
 
     def recording(der, delta, parts, memo):
         # over Q the integer form of x holds the coordinates of a multiple of x
         keys.append(normalized_key(H.element([parts.get(j, 0) for j in range(H.dim)])))
         return true_rank(der, delta, parts, memo)
 
-    monkeypatch.setattr(locder, "_point_rank", recording)
+    monkeypatch.setattr(certifier, "_point_rank", recording)
     cert = certify_local_symbolic(der, delta)
     assert cert.certified and len(cert.strata) == 66
     # 972 points are looked at, 507 of them distinct up to a nonzero scalar
@@ -823,8 +876,8 @@ def test_a_point_and_its_multiple_share_one_solve(monkeypatch):
     x = H.from_terms({"z": 1, "u_1": 1, "v_2": -1})
     index = _delta_index(H, delta)
     memo: dict = {}
-    rank = locder._point_rank(der, index, locder._integer_form(x), memo)
-    assert locder._point_rank(der, index, locder._integer_form(x.scale(3)), memo) == rank
+    rank = certifier._point_rank(der, index, locder._integer_form(x), memo)
+    assert certifier._point_rank(der, index, locder._integer_form(x.scale(3)), memo) == rank
     assert len(solves) == 1 and list(memo.values()) == [rank]
     # witness keeps no memo: it solves on every call
     for y in (x, x.scale(3), x):
@@ -836,7 +889,7 @@ def test_a_point_and_its_multiple_share_one_solve(monkeypatch):
     index = _delta_index(H, Matrix(FIELD_Q, rows))
     memo = {}
     z = locder._integer_form(H.from_terms({"z": 1}))
-    assert locder._point_rank(der, index, z, memo) is None
+    assert certifier._point_rank(der, index, z, memo) is None
     assert memo == {} and len(solves) == 5
 
 
@@ -852,7 +905,7 @@ def test_certifier_builds_the_map_columns_once(monkeypatch):
     # the product-rule shortcut reads them once, through is_derivation;
     # besides that the certifier builds them once, for its MapIndex
     shortcut = []
-    check = locder.is_derivation
+    check = certifier.is_derivation
 
     def checked(L, D):
         before = len(calls)
@@ -861,7 +914,7 @@ def test_certifier_builds_the_map_columns_once(monkeypatch):
         return verdict
 
     monkeypatch.setattr(Matrix, "sparse_columns", counting)
-    monkeypatch.setattr(locder, "is_derivation", checked)
+    monkeypatch.setattr(certifier, "is_derivation", checked)
     assert certify_local_symbolic(der, delta).certified
     assert shortcut == [1] and len(calls) == 2
 
