@@ -18,7 +18,7 @@ from typing import Optional
 from .exactfield import FIELD_Q, Frozen, integer_key, inv, setfield
 from .liealg import AlgebraElement, LieAlgebra
 from .linalg import Matrix, SparseEchelon, combine_forms, encode_columns, solve_columns
-from .dersolve import DerivationSpace, MapIndex, check_map, is_derivation
+from .dersolve import DerivationSpace, MapIndex, _product_rule, check_map
 from .locder import CertificationError, _integer_form, _random_sparse_element, probe_label
 from .poly import MultiPoly, poly_det, split_linear
 
@@ -104,10 +104,12 @@ def certify_local_symbolic(der: DerivationSpace, delta: Matrix) -> LocalityCerti
     d = L.dim
     if d > _DIM_BOUND:
         raise CertificationError(f"algebra dimension {d} exceeds the certifier bound {_DIM_BOUND}")
+    # Delta's columns are encoded once, for the product rule and the index;
     # Der is every derivation, so the product rule decides membership
-    if is_derivation(L, delta).ok:
+    delta_forms = encode_columns(L.field, delta.sparse_columns(), d)
+    if _product_rule(L, delta_forms[0]).ok:
         return LocalityCertificate(True, None, ("member of Der",))
-    delta_index = MapIndex(L.field, [encode_columns(L.field, delta.sparse_columns(), d)])
+    delta_index = MapIndex(L.field, [delta_forms])
     # the Der-block rank by integer key: one solve per point up to a scalar
     memo: dict = {}
     # cheap concrete refutations first: basis vectors and short combinations

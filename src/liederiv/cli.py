@@ -170,12 +170,16 @@ def _cmd_der(args) -> int:
     # the bytes are those _emit writes for the report with the basis in it
     report["basis"] = []
     head, tail = json.dumps(report, indent=2, sort_keys=True).split('"basis": []')
-    d, z = L.dim, L.field.zero
+    # the maps are sparse: the field zero is formatted once per report
+    d, zero = L.dim, format_scalar(L.field.zero)
     sink = open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout)
     with sink as out:
         out.write(head + '"basis": [')
         for k, row in enumerate(der.subspace.rows):
-            m = [[format_scalar(row.get(j * d + r, z)) for j in range(d)] for r in range(d)]
+            m = [
+                [format_scalar(row[c]) if c in row else zero for c in range(r, d * d, d)]
+                for r in range(d)
+            ]
             text = json.dumps(m, indent=2).replace("\n", "\n    ")
             out.write(("," if k else "") + "\n    " + text)
         out.write(("\n  ]" if der.dim else "]") + tail + "\n")

@@ -11,6 +11,14 @@ collapses to dim Der, the containment chain
 
 proves that every local derivation is a derivation for that algebra.
 
+The basis singletons alone cut the candidate down to the product of the
+per-column orbit spaces, {Delta : Delta(b_j) in W_(b_j) for every j}.
+The fold keeps that product in coordinates of its own: a singleton
+rebases its column onto a basis of W_(b_j) with no elimination, and every
+later condition is eliminated over those coordinates only (after Ayupov
+and Kudaybergenov, Linear Algebra Appl. 493, 2016, who argue through the
+same product).
+
 The fold and the seeded random closure over Q (an independent route to
 the same dimension) work on any structure-constant algebra, as does the
 symbolic certifier (``certifier``, which settles the universal
@@ -23,6 +31,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 from itertools import chain
 from typing import Optional
 
@@ -101,12 +110,15 @@ def _integer_form(x: AlgebraElement) -> dict:
     return x.algebra.field.encode({j: c for j, c in enumerate(x.coords) if c})
 
 
-def _orbit_echelon(der: DerivationSpace, parts: dict) -> SparseEchelon:
+def _orbit_echelon(der: DerivationSpace, parts: dict, fill: Optional[int] = None) -> SparseEchelon:
     """Echelon whose row space is W_x, given the integer form ``parts``
-    of x, fed by one integer image pass (``DerivationSpace.images``)."""
+    of x, fed by one integer image pass (``DerivationSpace.images``); it
+    stops once its rank reaches ``fill``, a bound on dim W_x, if given."""
     acc = SparseEchelon(der.algebra.field, der.algebra.dim)
     for img in der.images(parts).values():
         acc.insert_integer(img)
+        if acc.rank == fill:
+            break
     return acc
 
 
@@ -114,23 +126,42 @@ class CandidateSpace:
     """The candidate space of a probe fold over ``der``: the one mutable
     fold accumulator, and the fold's result.
 
-    ``CandidateSpace(der)`` is the full map space of ``der.algebra``.
-    ``constrain`` and ``fold`` cut it in place: ``echelon`` gathers the
-    annihilator rows on the flattened map space, ``history`` the
-    ``ProbeStep`` of every probe not skipped, ``seen`` their
-    ``integer_key``.  ``seed`` and ``stop_reason`` stay None unless
-    ``random_probe_closure`` sets them; its stop reason is "collapsed",
-    "stalled" or "budget", and the report carries it, so a "stalled" or
-    "budget" run reads as inconclusive rather than as a counterexample.
-    ``space`` computes the subspace when read.
+    ``CandidateSpace(der)`` is the full map space of ``der.algebra``, each
+    column block j (the image Delta(b_j), at flat columns j*d + i) in the
+    basis ``standard`` of unit vectors.  ``constrain`` and ``fold`` cut it in
+    place.  The cut by a multiple of a basis element b_j whose block is not
+    ``touched`` yet (by an inserted row or a rebase) rebases block j onto
+    a basis w_t of its orbit W_(b_j) with unit pivots (the RREF basis, or
+    that of a family seed moved along sigma) and inserts no row:
+    ``blocks[j]`` then holds the fold onto that basis and the annihilator
+    rows it replaced (``_rebased``), the parameter a_t of
+    Delta(b_j) = sum_t a_t w_t keeps the name of the flat column j*d + p_t
+    of the pivot p_t of w_t, and ``cut`` sums the d - dim W_(b_j) these
+    rebases took.
+    ``echelon`` gathers the other annihilator rows, each folded onto those
+    parameters, ``history`` the ``ProbeStep`` of every probe not skipped,
+    ``seen`` their ``integer_key``.  ``seed`` and ``stop_reason`` stay None
+    unless ``random_probe_closure`` sets them; its stop reason is
+    "collapsed", "stalled" or "budget", and the report carries it, so a
+    "stalled" or "budget" run reads as inconclusive rather than as a
+    counterexample.  ``space`` is the candidate over the flattened maps,
+    computed when read.
     """
 
-    __slots__ = ("der", "echelon", "history", "seen", "seed", "stop_reason")
+    __slots__ = (
+        "der", "echelon", "standard", "blocks", "touched", "cut", "history", "seen", "seed",
+        "stop_reason",
+    )
 
     def __init__(self, der: DerivationSpace):
         L = der.algebra
+        w = L.field.width
         self.der = der
         self.echelon = SparseEchelon(L.field, L.dim ** 2)
+        self.standard = _rebased(L.field, {w * i: {w * i: 1} for i in range(L.dim)}, [])
+        self.blocks: dict = {}
+        self.touched: set = set()
+        self.cut = 0
         self.history: list[ProbeStep] = []
         self.seen: set = set()
         self.seed: Optional[int] = None
@@ -138,11 +169,25 @@ class CandidateSpace:
 
     @property
     def dim(self) -> int:
-        return self.der.algebra.dim ** 2 - self.echelon.rank
+        return self.der.algebra.dim ** 2 - self.cut - self.echelon.rank
 
     @property
     def space(self) -> Subspace:
-        return self.echelon.nullspace().row_space()
+        """The candidate as a subspace of the flattened map space: the
+        annihilator of the flat constraint rows.  These are the annihilator
+        rows that each rebase replaced (``blocks[j][1]``) and the rows of
+        ``echelon`` as they are: a row over the parameters, read over the
+        flat columns, takes the same value on each w_t, whose pivot entry
+        is 1 and whose entries at the other pivots are 0."""
+        L = self.der.algebra
+        wd = L.field.width * L.dim
+        flat = SparseEchelon(L.field, L.dim ** 2)
+        for row in self.echelon.rref_forms():
+            flat.insert_integer(dict(row))
+        for j, block in self.blocks.items():
+            for p in block[1]:
+                flat.insert_integer({wd * j + c: v for c, v in p.items()})
+        return flat.nullspace().row_space()
 
     @property
     def equal(self) -> bool:
@@ -178,11 +223,24 @@ def constrain(acc: CandidateSpace, probe: Probe) -> None:
     annihilator cuts the same candidate, so the basis is the echelon's
     ``integer_nullspace``.  The constraint row of an annihilator vector p
     is x_j * p_i at map column j*d + i: the part x_q (q = w*j + t) times
-    the form of u_t*p (``Field.rotations``), placed at block j.  Each row
-    of the probe is dotted with every row of Der, ``der.rows``
-    (``DerivationSpace.residues``), not with the columns the orbit came
-    from, before any is inserted, which asserts Der <= candidate at each
-    stage; a failed check raises and leaves ``acc`` as it was.
+    the form of u_t*p (``Field.rotations``), placed at block j.
+
+    For x a multiple of b_j with block j untouched, the rows would cut
+    block j alone, by d - dim W_x: instead the block is rebased onto W_x
+    and no row goes in.  Any other row is folded onto the parameters of
+    the rebased blocks before it is inserted: its entry at the pivot
+    column of w_t is x_j * (p . w_t), and a row that folds to zero is
+    dropped.  W_x lies in the sum of the spaces of the blocks of x, so an
+    orbit echelon that reaches the size of their joint support ends the
+    probe with no cut, and a vector p off that support is skipped.
+    Every row of the probe, folded, is dotted with every row of Der,
+    ``der.rows`` (``DerivationSpace.residues``), not with the columns the
+    orbit came from, before any is inserted, which asserts
+    Der <= candidate at each stage; a failed check raises and leaves
+    ``acc`` as it was.  A rebase checks first that Der reassembles from
+    its entries at the pivots, D(b_j) = sum_t D[p_t, j] w_t for every row
+    of Der, as the residues of the rows it replaces, so the folded rows
+    are checked against Der itself.
     """
     _cut(acc, probe, _probe_form(acc.der, probe), None)
 
@@ -193,35 +251,151 @@ def _probe_form(der: DerivationSpace, probe: Probe) -> dict:
     return _integer_form(probe.element)
 
 
-def _cut(acc: CandidateSpace, probe: Probe, parts: dict, nulls: Optional[list]) -> None:
+def _orbit(echelon: SparseEchelon, single: bool) -> tuple:
+    """(nulls, basis) of W_x off its orbit echelon: the annihilator of W_x
+    (``integer_nullspace``), and when x is a multiple of one basis element
+    (``single``) the basis a rebase takes, the RREF forms of W_x by pivot
+    column, else None."""
+    basis = {min(form): form for form in echelon.rref_forms()} if single else None
+    return echelon.integer_nullspace(), basis
+
+
+def _moved(orbit: tuple, move) -> tuple:
+    """The (nulls, basis) of ``_orbit`` moved along a basis permutation;
+    ``move`` maps the keys of a dict, so it moves the pivot columns of the
+    basis as well.  A moved form keeps its pivot entry and its zeros at
+    the other pivots, which is all a rebase reads, though it may gain
+    entries before its pivot."""
+    nulls, basis = orbit
+    if basis is not None:
+        basis = {q: move(form) for q, form in move(basis).items()}
+    return [move(p) for p in nulls], basis
+
+
+def _rebased(field, basis: dict, nulls: list) -> tuple:
+    """(scale, nulls, index, support) of a block rebased onto the forms w_t
+    of ``basis`` by pivot column, each primitive with a positive pivot
+    entry and 0 at the other pivots, whose annihilator ``nulls`` the
+    rebase replaces: ``scale``, the lcm of their pivot entries, is the one
+    scale of all w_t; ``index`` is the fold of the block by integer column
+    q, ``index[q][t]`` the (column, entry) pairs of u_t times the fold of a
+    1 at q, whose part t' of parameter p_t is Re or Im of p . w_t
+    (``dot_forms``, at column w*p_t + t'); ``support`` has bit i set when
+    some w_t has an entry at field column i."""
+    w = field.width
+    scale = lcm(*(form[q] for q, form in basis.items()))
+    folds: dict = {}
+    for q, form in basis.items():
+        k = scale // form[q]
+        for t, dot in enumerate(field.dot_forms({c: k * v for c, v in form.items()})):
+            for c, v in dot.items():
+                folds.setdefault(c, {})[q + t] = v
+    index = {
+        q: tuple(list(f.items()) for f in (image, *field.rotations(image)))
+        for q, image in folds.items()
+    }
+    # the dot forms of w_t have the field columns of w_t
+    support = sum(1 << i for i in {c // w for c in folds})
+    return scale, nulls, index, support
+
+
+def _terms(wd: int, spans: dict, blocks: dict, big: int, q: int) -> list:
+    """The (column, entry) pairs of the constraint row of a 1 at integer
+    column q of an annihilator vector: x_j times it, folded onto the basis
+    of block j (``blocks[j]``, from ``_rebased``) and placed at block j, for
+    each block j of x (``spans``, the parts of x by block); all blocks at
+    the scale ``big``, the lcm of their scales."""
+    out: dict = {}
+    for j, block in blocks.items():
+        forms = block[2].get(q)
+        if forms is None:
+            continue
+        base, k = wd * j, big // block[0]
+        for t, xq in spans[j]:
+            kx = k * xq
+            for i, a in forms[t]:
+                out[base + i] = out.get(base + i, 0) + kx * a
+    return [(c, v) for c, v in out.items() if v]
+
+
+def _cut(acc: CandidateSpace, probe: Probe, parts: dict, orbit: Optional[tuple]) -> None:
     """``constrain`` by the probe with the integer form ``parts``, whose
-    annihilator ``nulls`` comes from its orbit echelon when None."""
+    ``_orbit`` data ``orbit`` comes from its orbit echelon when None."""
     der = acc.der
     field, d = der.algebra.field, der.algebra.dim
     key = integer_key(field, parts)
     if key in acc.seen:
         return
-    if nulls is None:
-        # a zero orbit leaves the whole dual space, the nullspace of no rows
-        nulls = _orbit_echelon(der, parts).integer_nullspace()
     w = field.width
+    wd = w * d
+    # the parts of x by block
+    spans: dict = {}
+    for q, xq in parts.items():
+        spans.setdefault(q // w, []).append((q % w, xq))
+    blocks = {j: acc.blocks.get(j, acc.standard) for j in spans}
+    # W_x lies in U, the sum of the spaces of the blocks of x (W_(b_j) for
+    # a rebased block j), and so in the field columns of their joint
+    # support ``mask``
+    mask = 0
+    for block in blocks.values():
+        mask |= block[3]
+    if orbit is None:
+        # at the rank of that support W_x = U, which holds Delta(x) for
+        # every candidate Delta, so x cuts nothing
+        fill = mask.bit_count()
+        echelon = _orbit_echelon(der, parts, fill)
+        if echelon.rank == fill:
+            _record(acc, probe, key, acc.dim)
+            return
+        orbit = _orbit(echelon, len(spans) == 1)
+    nulls, basis = orbit
+    if basis is not None:
+        (j,) = spans
+        if j not in acc.touched:
+            for p in nulls:
+                _check(der, probe, {wd * j + c: v for c, v in p.items()})
+            before = acc.dim
+            acc.blocks[j] = _rebased(field, basis, nulls)
+            acc.touched.add(j)
+            acc.cut += d - len(basis)
+            _record(acc, probe, key, before)
+            return
+    big = lcm(*(block[0] for block in blocks.values()))
+    # the row of p is sum_q p_q * terms[q], built once per column q of p
+    terms: dict = {}
     rows = []
     for p in nulls:
-        forms = (p, *field.rotations(p))
+        # a vector off the support of U, as each of the annihilator
+        # vectors at a free column off it is, folds to zero
+        if not any(mask >> q // w & 1 for q in p):
+            continue
         row: dict = {}
-        for q, xq in parts.items():
-            base = w * d * (q // w)
-            for i, a in forms[q % w].items():
-                row[base + i] = row.get(base + i, 0) + xq * a
+        for q, a in p.items():
+            pairs = terms.get(q)
+            if pairs is None:
+                pairs = terms[q] = _terms(wd, spans, blocks, big, q)
+            for c, v in pairs:
+                row[c] = row.get(c, 0) + a * v
         row = {c: v for c, v in row.items() if v}
-        if der.residues(row):
-            raise AssertionError(
-                f"constraint row at probe {probe.label!r} does not annihilate Der"
-            )
-        rows.append(row)
+        if row:
+            _check(der, probe, row)
+            rows.append(row)
     before = acc.dim
     for row in rows:
         acc.echelon.insert_integer(row)
+    if rows:
+        acc.touched.update(spans)
+    _record(acc, probe, key, before)
+
+
+def _check(der: DerivationSpace, probe: Probe, row: dict) -> None:
+    """Raise unless the constraint row ``row`` annihilates every row of Der."""
+    if der.residues(row):
+        raise AssertionError(f"constraint row at probe {probe.label!r} does not annihilate Der")
+
+
+def _record(acc: CandidateSpace, probe: Probe, key: tuple, before: int) -> None:
+    """Log the step of ``probe`` from dimension ``before`` and its key."""
     acc.history.append(ProbeStep(probe.label, before, acc.dim))
     acc.seen.add(key)
 
@@ -256,38 +430,41 @@ def fold(acc: CandidateSpace, probes) -> None:
     """Cut ``acc`` in place by each probe in turn, as ``constrain`` does.
 
     A probe whose ``seed`` came earlier in ``probes`` (the same object) is
-    cut by the seed's annihilators moved along its ``sigma``, in place of
+    cut by the seed's annihilators, and for a basis singleton the basis
+    of its orbit, moved along its ``sigma`` (``_moved``), in place of
     an orbit echelon and a nullspace of its own: an automorphism sigma
     maps Der onto itself, so W_sigma(x) = sigma(W_x).  Before its first
     use, sigma must map the bracket table onto itself (``permutes_table``),
     and the probe's integer form must be sigma of the seed's; either
-    failure raises ValueError before the probe inserts a row.  The moved
-    rows pass the same per-row Der check as every other row.  A probe
-    whose seed has not come yet is cut directly.
+    failure raises ValueError before the probe inserts a row or rebases a
+    block.  The moved rows pass the same per-row Der check as every other
+    row, and a moved rebase the same reassembly check.  A probe whose seed
+    has not come yet is cut directly.
     """
     probes = list(probes)
     der = acc.der
+    w = der.algebra.field.width
     # by object identity; id(None) names no probe
     named = {id(p.seed) for p in probes}
     kept: dict = {}
     checked: set = set()
     for probe in probes:
-        parts, nulls = _probe_form(der, probe), None
+        parts, orbit = _probe_form(der, probe), None
         seed = kept.get(id(probe.seed))
         if seed is not None:
             if probe.sigma not in checked:
                 if not permutes_table(der.algebra, probe.sigma):
                     raise ValueError(f"probe {probe.label!r}: sigma is not an automorphism")
                 checked.add(probe.sigma)
-            move = _mover(der.algebra.field.width, probe.sigma)
+            move = _mover(w, probe.sigma)
             if move(seed[0]) != parts:
                 raise ValueError(f"probe {probe.label!r} is not sigma of its seed")
-            nulls = [move(p) for p in seed[1]]
+            orbit = _moved(seed[1], move)
         elif id(probe) in named:
-            nulls = _orbit_echelon(der, parts).integer_nullspace()
+            orbit = _orbit(_orbit_echelon(der, parts), len({q // w for q in parts}) == 1)
         if id(probe) in named:
-            kept[id(probe)] = parts, nulls
-        _cut(acc, probe, parts, nulls)
+            kept[id(probe)] = parts, orbit
+        _cut(acc, probe, parts, orbit)
 
 
 def singleton_probes(L: LieAlgebra) -> list[Probe]:

@@ -11,9 +11,10 @@ result.  Also the field-scalar Leibniz rows and the Der they cut out,
 the dense Der basis, the all-triples Jacobi check, dense oracles for the
 sparse derivation check and the all-pairs product rule, the dense inner
 derivations, the sparse witness solve and the indexed Der-annihilation
-check, and the probe-fold oracles: the orbit subspace W_x,
-``constrain`` in field scalars, a fold over any probe list and the full
-replay schedule of S_n, and a seeded generator of random matrix Lie
+check, and the probe-fold oracles: the orbit subspace W_x, the flat
+constraint rows of a candidate, a field-scalar reference fold on the
+flat map space (``reference_constrain``), a fold over any probe list and
+the full replay schedule of S_n, and a seeded generator of random matrix Lie
 algebras."""
 
 import copy
@@ -692,12 +693,21 @@ def dot_sparse(u: dict, v: dict):
     return total if total is not None else 0
 
 
+def constraint_rows(acc) -> list:
+    """The canonical RREF basis, over the field, of the flat constraint
+    rows that cut out the candidate space ``acc``: the annihilator of
+    ``acc.space``, the candidate mapped back onto the flattened maps."""
+    space = SparseEchelon(acc.der.algebra.field, acc.space.ambient_dim)
+    for row in acc.space.rows:
+        insert(space, row)
+    return space.nullspace().rref_rows()
+
+
 def contains_map(acc, D: Matrix) -> bool:
-    """Whether the candidate space ``acc`` holds the map D: the
-    accumulated rows cut out the space, so membership means every
-    constraint row annihilates the flattened map."""
+    """Whether the candidate space ``acc`` holds the map D: every flat
+    constraint row (``constraint_rows``) annihilates the flattened map."""
     flat = {c: x for c, x in enumerate(flatten_map(D)) if x}
-    return not any(dot_sparse(row, flat) for row in stored_rows(acc.echelon).values())
+    return not any(dot_sparse(row, flat) for row in constraint_rows(acc))
 
 
 def make_probe(L, terms: dict, label=None) -> Probe:
@@ -736,14 +746,37 @@ def normalized_key(x) -> tuple:
     return tuple((j, inv_lead * c) for j, c in support)
 
 
-def reference_constrain(acc, probe):
-    """``locder.constrain`` computed in field scalars, the reference for
-    the integer fold: the field-scalar key ``normalized_key``, the
-    images D_k(x) from ``field_images``, the
+class ReferenceFold:
+    """The accumulator of the field-scalar reference fold: the flat map
+    space of ``der.algebra``, cut by constraint rows on its d^2 columns
+    (``echelon``), with the ``history`` and ``seen`` keys of the probes it
+    has taken and ``calls``, the ``reference_constrain`` calls it has had."""
+
+    def __init__(self, der):
+        self.der = der
+        self.echelon = SparseEchelon(der.algebra.field, der.algebra.dim ** 2)
+        self.history: list = []
+        self.seen: set = set()
+        self.calls = 0
+
+    @property
+    def dim(self) -> int:
+        return self.der.algebra.dim ** 2 - self.echelon.rank
+
+    @property
+    def space(self) -> Subspace:
+        return self.echelon.nullspace().row_space()
+
+
+def reference_constrain(acc: ReferenceFold, probe):
+    """``locder.constrain`` computed in field scalars on the flat map
+    space, the reference for the integer fold: the field-scalar key
+    ``normalized_key``, the images D_k(x) from ``field_images``, the
     annihilator from the unit-pivot orbit echelon's nullspace vectors, the
     constraint rows x_j * p_i at j*d + i, each dotted with every row of
     Der before any is inserted, and the field-scalar ``insert`` into
     ``acc``, cut in place."""
+    acc.calls += 1
     der, x = acc.der, probe.element
     support = [(j, xj) for j, xj in enumerate(x.coords) if xj]
     key = normalized_key(x)
@@ -766,6 +799,15 @@ def reference_constrain(acc, probe):
         insert(acc.echelon, row)
     acc.history.append(ProbeStep(probe.label, before, acc.dim))
     acc.seen.add(key)
+
+
+def reference_fold(der, probes) -> ReferenceFold:
+    """The flat map space of ``der.algebra`` cut by ``reference_constrain``
+    with every probe of ``probes`` in turn, families ignored."""
+    acc = ReferenceFold(der)
+    for probe in probes:
+        reference_constrain(acc, probe)
+    return acc
 
 
 def fold(probes) -> CandidateSpace:

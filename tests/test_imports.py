@@ -240,7 +240,8 @@ def test_locder_runs_on_the_shared_integer_kernel():
     # the fold and the certifier insert integer forms only, and form their
     # images only through dersolve's MapIndex: neither reads the
     # field-scalar columns of Der, and the sparse columns of Delta go
-    # straight into a MapIndex (the certifier reads them, the fold does not)
+    # straight into a MapIndex, or into the one encode_columns whose name
+    # a MapIndex takes (the certifier reads them, the fold does not)
     for module in ("locder", "certifier"):
         tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
         calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
@@ -255,6 +256,20 @@ def test_locder_runs_on_the_shared_integer_kernel():
             for arg in ast.walk(c)
             if isinstance(arg, ast.Call)
         }
+        names = {
+            n.id
+            for c in calls
+            if getattr(c.func, "id", None) == "MapIndex"
+            for n in ast.walk(c)
+            if isinstance(n, ast.Name)
+        }
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Assign)
+                and getattr(getattr(node.value, "func", None), "id", None) == "encode_columns"
+                and any(getattr(t, "id", None) in names for t in node.targets)
+            ):
+                indexed.update(id(n) for n in ast.walk(node.value))
         columns = [c for c in calls if getattr(c.func, "attr", None) == "sparse_columns"]
         assert all(id(c) in indexed for c in columns), module
         assert bool(columns) == (module == "certifier"), module

@@ -40,6 +40,7 @@ from conftest import (
     ad,
     bracket_basis,
     combine,
+    constraint_rows,
     contains,
     contains_map,
     dense_der_basis,
@@ -54,7 +55,7 @@ from conftest import (
     orbit_subspace,
     rand_scalar,
     random_matrix_algebras,
-    reference_constrain,
+    reference_fold,
     span,
     sparse_add,
     stored_rows,
@@ -142,27 +143,32 @@ def test_constrain_rejects_a_corrupted_der_subspace_row():
     assert acc.dim == der.dim
 
 
+def _state(acc) -> tuple:
+    # the rebased blocks with the annihilator rows their rebase replaced,
+    # and the blocks that rows or rebases touched
+    blocks = {j: block[1] for j, block in acc.blocks.items()}
+    rows = acc.echelon.rref_rows()
+    return acc.dim, list(acc.history), set(acc.seen), rows, blocks, set(acc.touched)
+
+
 def test_a_failed_der_check_leaves_the_candidate_unchanged():
     L = make_schrodinger(1, FIELD_QI)
     acc = CandidateSpace(_with_a_corrupted_subspace_row(derivation_space(L)))
     schedule = schrodinger_trimmed_schedule(L)
     # v_1 is the first probe with a row outside the corrupted Der's
-    # annihilator; its other rows pass the check and would cut by 2, so
-    # the candidate stays put only if none of them went in
+    # annihilator, so Der does not reassemble on the orbit of v_1; its
+    # rebase would cut by 2, so the candidate stays put only if block v_1
+    # keeps its standard basis and no row went in
     locder.fold(acc, schedule[:5])
-    snapshot = (acc.dim, list(acc.history), set(acc.seen), acc.echelon.rref_rows())
+    snapshot = _state(acc)
     assert schedule[5].label == "v_1"
     with pytest.raises(AssertionError, match="does not annihilate Der"):
         constrain(acc, schedule[5])
-    assert (acc.dim, acc.history, acc.seen, acc.echelon.rref_rows()) == snapshot
+    assert _state(acc) == snapshot
 
 
 def _without_families(probes) -> list:
     return [Probe(p.element, p.label) for p in probes]
-
-
-def _state(acc) -> tuple:
-    return acc.dim, list(acc.history), set(acc.seen), acc.echelon.rref_rows()
 
 
 @pytest.mark.parametrize("n", range(1, 17))
@@ -283,6 +289,39 @@ def _doubled(L: LieAlgebra) -> LieAlgebra:
     return LieAlgebra(f"{L.name}_doubled", L.field, labels, table)
 
 
+def test_families_moved_by_the_copy_swap_fold_as_the_reference():
+    # on L + L the copy swap is an automorphism: the singletons and seeded
+    # random probes of the first copy are seeds, their swaps in the second
+    # copy members; the fold with families and the field-scalar reference
+    # without them give the same steps and candidate
+    rng = random.Random(0xD0B1E)
+    for L in random_matrix_algebras():
+        D, d = _doubled(L), L.dim
+        swap = tuple((i, (i + d) % (2 * d)) for i in range(2 * d))
+        zero = (D.field.zero,) * d
+        firsts = [L.basis_element(i) for i in range(d)]
+        firsts += [locder._random_sparse_element(L, rng, ordered=True) for _ in range(6)]
+        seeds = [Probe(D.element(x.coords + zero), probe_label(x)) for x in firsts]
+        members = [
+            Probe(D.element(zero + x.coords), f"{p.label}_b", p, swap)
+            for x, p in zip(firsts, seeds)
+        ]
+        acc = CandidateSpace(derivation_space(D))
+        locder.fold(acc, seeds + members)
+        _same_as_reference(acc, seeds + members)
+
+
+def test_a_moved_orbit_basis_keeps_its_pivots():
+    # the swap of b_0 and b_2 takes the RREF rows b_0 + b_2 and b_1 + b_2,
+    # with pivots b_0 and b_1, to b_0 + b_2 and b_0 + b_1, with pivots b_2
+    # and b_1: each keeps its pivot entry and a 0 at the other pivot, which
+    # is what a rebase reads, though b_0 + b_1 has an entry before its pivot
+    move = locder._mover(1, ((0, 2), (2, 0)))
+    orbit = ([{0: 1, 1: 1, 2: -1}], {0: {0: 1, 2: 1}, 1: {1: 1, 2: 1}})
+    moved = ([{0: -1, 1: 1, 2: 1}], {2: {0: 1, 2: 1}, 1: {0: 1, 1: 1}})
+    assert locder._moved(orbit, move) == moved
+
+
 def test_permutes_table_agrees_with_the_full_table_on_random_algebras():
     # 20 seeded permutations per algebra, each moving a random subset of the
     # indices, on the random closures and on their doubles (with the copy
@@ -375,25 +414,59 @@ def test_constrain_skips_a_probe_scaled_by_i():
     assert len(acc.history) == len(history) + 1
 
 
-def _same_as_reference(run, monkeypatch):
-    # the integer fold and the field-scalar reference give the same probe
-    # steps and the same final candidate, entry for entry
-    integer = run()
-    monkeypatch.setattr(locder, "constrain", reference_constrain)
-    reference = run()
-    assert integer.history == reference.history
-    assert integer.echelon.rref_rows() == reference.echelon.rref_rows()
+def _same_as_reference(acc, probes):
+    # the integer fold and the field-scalar reference fold on the flat map
+    # space give the same probe steps and the same candidate, mapped back;
+    # the reference cuts by every probe itself
+    reference = reference_fold(acc.der, probes)
+    assert reference.calls == len(probes)
+    assert acc.history == reference.history
+    assert acc.dim == reference.dim
+    assert acc.space == reference.space
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_integer_fold_matches_the_field_scalar_reference_on_the_replay(n, monkeypatch):
-    _same_as_reference(lambda: replay_proof(n), monkeypatch)
+def test_integer_fold_matches_the_field_scalar_reference_on_the_replay(n):
+    acc = replay_proof(n)
+    _same_as_reference(acc, schrodinger_trimmed_schedule(acc.der.algebra))
 
 
 @pytest.mark.parametrize("n", (2, 3))
 def test_integer_fold_matches_the_field_scalar_reference_on_random_probes(n, monkeypatch):
+    # the closure folds the singletons, then constrains by each random probe
     der = derivation_space(make_schrodinger(n))
-    _same_as_reference(lambda: random_probe_closure(der), monkeypatch)
+    probes = singleton_probes(der.algebra)
+    true_constrain = locder.constrain
+    monkeypatch.setattr(locder, "constrain", lambda a, p: probes.append(p) or true_constrain(a, p))
+    acc = random_probe_closure(der)
+    assert len(probes) > der.algebra.dim
+    _same_as_reference(acc, probes)
+
+
+@pytest.mark.parametrize("L", random_matrix_algebras(), ids=lambda L: L.name)
+def test_the_fold_matches_the_reference_on_random_algebras(L):
+    # seeded random probes from the full space, the singletons among them
+    # in shuffled order; one singleton comes after a probe that touched its
+    # block, so its rows go in unrebased, and the other blocks are rebased
+    der = derivation_space(L)
+    rng = random.Random(L.name)
+    singles = singleton_probes(L)
+    rng.shuffle(singles)
+    late = singles.pop()
+    j = L.labels.index(late.label)
+    while True:
+        x = locder._random_sparse_element(L, rng, ordered=True)
+        toucher = Probe(x, probe_label(x))
+        if x.coords[j] and reference_fold(der, [toucher]).dim < L.dim ** 2:
+            break
+    extra = [locder._random_sparse_element(L, rng, ordered=False) for _ in range(12)]
+    probes = [toucher, *singles, *(Probe(x, probe_label(x)) for x in extra)]
+    probes.insert(rng.randrange(1, len(probes) + 1), late)
+    acc = CandidateSpace(der)
+    locder.fold(acc, probes)
+    # the blocks the first probe cut in keep the standard basis
+    assert set(acc.blocks) == {i for i, c in enumerate(toucher.element.coords) if not c}
+    _same_as_reference(acc, probes)
 
 
 def _count_inserts(monkeypatch) -> list:
@@ -577,18 +650,19 @@ def test_replay_verifies_small_ranks():
 @pytest.mark.parametrize(
     "n, dim, digest",
     [
-        (32, 564, "eede9bd174f3feac6d6a9266269ac933142db708fb88d75ff380ae39447ad4be"),
-        (48, 1228, "e6b02cbe0244cdb462b8b5292e8b073b168dc68e89f28c2ab857f0c9198c15bb"),
+        (32, 564, "1f11ba9f22d3d18cf190492c0c2628b325d80cad2b0dadf5b174c741faa9cd30"),
+        (48, 1228, "72bd9ae7ca8c8785ce6f4aae5c04b371a0177d1c772bee1f007a1850f3c75695"),
     ],
     ids=["32", "48"],
 )
 def test_replay_pins_the_final_candidate(n, dim, digest):
-    # the sha256 of json.dumps of the RREF rows, with format_scalar
-    # values, as BENCH_20.json records it for n = 32 and BENCH_25.json
-    # for n = 48
+    # the sha256 of json.dumps of the RREF rows of the flat constraint rows
+    # (the annihilator of the candidate), each row in column order, with
+    # format_scalar values, as BENCH_29.json records them at n = 32, 48
+    # and 64
     acc = replay_proof(n)
     assert acc.equal and acc.dim == dim
-    rows = [{c: format_scalar(v) for c, v in row.items()} for row in acc.echelon.rref_rows()]
+    rows = [{c: format_scalar(v) for c, v in sorted(row.items())} for row in constraint_rows(acc)]
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
 
 
@@ -894,29 +968,38 @@ def test_a_point_and_its_multiple_share_one_solve(monkeypatch):
 
 
 def test_certifier_builds_the_map_columns_once(monkeypatch):
+    # Delta's columns are read and encoded once, and the one encoding feeds
+    # both the product-rule shortcut and the MapIndex
     H, der, delta = _heisenberg2_zz()
-    calls = []
-    true_columns = Matrix.sparse_columns
+    true_columns, true_encode = Matrix.sparse_columns, certifier.encode_columns
+    true_rule, true_index = certifier._product_rule, certifier.MapIndex
+    built, encoded, ruled, indexed = [], [], [], []
 
-    def counting(self):
-        calls.append(1)
-        return true_columns(self)
+    def columns(self):
+        built.append(true_columns(self))
+        return built[-1]
 
-    # the product-rule shortcut reads them once, through is_derivation;
-    # besides that the certifier builds them once, for its MapIndex
-    shortcut = []
-    check = certifier.is_derivation
+    def encoding(field, cols, size):
+        out = true_encode(field, cols, size)
+        if any(cols is c for c in built):
+            encoded.append(out)
+        return out
 
-    def checked(L, D):
-        before = len(calls)
-        verdict = check(L, D)
-        shortcut.append(len(calls) - before)
-        return verdict
+    def rule(L, forms):
+        ruled.append(forms)
+        return true_rule(L, forms)
 
-    monkeypatch.setattr(Matrix, "sparse_columns", counting)
-    monkeypatch.setattr(certifier, "is_derivation", checked)
+    def index(field, maps):
+        indexed.append(list(maps))
+        return true_index(field, indexed[-1])
+
+    monkeypatch.setattr(Matrix, "sparse_columns", columns)
+    monkeypatch.setattr(certifier, "encode_columns", encoding)
+    monkeypatch.setattr(certifier, "_product_rule", rule)
+    monkeypatch.setattr(certifier, "MapIndex", index)
     assert certify_local_symbolic(der, delta).certified
-    assert shortcut == [1] and len(calls) == 2
+    assert len(built) == len(encoded) == len(ruled) == len(indexed) == 1
+    assert ruled[0] is encoded[0][0] and len(indexed[0]) == 1 and indexed[0][0] is encoded[0]
 
 
 def test_certifier_accepts_pure_local_map():
