@@ -3,7 +3,10 @@
 ``certify_local_symbolic`` settles the universal quantification
 "Delta(x) in W_x for every x" for a single map Delta on a small
 structure-constant algebra, stratum by stratum over polynomial minors
-(``poly``); ``witness`` solves one point.  Only the ``certify`` and
+(``poly``); ``witness`` solves one point.  A point x is one integer
+system [u_t D_k(x) | Delta(x)], its rows summed in one pass over x and
+solved by ``linalg.solve_rows`` (``_solve_point``); only ``witness``
+turns the solution into field scalars.  Only the ``certify`` and
 ``demo-heisenberg`` commands run it, so ``import liederiv.cli`` loads
 neither this module nor ``poly``.
 """
@@ -16,48 +19,59 @@ from math import comb
 from typing import Optional
 
 from .exactfield import FIELD_Q, Frozen, integer_key, inv, setfield
-from .liealg import AlgebraElement, LieAlgebra
-from .linalg import Matrix, SparseEchelon, combine_forms, encode_columns, solve_columns
+from .liealg import AlgebraElement
+from .linalg import Matrix, SparseEchelon, combine_forms, encode_columns, solve_rows
 from .dersolve import DerivationSpace, MapIndex, _product_rule, check_map
-from .locder import CertificationError, _integer_form, _random_sparse_element, probe_label
+from .locder import CertificationError, _element, _integer_form, _sparse_draw, probe_label
 from .poly import MultiPoly, poly_det, split_linear
 
 
 def witness(der: DerivationSpace, delta: Matrix, x: AlgebraElement) -> Optional[tuple]:
     """Coefficients c over the Der basis with sum c_k D_k(x) = Delta(x);
     None when the probe refutes locality of Delta.  Delta must be a map
-    on ``der.algebra`` over its field, and x an element of it."""
+    on ``der.algebra`` over its field, and x an element of it.  The
+    verified integer solution of ``_solve_point`` is divided back by lam
+    and the maps' scales into field scalars here, and only here."""
     L = der.algebra
     check_map(L, delta)
     if x.algebra != L:
         raise ValueError("point belongs to a different algebra")
     delta_index = MapIndex(L.field, [encode_columns(L.field, delta.sparse_columns(), L.dim)])
-    return _solve_point(der, delta_index, _integer_form(x))[0]
+    coeffs = _solve_point(der, delta_index, _integer_form(x))[0]
+    if coeffs is None:
+        return None
+    # c_k = (sum_t c_(w*k+t) u_t) * (scale of D_k) / (lam * scale of Delta)
+    w, scales = L.field.width, der.image_index.scales + delta_index.scales
+    sol = L.field.decode({q: c * scales[q // w] for q, c in enumerate(coeffs) if c}, w * der.dim)
+    return tuple(sol.get(k, L.field.zero) for k in range(der.dim))
 
 
 def _solve_point(der: DerivationSpace, delta: MapIndex, parts: dict) -> tuple:
-    """(c, rank) at the point x with integer form ``parts``: c is the
-    ``witness`` of x for the map Delta indexed by ``delta``, rank that of the
-    Der block [D_1(x) | .. | D_m(x)].  From one integer image pass each,
-    ``solve_columns`` solves in ``int``, and lam * Delta(x) = sum c_(w*k+t)
-    u_t D_k(x) is re-checked in ``int`` against Delta's own image first."""
-    field, m, w = der.algebra.field, der.dim, der.algebra.field.width
-    images = der.images(parts)
-    target = delta.images(parts).get(0, {})
-    coeffs, rank = solve_columns(field, [images.get(k, {}) for k in range(m)], target)
-    if coeffs is None:
-        return None, rank
-    check = {r: -coeffs[-1] * v for r, v in target.items()}
-    for k, img in images.items():
-        for t, form in enumerate((img, *field.rotations(img))):
-            for r, v in form.items():
-                check[r] = check.get(r, 0) + coeffs[w * k + t] * v
-    if any(check.values()):
-        raise AssertionError("witness solve failed to verify")
-    # c_k = (sum_t c_(w*k+t) u_t) * (scale of D_k) / (lam * scale of Delta)
-    scales = der.image_index.scales + delta.scales
-    sol = field.decode({q: c * scales[q // w] for q, c in enumerate(coeffs) if c}, w * m)
-    return tuple(sol.get(k, field.zero) for k in range(m)), rank
+    """(c, rank) at the point x with integer form ``parts``, for the map
+    Delta indexed by ``delta``: c is the ``solve_rows`` solution of
+    lam * Delta(x) = sum c_(w*k+t) u_t D_k(x) in ``int``, None when there is
+    none, and rank that of the Der block [D_1(x) | .. | D_m(x)].  One pass
+    over ``parts`` sums the integer rows of [u_t D_k(x) | Delta(x)] by output
+    row, off Der's ``turned_index`` and Delta's index at column w*m.  The
+    echelon reduces copies of their nonzero entries, and c is re-checked in
+    ``int`` on the rows as built: every row dotted with (c, -lam) must vanish."""
+    w = der.algebra.field.width
+    n = w * der.dim
+    sums: dict = {}
+    for index, base in ((der.turned_index, 0), (delta.index, n)):
+        for q, xq in parts.items():
+            for k, col in index.get(q, ()):
+                c = base + k
+                for r, a in col.items():
+                    row = sums.setdefault(r, {})
+                    row[c] = row.get(c, 0) + xq * a
+    rows = (row for row in ({c: v for c, v in s.items() if v} for s in sums.values()) if row)
+    coeffs, rank = solve_rows(rows, n, w)
+    if coeffs is not None:
+        check = coeffs[:-1] + [-coeffs[-1]]
+        if any(sum(check[c] * v for c, v in row.items()) for row in sums.values()):
+            raise AssertionError("witness solve failed to verify")
+    return coeffs, rank
 
 
 _DIM_BOUND = 9
@@ -113,8 +127,10 @@ def certify_local_symbolic(der: DerivationSpace, delta: Matrix) -> LocalityCerti
     # the Der-block rank by integer key: one solve per point up to a scalar
     memo: dict = {}
     # cheap concrete refutations first: basis vectors and short combinations
-    for x in _scan_elements(L):
-        if _point_rank(der, delta_index, _integer_form(x), memo) is None:
+    for pt in _scan_points(d):
+        parts = {L.field.width * j: c for j, c in pt.items()}
+        if _point_rank(der, delta_index, parts, memo) is None:
+            x = _element(L, pt)
             return LocalityCertificate(False, x, (f"refuted at {probe_label(x)}",))
     strata: list[str] = []
     rng = random.Random(0xCE27)
@@ -138,18 +154,18 @@ def _point_rank(der: DerivationSpace, delta: MapIndex, parts: dict, memo: dict) 
     return rank
 
 
-def _scan_elements(L: LieAlgebra):
-    """Deterministic refutation candidates: basis vectors, signed pairs,
-    then seeded sparse combinations with small coefficients (informative
-    points need coefficient coincidences, so small ranges hit them)."""
-    basis = [L.basis_element(i) for i in range(L.dim)]
-    yield from basis
-    for a, b in combinations(basis, 2):
-        yield a + b
-        yield a - b
+def _scan_points(d: int):
+    """Deterministic refutation candidates as integer coordinates
+    {index: int}: basis vectors, signed pairs, then seeded sparse draws with
+    small coefficients (``_sparse_draw``; informative points need
+    coefficient coincidences, so small ranges hit them)."""
+    yield from ({i: 1} for i in range(d))
+    for i, j in combinations(range(d), 2):
+        yield {i: 1, j: 1}
+        yield {i: 1, j: -1}
     rng = random.Random(0x5CA9)
     for _ in range(400):
-        yield _random_sparse_element(L, rng, ordered=False)
+        yield _sparse_draw(d, rng, ordered=False)
 
 
 def _certify_on(der, delta: MapIndex, basis: tuple, strata, rng, memo: dict, depth=0):
@@ -261,8 +277,7 @@ def _minor_profile(der, parts: dict, r: int):
     columns independent of those before them (the RREF pivot columns), and
     as rows the pivots of their echelon, the first r independent rows."""
     acc = SparseEchelon(der.algebra.field, der.algebra.dim)
-    images = der.images(parts)
-    cols = [k for k, img in images.items() if acc.rank < r and acc.insert_integer(dict(img))]
+    cols = [k for k, img in der.images(parts).items() if acc.rank < r and acc.insert_integer(img)]
     if len(cols) < r:
         return None
     return tuple(min(row) // acc.field.width for row in acc.rref_forms()), tuple(cols)

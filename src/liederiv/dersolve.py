@@ -170,7 +170,8 @@ class DerivationSpace(Frozen):
     column, each built on first use: ``image_index`` reads ``columns``, and
     ``residues``, the per-row Der-annihilation check of a constraint row,
     reads ``rows``, so a fault in the columns, or in the images built from
-    them, cannot hide from that check.
+    them, cannot hide from that check.  The certifier's point solves read
+    ``image_index`` turned by the field's units (``turned_index``).
     """
 
     __match_args__ = ("algebra", "columns", "rows")
@@ -196,6 +197,17 @@ class DerivationSpace(Frozen):
     def image_index(self) -> MapIndex:
         # the scale of map k is the pivot entry of its row
         return MapIndex(self.algebra.field, zip(self.columns, (r[min(r)] for r in self.rows)))
+
+    @cached_property
+    def turned_index(self) -> dict:
+        """``image_index`` with each column turned by the field's units
+        (``Field.rotations``): q -> [(w*k + t, u_t times column q of D_k),
+        ..], so a point x meets the images of the u_t D_k at w*k + t."""
+        field, w = self.algebra.field, self.algebra.field.width
+        return {
+            q: [p for k, col in pairs for p in enumerate((col, *field.rotations(col)), w * k)]
+            for q, pairs in self.image_index.index.items()
+        }
 
     @cached_property
     def check_index(self) -> dict:

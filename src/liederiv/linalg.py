@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .exactfield import FIELD_Q, Field, Frozen, setfield
 
@@ -290,34 +290,38 @@ def combine_forms(forms: Sequence[dict], point: Sequence[int]) -> dict:
     return {c: v for c, v in out.items() if v}
 
 
-def solve_columns(field: Field, columns: Sequence[dict], target: dict) -> tuple:
-    """(c, rank) for the integer forms (``Field.encode``, each at any
-    positive scale) of m columns a_k and a target b over ``field``, w its
-    ``width`` and u_t its units (``Field.rotations``): c is None when b is
-    outside the span of the a_k, else the integers c_0, .., c_(w*m - 1), lam
-    with lam > 0 and lam b = sum c_(w*k+t) u_t a_k, the integer form of
-    (c_k / lam)_k and a 1; rank is that of the a_k.  The solve runs over Q,
-    column w*k + t holding the form of u_t a_k, so the real pivots come w to
-    a field pivot, and c is the canonical RREF solution (free coefficients
-    zero) over Q and the field alike: c_p = row[w*m] * lam / row[p] for the
-    reduced integer row with pivot p, lam the lcm of the row[p].  A pivot at
-    w*m means no solution: rank [A | b] = rank A exactly when one exists."""
-    w, n = field.width, field.width * len(columns)
-    rows: dict = {}
-    for k, col in enumerate(columns):
-        for t, form in enumerate((col, *field.rotations(col))):
-            for r, v in form.items():
-                rows.setdefault(r, {})[w * k + t] = v
-    for r, v in target.items():
-        rows.setdefault(r, {})[n] = v
+def solve_rows(rows: Iterable[dict], n: int, width: int) -> tuple:
+    """(c, rank) for the augmented integer system [A | b] over Q, given by
+    its rows (nonzero ``int`` entries by column; they are reduced in place):
+    columns 0..n-1 hold A, ``width`` of them to a field column (column
+    w*k + t the form of u_t a_k, ``Field.rotations``), and column n holds
+    b.  c is None when b is outside the span of the a_k, else the integers
+    c_0, .., c_(n-1), lam with lam > 0 and lam b = sum c_q A_q, the integer
+    form of (c_k / lam)_k and a 1; rank is that of the a_k over the field.
+    The real pivots come w to a field pivot, and c is the canonical RREF
+    solution (free coefficients zero) over Q and the field alike:
+    c_p = row[n] * lam / row[p] for the reduced integer row with pivot p,
+    lam the lcm of the row[p], whatever order the rows go in.  A pivot at n
+    means no solution: rank [A | b] = rank A exactly when one exists."""
     acc = SparseEchelon(FIELD_Q, n + 1)
-    for row in rows.values():
+    for row in rows:
         acc.insert_integer(row)
     reduced = acc._reduced()
     if n in reduced:
-        return None, (acc.rank - 1) // w
+        return None, (acc.rank - 1) // width
     lam = lcm(*(row[p] for p, row in reduced.items()))
     coeffs = [0] * n + [lam]
     for p, row in reduced.items():
         coeffs[p] = row.get(n, 0) * (lam // row[p])
-    return coeffs, acc.rank // w
+    return coeffs, acc.rank // width
+
+
+def solve_columns(field: Field, columns: Sequence[dict], target: dict) -> tuple:
+    """``solve_rows`` on the integer forms (``Field.encode``, each at any
+    positive scale) of m columns a_k and a target b over ``field``."""
+    turned = [f for col in columns for f in (col, *field.rotations(col))] + [target]
+    rows: dict = {}
+    for q, form in enumerate(turned):
+        for r, v in form.items():
+            rows.setdefault(r, {})[q] = v
+    return solve_rows(rows.values(), len(turned) - 1, field.width)

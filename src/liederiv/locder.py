@@ -106,8 +106,11 @@ def _coeff_text(c) -> str:
 
 
 def _integer_form(x: AlgebraElement) -> dict:
-    """The integer form (``Field.encode``) of the coordinates of x."""
-    return x.algebra.field.encode({j: c for j, c in enumerate(x.coords) if c})
+    """The integer form (``Field.encode``) of the coordinates of x; the
+    coordinates that are the field's zero object are skipped unread, and
+    ``encode`` drops any other zero."""
+    zero = x.algebra.field.zero
+    return x.algebra.field.encode({j: c for j, c in enumerate(x.coords) if c is not zero})
 
 
 def _orbit_echelon(der: DerivationSpace, parts: dict, fill: Optional[int] = None) -> SparseEchelon:
@@ -510,6 +513,7 @@ def random_probe_closure(
     acc = basis_probe_space(der)
     acc.seed = seed
     rng = random.Random(seed)
+    w = der.algebra.field.width
     tried = stall = 0
     while acc.stop_reason is None:
         if acc.dim == der.dim:
@@ -519,23 +523,34 @@ def random_probe_closure(
         elif tried >= max_probes:
             acc.stop_reason = "budget"
         else:
-            element = _random_sparse_element(der.algebra, rng, ordered=True)
+            # the probe's integer form is its draw, read at the field columns
+            coords = _sparse_draw(der.algebra.dim, rng, ordered=True)
+            element = _element(der.algebra, coords)
+            parts = {w * i: c for i, c in coords.items()}
             before = acc.dim
-            constrain(acc, Probe(element, probe_label(element)))
+            _cut(acc, Probe(element, probe_label(element)), parts, None)
             tried += 1
             stall = stall + 1 if acc.dim == before else 0
     return acc
 
 
-def _random_sparse_element(L: LieAlgebra, rng: random.Random, ordered: bool) -> AlgebraElement:
-    """Two to six basis terms with coefficients drawn from [-2, 2] minus 0;
-    ``ordered`` draws the coefficients in basis order, else in sample order."""
-    d = L.dim
+def _sparse_draw(d: int, rng: random.Random, ordered: bool) -> dict:
+    """Two to six of the d basis indices, each with an integer coefficient
+    drawn from [-2, 2] minus 0, as {index: coefficient}; ``ordered`` draws
+    the coefficients in index order, else in sample order."""
     support = rng.sample(range(d), rng.randint(min(2, d), min(6, d)))
-    coords = [L.field.zero] * d
+    coords = {}
     for i in sorted(support) if ordered else support:
         c = 0
         while not c:
             c = rng.randint(-2, 2)
-        coords[i] = Fraction(c)
-    return AlgebraElement(L, tuple(coords))
+        coords[i] = c
+    return coords
+
+
+def _element(L: LieAlgebra, coords: dict) -> AlgebraElement:
+    """The element of L with the integer coordinates {index: int}."""
+    full = [L.field.zero] * L.dim
+    for i, c in coords.items():
+        full[i] = Fraction(c)
+    return AlgebraElement(L, tuple(full))

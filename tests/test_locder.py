@@ -51,6 +51,7 @@ from conftest import (
     full_schedule,
     make_probe,
     matvec,
+    naive_rank,
     normalized_key,
     orbit_subspace,
     rand_scalar,
@@ -278,6 +279,11 @@ def _permutes_full_table(L: LieAlgebra, sigma: tuple) -> bool:
     )
 
 
+def _random_element(L: LieAlgebra, rng: random.Random, ordered: bool):
+    """The element of the random closure's seeded sparse draw."""
+    return locder._element(L, locder._sparse_draw(L.dim, rng, ordered))
+
+
 def _doubled(L: LieAlgebra) -> LieAlgebra:
     """L + L, the second copy on indices d..2d-1: swapping the copies is an
     index permutation that is an automorphism."""
@@ -300,7 +306,7 @@ def test_families_moved_by_the_copy_swap_fold_as_the_reference():
         swap = tuple((i, (i + d) % (2 * d)) for i in range(2 * d))
         zero = (D.field.zero,) * d
         firsts = [L.basis_element(i) for i in range(d)]
-        firsts += [locder._random_sparse_element(L, rng, ordered=True) for _ in range(6)]
+        firsts += [_random_element(L, rng, ordered=True) for _ in range(6)]
         seeds = [Probe(D.element(x.coords + zero), probe_label(x)) for x in firsts]
         members = [
             Probe(D.element(zero + x.coords), f"{p.label}_b", p, swap)
@@ -433,12 +439,14 @@ def test_integer_fold_matches_the_field_scalar_reference_on_the_replay(n):
 
 @pytest.mark.parametrize("n", (2, 3))
 def test_integer_fold_matches_the_field_scalar_reference_on_random_probes(n, monkeypatch):
-    # the closure folds the singletons, then constrains by each random probe
+    # the closure folds the singletons, then cuts by each random probe; both
+    # reach the candidate through _cut
     der = derivation_space(make_schrodinger(n))
-    probes = singleton_probes(der.algebra)
-    true_constrain = locder.constrain
-    monkeypatch.setattr(locder, "constrain", lambda a, p: probes.append(p) or true_constrain(a, p))
+    probes: list = []
+    true_cut = locder._cut
+    monkeypatch.setattr(locder, "_cut", lambda a, p, *args: probes.append(p) or true_cut(a, p, *args))
     acc = random_probe_closure(der)
+    assert [p.label for p in probes[: der.algebra.dim]] == list(der.algebra.labels)
     assert len(probes) > der.algebra.dim
     _same_as_reference(acc, probes)
 
@@ -455,11 +463,11 @@ def test_the_fold_matches_the_reference_on_random_algebras(L):
     late = singles.pop()
     j = L.labels.index(late.label)
     while True:
-        x = locder._random_sparse_element(L, rng, ordered=True)
+        x = _random_element(L, rng, ordered=True)
         toucher = Probe(x, probe_label(x))
         if x.coords[j] and reference_fold(der, [toucher]).dim < L.dim ** 2:
             break
-    extra = [locder._random_sparse_element(L, rng, ordered=False) for _ in range(12)]
+    extra = [_random_element(L, rng, ordered=False) for _ in range(12)]
     probes = [toucher, *singles, *(Probe(x, probe_label(x)) for x in extra)]
     probes.insert(rng.randrange(1, len(probes) + 1), late)
     acc = CandidateSpace(der)
@@ -866,17 +874,88 @@ def test_witness_recheck_fires_on_a_corrupted_solve(monkeypatch):
     H, der, delta = _heisenberg2_zz()
     x = H.from_terms({"z": 1, "u_1": 1, "v_2": -1})
     assert witness(der, delta, x) is not None
-    true_solve = certifier.solve_columns
+    true_solve = certifier.solve_rows
 
-    def corrupted(field, columns, target):
+    def corrupted(rows, n, width):
         # shift every coefficient of a solvable system by one; the images
         # D_k(x) sum to a nonzero vector, so the combination moves off Delta(x)
-        coeffs, rank = true_solve(field, columns, target)
+        coeffs, rank = true_solve(rows, n, width)
         return (None if coeffs is None else [c + 1 for c in coeffs]), rank
 
-    monkeypatch.setattr(certifier, "solve_columns", corrupted)
+    monkeypatch.setattr(certifier, "solve_rows", corrupted)
     with pytest.raises(AssertionError, match="witness solve failed to verify"):
         witness(der, delta, x)
+
+
+def _witness_systems(L: LieAlgebra):
+    """(der, delta, x) at seeded points of L: Delta in Der (solvable at every
+    point) and Der plus one or two small entries, each at 8 sparse points of
+    the closure's draw and at a point with a non-real coordinate over Q(i)."""
+    der = derivation_space(L)
+    rng = random.Random(L.name)
+    values = [1, -1, 2] + ([I, 1 + I] if L.field == FIELD_QI else [])
+    basis = dense_der_basis(der)
+    for extra in (0, 1, 2):
+        rows = [[L.field.zero] * L.dim for _ in range(L.dim)]
+        for D in rng.sample(basis, min(2, len(basis))):
+            c = L.field.coerce(rng.choice(values))
+            for r in range(L.dim):
+                for j in range(L.dim):
+                    rows[r][j] += c * D.entries[r][j]
+        for _ in range(extra):
+            rows[rng.randrange(L.dim)][rng.randrange(L.dim)] += L.field.coerce(rng.choice(values))
+        delta = Matrix(L.field, rows)
+        points = [_random_element(L, rng, ordered=False) for _ in range(8)]
+        if L.field == FIELD_QI:
+            points.append(points[0] + L.basis_element(0).scale(I))
+        for x in points:
+            yield der, delta, x
+
+
+@pytest.mark.parametrize("L", random_matrix_algebras(), ids=lambda L: L.name)
+def test_point_rows_are_the_turned_images_transposed(L, monkeypatch):
+    # the rows the point solve hands to solve_rows are those of the
+    # augmented system built the old way: the images D_k(x) of the Der index
+    # with their turns u_t D_k(x) at column w*k + t, Delta(x) at column w*m
+    field, w = L.field, L.field.width
+    seen = []
+    true_solve = certifier.solve_rows
+
+    def recording(rows, n, width):
+        seen.append([dict(row) for row in rows])
+        return true_solve([dict(row) for row in seen[-1]], n, width)
+
+    monkeypatch.setattr(certifier, "solve_rows", recording)
+    for der, delta, x in _witness_systems(L):
+        n, parts = w * der.dim, locder._integer_form(x)
+        index = _delta_index(L, delta)
+        certifier._solve_point(der, index, parts)
+        expected: dict = {}
+        for k, img in der.images(parts).items():
+            for t, form in enumerate((img, *field.rotations(img))):
+                for r, v in form.items():
+                    expected.setdefault(r, {})[w * k + t] = v
+        for r, v in index.images(parts).get(0, {}).items():
+            expected.setdefault(r, {})[n] = v
+        got = sorted(sorted(row.items()) for row in seen[-1])
+        assert got == sorted(sorted(row.items()) for row in expected.values())
+
+
+@pytest.mark.parametrize("L", random_matrix_algebras(), ids=lambda L: L.name)
+def test_point_rank_and_witness_agree_with_the_dense_oracle(L):
+    # the rank of [D_1(x) | .. | D_m(x)] and the canonical RREF solution,
+    # against matvec and rref on the dense Der basis
+    outcomes = set()
+    for der, delta, x in _witness_systems(L):
+        oracle = dense_witness(der, delta, x)
+        rank = certifier._point_rank(der, _delta_index(L, delta), locder._integer_form(x), {})
+        assert (rank is None) == (oracle is None)
+        if rank is not None:
+            images = [matvec(D, x.coords) for D in dense_der_basis(der)]
+            assert rank == naive_rank(images)
+        assert witness(der, delta, x) == oracle
+        outcomes.add(oracle is None)
+    assert False in outcomes
 
 
 def test_certifier_makes_no_field_scalar_insert(monkeypatch):
@@ -1000,6 +1079,116 @@ def test_certifier_builds_the_map_columns_once(monkeypatch):
     assert certify_local_symbolic(der, delta).certified
     assert len(built) == len(encoded) == len(ruled) == len(indexed) == 1
     assert ruled[0] is encoded[0][0] and len(indexed[0]) == 1 and indexed[0][0] is encoded[0]
+
+
+def _pin_family(name: str) -> list:
+    """Six seeded maps on ``_WITNESS_ALGEBRAS[name]``: up to two Der basis
+    maps times 1, -1 or 2, plus up to two entries from +-1, +-2 (and i,
+    1 + i over Q(i)), each on the diagonal with even odds, since a scaling
+    such as z -> z takes a coefficient coincidence to refute."""
+    L = _WITNESS_ALGEBRAS[name]
+    rng = random.Random(f"certificate pins {name} 1")
+    basis = dense_der_basis(_WITNESS_DER[name])
+    values = [1, -1, 2, -2] + ([I, 1 + I] if L.field == FIELD_QI else [])
+    maps = []
+    for _ in range(6):
+        rows = [[L.field.zero] * L.dim for _ in range(L.dim)]
+        for D in rng.sample(basis, rng.randint(0, 2)):
+            c = rng.choice((1, -1, 2))
+            for r in range(L.dim):
+                for j in range(L.dim):
+                    rows[r][j] += c * D.entries[r][j]
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            r = rng.randrange(L.dim)
+            j = r if rng.random() < 0.5 else rng.randrange(L.dim)
+            rows[r][j] += L.field.coerce(rng.choice(values))
+        maps.append(Matrix(L.field, rows))
+    return maps
+
+
+def _certificate_report(der, delta) -> dict:
+    """The report of ``certify``, or the give-up text."""
+    leibniz = is_derivation(der.algebra, delta)
+    try:
+        cert = certify_local_symbolic(der, delta)
+    except CertificationError as exc:
+        return {"error": str(exc)}
+    x = cert.refutation
+    return {
+        "is_derivation": leibniz.ok,
+        "leibniz_failing_pair": leibniz.failing_pair,
+        "local": cert.certified,
+        "refutation": None if x is None else [format_scalar(c) for c in x.coords],
+        "strata": list(cert.strata),
+    }
+
+
+# sha256 of each report of the family, recorded before the point solve
+# summed its system rows straight from the index
+_CERTIFICATE_PINS = {
+    "h1": [
+        "16580ff092d022fce8a872575765a88de221ba43ee9644bd0b5a090abbe7665f",
+        "16580ff092d022fce8a872575765a88de221ba43ee9644bd0b5a090abbe7665f",
+        "16580ff092d022fce8a872575765a88de221ba43ee9644bd0b5a090abbe7665f",
+        "16580ff092d022fce8a872575765a88de221ba43ee9644bd0b5a090abbe7665f",
+        "31ca739d293bf5c81228fc58fc0ef1f82f36925473153f6f620775a340cb58f1",
+        "31ca739d293bf5c81228fc58fc0ef1f82f36925473153f6f620775a340cb58f1",
+    ],
+    "h1_qi": [
+        "16580ff092d022fce8a872575765a88de221ba43ee9644bd0b5a090abbe7665f",
+        "9fbd0e08138e67e640d0d9bf6717f123b60babad280496538bdbf9565c79e30d",
+        "16580ff092d022fce8a872575765a88de221ba43ee9644bd0b5a090abbe7665f",
+        "16580ff092d022fce8a872575765a88de221ba43ee9644bd0b5a090abbe7665f",
+        "16580ff092d022fce8a872575765a88de221ba43ee9644bd0b5a090abbe7665f",
+        "16580ff092d022fce8a872575765a88de221ba43ee9644bd0b5a090abbe7665f",
+    ],
+    "h2": [
+        "0d4638562f0d1cfae308f0f9b0ba938a82b0d5843e292a1d804a55992313f90a",
+        "9fbd0e08138e67e640d0d9bf6717f123b60babad280496538bdbf9565c79e30d",
+        "9fbd0e08138e67e640d0d9bf6717f123b60babad280496538bdbf9565c79e30d",
+        "69340738dac9f368130e2f98d990e9e55c0197bbb0c00b1840ea2467e30ad3aa",
+        "f8c7b3c220b49810eb441a963a664a455f77d28c67c96c7f13ee99e1cfcca6bc",
+        "9fbd0e08138e67e640d0d9bf6717f123b60babad280496538bdbf9565c79e30d",
+    ],
+    "s1": [
+        "9fbd0e08138e67e640d0d9bf6717f123b60babad280496538bdbf9565c79e30d",
+        "acc9426139dac3147044dafec7447bf774fd057d560fd7a74a0d5e70ff4b9f51",
+        "9fbd0e08138e67e640d0d9bf6717f123b60babad280496538bdbf9565c79e30d",
+        "c266aa0e278263fe284b155208d62fa970760f453a37b240554ca1da33166239",
+        "c266aa0e278263fe284b155208d62fa970760f453a37b240554ca1da33166239",
+        "27c5e7f9f1d98a3351111149b469f700cfd485800fa08bee61e5d80851289aac",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CERTIFICATE_PINS))
+def test_certificates_of_a_seeded_family_match_their_pins(name):
+    der = _WITNESS_DER[name]
+    reports = [_certificate_report(der, delta) for delta in _pin_family(name)]
+    digests = [hashlib.sha256(json.dumps(r, sort_keys=True).encode()).hexdigest() for r in reports]
+    assert digests == _CERTIFICATE_PINS[name]
+
+
+def test_a_stratum_refutes_z_to_u_at_a_sampled_point():
+    # the scan finds z first on the whole algebra; a stratum certified on
+    # its own reaches the central line through its rank-drop cut, and the
+    # point solve there refutes (strata as recorded before the point solve
+    # summed its system rows straight from the index)
+    H = make_heisenberg(1)
+    rows = [[Fraction(0)] * 3 for _ in range(3)]
+    rows[H.index["u_1"]][H.index["z"]] = Fraction(1)
+    index = _delta_index(H, Matrix(FIELD_Q, rows))
+    z, u = H.basis_element(0), H.basis_element(1)
+    top = "stratum dim 2: certified for block rank >= 3"
+    below = ["  stratum dim 1: certified for block rank >= 3", "    point stratum: trivial"]
+    cases = (
+        ((u, z), "z", [top, "  refuted at sampled point z"]),
+        ((z + u.scale(3), u), "-1/3*z", [top, *below, "  refuted at sampled point -1/3*z"]),
+    )
+    for basis, label, expected in cases:
+        strata: list = []
+        x = certifier._certify_on(derivation_space(H), index, basis, strata, random.Random(7), {})
+        assert probe_label(x) == label and strata == expected
 
 
 def test_certifier_accepts_pure_local_map():
