@@ -22,7 +22,7 @@ from .exactfield import FIELD_Q, Frozen, integer_key, inv, setfield
 from .liealg import AlgebraElement
 from .linalg import Matrix, SparseEchelon, combine_forms, encode_columns, solve_rows
 from .dersolve import DerivationSpace, MapIndex, _product_rule, check_map
-from .locder import CertificationError, _element, _integer_form, _sparse_draw, probe_label
+from .locder import CertificationError, _sparse_draw, probe_label
 from .poly import MultiPoly, poly_det, split_linear
 
 
@@ -37,7 +37,7 @@ def witness(der: DerivationSpace, delta: Matrix, x: AlgebraElement) -> Optional[
     if x.algebra != L:
         raise ValueError("point belongs to a different algebra")
     delta_index = MapIndex(L.field, [encode_columns(L.field, delta.sparse_columns(), L.dim)])
-    coeffs = _solve_point(der, delta_index, _integer_form(x))[0]
+    coeffs = _solve_point(der, delta_index, L.field.encode(dict(enumerate(x.coords))))[0]
     if coeffs is None:
         return None
     # c_k = (sum_t c_(w*k+t) u_t) * (scale of D_k) / (lam * scale of Delta)
@@ -130,8 +130,8 @@ def certify_local_symbolic(der: DerivationSpace, delta: Matrix) -> LocalityCerti
     for pt in _scan_points(d):
         parts = {L.field.width * j: c for j, c in pt.items()}
         if _point_rank(der, delta_index, parts, memo) is None:
-            x = _element(L, pt)
-            return LocalityCertificate(False, x, (f"refuted at {probe_label(x)}",))
+            x = L.element([pt.get(i, 0) for i in range(d)])
+            return LocalityCertificate(False, x, (f"refuted at {probe_label(L.labels, pt)}",))
     strata: list[str] = []
     rng = random.Random(0xCE27)
     top = tuple(L.basis_element(i) for i in range(d))
@@ -190,7 +190,7 @@ def _certify_on(der, delta: MapIndex, basis: tuple, strata, rng, memo: dict, dep
         rank = _point_rank(der, delta, parts, memo)
         if rank is None:
             x = _combination(basis, pt)
-            strata.append(f"{indent}refuted at sampled point {probe_label(x)}")
+            strata.append(f"{indent}refuted at sampled point {_label(x)}")
             return x
         if rank > best_rank:
             best_rank, best_point = rank, pt
@@ -214,7 +214,7 @@ def _certify_on(der, delta: MapIndex, basis: tuple, strata, rng, memo: dict, dep
         parts = combine_forms(forms, pt)
         if parts and _point_rank(der, delta, parts, memo) is None:
             x = _combination(basis, pt)
-            strata.append(f"{indent}refuted via nonzero bordered minor at {probe_label(x)}")
+            strata.append(f"{indent}refuted via nonzero bordered minor at {_label(x)}")
             return x
         # membership holds at pt although a bordered (r+1)-minor is nonzero
         # there, so the Der block itself must exceed rank r at pt
@@ -242,6 +242,11 @@ def _combination(basis: tuple, point) -> AlgebraElement:
     """x = sum_t y_t b_t as an element, for a refuting point."""
     terms = [b.scale(y) for b, y in zip(basis, point)]
     return sum(terms[1:], terms[0])
+
+
+def _label(x: AlgebraElement) -> str:
+    """The report label of the element x (``probe_label``)."""
+    return probe_label(x.algebra.labels, dict(enumerate(x.coords)))
 
 
 def _stratum_block(der: DerivationSpace, delta: MapIndex, forms: list, scale: int) -> list:

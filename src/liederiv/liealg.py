@@ -109,6 +109,8 @@ class LieAlgebra(Frozen):
         return f"LieAlgebra({self.name!r}, dim {self.dim} over {self.field})"
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, LieAlgebra):
             return NotImplemented
         return (
@@ -131,14 +133,6 @@ class LieAlgebra(Frozen):
     def basis_element(self, i: int) -> "AlgebraElement":
         coords = [self.field.zero] * self.dim
         coords[i] = self.field.one
-        return self.element(coords)
-
-    def from_terms(self, terms: dict) -> "AlgebraElement":
-        """Element from {label or index: coefficient}."""
-        coords = [self.field.zero] * self.dim
-        for key, c in terms.items():
-            i = self.index[key] if isinstance(key, str) else key
-            coords[i] = coords[i] + self.field.coerce(c)
         return self.element(coords)
 
 
@@ -181,7 +175,7 @@ class AlgebraElement(Frozen):
 
 
 def _same_algebra(x: AlgebraElement, y: AlgebraElement):
-    if x.algebra is not y.algebra and x.algebra != y.algebra:
+    if x.algebra != y.algebra:
         raise ValueError("elements of different algebras")
 
 

@@ -19,6 +19,7 @@ later condition is eliminated over those coordinates only (after Ayupov
 and Kudaybergenov, Linear Algebra Appl. 493, 2016, who argue through the
 same product).
 
+A probe carries x as the integer form the fold reads (``Probe.form``).
 The fold and the seeded random closure over Q (an independent route to
 the same dimension) work on any structure-constant algebra, as does the
 symbolic certifier (``certifier``, which settles the universal
@@ -30,13 +31,12 @@ that family (see ``schrodinger``).
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from math import lcm
 from itertools import chain
 from typing import Optional
 
 from .exactfield import Frozen, GaussianRational, integer_key, setfield
-from .liealg import AlgebraElement, LieAlgebra
+from .liealg import LieAlgebra
 from .linalg import SparseEchelon, Subspace
 from .dersolve import DerivationSpace
 
@@ -50,20 +50,26 @@ class CertificationError(RuntimeError):
 
 
 class Probe(Frozen):
-    """A nonzero test element with a stable label for reports.
+    """A nonzero test element x of ``algebra``, given by its integer form
+    ``form`` (``Field.encode`` of its coordinates, the form the fold
+    reads), with a stable label for reports.
 
     A member of a probe family names its ``seed`` probe and the basis
     permutation ``sigma`` that moves the seed onto it, as (i, sigma(i))
     pairs over the indices sigma moves; ``fold`` checks both."""
 
-    __slots__ = __match_args__ = ("element", "label", "seed", "sigma")
+    __slots__ = __match_args__ = ("algebra", "form", "label", "seed", "sigma")
 
     def __init__(
-        self, element: AlgebraElement, label: str, seed: Optional[Probe] = None, sigma: tuple = ()
+        self, algebra: LieAlgebra, form: dict, label: str, seed: Optional[Probe] = None, sigma=()
     ):
-        if element.is_zero():
+        if not form:
             raise ValueError("zero probe carries no information")
-        setfield(self, "element", element)
+        size = algebra.field.width * algebra.dim
+        if not all(form.values()) or min(form) < 0 or max(form) >= size:
+            raise ValueError("a probe form holds nonzero integers at columns of its algebra")
+        setfield(self, "algebra", algebra)
+        setfield(self, "form", form)
         setfield(self, "label", label)
         setfield(self, "seed", seed)
         setfield(self, "sigma", sigma)
@@ -78,9 +84,12 @@ class ProbeStep(Frozen):
         setfield(self, "dim_after", dim_after)
 
 
-def probe_label(x: AlgebraElement) -> str:
+def probe_label(labels: tuple, coords: dict) -> str:
+    """The report label of the element with the coordinates {index: scalar}
+    ``coords`` over the basis ``labels``: its nonzero terms in basis order."""
     parts = []
-    for c, lab in zip(x.coords, x.algebra.labels):
+    for i in sorted(coords):
+        c, lab = coords[i], labels[i]
         if not c:
             continue
         text = _coeff_text(c)
@@ -103,14 +112,6 @@ def _coeff_text(c) -> str:
             return im
         return f"({re}{'+' if not im.startswith('-') else ''}{im})"
     return str(c)
-
-
-def _integer_form(x: AlgebraElement) -> dict:
-    """The integer form (``Field.encode``) of the coordinates of x; the
-    coordinates that are the field's zero object are skipped unread, and
-    ``encode`` drops any other zero."""
-    zero = x.algebra.field.zero
-    return x.algebra.field.encode({j: c for j, c in enumerate(x.coords) if c is not zero})
 
 
 def _orbit_echelon(der: DerivationSpace, parts: dict, fill: Optional[int] = None) -> SparseEchelon:
@@ -220,8 +221,10 @@ def constrain(acc: CandidateSpace, probe: Probe) -> None:
     """Cut the candidate space ``acc`` in place down to its meet with
     {Delta : Delta(x) in W_x}, W_x spanned over the Der of ``acc``.
 
+    A probe of another algebra raises ValueError before its form is read.
     A probe with the ``integer_key`` of an earlier one is a multiple of
-    it and is skipped.  All else runs on integer forms (``Field.encode``):
+    it and is skipped.  All else runs on integer forms (``Field.encode``),
+    starting from the probe's own ``form``:
     the orbit echelon of x is fed the integer images, and any basis of its
     annihilator cuts the same candidate, so the basis is the echelon's
     ``integer_nullspace``.  The constraint row of an annihilator vector p
@@ -249,9 +252,9 @@ def constrain(acc: CandidateSpace, probe: Probe) -> None:
 
 
 def _probe_form(der: DerivationSpace, probe: Probe) -> dict:
-    if probe.element.algebra != der.algebra:
-        raise ValueError("probe element belongs to a different algebra")
-    return _integer_form(probe.element)
+    if probe.algebra != der.algebra:
+        raise ValueError("probe belongs to a different algebra")
+    return probe.form
 
 
 def _orbit(echelon: SparseEchelon, single: bool) -> tuple:
@@ -471,7 +474,8 @@ def fold(acc: CandidateSpace, probes) -> None:
 
 
 def singleton_probes(L: LieAlgebra) -> list[Probe]:
-    return [Probe(L.basis_element(i), L.labels[i]) for i in range(L.dim)]
+    w = L.field.width
+    return [Probe(L, {w * i: 1}, L.labels[i]) for i in range(L.dim)]
 
 
 def basis_probe_space(der: DerivationSpace) -> CandidateSpace:
@@ -513,7 +517,7 @@ def random_probe_closure(
     acc = basis_probe_space(der)
     acc.seed = seed
     rng = random.Random(seed)
-    w = der.algebra.field.width
+    L, w = der.algebra, der.algebra.field.width
     tried = stall = 0
     while acc.stop_reason is None:
         if acc.dim == der.dim:
@@ -524,11 +528,10 @@ def random_probe_closure(
             acc.stop_reason = "budget"
         else:
             # the probe's integer form is its draw, read at the field columns
-            coords = _sparse_draw(der.algebra.dim, rng, ordered=True)
-            element = _element(der.algebra, coords)
-            parts = {w * i: c for i, c in coords.items()}
+            coords = _sparse_draw(L.dim, rng, ordered=True)
+            probe = Probe(L, {w * i: c for i, c in coords.items()}, probe_label(L.labels, coords))
             before = acc.dim
-            _cut(acc, Probe(element, probe_label(element)), parts, None)
+            _cut(acc, probe, probe.form, None)
             tried += 1
             stall = stall + 1 if acc.dim == before else 0
     return acc
@@ -546,11 +549,3 @@ def _sparse_draw(d: int, rng: random.Random, ordered: bool) -> dict:
             c = rng.randint(-2, 2)
         coords[i] = c
     return coords
-
-
-def _element(L: LieAlgebra, coords: dict) -> AlgebraElement:
-    """The element of L with the integer coordinates {index: int}."""
-    full = [L.field.zero] * L.dim
-    for i, c in coords.items():
-        full[i] = Fraction(c)
-    return AlgebraElement(L, tuple(full))

@@ -384,7 +384,8 @@ def schrodinger_trimmed_schedule(L: LieAlgebra) -> list[Probe]:
     def add(terms: dict, label: str, family=None, images=None) -> None:
         # the first probe of a family is its seed; the others move it along images
         seed = seeds.get(family)
-        out.append(Probe(L.from_terms(terms), label, seed, _index_moves(n, images) if seed else ()))
+        form = FIELD_QI.encode(dict(sorted((L.index[lab], c) for lab, c in terms.items())))
+        out.append(Probe(L, form, label, seed, _index_moves(n, images) if seed else ()))
         if family:
             seeds.setdefault(family, out[-1])
 

@@ -2,16 +2,17 @@
 oracles used to cross-check the production linear algebra (among them
 the unit-pivot sparse echelon that the integer kernel replaced), sl2 in a
 basis with non-real structure constants, and the dense maps and
-subspaces that the package itself no longer builds: the bracket of two
-elements, ad, the centre and the field-scalar bracket table in either
-order, flattened maps and their linear combinations, the span of dense
+subspaces that the package itself no longer builds: the element of
+labelled terms, the bracket of two elements, ad, the centre and the
+field-scalar bracket table in either order, flattened maps and their linear combinations, the span of dense
 vectors with membership, sum and Zassenhaus intersection, the dense
 report behind ``outer_check`` and the reassembly of a ``decompose``
 result.  Also the field-scalar Leibniz rows and the Der they cut out,
 the dense Der basis, the all-triples Jacobi check, dense oracles for the
 sparse derivation check and the all-pairs product rule, the dense inner
 derivations, the sparse witness solve and the indexed Der-annihilation
-check, and the probe-fold oracles: the orbit subspace W_x, the flat
+check, the probe of an element (its integer form) and an element of a
+probe, and the probe-fold oracles: the orbit subspace W_x, the flat
 constraint rows of a candidate, a field-scalar reference fold on the
 flat map space (``reference_constrain``), a fold over any probe list and
 the full replay schedule of S_n, and a seeded generator of random matrix Lie
@@ -242,6 +243,15 @@ def sparse_add(row: dict, col: int, val) -> None:
         row[col] = nv
     else:
         row.pop(col, None)
+
+
+def from_terms(L, terms: dict) -> AlgebraElement:
+    """The element of L with the coordinates {label or index: coefficient}."""
+    coords = [L.field.zero] * L.dim
+    for key, c in terms.items():
+        i = L.index[key] if isinstance(key, str) else key
+        coords[i] = coords[i] + L.field.coerce(c)
+    return L.element(coords)
 
 
 def bracket_basis(L, i: int, j: int) -> dict:
@@ -710,18 +720,39 @@ def contains_map(acc, D: Matrix) -> bool:
     return not any(dot_sparse(row, flat) for row in constraint_rows(acc))
 
 
+def integer_form(x) -> dict:
+    """The integer form (``Field.encode``) of the coordinates of the
+    element x, the form a ``Probe`` of x carries."""
+    return x.algebra.field.encode(dict(enumerate(x.coords)))
+
+
+def element_probe(x, label=None, seed=None, sigma=()) -> Probe:
+    """The probe of the element x, labelled as the reports print it unless
+    ``label`` is given."""
+    L = x.algebra
+    if label is None:
+        label = probe_label(L.labels, dict(enumerate(x.coords)))
+    return Probe(L, integer_form(x), label, seed, sigma)
+
+
 def make_probe(L, terms: dict, label=None) -> Probe:
     """The probe with coordinates ``{label or index: coefficient}``,
     labelled as the reports print it unless ``label`` is given."""
-    el = L.from_terms(terms)
-    return Probe(el, label if label is not None else probe_label(el))
+    return element_probe(from_terms(L, terms), label)
+
+
+def probe_element(probe) -> AlgebraElement:
+    """A nonzero multiple of the element x of ``probe``: its integer form
+    decoded at its first column (``Field.decode``)."""
+    L, form = probe.algebra, probe.form
+    coords = L.field.decode(form, min(form))
+    return L.element([coords.get(i, L.field.zero) for i in range(L.dim)])
 
 
 def orbit_subspace(der, x) -> Subspace:
     """W_x = span{D(x) : D in the Der basis}, read off the orbit echelon
     that ``constrain`` cuts with."""
-    parts = der.algebra.field.encode(dict(enumerate(x.coords)))
-    return _orbit_echelon(der, parts).row_space()
+    return _orbit_echelon(der, integer_form(x)).row_space()
 
 
 def field_images(columns, x) -> list:
@@ -777,7 +808,8 @@ def reference_constrain(acc: ReferenceFold, probe):
     Der before any is inserted, and the field-scalar ``insert`` into
     ``acc``, cut in place."""
     acc.calls += 1
-    der, x = acc.der, probe.element
+    # a nonzero multiple of x, which has the same W_x and key
+    der, x = acc.der, probe_element(probe)
     support = [(j, xj) for j, xj in enumerate(x.coords) if xj]
     key = normalized_key(x)
     if key in acc.seen:
@@ -814,7 +846,7 @@ def fold(probes) -> CandidateSpace:
     """The candidate space cut out by ``probes`` from the full map space
     of their algebra, in the given order, by the fold that
     ``replay_proof`` runs on its schedule."""
-    acc = CandidateSpace(derivation_space(probes[0].element.algebra))
+    acc = CandidateSpace(derivation_space(probes[0].algebra))
     locder.fold(acc, probes)
     return acc
 

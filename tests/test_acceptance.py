@@ -58,6 +58,7 @@ from conftest import (
     leibniz_system,
     naive_rank,
     nullspace,
+    probe_element,
     rand_gauss,
     rand_scalar,
     rref,
@@ -328,7 +329,7 @@ def test_criterion_7g_witness_reconstruction():
     count = 0
     for probe in full_schedule(L):
         for D in maps:
-            assert witness(der, D, probe.element) is not None
+            assert witness(der, D, probe_element(probe)) is not None
             count += 1
     report("7g", True, f"{count} witnesses reconstructed across all probes and basis maps")
 

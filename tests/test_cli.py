@@ -8,7 +8,7 @@ from liederiv.cli import main
 from liederiv.exactfield import format_scalar
 from liederiv.liealg import load, make_heisenberg, to_json
 from liederiv.schrodinger import make_schrodinger
-from conftest import ad
+from conftest import ad, from_terms
 
 
 def run_cli(capsys, *argv):
@@ -310,7 +310,7 @@ def test_decompose_checks_the_product_rule_once(tmp_path, capsys, monkeypatch):
     for module in (cli, schrodinger):
         monkeypatch.setattr(module, "is_derivation", lambda L, D: calls.append(1) or check(L, D))
     L = make_schrodinger(2)
-    rows = [[format_scalar(x) for x in row] for row in ad(L.from_terms({"e": 1})).entries]
+    rows = [[format_scalar(x) for x in row] for row in ad(from_terms(L, {"e": 1})).entries]
     mp = tmp_path / "ad_e.json"
     mp.write_text(json.dumps({"matrix": rows}))
     code, out, _ = run_cli(capsys, "decompose", "--n", "2", "--map", str(mp))

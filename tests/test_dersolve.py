@@ -51,6 +51,7 @@ from conftest import (
     field_der_subspace,
     field_leibniz_rows,
     flatten_map,
+    from_terms,
     is_zero,
     leibniz_system,
     matmul,
@@ -369,20 +370,20 @@ def test_tau_spot_check_on_central_pair():
     # tau([u_1, v_1]) = tau(z) = z must equal [tau(u_1), v_1] + [u_1, tau(v_1)] = z
     L = make_schrodinger(1)
     t = tau(1)
-    u, v = L.from_terms({"u_1": 1}), L.from_terms({"v_1": 1})
+    u, v = from_terms(L, {"u_1": 1}), from_terms(L, {"v_1": 1})
     lhs = L.element(matvec(t, bracket(u, v).coords))
     rhs = bracket(L.element(matvec(t, u.coords)), v) + bracket(u, L.element(matvec(t, v.coords)))
     assert lhs.coords == rhs.coords
-    assert lhs.coords == L.from_terms({"z": 1}).coords
+    assert lhs.coords == from_terms(L, {"z": 1}).coords
 
 
 def test_sigma_images():
     s = sigma(2, 1, 2)
     L = make_schrodinger(2)
-    assert L.element(col(s, L.index["u_1"])).coords == L.from_terms({"u_2": 1}).coords
-    assert L.element(col(s, L.index["u_2"])).coords == L.from_terms({"u_1": -1}).coords
-    assert L.element(col(s, L.index["v_1"])).coords == L.from_terms({"v_2": 1}).coords
-    assert L.element(col(s, L.index["v_2"])).coords == L.from_terms({"v_1": -1}).coords
+    assert L.element(col(s, L.index["u_1"])).coords == from_terms(L, {"u_2": 1}).coords
+    assert L.element(col(s, L.index["u_2"])).coords == from_terms(L, {"u_1": -1}).coords
+    assert L.element(col(s, L.index["v_1"])).coords == from_terms(L, {"v_2": 1}).coords
+    assert L.element(col(s, L.index["v_2"])).coords == from_terms(L, {"v_1": -1}).coords
     for lab in ("e", "h", "f", "z"):
         assert not any(col(s, L.index[lab]))
     assert is_derivation(L, s).ok
@@ -447,7 +448,7 @@ def test_outer_span_meets_inner_trivially_and_completes_der():
 def test_sigma_commutes_with_grading():
     for n in (2, 3):
         L = make_schrodinger(n)
-        adh = ad(L.from_terms({"h": 1}))
+        adh = ad(from_terms(L, {"h": 1}))
         for (l, k) in sigma_pairs(n):
             s = sigma(n, l, k)
             assert matmul(adh, s) == matmul(s, adh)
@@ -463,7 +464,7 @@ def test_flatten_round_trip():
 
 def test_decompose_examples():
     L = make_schrodinger(2)
-    h = L.from_terms({"h": 1})
+    h = from_terms(L, {"h": 1})
     dec = decompose(L, ad(h))
     assert dec.inner_part.coords == h.coords
     assert all(not c for c in dec.sigma_coeffs.values())

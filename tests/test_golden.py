@@ -18,7 +18,7 @@ from liederiv.cli import main
 from liederiv.exactfield import FIELD_Q, FIELD_QI, GaussianRational, I, format_scalar
 from liederiv.liealg import make_heisenberg, to_json
 from liederiv.schrodinger import make_schrodinger
-from conftest import ad
+from conftest import ad, from_terms
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -93,7 +93,7 @@ def write_certify_inputs(directory: Path) -> None:
     for name, (field, inner, tau, sigma) in maps.items():
         s2 = make_schrodinger(2, field)
         at = s2.index
-        dec = [list(row) for row in ad(s2.from_terms(inner)).entries]
+        dec = [list(row) for row in ad(from_terms(s2, inner)).entries]
         dec[at["z"]][at["z"]] += tau
         for lab in ("u_1", "u_2", "v_1", "v_2"):
             dec[at[lab]][at[lab]] += tau / 2

@@ -41,6 +41,7 @@ from conftest import (
     complex_sl2,
     contains,
     copies,
+    from_terms,
     is_zero,
     rand_scalar,
     random_matrix_algebras,
@@ -63,19 +64,19 @@ def test_schrodinger_dimensions():
 
 def test_schrodinger_bracket_examples():
     L = make_schrodinger(3)
-    h, e = L.from_terms({"h": 1}), L.from_terms({"e": 1})
-    assert bracket(h, e).coords == L.from_terms({"e": 2}).coords
-    assert bracket(L.from_terms({"e": 1}), L.from_terms({"v_2": 1})).coords == L.from_terms(
+    h, e = from_terms(L, {"h": 1}), from_terms(L, {"e": 1})
+    assert bracket(h, e).coords == from_terms(L, {"e": 2}).coords
+    assert bracket(from_terms(L, {"e": 1}), from_terms(L, {"v_2": 1})).coords == from_terms(L, 
         {"u_2": 1}
     ).coords
     # [u_k, v_j] = delta_kj z
     for k in (1, 2, 3):
         for j in (1, 2, 3):
-            got = bracket(L.from_terms({f"u_{k}": 1}), L.from_terms({f"v_{j}": 1}))
-            expect = L.from_terms({"z": 1}) if k == j else L.from_terms({})
+            got = bracket(from_terms(L, {f"u_{k}": 1}), from_terms(L, {f"v_{j}": 1}))
+            expect = from_terms(L, {"z": 1}) if k == j else from_terms(L, {})
             assert got.coords == expect.coords
     # z is central
-    z = L.from_terms({"z": 1})
+    z = from_terms(L, {"z": 1})
     for i in range(L.dim):
         assert bracket(z, L.basis_element(i)).is_zero()
 
@@ -103,13 +104,13 @@ def test_generator_rank_validation():
 def test_heisenberg_structure():
     L = make_heisenberg(1)
     assert L.dim == 3
-    assert bracket(L.from_terms({"u_1": 1}), L.from_terms({"v_1": 1})).coords == L.from_terms(
+    assert bracket(from_terms(L, {"u_1": 1}), from_terms(L, {"v_1": 1})).coords == from_terms(L, 
         {"z": 1}
     ).coords
     for n in (1, 2, 4):
         H = make_heisenberg(n)
         assert H.dim == 2 * n + 1
-        z = H.from_terms({"z": 1})
+        z = from_terms(H, {"z": 1})
         for i in range(H.dim):
             assert bracket(z, H.basis_element(i)).is_zero()
 
@@ -124,7 +125,7 @@ def test_heisenberg_is_two_step_nilpotent():
 
 def test_sl2_structure():
     L = make_sl2()
-    e, h, f = (L.from_terms({lab: 1}) for lab in ("e", "h", "f"))
+    e, h, f = (from_terms(L, {lab: 1}) for lab in ("e", "h", "f"))
     assert bracket(e, f).coords == h.coords
     assert bracket(h, e).coords == e.scale(2).coords
     assert bracket(h, f).coords == f.scale(-2).coords
@@ -137,29 +138,29 @@ def test_center_of_schrodinger_is_the_central_line():
         L = make_schrodinger(n)
         c = center(L)
         assert c.dim == 1
-        assert contains(c, L.from_terms({"z": 1}).coords)
+        assert contains(c, from_terms(L, {"z": 1}).coords)
     H = make_heisenberg(1)
     assert center(H).dim == 1
-    assert contains(center(H), H.from_terms({"z": 1}).coords)
+    assert contains(center(H), from_terms(H, {"z": 1}).coords)
     assert center(make_abelian(4)).dim == 4
 
 
 def test_ad_examples():
     L = make_schrodinger(1)
-    adh = ad(L.from_terms({"h": 1}))
+    adh = ad(from_terms(L, {"h": 1}))
     # diagonal (2, 0, -2, 0, 1, -1) on (e, h, f, z, u_1, v_1)
     expect = [2, 0, -2, 0, 1, -1]
     for i in range(6):
         for j in range(6):
             want = Fraction(expect[i]) if i == j else Fraction(0)
             assert adh.entries[i][j] == want
-    assert is_zero(ad(L.from_terms({"z": 1})))
+    assert is_zero(ad(from_terms(L, {"z": 1})))
 
 
 def test_ad_grading_eigenvalues():
     for n in (1, 2, 3):
         L = make_schrodinger(n)
-        adh = ad(L.from_terms({"h": 1}))
+        adh = ad(from_terms(L, {"h": 1}))
         diag = [adh.entries[i][i] for i in range(L.dim)]
         assert diag == [2, 0, -2, 0] + [1] * n + [-1] * n
         for i in range(L.dim):
@@ -356,9 +357,9 @@ def test_load_rejects_inconsistent_duplicate():
 
 def test_gaussian_field_algebra_accepts_imaginary_coefficients():
     L = make_schrodinger(2, FIELD_QI)
-    x = L.from_terms({"u_1": 1, "u_2": GaussianRational(0, 1)})
-    y = L.from_terms({"v_1": 1})
-    assert bracket(x, y).coords == L.from_terms({"z": 1}).coords
+    x = from_terms(L, {"u_1": 1, "u_2": GaussianRational(0, 1)})
+    y = from_terms(L, {"v_1": 1})
+    assert bracket(x, y).coords == from_terms(L, {"z": 1}).coords
 
 
 @pytest.mark.parametrize("build", [lambda: make_abelian(2, "Qi"), lambda: make_heisenberg(1, "Qi")])
@@ -380,18 +381,18 @@ def _refuted_certificate():
 
 
 # (build, a field name, hashable): each value type of the package, built
-# twice from equal fields; Der and a decomposition hold dicts, so they
-# compare but do not hash
+# twice from equal fields; Der, a probe (its integer form) and a
+# decomposition hold dicts, so they compare but do not hash
 VALUE_TYPES = {
     "JacobiVerdict": (lambda: JacobiVerdict(True), "ok", True),
     "JacobiVerdict-failing": (lambda: JacobiVerdict(False, ("e", "h", "f")), "failing_triple", True),
     "AlgebraElement": (
-        lambda: make_schrodinger(1, FIELD_QI).from_terms({"e": 1, "z": I}), "coords", True
+        lambda: from_terms(make_schrodinger(1, FIELD_QI), {"e": 1, "z": I}), "coords", True
     ),
     "LeibnizVerdict": (lambda: LeibnizVerdict(False, (0, 1)), "failing_pair", True),
     "DerivationSpace": (lambda: derivation_space(make_heisenberg(1)), "columns", False),
     "Field": (lambda: FIELD_QI, "zero", True),
-    "Probe": (lambda: Probe(make_sl2().basis_element(1), "h"), "label", True),
+    "Probe": (lambda: Probe(make_sl2(), {1: 1}, "h"), "label", False),
     "ProbeStep": (lambda: ProbeStep("h", 9, 5), "dim_after", True),
     "LocalityCertificate": (
         lambda: LocalityCertificate(True, None, ("member of Der",)), "certified", True
@@ -433,7 +434,11 @@ def test_value_types_are_immutable_compare_by_field_and_copy(build, name, hashab
 def test_value_types_check_their_fields_and_print_them():
     L = make_heisenberg(1)
     with pytest.raises(ValueError, match="zero probe"):
-        Probe(L.element([0, 0, 0]), "0")
+        Probe(L, {}, "0")
+    # a form holds nonzero entries at the d columns of its algebra
+    for form in ({0: 0}, {3: 1}, {-1: 1}):
+        with pytest.raises(ValueError, match="columns of its algebra"):
+            Probe(L, form, "x")
     with pytest.raises(ValueError, match="coordinate length"):
         AlgebraElement(L, (1, 0))
     assert bool(LocalityCertificate(True, None, ())) is True

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from liederiv.exactfield import FIELD_Q, FIELD_QI, GaussianRational, I, format_scalar, inv
-from liederiv.liealg import LieAlgebra, make_abelian, make_heisenberg
+from liederiv.liealg import AlgebraElement, LieAlgebra, make_abelian, make_heisenberg, make_sl2
 from liederiv.linalg import Matrix, SparseEchelon, encode_columns
 from liederiv.dersolve import DerivationSpace, MapIndex, derivation_space, is_derivation
 from liederiv import certifier, locder
@@ -47,13 +47,17 @@ from conftest import (
     dense_rows,
     dense_witness,
     dot_sparse,
+    element_probe,
     fold,
+    from_terms,
     full_schedule,
+    integer_form,
     make_probe,
     matvec,
     naive_rank,
     normalized_key,
     orbit_subspace,
+    probe_element,
     rand_scalar,
     random_matrix_algebras,
     reference_fold,
@@ -78,16 +82,16 @@ def heisenberg_pure_local_map():
 def test_orbit_subspace_examples():
     L = make_schrodinger(2)
     der = derivation_space(L)
-    w_z = orbit_subspace(der, L.from_terms({"z": 1}))
-    assert w_z.dim == 1 and contains(w_z, L.from_terms({"z": 1}).coords)
-    w_e = orbit_subspace(der, L.from_terms({"e": 1}))
+    w_z = orbit_subspace(der, from_terms(L, {"z": 1}))
+    assert w_z.dim == 1 and contains(w_z, from_terms(L, {"z": 1}).coords)
+    w_e = orbit_subspace(der, from_terms(L, {"e": 1}))
     assert w_e.dim == 4
     for lab in ("h", "e", "u_1", "u_2"):
-        assert contains(w_e, L.from_terms({lab: 1}).coords)
+        assert contains(w_e, from_terms(L, {lab: 1}).coords)
     for n in (1, 2, 3):
         Ln = make_schrodinger(n)
         dn = derivation_space(Ln)
-        assert orbit_subspace(dn, Ln.from_terms({"h": 1})).dim == 2 * n + 2
+        assert orbit_subspace(dn, from_terms(Ln, {"h": 1})).dim == 2 * n + 2
 
 
 def test_orbit_subspace_matches_dense_images():
@@ -113,7 +117,7 @@ def test_constrain_rejects_a_corrupted_der_basis_map():
     cols = list(der.columns[0])
     cols[j] = {}
     corrupted = DerivationSpace(L, (tuple(cols),) + der.columns[1:], der.rows)
-    probe = Probe(L.basis_element(j), L.labels[j])
+    probe = Probe(L, {w * j: 1}, L.labels[j])
     with pytest.raises(AssertionError, match="does not annihilate Der"):
         constrain(CandidateSpace(corrupted), probe)
     constrain(CandidateSpace(der), probe)
@@ -169,7 +173,7 @@ def test_a_failed_der_check_leaves_the_candidate_unchanged():
 
 
 def _without_families(probes) -> list:
-    return [Probe(p.element, p.label) for p in probes]
+    return [Probe(p.algebra, p.form, p.label) for p in probes]
 
 
 @pytest.mark.parametrize("n", range(1, 17))
@@ -206,8 +210,8 @@ def test_the_replay_of_s5_runs_one_orbit_echelon_per_seed(monkeypatch):
 def test_a_bad_family_raises_before_any_row_is_inserted(member_label, sigma, message):
     L = make_schrodinger(3, FIELD_QI)
     der = derivation_space(L)
-    seed = Probe(L.from_terms({"u_1": 1}), "u_1")
-    member = Probe(L.from_terms({member_label: 1}), member_label, seed, sigma)
+    seed = make_probe(L, {"u_1": 1})
+    member = element_probe(from_terms(L, {member_label: 1}), member_label, seed, sigma)
     before, acc = CandidateSpace(der), CandidateSpace(der)
     locder.fold(before, [seed])
     with pytest.raises(ValueError, match=message):
@@ -281,7 +285,8 @@ def _permutes_full_table(L: LieAlgebra, sigma: tuple) -> bool:
 
 def _random_element(L: LieAlgebra, rng: random.Random, ordered: bool):
     """The element of the random closure's seeded sparse draw."""
-    return locder._element(L, locder._sparse_draw(L.dim, rng, ordered))
+    draw = locder._sparse_draw(L.dim, rng, ordered)
+    return L.element([draw.get(i, 0) for i in range(L.dim)])
 
 
 def _doubled(L: LieAlgebra) -> LieAlgebra:
@@ -307,9 +312,9 @@ def test_families_moved_by_the_copy_swap_fold_as_the_reference():
         zero = (D.field.zero,) * d
         firsts = [L.basis_element(i) for i in range(d)]
         firsts += [_random_element(L, rng, ordered=True) for _ in range(6)]
-        seeds = [Probe(D.element(x.coords + zero), probe_label(x)) for x in firsts]
+        seeds = [element_probe(D.element(x.coords + zero)) for x in firsts]
         members = [
-            Probe(D.element(zero + x.coords), f"{p.label}_b", p, swap)
+            element_probe(D.element(zero + x.coords), f"{p.label}_b", p, swap)
             for x, p in zip(firsts, seeds)
         ]
         acc = CandidateSpace(derivation_space(D))
@@ -412,8 +417,8 @@ def test_constrain_skips_a_probe_scaled_by_i():
     acc = CandidateSpace(der)
     constrain(acc, probe)
     dim, history = acc.dim, list(acc.history)
-    scaled = probe.element.scale(i_unit)  # i*u_1 - u_2
-    constrain(acc, Probe(scaled, probe_label(scaled)))
+    scaled = probe_element(probe).scale(i_unit)  # i*u_1 - u_2
+    constrain(acc, element_probe(scaled))
     assert acc.dim == dim and acc.history == history
     # the same support, but not a multiple: u_1 - i*u_2 is a new probe
     constrain(acc, make_probe(L, {"u_1": 1, "u_2": -i_unit}))
@@ -464,16 +469,16 @@ def test_the_fold_matches_the_reference_on_random_algebras(L):
     j = L.labels.index(late.label)
     while True:
         x = _random_element(L, rng, ordered=True)
-        toucher = Probe(x, probe_label(x))
+        toucher = element_probe(x)
         if x.coords[j] and reference_fold(der, [toucher]).dim < L.dim ** 2:
             break
     extra = [_random_element(L, rng, ordered=False) for _ in range(12)]
-    probes = [toucher, *singles, *(Probe(x, probe_label(x)) for x in extra)]
+    probes = [toucher, *singles, *map(element_probe, extra)]
     probes.insert(rng.randrange(1, len(probes) + 1), late)
     acc = CandidateSpace(der)
     locder.fold(acc, probes)
     # the blocks the first probe cut in keep the standard basis
-    assert set(acc.blocks) == {i for i, c in enumerate(toucher.element.coords) if not c}
+    assert set(acc.blocks) == {i for i, c in enumerate(probe_element(toucher).coords) if not c}
     _same_as_reference(acc, probes)
 
 
@@ -556,7 +561,7 @@ def test_constrain_keeps_derivations_and_is_idempotent():
     for D in dense_der_basis(der):
         assert contains_map(acc, D)
     # scalar multiples are recognized as the same probe
-    scaled = Probe(probe.element.scale(Fraction(5)), "5h+5e")
+    scaled = element_probe(probe_element(probe).scale(Fraction(5)), "5h+5e")
     constrain(acc, scaled)
     assert acc.dim == dim
 
@@ -566,9 +571,9 @@ def test_constrain_rejects_zero_and_foreign_probes():
     der = derivation_space(L)
     acc = CandidateSpace(der)
     with pytest.raises(ValueError):
-        Probe(L.from_terms({}), "0")
+        Probe(L, {}, "0")
     other = make_schrodinger(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="different algebra"):
         constrain(acc, make_probe(other, {"e": 1}, "e"))
 
 
@@ -641,6 +646,45 @@ def test_trimmed_schedule_is_the_cutting_subsequence():
         )
 
 
+def _family_cuts(n: int) -> dict:
+    """The cut of the replay of S_n by each probe family, the dimensions
+    its probes took off the candidate, by the label of its seed (a probe
+    with no seed is its own family)."""
+    acc = replay_proof(n)
+    family = {p.label: (p.seed or p).label for p in schrodinger_trimmed_schedule(acc.der.algebra)}
+    cuts: dict = {}
+    for step in acc.history:
+        seed = family[step.probe]
+        cuts[seed] = cuts.get(seed, 0) + step.dim_before - step.dim_after
+    return cuts
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_each_family_cuts_a_polynomial_in_n(n):
+    # the per-family cuts of the replay, with their sum d^2 - dim Der: a
+    # change of the schedule or of the fold shows up as a changed formula
+    single = ("e+u_1", "f+v_1", "h+u_1", "h+v_1")
+    single += ("f-1/2*z+v_1", "f-1/2*z-v_1", "e+1/2*z+u_1", "e+1/2*z-u_1")
+    expected = {
+        "e": n + 2,
+        "h": 2,
+        "f": n + 2,
+        "z": 2 * n + 3,
+        "u_1": n * (n + 2),
+        "v_1": n * (n + 2),
+        "h+e": 1,
+        "h+f": 1,
+        "e+f": 1,
+        **{label: n for label in single},
+        "u_1+i*u_2": n * (n - 1) // 2,
+        "v_1+i*v_2": n - 1,
+        "u_1+u_2+v_1+v_2": (n - 1) ** 2,
+    }
+    cuts = _family_cuts(n)
+    assert cuts == expected
+    assert sum(cuts.values()) == (2 * n + 4) ** 2 - expected_der_dim(n)
+
+
 def test_replay_verifies_small_ranks():
     for n in (1, 2, 3):
         result = replay_proof(n)
@@ -705,8 +749,8 @@ def test_replay_fold_is_independent_of_probe_order_and_scale(order, multiples, r
     # a nonzero multiple of a schedule probe imposes the same condition, so
     # constrain must skip whichever of the two comes second
     for i, (re, im) in multiples:
-        x = _SCHEDULE[i].element.scale(GaussianRational(re, im))
-        probes.insert(rng.randrange(len(probes) + 1), Probe(x, probe_label(x)))
+        x = probe_element(_SCHEDULE[i]).scale(GaussianRational(re, im))
+        probes.insert(rng.randrange(len(probes) + 1), element_probe(x))
     out = fold(probes)
     assert out.space == _REPLAY_BASE.space
     assert out.equal == _REPLAY_BASE.equal
@@ -732,7 +776,27 @@ def test_replay_witnesses_exist_at_every_probe():
     ]
     for probe in full_schedule(L):
         for D in maps:
-            assert witness(der, D, probe.element) is not None
+            assert witness(der, D, probe_element(probe)) is not None
+
+
+def test_the_fold_builds_no_dense_element(monkeypatch):
+    # a probe carries its integer form: the replay (its schedule and fold)
+    # and the random closure build no AlgebraElement, which the spy counts
+    built = []
+    true_init = AlgebraElement.__init__
+
+    def counting(self, *args):
+        built.append(1)
+        true_init(self, *args)
+
+    monkeypatch.setattr(AlgebraElement, "__init__", counting)
+    assert replay_proof(4).equal
+    assert built == []
+    closure = random_probe_closure(derivation_space(make_schrodinger(3)))
+    assert closure.stop_reason == "collapsed" and built == []
+    # the spy sees an element that is built
+    make_schrodinger(1).basis_element(0)
+    assert built == [1]
 
 
 def test_random_closure_agrees_with_replay():
@@ -768,29 +832,29 @@ def test_random_closure_heisenberg_stalls_above_derivations():
 def test_witness_examples():
     L = make_schrodinger(1)
     der = derivation_space(L)
-    adh = ad(L.from_terms({"h": 1}))
-    w = witness(der, adh, L.from_terms({"e": 1}))
+    adh = ad(from_terms(L, {"h": 1}))
+    w = witness(der, adh, from_terms(L, {"e": 1}))
     assert w is not None
-    images = [matvec(D, L.from_terms({"e": 1}).coords) for D in dense_der_basis(der)]
+    images = [matvec(D, from_terms(L, {"e": 1}).coords) for D in dense_der_basis(der)]
     rebuilt = [
         sum((c * img[i] for c, img in zip(w, images) if c), Fraction(0))
         for i in range(L.dim)
     ]
-    assert list(rebuilt) == list(matvec(adh, L.from_terms({"e": 1}).coords))
+    assert list(rebuilt) == list(matvec(adh, from_terms(L, {"e": 1}).coords))
 
     H, delta = heisenberg_pure_local_map()
     derH = derivation_space(H)
-    assert witness(derH, delta, H.from_terms({"u_1": 1, "z": 1})) is not None
+    assert witness(derH, delta, from_terms(H, {"u_1": 1, "z": 1})) is not None
     rows = [[Fraction(0)] * 3 for _ in range(3)]
     rows[H.index["u_1"]][H.index["z"]] = Fraction(1)
     bad = Matrix(FIELD_Q, rows)
-    assert witness(derH, bad, H.from_terms({"z": 1})) is None
+    assert witness(derH, bad, from_terms(H, {"z": 1})) is None
 
 
 def test_witness_and_certifier_reject_a_map_or_point_of_another_algebra():
     H, delta = heisenberg_pure_local_map()
     der = derivation_space(H)
-    z = H.from_terms({"z": 1})
+    z = from_terms(H, {"z": 1})
     rows = [[0] * 3 for _ in range(3)]
     rows[H.index["z"]][H.index["z"]] = I
     # a 2x2 map and a map over Q(i) on the Q-algebra h_1
@@ -801,7 +865,7 @@ def test_witness_and_certifier_reject_a_map_or_point_of_another_algebra():
             certify_local_symbolic(der, bad)
     for other in (make_heisenberg(1, FIELD_QI), make_heisenberg(2)):
         with pytest.raises(ValueError, match="different algebra"):
-            witness(der, delta, other.from_terms({"z": 1}))
+            witness(der, delta, from_terms(other, {"z": 1}))
     assert witness(der, delta, z) is not None
 
 
@@ -872,7 +936,7 @@ def _heisenberg2_zz():
 
 def test_witness_recheck_fires_on_a_corrupted_solve(monkeypatch):
     H, der, delta = _heisenberg2_zz()
-    x = H.from_terms({"z": 1, "u_1": 1, "v_2": -1})
+    x = from_terms(H, {"z": 1, "u_1": 1, "v_2": -1})
     assert witness(der, delta, x) is not None
     true_solve = certifier.solve_rows
 
@@ -927,7 +991,7 @@ def test_point_rows_are_the_turned_images_transposed(L, monkeypatch):
 
     monkeypatch.setattr(certifier, "solve_rows", recording)
     for der, delta, x in _witness_systems(L):
-        n, parts = w * der.dim, locder._integer_form(x)
+        n, parts = w * der.dim, integer_form(x)
         index = _delta_index(L, delta)
         certifier._solve_point(der, index, parts)
         expected: dict = {}
@@ -948,7 +1012,7 @@ def test_point_rank_and_witness_agree_with_the_dense_oracle(L):
     outcomes = set()
     for der, delta, x in _witness_systems(L):
         oracle = dense_witness(der, delta, x)
-        rank = certifier._point_rank(der, _delta_index(L, delta), locder._integer_form(x), {})
+        rank = certifier._point_rank(der, _delta_index(L, delta), integer_form(x), {})
         assert (rank is None) == (oracle is None)
         if rank is not None:
             images = [matvec(D, x.coords) for D in dense_der_basis(der)]
@@ -1026,11 +1090,11 @@ def _delta_index(L, delta: Matrix) -> MapIndex:
 def test_a_point_and_its_multiple_share_one_solve(monkeypatch):
     H, der, delta = _heisenberg2_zz()
     solves = _count_solves(monkeypatch)
-    x = H.from_terms({"z": 1, "u_1": 1, "v_2": -1})
+    x = from_terms(H, {"z": 1, "u_1": 1, "v_2": -1})
     index = _delta_index(H, delta)
     memo: dict = {}
-    rank = certifier._point_rank(der, index, locder._integer_form(x), memo)
-    assert certifier._point_rank(der, index, locder._integer_form(x.scale(3)), memo) == rank
+    rank = certifier._point_rank(der, index, integer_form(x), memo)
+    assert certifier._point_rank(der, index, integer_form(x.scale(3)), memo) == rank
     assert len(solves) == 1 and list(memo.values()) == [rank]
     # witness keeps no memo: it solves on every call
     for y in (x, x.scale(3), x):
@@ -1041,7 +1105,7 @@ def test_a_point_and_its_multiple_share_one_solve(monkeypatch):
     rows[H.index["u_1"]][H.index["z"]] = Fraction(1)
     index = _delta_index(H, Matrix(FIELD_Q, rows))
     memo = {}
-    z = locder._integer_form(H.from_terms({"z": 1}))
+    z = integer_form(from_terms(H, {"z": 1}))
     assert certifier._point_rank(der, index, z, memo) is None
     assert memo == {} and len(solves) == 5
 
@@ -1188,7 +1252,7 @@ def test_a_stratum_refutes_z_to_u_at_a_sampled_point():
     for basis, label, expected in cases:
         strata: list = []
         x = certifier._certify_on(derivation_space(H), index, basis, strata, random.Random(7), {})
-        assert probe_label(x) == label and strata == expected
+        assert probe_label(H.labels, dict(enumerate(x.coords))) == label and strata == expected
 
 
 def test_certifier_accepts_pure_local_map():
@@ -1198,6 +1262,43 @@ def test_certifier_accepts_pure_local_map():
     cert = certify_local_symbolic(der, delta)
     assert cert.certified and cert.refutation is None
     assert cert.strata != ("member of Der",)
+
+
+class _ScriptedRandom(random.Random):
+    """A seeded generator whose ``randint`` answers from ``script`` first."""
+
+    def __init__(self, script, seed=0):
+        super().__init__(seed)
+        self.script = list(script)
+
+    def randint(self, a, b):
+        return self.script.pop(0) if self.script else super().randint(a, b)
+
+
+def test_a_stratum_refutes_the_identity_of_sl2_via_a_bordered_minor():
+    # on sl2 the identity keeps x in W_x = [sl2, x] exactly when x is
+    # nilpotent, and W_x has dimension 2 at every x != 0.  On the stratum
+    # y_1*(e+h) - y_2*h = y_1*e + (y_1-y_2)*h that is the line y_1 = y_2,
+    # which holds the first sample point (1, 1) and the twelve scripted
+    # ones, so the samples find rank 2 and no refutation; a nonzero
+    # bordered 3-minor then leads to a point off the line, which refutes.
+    # A seeded search over Der plus one to three small entries on
+    # random_matrix_algebras() reached this branch with no map (the scan
+    # refutes first), so the stratum is certified directly
+    L = make_sl2()
+    der = derivation_space(L)
+    e, h = L.basis_element(0), L.basis_element(1)
+    identity = Matrix(FIELD_Q, [[int(r == c) for c in range(3)] for r in range(3)])
+    index = _delta_index(L, identity)
+    on_line = [k for k in (1, 2, 3, -1, -2, -3, 4, 5, -4, 6, 7, -5) for _ in range(2)]
+    strata: list = []
+    x = certifier._certify_on(der, index, (e + h, -h), strata, _ScriptedRandom(on_line), {})
+    assert strata == ["refuted via nonzero bordered minor at 3*e-h"]
+    assert probe_label(L.labels, dict(enumerate(x.coords))) == "3*e-h"
+    # x = y_1*e + (y_1-y_2)*h lies off the nilpotent line, and no
+    # combination of Der reaches it
+    assert x.coords[0] and x.coords[1] and not x.coords[2]
+    assert witness(der, identity, x) is None
 
 
 def test_certifier_refutes_central_escape():
@@ -1305,7 +1406,7 @@ def test_stratum_block_evaluates_to_the_images(case):
     name, elements, cut, point = case
     L, der = _BLOCK_ALGEBRAS[name], _BLOCK_DER[name]
     delta = _z_scaling(L)
-    basis = tuple(L.from_terms(t) for t in elements)
+    basis = tuple(from_terms(L, t) for t in elements)
     if cut is not None:
         units = [tuple(int(s == t) for s in range(len(cut))) for t in range(len(cut))]
         ell = MultiPoly(len(cut), dict(zip(units, cut)))
@@ -1327,13 +1428,13 @@ def test_stratum_block_evaluates_to_the_images(case):
 
 
 def test_probe_labels_render_scalars():
-    L = make_schrodinger(1, FIELD_QI)
-    el = L.from_terms({"u_1": 1, "v_1": GaussianRational(0, 1)})
-    assert probe_label(el) == "u_1+i*v_1"
-    el2 = L.from_terms({"e": Fraction(-1, 2)})
-    assert probe_label(el2) == "-1/2*e"
-    el3 = L.from_terms({"h": 1, "z": -1})
-    assert probe_label(el3) == "h-z"
+    labels = make_schrodinger(1, FIELD_QI).labels  # e, h, f, z, u_1, v_1
+    assert probe_label(labels, {4: 1, 5: GaussianRational(0, 1)}) == "u_1+i*v_1"
+    assert probe_label(labels, {0: Fraction(-1, 2)}) == "-1/2*e"
+    assert probe_label(labels, {1: 1, 3: -1}) == "h-z"
+    # the terms come in basis order whatever the order of the coordinates
+    # (the certifier's scan draws them in sample order), zeros left out
+    assert probe_label(labels, {5: 2, 2: 0, 3: Fraction(1, 2), 0: -1}) == "-e+1/2*z+2*v_1"
 
 
 def test_singleton_probes_cover_basis():
