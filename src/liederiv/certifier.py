@@ -21,7 +21,7 @@ from typing import Optional
 from .exactfield import FIELD_Q, Frozen, integer_key, inv, setfield
 from .liealg import AlgebraElement
 from .linalg import Matrix, SparseEchelon, combine_forms, encode_columns, solve_rows
-from .dersolve import DerivationSpace, MapIndex, _product_rule, check_map
+from .dersolve import DerivationSpace, MapIndex, _product_rule, encode_map
 from .locder import CertificationError, _sparse_draw, probe_label
 from .poly import MultiPoly, poly_det, split_linear
 
@@ -33,10 +33,10 @@ def witness(der: DerivationSpace, delta: Matrix, x: AlgebraElement) -> Optional[
     verified integer solution of ``_solve_point`` is divided back by lam
     and the maps' scales into field scalars here, and only here."""
     L = der.algebra
-    check_map(L, delta)
+    delta_map = encode_map(L, delta)
     if x.algebra != L:
         raise ValueError("point belongs to a different algebra")
-    delta_index = MapIndex(L.field, [encode_columns(L.field, delta.sparse_columns(), L.dim)])
+    delta_index = MapIndex(L.field, [delta_map])
     coeffs = _solve_point(der, delta_index, L.field.encode(dict(enumerate(x.coords))))[0]
     if coeffs is None:
         return None
@@ -114,16 +114,15 @@ def certify_local_symbolic(der: DerivationSpace, delta: Matrix) -> LocalityCerti
     confirmed by an exact witness-absence check at a concrete point.
     """
     L = der.algebra
-    check_map(L, delta)
+    # Delta's columns are encoded once, for the product rule and the index
+    delta_map = encode_map(L, delta)
     d = L.dim
     if d > _DIM_BOUND:
         raise CertificationError(f"algebra dimension {d} exceeds the certifier bound {_DIM_BOUND}")
-    # Delta's columns are encoded once, for the product rule and the index;
     # Der is every derivation, so the product rule decides membership
-    delta_forms = encode_columns(L.field, delta.sparse_columns(), d)
-    if _product_rule(L, delta_forms[0]).ok:
+    if _product_rule(L, delta_map[0]).ok:
         return LocalityCertificate(True, None, ("member of Der",))
-    delta_index = MapIndex(L.field, [delta_forms])
+    delta_index = MapIndex(L.field, [delta_map])
     # the Der-block rank by integer key: one solve per point up to a scalar
     memo: dict = {}
     # cheap concrete refutations first: basis vectors and short combinations

@@ -8,15 +8,15 @@ exactly, re-checks every basis map against the product rule, and spans
 the inner derivations ad_x.  The named outer derivations of
 the Schrodinger algebra live in ``schrodinger``.
 
-A map enters as a parsed square Matrix and is read by its sparse
-columns; a subspace of maps holds D[r, j] at coordinate j*d + r of the
-map space.
+A map enters as a parsed square Matrix; a subspace of maps holds D[r, j]
+at coordinate j*d + r of the map space, and a map's columns are
+``{j: form}``, the integer forms of its nonzero columns j only.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 from .exactfield import Field, Frozen, setfield
 from .liealg import LieAlgebra
@@ -79,23 +79,35 @@ class LeibnizVerdict(Frozen):
         setfield(self, "failing_pair", failing_pair)
 
 
-def check_map(L: LieAlgebra, D: Matrix) -> None:
-    """Raise ValueError unless D is a square map on L over the field of L."""
+def encode_map(L: LieAlgebra, D: Matrix) -> tuple:
+    """(columns, scale): D's columns ``{j: form}`` at one positive scale
+    (``encode_columns``); ValueError unless D is a square map on L over L's field."""
     if D.nrows != L.dim or D.ncols != L.dim:
         raise ValueError("map dimension does not match algebra")
     if D.field != L.field:
         raise ValueError("map field does not match algebra")
+    forms, scale = encode_columns(L.field, D.sparse_columns(), L.dim)
+    return {j: form for j, form in enumerate(forms) if form}, scale
+
+
+def row_columns(L: LieAlgebra, row: dict) -> dict:
+    """The columns ``{j: form}``, ascending, of the map whose integer form
+    on the map space is ``row`` (D[r, j] at column j*d + r), at its scale."""
+    wd = L.field.width * L.dim
+    columns: dict = {}
+    for c, v in sorted(row.items()):  # each column lists its rows in order
+        columns.setdefault(c // wd, {})[c % wd] = v
+    return columns
 
 
 def is_derivation(L: LieAlgebra, D: Matrix) -> LeibnizVerdict:
     """Exact product-rule check of a Matrix on all basis pairs."""
-    check_map(L, D)
-    return _product_rule(L, encode_columns(L.field, D.sparse_columns(), L.dim)[0])
+    return _product_rule(L, encode_map(L, D)[0])
 
 
-def _product_rule(L: LieAlgebra, forms: Sequence[dict]) -> LeibnizVerdict:
+def _product_rule(L: LieAlgebra, columns: dict) -> LeibnizVerdict:
     """The product rule on all basis pairs (sufficient by bilinearity),
-    in integer form: ``forms`` are the columns of D (``encode_columns``).
+    in integer form: ``columns`` are the columns ``{j: form}`` of D.
 
     For a pair i < j it sums D([b_i,b_j]) - [D(b_i), b_j] - [b_i, D(b_j)]
     = D([b_i,b_j]) + A_i[j] - A_j[i], A_j[k] = [b_k, D(b_j)] from
@@ -109,8 +121,8 @@ def _product_rule(L: LieAlgebra, forms: Sequence[dict]) -> LeibnizVerdict:
     w, table = L.field.width, L.integer_table
     # turned[m][t]: the form of u_t D(b_m) (``Field.rotations``), and
     # ads[j][k] = [b_k, D(b_j)], over the nonzero columns
-    turned = {m: (f, *L.field.rotations(f)) for m, f in enumerate(forms) if f}
-    ads = {j: L.ad_images(turned[j][0]) for j in turned}
+    turned = {m: (f, *L.field.rotations(f)) for m, f in columns.items()}
+    ads = {j: L.ad_images(f) for j, f in columns.items()}
     pairs = {pair for m in turned for pair in L.onto[m]}
     for j, img in ads.items():
         pairs.update((j, k) if j < k else (k, j) for k in img if k != j)
@@ -130,10 +142,10 @@ def _product_rule(L: LieAlgebra, forms: Sequence[dict]) -> LeibnizVerdict:
 
 
 class MapIndex:
-    """Linear maps D_k, each given as the integer forms of its columns and
-    their positive scale ``scales[k]`` (as from ``encode_columns``), by
-    integer column of the input: ``index[q]`` is [(k, column), ..] over the
-    maps with a nonzero column there.  For q = w*j + t (w the field's
+    """Linear maps D_k, each given as its columns ``{j: form}`` and their
+    positive scale ``scales[k]`` (as from ``encode_map``), by integer
+    column of the input: ``index[q]`` is [(k, column), ..] over the maps
+    with a nonzero column there.  For q = w*j + t (w the field's
     ``width``) the column is column j of u_t*D_k (``Field.rotations``), so
     x with x_j = sum_t x_(w*j+t) u_t maps to sum_q x_q column, and a sparse
     x meets only the entries it shares a column with (Gustavson's row-wise
@@ -144,12 +156,11 @@ class MapIndex:
     def __init__(self, field: Field, maps: Iterable[tuple]):
         self.index: dict = {}
         self.scales = []
-        for k, (forms, scale) in enumerate(maps):
+        for k, (columns, scale) in enumerate(maps):
             self.scales.append(scale)
-            for j, form in enumerate(forms):
+            for j, form in columns.items():
                 for t, turned in enumerate((form, *field.rotations(form))):
-                    if turned:
-                        self.index.setdefault(field.width * j + t, []).append((k, turned))
+                    self.index.setdefault(field.width * j + t, []).append((k, turned))
 
     def images(self, parts: dict) -> dict:
         """The nonzero images D_k(x) in integer form by k, ascending, given
@@ -159,28 +170,25 @@ class MapIndex:
 
 
 class DerivationSpace(Frozen):
-    """Basis of Der(L) in integer form (``Field.encode``): ``rows[k]``, the
-    k-th canonical row of Der (D[r, j] at column j*d + r of the map space),
-    is primitive at the scale of its pivot entry, and ``columns[k][j]`` is
-    column j of D_k read off it at that scale.  ``subspace``, the rows over
-    the field, is decoded only when a report or a comparison reads it.
+    """Basis of Der(L) in integer form (``Field.encode``), Der being these
+    rows alone: ``rows[k]``, the k-th canonical row of Der (D[r, j] at
+    column j*d + r of the map space), is primitive at the scale of its
+    pivot entry.  ``subspace``, the rows over the field, is decoded on read.
 
-    The fold and the certifier (``certifier.witness`` and
-    ``certify_local_symbolic``) work through two indexes keyed by integer
-    column, each built on first use: ``image_index`` reads ``columns``, and
-    ``residues``, the per-row Der-annihilation check of a constraint row,
-    reads ``rows``, so a fault in the columns, or in the images built from
-    them, cannot hide from that check.  The certifier's point solves read
-    ``image_index`` turned by the field's units (``turned_index``).
+    The fold and the certifier work through two indexes keyed by integer
+    column, each built on first use: ``image_index`` reads the nonzero
+    columns of each row (``row_columns``), turned by the field's units in
+    ``turned_index`` for the certifier's point solves, and ``residues``,
+    the per-row Der-annihilation check of a constraint row, reads
+    ``rows``, so a fault in the images cannot hide from that check.
     """
 
-    __match_args__ = ("algebra", "columns", "rows")
+    __match_args__ = ("algebra", "rows")
     # the instance dict holds the cached indexes and subspace
     __slots__ = __match_args__ + ("__dict__",)
 
-    def __init__(self, algebra: LieAlgebra, columns: tuple, rows: tuple):
+    def __init__(self, algebra: LieAlgebra, rows: tuple):
         setfield(self, "algebra", algebra)
-        setfield(self, "columns", columns)  # tuple[tuple[dict]]
         setfield(self, "rows", rows)  # tuple[dict]
 
     @property
@@ -196,7 +204,8 @@ class DerivationSpace(Frozen):
     @cached_property
     def image_index(self) -> MapIndex:
         # the scale of map k is the pivot entry of its row
-        return MapIndex(self.algebra.field, zip(self.columns, (r[min(r)] for r in self.rows)))
+        L = self.algebra
+        return MapIndex(L.field, ((row_columns(L, r), r[min(r)]) for r in self.rows))
 
     @cached_property
     def turned_index(self) -> dict:
@@ -241,27 +250,19 @@ def derivation_space(L: LieAlgebra) -> DerivationSpace:
     """Der(L) as the exact nullspace of the product-rule system, whose
     integer rows go straight into the echelon (``insert_integer``).
 
-    Der's rows are the nullspace's ``rref_forms``, each scattered once into
-    the columns of its map, and every basis map is re-verified against the
-    product rule on them, so a bug in the elimination cannot go unnoticed.
+    Der's rows are the nullspace's ``rref_forms``, and every basis map is
+    re-verified against the product rule on its nonzero columns
+    (``row_columns``), so a bug in the elimination cannot go unnoticed.
     """
-    d, wd = L.dim, L.field.width * L.dim
-    acc = SparseEchelon(L.field, d * d)
+    acc = SparseEchelon(L.field, L.dim ** 2)
     for row in leibniz_rows(L):
         acc.insert_integer(row)
     rows = acc.nullspace().rref_forms()
-    columns = []
     for row in rows:
-        cols = tuple({} for _ in range(d))
-        for c, v in sorted(row.items()):  # each column lists its rows in order
-            cols[c // wd][c % wd] = v
-        verdict = _product_rule(L, cols)
-        if not verdict.ok:
-            raise AssertionError(
-                f"nullspace produced a non-derivation (pair {verdict.failing_pair})"
-            )
-        columns.append(cols)
-    return DerivationSpace(L, tuple(columns), tuple(rows))
+        pair = _product_rule(L, row_columns(L, row)).failing_pair
+        if pair:
+            raise AssertionError(f"nullspace produced a non-derivation (pair {pair})")
+    return DerivationSpace(L, tuple(rows))
 
 
 def inner_rows(L: LieAlgebra) -> dict:

@@ -305,7 +305,7 @@ def _decode_qi(row: dict, pivot: int) -> dict:
     # the row over Q(i) whose real form is ``row``, divided by its entry
     # a + b*i at column pivot // 2: (x + y*i) / (a + b*i) is
     # ((x*a + y*b) + (y*a - x*b)*i) / (a*a + b*b)
-    a, b = row[pivot], row.get(pivot + 1, 0)
+    a, b = row.get(pivot & ~1, 0), row.get(pivot | 1, 0)
     n = a * a + b * b if b else a
     out = {}
     for k in row:

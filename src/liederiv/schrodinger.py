@@ -30,7 +30,8 @@ from typing import Optional
 from .exactfield import FIELD_Q, FIELD_QI, I, Field, Frozen, setfield
 from .liealg import AlgebraElement, LieAlgebra
 from .linalg import Matrix, SparseEchelon, combine_forms, encode_columns, solve_columns
-from .dersolve import LeibnizError, _product_rule, derivation_space, inner_rows, is_derivation
+from .dersolve import LeibnizError, _product_rule, derivation_space, inner_rows
+from .dersolve import is_derivation, row_columns
 from .locder import CandidateSpace, Probe, basis_probe_space, fold, singleton_probes
 
 
@@ -142,10 +143,10 @@ def _outer_columns(n: int) -> list:
     return maps + [_label_columns(n, _tau_entries(n))]
 
 
-def _map_row(forms: list, d: int, w: int) -> dict:
-    """The integer form on the map space (D[r, j] at j*d + r) of a map
-    given by the integer forms of its columns."""
-    return {w * d * j + q: v for j, form in enumerate(forms) for q, v in form.items()}
+def _map_entries(cols: tuple, d: int) -> dict:
+    """The entries of a map given by its sparse columns, D[r, j] at
+    coordinate j*d + r of the map space."""
+    return {d * j + r: x for j, col in enumerate(cols) for r, x in col.items()}
 
 
 class DerDecomposition(Frozen):
@@ -197,8 +198,7 @@ def decompose(L: LieAlgebra, D: Matrix, n: Optional[int] = None) -> DerDecomposi
     ad_indices = [i for i in range(d) if L.labels[i] != "z"]
     inner = inner_rows(L)
     maps = _outer_columns(n) + [D.sparse_columns()]
-    forms, scale = encode_columns(field, [c for cols in maps for c in cols], d)
-    rows = [_map_row(forms[d * m : d * (m + 1)], d, w) for m in range(len(maps))]
+    rows, scale = encode_columns(field, [_map_entries(cols, d) for cols in maps], d * d)
     columns = [inner.get(i, {}) for i in ad_indices] + rows[:-1]
     sol, _ = solve_columns(field, columns, rows[-1])
     if sol is None:
@@ -230,21 +230,20 @@ def outer_check(n: int, field: Field = FIELD_Q) -> dict:
     when its rank is dim Der and no row of Der grows it further."""
     L = make_schrodinger(n, field)
     der = derivation_space(L)
-    d, w = L.dim, field.width
+    d = L.dim
     pairs = sigma_pairs(n)
     acc = SparseEchelon(field, d * d)
     for row in inner_rows(L).values():
         acc.insert_integer(row)
     inner_dim = acc.rank
-    forms = [encode_columns(field, cols, d)[0] for cols in _outer_columns(n)]
-    checks = {
-        f"sigma_{l}{k}_leibniz": _product_rule(L, f).ok for (l, k), f in zip(pairs, forms)
-    }
-    checks["tau_leibniz"] = _product_rule(L, forms[-1]).ok
-    for f in forms[:-1]:
-        acc.insert_integer(_map_row(f, d, w))
+    rows = encode_columns(field, [_map_entries(cols, d) for cols in _outer_columns(n)], d * d)[0]
+    rules = [_product_rule(L, row_columns(L, row)).ok for row in rows]
+    checks = {f"sigma_{l}{k}_leibniz": ok for (l, k), ok in zip(pairs, rules)}
+    checks["tau_leibniz"] = rules[-1]
+    for row in rows[:-1]:
+        acc.insert_integer(row)
     checks["sigma_span_meets_inner_trivially"] = acc.rank == inner_dim + len(pairs)
-    checks["tau_outside_inner_plus_sigma"] = acc.insert_integer(_map_row(forms[-1], d, w))
+    checks["tau_outside_inner_plus_sigma"] = acc.insert_integer(rows[-1])
     checks["inner_plus_sigma_plus_tau_equals_der"] = acc.rank == der.dim and not any(
         acc.insert_integer(dict(row)) for row in der.rows
     )

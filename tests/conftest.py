@@ -578,7 +578,8 @@ def unflatten_map(field, vec, dim) -> Matrix:
 
 def dense_der_basis(der) -> tuple:
     """The Der basis as dense matrices, built from the rows of
-    ``der.subspace`` alone, so it is an oracle for ``der.columns``."""
+    ``der.subspace`` alone, so it is an oracle for the scatter of
+    ``der.rows`` (``dersolve.row_columns``)."""
     L = der.algebra
     return tuple(unflatten_map(L.field, vec, L.dim) for vec in dense_rows(der.subspace))
 

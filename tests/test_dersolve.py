@@ -23,6 +23,7 @@ from liederiv.dersolve import (
     inner_space,
     is_derivation,
     leibniz_rows,
+    row_columns,
     _product_rule,
 )
 from liederiv.schrodinger import (
@@ -119,10 +120,11 @@ def test_heisenberg_derivation_dimension():
 
 
 def test_every_basis_map_satisfies_product_rule():
-    # the dense oracle comes from der.subspace alone: der.columns must be
-    # the integer forms of the same maps entry for entry, at the scale of
-    # the pivot entry of der.rows, each column in row order with no
-    # stored zeros
+    # the dense oracle comes from der.subspace alone: the scatter of each
+    # row of der.rows (``row_columns``) must be the integer forms of the
+    # same map's columns entry for entry, at the scale of the row's pivot
+    # entry, each column in row order with no stored zeros, and it holds
+    # no empty column
     for build in (
         lambda: make_schrodinger(2),
         lambda: make_schrodinger(2, FIELD_QI),
@@ -131,11 +133,13 @@ def test_every_basis_map_satisfies_product_rule():
         L = build()
         der = derivation_space(L)
         basis = dense_der_basis(der)
-        assert len(der.columns) == len(der.rows) == len(basis) == der.dim
-        for cols, row, D in zip(der.columns, der.rows, basis):
+        assert len(der.rows) == len(basis) == der.dim
+        for row, D in zip(der.rows, basis):
             assert is_derivation(L, D).ok
-            assert len(cols) == L.dim
-            for j, c in enumerate(cols):
+            cols = row_columns(L, row)
+            assert all(cols.values()) and set(cols) <= set(range(L.dim))
+            for j in range(L.dim):
+                c = cols.get(j, {})
                 assert all(c.values()) and list(c) == sorted(c)
                 assert c == at_scale(L.field, dict(enumerate(col(D, j))), row[min(row)])
 
@@ -246,8 +250,46 @@ def test_product_rule_on_fewer_pairs_agrees_with_all_pairs(case):
     # the pairs it skips sum to zero term by term, so the verdict and the
     # first failing pair are those of the field-scalar loop over every pair
     L, cols = case
-    verdict = _product_rule(L, encode_columns(L.field, cols, L.dim)[0])
+    forms = encode_columns(L.field, cols, L.dim)[0]
+    verdict = _product_rule(L, {j: form for j, form in enumerate(forms) if form})
     assert (verdict.ok, verdict.failing_pair) == all_pairs_product_rule(L, cols)
+
+
+_SCATTER_ALGEBRAS = {
+    **{L.name: L for L in _RANDOM_ALGEBRAS},
+    **{f"S{n}-{f}": make_schrodinger(n, f) for n in (2, 3, 4) for f in (FIELD_Q, FIELD_QI)},
+}
+
+
+def _check_scatter(L, row: dict) -> None:
+    # the columns are exactly the nonzero ones of the row, ascending, each
+    # in row order, and they reassemble into the row
+    wd = L.field.width * L.dim
+    cols = row_columns(L, row)
+    assert list(cols) == sorted({c // wd for c in row})
+    assert all(list(form) == sorted(form) for form in cols.values())
+    assert {wd * j + q: v for j, form in cols.items() for q, v in form.items()} == row
+
+
+@pytest.mark.parametrize("L", _SCATTER_ALGEBRAS.values(), ids=_SCATTER_ALGEBRAS.keys())
+def test_row_columns_scatters_each_der_row_into_its_nonzero_columns(L):
+    for row in derivation_space(L).rows:
+        _check_scatter(L, row)
+
+
+@st.composite
+def _map_rows(draw):
+    """(algebra, row): a random sparse integer row on the map space."""
+    L = draw(st.sampled_from(list(_SCATTER_ALGEBRAS.values())))
+    n = L.field.width * L.dim ** 2
+    entries = st.integers(-9, 9).filter(bool)
+    return L, draw(st.dictionaries(st.integers(0, n - 1), entries, min_size=1, max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_map_rows())
+def test_row_columns_scatters_random_rows(case):
+    _check_scatter(*case)
 
 
 _LEIBNIZ_ALGEBRAS = {

@@ -290,3 +290,27 @@ def test_integer_key_is_shared_exactly_by_the_multiples(case):
     assert integer_key(field, field.encode({j: c * v for j, v in x.items()})) == key
     proportional = x.keys() == y.keys() and len({y[j] / x[j] for j in x}) == 1
     assert (integer_key(field, field.encode(y)) == key) == proportional
+
+
+_gauss_parts = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(
+        st.integers(0, 5),
+        st.builds(GaussianRational, _gauss_parts, _gauss_parts).filter(bool),
+        min_size=1,
+        max_size=4,
+    )
+)
+# the entry at column 0 is i (zero real part), at column 1 it is real
+@example({0: I, 1: Fraction(1)})
+def test_decode_at_either_part_of_a_column_divides_by_its_entry(row):
+    # both integer columns 2c and 2c + 1 of field column c name the same
+    # pivot entry row[c]
+    form = FIELD_QI.encode(row)
+    for c, pivot in row.items():
+        expected = {j: x / pivot for j, x in row.items()}
+        assert FIELD_QI.decode(form, 2 * c) == expected
+        assert FIELD_QI.decode(form, 2 * c + 1) == expected

@@ -238,24 +238,18 @@ def test_linalg_leaves_scalar_knowledge_to_the_field():
 
 def test_locder_runs_on_the_shared_integer_kernel():
     # the fold and the certifier insert integer forms only, and form their
-    # images only through dersolve's MapIndex: neither reads the
-    # field-scalar columns of Der, and the sparse columns of Delta go
-    # straight into a MapIndex, or into the one encode_columns whose name
-    # a MapIndex takes (the certifier reads them, the fold does not)
+    # images only through dersolve's MapIndex: neither reads the columns
+    # of a map itself, and Delta's columns come from dersolve's one encoder
+    # for a Matrix, encode_map, assigned to a name that a MapIndex takes
+    # (the certifier reads Delta, the fold does not)
     for module in ("locder", "certifier"):
         tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
         calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
         methods = [c.func.attr for c in calls if isinstance(c.func, ast.Attribute)]
         assert "insert" not in methods and "insert_integer" in methods, module
         attributes = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
-        assert "columns" not in attributes and "images" in attributes, module
-        indexed = {
-            id(arg)
-            for c in calls
-            if getattr(c.func, "id", None) == "MapIndex"
-            for arg in ast.walk(c)
-            if isinstance(arg, ast.Call)
-        }
+        assert "images" in attributes, module
+        assert not attributes & {"columns", "sparse_columns"}, module
         names = {
             n.id
             for c in calls
@@ -263,16 +257,15 @@ def test_locder_runs_on_the_shared_integer_kernel():
             for n in ast.walk(c)
             if isinstance(n, ast.Name)
         }
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Assign)
-                and getattr(getattr(node.value, "func", None), "id", None) == "encode_columns"
-                and any(getattr(t, "id", None) in names for t in node.targets)
-            ):
-                indexed.update(id(n) for n in ast.walk(node.value))
-        columns = [c for c in calls if getattr(c.func, "attr", None) == "sparse_columns"]
-        assert all(id(c) in indexed for c in columns), module
-        assert bool(columns) == (module == "certifier"), module
+        encoded = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assign)
+            and getattr(getattr(node.value, "func", None), "id", None) == "encode_map"
+        ]
+        assert all(any(getattr(t, "id", None) in names for t in n.targets) for n in encoded), module
+        assert len(encoded) == sum(getattr(c.func, "id", None) == "encode_map" for c in calls)
+        assert bool(encoded) == (module == "certifier"), module
 
 
 def test_only_the_parser_and_the_label_map_build_a_matrix():

@@ -390,7 +390,7 @@ VALUE_TYPES = {
         lambda: from_terms(make_schrodinger(1, FIELD_QI), {"e": 1, "z": I}), "coords", True
     ),
     "LeibnizVerdict": (lambda: LeibnizVerdict(False, (0, 1)), "failing_pair", True),
-    "DerivationSpace": (lambda: derivation_space(make_heisenberg(1)), "columns", False),
+    "DerivationSpace": (lambda: derivation_space(make_heisenberg(1)), "rows", False),
     "Field": (lambda: FIELD_QI, "zero", True),
     "Probe": (lambda: Probe(make_sl2(), {1: 1}, "h"), "label", False),
     "ProbeStep": (lambda: ProbeStep("h", 9, 5), "dim_after", True),

@@ -9,7 +9,14 @@ from hypothesis import assume, example, given, settings, strategies as st
 from liederiv.exactfield import FIELD_Q, FIELD_QI, GaussianRational, I, format_scalar, inv
 from liederiv.liealg import AlgebraElement, LieAlgebra, make_abelian, make_heisenberg, make_sl2
 from liederiv.linalg import Matrix, SparseEchelon, encode_columns
-from liederiv.dersolve import DerivationSpace, MapIndex, derivation_space, is_derivation
+from liederiv.dersolve import (
+    DerivationSpace,
+    MapIndex,
+    derivation_space,
+    encode_map,
+    is_derivation,
+    row_columns,
+)
 from liederiv import certifier, locder
 from liederiv.certifier import (
     CertificationError,
@@ -109,14 +116,16 @@ def test_constrain_rejects_a_corrupted_der_basis_map():
     L = make_schrodinger(1)
     der = derivation_space(L)
     # the first basis vector's pivot entry D_0[i][j] is zero in every other
-    # basis map, so dropping column j of D_0 shrinks the orbit of b_j and
-    # lets through a constraint row that cuts the true Der
+    # basis map, so dropping column j of D_0 from the cached image index
+    # shrinks the orbit of b_j and lets through a constraint row that cuts
+    # the true Der; the rows, which the per-row check reads, stay intact
     w = L.field.width
     j, i = divmod(min(der.rows[0]) // w, L.dim)
-    assert der.columns[0][j].get(w * i)
-    cols = list(der.columns[0])
-    cols[j] = {}
-    corrupted = DerivationSpace(L, (tuple(cols),) + der.columns[1:], der.rows)
+    maps = [(row_columns(L, row), row[min(row)]) for row in der.rows]
+    assert maps[0][0][j].get(w * i)
+    del maps[0][0][j]
+    corrupted = DerivationSpace(L, der.rows)
+    vars(corrupted)["image_index"] = MapIndex(L.field, maps)
     probe = Probe(L, {w * j: 1}, L.labels[j])
     with pytest.raises(AssertionError, match="does not annihilate Der"):
         constrain(CandidateSpace(corrupted), probe)
@@ -124,16 +133,18 @@ def test_constrain_rejects_a_corrupted_der_basis_map():
 
 
 def _with_a_corrupted_subspace_row(der: DerivationSpace) -> DerivationSpace:
-    # the columns are intact, so every constraint row annihilates the true
-    # Der; the first row gains an entry at a column where every Der map is
-    # zero (one, at the row's scale), so it leaves Der, and a fold that
+    # the images are those of the true rows (the cached ``image_index``),
+    # so every constraint row annihilates the true Der; the first row gains
+    # an entry at a column where every Der map is zero (one, at the row's scale), so it leaves Der, and a fold that
     # reaches dim Der has a constraint row that the per-row check finds it
     # against
     L, w = der.algebra, der.algebra.field.width
     unused = set(range(L.dim ** 2)).difference(*({c // w for c in row} for row in der.rows))
     rows = list(der.rows)
     rows[0] = {**rows[0], w * max(unused): rows[0][min(rows[0])]}
-    return DerivationSpace(L, der.columns, tuple(rows))
+    corrupted = DerivationSpace(L, tuple(rows))
+    vars(corrupted)["image_index"] = der.image_index
+    return corrupted
 
 
 def test_constrain_rejects_a_corrupted_der_subspace_row():
@@ -857,8 +868,11 @@ def test_witness_and_certifier_reject_a_map_or_point_of_another_algebra():
     z = from_terms(H, {"z": 1})
     rows = [[0] * 3 for _ in range(3)]
     rows[H.index["z"]][H.index["z"]] = I
-    # a 2x2 map and a map over Q(i) on the Q-algebra h_1
+    # a 2x2 map and a map over Q(i) on the Q-algebra h_1: all three share
+    # the one encoder, encode_map, and its two checks
     for bad in (Matrix(FIELD_Q, [[0, 0], [0, 1]]), Matrix(FIELD_QI, rows)):
+        with pytest.raises(ValueError, match="does not match algebra"):
+            is_derivation(H, bad)
         with pytest.raises(ValueError, match="does not match algebra"):
             witness(der, bad, z)
         with pytest.raises(ValueError, match="does not match algebra"):
@@ -1084,7 +1098,7 @@ def test_certifier_solves_each_point_once_up_to_scaling(monkeypatch):
 
 def _delta_index(L, delta: Matrix) -> MapIndex:
     # Delta's columns encoded once, as the certifier indexes them
-    return MapIndex(L.field, [encode_columns(L.field, delta.sparse_columns(), L.dim)])
+    return MapIndex(L.field, [encode_map(L, delta)])
 
 
 def test_a_point_and_its_multiple_share_one_solve(monkeypatch):
@@ -1111,10 +1125,10 @@ def test_a_point_and_its_multiple_share_one_solve(monkeypatch):
 
 
 def test_certifier_builds_the_map_columns_once(monkeypatch):
-    # Delta's columns are read and encoded once, and the one encoding feeds
-    # both the product-rule shortcut and the MapIndex
+    # Delta's columns are read and encoded once (``encode_map``), and the
+    # one encoding feeds both the product-rule shortcut and the MapIndex
     H, der, delta = _heisenberg2_zz()
-    true_columns, true_encode = Matrix.sparse_columns, certifier.encode_columns
+    true_columns, true_encode = Matrix.sparse_columns, certifier.encode_map
     true_rule, true_index = certifier._product_rule, certifier.MapIndex
     built, encoded, ruled, indexed = [], [], [], []
 
@@ -1122,11 +1136,9 @@ def test_certifier_builds_the_map_columns_once(monkeypatch):
         built.append(true_columns(self))
         return built[-1]
 
-    def encoding(field, cols, size):
-        out = true_encode(field, cols, size)
-        if any(cols is c for c in built):
-            encoded.append(out)
-        return out
+    def encoding(L, D):
+        encoded.append(true_encode(L, D))
+        return encoded[-1]
 
     def rule(L, forms):
         ruled.append(forms)
@@ -1137,7 +1149,7 @@ def test_certifier_builds_the_map_columns_once(monkeypatch):
         return true_index(field, indexed[-1])
 
     monkeypatch.setattr(Matrix, "sparse_columns", columns)
-    monkeypatch.setattr(certifier, "encode_columns", encoding)
+    monkeypatch.setattr(certifier, "encode_map", encoding)
     monkeypatch.setattr(certifier, "_product_rule", rule)
     monkeypatch.setattr(certifier, "MapIndex", index)
     assert certify_local_symbolic(der, delta).certified
