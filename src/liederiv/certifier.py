@@ -6,7 +6,10 @@ structure-constant algebra, stratum by stratum over polynomial minors
 (``poly``); ``witness`` solves one point.  A point x is one integer
 system [u_t D_k(x) | Delta(x)], its rows summed in one pass over x and
 solved by ``linalg.solve_rows`` (``_solve_point``); only ``witness``
-turns the solution into field scalars.  Only the ``certify`` and
+turns the solution into field scalars.  A line {y*b} is settled at b
+alone (``_certify_line``), with no minor; it still makes the seeded draws
+that the general path would make there, so the other strata sample the
+same points either way.  Only the ``certify`` and
 ``demo-heisenberg`` commands run it, so ``import liederiv.cli`` loads
 neither this module nor ``poly``.
 """
@@ -14,6 +17,7 @@ neither this module nor ``poly``.
 from __future__ import annotations
 
 import random
+from functools import cache
 from itertools import chain, combinations, islice
 from math import comb
 from typing import Optional
@@ -110,8 +114,14 @@ def certify_local_symbolic(der: DerivationSpace, delta: Matrix) -> LocalityCerti
     points where the Der block keeps rank at least r.  The rank-drop locus
     lies inside the zero set of the exhibited nonzero r-minor; when that
     minor is a product of linear forms the procedure recurses onto each
-    hyperplane, otherwise it gives up explicitly.  Refutations are always
-    confirmed by an exact witness-absence check at a concrete point.
+    hyperplane, otherwise it gives up explicitly.  A line {y*b} needs none
+    of this: D_k(y*b) = y*D_k(b) and Delta(y*b) = y*Delta(b), so the
+    witness solve at b settles it, and it expands no minor (so no minor
+    budget applies to it).  It still draws the sample points and the
+    rank-drop points of the general path from the seeded stream, so every
+    later stratum samples the points it would sample had the line taken
+    that path.  Refutations are always confirmed by an exact
+    witness-absence check at a concrete point.
     """
     L = der.algebra
     # Delta's columns are encoded once, for the product rule and the index
@@ -153,18 +163,19 @@ def _point_rank(der: DerivationSpace, delta: MapIndex, parts: dict, memo: dict) 
     return rank
 
 
-def _scan_points(d: int):
+@cache
+def _scan_points(d: int) -> tuple:
     """Deterministic refutation candidates as integer coordinates
     {index: int}: basis vectors, signed pairs, then seeded sparse draws with
     small coefficients (``_sparse_draw``; informative points need
-    coefficient coincidences, so small ranges hit them)."""
-    yield from ({i: 1} for i in range(d))
+    coefficient coincidences, so small ranges hit them).  They depend on d
+    alone, so they are drawn once per d; callers only read them."""
+    points = [{i: 1} for i in range(d)]
     for i, j in combinations(range(d), 2):
-        yield {i: 1, j: 1}
-        yield {i: 1, j: -1}
+        points += [{i: 1, j: 1}, {i: 1, j: -1}]
     rng = random.Random(0x5CA9)
-    for _ in range(400):
-        yield _sparse_draw(d, rng, ordered=False)
+    points += [_sparse_draw(d, rng, ordered=False) for _ in range(400)]
+    return tuple(points)
 
 
 def _certify_on(der, delta: MapIndex, basis: tuple, strata, rng, memo: dict, depth=0):
@@ -180,6 +191,9 @@ def _certify_on(der, delta: MapIndex, basis: tuple, strata, rng, memo: dict, dep
         return None
     forms, scale = encode_columns(L.field, [dict(enumerate(b.coords)) for b in basis], d)
     samples = [[1] * dim_u] + [_sample_point(rng, dim_u) for _ in range(12)]
+    if dim_u == 1:
+        # settled at b, samples[0]; the other samples are drawn all the same
+        return _certify_line(der, delta, basis[0], forms[0], strata, rng, memo, indent)
     best_rank, best_point = -1, None
     for pt in samples:
         parts = combine_forms(forms, pt)
@@ -230,6 +244,26 @@ def _certify_on(der, delta: MapIndex, basis: tuple, strata, rng, memo: dict, dep
         )
         if refut is not None:
             return refut
+    return None
+
+
+def _certify_line(der, delta: MapIndex, b, form: dict, strata, rng, memo: dict, indent: str):
+    """Certify membership on the line {y*b}, b with the integer form
+    ``form``: D_k(y*b) = y*D_k(b) and Delta(y*b) = y*Delta(b), so it holds
+    on the whole line exactly when it holds at b, and y = 0 is the trivial
+    point stratum.  No minor is expanded.  The strata and the refuting
+    element are those of the general path, whose first sample is b."""
+    rank = _point_rank(der, delta, form, memo)
+    if rank is None:
+        strata.append(f"{indent}refuted at sampled point {_label(b)}")
+        return b
+    strata.append(f"{indent}stratum dim 1: certified for block rank >= {rank}")
+    if rank:
+        # the eight points that ``_rank_drop_cuts`` would draw here: drawn
+        # and dropped, so later strata sample the points of the general path
+        for _ in range(8):
+            _sample_point(rng, 1)
+        strata.append(f"{indent}  point stratum: trivial")
     return None
 
 

@@ -14,11 +14,12 @@ checks behind the direct sum (``outer_check``), and names the free
 parameters of the per-basis-element images that the singleton
 constraints leave (``AsosShape``).
 
-Every map here is addressed by basis label through ``_label_columns``, so
+Every map here is addressed by basis label through ``_label_index``, so
 the basis order is written down only in ``make_schrodinger_labels``.  The
-checks run on the sparse columns and their integer forms; ``_label_map``
-turns them into the Matrix that ``sigma``, ``tau`` and
-``AsosShape.parameters`` return.
+maps are written straight as their map-space entries, D[r, j] at
+coordinate d*j + r; the checks run on their integer forms, and
+``_label_map`` turns the same entries into the Matrix that ``sigma``,
+``tau`` and ``AsosShape.parameters`` return.
 """
 
 from __future__ import annotations
@@ -79,41 +80,44 @@ def schrodinger_rank(L: LieAlgebra) -> Optional[int]:
     return n if L == make_schrodinger(n, L.field) else None
 
 
-def _label_columns(n: int, entries: dict) -> tuple:
-    """The sparse columns ``{row: c}`` of the map on the basis of S_n with
-    entry c at (row, column) for each ``{(row_label, col_label): c}``."""
-    index = {lab: i for i, lab in enumerate(make_schrodinger_labels(n))}
-    cols = tuple({} for _ in index)
-    for (r, c), x in entries.items():
-        cols[index[c]][index[r]] = x
-    return cols
+def _label_index(n: int) -> dict:
+    """The basis index of each label of S_n."""
+    return {lab: i for i, lab in enumerate(make_schrodinger_labels(n))}
 
 
-def _label_map(n: int, field: Field, entries: dict) -> Matrix:
-    """``_label_columns`` as a Matrix over ``field``."""
-    cols = _label_columns(n, entries)
-    return Matrix(field, [[col.get(r, 0) for col in cols] for r in range(len(cols))])
+def _label_map(field: Field, d: int, entries: dict) -> Matrix:
+    """The d x d Matrix over ``field`` with the map-space ``entries``,
+    D[r, j] at coordinate d*j + r."""
+    rows = [[0] * d for _ in range(d)]
+    for q, x in entries.items():
+        j, r = divmod(q, d)
+        rows[r][j] = x
+    return Matrix(field, rows)
 
 
-def _sigma_entries(n: int, l: int, k: int) -> dict:
+def _sigma_entries(n: int, l: int, k: int, at: dict) -> dict:
+    """The map-space entries of sigma_lk, at the label index ``at`` of S_n."""
     if n < 2:
         raise ValueError("pair rotations need n >= 2")
     if not 1 <= l < k <= n:
         raise ValueError(f"indices must satisfy 1 <= l < k <= n, got ({l}, {k})")
-    entries = {}
+    d, entries = len(at), {}
     for w in "uv":
-        entries[(f"{w}_{k}", f"{w}_{l}")] = 1
-        entries[(f"{w}_{l}", f"{w}_{k}")] = -1
+        wl, wk = at[f"{w}_{l}"], at[f"{w}_{k}"]
+        entries[d * wl + wk] = 1
+        entries[d * wk + wl] = -1
     return entries
 
 
-def _tau_entries(n: int) -> dict:
+def _tau_entries(n: int, at: dict) -> dict:
+    """The map-space entries of tau, at the label index ``at`` of S_n."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    entries = {("z", "z"): 1}
+    d = len(at)
+    entries = {(d + 1) * at["z"]: 1}
     for k in range(1, n + 1):
         for lab in (f"u_{k}", f"v_{k}"):
-            entries[(lab, lab)] = Fraction(1, 2)
+            entries[(d + 1) * at[lab]] = Fraction(1, 2)
     return entries
 
 
@@ -124,29 +128,26 @@ def sigma(n: int, l: int, k: int, field: Field = FIELD_Q) -> Matrix:
     The antisymmetric delta pattern is forced: the same-index variant
     fails the product rule on the pair (u_l, v_k).
     """
-    return _label_map(n, field, _sigma_entries(n, l, k))
+    at = _label_index(n)
+    return _label_map(field, len(at), _sigma_entries(n, l, k, at))
 
 
 def tau(n: int, field: Field = FIELD_Q) -> Matrix:
     """Outer derivation complementing the inner grading: z -> z and
     u_k -> u_k/2, v_k -> v_k/2, zero on e, h, f."""
-    return _label_map(n, field, _tau_entries(n))
+    at = _label_index(n)
+    return _label_map(field, len(at), _tau_entries(n, at))
 
 
 def sigma_pairs(n: int) -> list:
     return [(l, k) for l in range(1, n + 1) for k in range(l + 1, n + 1)]
 
 
-def _outer_columns(n: int) -> list:
-    """The sparse columns of sigma_lk over ``sigma_pairs``, then of tau."""
-    maps = [_label_columns(n, _sigma_entries(n, l, k)) for l, k in sigma_pairs(n)]
-    return maps + [_label_columns(n, _tau_entries(n))]
-
-
-def _map_entries(cols: tuple, d: int) -> dict:
-    """The entries of a map given by its sparse columns, D[r, j] at
-    coordinate j*d + r of the map space."""
-    return {d * j + r: x for j, col in enumerate(cols) for r, x in col.items()}
+def _outer_entries(n: int) -> list:
+    """The map-space entries of sigma_lk over ``sigma_pairs``, then of tau."""
+    at = _label_index(n)
+    maps = [_sigma_entries(n, l, k, at) for l, k in sigma_pairs(n)]
+    return maps + [_tau_entries(n, at)]
 
 
 class DerDecomposition(Frozen):
@@ -197,8 +198,9 @@ def decompose(L: LieAlgebra, D: Matrix, n: Optional[int] = None) -> DerDecomposi
     field, d, w = L.field, L.dim, L.field.width
     ad_indices = [i for i in range(d) if L.labels[i] != "z"]
     inner = inner_rows(L)
-    maps = _outer_columns(n) + [D.sparse_columns()]
-    rows, scale = encode_columns(field, [_map_entries(cols, d) for cols in maps], d * d)
+    entries = {d * j + r: x for j, col in enumerate(D.sparse_columns()) for r, x in col.items()}
+    maps = _outer_entries(n) + [entries]
+    rows, scale = encode_columns(field, maps, d * d)
     columns = [inner.get(i, {}) for i in ad_indices] + rows[:-1]
     sol, _ = solve_columns(field, columns, rows[-1])
     if sol is None:
@@ -236,7 +238,7 @@ def outer_check(n: int, field: Field = FIELD_Q) -> dict:
     for row in inner_rows(L).values():
         acc.insert_integer(row)
     inner_dim = acc.rank
-    rows = encode_columns(field, [_map_entries(cols, d) for cols in _outer_columns(n)], d * d)[0]
+    rows = encode_columns(field, _outer_entries(n), d * d)[0]
     rules = [_product_rule(L, row_columns(L, row)).ok for row in rows]
     checks = {f"sigma_{l}{k}_leibniz": ok for (l, k), ok in zip(pairs, rules)}
     checks["tau_leibniz"] = rules[-1]
@@ -300,7 +302,11 @@ class AsosShape(Frozen):
 
     def parameters(self, field: Field = FIELD_Q) -> list:
         """(name, map) pairs; each map has the single entry c at (row, col)."""
-        return [(name, _label_map(self.n, field, {(r, c): x})) for name, r, c, x in self.entries()]
+        at = _label_index(self.n)
+        d = len(at)
+        return [
+            (name, _label_map(field, d, {d * at[c] + at[r]: x})) for name, r, c, x in self.entries()
+        ]
 
 
 class AsosVerdict(Frozen):

@@ -114,32 +114,30 @@ def test_outer_check(capsys):
     assert report["sigma_count"] == 1
 
 
-def _same_index_sigma_12(entries):
-    # u_1 -> u_2, u_2 -> u_1 (and on v): not a derivation
-    if entries.get(("u_1", "u_2")) == -1:
-        entries = {key: 1 for key in entries}
-    return entries
+_SIGMA_ENTRIES = schrodinger._sigma_entries
 
 
-def _sigma_12_for_tau(entries):
-    if ("z", "z") in entries:
-        entries = schrodinger._sigma_entries(2, 1, 2)
-    return entries
+def _same_index_sigma(n, l, k, at):
+    # u_l -> u_k, u_k -> u_l (and on v): not a derivation
+    return {q: 1 for q in _SIGMA_ENTRIES(n, l, k, at)}
+
+
+def _sigma_12_for_tau(n, at):
+    return _SIGMA_ENTRIES(n, 1, 2, at)
 
 
 @pytest.mark.parametrize(
-    "swap, failing",
+    "builder, swap, failing",
     [
-        (_same_index_sigma_12, "sigma_12_leibniz"),
-        (_sigma_12_for_tau, "tau_outside_inner_plus_sigma"),
+        ("_sigma_entries", _same_index_sigma, "sigma_12_leibniz"),
+        ("_tau_entries", _sigma_12_for_tau, "tau_outside_inner_plus_sigma"),
     ],
     ids=["same-index-sigma", "tau-as-sigma"],
 )
-def test_each_outer_check_can_fail(swap, failing, capsys, monkeypatch):
-    # outer_check reads sigma and tau through the label-column builder, so
-    # a wrong map there must show as a failed check, ok false and exit 2
-    build = schrodinger._label_columns
-    monkeypatch.setattr(schrodinger, "_label_columns", lambda n, e: build(n, swap(e)))
+def test_each_outer_check_can_fail(builder, swap, failing, capsys, monkeypatch):
+    # outer_check reads sigma and tau through their entry builders, so a
+    # wrong map there must show as a failed check, ok false and exit 2
+    monkeypatch.setattr(schrodinger, builder, swap)
     report = schrodinger.outer_check(2)
     assert report["checks"][failing] is False and report["ok"] is False
     assert [k for k, v in report["checks"].items() if not v][0] == failing

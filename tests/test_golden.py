@@ -46,6 +46,8 @@ CASES = {
     "certify_h1_zz_qi": (["certify", "{dir}/h1qi.json", "--map", "{dir}/h1qi_zz.json"], 0),
     # the bench workload: h_2 with z -> z is local (66 strata)
     "certify_h2_zz": (["certify", "{dir}/h2.json", "--map", "{dir}/h2_zz.json"], 0),
+    # the same map on h_2 over Q(i): lines of rank 1 and 5 on Gaussian rationals
+    "certify_h2_zz_qi": (["certify", "{dir}/h2qi.json", "--map", "{dir}/h2qi_zz.json"], 0),
     # S_1 with z -> z is not local: the seeded scan finds a refutation
     "certify_s1_zz": (["certify", "{dir}/s1.json", "--map", "{dir}/s1_zz.json"], 2),
     # ad(h) + 3*tau + sigma_12 on S_2, resolved against inner + sigma + tau
@@ -65,13 +67,14 @@ CASES = {
 
 
 def write_certify_inputs(directory: Path) -> None:
-    """h_1 (over Q and over Q(i)), h_2 and S_1, each with the map z -> z,
+    """h_1 and h_2 (each over Q and over Q(i)) and S_1, each with the map z -> z,
     zero elsewhere, and two derivations of S_2: ad(h) + 3*tau + sigma_12
     over Q and ad((1+i)h + i*e + u_1/2) + (2-i)*tau + i*sigma_12 over Q(i)."""
     algebras = {
         "h1": make_heisenberg(1),
         "h1qi": make_heisenberg(1, FIELD_QI),
         "h2": make_heisenberg(2),
+        "h2qi": make_heisenberg(2, FIELD_QI),
         "s1": make_schrodinger(1),
     }
     for name, L in algebras.items():

@@ -1088,8 +1088,9 @@ def test_certifier_solves_each_point_once_up_to_scaling(monkeypatch):
     monkeypatch.setattr(certifier, "_point_rank", recording)
     cert = certify_local_symbolic(der, delta)
     assert cert.certified and len(cert.strata) == 66
-    # 972 points are looked at, 507 of them distinct up to a nonzero scalar
-    assert len(keys) == 972
+    # 707 points are looked at, 507 of them distinct up to a nonzero scalar
+    # (a line looks at its generator only, not at its 12 other samples)
+    assert len(keys) == 707
     assert len(solves) == len(set(keys)) == 507
     # the memo lives for one call: a second certification solves again
     assert certify_local_symbolic(der, delta) == cert
@@ -1267,6 +1268,98 @@ def test_a_stratum_refutes_z_to_u_at_a_sampled_point():
         assert probe_label(H.labels, dict(enumerate(x.coords))) == label and strata == expected
 
 
+_LINE_ALGEBRAS = {
+    "h1": make_heisenberg(1),
+    "h1_qi": make_heisenberg(1, FIELD_QI),
+    "h2": make_heisenberg(2),
+    "sl2": make_sl2(),
+    "s1": make_schrodinger(1),
+    **{L.name: L for L in random_matrix_algebras()},
+}
+
+
+def _no_minors(*args):
+    raise AssertionError("a line expands no minor")
+
+
+@pytest.mark.parametrize("name", sorted(_LINE_ALGEBRAS))
+def test_a_line_is_settled_by_its_generator(name, monkeypatch):
+    # D_k(y*b) = y*D_k(b) and Delta(y*b) = y*Delta(b): the line {y*b}
+    # certifies exactly when b has a witness, with the strata of the
+    # general path and no stratum block, minor or rank-drop cut; it draws
+    # what that path drew, 12 samples and, when the Der block is nonzero
+    # at b, the 8 sample points of its rank-drop cuts
+    for helper in ("_stratum_block", "poly_det", "_rank_drop_cuts"):
+        monkeypatch.setattr(certifier, helper, _no_minors)
+    L = _LINE_ALGEBRAS[name]
+    outcomes = set()
+    for seed, (der, delta, b) in enumerate(_witness_systems(L)):
+        rng, drawn = random.Random(seed), random.Random()
+        drawn.setstate(rng.getstate())
+        depth = seed % 3
+        strata: list = []
+        x = certifier._certify_on(der, _delta_index(L, delta), (b,), strata, rng, {}, depth)
+        indent = "  " * depth
+        if witness(der, delta, b) is None:
+            label = probe_label(L.labels, dict(enumerate(b.coords)))
+            assert x == b and strata == [f"{indent}refuted at sampled point {label}"]
+            draws = 12
+        else:
+            rank = naive_rank([matvec(D, b.coords) for D in dense_der_basis(der)])
+            assert x is None
+            top = f"{indent}stratum dim 1: certified for block rank >= {rank}"
+            assert strata == [top] + ([f"{indent}  point stratum: trivial"] if rank else [])
+            draws = 20 if rank else 12
+        for _ in range(draws):
+            drawn.randint(-9, 9)
+        assert rng.getstate() == drawn.getstate()
+        outcomes.add(x is None)
+    assert True in outcomes
+
+
+def test_a_line_of_block_rank_zero_has_no_point_stratum():
+    # with no maps at all, the block vanishes on every line: the line is
+    # certified at rank 0 when Delta kills b and refuted at b otherwise,
+    # either way with no child stratum and no draw past its 12 samples
+    L = make_heisenberg(1)
+    nothing = DerivationSpace(L, ())
+    u = L.basis_element(1)
+    cases = (
+        (0, None, ["stratum dim 1: certified for block rank >= 0"]),
+        (1, u, ["refuted at sampled point u_1"]),
+    )
+    for diagonal, refutation, expected in cases:
+        delta = Matrix(FIELD_Q, [[diagonal * (r == c) for c in range(3)] for r in range(3)])
+        rng, drawn = random.Random(5), random.Random(5)
+        strata: list = []
+        x = certifier._certify_on(nothing, _delta_index(L, delta), (u,), strata, rng, {})
+        assert x == refutation and strata == expected
+        for _ in range(12):
+            drawn.randint(-9, 9)
+        assert rng.getstate() == drawn.getstate()
+
+
+def test_the_scan_points_are_drawn_once_per_dimension(monkeypatch):
+    # the scan depends on d alone: five certifications draw it once, and
+    # reading it leaves it as drawn
+    H, der, delta = _heisenberg2_zz()
+    draws = []
+    true_draw = certifier._sparse_draw
+
+    def counting(d, rng, ordered):
+        draws.append(d)
+        return true_draw(d, rng, ordered)
+
+    monkeypatch.setattr(certifier, "_sparse_draw", counting)
+    certifier._scan_points.cache_clear()
+    for _ in range(5):
+        assert certify_local_symbolic(der, delta).certified
+    points = certifier._scan_points(H.dim)
+    assert draws == [H.dim] * 400
+    assert isinstance(points, tuple) and len(points) == 5 + 2 * 10 + 400
+    assert points == certifier._scan_points.__wrapped__(H.dim)
+
+
 def test_certifier_accepts_pure_local_map():
     H, delta = heisenberg_pure_local_map()
     der = derivation_space(H)
@@ -1287,6 +1380,11 @@ class _ScriptedRandom(random.Random):
         return self.script.pop(0) if self.script else super().randint(a, b)
 
 
+_SL2_IDENTITY = Matrix(FIELD_Q, [[int(r == c) for c in range(3)] for r in range(3)])
+# twelve sample points (k, k) on the nilpotent line of the sl2 stratum below
+_SL2_ON_LINE = [k for k in (1, 2, 3, -1, -2, -3, 4, 5, -4, 6, 7, -5) for _ in range(2)]
+
+
 def test_a_stratum_refutes_the_identity_of_sl2_via_a_bordered_minor():
     # on sl2 the identity keeps x in W_x = [sl2, x] exactly when x is
     # nilpotent, and W_x has dimension 2 at every x != 0.  On the stratum
@@ -1300,17 +1398,35 @@ def test_a_stratum_refutes_the_identity_of_sl2_via_a_bordered_minor():
     L = make_sl2()
     der = derivation_space(L)
     e, h = L.basis_element(0), L.basis_element(1)
-    identity = Matrix(FIELD_Q, [[int(r == c) for c in range(3)] for r in range(3)])
+    identity = _SL2_IDENTITY
     index = _delta_index(L, identity)
-    on_line = [k for k in (1, 2, 3, -1, -2, -3, 4, 5, -4, 6, 7, -5) for _ in range(2)]
     strata: list = []
-    x = certifier._certify_on(der, index, (e + h, -h), strata, _ScriptedRandom(on_line), {})
+    x = certifier._certify_on(der, index, (e + h, -h), strata, _ScriptedRandom(_SL2_ON_LINE), {})
     assert strata == ["refuted via nonzero bordered minor at 3*e-h"]
     assert probe_label(L.labels, dict(enumerate(x.coords))) == "3*e-h"
     # x = y_1*e + (y_1-y_2)*h lies off the nilpotent line, and no
     # combination of Der reaches it
     assert x.coords[0] and x.coords[1] and not x.coords[2]
     assert witness(der, identity, x) is None
+
+
+def test_a_line_needs_no_minor_budget(monkeypatch):
+    # the budget binds on strata of dim >= 2 only: with none left, h_2 with
+    # z -> z still gives its 66 strata, although each of its eight lines of
+    # rank 1 would expand 150 bordered 2x2 minors on the general path
+    H, der, delta = _heisenberg2_zz()
+    cert = certify_local_symbolic(der, delta)
+    monkeypatch.setattr(certifier, "_MINOR_BUDGET", 0)
+    assert certify_local_symbolic(der, delta) == cert
+    assert cert.certified and len(cert.strata) == 66
+    # the sl2 plane above, of rank 2 < 3 at its samples, still expands its
+    # bordered 3-minors, one per pair of Der maps
+    L = make_sl2()
+    e, h = L.basis_element(0), L.basis_element(1)
+    index = _delta_index(L, _SL2_IDENTITY)
+    rng = _ScriptedRandom(_SL2_ON_LINE)
+    with pytest.raises(CertificationError, match=r"minor budget exceeded .* \(3 minors\)"):
+        certifier._certify_on(derivation_space(L), index, (e + h, -h), [], rng, {})
 
 
 def test_certifier_refutes_central_escape():
