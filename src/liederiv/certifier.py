@@ -22,10 +22,10 @@ from itertools import chain, combinations, islice
 from math import comb
 from typing import Optional
 
-from .exactfield import FIELD_Q, Frozen, integer_key, inv, setfield
+from .exactfield import FIELD_Q, Frozen, integer_key, inv
 from .liealg import AlgebraElement
-from .linalg import Matrix, SparseEchelon, combine_forms, encode_columns, solve_rows
-from .dersolve import DerivationSpace, MapIndex, _product_rule, encode_map
+from .linalg import MapIndex, Matrix, SparseEchelon, combine_forms, encode_columns, solve_rows
+from .dersolve import DerivationSpace, _product_rule, encode_map
 from .locder import CertificationError, _sparse_draw, probe_label
 from .poly import MultiPoly, poly_det, split_linear
 
@@ -88,11 +88,6 @@ class LocalityCertificate(Frozen):
     per stratum settled or refuted."""
 
     __slots__ = __match_args__ = ("certified", "refutation", "strata")
-
-    def __init__(self, certified: bool, refutation: Optional[AlgebraElement], strata: tuple):
-        setfield(self, "certified", certified)
-        setfield(self, "refutation", refutation)
-        setfield(self, "strata", strata)
 
     def __bool__(self):
         return self.certified

@@ -16,11 +16,11 @@ at coordinate j*d + r of the map space, and a map's columns are
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
-from .exactfield import Field, Frozen, setfield
+from .exactfield import Field, Frozen
 from .liealg import LieAlgebra
-from .linalg import Matrix, SparseEchelon, Subspace, apply_index, encode_columns
+from .linalg import MapIndex, Matrix, SparseEchelon, Subspace, encode_columns
 
 
 def leibniz_rows(L: LieAlgebra) -> Iterator[dict]:
@@ -75,8 +75,7 @@ class LeibnizVerdict(Frozen):
     __slots__ = __match_args__ = ("ok", "failing_pair")
 
     def __init__(self, ok: bool, failing_pair: Optional[tuple] = None):
-        setfield(self, "ok", ok)
-        setfield(self, "failing_pair", failing_pair)
+        super().__init__(ok, failing_pair)
 
 
 def encode_map(L: LieAlgebra, D: Matrix) -> tuple:
@@ -141,34 +140,6 @@ def _product_rule(L: LieAlgebra, columns: dict) -> LeibnizVerdict:
     return LeibnizVerdict(True)
 
 
-class MapIndex:
-    """Linear maps D_k, each given as its columns ``{j: form}`` and their
-    positive scale ``scales[k]`` (as from ``encode_map``), by integer
-    column of the input: ``index[q]`` is [(k, column), ..] over the maps
-    with a nonzero column there.  For q = w*j + t (w the field's
-    ``width``) the column is column j of u_t*D_k (``Field.rotations``), so
-    x with x_j = sum_t x_(w*j+t) u_t maps to sum_q x_q column, and a sparse
-    x meets only the entries it shares a column with (Gustavson's row-wise
-    product)."""
-
-    __slots__ = ("index", "scales")
-
-    def __init__(self, field: Field, maps: Iterable[tuple]):
-        self.index: dict = {}
-        self.scales = []
-        for k, (columns, scale) in enumerate(maps):
-            self.scales.append(scale)
-            for j, form in columns.items():
-                for t, turned in enumerate((form, *field.rotations(form))):
-                    self.index.setdefault(field.width * j + t, []).append((k, turned))
-
-    def images(self, parts: dict) -> dict:
-        """The nonzero images D_k(x) in integer form by k, ascending, given
-        the integer form ``parts`` of x: image k is ``scales[k]`` times the
-        form of D_k(x), at the scale of ``parts`` (``apply_index``)."""
-        return apply_index(self.index, parts)
-
-
 class DerivationSpace(Frozen):
     """Basis of Der(L) in integer form (``Field.encode``), Der being these
     rows alone: ``rows[k]``, the k-th canonical row of Der (D[r, j] at
@@ -186,10 +157,6 @@ class DerivationSpace(Frozen):
     __match_args__ = ("algebra", "rows")
     # the instance dict holds the cached indexes and subspace
     __slots__ = __match_args__ + ("__dict__",)
-
-    def __init__(self, algebra: LieAlgebra, rows: tuple):
-        setfield(self, "algebra", algebra)
-        setfield(self, "rows", rows)  # tuple[dict]
 
     @property
     def dim(self) -> int:
@@ -268,13 +235,14 @@ def derivation_space(L: LieAlgebra) -> DerivationSpace:
 def inner_rows(L: LieAlgebra) -> dict:
     """``{k: row}``, ascending, over the k with ad_(b_k) != 0: the row is
     ad_(b_k) in integer form on the map space, at ``L.table_scale``.
-    Column j of ad_(b_k) is [b_k, b_j], read off ``L.ad_images``."""
-    d, w = L.dim, L.field.width
-    rows: dict = {}
-    for j in range(d):
-        for k, img in L.ad_images({w * j: 1}).items():
-            rows.setdefault(k, {}).update((w * d * j + q, v) for q, v in img.items())
-    return {k: rows[k] for k in sorted(rows)}
+    Column j of ad_(b_k) is [b_k, b_j], read off ``L.integer_table`` over
+    the partners j of k."""
+    d, w, table = L.dim, L.field.width, L.integer_table
+    return {
+        k: {w * d * j + q: v for j in partners for q, v in table[k, j].items()}
+        for k, partners in enumerate(L.partners)
+        if partners
+    }
 
 
 def inner_space(L: LieAlgebra) -> Subspace:

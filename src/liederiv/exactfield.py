@@ -21,7 +21,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd
-from typing import Callable
 
 
 class FieldMismatchError(ValueError):
@@ -36,14 +35,23 @@ setfield = object.__setattr__
 class Frozen:
     """Base of the package's immutable value types.  A subclass names its
     fields in constructor order in ``__match_args__`` and lists them (and
-    any derived ones) in ``__slots__``, and its own ``__init__`` sets them
-    with ``setfield``.  Any later assignment or deletion raises
+    any derived ones) in ``__slots__``.  The constructor takes one value
+    per field, positionally, and stores each with ``setfield`` (a wrong
+    count raises TypeError); a subclass that checks, derives or defaults
+    values writes its own.  Any later assignment or deletion raises
     AttributeError; unless the subclass defines its own, ``==`` and the
     hash go field by field (``==`` only between instances of one class)
     and the repr reads ``Name(field=value, ..)``; copies and pickles are
     rebuilt through the constructor."""
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        names = self.__match_args__
+        if len(values) != len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} values, got {len(values)}")
+        for name, value in zip(names, values):
+            setfield(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -82,6 +90,9 @@ class GaussianRational(Frozen):
     """
 
     __slots__ = __match_args__ = ("re", "im")
+
+    # built in __new__: the generic constructor would store the raw parts
+    __init__ = object.__init__
 
     def __new__(cls, re=0, im=0):
         # Fraction(x) rebuilds even a Fraction; the parts are immutable,
@@ -332,7 +343,7 @@ def _dot_forms_qi(row: dict) -> tuple:
     return ({k: -x if k & 1 else x for k, x in row.items()}, {k ^ 1: x for k, x in row.items()})
 
 
-class Field:
+class Field(Frozen):
     """Q or Q(i): ``zero``, ``one``, ``coerce(x)``, x as an element of the
     field or FieldMismatchError (rationals embed into Q(i); a non-real
     Gaussian rational is not in Q), and ``parse(text)``, the canonical
@@ -359,33 +370,13 @@ class Field:
       products with the form of r are Re(r . s) and Im(r . s).
     """
 
-    __slots__ = (
+    __slots__ = __match_args__ = (
         "tag", "zero", "one", "coerce", "parse", "width", "encode", "decode", "rotations",
         "dot_forms",
     )
 
-    def __init__(
-        self,
-        tag: str,
-        zero: object,
-        one: object,
-        coerce: Callable,
-        parse: Callable,
-        width: int,
-        encode: Callable,
-        decode: Callable,
-        rotations: Callable,
-        dot_forms: Callable,
-    ):
-        values = (tag, zero, one, coerce, parse, width, encode, decode, rotations, dot_forms)
-        for name, value in zip(Field.__slots__, values):
-            setfield(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Field is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Field is immutable")
+    # one object per field: equal and hashed by identity
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __repr__(self):
         return self.tag

@@ -14,7 +14,7 @@ import json
 from typing import Optional, Sequence
 
 from .exactfield import FIELD_Q, Field, Frozen, field_of, format_scalar, setfield
-from .linalg import apply_index, encode_columns
+from .linalg import MapIndex, encode_columns
 
 
 class JacobiError(ValueError):
@@ -32,8 +32,7 @@ class JacobiVerdict(Frozen):
     __slots__ = __match_args__ = ("ok", "failing_triple")
 
     def __init__(self, ok: bool, failing_triple: Optional[tuple] = None):
-        setfield(self, "ok", ok)
-        setfield(self, "failing_triple", failing_triple)
+        super().__init__(ok, failing_triple)
 
 
 class LieAlgebra(Frozen):
@@ -45,12 +44,10 @@ class LieAlgebra(Frozen):
     ``partners[i]`` lists the j with [b_i, b_j] != 0 and ``onto[k]`` the
     pairs (i, j), i < j, with c_ij^k != 0, both in ascending order.
     ``ad_images`` applies every ad_{b_k} at once to an integer vector
-    through an index of the ad maps by input column."""
+    through ``_ad``, the ad maps indexed by input column (``MapIndex``)."""
 
     # rebuilt through the constructor, which checks Jacobi again
     __match_args__ = ("name", "field", "labels", "table")
-    # ``_ad`` maps integer column w*r + t (w the field's ``width``) to
-    # [(k, form of u_t [b_k, b_r]), ..] (``Field.rotations``)
     __slots__ = (
         "name", "field", "labels", "index", "table", "integer_table",
         "table_scale", "partners", "onto", "_ad",
@@ -82,21 +79,21 @@ class LieAlgebra(Frozen):
         setfield(self, "index", {lab: i for i, lab in enumerate(labels)})
         setfield(self, "table", table)
         forms, scale = encode_columns(field, tuple(table.values()), len(labels))
-        ints, partners, onto, ad = {}, [[] for _ in labels], [[] for _ in labels], {}
+        ints, partners, onto = {}, [[] for _ in labels], [[] for _ in labels]
         for (i, j), form in zip(table, forms):
             ints[(i, j)], ints[(j, i)] = form, {q: -v for q, v in form.items()}
             partners[i].append(j)
             partners[j].append(i)
             for k in table[(i, j)]:
                 onto[k].append((i, j))
-        for (k, r), form in ints.items():
-            for t, turned in enumerate((form, *field.rotations(form))):
-                ad.setdefault(field.width * r + t, []).append((k, turned))
+        partners = tuple(tuple(sorted(p)) for p in partners)
         setfield(self, "integer_table", ints)
         setfield(self, "table_scale", scale)
-        setfield(self, "partners", tuple(tuple(sorted(p)) for p in partners))
+        setfield(self, "partners", partners)
         setfield(self, "onto", tuple(tuple(sorted(p)) for p in onto))
-        setfield(self, "_ad", ad)
+        # column r of ad_(b_k) is [b_k, b_r]
+        maps = (({r: ints[k, r] for r in p}, scale) for k, p in enumerate(partners))
+        setfield(self, "_ad", MapIndex(field, maps))
         verdict = check_jacobi(self)
         if not verdict.ok:
             raise JacobiError(verdict.failing_triple, self)
@@ -125,7 +122,7 @@ class LieAlgebra(Frozen):
     def ad_images(self, parts: dict) -> dict:
         """The nonzero [b_k, x] in integer form by k, ascending, given the
         integer form ``parts`` of x, at ``table_scale`` times its scale."""
-        return apply_index(self._ad, parts)
+        return self._ad.images(parts)
 
     def element(self, coords: Sequence) -> "AlgebraElement":
         return AlgebraElement(self, tuple(map(self.field.coerce, coords)))

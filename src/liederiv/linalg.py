@@ -260,24 +260,42 @@ def encode_columns(field: Field, columns: Sequence[dict], size: int) -> tuple:
     return forms, scale
 
 
-def apply_index(index: dict, parts: dict) -> dict:
-    """The nonzero images in integer form by map k, ascending, of the
-    vector with the integer form ``parts`` under linear maps indexed by
-    integer input column: ``index[q]`` is [(k, column), ..], column the
-    integer form of the image of a 1 at q under map k.  A sparse vector
-    meets only the columns it shares an input with (Gustavson's row-wise
+class MapIndex:
+    """Linear maps D_k, each given as its columns ``{j: form}`` and their
+    positive scale ``scales[k]`` (as ``dersolve.encode_map`` gives them),
+    by integer column of the input: ``index[q]`` is [(k, column), ..] over
+    the maps with a nonzero column there.  For q = w*j + t (w the field's
+    ``width``) the column is column j of u_t*D_k (``Field.rotations``), so
+    x with x_j = sum_t x_(w*j+t) u_t maps to sum_q x_q column, and a sparse
+    x meets only the entries it shares a column with (Gustavson's row-wise
     product)."""
-    out: dict = {}
-    for q, xq in parts.items():
-        for k, col in index.get(q, ()):
-            img = out.get(k)
-            if img is None:
-                out[k] = {r: xq * a for r, a in col.items()}
-            else:
-                for r, a in col.items():
-                    img[r] = img.get(r, 0) + xq * a
-    images = {k: {r: v for r, v in out[k].items() if v} for k in sorted(out)}
-    return {k: img for k, img in images.items() if img}
+
+    __slots__ = ("index", "scales")
+
+    def __init__(self, field: Field, maps: Iterable[tuple]):
+        self.index: dict = {}
+        self.scales = []
+        for k, (columns, scale) in enumerate(maps):
+            self.scales.append(scale)
+            for j, form in columns.items():
+                for t, turned in enumerate((form, *field.rotations(form))):
+                    self.index.setdefault(field.width * j + t, []).append((k, turned))
+
+    def images(self, parts: dict) -> dict:
+        """The nonzero images D_k(x) in integer form by k, ascending, given
+        the integer form ``parts`` of x: image k is ``scales[k]`` times the
+        form of D_k(x), at the scale of ``parts``."""
+        index, out = self.index, {}
+        for q, xq in parts.items():
+            for k, col in index.get(q, ()):
+                img = out.get(k)
+                if img is None:
+                    out[k] = {r: xq * a for r, a in col.items()}
+                else:
+                    for r, a in col.items():
+                        img[r] = img.get(r, 0) + xq * a
+        images = {k: {r: v for r, v in out[k].items() if v} for k in sorted(out)}
+        return {k: img for k, img in images.items() if img}
 
 
 def combine_forms(forms: Sequence[dict], point: Sequence[int]) -> dict:

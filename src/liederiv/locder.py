@@ -78,11 +78,6 @@ class Probe(Frozen):
 class ProbeStep(Frozen):
     __slots__ = __match_args__ = ("probe", "dim_before", "dim_after")
 
-    def __init__(self, probe: str, dim_before: int, dim_after: int):
-        setfield(self, "probe", probe)
-        setfield(self, "dim_before", dim_before)
-        setfield(self, "dim_after", dim_after)
-
 
 def probe_label(labels: tuple, coords: dict) -> str:
     """The report label of the element with the coordinates {index: scalar}

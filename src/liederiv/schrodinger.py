@@ -28,8 +28,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from .exactfield import FIELD_Q, FIELD_QI, I, Field, Frozen, setfield
-from .liealg import AlgebraElement, LieAlgebra
+from .exactfield import FIELD_Q, FIELD_QI, I, Field, Frozen
+from .liealg import LieAlgebra
 from .linalg import Matrix, SparseEchelon, combine_forms, encode_columns, solve_columns
 from .dersolve import LeibnizError, _product_rule, derivation_space, inner_rows
 from .dersolve import is_derivation, row_columns
@@ -159,20 +159,6 @@ class DerDecomposition(Frozen):
 
     __slots__ = __match_args__ = ("algebra", "n", "inner_part", "sigma_coeffs", "tau_coeff")
 
-    def __init__(
-        self,
-        algebra: LieAlgebra,
-        n: int,
-        inner_part: AlgebraElement,
-        sigma_coeffs: dict,
-        tau_coeff: object,
-    ):
-        setfield(self, "algebra", algebra)
-        setfield(self, "n", n)
-        setfield(self, "inner_part", inner_part)
-        setfield(self, "sigma_coeffs", sigma_coeffs)
-        setfield(self, "tau_coeff", tau_coeff)
-
 
 def decompose(L: LieAlgebra, D: Matrix, n: Optional[int] = None) -> DerDecomposition:
     """Resolve a derivation of the Schrodinger algebra against the
@@ -271,9 +257,6 @@ class AsosShape(Frozen):
 
     __slots__ = __match_args__ = ("n",)
 
-    def __init__(self, n: int):
-        setfield(self, "n", n)
-
     def entries(self) -> list:
         """(name, row label, column label, c) per parameter: its map has
         the single entry c at (row, column)."""
@@ -311,13 +294,6 @@ class AsosShape(Frozen):
 
 class AsosVerdict(Frozen):
     __slots__ = __match_args__ = ("equal", "dim", "expected_dim", "parameter_count", "note")
-
-    def __init__(self, equal: bool, dim: int, expected_dim: int, parameter_count: int, note: str):
-        setfield(self, "equal", equal)
-        setfield(self, "dim", dim)
-        setfield(self, "expected_dim", expected_dim)
-        setfield(self, "parameter_count", parameter_count)
-        setfield(self, "note", note)
 
 
 def asos_shape_check(n: int, field: Field = FIELD_Q) -> AsosVerdict:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from liederiv.exactfield import Frozen
 from test_golden import write_certify_inputs
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "liederiv"
@@ -36,8 +37,50 @@ def test_package_imports_only_the_standard_library():
 def test_no_module_imports_dataclasses():
     # importing dataclasses loads inspect, ast, dis and tokenize, and each
     # decorator execs its generated methods: the value types subclass
-    # exactfield.Frozen and write their own __init__ instead
+    # exactfield.Frozen and take its generic constructor instead
     assert [i for i in _absolute_imports() if i[2] == "dataclasses"] == []
+
+
+def _classes():
+    """(module, node, class) of every module-level class of the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"liederiv.{path.stem}")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef):
+                yield path.stem, node, getattr(module, node.name)
+
+
+def test_only_frozen_defines_the_immutability_hooks():
+    # every immutable value type, Field included, inherits them
+    hooks = [
+        (module, node.name, hook)
+        for module, node, cls in _classes()
+        for hook in ("__setattr__", "__delattr__")
+        if hook in vars(cls)
+    ]
+    assert hooks == [("exactfield", "Frozen", "__setattr__"), ("exactfield", "Frozen", "__delattr__")]
+
+
+def test_no_record_writes_a_constructor_that_only_stores_its_fields():
+    # Frozen's constructor stores one value per field; a subclass writes
+    # its own only to check, derive or default values, so a body of
+    # ``setfield(self, "name", param)`` calls alone is one too many
+    storing = []
+    for module, node, cls in _classes():
+        if not issubclass(cls, Frozen):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                params = {a.arg for a in item.args.args}
+                body = [s for s in item.body if not isinstance(getattr(s, "value", None), ast.Constant)]
+                calls = [getattr(s, "value", None) for s in body]
+                if all(
+                    getattr(getattr(c, "func", None), "id", None) == "setfield"
+                    and getattr(c.args[-1], "id", None) in params
+                    for c in calls
+                ):
+                    storing.append(f"{module}.{node.name}")
+    assert storing == []
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
@@ -238,7 +281,7 @@ def test_linalg_leaves_scalar_knowledge_to_the_field():
 
 def test_locder_runs_on_the_shared_integer_kernel():
     # the fold and the certifier insert integer forms only, and form their
-    # images only through dersolve's MapIndex: neither reads the columns
+    # images only through linalg's MapIndex: neither reads the columns
     # of a map itself, and Delta's columns come from dersolve's one encoder
     # for a Matrix, encode_map, assigned to a name that a MapIndex takes
     # (the certifier reads Delta, the fold does not)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liederiv.dersolve import LeibnizVerdict, derivation_space
-from liederiv.exactfield import FIELD_Q, FIELD_QI, GaussianRational, I
+from liederiv.exactfield import FIELD_Q, FIELD_QI, Frozen, GaussianRational, I
 from liederiv.liealg import (
     AlgebraElement,
     JacobiError,
@@ -429,6 +429,36 @@ def test_value_types_are_immutable_compare_by_field_and_copy(build, name, hashab
     with pytest.raises(AttributeError):
         delattr(a, name)
     assert getattr(a, name) == getattr(b, name)
+
+
+# the entries of VALUE_TYPES built by exactfield.Frozen's generic constructor
+GENERIC_RECORDS = {
+    "DerivationSpace",
+    "Field",
+    "ProbeStep",
+    "LocalityCertificate",
+    "LocalityCertificate-refuted",
+    "DerDecomposition",
+    "AsosShape",
+    "AsosVerdict",
+}
+
+
+@pytest.mark.parametrize("key", VALUE_TYPES)
+def test_a_record_takes_one_value_per_field(key):
+    # the generic constructor stores one value per field, in the order of
+    # __match_args__; one value too many or (for it) one too few raises
+    a = VALUE_TYPES[key][0]()
+    cls, names = type(a), type(a).__match_args__
+    values = tuple(getattr(a, name) for name in names)
+    assert (cls.__init__ is Frozen.__init__) == (key in GENERIC_RECORDS)
+    with pytest.raises(TypeError):
+        cls(*values, None)
+    if key in GENERIC_RECORDS:
+        with pytest.raises(TypeError):
+            cls(*values[:-1])
+        b = cls(*values)
+        assert all(getattr(b, name) is v for name, v in zip(names, values))
 
 
 def test_value_types_check_their_fields_and_print_them():

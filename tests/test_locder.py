@@ -6,7 +6,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from liederiv.exactfield import FIELD_Q, FIELD_QI, GaussianRational, I, format_scalar, inv
+from liederiv.exactfield import (
+    FIELD_Q,
+    FIELD_QI,
+    GaussianRational,
+    I,
+    format_scalar,
+    integer_key,
+    inv,
+)
 from liederiv.liealg import AlgebraElement, LieAlgebra, make_abelian, make_heisenberg, make_sl2
 from liederiv.linalg import Matrix, SparseEchelon, encode_columns
 from liederiv.dersolve import (
@@ -300,15 +308,18 @@ def _random_element(L: LieAlgebra, rng: random.Random, ordered: bool):
     return L.element([draw.get(i, 0) for i in range(L.dim)])
 
 
-def _doubled(L: LieAlgebra) -> LieAlgebra:
-    """L + L, the second copy on indices d..2d-1: swapping the copies is an
-    index permutation that is an automorphism."""
+def _copies(L: LieAlgebra, count: int) -> LieAlgebra:
+    """L + .. + L with ``count`` copies, copy c on indices c*d..c*d+d-1:
+    moving each copy onto the next, i -> i + d mod count*d, is an index
+    permutation that is an automorphism of order ``count``."""
     d = L.dim
-    table = dict(L.table)
-    for (i, j), terms in L.table.items():
-        table[i + d, j + d] = {k + d: c for k, c in terms.items()}
-    labels = [*L.labels, *(f"{lab}_b" for lab in L.labels)]
-    return LieAlgebra(f"{L.name}_doubled", L.field, labels, table)
+    table = {
+        (i + c * d, j + c * d): {k + c * d: x for k, x in terms.items()}
+        for c in range(count)
+        for (i, j), terms in L.table.items()
+    }
+    labels = [f"{lab}{suffix}" for suffix in ("", "_b", "_c")[:count] for lab in L.labels]
+    return LieAlgebra(f"{L.name}_x{count}", L.field, labels, table)
 
 
 def test_families_moved_by_the_copy_swap_fold_as_the_reference():
@@ -318,7 +329,7 @@ def test_families_moved_by_the_copy_swap_fold_as_the_reference():
     # without them give the same steps and candidate
     rng = random.Random(0xD0B1E)
     for L in random_matrix_algebras():
-        D, d = _doubled(L), L.dim
+        D, d = _copies(L, 2), L.dim
         swap = tuple((i, (i + d) % (2 * d)) for i in range(2 * d))
         zero = (D.field.zero,) * d
         firsts = [L.basis_element(i) for i in range(d)]
@@ -329,6 +340,29 @@ def test_families_moved_by_the_copy_swap_fold_as_the_reference():
             for x, p in zip(firsts, seeds)
         ]
         acc = CandidateSpace(derivation_space(D))
+        locder.fold(acc, seeds + members)
+        _same_as_reference(acc, seeds + members)
+
+
+def test_families_moved_by_the_copy_rotation_fold_as_the_reference():
+    # on L + L + L the copy rotation is an automorphism of order 3, not an
+    # involution as the swap on L + L: the singletons and seeded random
+    # probes of copy 1 are seeds, their members on copies 2 and 3 the
+    # images under the rotation and its square
+    rng = random.Random(0x3C0B1E)
+    for L in random_matrix_algebras():
+        T, d = _copies(L, 3), L.dim
+        rotation, square = (tuple((i, (i + s * d) % (3 * d)) for i in range(3 * d)) for s in (1, 2))
+        zero = (T.field.zero,) * d
+        firsts = [L.basis_element(i) for i in range(d)]
+        firsts += [_random_element(L, rng, ordered=True) for _ in range(6)]
+        seeds = [element_probe(T.element(x.coords + zero + zero)) for x in firsts]
+        members = []
+        for x, p in zip(firsts, seeds):
+            second, third = T.element(zero + x.coords + zero), T.element(zero + zero + x.coords)
+            members.append(element_probe(second, f"{p.label}_b", p, rotation))
+            members.append(element_probe(third, f"{p.label}_c", p, square))
+        acc = CandidateSpace(derivation_space(T))
         locder.fold(acc, seeds + members)
         _same_as_reference(acc, seeds + members)
 
@@ -352,7 +386,7 @@ def test_permutes_table_agrees_with_the_full_table_on_random_algebras():
     rng = random.Random(0x7AB1E)
     verdicts = []
     for L in random_matrix_algebras():
-        for A in (L, _doubled(L)):
+        for A in (L, _copies(L, 2)):
             d = A.dim
             # the copy swap of a double
             sigmas = [] if A is L else [tuple((i, (i + d // 2) % d) for i in range(d))]
@@ -1095,6 +1129,36 @@ def test_certifier_solves_each_point_once_up_to_scaling(monkeypatch):
     # the memo lives for one call: a second certification solves again
     assert certify_local_symbolic(der, delta) == cert
     assert len(solves) == 2 * 507
+
+
+# (count, sha256 of the repr of the list) of the integer keys of every
+# point handed to _point_rank on h_2 with z -> z, in call order
+_POINT_STREAM_PINS = {
+    FIELD_Q: (707, "b1658b6951bd34ba01bf3c0d563fb28600d8dd61e27acec5ded847c7897faca7"),
+    FIELD_QI: (707, "26d5fd0242fa31337458c3f27deb6860dd5df91b86d0f009f5b291b35f367b57"),
+}
+
+
+@pytest.mark.parametrize("field", _POINT_STREAM_PINS, ids=repr)
+def test_the_certifier_looks_at_a_pinned_point_stream(field, monkeypatch):
+    # the scan points, then the seeded samples and rank-drop points of the
+    # strata: a change that moves the points later strata sample, with
+    # every stratum line unchanged, shows here
+    H = make_heisenberg(2, field)
+    rows = [[field.zero] * 5 for _ in range(5)]
+    rows[H.index["z"]][H.index["z"]] = field.one
+    keys = []
+    true_rank = certifier._point_rank
+
+    def recording(der, delta, parts, memo):
+        keys.append(integer_key(field, parts))
+        return true_rank(der, delta, parts, memo)
+
+    monkeypatch.setattr(certifier, "_point_rank", recording)
+    cert = certify_local_symbolic(derivation_space(H), Matrix(field, rows))
+    assert cert.certified and len(cert.strata) == 66
+    digest = hashlib.sha256(repr(keys).encode()).hexdigest()
+    assert (len(keys), digest) == _POINT_STREAM_PINS[field]
 
 
 def _delta_index(L, delta: Matrix) -> MapIndex:
