@@ -1,6 +1,8 @@
 """Exact-arithmetic toolkit for derivations and local derivations of
 structure-constant Lie algebras."""
 
+from importlib import import_module
+
 from .exactfield import (
     FIELD_Q,
     FIELD_QI,
@@ -39,30 +41,32 @@ from .locder import (
     random_probe_closure,
 )
 from .schrodinger import (
-    DerDecomposition,
-    asos_shape_check,
-    decompose,
     make_schrodinger,
     make_schrodinger_labels,
     replay_proof,
     schrodinger_rank,
     schrodinger_trimmed_schedule,
-    sigma,
-    tau,
 )
 
 __version__ = "0.1.0"
 
+# the module of each name bound on first use only, so that
+# `import liederiv.cli` compiles neither the certifier (and poly) nor the
+# structure of Der(S_n)
+_LAZY = {
+    "LocalityCertificate": "certifier",
+    "certify_local_symbolic": "certifier",
+    "witness": "certifier",
+    "DerDecomposition": "schrodinger_der",
+    "asos_shape_check": "schrodinger_der",
+    "decompose": "schrodinger_der",
+    "sigma": "schrodinger_der",
+    "tau": "schrodinger_der",
+}
 
-def _certifier_export(name: str):
-    # the certifier's names load it (and poly) on first use only, so that
-    # `import liederiv.cli` compiles neither
-    if name in ("LocalityCertificate", "certify_local_symbolic", "witness"):
-        from .certifier import LocalityCertificate, certify_local_symbolic, witness
 
-        return vars()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-# PEP 562: called for a name the imports above do not bind
-__getattr__ = _certifier_export
+def __getattr__(name: str):
+    # PEP 562: called for a name the imports above do not bind
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_LAZY[name]}", __name__), name)

@@ -34,7 +34,7 @@ from .locder import (
     basis_probe_space,
     random_probe_closure,
 )
-from .schrodinger import decompose, make_schrodinger, outer_check, replay_proof, schrodinger_rank
+from .schrodinger import make_schrodinger, replay_proof, schrodinger_rank
 
 
 class _Parser(argparse.ArgumentParser):
@@ -189,6 +189,9 @@ def _cmd_der(args) -> int:
 def _cmd_outer_check(args) -> int:
     if args.n < 2:
         raise CliError("outer-check needs --n >= 2 (pair rotations require two indices)")
+    # the Der(S_n) structure code compiles only for outer-check and decompose
+    from .schrodinger_der import outer_check
+
     report = outer_check(args.n, args.field)
     _emit(report, args.output)
     return 0 if report["ok"] else 2
@@ -270,6 +273,8 @@ def _cmd_demo_heisenberg(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from .schrodinger_der import decompose
+
     L = _algebra_from_args(args)
     n = _schrodinger_n(args, L)
     if n is None:

@@ -332,14 +332,3 @@ def solve_rows(rows: Iterable[dict], n: int, width: int) -> tuple:
     for p, row in reduced.items():
         coeffs[p] = row.get(n, 0) * (lam // row[p])
     return coeffs, acc.rank // width
-
-
-def solve_columns(field: Field, columns: Sequence[dict], target: dict) -> tuple:
-    """``solve_rows`` on the integer forms (``Field.encode``, each at any
-    positive scale) of m columns a_k and a target b over ``field``."""
-    turned = [f for col in columns for f in (col, *field.rotations(col))] + [target]
-    rows: dict = {}
-    for q, form in enumerate(turned):
-        for r, v in form.items():
-            rows.setdefault(r, {})[q] = v
-    return solve_rows(rows.values(), len(turned) - 1, field.width)

@@ -39,7 +39,8 @@ from liederiv.locder import (
     singleton_probes,
     _orbit_echelon,
 )
-from liederiv.schrodinger import make_schrodinger, sigma, sigma_pairs, tau
+from liederiv.schrodinger import make_schrodinger
+from liederiv.schrodinger_der import sigma, sigma_pairs, tau
 
 
 def rand_fraction(rng, lo=-9, hi=9, den=4):

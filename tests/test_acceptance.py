@@ -37,14 +37,8 @@ from liederiv.locder import (
     constrain,
     random_probe_closure,
 )
-from liederiv.schrodinger import (
-    make_schrodinger,
-    replay_proof,
-    schrodinger_trimmed_schedule,
-    sigma,
-    sigma_pairs,
-    tau,
-)
+from liederiv.schrodinger import make_schrodinger, replay_proof, schrodinger_trimmed_schedule
+from liederiv.schrodinger_der import sigma, sigma_pairs, tau
 from conftest import (
     back_multiply,
     bracket,

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from liederiv import certifier, cli, liealg, schrodinger
+from liederiv import certifier, cli, liealg, schrodinger_der
 from liederiv.cli import main
 from liederiv.exactfield import format_scalar
 from liederiv.liealg import load, make_heisenberg, to_json
@@ -114,7 +114,7 @@ def test_outer_check(capsys):
     assert report["sigma_count"] == 1
 
 
-_SIGMA_ENTRIES = schrodinger._sigma_entries
+_SIGMA_ENTRIES = schrodinger_der._sigma_entries
 
 
 def _same_index_sigma(n, l, k, at):
@@ -137,8 +137,8 @@ def _sigma_12_for_tau(n, at):
 def test_each_outer_check_can_fail(builder, swap, failing, capsys, monkeypatch):
     # outer_check reads sigma and tau through their entry builders, so a
     # wrong map there must show as a failed check, ok false and exit 2
-    monkeypatch.setattr(schrodinger, builder, swap)
-    report = schrodinger.outer_check(2)
+    monkeypatch.setattr(schrodinger_der, builder, swap)
+    report = schrodinger_der.outer_check(2)
     assert report["checks"][failing] is False and report["ok"] is False
     assert [k for k, v in report["checks"].items() if not v][0] == failing
     code, out, _ = run_cli(capsys, "outer-check", "--n", "2")
@@ -304,8 +304,8 @@ def test_fold_commands_build_the_algebra_once(capsys, monkeypatch, argv):
 
 def test_decompose_checks_the_product_rule_once(tmp_path, capsys, monkeypatch):
     calls = []
-    check = schrodinger.is_derivation
-    for module in (cli, schrodinger):
+    check = schrodinger_der.is_derivation
+    for module in (cli, schrodinger_der):
         monkeypatch.setattr(module, "is_derivation", lambda L, D: calls.append(1) or check(L, D))
     L = make_schrodinger(2)
     rows = [[format_scalar(x) for x in row] for row in ad(from_terms(L, {"e": 1})).entries]

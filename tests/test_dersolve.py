@@ -17,7 +17,7 @@ from liederiv.liealg import (
     to_json,
 )
 from liederiv.linalg import Matrix, SparseEchelon, Subspace, encode_columns
-from liederiv import dersolve, liealg, locder, schrodinger
+from liederiv import dersolve, liealg, locder, schrodinger, schrodinger_der
 from liederiv.dersolve import (
     derivation_space,
     inner_space,
@@ -26,9 +26,9 @@ from liederiv.dersolve import (
     row_columns,
     _product_rule,
 )
-from liederiv.schrodinger import (
+from liederiv.schrodinger import make_schrodinger
+from liederiv.schrodinger_der import (
     decompose,
-    make_schrodinger,
     outer_check,
     sigma,
     sigma_pairs,
@@ -329,7 +329,7 @@ def test_derivation_space_makes_no_field_scalar_insert_and_reads_no_bracket(monk
     # the fold's module has no encoder to call (the certifier holds it)
     assert not hasattr(locder, "encode_columns")
     encoded, built = [], []
-    for module in (liealg, dersolve, schrodinger):
+    for module in (liealg, dersolve, schrodinger_der):
         encode = module.encode_columns
         monkeypatch.setattr(
             module,
@@ -544,13 +544,13 @@ def test_decompose_reassembles_random_derivations_over_gaussian_rationals():
 
 def test_decompose_rejects_a_perturbed_solve(monkeypatch):
     # the integer re-check, not the solve, vouches for the coefficients
-    solve = schrodinger.solve_columns
+    solve = schrodinger_der.solve_columns
 
     def perturbed(*args):
         sol, rank = solve(*args)
         return [sol[0] + 1] + sol[1:], rank
 
-    monkeypatch.setattr(schrodinger, "solve_columns", perturbed)
+    monkeypatch.setattr(schrodinger_der, "solve_columns", perturbed)
     L = make_schrodinger(2, FIELD_QI)
     with pytest.raises(AssertionError, match="reassemble"):
         decompose(L, combine([(3, tau(2, FIELD_QI)), (1, sigma(2, 1, 2, FIELD_QI))]))

@@ -83,31 +83,42 @@ def test_no_record_writes_a_constructor_that_only_stores_its_fields():
     assert storing == []
 
 
+def _fresh(script, *args):
+    """stdout of ``script`` run with ``args`` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-s", "-c", script, *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # in a fresh interpreter, since pytest itself has loaded both
     script = (
         "import sys; bare = set(sys.modules); import liederiv.cli; "
         "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - bare)))"
     )
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    out = subprocess.run(
-        [sys.executable, "-s", "-c", script], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    assert _fresh(script).strip() == "[]"
 
 
 def test_only_the_certifying_commands_load_the_certifier(tmp_path):
     # in a fresh interpreter: the import, the folds and an error exit leave
-    # the certifier and poly uncompiled; certify loads both
+    # the certifier, poly and the structure of Der(S_n) uncompiled; certify
+    # loads the first two, outer-check and decompose the third (decompose
+    # in an interpreter of its own, since outer-check has loaded it before)
     write_certify_inputs(tmp_path)
     script = (
         "import io, json, sys\n"
         "from contextlib import redirect_stdout\n"
         "import liederiv.cli as cli\n"
         "def loaded(code=None):\n"
-        "    mods = [m for m in ('liederiv.poly', 'liederiv.certifier') if m in sys.modules]\n"
-        "    return [code, mods]\n"
+        "    names = ('liederiv.poly', 'liederiv.certifier', 'liederiv.schrodinger_der')\n"
+        "    return [code, [m for m in names if m in sys.modules]]\n"
         "seen = [loaded()]\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    with redirect_stdout(io.StringIO()):\n"
@@ -119,18 +130,40 @@ def test_only_the_certifying_commands_load_the_certifier(tmp_path):
         ["locder-random", "--n", "2"],
         ["der", str(tmp_path / "missing.json")],
         ["certify", str(tmp_path / "h1.json"), "--map", str(tmp_path / "h1_zz.json")],
+        ["outer-check", "--n", "2"],
     ]
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    out = subprocess.run(
-        [sys.executable, "-s", "-c", script, json.dumps(runs)],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert out.returncode == 0, out.stderr
     both = ["liederiv.poly", "liederiv.certifier"]
-    assert json.loads(out.stdout) == [[None, []], [0, []], [0, []], [1, []], [0, both]]
+    der = ["liederiv.schrodinger_der"]
+    assert json.loads(_fresh(script, json.dumps(runs))) == [
+        [None, []],
+        [0, []],
+        [0, []],
+        [1, []],
+        [0, both],
+        [0, both + der],
+    ]
+    decompose = [["decompose", "--n", "2", "--map", str(tmp_path / "s2_dec.json")]]
+    assert json.loads(_fresh(script, json.dumps(decompose))) == [[None, []], [0, der]]
+
+
+def test_the_package_resolves_the_names_it_loads_on_first_use():
+    # PEP 562: the certifier's and Der(S_n)'s public names resolve from
+    # the package, each from its module, and an unknown name still fails
+    script = (
+        "import liederiv\n"
+        "from liederiv import decompose, sigma, tau, asos_shape_check, DerDecomposition\n"
+        "from liederiv import LocalityCertificate, certify_local_symbolic, witness\n"
+        "names = [decompose, sigma, tau, asos_shape_check, DerDecomposition]\n"
+        "names += [LocalityCertificate, certify_local_symbolic, witness]\n"
+        "print([x.__module__ for x in names])\n"
+        "try:\n"
+        "    liederiv.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    modules, missing = _fresh(script).splitlines()
+    assert modules == str(["liederiv.schrodinger_der"] * 5 + ["liederiv.certifier"] * 3)
+    assert missing == "module 'liederiv' has no attribute 'no_such_name'"
 
 
 # each module may import only modules earlier in this order, which keeps
@@ -145,12 +178,17 @@ LAYERS = (
     "locder",
     "certifier",
     "schrodinger",
+    "schrodinger_der",
     "cli",
 )
+
+# the layers below the schrodinger module know nothing of S_n
+GENERIC = LAYERS[: LAYERS.index("schrodinger")]
 
 
 def test_relative_imports_follow_the_layer_order():
     assert {p.stem for p in PACKAGE.glob("*.py")} == set(LAYERS) | {"__init__"}
+    assert LAYERS[len(GENERIC) :] == ("schrodinger", "schrodinger_der", "cli")
     upward = []
     for pos, name in enumerate(LAYERS):
         tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
@@ -179,14 +217,15 @@ def test_only_exactfield_spells_a_field_tag():
 
 def test_every_definition_is_named_elsewhere_in_the_package():
     # a module-level function or class, or a non-dunder method, that no
-    # code in the package names (an ``__init__`` export counts) is dead
-    # weight; a method overriding a standard-library base (argparse's
-    # ``error``) is called by that base.  ``AsosShape.parameters`` is public
-    # API with no caller left inside: ``asos_shape_check`` spans unit rows
-    # read off ``AsosShape.entries``, the spec that ``parameters`` turns
-    # into dense maps
+    # code in the package names (an ``__init__`` export counts, the names
+    # it resolves on first use too) is dead weight; the package's PEP 562
+    # ``__getattr__`` is called by the import system, and a method
+    # overriding a standard-library base (argparse's ``error``) by that
+    # base.  ``AsosShape.parameters`` is public API with no caller left
+    # inside: ``asos_shape_check`` spans unit rows read off
+    # ``AsosShape.entries``, the spec that ``parameters`` turns into dense maps
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
-    named = set()
+    named = {"__getattr__"} | set(importlib.import_module("liederiv")._LAZY)
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
@@ -213,14 +252,15 @@ def test_every_definition_is_named_elsewhere_in_the_package():
                     and not any(hasattr(b, item.name) for b in stdlib_bases)
                 ):
                     unnamed.append(f"{module}.{node.name}.{item.name}")
-    assert unnamed == ["schrodinger.AsosShape.parameters"]
+    assert unnamed == ["schrodinger_der.AsosShape.parameters"]
 
 
 def test_generic_layers_name_nothing_schrodinger():
     # the Schrodinger algebra, its basis order and its replay schedule live
-    # in the schrodinger module alone; docstrings and comments may mention it
+    # in the schrodinger module, the structure of Der(S_n) in schrodinger_der
+    # on top of it; docstrings and comments may mention them
     named = []
-    for name in ("exactfield", "poly", "linalg", "liealg", "dersolve", "locder", "certifier"):
+    for name in GENERIC:
         tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
@@ -242,7 +282,7 @@ def test_no_function_takes_both_an_algebra_and_its_der():
     # a DerivationSpace carries its algebra, so a function that took both
     # an algebra L and a Der could be handed the Der of another algebra
     both = []
-    for name in ("locder", "certifier", "schrodinger"):
+    for name in ("locder", "certifier", "schrodinger", "schrodinger_der"):
         tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -314,7 +354,7 @@ def test_locder_runs_on_the_shared_integer_kernel():
 def test_only_the_parser_and_the_label_map_build_a_matrix():
     # a map enters as a parsed Matrix (the CLI map files and the demo map);
     # inside, maps are sparse columns and their integer forms, and the one
-    # schrodinger wrapper behind sigma, tau and AsosShape.parameters turns
+    # schrodinger_der wrapper behind sigma, tau and AsosShape.parameters turns
     # label columns back into a Matrix for the public API
     built = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -326,5 +366,5 @@ def test_only_the_parser_and_the_label_map_build_a_matrix():
     assert sorted(built) == [
         ("cli", "_cmd_demo_heisenberg"),
         ("cli", "_parse_map"),
-        ("schrodinger", "_label_map"),
+        ("schrodinger_der", "_label_map"),
     ]

@@ -23,13 +23,8 @@ from liederiv.liealg import (
 )
 from liederiv.certifier import LocalityCertificate
 from liederiv.locder import Probe, ProbeStep
-from liederiv.schrodinger import (
-    AsosShape,
-    asos_shape_check,
-    decompose,
-    make_schrodinger,
-    schrodinger_rank,
-)
+from liederiv.schrodinger import make_schrodinger, schrodinger_rank
+from liederiv.schrodinger_der import AsosShape, asos_shape_check, decompose
 from liederiv.linalg import Matrix
 from conftest import (
     ad,

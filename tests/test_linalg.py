@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liederiv.exactfield import FIELD_Q, FIELD_QI, FieldMismatchError, GaussianRational
-from liederiv.linalg import Matrix, SparseEchelon, solve_columns
+from liederiv.linalg import Matrix, SparseEchelon
+from liederiv.schrodinger_der import solve_columns
 from conftest import (
     UnitPivotEchelon,
     back_multiply,

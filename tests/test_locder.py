@@ -43,14 +43,8 @@ from liederiv.locder import (
     singleton_probes,
 )
 from liederiv.poly import MultiPoly
-from liederiv.schrodinger import (
-    AsosShape,
-    asos_shape_check,
-    make_schrodinger,
-    replay_proof,
-    schrodinger_trimmed_schedule,
-    tau,
-)
+from liederiv.schrodinger import make_schrodinger, replay_proof, schrodinger_trimmed_schedule
+from liederiv.schrodinger_der import AsosShape, asos_shape_check, tau
 from conftest import (
     ad,
     bracket_basis,
