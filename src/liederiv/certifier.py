@@ -9,7 +9,9 @@ solved by ``linalg.solve_rows`` (``_solve_point``); only ``witness``
 turns the solution into field scalars.  A line {y*b} is settled at b
 alone (``_certify_line``), with no minor; it still makes the seeded draws
 that the general path would make there, so the other strata sample the
-same points either way.  Only the ``certify`` and
+same points either way.  A stratum is the integer forms of its spanning
+vectors at one scale, cut on those forms (``_cut``); only a refuting
+point is decoded into an element (``_refute``).  Only the ``certify`` and
 ``demo-heisenberg`` commands run it, so ``import liederiv.cli`` loads
 neither this module nor ``poly``.
 """
@@ -17,14 +19,13 @@ neither this module nor ``poly``.
 from __future__ import annotations
 
 import random
-from functools import cache
 from itertools import chain, combinations, islice
 from math import comb
 from typing import Optional
 
 from .exactfield import FIELD_Q, Frozen, integer_key, inv
 from .liealg import AlgebraElement
-from .linalg import MapIndex, Matrix, SparseEchelon, combine_forms, encode_columns, solve_rows
+from .linalg import MapIndex, Matrix, SparseEchelon, combine_forms, solve_rows
 from .dersolve import DerivationSpace, _product_rule, encode_map
 from .locder import CertificationError, _sparse_draw, probe_label
 from .poly import MultiPoly, poly_det, split_linear
@@ -35,17 +36,19 @@ def witness(der: DerivationSpace, delta: Matrix, x: AlgebraElement) -> Optional[
     None when the probe refutes locality of Delta.  Delta must be a map
     on ``der.algebra`` over its field, and x an element of it.  The
     verified integer solution of ``_solve_point`` is divided back by lam
-    and the maps' scales into field scalars here, and only here."""
+    and the maps' scales into field scalars here, and only here: the
+    scale of D_k is the pivot entry of ``der.rows[k]``, Delta's that of
+    ``encode_map``."""
     L = der.algebra
     delta_map = encode_map(L, delta)
     if x.algebra != L:
         raise ValueError("point belongs to a different algebra")
-    delta_index = MapIndex(L.field, [delta_map])
+    delta_index = MapIndex(L.field, [delta_map[0]])
     coeffs = _solve_point(der, delta_index, L.field.encode(dict(enumerate(x.coords))))[0]
     if coeffs is None:
         return None
     # c_k = (sum_t c_(w*k+t) u_t) * (scale of D_k) / (lam * scale of Delta)
-    w, scales = L.field.width, der.image_index.scales + delta_index.scales
+    w, scales = L.field.width, [row[min(row)] for row in der.rows] + [delta_map[1]]
     sol = L.field.decode({q: c * scales[q // w] for q, c in enumerate(coeffs) if c}, w * der.dim)
     return tuple(sol.get(k, L.field.zero) for k in range(der.dim))
 
@@ -99,11 +102,11 @@ def certify_local_symbolic(der: DerivationSpace, delta: Matrix) -> LocalityCerti
 
     The certificate stacks M(x) = [D_1(x) | .. | D_m(x) | Delta(x)] with
     linear-polynomial entries and works stratum by stratum, a stratum
-    being the span of a tuple of algebra elements (the basis at the top)
-    with its block of linear forms (``_stratum_block``).  The generic rank
-    r of the Der block is established by exact evaluation (a nonsingular
-    r x r submatrix at a rational point exhibits a nonzero r-minor
-    polynomial); all (r+1)-minors using the Delta column are expanded
+    being the span of vectors given by their integer forms at one scale
+    (the unit forms at scale 1 at the top) with its block of linear forms
+    (``_stratum_block``).  The generic rank r of the Der block is
+    established by exact evaluation (a nonsingular r x r submatrix at a
+    rational point exhibits a nonzero r-minor polynomial); all (r+1)-minors using the Delta column are expanded
     exactly and must vanish identically, which by cofactor expansion
     forces every larger Delta-minor to vanish as well and so covers all
     points where the Der block keeps rank at least r.  The rank-drop locus
@@ -121,25 +124,25 @@ def certify_local_symbolic(der: DerivationSpace, delta: Matrix) -> LocalityCerti
     L = der.algebra
     # Delta's columns are encoded once, for the product rule and the index
     delta_map = encode_map(L, delta)
-    d = L.dim
+    d, w = L.dim, L.field.width
     if d > _DIM_BOUND:
         raise CertificationError(f"algebra dimension {d} exceeds the certifier bound {_DIM_BOUND}")
     # Der is every derivation, so the product rule decides membership
     if _product_rule(L, delta_map[0]).ok:
         return LocalityCertificate(True, None, ("member of Der",))
-    delta_index = MapIndex(L.field, [delta_map])
+    delta_index = MapIndex(L.field, [delta_map[0]])
     # the Der-block rank by integer key: one solve per point up to a scalar
     memo: dict = {}
     # cheap concrete refutations first: basis vectors and short combinations
     for pt in _scan_points(d):
-        parts = {L.field.width * j: c for j, c in pt.items()}
+        parts = {w * j: c for j, c in pt.items()}
         if _point_rank(der, delta_index, parts, memo) is None:
             x = L.element([pt.get(i, 0) for i in range(d)])
             return LocalityCertificate(False, x, (f"refuted at {probe_label(L.labels, pt)}",))
     strata: list[str] = []
     rng = random.Random(0xCE27)
-    top = tuple(L.basis_element(i) for i in range(d))
-    refut = _certify_on(der, delta_index, top, strata, rng, memo)
+    top = [{w * i: 1} for i in range(d)]
+    refut = _certify_on(der, delta_index, top, 1, strata, rng, memo)
     return LocalityCertificate(refut is None, refut, tuple(strata))
 
 
@@ -158,37 +161,34 @@ def _point_rank(der: DerivationSpace, delta: MapIndex, parts: dict, memo: dict) 
     return rank
 
 
-@cache
-def _scan_points(d: int) -> tuple:
+def _scan_points(d: int) -> list:
     """Deterministic refutation candidates as integer coordinates
     {index: int}: basis vectors, signed pairs, then seeded sparse draws with
     small coefficients (``_sparse_draw``; informative points need
-    coefficient coincidences, so small ranges hit them).  They depend on d
-    alone, so they are drawn once per d; callers only read them."""
+    coefficient coincidences, so small ranges hit them)."""
     points = [{i: 1} for i in range(d)]
     for i, j in combinations(range(d), 2):
         points += [{i: 1, j: 1}, {i: 1, j: -1}]
     rng = random.Random(0x5CA9)
     points += [_sparse_draw(d, rng, ordered=False) for _ in range(400)]
-    return tuple(points)
+    return points
 
 
-def _certify_on(der, delta: MapIndex, basis: tuple, strata, rng, memo: dict, depth=0):
+def _certify_on(der, delta: MapIndex, forms: list, scale: int, strata, rng, memo: dict, depth=0):
     """Certify membership on the stratum {x = sum_t y_t b_t} spanned by the
-    tuple ``basis`` of algebra elements b_t; returns the refuting element,
-    or None.  Sample points (``combine_forms``) and the linear forms of the
-    minors both come from the integer forms of the b_t; every point is
-    solved through ``memo`` (``_point_rank``)."""
-    L, d, m, dim_u = der.algebra, der.algebra.dim, der.dim, len(basis)
+    vectors b_t with the integer ``forms`` at ``scale`` (the form of
+    scale*b_t); returns the refuting element, or None.  Sample points
+    (``combine_forms``) and the linear forms of the minors both come from
+    these forms; every point is solved through ``memo`` (``_point_rank``)."""
+    L, d, m, dim_u = der.algebra, der.algebra.dim, der.dim, len(forms)
     indent = "  " * depth
     if dim_u == 0:
         strata.append(f"{indent}point stratum: trivial")
         return None
-    forms, scale = encode_columns(L.field, [dict(enumerate(b.coords)) for b in basis], d)
     samples = [[1] * dim_u] + [_sample_point(rng, dim_u) for _ in range(12)]
     if dim_u == 1:
         # settled at b, samples[0]; the other samples are drawn all the same
-        return _certify_line(der, delta, basis[0], forms[0], strata, rng, memo, indent)
+        return _certify_line(der, delta, forms[0], scale, strata, rng, memo, indent)
     best_rank, best_point = -1, None
     for pt in samples:
         parts = combine_forms(forms, pt)
@@ -197,12 +197,10 @@ def _certify_on(der, delta: MapIndex, basis: tuple, strata, rng, memo: dict, dep
         # the witness solve at pt also gives the rank of the Der block there
         rank = _point_rank(der, delta, parts, memo)
         if rank is None:
-            x = _combination(basis, pt)
-            strata.append(f"{indent}refuted at sampled point {_label(x)}")
-            return x
+            return _refute(L, parts, scale, strata, f"{indent}refuted at sampled point")
         if rank > best_rank:
             best_rank, best_point = rank, pt
-    *a_sub, b_sub = _stratum_block(der, delta, forms, scale)
+    *a_sub, b_sub = _stratum_block(der, delta, forms)
     r = max(best_rank, 0)
     while r < d:
         count = comb(d, r + 1) * comb(m, r)
@@ -215,15 +213,14 @@ def _certify_on(der, delta: MapIndex, basis: tuple, strata, rng, memo: dict, dep
             for rows in combinations(range(d), r + 1)
             for cols in combinations(range(m), r)
         )
-        bad = next((det for det in minors if not det.is_zero()), None)
+        bad = next((det for det in minors if det), None)
         if bad is None:
             break
         pt = _point_where_nonzero(bad, rng)
         parts = combine_forms(forms, pt)
         if parts and _point_rank(der, delta, parts, memo) is None:
-            x = _combination(basis, pt)
-            strata.append(f"{indent}refuted via nonzero bordered minor at {_label(x)}")
-            return x
+            text = f"{indent}refuted via nonzero bordered minor at"
+            return _refute(L, parts, scale, strata, text)
         # membership holds at pt although a bordered (r+1)-minor is nonzero
         # there, so the Der block itself must exceed rank r at pt
         r += 1
@@ -234,24 +231,22 @@ def _certify_on(der, delta: MapIndex, basis: tuple, strata, rng, memo: dict, dep
         # column vanish identically on this stratum
         return None
     for ell in _rank_drop_cuts(der, forms, a_sub, r, best_point, rng):
-        refut = _certify_on(
-            der, delta, _hyperplane_basis(basis, ell), strata, rng, memo, depth + 1
-        )
+        cut, cut_scale = _cut(L.field, forms, scale, ell)
+        refut = _certify_on(der, delta, cut, cut_scale, strata, rng, memo, depth + 1)
         if refut is not None:
             return refut
     return None
 
 
-def _certify_line(der, delta: MapIndex, b, form: dict, strata, rng, memo: dict, indent: str):
-    """Certify membership on the line {y*b}, b with the integer form
-    ``form``: D_k(y*b) = y*D_k(b) and Delta(y*b) = y*Delta(b), so it holds
+def _certify_line(der, delta: MapIndex, form: dict, scale: int, strata, rng, memo, indent: str):
+    """Certify membership on the line {y*b}, b with the integer ``form`` at
+    ``scale``: D_k(y*b) = y*D_k(b) and Delta(y*b) = y*Delta(b), so it holds
     on the whole line exactly when it holds at b, and y = 0 is the trivial
     point stratum.  No minor is expanded.  The strata and the refuting
     element are those of the general path, whose first sample is b."""
     rank = _point_rank(der, delta, form, memo)
     if rank is None:
-        strata.append(f"{indent}refuted at sampled point {_label(b)}")
-        return b
+        return _refute(der.algebra, form, scale, strata, f"{indent}refuted at sampled point")
     strata.append(f"{indent}stratum dim 1: certified for block rank >= {rank}")
     if rank:
         # the eight points that ``_rank_drop_cuts`` would draw here: drawn
@@ -266,31 +261,37 @@ def _sample_point(rng, dim_u):
     return [rng.randint(-9, 9) for _ in range(dim_u)]
 
 
-def _combination(basis: tuple, point) -> AlgebraElement:
-    """x = sum_t y_t b_t as an element, for a refuting point."""
-    terms = [b.scale(y) for b, y in zip(basis, point)]
-    return sum(terms[1:], terms[0])
+def _refute(L, parts: dict, scale: int, strata, text: str) -> AlgebraElement:
+    """The refuting element x with the integer form ``parts`` at ``scale``,
+    decoded once; ``text`` and the label of x (``probe_label``) make its
+    stratum line."""
+    d, spare = L.dim, L.field.width * L.dim
+    # the form of a 1 at the spare column d is the scale
+    coords = L.field.decode({**parts, spare: scale}, spare)
+    del coords[d]
+    strata.append(f"{text} {probe_label(L.labels, coords)}")
+    return L.element([coords.get(i, 0) for i in range(d)])
 
 
-def _label(x: AlgebraElement) -> str:
-    """The report label of the element x (``probe_label``)."""
-    return probe_label(x.algebra.labels, dict(enumerate(x.coords)))
-
-
-def _stratum_block(der: DerivationSpace, delta: MapIndex, forms: list, scale: int) -> list:
+def _stratum_block(der: DerivationSpace, delta: MapIndex, forms: list) -> list:
     """The linear forms of M(x) = [D_1(x) | .. | D_m(x) | Delta(x)] on the
-    stratum x = sum_t y_t b_t, the b_t given by their integer ``forms`` at
-    ``scale``: entry [k][i] is sum_t D_k(b_t)[i] y_t (k = m for Delta)."""
+    stratum x = sum_t y_t b_t, the b_t given by their integer ``forms``:
+    entry [k][i] is sum_t D_k(b_t)[i] y_t (k = m for Delta), times the
+    positive scale of column k, the integer images read as they are.  A
+    positive factor on one column multiplies every minor that uses it by a
+    positive constant, so no zero set, no ``split_linear`` result (its
+    rational roots come from the primitive part), no hyperplane and no
+    sample point depends on the columns' scales."""
     field, d, m, dim_u = der.algebra.field, der.algebra.dim, der.dim, len(forms)
-    w = field.width
+    spare = field.width * d
     units = [tuple(int(s == t) for s in range(dim_u)) for t in range(dim_u)]
     block = [[{} for _ in range(d)] for _ in range(m + 1)]
-    scales = der.image_index.scales + delta.scales
     for t, parts in enumerate(forms):
         images = der.images(parts)
         images[m] = delta.images(parts).get(0, {})
         for k, img in images.items():
-            for i, v in field.decode({**img, w * d: scale * scales[k]}, w * d).items():
+            # a 1 at the spare column decodes the integers as they are
+            for i, v in field.decode({**img, spare: 1}, spare).items():
                 if i < d:
                     block[k][i][units[t]] = v
     return [[MultiPoly(dim_u, terms) for terms in row] for row in block]
@@ -339,7 +340,7 @@ def _rank_drop_cuts(der, forms: list, a_sub, r, point, rng) -> list:
         tried.add(key)
         rows, cols = key
         det = poly_det([[a_sub[k][i] for k in cols] for i in rows])
-        if det.is_zero():
+        if not det:
             continue
         nonzero = True
         cuts = split_linear(det, rational_points_only=(L.field is FIELD_Q))
@@ -350,15 +351,20 @@ def _rank_drop_cuts(der, forms: list, a_sub, r, point, rng) -> list:
     raise CertificationError("rank-drop locus is not covered by hyperplanes of a splitting minor")
 
 
-def _hyperplane_basis(basis: tuple, ell: MultiPoly) -> tuple:
-    """Basis of the hyperplane ell(y) = 0 of the stratum x = sum_t y_t b_t:
-    b_t - (c_t / c_p) b_p for t != p, where c_t is the coefficient of y_t
-    in the linear form ell and c_p its first nonzero one."""
-    coeffs = [0] * len(basis)
-    for e, c in ell.terms.items():
-        coeffs[e.index(1)] = c
-    p = next(t for t, c in enumerate(coeffs) if c)
-    inv_p = inv(coeffs[p])
-    return tuple(
-        b - basis[p].scale(c * inv_p) for t, (b, c) in enumerate(zip(basis, coeffs)) if t != p
-    )
+def _cut(field, forms: list, scale: int, ell: MultiPoly) -> tuple:
+    """(forms, scale) of the hyperplane ell(y) = 0 of the stratum given by
+    ``forms`` at ``scale``: b'_t = b_t - (c_t / c_p) b_p for t != p, c_t the
+    coefficient of y_t in ell and c_p its first nonzero one.  With r the
+    integer form of the ratios c_t / c_p at scale s (r at w*p, the form of
+    1, is s), the form of s*b'_t is s times that of b_t minus sum_u
+    r_(w*t+u) times that of u_u*b_p (``Field.rotations``), at scale*s."""
+    coeffs = {e.index(1): c for e, c in ell.terms.items()}
+    p, w = min(coeffs), field.width
+    ratios = field.encode({t: c * inv(coeffs[p]) for t, c in coeffs.items()})
+    s, turned = ratios[w * p], (forms[p], *field.rotations(forms[p]))
+    cut = [
+        combine_forms((form, *turned), (s, *(-ratios.get(w * t + u, 0) for u in range(w))))
+        for t, form in enumerate(forms)
+        if t != p
+    ]
+    return cut, scale * s

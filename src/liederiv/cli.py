@@ -18,6 +18,7 @@ from .exactfield import FIELD_Q, FIELD_QI, field_of, format_scalar
 from .liealg import (
     JacobiError,
     LieAlgebra,
+    _expect_keys,
     load,
     make_abelian,
     make_heisenberg,
@@ -84,7 +85,14 @@ def _parse_map(path: str, L: LieAlgebra) -> Matrix:
         raise CliError(f"{path}: malformed JSON: nested too deeply") from None
     except UnicodeDecodeError as exc:
         raise CliError(f"{path}: {exc}") from exc
-    rows = doc.get("matrix") if isinstance(doc, dict) else doc
+    rows = doc
+    if isinstance(doc, dict):
+        # an object holds the matrix alone, as an algebra file holds its keys
+        try:
+            _expect_keys(doc, {"matrix"}, "map file")
+        except ValueError as exc:
+            raise CliError(f"{path}: {exc}") from exc
+        rows = doc["matrix"]
     if (
         not isinstance(rows, list)
         or len(rows) != L.dim

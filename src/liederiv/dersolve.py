@@ -170,9 +170,9 @@ class DerivationSpace(Frozen):
 
     @cached_property
     def image_index(self) -> MapIndex:
-        # the scale of map k is the pivot entry of its row
+        # the columns of map k are at the scale of its row's pivot entry
         L = self.algebra
-        return MapIndex(L.field, ((row_columns(L, r), r[min(r)]) for r in self.rows))
+        return MapIndex(L.field, (row_columns(L, r) for r in self.rows))
 
     @cached_property
     def turned_index(self) -> dict:

@@ -92,7 +92,7 @@ class LieAlgebra(Frozen):
         setfield(self, "partners", partners)
         setfield(self, "onto", tuple(tuple(sorted(p)) for p in onto))
         # column r of ad_(b_k) is [b_k, b_r]
-        maps = (({r: ints[k, r] for r in p}, scale) for k, p in enumerate(partners))
+        maps = ({r: ints[k, r] for r in p} for k, p in enumerate(partners))
         setfield(self, "_ad", MapIndex(field, maps))
         verdict = check_jacobi(self)
         if not verdict.ok:
@@ -127,11 +127,6 @@ class LieAlgebra(Frozen):
     def element(self, coords: Sequence) -> "AlgebraElement":
         return AlgebraElement(self, tuple(map(self.field.coerce, coords)))
 
-    def basis_element(self, i: int) -> "AlgebraElement":
-        coords = [self.field.zero] * self.dim
-        coords[i] = self.field.one
-        return self.element(coords)
-
 
 class AlgebraElement(Frozen):
     """Element of a LieAlgebra in basis coordinates."""
@@ -143,37 +138,6 @@ class AlgebraElement(Frozen):
             raise ValueError("coordinate length does not match algebra dimension")
         setfield(self, "algebra", algebra)
         setfield(self, "coords", coords)
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        _same_algebra(self, other)
-        return AlgebraElement(self.algebra, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        _same_algebra(self, other)
-        return AlgebraElement(self.algebra, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, tuple(-a for a in self.coords))
-
-    def scale(self, c) -> "AlgebraElement":
-        c = self.algebra.field.coerce(c)
-        return AlgebraElement(self.algebra, tuple(c * a for a in self.coords))
-
-    def __str__(self):
-        parts = [
-            f"({format_scalar(c)})*{lab}"
-            for c, lab in zip(self.coords, self.algebra.labels)
-            if c
-        ]
-        return " + ".join(parts) if parts else "0"
-
-
-def _same_algebra(x: AlgebraElement, y: AlgebraElement):
-    if x.algebra != y.algebra:
-        raise ValueError("elements of different algebras")
 
 
 def check_jacobi(L: LieAlgebra) -> JacobiVerdict:

@@ -261,30 +261,28 @@ def encode_columns(field: Field, columns: Sequence[dict], size: int) -> tuple:
 
 
 class MapIndex:
-    """Linear maps D_k, each given as its columns ``{j: form}`` and their
-    positive scale ``scales[k]`` (as ``dersolve.encode_map`` gives them),
-    by integer column of the input: ``index[q]`` is [(k, column), ..] over
+    """Linear maps D_k, each given as its columns ``{j: form}`` in integer
+    form at some positive scale (as ``dersolve.encode_map`` gives them), by
+    integer column of the input: ``index[q]`` is [(k, column), ..] over
     the maps with a nonzero column there.  For q = w*j + t (w the field's
     ``width``) the column is column j of u_t*D_k (``Field.rotations``), so
     x with x_j = sum_t x_(w*j+t) u_t maps to sum_q x_q column, and a sparse
     x meets only the entries it shares a column with (Gustavson's row-wise
     product)."""
 
-    __slots__ = ("index", "scales")
+    __slots__ = ("index",)
 
-    def __init__(self, field: Field, maps: Iterable[tuple]):
+    def __init__(self, field: Field, maps: Iterable[dict]):
         self.index: dict = {}
-        self.scales = []
-        for k, (columns, scale) in enumerate(maps):
-            self.scales.append(scale)
+        for k, columns in enumerate(maps):
             for j, form in columns.items():
                 for t, turned in enumerate((form, *field.rotations(form))):
                     self.index.setdefault(field.width * j + t, []).append((k, turned))
 
     def images(self, parts: dict) -> dict:
         """The nonzero images D_k(x) in integer form by k, ascending, given
-        the integer form ``parts`` of x: image k is ``scales[k]`` times the
-        form of D_k(x), at the scale of ``parts``."""
+        the integer form ``parts`` of x: image k is the form of D_k(x) at
+        the scale of ``parts`` times that of the columns of D_k."""
         index, out = self.index, {}
         for q, xq in parts.items():
             for k, col in index.get(q, ()):

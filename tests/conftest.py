@@ -3,9 +3,10 @@ oracles used to cross-check the production linear algebra (among them
 the unit-pivot sparse echelon that the integer kernel replaced), sl2 in a
 basis with non-real structure constants, and the dense maps and
 subspaces that the package itself no longer builds: the element of
-labelled terms, the bracket of two elements, ad, the centre and the
-field-scalar bracket table in either order, flattened maps and their linear combinations, the span of dense
-vectors with membership, sum and Zassenhaus intersection, the dense
+labelled terms, basis elements and linear combinations of elements, the
+bracket of two elements, ad, the centre and the field-scalar bracket
+table in either order, flattened maps and their linear combinations, the
+span of dense vectors with membership, sum and Zassenhaus intersection, the dense
 report behind ``outer_check`` and the reassembly of a ``decompose``
 result.  Also the field-scalar Leibniz rows and the Der they cut out,
 the dense Der basis, the all-triples Jacobi check, dense oracles for the
@@ -255,6 +256,25 @@ def from_terms(L, terms: dict) -> AlgebraElement:
     return L.element(coords)
 
 
+def basis_element(L, i: int) -> AlgebraElement:
+    """The basis element b_i of L."""
+    return from_terms(L, {i: 1})
+
+
+def combination(terms) -> AlgebraElement:
+    """The element sum c * x over the (c, x) pairs, elements of one
+    algebra (the element arithmetic the package does not define)."""
+    terms = list(terms)
+    L = terms[0][1].algebra
+    coords = [L.field.zero] * L.dim
+    for c, x in terms:
+        if x.algebra != L:
+            raise ValueError("elements of different algebras")
+        c = L.field.coerce(c)
+        coords = [a + c * b for a, b in zip(coords, x.coords)]
+    return L.element(coords)
+
+
 def bracket_basis(L, i: int, j: int) -> dict:
     """Sparse coordinates of [b_i, b_j] in either order, off ``L.table``."""
     if i < j:
@@ -277,7 +297,7 @@ def bracket(x, y):
 def ad(x) -> Matrix:
     """The dense matrix of ad_x = [x, .]: column j is [x, b_j]."""
     L = x.algebra
-    cols = [bracket(x, L.basis_element(j)).coords for j in range(L.dim)]
+    cols = [bracket(x, basis_element(L, j)).coords for j in range(L.dim)]
     return Matrix(L.field, list(zip(*cols)))
 
 
@@ -605,7 +625,7 @@ def full_space(field, n) -> Subspace:
 def dense_inner_space(L) -> Subspace:
     """The span of the flattened dense ad_b over basis elements b, coerced
     entry by entry (the construction ``dersolve.inner_space`` replaced)."""
-    vecs = [flatten_map(ad(L.basis_element(i))) for i in range(L.dim)]
+    vecs = [flatten_map(ad(basis_element(L, i))) for i in range(L.dim)]
     return span(L.field, L.dim * L.dim, vecs)
 
 
@@ -663,12 +683,12 @@ def dense_is_derivation(L, D):
     dense elements and ``bracket``; the first failing pair in row-major
     order, as the production check reports it."""
     for i in range(L.dim):
-        xi = L.basis_element(i)
+        xi = basis_element(L, i)
         dxi = L.element(col(D, i))
         for j in range(i + 1, L.dim):
-            xj = L.basis_element(j)
+            xj = basis_element(L, j)
             lhs = L.element(matvec(D, bracket(xi, xj).coords))
-            rhs = bracket(dxi, xj) + bracket(xi, L.element(col(D, j)))
+            rhs = combination([(1, bracket(dxi, xj)), (1, bracket(xi, L.element(col(D, j))))])
             if lhs.coords != rhs.coords:
                 return False, (L.labels[i], L.labels[j])
     return True, None

@@ -430,6 +430,24 @@ def test_integer_map_entry_exits_one(tmp_path, capsys):
     assert_one_line_error(*run_cli(capsys, "certify", str(alg), "--map", str(mp)))
 
 
+@pytest.mark.parametrize("command", ["certify", "decompose"])
+def test_a_map_file_with_unknown_keys_exits_one(tmp_path, capsys, command):
+    # a map object holds "matrix" alone; like an algebra file, it rejects
+    # any other key instead of ignoring it
+    alg = tmp_path / "s1.json"
+    run_cli(capsys, "gen", "--schrodinger", "1", "-o", str(alg))
+    rows = [["0"] * 6 for _ in range(6)]
+    mp = tmp_path / "map.json"
+    mp.write_text(json.dumps({"matrix": rows, "x": 1}))
+    algebra = ["--n", "1"] if command == "decompose" else [str(alg)]
+    argv = [command, *algebra, "--map", str(mp)]
+    code, out, err = run_cli(capsys, *argv)
+    assert_one_line_error(code, out, err)
+    assert err == f"error: {mp}: unknown keys ['x'] in map file\n"
+    mp.write_text(json.dumps({"matrix": rows}))
+    assert run_cli(capsys, *argv)[0] == 0
+
+
 def test_certify_above_dimension_bound_exits_one(tmp_path, capsys):
     alg = tmp_path / "s3.json"
     run_cli(capsys, "gen", "--schrodinger", "3", "-o", str(alg))

@@ -40,6 +40,7 @@ from conftest import (
     at_scale,
     bracket,
     col,
+    combination,
     combine,
     complex_sl2,
     contains,
@@ -326,10 +327,10 @@ def test_derivation_space_makes_no_field_scalar_insert_and_reads_no_bracket(monk
     # Der, both its indexes and a replay fold encode columns only for the
     # bracket table and build no Subspace; der.subspace is decoded on read
     assert not hasattr(SparseEchelon, "insert")
-    # the fold's module has no encoder to call (the certifier holds it)
+    # the fold's module has no encoder to call
     assert not hasattr(locder, "encode_columns")
     encoded, built = [], []
-    for module in (liealg, dersolve, schrodinger_der):
+    for module in (liealg, dersolve):
         encode = module.encode_columns
         monkeypatch.setattr(
             module,
@@ -340,7 +341,7 @@ def test_derivation_space_makes_no_field_scalar_insert_and_reads_no_bracket(monk
     monkeypatch.setattr(Subspace, "__init__", lambda self, *a: built.append(1) or init(self, *a))
     L = make_schrodinger(3, FIELD_QI)
     der = derivation_space(L)
-    assert der.image_index.scales and der.check_index
+    assert der.image_index.index and der.check_index
     acc = schrodinger.replay_proof(3)
     assert der.dim == expected_der_dim(3) and acc.equal
     assert set(encoded) == {"liederiv.liealg"} and built == []
@@ -414,7 +415,8 @@ def test_tau_spot_check_on_central_pair():
     t = tau(1)
     u, v = from_terms(L, {"u_1": 1}), from_terms(L, {"v_1": 1})
     lhs = L.element(matvec(t, bracket(u, v).coords))
-    rhs = bracket(L.element(matvec(t, u.coords)), v) + bracket(u, L.element(matvec(t, v.coords)))
+    tu, tv = L.element(matvec(t, u.coords)), L.element(matvec(t, v.coords))
+    rhs = combination([(1, bracket(tu, v)), (1, bracket(u, tv))])
     assert lhs.coords == rhs.coords
     assert lhs.coords == from_terms(L, {"z": 1}).coords
 

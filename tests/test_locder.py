@@ -30,7 +30,7 @@ from liederiv.certifier import (
     CertificationError,
     certify_local_symbolic,
     witness,
-    _hyperplane_basis,
+    _cut,
     _stratum_block,
 )
 from liederiv.locder import (
@@ -47,7 +47,9 @@ from liederiv.schrodinger import make_schrodinger, replay_proof, schrodinger_tri
 from liederiv.schrodinger_der import AsosShape, asos_shape_check, tau
 from conftest import (
     ad,
+    basis_element,
     bracket_basis,
+    combination,
     combine,
     constraint_rows,
     contains,
@@ -123,9 +125,9 @@ def test_constrain_rejects_a_corrupted_der_basis_map():
     # the true Der; the rows, which the per-row check reads, stay intact
     w = L.field.width
     j, i = divmod(min(der.rows[0]) // w, L.dim)
-    maps = [(row_columns(L, row), row[min(row)]) for row in der.rows]
-    assert maps[0][0][j].get(w * i)
-    del maps[0][0][j]
+    maps = [row_columns(L, row) for row in der.rows]
+    assert maps[0][j].get(w * i)
+    del maps[0][j]
     corrupted = DerivationSpace(L, der.rows)
     vars(corrupted)["image_index"] = MapIndex(L.field, maps)
     probe = Probe(L, {w * j: 1}, L.labels[j])
@@ -326,7 +328,7 @@ def test_families_moved_by_the_copy_swap_fold_as_the_reference():
         D, d = _copies(L, 2), L.dim
         swap = tuple((i, (i + d) % (2 * d)) for i in range(2 * d))
         zero = (D.field.zero,) * d
-        firsts = [L.basis_element(i) for i in range(d)]
+        firsts = [basis_element(L, i) for i in range(d)]
         firsts += [_random_element(L, rng, ordered=True) for _ in range(6)]
         seeds = [element_probe(D.element(x.coords + zero)) for x in firsts]
         members = [
@@ -348,7 +350,7 @@ def test_families_moved_by_the_copy_rotation_fold_as_the_reference():
         T, d = _copies(L, 3), L.dim
         rotation, square = (tuple((i, (i + s * d) % (3 * d)) for i in range(3 * d)) for s in (1, 2))
         zero = (T.field.zero,) * d
-        firsts = [L.basis_element(i) for i in range(d)]
+        firsts = [basis_element(L, i) for i in range(d)]
         firsts += [_random_element(L, rng, ordered=True) for _ in range(6)]
         seeds = [element_probe(T.element(x.coords + zero + zero)) for x in firsts]
         members = []
@@ -456,7 +458,7 @@ def test_constrain_skips_a_probe_scaled_by_i():
     acc = CandidateSpace(der)
     constrain(acc, probe)
     dim, history = acc.dim, list(acc.history)
-    scaled = probe_element(probe).scale(i_unit)  # i*u_1 - u_2
+    scaled = combination([(i_unit, probe_element(probe))])  # i*u_1 - u_2
     constrain(acc, element_probe(scaled))
     assert acc.dim == dim and acc.history == history
     # the same support, but not a multiple: u_1 - i*u_2 is a new probe
@@ -567,12 +569,12 @@ def test_orbit_scaling_invariance():
     der = derivation_space(L)
     for _ in range(20):
         x = L.element([rand_scalar(rng) for _ in range(L.dim)])
-        if x.is_zero():
+        if not any(x.coords):
             continue
         c = Fraction(0)
         while not c:
             c = rand_scalar(rng)
-        assert orbit_subspace(der, x) == orbit_subspace(der, x.scale(c))
+        assert orbit_subspace(der, x) == orbit_subspace(der, combination([(c, x)]))
 
 
 def test_constrain_by_central_probe_drops_one_column_to_a_line():
@@ -600,7 +602,7 @@ def test_constrain_keeps_derivations_and_is_idempotent():
     for D in dense_der_basis(der):
         assert contains_map(acc, D)
     # scalar multiples are recognized as the same probe
-    scaled = element_probe(probe_element(probe).scale(Fraction(5)), "5h+5e")
+    scaled = element_probe(combination([(5, probe_element(probe))]), "5h+5e")
     constrain(acc, scaled)
     assert acc.dim == dim
 
@@ -788,7 +790,7 @@ def test_replay_fold_is_independent_of_probe_order_and_scale(order, multiples, r
     # a nonzero multiple of a schedule probe imposes the same condition, so
     # constrain must skip whichever of the two comes second
     for i, (re, im) in multiples:
-        x = probe_element(_SCHEDULE[i]).scale(GaussianRational(re, im))
+        x = combination([(GaussianRational(re, im), probe_element(_SCHEDULE[i]))])
         probes.insert(rng.randrange(len(probes) + 1), element_probe(x))
     out = fold(probes)
     assert out.space == _REPLAY_BASE.space
@@ -818,9 +820,7 @@ def test_replay_witnesses_exist_at_every_probe():
             assert witness(der, D, probe_element(probe)) is not None
 
 
-def test_the_fold_builds_no_dense_element(monkeypatch):
-    # a probe carries its integer form: the replay (its schedule and fold)
-    # and the random closure build no AlgebraElement, which the spy counts
+def _count_elements(monkeypatch) -> list:
     built = []
     true_init = AlgebraElement.__init__
 
@@ -829,12 +829,19 @@ def test_the_fold_builds_no_dense_element(monkeypatch):
         true_init(self, *args)
 
     monkeypatch.setattr(AlgebraElement, "__init__", counting)
+    return built
+
+
+def test_the_fold_builds_no_dense_element(monkeypatch):
+    # a probe carries its integer form: the replay (its schedule and fold)
+    # and the random closure build no AlgebraElement, which the spy counts
+    built = _count_elements(monkeypatch)
     assert replay_proof(4).equal
     assert built == []
     closure = random_probe_closure(derivation_space(make_schrodinger(3)))
     assert closure.stop_reason == "collapsed" and built == []
     # the spy sees an element that is built
-    make_schrodinger(1).basis_element(0)
+    basis_element(make_schrodinger(1), 0)
     assert built == [1]
 
 
@@ -1013,7 +1020,7 @@ def _witness_systems(L: LieAlgebra):
         delta = Matrix(L.field, rows)
         points = [_random_element(L, rng, ordered=False) for _ in range(8)]
         if L.field == FIELD_QI:
-            points.append(points[0] + L.basis_element(0).scale(I))
+            points.append(combination([(1, points[0]), (I, basis_element(L, 0))]))
         for x in points:
             yield der, delta, x
 
@@ -1073,6 +1080,20 @@ def test_certifier_makes_no_field_scalar_insert(monkeypatch):
     verdicts = [certify_local_symbolic(der, delta).certified for _, der, delta in cases]
     assert verdicts == [True, False]
     assert calls and all(calls)
+
+
+def test_certifier_builds_an_element_for_its_refutation_only(monkeypatch):
+    # the strata are integer forms: a certificate builds no AlgebraElement,
+    # and a refuted map builds one, the refuting point it returns
+    H, der, delta = _heisenberg2_zz()
+    L = make_schrodinger(1)
+    der_s1 = derivation_space(L)
+    built = _count_elements(monkeypatch)
+    cert = certify_local_symbolic(der, delta)
+    assert cert.certified and len(cert.strata) == 66 and built == []
+    cert = certify_local_symbolic(der_s1, _z_scaling(L))
+    assert not cert.certified and isinstance(cert.refutation, AlgebraElement)
+    assert built == [1]
 
 
 def test_certifier_makes_no_dense_matvec(monkeypatch):
@@ -1157,7 +1178,13 @@ def test_the_certifier_looks_at_a_pinned_point_stream(field, monkeypatch):
 
 def _delta_index(L, delta: Matrix) -> MapIndex:
     # Delta's columns encoded once, as the certifier indexes them
-    return MapIndex(L.field, [encode_map(L, delta)])
+    return MapIndex(L.field, [encode_map(L, delta)[0]])
+
+
+def _stratum(L, basis) -> tuple:
+    """(forms, scale): the stratum spanned by the elements ``basis``, as the
+    certifier carries it, their integer forms at one scale."""
+    return encode_columns(L.field, [dict(enumerate(b.coords)) for b in basis], L.dim)
 
 
 def test_a_point_and_its_multiple_share_one_solve(monkeypatch):
@@ -1167,10 +1194,10 @@ def test_a_point_and_its_multiple_share_one_solve(monkeypatch):
     index = _delta_index(H, delta)
     memo: dict = {}
     rank = certifier._point_rank(der, index, integer_form(x), memo)
-    assert certifier._point_rank(der, index, integer_form(x.scale(3)), memo) == rank
+    assert certifier._point_rank(der, index, integer_form(combination([(3, x)])), memo) == rank
     assert len(solves) == 1 and list(memo.values()) == [rank]
     # witness keeps no memo: it solves on every call
-    for y in (x, x.scale(3), x):
+    for y in (x, combination([(3, x)]), x):
         assert witness(der, delta, y) is not None
     assert len(solves) == 4
     # a refuting point gives None at once and is not remembered
@@ -1213,7 +1240,7 @@ def test_certifier_builds_the_map_columns_once(monkeypatch):
     monkeypatch.setattr(certifier, "MapIndex", index)
     assert certify_local_symbolic(der, delta).certified
     assert len(built) == len(encoded) == len(ruled) == len(indexed) == 1
-    assert ruled[0] is encoded[0][0] and len(indexed[0]) == 1 and indexed[0][0] is encoded[0]
+    assert ruled[0] is encoded[0][0] and len(indexed[0]) == 1 and indexed[0][0] is encoded[0][0]
 
 
 def _pin_family(name: str) -> list:
@@ -1313,16 +1340,18 @@ def test_a_stratum_refutes_z_to_u_at_a_sampled_point():
     rows = [[Fraction(0)] * 3 for _ in range(3)]
     rows[H.index["u_1"]][H.index["z"]] = Fraction(1)
     index = _delta_index(H, Matrix(FIELD_Q, rows))
-    z, u = H.basis_element(0), H.basis_element(1)
+    z, u = basis_element(H, 0), basis_element(H, 1)
     top = "stratum dim 2: certified for block rank >= 3"
     below = ["  stratum dim 1: certified for block rank >= 3", "    point stratum: trivial"]
+    z_3u = combination([(1, z), (3, u)])
     cases = (
         ((u, z), "z", [top, "  refuted at sampled point z"]),
-        ((z + u.scale(3), u), "-1/3*z", [top, *below, "  refuted at sampled point -1/3*z"]),
+        ((z_3u, u), "-1/3*z", [top, *below, "  refuted at sampled point -1/3*z"]),
     )
     for basis, label, expected in cases:
         strata: list = []
-        x = certifier._certify_on(derivation_space(H), index, basis, strata, random.Random(7), {})
+        der, rng = derivation_space(H), random.Random(7)
+        x = certifier._certify_on(der, index, *_stratum(H, basis), strata, rng, {})
         assert probe_label(H.labels, dict(enumerate(x.coords))) == label and strata == expected
 
 
@@ -1356,7 +1385,8 @@ def test_a_line_is_settled_by_its_generator(name, monkeypatch):
         drawn.setstate(rng.getstate())
         depth = seed % 3
         strata: list = []
-        x = certifier._certify_on(der, _delta_index(L, delta), (b,), strata, rng, {}, depth)
+        stratum = _stratum(L, (b,))
+        x = certifier._certify_on(der, _delta_index(L, delta), *stratum, strata, rng, {}, depth)
         indent = "  " * depth
         if witness(der, delta, b) is None:
             label = probe_label(L.labels, dict(enumerate(b.coords)))
@@ -1381,7 +1411,7 @@ def test_a_line_of_block_rank_zero_has_no_point_stratum():
     # either way with no child stratum and no draw past its 12 samples
     L = make_heisenberg(1)
     nothing = DerivationSpace(L, ())
-    u = L.basis_element(1)
+    u = basis_element(L, 1)
     cases = (
         (0, None, ["stratum dim 1: certified for block rank >= 0"]),
         (1, u, ["refuted at sampled point u_1"]),
@@ -1390,32 +1420,12 @@ def test_a_line_of_block_rank_zero_has_no_point_stratum():
         delta = Matrix(FIELD_Q, [[diagonal * (r == c) for c in range(3)] for r in range(3)])
         rng, drawn = random.Random(5), random.Random(5)
         strata: list = []
-        x = certifier._certify_on(nothing, _delta_index(L, delta), (u,), strata, rng, {})
+        index = _delta_index(L, delta)
+        x = certifier._certify_on(nothing, index, *_stratum(L, (u,)), strata, rng, {})
         assert x == refutation and strata == expected
         for _ in range(12):
             drawn.randint(-9, 9)
         assert rng.getstate() == drawn.getstate()
-
-
-def test_the_scan_points_are_drawn_once_per_dimension(monkeypatch):
-    # the scan depends on d alone: five certifications draw it once, and
-    # reading it leaves it as drawn
-    H, der, delta = _heisenberg2_zz()
-    draws = []
-    true_draw = certifier._sparse_draw
-
-    def counting(d, rng, ordered):
-        draws.append(d)
-        return true_draw(d, rng, ordered)
-
-    monkeypatch.setattr(certifier, "_sparse_draw", counting)
-    certifier._scan_points.cache_clear()
-    for _ in range(5):
-        assert certify_local_symbolic(der, delta).certified
-    points = certifier._scan_points(H.dim)
-    assert draws == [H.dim] * 400
-    assert isinstance(points, tuple) and len(points) == 5 + 2 * 10 + 400
-    assert points == certifier._scan_points.__wrapped__(H.dim)
 
 
 def test_certifier_accepts_pure_local_map():
@@ -1443,6 +1453,12 @@ _SL2_IDENTITY = Matrix(FIELD_Q, [[int(r == c) for c in range(3)] for r in range(
 _SL2_ON_LINE = [k for k in (1, 2, 3, -1, -2, -3, 4, 5, -4, 6, 7, -5) for _ in range(2)]
 
 
+def _sl2_plane(L) -> tuple:
+    """The stratum spanned by e + h and -h of sl2 (``_stratum``)."""
+    e, h = basis_element(L, 0), basis_element(L, 1)
+    return _stratum(L, (combination([(1, e), (1, h)]), combination([(-1, h)])))
+
+
 def test_a_stratum_refutes_the_identity_of_sl2_via_a_bordered_minor():
     # on sl2 the identity keeps x in W_x = [sl2, x] exactly when x is
     # nilpotent, and W_x has dimension 2 at every x != 0.  On the stratum
@@ -1455,11 +1471,11 @@ def test_a_stratum_refutes_the_identity_of_sl2_via_a_bordered_minor():
     # refutes first), so the stratum is certified directly
     L = make_sl2()
     der = derivation_space(L)
-    e, h = L.basis_element(0), L.basis_element(1)
     identity = _SL2_IDENTITY
     index = _delta_index(L, identity)
     strata: list = []
-    x = certifier._certify_on(der, index, (e + h, -h), strata, _ScriptedRandom(_SL2_ON_LINE), {})
+    rng = _ScriptedRandom(_SL2_ON_LINE)
+    x = certifier._certify_on(der, index, *_sl2_plane(L), strata, rng, {})
     assert strata == ["refuted via nonzero bordered minor at 3*e-h"]
     assert probe_label(L.labels, dict(enumerate(x.coords))) == "3*e-h"
     # x = y_1*e + (y_1-y_2)*h lies off the nilpotent line, and no
@@ -1480,11 +1496,10 @@ def test_a_line_needs_no_minor_budget(monkeypatch):
     # the sl2 plane above, of rank 2 < 3 at its samples, still expands its
     # bordered 3-minors, one per pair of Der maps
     L = make_sl2()
-    e, h = L.basis_element(0), L.basis_element(1)
     index = _delta_index(L, _SL2_IDENTITY)
     rng = _ScriptedRandom(_SL2_ON_LINE)
     with pytest.raises(CertificationError, match=r"minor budget exceeded .* \(3 minors\)"):
-        certifier._certify_on(derivation_space(L), index, (e + h, -h), [], rng, {})
+        certifier._certify_on(derivation_space(L), index, *_sl2_plane(L), [], rng, {})
 
 
 def test_certifier_refutes_central_escape():
@@ -1582,35 +1597,50 @@ def _stratum_cases(draw):
     return name, elements, cut, point
 
 
-def _combination(L, basis, point):
-    return sum((b.scale(y) for b, y in zip(basis, point)), L.element([0] * L.dim))
+def _decoded(L, form: dict, scale: int):
+    """The element whose integer form at ``scale`` is ``form``: part t of
+    coordinate i at column w*i + t."""
+    w, coords = L.field.width, [0] * L.dim
+    for q, v in form.items():
+        coords[q // w] += Fraction(v, scale) * (1, I)[q % w]
+    return L.element(coords)
+
+
+def _at(L, forms: list, scale: int, point):
+    """The element sum_t y_t b_t of the stratum (forms, scale) at y."""
+    terms = [(y, _decoded(L, form, scale)) for form, y in zip(forms, point)]
+    return combination([(0, basis_element(L, 0)), *terms])
 
 
 @settings(max_examples=150, deadline=None)
 @given(_stratum_cases())
 def test_stratum_block_evaluates_to_the_images(case):
+    # a cut on the forms spans the zero set of ell in the stratum, and
+    # column k of the block is D_k(x) at the stratum's scale times that of
+    # the columns of D_k: the pivot entry of Der's row k, Delta's encoding
     name, elements, cut, point = case
     L, der = _BLOCK_ALGEBRAS[name], _BLOCK_DER[name]
     delta = _z_scaling(L)
-    basis = tuple(from_terms(L, t) for t in elements)
+    forms, scale = _stratum(L, [from_terms(L, t) for t in elements])
     if cut is not None:
         units = [tuple(int(s == t) for s in range(len(cut))) for t in range(len(cut))]
         ell = MultiPoly(len(cut), dict(zip(units, cut)))
-        sub = _hyperplane_basis(basis, ell)
+        sub, sub_scale = _cut(L.field, forms, scale, ell)
+        assert sub_scale > 0 and sub_scale % scale == 0
         # the cut stratum is the zero set of ell inside the old one: lift
         # the point by solving ell(y) = 0 for the first nonzero coordinate
         p = next(t for t, c in enumerate(cut) if c)
         lifted = point[:p] + [0] + point[p:]
         lifted[p] = -sum(c * y for c, y in zip(cut, lifted)) * inv(cut[p])
         assert not ell.evaluate(lifted)
-        assert _combination(L, sub, point) == _combination(L, basis, lifted)
-        basis = sub
-    x = _combination(L, basis, point)
-    stratum, scale = encode_columns(L.field, [dict(enumerate(b.coords)) for b in basis], L.dim)
-    block = _stratum_block(der, _delta_index(L, delta), stratum, scale)
+        assert _at(L, sub, sub_scale, point) == _at(L, forms, scale, lifted)
+        forms, scale = sub, sub_scale
+    x = _at(L, forms, scale, point)
+    block = _stratum_block(der, _delta_index(L, delta), forms)
     assert len(block) == der.dim + 1
-    for forms, D in zip(block, dense_der_basis(der) + (delta,)):
-        assert [f.evaluate(point) for f in forms] == list(matvec(D, x.coords))
+    scales = [row[min(row)] for row in der.rows] + [encode_map(L, delta)[1]]
+    for column, D, s in zip(block, dense_der_basis(der) + (delta,), scales):
+        assert [f.evaluate(point) for f in column] == [scale * s * v for v in matvec(D, x.coords)]
 
 
 def test_probe_labels_render_scalars():
